@@ -39,6 +39,7 @@ from .witness import (
     write_sweep_csv,
 )
 from .work_stats import (
+    SAMPLING_RULES,
     exact_evolution,
     log_jarzynski_average,
     log_tasaki_average,
@@ -208,6 +209,15 @@ def _state_from_config(value, path: str, file: str, expected_n: int):
     return ThermalSpec(build_xxz(params), beta)
 
 
+def _sampling_from_config(cfg: dict, file: str) -> str:
+    sampling = cfg.get("sampling", "left")
+    if sampling not in SAMPLING_RULES:
+        raise ConfigError(
+            f"{file}: sampling: expected one of {SAMPLING_RULES}, got {sampling!r}"
+        )
+    return sampling
+
+
 def _resolve_evolution(kind: str, protocol: DetectionProtocol, sampling: str, file: str):
     if kind == "identity":
         return None
@@ -252,7 +262,7 @@ def _run_witness(args) -> int:
         if "sigma_ref" in cfg
         else None
     )
-    sampling = cfg.get("sampling", "left")
+    sampling = _sampling_from_config(cfg, file)
     evolution_kind = cfg.get("evolution", "identity")
     metadata = {
         "source": "cli",
@@ -536,7 +546,7 @@ def _run_sample(args) -> int:
     count = cfg.get("count", 100000)
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ConfigError(f"{file}: count: expected a positive integer, got {count!r}")
-    sampling = cfg.get("sampling", "left")
+    sampling = _sampling_from_config(cfg, file)
     evolution_kind = cfg.get("evolution", "trotter")
     evolution = _resolve_evolution(evolution_kind, protocol, sampling, file)
     if evolution is None:
@@ -554,22 +564,24 @@ def _run_sample(args) -> int:
         workers=workers,
     )
     out = _ensure_out(args)
-    lines = ["n_index,m_index,energy_initial,energy_final,work,generalized_exponent"]
-    for i in range(len(batch)):
-        lines.append(
-            ",".join(
-                [
-                    str(int(batch.n_index[i])),
-                    str(int(batch.m_index[i])),
-                    format(batch.energy_initial[i], ".17g"),
-                    format(batch.energy_final[i], ".17g"),
-                    format(batch.work[i], ".17g"),
-                    format(batch.generalized_exponent[i], ".17g"),
-                ]
-            )
-        )
+    # Rows are written as they are formatted, so the file never sits in
+    # memory as one string.
     with open(os.path.join(out, "trajectories.csv"), "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("n_index,m_index,energy_initial,energy_final,work,generalized_exponent\n")
+        for i in range(len(batch)):
+            handle.write(
+                ",".join(
+                    [
+                        str(int(batch.n_index[i])),
+                        str(int(batch.m_index[i])),
+                        format(batch.energy_initial[i], ".17g"),
+                        format(batch.energy_final[i], ".17g"),
+                        format(batch.work[i], ".17g"),
+                        format(batch.generalized_exponent[i], ".17g"),
+                    ]
+                )
+                + "\n"
+            )
     _write_json(
         os.path.join(out, "sample_summary.json"),
         {

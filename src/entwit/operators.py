@@ -5,6 +5,14 @@ container.  Site indices are 1-based and site 1 is the leftmost (most
 significant) tensor factor, so ``|01>`` on two qubits is basis index 1.
 Registers are capped at 12 qubits: the point of this library is transparent
 dense numerics, not scale.
+
+The eigensolver and unitarity checks live in two helpers, ``checked_eigh``
+and ``check_unitary``, which work on any square block.  The containers and
+``spectral_decompose`` use them on full matrices; the XXZ chain code in
+``spin_models`` and ``work_stats`` uses them on the blocks of fixed total
+magnetization (S^z sectors), so both paths hold the same tolerances.  The
+Pauli embeddings stay dense; they serve the open-system and
+Dzyaloshinskii-Moriya code, which does not conserve S^z in general.
 """
 
 from __future__ import annotations
@@ -104,13 +112,7 @@ class UnitaryOperator:
 
     def __post_init__(self) -> None:
         entries = _frozen_matrix(self.entries, self.register.dim, "unitary matrix")
-        gram = entries.conj().T @ entries
-        deviation = float(np.abs(gram - np.eye(self.register.dim)).max())
-        if deviation > self.tolerance:
-            raise NumericalCheckError(
-                f"unitarity check failed: max |U^dag U - I| = {deviation:.3e} "
-                f"exceeds {self.tolerance:.0e}"
-            )
+        check_unitary(entries, self.tolerance)
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -169,11 +171,7 @@ class SpectralDecomposition:
             raise ValueError("eigenvector matrix shape does not match eigenvalue count")
         if np.any(np.diff(eigenvalues) < 0):
             raise ValueError("eigenvalues must be sorted in ascending order")
-        gram_dev = float(np.abs(eigenvectors.conj().T @ eigenvectors - np.eye(dim)).max())
-        if gram_dev > ORTHONORMALITY_ATOL:
-            raise NumericalCheckError(
-                f"eigenvectors are not orthonormal: deviation {gram_dev:.3e}"
-            )
+        _check_orthonormal(eigenvectors)
         eigenvalues.setflags(write=False)
         eigenvectors.setflags(write=False)
         object.__setattr__(self, "eigenvalues", eigenvalues)
@@ -198,9 +196,33 @@ class SpectralDecomposition:
         return blocks
 
 
-def spectral_decompose(operator: HermitianOperator) -> SpectralDecomposition:
-    """Diagonalize a Hermitian operator, checking the reconstruction error."""
-    matrix = operator.entries
+def _check_orthonormal(vectors: np.ndarray) -> None:
+    dim = vectors.shape[1]
+    gram_dev = float(np.abs(vectors.conj().T @ vectors - np.eye(dim)).max())
+    if gram_dev > ORTHONORMALITY_ATOL:
+        raise NumericalCheckError(
+            f"eigenvectors are not orthonormal: deviation {gram_dev:.3e}"
+        )
+
+
+def check_unitary(entries: np.ndarray, tolerance: float = UNITARITY_ATOL) -> None:
+    """Raise unless max |U^dag U - I| <= tolerance for the square block ``entries``."""
+    gram = entries.conj().T @ entries
+    deviation = float(np.abs(gram - np.eye(entries.shape[0])).max())
+    if deviation > tolerance:
+        raise NumericalCheckError(
+            f"unitarity check failed: max |U^dag U - I| = {deviation:.3e} "
+            f"exceeds {tolerance:.0e}"
+        )
+
+
+def checked_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a Hermitian (or real symmetric) block, checked.
+
+    Raises NumericalCheckError when the solver fails, when the eigenvectors
+    are not orthonormal, or when V diag(w) V^dag misses ``matrix`` by more than
+    RECONSTRUCTION_RTOL * (1 + max|A|).  Real input gives real eigenvectors.
+    """
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as err:
@@ -208,15 +230,21 @@ def spectral_decompose(operator: HermitianOperator) -> SpectralDecomposition:
             f"eigensolver failed to converge on a {matrix.shape[0]}x{matrix.shape[1]} "
             f"matrix with max-entry norm {np.abs(matrix).max():.3e}"
         ) from err
-    decomposition = SpectralDecomposition(eigenvalues, eigenvectors)
+    _check_orthonormal(eigenvectors)
     scale = 1.0 + float(np.abs(matrix).max())
-    residual = float(np.abs(decomposition.reconstruct() - matrix).max())
+    reconstructed = (eigenvectors * eigenvalues) @ eigenvectors.conj().T
+    residual = float(np.abs(reconstructed - matrix).max())
     if residual > RECONSTRUCTION_RTOL * scale:
         raise NumericalCheckError(
             f"spectral reconstruction error {residual:.3e} exceeds "
             f"{RECONSTRUCTION_RTOL:.0e} * (1 + max|A|)"
         )
-    return decomposition
+    return eigenvalues, eigenvectors
+
+
+def spectral_decompose(operator: HermitianOperator) -> SpectralDecomposition:
+    """Diagonalize a Hermitian operator, checking the reconstruction error."""
+    return SpectralDecomposition(*checked_eigh(operator.entries))
 
 
 def hermitian_function(

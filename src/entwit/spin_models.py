@@ -7,10 +7,23 @@ The Hamiltonian built here is
 
 with the two-site sum wrapping around for periodic chains (the l = n bond is
 dropped for open ones) and the field always running over all n sites.
+
+Written as H = J H_xy + Jz H_zz - B S_z over three fixed pieces, it conserves
+the total magnetization S^z = sum_l sz_l, so it is block diagonal in the
+sectors of fixed S^z.  ``xxz_sectors`` builds, once per (n, boundary), each
+sector's basis indices, its real hopping block (H_xy), its H_zz diagonal and
+its magnetization m, from the action of every bond on basis states; no
+dense 2^n x 2^n piece is ever stored.  S_z commutes with everything, so a
+field only shifts a sector's energies by -B m.  ``build_xxz`` assembles the
+dense matrix from the blocks, and ``sector_spectra`` diagonalizes the blocks
+one by one (at most 35 states at n = 7, 924 at n = 12), with the checks of
+``operators.checked_eigh``.  The Dzyaloshinskii-Moriya term breaks S^z for
+in-plane D and stays a dense Pauli-product operator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +33,7 @@ from .errors import ConfigError
 from .operators import (
     HermitianOperator,
     QubitRegister,
+    checked_eigh,
     embed_pauli,
 )
 
@@ -102,22 +116,97 @@ class DrivingSchedule:
         return self.initial.n
 
 
+@dataclass(frozen=True)
+class Sector:
+    """The chain restricted to the basis states with k sites in |1>.
+
+    ``indices`` are those states' basis indices in ascending order;
+    ``hopping`` is the real block of H_xy = -(1/2) sum (sx sx + sy sy) on them,
+    ``zz`` the diagonal of H_zz = -sum sz sz, and ``magnetization`` the
+    eigenvalue m = n - 2k of S_z.  Arrays are read-only.
+    """
+
+    indices: np.ndarray
+    hopping: np.ndarray
+    zz: np.ndarray
+    magnetization: int
+
+    @property
+    def size(self) -> int:
+        return int(self.indices.size)
+
+    def block(self, params: XXZParams) -> np.ndarray:
+        """J H_xy + Jz H_zz - B S_z on this sector, as a real symmetric matrix."""
+        out = params.J * self.hopping
+        out.flat[:: self.size + 1] += params.Jz * self.zz - params.B * self.magnetization
+        return out
+
+
+def _bonds(n: int, boundary: str) -> list[tuple[int, int]]:
+    """0-based site pairs of the chain's bonds (two equal ones at n=2, periodic)."""
+    last_bond = n if boundary == "periodic" else n - 1
+    return [(l, (l + 1) % n) for l in range(last_bond)]
+
+
+def _popcounts(n: int) -> np.ndarray:
+    states = np.arange(2**n)
+    return sum((states >> shift) & 1 for shift in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def xxz_sectors(n: int, boundary: str = "periodic") -> tuple[Sector, ...]:
+    """The S^z sectors of the n-site chain, by ascending number of ones.
+
+    Built once per (n, boundary) and cached; every parameter set reuses them.
+    """
+    QubitRegister(n)
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
+    states = np.arange(2**n)
+    ones = _popcounts(n)
+    position = np.empty(2**n, dtype=np.int64)
+    # site l (0-based) is bit n-1-l of the basis index; site 0 is leftmost
+    masks = [(1 << (n - 1 - l), 1 << (n - 1 - m)) for l, m in _bonds(n, boundary)]
+    sectors = []
+    for k in range(n + 1):
+        indices = states[ones == k]
+        position[indices] = np.arange(indices.size)
+        hopping = np.zeros((indices.size, indices.size))
+        zz = np.zeros(indices.size)
+        for mask_l, mask_m in masks:
+            differ = ((indices & mask_l) == 0) != ((indices & mask_m) == 0)
+            zz += np.where(differ, 1.0, -1.0)
+            # sx sx + sy sy swaps an antiparallel pair with amplitude 2
+            source = np.flatnonzero(differ)
+            target = position[indices[source] ^ (mask_l | mask_m)]
+            np.add.at(hopping, (target, source), -1.0)
+        for array in (indices, hopping, zz):
+            array.setflags(write=False)
+        sectors.append(Sector(indices, hopping, zz, n - 2 * k))
+    return tuple(sectors)
+
+
 def build_xxz(params: XXZParams) -> HermitianOperator:
-    """Dense Hamiltonian matrix for the given chain parameters."""
-    n = params.n
-    register = QubitRegister(n)
-    sx = [embed_pauli(register, site, "x").entries for site in register.sites()]
-    sy = [embed_pauli(register, site, "y").entries for site in register.sites()]
-    sz = [embed_pauli(register, site, "z").entries for site in register.sites()]
+    """Dense Hamiltonian matrix for the given chain parameters, assembled
+    from the sector blocks."""
+    register = QubitRegister(params.n)
     h = np.zeros((register.dim, register.dim), dtype=np.complex128)
-    last_bond = n if params.boundary == "periodic" else n - 1
-    for l in range(last_bond):
-        m = (l + 1) % n
-        h -= 0.5 * params.J * (sx[l] @ sx[m] + sy[l] @ sy[m])
-        h -= params.Jz * (sz[l] @ sz[m])
-    for l in range(n):
-        h -= params.B * sz[l]
+    for sector in xxz_sectors(params.n, params.boundary):
+        h[np.ix_(sector.indices, sector.indices)] = sector.block(params)
     return HermitianOperator(register, h)
+
+
+def sector_spectra(params: XXZParams) -> list[tuple[Sector, np.ndarray, np.ndarray]]:
+    """(sector, ascending energies, real orthonormal eigenvectors) for every
+    S^z sector of the chain, each from one checked ``eigh`` of its block.
+
+    The field enters a sector only as the shift -B m of its energies, so a
+    caller scanning B may diagonalize once at B = 0 and shift.
+    """
+    return [
+        (sector, *checked_eigh(sector.block(params)))
+        for sector in xxz_sectors(params.n, params.boundary)
+    ]
 
 
 def build_dm_term(
@@ -144,10 +233,8 @@ def build_dm_term(
 
 def total_sz(register: QubitRegister) -> HermitianOperator:
     """Total magnetization sum_l sz_l (the U(1) charge of the XXZ chain)."""
-    h = np.zeros((register.dim, register.dim), dtype=np.complex128)
-    for site in register.sites():
-        h += embed_pauli(register, site, "z").entries
-    return HermitianOperator(register, h)
+    magnetization = register.n - 2 * _popcounts(register.n)
+    return HermitianOperator(register, np.diag(magnetization.astype(np.complex128)))
 
 
 def params_at(schedule: DrivingSchedule, t: float) -> XXZParams:

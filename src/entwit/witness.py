@@ -30,12 +30,18 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     QubitRegister,
+    SpectralDecomposition,
     UnitaryOperator,
     dicke_state,
     pure_state,
-    spectral_decompose,
 )
-from .spin_models import DrivingSchedule, XXZParams, build_xxz
+from .spin_models import (
+    DrivingSchedule,
+    XXZParams,
+    build_xxz,
+    sector_spectra,
+    xxz_sectors,
+)
 from .thermo import (
     ThermalSpec,
     gibbs_relative_entropy,
@@ -457,12 +463,17 @@ def _shared_sweep_state(grid: SweepGrid, reference: SweepReference, route: str) 
             else _identity_unitary(register)
         )
         s_left = relative_entropy_via_work(reference.sigma_spec, reference.rho_spec, u_left)
+    # Every candidate is block diagonal in the S^z sectors, so only the
+    # diagonal blocks of rho enter tr(rho ln sigma*).
+    sectors = xxz_sectors(grid.n, grid.boundary)
+    rho_blocks = [reference.rho.entries[np.ix_(s.indices, s.indices)] for s in sectors]
     return {
         "n": grid.n,
         "coupling_j": grid.coupling_j,
         "boundary": grid.boundary,
+        "b_values": grid.b_axis.values(),
         "t_values": grid.t_axis.values(),
-        "rho_entries": reference.rho.entries,
+        "rho_blocks": rho_blocks,
         "plogp_rho": plogp,
         "s_left": float(s_left),
         "route": route,
@@ -478,43 +489,56 @@ def _sweep_worker_init(state: dict) -> None:
     _SWEEP_STATE = state
 
 
-def _sweep_column(task: tuple[float, float]) -> np.ndarray:
-    """s_right for one (B, Jz) pair over the whole temperature axis."""
+def _sweep_plane(jz_value: float) -> np.ndarray:
+    """s_right for one Jz value over the whole (B, T) plane, shape (nB, nT).
+
+    The sectors are diagonalized once at B = 0; each B only shifts their
+    energies by -B m and leaves the eigenvectors alone.
+    """
     state = _SWEEP_STATE
     assert state is not None
-    b_value, jz_value = task
-    params = XXZParams(
-        n=state["n"],
-        J=state["coupling_j"],
-        Jz=jz_value,
-        B=b_value,
-        boundary=state["boundary"],
-    )
-    h_star = build_xxz(params)
-    t_values = state["t_values"]
+    n, boundary = state["n"], state["boundary"]
+    spectra = sector_spectra(XXZParams(n, state["coupling_j"], jz_value, 0.0, boundary))
+    energies = np.concatenate([w for _, w, _ in spectra])
+    magnetization = np.concatenate([np.full(w.size, s.magnetization) for s, w, _ in spectra])
+    b_values, t_values = state["b_values"], state["t_values"]
+    out = np.empty((b_values.size, t_values.size))
+
     if state["route"] == "via_work":
-        spectrum = spectral_decompose(h_star)
+        dim = 2**n
+        vectors = np.zeros((dim, dim))
+        column = 0
+        for sector, w, v in spectra:
+            vectors[sector.indices, column : column + w.size] = v
+            column += w.size
         rho_spec = state["rho_spec"]
-        register = h_star.register
-        identity = _identity_unitary(register)
-        out = np.empty(t_values.size)
-        for i, temperature in enumerate(t_values):
-            star_spec = ThermalSpec.with_spectrum(h_star, 1.0 / temperature, spectrum)
-            out[i] = relative_entropy_via_work(star_spec, rho_spec, identity)
+        identity = _identity_unitary(QubitRegister(n))
+        for i, b_value in enumerate(b_values):
+            shifted = energies - b_value * magnetization
+            order = np.argsort(shifted, kind="stable")
+            spectrum = SpectralDecomposition(shifted[order], vectors[:, order])
+            h_star = build_xxz(XXZParams(n, state["coupling_j"], jz_value, float(b_value), boundary))
+            for j, temperature in enumerate(t_values):
+                star_spec = ThermalSpec.with_spectrum(h_star, 1.0 / temperature, spectrum)
+                out[i, j] = relative_entropy_via_work(star_spec, rho_spec, identity)
         return out
 
     # Gibbs states at every grid point are full rank, so tr(rho ln sigma*) is
     # evaluated from exact log weights; no support bookkeeping applies here.
-    eigenvalues, eigenvectors = np.linalg.eigh(h_star.entries)
-    overlaps = np.einsum(
-        "ji,jk,ki->i", eigenvectors.conj(), state["rho_entries"], eigenvectors
-    ).real
+    overlaps = np.concatenate(
+        [
+            (v.conj() * (rho_ss @ v)).sum(0).real
+            for (_, _, v), rho_ss in zip(spectra, state["rho_blocks"])
+        ]
+    )
     overlaps = np.clip(overlaps, 0.0, None)
     betas = 1.0 / t_values
-    shifted = -np.outer(betas, eigenvalues - eigenvalues[0])
-    log_norm = logsumexp(shifted, axis=1)
-    log_p = shifted - log_norm[:, None]
-    return state["plogp_rho"] - log_p @ overlaps
+    for i, b_value in enumerate(b_values):
+        shifted_energies = energies - b_value * magnetization
+        shifted = -np.outer(betas, shifted_energies - shifted_energies.min())
+        log_p = shifted - logsumexp(shifted, axis=1)[:, None]
+        out[i] = state["plogp_rho"] - log_p @ overlaps
+    return out
 
 
 def sweep_detection(
@@ -527,8 +551,9 @@ def sweep_detection(
 
     rho_star at each point is the Gibbs state of the chain at (B, Jz, 1/T)
     with the grid's fixed coupling and boundary.  The sweep is a pure map
-    over (B, Jz) tasks in fixed order, so output is deterministic for any
-    worker count.  Returns a copy of the grid with results attached.
+    over Jz values in fixed order, one sector diagonalization each, so output
+    is deterministic for any worker count.  Returns a copy of the grid with
+    results attached.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -539,7 +564,7 @@ def sweep_detection(
     b_values = grid.b_axis.values()
     jz_values = grid.jz_axis.values()
     t_values = grid.t_axis.values()
-    tasks = [(float(b), float(jz)) for b in b_values for jz in jz_values]
+    tasks = [float(jz) for jz in jz_values]
 
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -548,24 +573,25 @@ def sweep_detection(
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_sweep_worker_init, initargs=(shared,)
         ) as pool:
-            columns = list(pool.map(_sweep_column, tasks, chunksize=chunk))
+            planes = list(pool.map(_sweep_plane, tasks, chunksize=chunk))
     else:
         _sweep_worker_init(shared)
-        columns = [_sweep_column(task) for task in tasks]
+        planes = [_sweep_plane(task) for task in tasks]
 
     s_left = shared["s_left"]
     reports: list[WitnessReport] = []
-    for (b_value, jz_value), column in zip(tasks, columns):
-        for temperature, s_right in zip(t_values, column):
-            reports.append(
-                _finish_report(
-                    s_left,
-                    float(s_right),
-                    route,
-                    strictness_epsilon,
-                    {"B": b_value, "Jz": jz_value, "T": float(temperature)},
+    for i, b_value in enumerate(b_values.tolist()):
+        for jz_value, plane in zip(tasks, planes):
+            for temperature, s_right in zip(t_values, plane[i]):
+                reports.append(
+                    _finish_report(
+                        s_left,
+                        float(s_right),
+                        route,
+                        strictness_epsilon,
+                        {"B": b_value, "Jz": jz_value, "T": float(temperature)},
+                    )
                 )
-            )
     return dataclasses.replace(grid, route=route, results=tuple(reports))
 
 

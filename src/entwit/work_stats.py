@@ -27,15 +27,25 @@ from .operators import (
     QubitRegister,
     SpectralDecomposition,
     UnitaryOperator,
+    check_unitary,
     evolution_operator,
     spectral_decompose,
 )
-from .spin_models import DrivingSchedule, XXZParams, build_xxz, params_at
+from .spin_models import (
+    DrivingSchedule,
+    XXZParams,
+    build_xxz,
+    params_at,
+    sector_spectra,
+    xxz_sectors,
+)
 from .thermo import ThermalSpec, thermal_state
 
 STOCHASTICITY_ATOL = 1e-10
 COMMUTATION_ATOL = 1e-9
 SAMPLE_BLOCK = 16384
+# Where trotter_evolution samples H in each slice.
+SAMPLING_RULES = ("left", "midpoint")
 
 
 @dataclass(frozen=True)
@@ -93,15 +103,18 @@ def transition_matrix(
 def exact_evolution(schedule: DrivingSchedule, commutation_samples: int = 5) -> UnitaryOperator:
     """U = exp(-i integral H(s) ds) for schedules whose Hamiltonians commute.
 
-    Commutation is checked numerically on sampled step pairs; schedules that
-    fail the check must use trotter_evolution instead.  The time integral is
-    done on the interpolated parameters (trapezoid, exact for linear ramps).
+    Commutation is checked numerically on pairs of Hamiltonians sampled at
+    ``commutation_samples`` slice starts spread over the schedule plus t_f
+    itself, so H(0) is always compared with H(t_f); schedules that fail the
+    check must use trotter_evolution instead.  The time integral is done on
+    the interpolated parameters (trapezoid, exact for linear ramps).
     """
     sampled_steps = sorted(
         {int(round(i * (schedule.steps - 1) / max(commutation_samples - 1, 1)))
          for i in range(max(commutation_samples, 2))}
     )
-    hams = [build_xxz(params_at(schedule, s * schedule.dt)).entries for s in sampled_steps]
+    sampled_times = [s * schedule.dt for s in sampled_steps] + [schedule.t_f]
+    hams = [build_xxz(params_at(schedule, t)).entries for t in sampled_times]
     worst = 0.0
     for i in range(len(hams)):
         for j in range(i + 1, len(hams)):
@@ -132,18 +145,31 @@ def trotter_evolution(schedule: DrivingSchedule, sampling: str = "left") -> Unit
     unitary; the product keeps ||U^dag U - I|| at roundoff level regardless of
     the step count.  ``sampling`` picks H at the left endpoint of each slice
     (first-order accurate, the default) or at the midpoint (second order).
+
+    H(t) conserves S^z, so every factor and the product are block diagonal:
+    each S^z sector carries its own product, each step diagonalizes the
+    sector blocks (checked like ``spectral_decompose``) and checks every
+    block factor's unitarity, and the dense unitary is assembled once at the
+    end.  The blocks do not overlap, so the per-block maxima are the
+    full-matrix ones.
     """
-    if sampling not in ("left", "midpoint"):
+    if sampling not in SAMPLING_RULES:
         raise ValueError(f"sampling must be 'left' or 'midpoint', got {sampling!r}")
-    dim = 2**schedule.n
-    total = np.eye(dim, dtype=np.complex128)
+    sectors = xxz_sectors(schedule.n, schedule.initial.boundary)
+    products = [np.eye(sector.size, dtype=np.complex128) for sector in sectors]
     dt = schedule.dt
     offset = 0.0 if sampling == "left" else 0.5
     for step in range(schedule.steps):
         params = params_at(schedule, min((step + offset) * dt, schedule.t_f))
-        factor = evolution_operator(build_xxz(params), dt)
-        total = factor.entries @ total
-    return UnitaryOperator(QubitRegister(schedule.n), total)
+        for i, (_, energies, vectors) in enumerate(sector_spectra(params)):
+            factor = (vectors * np.exp(-1j * energies * dt)) @ vectors.T
+            check_unitary(factor)
+            products[i] = factor @ products[i]
+    register = QubitRegister(schedule.n)
+    total = np.zeros((register.dim, register.dim), dtype=np.complex128)
+    for sector, product in zip(sectors, products):
+        total[np.ix_(sector.indices, sector.indices)] = product
+    return UnitaryOperator(register, total)
 
 
 def _log_generalized_average(
@@ -386,9 +412,12 @@ def _sample_block(payload: tuple) -> tuple[np.ndarray, np.ndarray]:
     u_first = rng.random(size)
     n_idx = np.minimum(np.searchsorted(cum_initial, u_first, side="right"), dim - 1)
     u_second = rng.random(size)
-    columns = cum_q[:, n_idx]
-    m_idx = np.minimum((columns <= u_second[None, :]).sum(axis=0), dim - 1)
-    return n_idx.astype(np.int64), m_idx.astype(np.int64)
+    # one binary search per distinct first index, so memory stays O(size)
+    m_idx = np.empty(size, dtype=np.int64)
+    for column in np.unique(n_idx):
+        chosen = n_idx == column
+        m_idx[chosen] = np.searchsorted(cum_q[:, column], u_second[chosen], side="right")
+    return n_idx.astype(np.int64), np.minimum(m_idx, dim - 1)
 
 
 def sample_tpm(

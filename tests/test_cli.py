@@ -116,6 +116,22 @@ def test_sweep_outputs_are_worker_independent(tmp_path):
     assert (out1 / "sweep_meta.json").read_bytes() == (out2 / "sweep_meta.json").read_bytes()
 
 
+def test_sweep_csv_is_worker_independent_over_many_jz_tasks(tmp_path):
+    # the sweep hands out one task per Jz value, so this grid reaches the pool
+    grid = {
+        "B": {"min": 0.0, "max": 1.0, "step": 0.25},
+        "Jz": {"min": 0.0, "max": 0.5, "step": 0.1},
+        "T": {"min": 0.02, "max": 0.5, "step": 0.12},
+    }
+    for n in (3, 7):
+        cfg = write_config(tmp_path, {"n": n, "grid": grid}, f"sweep{n}.json")
+        outs = [tmp_path / f"n{n}w{w}" for w in (1, 2)]
+        for workers, out in zip((1, 2), outs):
+            out.mkdir()
+            main(["sweep", "--config", cfg, "--out", str(out), "--workers", str(workers)])
+        assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+
+
 def test_sweep_rejects_zero_step_axis(tmp_path, capsys):
     grid = {**SMALL_GRID, "B": {"min": 0.0, "max": 1.0, "step": 0.0}}
     cfg = write_config(tmp_path, {"n": 3, "grid": grid})
@@ -201,6 +217,23 @@ def test_sample_rejects_bad_count(tmp_path, capsys):
     cfg = write_config(tmp_path, {"protocol": "three-qubit", "count": -5})
     assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("witness", {"protocol": "three-qubit", "rho_star": W3, "evolution": "trotter"}),
+        ("sample", {"protocol": "three-qubit", "count": 10, "evolution": "trotter"}),
+    ],
+)
+def test_unknown_sampling_rule_is_config_error(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, {**payload, "sampling": "bogus"})
+    args = [command, "--config", cfg, "--out", str(tmp_path)]
+    if command == "witness":
+        args += ["--route", "via-work"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sampling" in err and "bogus" in err
 
 
 # ---------------------------------------------------------------- errors

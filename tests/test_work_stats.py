@@ -41,6 +41,8 @@ from entwit import (
     work_distribution,
 )
 
+from entwit.work_stats import SAMPLE_BLOCK, _sample_block
+
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -251,6 +253,20 @@ class TestEvolution:
         with pytest.raises(NumericalCheckError, match="trotter"):
             exact_evolution(NONCOMMUTING)
 
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    def test_exact_compares_the_endpoints_at_any_step_count(self, steps):
+        # with one step the only slice start is t = 0, so H(0) must still be
+        # compared with H(t_f); the closed form misses the ordered product by
+        # about 0.055 here
+        ramp = DrivingSchedule(
+            XXZParams(4, J=1.0, Jz=0.9, B=0.2),
+            XXZParams(4, J=0.3, Jz=0.0, B=0.9),
+            t_f=1.0,
+            steps=steps,
+        )
+        with pytest.raises(NumericalCheckError, match="trotter"):
+            exact_evolution(ramp)
+
     def test_left_sampling_error_is_first_order(self):
         sched = dataclasses.replace(detection_protocol(3).schedule, steps=1000)
         ue = exact_evolution(sched)
@@ -328,6 +344,34 @@ class TestSampler:
     def test_single_sample_has_no_error_bar(self):
         _, summary = sample_tpm(self.initial, self.final, self.u, count=1, seed=3)
         assert summary.stderr is None and summary.z_score is None
+
+    @pytest.mark.parametrize("dim, beta", [(2, 1.0), (8, 0.3), (32, 4.0), (128, 10.0)])
+    def test_column_search_matches_column_gather(self, haar, dim, beta):
+        # the former sampler gathered cum_q[:, n_idx] (dim x block floats) and
+        # counted entries <= u; the per-column binary search must pick the
+        # same indices bit for bit
+        n = int(np.log2(dim))
+        rng = np.random.default_rng(dim)
+        u = haar(QubitRegister(n), dim).entries
+        cum_q = np.cumsum(np.abs(u) ** 2, axis=0)
+        cum_q[-1, :] = 1.0
+        gibbs = np.exp(-beta * np.sort(rng.normal(size=dim)))
+        cum_initial = np.cumsum(gibbs / gibbs.sum())
+        cum_initial[-1] = 1.0
+        for seed, block, size in [(0, 0, 1), (3, 1, 1000), (12345, 4, SAMPLE_BLOCK)]:
+            payload = (seed, block, size, cum_initial, cum_q)
+            n_idx, m_idx = _sample_block(payload)
+
+            stream = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+            )
+            first = stream.random(size)
+            want_n = np.minimum(np.searchsorted(cum_initial, first, side="right"), dim - 1)
+            second = stream.random(size)
+            columns = cum_q[:, want_n]
+            want_m = np.minimum((columns <= second[None, :]).sum(axis=0), dim - 1)
+            assert n_idx.tobytes() == want_n.astype(np.int64).tobytes()
+            assert m_idx.tobytes() == want_m.astype(np.int64).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
