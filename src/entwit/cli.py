@@ -269,24 +269,18 @@ def _run_witness(args) -> int:
         "beta": beta,
         "protocol": cfg["protocol"] if isinstance(cfg["protocol"], str) else "custom",
     }
-    if route == "direct":
-        report = witness_evaluate(
-            protocol.final_spec,
-            sigma_override if sigma_override is not None else protocol.initial_spec,
-            rho_star,
-            "direct",
-            metadata=metadata,
-        )
-    else:
-        evolution = _resolve_evolution(evolution_kind, protocol, sampling, file)
-        report = witness_evaluate(
-            protocol.final_spec,
-            sigma_override if sigma_override is not None else protocol.initial_spec,
-            rho_star,
-            "via_work",
-            evolution=evolution,
-            metadata=metadata,
-        )
+    report = witness_evaluate(
+        protocol.final_spec,
+        sigma_override if sigma_override is not None else protocol.initial_spec,
+        rho_star,
+        route,
+        evolution=(
+            _resolve_evolution(evolution_kind, protocol, sampling, file)
+            if route == "via_work"
+            else None
+        ),
+        metadata=metadata,
+    )
     out = _ensure_out(args)
     _write_json(
         os.path.join(out, "witness_report.json"),

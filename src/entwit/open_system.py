@@ -13,7 +13,14 @@ and only references the subsystem through the effective energies.
 
 Driving evolves the full register unitarily; the bath is never rethermalized
 mid-protocol.  Endpoint states are the equilibrium ones at the shared beta,
-which is all the fluctuation identities require.
+which is all the fluctuation identities require.  The driven Hamiltonian is
+affine in the subsystem parameters, H(t) = (coupling + bath) + J H_xy +
+Jz H_zz - B S_z, with the chain pieces laid on the subsystem's sites, so
+``open_trotter_evolution`` builds the pieces once and shares the closed
+chain's ordered product.  A split XXZ chain conserves the total S^z, and the
+product then runs per S^z sector of the full register; a coupling or bath
+that changes S^z puts the whole register in one block.  The endpoint
+quantities (effective Hamiltonian, partition functions) stay dense.
 """
 
 from __future__ import annotations
@@ -28,19 +35,25 @@ from scipy.special import logsumexp
 
 from .errors import ConfigError, NumericalCheckError
 from .operators import (
-    PAULIS,
     DensityMatrix,
     HermitianOperator,
     QubitRegister,
     UnitaryOperator,
     _partial_trace_matrix,
     embed_operator,
-    evolution_operator,
     hermitian_from_json,
     matrix_to_json,
     spectral_decompose,
 )
-from .spin_models import DrivingSchedule, XXZParams, params_at
+from .spin_models import (
+    DrivingSchedule,
+    XXZParams,
+    _bonds,
+    _popcounts,
+    chain_pieces,
+    params_at,
+    xxz_matrix,
+)
 from .thermo import ThermalSpec, thermal_state
 from .witness import (
     STRICTNESS_EPSILON,
@@ -50,7 +63,12 @@ from .witness import (
     _identity_unitary,
     witness_evaluate,
 )
-from .work_stats import log_jarzynski_average, relative_entropy_via_work
+from .work_stats import (
+    log_jarzynski_average,
+    ordered_product,
+    relative_entropy_via_work,
+    schedule_coefficients,
+)
 
 # Smallest eigenvalue of the bath-traced weight operator that still leaves
 # log() with usable precision; anything below means the temperature is too
@@ -373,21 +391,40 @@ def open_trotter_evolution(composite: CompositeSystem, sampling: str = "left") -
 
     The bath and coupling stay fixed while the subsystem parameters follow the
     schedule; sampling works as in the closed-system integrator ("left" for
-    plain first order, "midpoint" for the symmetric variant).
+    plain first order, "midpoint" for the symmetric variant).  The full
+    Hamiltonian is built once, as the pieces (coupling + embedded bath, and
+    the subsystem chain's H_xy, H_zz and S_z laid on its sites of the full
+    register) with the slice coefficients (1, J, Jz, -B), and handed to
+    ``work_stats.ordered_product``.  When every piece is exactly zero between
+    the register's S^z sectors (as for a split XXZ chain), the product runs
+    per sector; otherwise, for a coupling or bath that changes S^z, it runs on
+    one block holding the whole register.
     """
     if composite.subsystem_schedule is None:
         raise ValueError("open_trotter_evolution needs a driven composite")
-    if sampling not in ("left", "midpoint"):
-        raise ValueError(f"sampling must be 'left' or 'midpoint', got {sampling!r}")
     schedule = composite.subsystem_schedule
-    offset = 0.0 if sampling == "left" else 0.5
-    dt = schedule.dt
-    total = np.eye(composite.register.dim, dtype=np.complex128)
-    for step in range(schedule.steps):
-        t = min((step + offset) * dt, schedule.t_f)
-        factor = evolution_operator(full_hamiltonian(composite, t), dt)
-        total = factor.entries @ total
-    return UnitaryOperator(composite.register, total)
+    coefficients = np.column_stack(
+        [np.ones(schedule.steps), schedule_coefficients(schedule, sampling)]
+    )
+    register = composite.register
+    n = register.n
+    fixed = np.zeros((register.dim, register.dim), dtype=np.complex128)
+    if composite.coupling is not None:
+        fixed += composite.coupling.entries
+    if composite.bath_hamiltonian is not None:
+        fixed += embed_operator(register, composite.bath_hamiltonian.entries, composite.bath_sites)
+    site = [s - 1 for s in composite.subsystem_sites]
+    bonds = [(site[l], site[m]) for l, m in _bonds(schedule.n, schedule.initial.boundary)]
+    hopping, zz, magnetization = chain_pieces(n, bonds, site)
+    pieces = np.stack([fixed, hopping, np.diag(zz), np.diag(magnetization)])
+    ones = _popcounts(n)
+    # the chain pieces conserve S^z by construction; only the fixed one may not
+    if fixed[ones[:, None] != ones[None, :]].any():
+        sectors = [np.arange(register.dim)]
+    else:
+        sectors = [np.flatnonzero(ones == k) for k in range(n + 1)]
+    blocks = [(indices, pieces[:, indices[:, None], indices]) for indices in sectors]
+    return ordered_product(register, blocks, coefficients, schedule.dt)
 
 
 def split_chain(
@@ -403,52 +440,25 @@ def split_chain(
     register = QubitRegister(params.n)
     sub = tuple(sorted(int(s) for s in subsystem_sites))
     bath = tuple(s for s in range(1, params.n + 1) if s not in sub)
-    local_sub = {site: idx + 1 for idx, site in enumerate(sub)}
-    local_bath = {site: idx + 1 for idx, site in enumerate(bath)}
-    sub_register = QubitRegister(len(sub))
-    bath_register = QubitRegister(len(bath)) if bath else None
+    bonds = _bonds(params.n, params.boundary)
+    cross = [(l, m) for l, m in bonds if (l + 1 in sub) != (m + 1 in sub)]
 
-    h_sub = np.zeros((sub_register.dim, sub_register.dim), dtype=np.complex128)
-    h_bath = (
-        np.zeros((bath_register.dim, bath_register.dim), dtype=np.complex128)
-        if bath_register is not None
-        else None
-    )
-    h_cross = np.zeros((register.dim, register.dim), dtype=np.complex128)
-    cross_bonds = 0
+    def part(sites: tuple[int, ...]) -> HermitianOperator:
+        local = {site - 1: idx for idx, site in enumerate(sites)}
+        inside = [(local[l], local[m]) for l, m in bonds if l in local and m in local]
+        pieces = chain_pieces(len(sites), inside, range(len(sites)))
+        return HermitianOperator(QubitRegister(len(sites)), xxz_matrix(params, *pieces))
 
-    bond = -0.5 * params.J * (
-        np.kron(PAULIS["x"], PAULIS["x"]) + np.kron(PAULIS["y"], PAULIS["y"])
-    ) - params.Jz * np.kron(PAULIS["z"], PAULIS["z"])
-    last_bond = params.n if params.boundary == "periodic" else params.n - 1
-    for l in range(1, last_bond + 1):
-        m = l % params.n + 1
-        if l in local_sub and m in local_sub:
-            h_sub += embed_operator(sub_register, bond, (local_sub[l], local_sub[m]))
-        elif l in local_bath and m in local_bath:
-            assert h_bath is not None and bath_register is not None
-            h_bath += embed_operator(bath_register, bond, (local_bath[l], local_bath[m]))
-        else:
-            h_cross += embed_operator(register, bond, (l, m))
-            cross_bonds += 1
-    field = -params.B * PAULIS["z"]
-    for site in range(1, params.n + 1):
-        if site in local_sub:
-            h_sub += embed_operator(sub_register, field, (local_sub[site],))
-        else:
-            assert h_bath is not None and bath_register is not None
-            h_bath += embed_operator(bath_register, field, (local_bath[site],))
-
+    hopping, zz, _ = chain_pieces(params.n, cross, [])
+    coupling = xxz_matrix(params, hopping, zz, 0.0)
     return CompositeSystem(
         register=register,
         subsystem_sites=sub,
         bath_sites=bath,
         beta=beta,
-        subsystem_hamiltonian=HermitianOperator(sub_register, h_sub),
-        coupling=HermitianOperator(register, h_cross) if cross_bonds else None,
-        bath_hamiltonian=(
-            HermitianOperator(bath_register, h_bath) if bath_register is not None else None
-        ),
+        subsystem_hamiltonian=part(sub),
+        coupling=HermitianOperator(register, coupling) if cross else None,
+        bath_hamiltonian=part(bath) if bath else None,
     )
 
 

@@ -7,12 +7,12 @@ Registers are capped at 12 qubits: the point of this library is transparent
 dense numerics, not scale.
 
 The eigensolver and unitarity checks live in two helpers, ``checked_eigh``
-and ``check_unitary``, which work on any square block.  The containers and
-``spectral_decompose`` use them on full matrices; the XXZ chain code in
-``spin_models`` and ``work_stats`` uses them on the blocks of fixed total
-magnetization (S^z sectors), so both paths hold the same tolerances.  The
-Pauli embeddings stay dense; they serve the open-system and
-Dzyaloshinskii-Moriya code, which does not conserve S^z in general.
+and ``check_unitary``, which work on any square block or stack of blocks.
+The containers and ``spectral_decompose`` use them on full matrices; the
+ordered product in ``work_stats`` uses them on stacks of the blocks of fixed
+total magnetization (S^z sectors), so both paths hold the same tolerances.
+The Pauli embeddings stay dense; they serve the open-system and
+Dzyaloshinskii-Moriya code, whose generic operators need not conserve S^z.
 """
 
 from __future__ import annotations
@@ -196,9 +196,14 @@ class SpectralDecomposition:
         return blocks
 
 
+# The checks below take one square block or a stack of them, shape
+# (..., s, s).  Absolute tolerances make the maximum over a stack the same
+# test as checking each block; the reconstruction scale is per block.
+
+
 def _check_orthonormal(vectors: np.ndarray) -> None:
-    dim = vectors.shape[1]
-    gram_dev = float(np.abs(vectors.conj().T @ vectors - np.eye(dim)).max())
+    gram = vectors.conj().swapaxes(-1, -2) @ vectors
+    gram_dev = float(np.abs(gram - np.eye(vectors.shape[-1])).max())
     if gram_dev > ORTHONORMALITY_ATOL:
         raise NumericalCheckError(
             f"eigenvectors are not orthonormal: deviation {gram_dev:.3e}"
@@ -206,9 +211,10 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 
 
 def check_unitary(entries: np.ndarray, tolerance: float = UNITARITY_ATOL) -> None:
-    """Raise unless max |U^dag U - I| <= tolerance for the square block ``entries``."""
-    gram = entries.conj().T @ entries
-    deviation = float(np.abs(gram - np.eye(entries.shape[0])).max())
+    """Raise unless max |U^dag U - I| <= tolerance for the square block
+    ``entries``, or for every block of a stack."""
+    gram = entries.conj().swapaxes(-1, -2) @ entries
+    deviation = float(np.abs(gram - np.eye(entries.shape[-1])).max())
     if deviation > tolerance:
         raise NumericalCheckError(
             f"unitarity check failed: max |U^dag U - I| = {deviation:.3e} "
@@ -217,27 +223,30 @@ def check_unitary(entries: np.ndarray, tolerance: float = UNITARITY_ATOL) -> Non
 
 
 def checked_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of a Hermitian (or real symmetric) block, checked.
+    """``np.linalg.eigh`` of a Hermitian (or real symmetric) block, or of a
+    stack of blocks, checked.
 
     Raises NumericalCheckError when the solver fails, when the eigenvectors
-    are not orthonormal, or when V diag(w) V^dag misses ``matrix`` by more than
+    are not orthonormal, or when V diag(w) V^dag misses a block A by more than
     RECONSTRUCTION_RTOL * (1 + max|A|).  Real input gives real eigenvectors.
     """
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as err:
         raise NumericalCheckError(
-            f"eigensolver failed to converge on a {matrix.shape[0]}x{matrix.shape[1]} "
+            f"eigensolver failed to converge on a {matrix.shape[-2]}x{matrix.shape[-1]} "
             f"matrix with max-entry norm {np.abs(matrix).max():.3e}"
         ) from err
     _check_orthonormal(eigenvectors)
-    scale = 1.0 + float(np.abs(matrix).max())
-    reconstructed = (eigenvectors * eigenvalues) @ eigenvectors.conj().T
-    residual = float(np.abs(reconstructed - matrix).max())
-    if residual > RECONSTRUCTION_RTOL * scale:
+    scale = 1.0 + np.abs(matrix).max(axis=(-2, -1))
+    v = eigenvectors
+    reconstructed = (v * eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    residual = np.abs(reconstructed - matrix).max(axis=(-2, -1))
+    failed = residual > RECONSTRUCTION_RTOL * scale
+    if np.any(failed):
         raise NumericalCheckError(
-            f"spectral reconstruction error {residual:.3e} exceeds "
-            f"{RECONSTRUCTION_RTOL:.0e} * (1 + max|A|)"
+            f"spectral reconstruction error {float(np.max(residual[failed])):.3e} "
+            f"exceeds {RECONSTRUCTION_RTOL:.0e} * (1 + max|A|)"
         )
     return eigenvalues, eigenvectors
 

@@ -17,14 +17,17 @@ dense 2^n x 2^n piece is ever stored.  S_z commutes with everything, so a
 field only shifts a sector's energies by -B m.  ``build_xxz`` assembles the
 dense matrix from the blocks, and ``sector_spectra`` diagonalizes the blocks
 one by one (at most 35 states at n = 7, 924 at n = 12), with the checks of
-``operators.checked_eigh``.  The Dzyaloshinskii-Moriya term breaks S^z for
-in-plane D and stays a dense Pauli-product operator.
+``operators.checked_eigh``.  ``chain_pieces`` applies the same bond action to
+the whole basis of a register, for chains laid on any of its sites (the
+open-system split and driven subsystem).  The Dzyaloshinskii-Moriya term
+breaks S^z for in-plane D and stays a dense Pauli-product operator.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,9 +140,17 @@ class Sector:
 
     def block(self, params: XXZParams) -> np.ndarray:
         """J H_xy + Jz H_zz - B S_z on this sector, as a real symmetric matrix."""
-        out = params.J * self.hopping
-        out.flat[:: self.size + 1] += params.Jz * self.zz - params.B * self.magnetization
-        return out
+        return xxz_matrix(params, self.hopping, self.zz, self.magnetization)
+
+
+def xxz_matrix(
+    params: XXZParams, hopping: np.ndarray, zz: np.ndarray, magnetization: np.ndarray | float
+) -> np.ndarray:
+    """J H_xy + Jz H_zz - B S_z from the hopping matrix and the H_zz and S_z
+    diagonals (a scalar magnetization for one sector)."""
+    out = params.J * hopping
+    out.flat[:: hopping.shape[0] + 1] += params.Jz * zz - params.B * magnetization
+    return out
 
 
 def _bonds(n: int, boundary: str) -> list[tuple[int, int]]:
@@ -151,6 +162,48 @@ def _bonds(n: int, boundary: str) -> list[tuple[int, int]]:
 def _popcounts(n: int) -> np.ndarray:
     states = np.arange(2**n)
     return sum((states >> shift) & 1 for shift in range(n))
+
+
+def _bond_action(
+    n: int, bonds: list[tuple[int, int]], indices: np.ndarray, position: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """H_xy = -(1/2) sum (sx sx + sy sy) and the diagonal of H_zz = -sum sz sz
+    over ``bonds`` (0-based site pairs), on the basis states ``indices``.
+
+    ``position`` maps a basis index to its row; the bonds must map the states
+    into themselves, as they do for a sector of fixed S^z or the whole basis.
+    """
+    hopping = np.zeros((indices.size, indices.size))
+    zz = np.zeros(indices.size)
+    for l, m in bonds:
+        # site l (0-based) is bit n-1-l of the basis index; site 0 is leftmost
+        mask_l, mask_m = 1 << (n - 1 - l), 1 << (n - 1 - m)
+        differ = ((indices & mask_l) == 0) != ((indices & mask_m) == 0)
+        zz += np.where(differ, 1.0, -1.0)
+        # sx sx + sy sy swaps an antiparallel pair with amplitude 2
+        source = np.flatnonzero(differ)
+        target = position[indices[source] ^ (mask_l | mask_m)]
+        np.add.at(hopping, (target, source), -1.0)
+    return hopping, zz
+
+
+def chain_pieces(
+    n: int, bonds: list[tuple[int, int]], field_sites: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense H_xy and the diagonals of H_zz and S_z on an n-qubit register.
+
+    The XXZ pieces of any bond graph: ``bonds`` are 0-based site pairs and
+    ``field_sites`` the 0-based sites the field acts on, so a chain laid on
+    any sites of a larger register needs no operator embedding.  Combine them
+    with ``xxz_matrix``.
+    """
+    QubitRegister(n)
+    states = np.arange(2**n)
+    hopping, zz = _bond_action(n, bonds, states, states)
+    magnetization = np.zeros(2**n)
+    for site in field_sites:
+        magnetization += 1 - 2 * ((states >> (n - 1 - site)) & 1)
+    return hopping, zz, magnetization
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,21 +218,12 @@ def xxz_sectors(n: int, boundary: str = "periodic") -> tuple[Sector, ...]:
     states = np.arange(2**n)
     ones = _popcounts(n)
     position = np.empty(2**n, dtype=np.int64)
-    # site l (0-based) is bit n-1-l of the basis index; site 0 is leftmost
-    masks = [(1 << (n - 1 - l), 1 << (n - 1 - m)) for l, m in _bonds(n, boundary)]
+    bonds = _bonds(n, boundary)
     sectors = []
     for k in range(n + 1):
         indices = states[ones == k]
         position[indices] = np.arange(indices.size)
-        hopping = np.zeros((indices.size, indices.size))
-        zz = np.zeros(indices.size)
-        for mask_l, mask_m in masks:
-            differ = ((indices & mask_l) == 0) != ((indices & mask_m) == 0)
-            zz += np.where(differ, 1.0, -1.0)
-            # sx sx + sy sy swaps an antiparallel pair with amplitude 2
-            source = np.flatnonzero(differ)
-            target = position[indices[source] ^ (mask_l | mask_m)]
-            np.add.at(hopping, (target, source), -1.0)
+        hopping, zz = _bond_action(n, bonds, indices, position)
         for array in (indices, hopping, zz):
             array.setflags(write=False)
         sectors.append(Sector(indices, hopping, zz, n - 2 * k))

@@ -16,6 +16,7 @@ separate on purpose.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import warnings
@@ -164,11 +165,12 @@ class DetectionProtocol:
     schedule: DrivingSchedule
     beta: float
 
-    @property
+    # Built on first read and kept, so every reader shares one spectrum.
+    @functools.cached_property
     def initial_spec(self) -> ThermalSpec:
         return ThermalSpec(build_xxz(self.schedule.initial), self.beta)
 
-    @property
+    @functools.cached_property
     def final_spec(self) -> ThermalSpec:
         return ThermalSpec(build_xxz(self.schedule.final), self.beta)
 

@@ -11,11 +11,16 @@ ratios for *any* unitary:
 
 Every average is evaluated per-term in log space so that steep protocols
 (beta ~ 100) never leave double range.
+
+Driven protocols, closed and open, share one Trotter routine,
+``ordered_product``, over a block-diagonal Hamiltonian given as fixed pieces
+and a table of slice coefficients.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +33,7 @@ from .operators import (
     SpectralDecomposition,
     UnitaryOperator,
     check_unitary,
+    checked_eigh,
     evolution_operator,
     spectral_decompose,
 )
@@ -36,7 +42,6 @@ from .spin_models import (
     XXZParams,
     build_xxz,
     params_at,
-    sector_spectra,
     xxz_sectors,
 )
 from .thermo import ThermalSpec, thermal_state
@@ -138,38 +143,89 @@ def exact_evolution(schedule: DrivingSchedule, commutation_samples: int = 5) -> 
     return evolution_operator(build_xxz(mean_params), schedule.t_f)
 
 
+def schedule_coefficients(schedule: DrivingSchedule, sampling: str = "left") -> np.ndarray:
+    """(J, Jz, -B) of every slice, shape (steps, 3): the coefficients of
+    H = J H_xy + Jz H_zz - B S_z where ``sampling`` picks H in each slice."""
+    if sampling not in SAMPLING_RULES:
+        raise ValueError(f"sampling must be 'left' or 'midpoint', got {sampling!r}")
+    offset = 0.0 if sampling == "left" else 0.5
+    rows = []
+    for step in range(schedule.steps):
+        params = params_at(schedule, min((step + offset) * schedule.dt, schedule.t_f))
+        rows.append((params.J, params.Jz, -params.B))
+    return np.array(rows, dtype=np.float64)
+
+
+def ordered_product(
+    register: QubitRegister,
+    blocks: Sequence[tuple[np.ndarray, np.ndarray]],
+    coefficients: np.ndarray,
+    dt: float,
+) -> UnitaryOperator:
+    """Ordered product of slice propagators exp(-i H_k dt), step 0 applied
+    first, for the block-diagonal affine Hamiltonian H_k = sum_j c[k, j] P_j.
+
+    ``blocks`` are the diagonal blocks of every P_j: each pairs its basis
+    indices (length s; together they cover the register once) with the
+    pieces restricted to them, shape (p, s, s).  ``coefficients`` is c, shape
+    (steps, p).  Blocks of one size are stacked into a group (indices (k, s),
+    pieces (p, k, s, s)), so each step runs one batched ``checked_eigh`` per
+    group and checks the unitarity of every block factor; each group carries
+    its own products, and the dense unitary is assembled once at the end.
+    Each factor is built spectrally and is therefore exactly unitary, which
+    keeps ||U^dag U - I|| at roundoff level for any step count.  Real pieces
+    give real eigenvectors.
+    """
+    by_size: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for indices, pieces in blocks:
+        by_size.setdefault(len(indices), []).append((indices, pieces))
+    groups = [
+        (np.stack([indices for indices, _ in same]), np.stack([p for _, p in same], axis=1))
+        for same in by_size.values()
+    ]
+    products = [
+        np.tile(np.eye(indices.shape[1], dtype=np.complex128), (indices.shape[0], 1, 1))
+        for indices, _ in groups
+    ]
+    for row in np.asarray(coefficients, dtype=np.float64):
+        for g, (_, pieces) in enumerate(groups):
+            h = row[0] * pieces[0]
+            for c, piece in zip(row[1:], pieces[1:]):
+                h += c * piece
+            energies, vectors = checked_eigh(h)
+            phases = np.exp(-1j * energies * dt)[..., None, :]
+            factor = (vectors * phases) @ vectors.conj().swapaxes(-1, -2)
+            check_unitary(factor)
+            products[g] = factor @ products[g]
+    total = np.zeros((register.dim, register.dim), dtype=np.complex128)
+    for (indices, _), product in zip(groups, products):
+        for block_indices, block in zip(indices, product):
+            total[np.ix_(block_indices, block_indices)] = block
+    return UnitaryOperator(register, total)
+
+
 def trotter_evolution(schedule: DrivingSchedule, sampling: str = "left") -> UnitaryOperator:
     """Ordered product of per-slice propagators, step 0 applied first.
 
-    Each factor exp(-i H(t_k) dt) is built spectrally and is therefore exactly
-    unitary; the product keeps ||U^dag U - I|| at roundoff level regardless of
-    the step count.  ``sampling`` picks H at the left endpoint of each slice
-    (first-order accurate, the default) or at the midpoint (second order).
-
-    H(t) conserves S^z, so every factor and the product are block diagonal:
-    each S^z sector carries its own product, each step diagonalizes the
-    sector blocks (checked like ``spectral_decompose``) and checks every
-    block factor's unitarity, and the dense unitary is assembled once at the
-    end.  The blocks do not overlap, so the per-block maxima are the
-    full-matrix ones.
+    ``sampling`` picks H at the left endpoint of each slice (first-order
+    accurate, the default) or at the midpoint (second order).  H(t) conserves
+    S^z, so ``ordered_product`` runs on the S^z sectors, with the pieces
+    (H_xy, H_zz, S_z) of ``xxz_sectors`` and the coefficients (J, Jz, -B);
+    sectors k and n-k have one size and share a stack.
     """
-    if sampling not in SAMPLING_RULES:
-        raise ValueError(f"sampling must be 'left' or 'midpoint', got {sampling!r}")
-    sectors = xxz_sectors(schedule.n, schedule.initial.boundary)
-    products = [np.eye(sector.size, dtype=np.complex128) for sector in sectors]
-    dt = schedule.dt
-    offset = 0.0 if sampling == "left" else 0.5
-    for step in range(schedule.steps):
-        params = params_at(schedule, min((step + offset) * dt, schedule.t_f))
-        for i, (_, energies, vectors) in enumerate(sector_spectra(params)):
-            factor = (vectors * np.exp(-1j * energies * dt)) @ vectors.T
-            check_unitary(factor)
-            products[i] = factor @ products[i]
-    register = QubitRegister(schedule.n)
-    total = np.zeros((register.dim, register.dim), dtype=np.complex128)
-    for sector, product in zip(sectors, products):
-        total[np.ix_(sector.indices, sector.indices)] = product
-    return UnitaryOperator(register, total)
+    coefficients = schedule_coefficients(schedule, sampling)
+    blocks = [
+        (
+            sector.indices,
+            np.stack([
+                sector.hopping,
+                np.diag(sector.zz),
+                sector.magnetization * np.eye(sector.size),
+            ]),
+        )
+        for sector in xxz_sectors(schedule.n, schedule.initial.boundary)
+    ]
+    return ordered_product(QubitRegister(schedule.n), blocks, coefficients, schedule.dt)
 
 
 def _log_generalized_average(

@@ -1,9 +1,9 @@
 """Dense reference implementations that the sector code is checked against.
 
-These are the package's former closed-chain paths: the XXZ Hamiltonian as a
-sum of products of embedded Pauli matrices, the Trotter product of full
-2^n x 2^n step propagators, and the direct sweep distance from dense Gibbs
-states.  They share no sector code with ``entwit``.
+These are the package's former dense paths: the XXZ Hamiltonian as a sum of
+products of embedded Pauli matrices, the closed and open Trotter products of
+full 2^n x 2^n step propagators, and the direct sweep distance from dense
+Gibbs states.  They share no sector code with ``entwit``.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from entwit import (
     XXZParams,
     embed_pauli,
     evolution_operator,
+    full_hamiltonian,
     params_at,
     relative_entropy,
     thermal_state,
@@ -47,6 +48,18 @@ def dense_trotter(schedule, sampling: str = "left") -> np.ndarray:
     for step in range(schedule.steps):
         params = params_at(schedule, min((step + offset) * schedule.dt, schedule.t_f))
         total = evolution_operator(dense_xxz(params), schedule.dt).entries @ total
+    return total
+
+
+def dense_open_trotter(composite, sampling: str = "left") -> np.ndarray:
+    """Ordered product of full-register step propagators of a driven
+    composite, rebuilding the full Hamiltonian at every step."""
+    schedule = composite.subsystem_schedule
+    total = np.eye(composite.register.dim, dtype=np.complex128)
+    offset = 0.0 if sampling == "left" else 0.5
+    for step in range(schedule.steps):
+        t = min((step + offset) * schedule.dt, schedule.t_f)
+        total = evolution_operator(full_hamiltonian(composite, t), schedule.dt).entries @ total
     return total
 
 

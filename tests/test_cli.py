@@ -66,6 +66,19 @@ def test_witness_routes_agree(tmp_path):
     assert abs(a["s_right"] - b["s_right"]) < 1e-8
 
 
+def test_direct_witness_builds_no_evolution(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct route resolved an evolution")
+
+    monkeypatch.setattr("entwit.cli.trotter_evolution", refuse)
+    cfg = write_config(
+        tmp_path, {"protocol": "three-qubit", "rho_star": W3, "evolution": "trotter"}
+    )
+    assert main(["witness", "--config", cfg, "--out", str(tmp_path)]) == 0
+    with pytest.raises(AssertionError, match="resolved an evolution"):
+        main(["witness", "--config", cfg, "--out", str(tmp_path), "--route", "via-work"])
+
+
 def test_witness_rejects_wrong_register(tmp_path, capsys):
     bad = {"matrix": matrix_to_json(QubitRegister(2), np.eye(4) / 4)}
     cfg = write_config(tmp_path, {"protocol": "three-qubit", "rho_star": bad})

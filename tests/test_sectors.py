@@ -1,11 +1,12 @@
 """The S^z-sector representation of the XXZ chain against the dense oracle.
 
 Every fast path built on the sector blocks (the dense assembly, the sector
-spectra, the Trotter product and the direct sweep) is compared with the
-Pauli-product code in ``dense_oracle``; the per-block numerical checks must
-still reject corrupted blocks.
+spectra, the closed and open Trotter products and the direct sweep) is
+compared with the dense code in ``dense_oracle``; the per-block numerical
+checks must still reject corrupted blocks, alone or inside a stack.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -14,14 +15,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_s_right, dense_trotter, dense_xxz
+from dense_oracle import dense_open_trotter, dense_s_right, dense_trotter, dense_xxz
 from entwit import (
     DrivingSchedule,
     GridAxis,
+    HermitianOperator,
     NumericalCheckError,
+    QubitRegister,
     SweepGrid,
     XXZParams,
     build_xxz,
+    embed_operator,
+    open_trotter_evolution,
+    split_chain,
     sweep_detection,
     sweep_reference,
     trotter_evolution,
@@ -154,3 +160,77 @@ def test_unitarity_check_rejects_a_corrupted_propagator_block():
     factor[1, 1] *= 1.0 + 1e-8
     with pytest.raises(NumericalCheckError, match="unitarity"):
         check_unitary(factor)
+
+
+@st.composite
+def driven_splits(draw):
+    """A split chain of 3-6 sites whose subsystem (2 or more random sites)
+    follows a non-commuting ramp."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    sites = draw(st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True))
+    chain = XXZParams(n, draw(couplings), draw(couplings), draw(couplings), draw(boundaries))
+    boundary = draw(boundaries)
+    ramp = [
+        XXZParams(len(sites), draw(couplings), draw(couplings), draw(couplings), boundary)
+        for _ in range(2)
+    ]
+    schedule = DrivingSchedule(*ramp, t_f=draw(st.floats(0.1, 1.5)), steps=12)
+    static = split_chain(chain, sites, 1.0)
+    return dataclasses.replace(static, subsystem_hamiltonian=None, subsystem_schedule=schedule)
+
+
+@settings(max_examples=25, deadline=None)
+@given(driven_splits(), st.sampled_from(["left", "midpoint"]))
+def test_open_trotter_matches_dense_step_product(composite, sampling):
+    u = open_trotter_evolution(composite, sampling).entries
+    assert np.abs(u - dense_open_trotter(composite, sampling)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("sampling", ["left", "midpoint"])
+def test_open_trotter_with_a_magnetization_changing_coupling(sampling):
+    # sx sx between sites 2 and 3 does not conserve S^z, so the product runs
+    # on one block holding the whole register
+    register = QubitRegister(4)
+    sx_sx = np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]])
+    composite = dataclasses.replace(
+        split_chain(XXZParams(4, 1.0, 0.4, 0.3, "open"), (1, 2), 1.0),
+        subsystem_hamiltonian=None,
+        subsystem_schedule=DrivingSchedule(
+            XXZParams(2, 1.0, 0.8, 0.3, "open"),
+            XXZParams(2, 0.4, -0.2, 0.7, "open"),
+            t_f=1.1,
+            steps=30,
+        ),
+        coupling=HermitianOperator(register, 0.7 * embed_operator(register, sx_sx, (2, 3))),
+    )
+    u = open_trotter_evolution(composite, sampling).entries
+    assert np.abs(u - dense_open_trotter(composite, sampling)).max() <= 1e-12
+    ones = np.array([bin(i).count("1") for i in range(16)])
+    assert np.abs(u[ones[:, None] != ones[None, :]]).max() > 1e-3
+
+
+def test_stacked_checks_reject_one_corrupted_block():
+    params = XXZParams(6, 1.0, 0.4, 0.1)
+    sectors = xxz_sectors(6, "periodic")
+    stack = np.stack([sectors[2].block(params), sectors[4].block(params)])  # both 15 x 15
+    w, v = checked_eigh(stack)
+    factors = (v * np.exp(-0.1j * w)[:, None, :]) @ v.swapaxes(-1, -2)
+    check_unitary(factors)
+
+    corrupted = stack.copy()
+    corrupted[1, 0, 1] += 1e-3  # eigh reads one triangle only
+    with pytest.raises(NumericalCheckError, match="reconstruction"):
+        checked_eigh(corrupted)
+    factors[1, 1, 1] *= 1.0 + 1e-8
+    with pytest.raises(NumericalCheckError, match="unitarity"):
+        check_unitary(factors)
+
+
+def test_reconstruction_scale_is_per_block():
+    # an error allowed next to a large block is not allowed in a small one
+    small = np.diag([1e-3, 2e-3])
+    small[0, 1] += 5e-8  # below 1e-9 * (1 + 1e6), above 1e-9 * (1 + 2e-3)
+    large = np.diag([1e6, -1e6])
+    with pytest.raises(NumericalCheckError, match="reconstruction"):
+        checked_eigh(np.stack([large, small]))
+    checked_eigh(np.stack([large, large + np.triu(np.full((2, 2), 5e-8), 1)]))

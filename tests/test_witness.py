@@ -165,6 +165,9 @@ def test_detection_protocol_endpoints():
     assert proto.schedule.final == XXZParams(3, 1.0, 0.0, 0.5)
     assert proto.beta == 100.0
     assert isinstance(proto.initial_spec, ThermalSpec)
+    # built once: every read shares one ThermalSpec and so one spectrum
+    assert proto.initial_spec is proto.initial_spec
+    assert proto.final_spec is proto.final_spec
     proto7 = detection_protocol(7, beta=50.0)
     assert proto7.schedule.final.B == 0.92
     assert proto7.initial_spec.beta == 50.0
