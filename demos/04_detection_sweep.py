@@ -32,26 +32,24 @@ grid = SweepGrid(
     n=3,
 )
 grid = sweep_detection(grid, reference, workers=2)
-points = len(grid.results)
-hits = [r for r in grid.results if r.detected]
-print(f"{points} grid points, {len(hits)} detections")
-print("best margin:", max(r.margin for r in grid.results))
+# results are columns: s_left is one number, and s_right, margin and
+# detected are arrays indexed [B, Jz, T]
+print(f"{grid.point_count} grid points, {int(grid.detected.sum())} detections")
+print("best margin:", np.nanmax(grid.margin))
 
 # detection lives at low temperature; scan one (B, Jz) column in T
 b_values = grid.b_axis.values()
-jz_values = grid.jz_axis.values()
 t_values = grid.t_axis.values()
-shaped = np.array([r.detected for r in grid.results], dtype=bool)
-shaped = shaped.reshape(len(b_values), len(jz_values), len(t_values))
+detected = grid.detected
 
-column = shaped[5, 0]  # B = 0.5, Jz = 0.0
+column = detected[5, 0]  # B = 0.5, Jz = 0.0
 edge = np.argmin(column) if not column.all() else len(t_values)
 print(f"\nB=0.5, Jz=0.0 column: detected up to T = {t_values[edge - 1]:.2f}, lost above")
 
 # boundary temperature for each field value at Jz = 0
 print("\ndetection boundary T*(B) at Jz = 0:")
 for i, b in enumerate(b_values):
-    col = shaped[i, 0]
+    col = detected[i, 0]
     if not col[0]:
         print(f"  B = {b:.1f}: no detection")
         continue
@@ -66,7 +64,7 @@ hot = SweepGrid(
     n=3,
 )
 hot = sweep_detection(hot, reference)
-print("\nhot grid detections:", sum(r.detected for r in hot.results))
+print("\nhot grid detections:", int(hot.detected.sum()))
 
 # persist results the same way the CLI does
 out = tempfile.mkdtemp()

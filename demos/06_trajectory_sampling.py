@@ -51,9 +51,8 @@ print("\nworkers=1 vs workers=4 mean difference:", abs(s1.mean - s4.mean))
 # a peek at the raw trajectories
 batch, _ = sample_tpm(initial, final, u, count=5, seed=0)
 print("\nfirst trajectories (n, m, W, exponent):")
-for i in range(len(batch)):
-    s = batch[i]
-    print(f"  {s.n_index}  {s.m_index}  {s.work:+.6f}  {s.generalized_exponent:+.6f}")
+for n, m, w, x in zip(batch.n_index, batch.m_index, batch.work, batch.generalized_exponent):
+    print(f"  {n}  {m}  {w:+.6f}  {x:+.6f}")
 
 # z-scores across independent seeds: no bias, healthy spread
 zs = []

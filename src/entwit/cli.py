@@ -12,6 +12,7 @@ usage error, 2 numerical check failure, 3 clean run without detection.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -39,7 +40,9 @@ from .witness import (
     write_sweep_csv,
 )
 from .work_stats import (
+    SAMPLE_BLOCK,
     SAMPLING_RULES,
+    TrajectoryBatch,
     exact_evolution,
     log_jarzynski_average,
     log_tasaki_average,
@@ -359,8 +362,7 @@ def _run_sweep(args) -> int:
             "grid": sweep_metadata(result, reference),
         },
     )
-    detected = any(r.detected for r in result.results or ())
-    return EXIT_OK if detected else EXIT_NOT_DETECTED
+    return EXIT_OK if result.detected.any() else EXIT_NOT_DETECTED
 
 
 def _haar_unitary(register: QubitRegister, seed: int) -> UnitaryOperator:
@@ -382,8 +384,9 @@ def _run_verify(args) -> int:
     protocol = _protocol_from_config(cfg.get("protocol", "three-qubit"), beta, anchor)
     schedule = protocol.schedule
     register = QubitRegister(schedule.n)
-    h_initial = protocol.initial_spec.hamiltonian
-    h_final = protocol.final_spec.hamiltonian
+    # every work average below reuses these two spectra
+    h_initial = protocol.initial_spec.spectrum
+    h_final = protocol.final_spec.spectrum
 
     external_u: UnitaryOperator | None = None
     if "unitary_file" in cfg:
@@ -436,9 +439,8 @@ def _run_verify(args) -> int:
     )
 
     expected = -delta_beta_f(protocol.initial_spec, protocol.final_spec)
-    jarzynski_dev = abs(
-        log_jarzynski_average(beta, h_initial, h_final, u_trotter) - expected
-    )
+    log_trotter = log_jarzynski_average(beta, h_initial, h_final, u_trotter)
+    jarzynski_dev = abs(log_trotter - expected)
     record(
         "jarzynski",
         jarzynski_dev,
@@ -446,7 +448,9 @@ def _run_verify(args) -> int:
         "log work average vs log partition ratio at equal temperatures",
     )
 
-    half_spec = ThermalSpec(h_final, beta / 2.0)
+    half_spec = ThermalSpec.with_spectrum(
+        protocol.final_spec.hamiltonian, beta / 2.0, h_final
+    )
     expected_cross = half_spec.log_partition - protocol.initial_spec.log_partition
     tasaki_dev = abs(
         log_tasaki_average(beta, beta / 2.0, h_initial, h_final, u_trotter)
@@ -460,9 +464,7 @@ def _run_verify(args) -> int:
     )
 
     base = log_jarzynski_average(beta, h_initial, h_final, identity)
-    protocol_dev = abs(
-        log_jarzynski_average(beta, h_initial, h_final, u_trotter) - base
-    )
+    protocol_dev = abs(log_trotter - base)
     if external_u is not None:
         protocol_dev = max(
             protocol_dev,
@@ -526,6 +528,30 @@ def _run_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_NUMERICAL
 
 
+def _write_trajectories(path: str, batch: TrajectoryBatch, dim: int) -> None:
+    """trajectories.csv, one row per draw.
+
+    Every column is a function of the level pair (n_index, m_index), so each
+    block of SAMPLE_BLOCK rows formats one row per distinct pair and writes
+    the block by lookup; memory stays O(block) however many pairs occur.
+    """
+    columns = [getattr(batch, field.name) for field in dataclasses.fields(batch)]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("n_index,m_index,energy_initial,energy_final,work,generalized_exponent\n")
+        for start in range(0, len(batch), SAMPLE_BLOCK):
+            rows = slice(start, start + SAMPLE_BLOCK)
+            pairs = batch.n_index[rows] * dim + batch.m_index[rows]
+            _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+            table = np.array(
+                [
+                    f"{n},{m},{e_i:.17g},{e_f:.17g},{w:.17g},{x:.17g}\n"
+                    for n, m, e_i, e_f, w, x in zip(*(c[first + start].tolist() for c in columns))
+                ],
+                dtype=object,
+            )
+            handle.write("".join(table[inverse]))
+
+
 def _run_sample(args) -> int:
     file = args.config
     cfg = _load_config(file)
@@ -558,24 +584,7 @@ def _run_sample(args) -> int:
         workers=workers,
     )
     out = _ensure_out(args)
-    # Rows are written as they are formatted, so the file never sits in
-    # memory as one string.
-    with open(os.path.join(out, "trajectories.csv"), "w", encoding="utf-8") as handle:
-        handle.write("n_index,m_index,energy_initial,energy_final,work,generalized_exponent\n")
-        for i in range(len(batch)):
-            handle.write(
-                ",".join(
-                    [
-                        str(int(batch.n_index[i])),
-                        str(int(batch.m_index[i])),
-                        format(batch.energy_initial[i], ".17g"),
-                        format(batch.energy_final[i], ".17g"),
-                        format(batch.work[i], ".17g"),
-                        format(batch.generalized_exponent[i], ".17g"),
-                    ]
-                )
-                + "\n"
-            )
+    _write_trajectories(os.path.join(out, "trajectories.csv"), batch, 2**protocol.schedule.n)
     _write_json(
         os.path.join(out, "sample_summary.json"),
         {

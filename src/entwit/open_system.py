@@ -38,6 +38,7 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     QubitRegister,
+    SpectralDecomposition,
     UnitaryOperator,
     _partial_trace_matrix,
     embed_operator,
@@ -211,11 +212,17 @@ def effective_hamiltonian(composite: CompositeSystem, t: float = 0.0) -> Hermiti
     Raises NumericalCheckError when M is numerically rank deficient, which
     happens once beta times the spectral width exceeds what doubles resolve.
     """
-    h_full = full_hamiltonian(composite, t)
-    decomposition = spectral_decompose(h_full)
-    ground = decomposition.eigenvalues[0]
-    weights = np.exp(-composite.beta * (decomposition.eigenvalues - ground))
-    v = decomposition.eigenvectors
+    full = spectral_decompose(full_hamiltonian(composite, t))
+    return _mean_force(composite, full, log_bath_partition(composite))
+
+
+def _mean_force(
+    composite: CompositeSystem, full: SpectralDecomposition, log_bath: float
+) -> HermitianOperator:
+    """effective_hamiltonian from the full Hamiltonian's spectrum and ln Z_B."""
+    ground = full.eigenvalues[0]
+    weights = np.exp(-composite.beta * (full.eigenvalues - ground))
+    v = full.eigenvectors
     weight_matrix = (v * weights) @ v.conj().T
     keep0 = [s - 1 for s in composite.subsystem_sites]
     traced = _partial_trace_matrix(weight_matrix, composite.register.n, keep0)
@@ -231,7 +238,7 @@ def effective_hamiltonian(composite: CompositeSystem, t: float = 0.0) -> Hermiti
     log_m = (m_vectors * np.log(m_eigenvalues)) @ m_vectors.conj().T
     dim = 2 ** len(composite.subsystem_sites)
     identity = np.eye(dim, dtype=np.complex128)
-    shift = ground + log_bath_partition(composite) / composite.beta
+    shift = ground + log_bath / composite.beta
     entries = shift * identity - log_m / composite.beta
     entries = 0.5 * (entries + entries.conj().T)
     return HermitianOperator(composite.subsystem_register, entries)
@@ -337,8 +344,13 @@ def open_witness(
     """
     _require_shared_environment(initial, final)
     route = route.replace("-", "_")
-    spec_initial = effective_spec(initial, 0.0)
-    spec_final = effective_spec(final, final.final_time)
+    # Each full Hamiltonian and the shared bath are diagonalized once; the
+    # effective specs and the work average below reuse the spectra.
+    full_initial = spectral_decompose(full_hamiltonian(initial, 0.0))
+    full_final = spectral_decompose(full_hamiltonian(final, final.final_time))
+    log_bath = log_bath_partition(initial)
+    spec_initial = ThermalSpec(_mean_force(initial, full_initial, log_bath), initial.beta)
+    spec_final = ThermalSpec(_mean_force(final, full_final, log_bath), final.beta)
     metadata = {
         "system": "open",
         "beta": initial.beta,
@@ -370,12 +382,7 @@ def open_witness(
     u_full = evolution if evolution is not None else _identity_unitary(initial.register)
     if u_full.register != initial.register:
         raise ConfigError("evolution must act on the full register")
-    log_average = log_jarzynski_average(
-        initial.beta,
-        full_hamiltonian(initial, 0.0),
-        full_hamiltonian(final, final.final_time),
-        u_full,
-    )
+    log_average = log_jarzynski_average(initial.beta, full_initial, full_final, u_full)
     rho_final = thermal_state(spec_final)
     delta = spec_final.hamiltonian.entries - spec_initial.hamiltonian.entries
     energy_shift = float(np.einsum("ij,ji->", rho_final.entries, delta).real)

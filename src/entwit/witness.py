@@ -27,7 +27,6 @@ from scipy.special import logsumexp
 
 from .errors import ConfigError
 from .operators import (
-    EIGENVALUE_FLOOR,
     DensityMatrix,
     HermitianOperator,
     QubitRegister,
@@ -45,6 +44,7 @@ from .spin_models import (
 )
 from .thermo import (
     ThermalSpec,
+    _plogp,
     gibbs_relative_entropy,
     relative_entropy,
     thermal_state,
@@ -212,14 +212,7 @@ class WitnessReport:
     metadata: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "s_left": self.s_left,
-            "s_right": self.s_right,
-            "margin": self.margin,
-            "detected": self.detected,
-            "route": self.route,
-            "metadata": self.metadata,
-        }
+        return dataclasses.asdict(self)
 
 
 StateOrSpec = DensityMatrix | ThermalSpec
@@ -235,13 +228,6 @@ def _as_state(value: StateOrSpec, what: str) -> DensityMatrix:
 
 def _identity_unitary(register: QubitRegister) -> UnitaryOperator:
     return UnitaryOperator(register, np.eye(register.dim, dtype=np.complex128))
-
-
-def _entropy_term(state: DensityMatrix) -> float:
-    """tr(rho ln rho) with the usual 0 ln 0 = 0 reading."""
-    eigenvalues = np.clip(np.linalg.eigvalsh(state.entries), 0.0, None)
-    mask = eigenvalues > EIGENVALUE_FLOOR
-    return float(np.sum(eigenvalues[mask] * np.log(eigenvalues[mask])))
 
 
 def _cross_term_thermal(state_entries: np.ndarray, spec: ThermalSpec) -> float:
@@ -271,19 +257,30 @@ def _distance_direct(rho: StateOrSpec, sigma: StateOrSpec, rho_name: str, sigma_
         return gibbs_relative_entropy(sigma, rho)
     rho_state = _as_state(rho, rho_name)
     if isinstance(sigma, ThermalSpec):
-        return _entropy_term(rho_state) - _cross_term_thermal(rho_state.entries, sigma)
+        return _plogp(np.linalg.eigvalsh(rho_state.entries)) - _cross_term_thermal(
+            rho_state.entries, sigma
+        )
     return relative_entropy(rho_state, _as_state(sigma, sigma_name))
+
+
+def _decide(s_left, s_right, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Margin s_left - s_right and detection flag, elementwise over arrays.
+
+    Detection requires the margin to exceed ``epsilon``; when both sides are
+    infinite the margin is NaN and nothing is detected.
+    """
+    s_left, s_right = np.asarray(s_left, dtype=np.float64), np.asarray(s_right, dtype=np.float64)
+    both_infinite = np.isinf(s_left) & np.isinf(s_right)
+    with np.errstate(invalid="ignore"):
+        margin = np.where(both_infinite, np.nan, s_left - s_right)
+        detected = ~both_infinite & (s_right < s_left - epsilon)
+    return margin, detected
 
 
 def _finish_report(
     s_left: float, s_right: float, route: str, epsilon: float, metadata: dict | None
 ) -> WitnessReport:
-    if math.isinf(s_left) and math.isinf(s_right):
-        margin = math.nan
-        detected = False
-    else:
-        margin = s_left - s_right
-        detected = s_right < s_left - epsilon
+    margin, detected = _decide(s_left, s_right, epsilon)
     return WitnessReport(
         s_left=float(s_left),
         s_right=float(s_right),
@@ -361,12 +358,13 @@ class GridAxis:
         return self.minimum + self.step * np.arange(count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepGrid:
     """Cartesian (B, Jz, T) grid with fixed chain size, coupling and boundary.
 
-    Points are ordered B-major, then Jz, then T; ``results`` is filled by
-    sweep_detection in exactly that order.
+    Points are ordered B-major, then Jz, then T.  sweep_detection fills the
+    results as columns: the scalar ``s_left`` shared by every point, and
+    ``s_right``, ``margin`` and ``detected`` of shape (nB, nJz, nT).
     """
 
     b_axis: GridAxis
@@ -376,24 +374,32 @@ class SweepGrid:
     coupling_j: float = 1.0
     boundary: str = "periodic"
     route: str = "direct"
-    results: tuple[WitnessReport, ...] | None = None
+    s_left: float | None = None
+    s_right: np.ndarray | None = None
+    margin: np.ndarray | None = None
+    detected: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.t_axis.minimum <= 0:
             raise ValueError("temperatures must be strictly positive")
-        if self.results is not None and len(self.results) != self.point_count:
-            raise ValueError(
-                f"results length {len(self.results)} does not match "
-                f"{self.point_count} grid points"
-            )
+        for name in ("s_right", "margin", "detected"):
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != self.shape:
+                raise ValueError(
+                    f"{name} has shape {np.shape(value)}, the grid {self.shape}"
+                )
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (
+            self.b_axis.values().size,
+            self.jz_axis.values().size,
+            self.t_axis.values().size,
+        )
 
     @property
     def point_count(self) -> int:
-        return (
-            self.b_axis.values().size
-            * self.jz_axis.values().size
-            * self.t_axis.values().size
-        )
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -447,7 +453,7 @@ def sweep_reference(
 
 
 def _shared_sweep_state(grid: SweepGrid, reference: SweepReference, route: str) -> dict:
-    plogp = _entropy_term(reference.rho)
+    plogp = _plogp(np.linalg.eigvalsh(reference.rho.entries))
     if route == "direct":
         if reference.thermal and reference.rho_spec is not None and reference.sigma_spec is not None:
             s_left = gibbs_relative_entropy(reference.sigma_spec, reference.rho_spec)
@@ -555,7 +561,7 @@ def sweep_detection(
     with the grid's fixed coupling and boundary.  The sweep is a pure map
     over Jz values in fixed order, one sector diagonalization each, so output
     is deterministic for any worker count.  Returns a copy of the grid with
-    results attached.
+    the result columns attached.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -563,10 +569,7 @@ def sweep_detection(
     if route not in ("direct", "via_work"):
         raise ValueError(f"route must be 'direct' or 'via-work', got {grid.route!r}")
     shared = _shared_sweep_state(grid, reference, route)
-    b_values = grid.b_axis.values()
-    jz_values = grid.jz_axis.values()
-    t_values = grid.t_axis.values()
-    tasks = [float(jz) for jz in jz_values]
+    tasks = grid.jz_axis.values().tolist()
 
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -580,21 +583,18 @@ def sweep_detection(
         _sweep_worker_init(shared)
         planes = [_sweep_plane(task) for task in tasks]
 
-    s_left = shared["s_left"]
-    reports: list[WitnessReport] = []
-    for i, b_value in enumerate(b_values.tolist()):
-        for jz_value, plane in zip(tasks, planes):
-            for temperature, s_right in zip(t_values, plane[i]):
-                reports.append(
-                    _finish_report(
-                        s_left,
-                        float(s_right),
-                        route,
-                        strictness_epsilon,
-                        {"B": b_value, "Jz": jz_value, "T": float(temperature)},
-                    )
-                )
-    return dataclasses.replace(grid, route=route, results=tuple(reports))
+    s_right = np.stack(planes, axis=1)
+    margin, detected = _decide(shared["s_left"], s_right, strictness_epsilon)
+    for column in (s_right, margin, detected):
+        column.setflags(write=False)
+    return dataclasses.replace(
+        grid,
+        route=route,
+        s_left=shared["s_left"],
+        s_right=s_right,
+        margin=margin,
+        detected=detected,
+    )
 
 
 def state_checksum(state: DensityMatrix) -> str:
@@ -603,32 +603,37 @@ def state_checksum(state: DensityMatrix) -> str:
 
 
 def write_sweep_csv(grid: SweepGrid, path) -> None:
-    """Plot-ready CSV: B, Jz, T, s_left, s_right, margin, detected."""
-    if grid.results is None:
+    """Plot-ready CSV: B, Jz, T, s_left, s_right, margin, detected.
+
+    The axis values and s_left are formatted once; only s_right and the
+    margin are formatted per point, and rows go out one B value at a time.
+    """
+    if grid.s_right is None:
         raise ValueError("grid has no results; run sweep_detection first")
-    lines = ["B,Jz,T,s_left,s_right,margin,detected"]
-    for report in grid.results:
-        meta = report.metadata
-        lines.append(
-            ",".join(
-                [
-                    format(meta["B"], ".17g"),
-                    format(meta["Jz"], ".17g"),
-                    format(meta["T"], ".17g"),
-                    format(report.s_left, ".17g"),
-                    format(report.s_right, ".17g"),
-                    format(report.margin, ".17g"),
-                    "true" if report.detected else "false",
-                ]
-            )
-        )
+    jz_text = [f"{jz:.17g}," for jz in grid.jz_axis.values().tolist()]
+    t_text = [f"{t:.17g},{grid.s_left:.17g}," for t in grid.t_axis.values().tolist()]
+    flag_text = (",false\n", ",true\n")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("B,Jz,T,s_left,s_right,margin,detected\n")
+        for b, s_right, margin, detected in zip(
+            grid.b_axis.values().tolist(),
+            grid.s_right.tolist(),
+            grid.margin.tolist(),
+            grid.detected.tolist(),
+        ):
+            b_text = f"{b:.17g},"
+            handle.write(
+                "".join(
+                    f"{b_text}{jz}{t}{s:.17g},{m:.17g}{flag_text[d]}"
+                    for jz, s_row, m_row, d_row in zip(jz_text, s_right, margin, detected)
+                    for t, s, m, d in zip(t_text, s_row, m_row, d_row)
+                )
+            )
 
 
 def sweep_metadata(grid: SweepGrid, reference: SweepReference) -> dict:
     """Grid metadata plus reference-state checksums, for the sweep header."""
-    detected = sum(1 for r in grid.results or () if r.detected)
+    detected = 0 if grid.detected is None else int(grid.detected.sum())
     return {
         "axes": {
             "B": {"min": grid.b_axis.minimum, "max": grid.b_axis.maximum, "step": grid.b_axis.step},

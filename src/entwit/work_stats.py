@@ -92,17 +92,21 @@ def _transition_from_spectra(
     return TransitionMatrix(np.abs(amplitudes) ** 2, initial, final)
 
 
-def transition_matrix(
-    h_initial: HermitianOperator,
-    h_final: HermitianOperator,
-    u: UnitaryOperator,
-) -> TransitionMatrix:
-    """Transition probabilities between the two measured eigenbases."""
-    if h_initial.register != h_final.register or h_initial.register != u.register:
-        raise ValueError("Hamiltonians and unitary must share one register")
-    return _transition_from_spectra(
-        spectral_decompose(h_initial), spectral_decompose(h_final), u
+# A measured Hamiltonian, or its spectral decomposition when the caller holds
+# one already (ThermalSpec.spectrum, say); a decomposition is used as it is.
+Measured = HermitianOperator | SpectralDecomposition
+
+
+def transition_matrix(h_initial: Measured, h_final: Measured, u: UnitaryOperator) -> TransitionMatrix:
+    """Transition probabilities between the two measured eigenbases; only a
+    Hamiltonian given as an operator is diagonalized here."""
+    initial, final = (
+        h if isinstance(h, SpectralDecomposition) else spectral_decompose(h)
+        for h in (h_initial, h_final)
     )
+    if initial.dim != u.register.dim or final.dim != u.register.dim:
+        raise ValueError("Hamiltonians and unitary must share one register")
+    return _transition_from_spectra(initial, final, u)
 
 
 def exact_evolution(schedule: DrivingSchedule, commutation_samples: int = 5) -> UnitaryOperator:
@@ -253,8 +257,8 @@ def _log_generalized_average(
 
 def jarzynski_average(
     beta: float,
-    h_initial: HermitianOperator,
-    h_final: HermitianOperator,
+    h_initial: Measured,
+    h_final: Measured,
     u: UnitaryOperator,
 ) -> float:
     """<exp(-beta W)> over the two-point-measurement distribution."""
@@ -263,8 +267,8 @@ def jarzynski_average(
 
 def log_jarzynski_average(
     beta: float,
-    h_initial: HermitianOperator,
-    h_final: HermitianOperator,
+    h_initial: Measured,
+    h_final: Measured,
     u: UnitaryOperator,
 ) -> float:
     """ln <exp(-beta W)>; stays finite where the plain average overflows."""
@@ -274,8 +278,8 @@ def log_jarzynski_average(
 def tasaki_average(
     beta_initial: float,
     beta_final: float,
-    h_initial: HermitianOperator,
-    h_final: HermitianOperator,
+    h_initial: Measured,
+    h_final: Measured,
     u: UnitaryOperator,
 ) -> float:
     """<exp(-(beta_f E_f - beta_i E_i))>, the cross-temperature work average."""
@@ -287,8 +291,8 @@ def tasaki_average(
 def log_tasaki_average(
     beta_initial: float,
     beta_final: float,
-    h_initial: HermitianOperator,
-    h_final: HermitianOperator,
+    h_initial: Measured,
+    h_final: Measured,
     u: UnitaryOperator,
 ) -> float:
     """ln <exp(-(beta_f E_f - beta_i E_i))> over the measurement distribution."""
@@ -360,9 +364,6 @@ class WorkDistribution:
     def generalized_exponent(self) -> np.ndarray:
         return self.beta_final * self.energy_final - self.beta_initial * self.energy_initial
 
-    def support(self) -> list[tuple[float, float]]:
-        return list(zip(self.work.tolist(), self.probability.tolist()))
-
     def mean_work(self) -> float:
         return float(np.dot(self.probability, self.work))
 
@@ -372,20 +373,6 @@ class WorkDistribution:
         return float(
             logsumexp(np.log(self.probability[mask]) - self.generalized_exponent[mask])
         )
-
-    def csv_rows(self) -> list[tuple]:
-        work = self.work
-        return [
-            (
-                int(self.n_index[i]),
-                int(self.m_index[i]),
-                float(self.energy_initial[i]),
-                float(self.energy_final[i]),
-                float(work[i]),
-                float(self.probability[i]),
-            )
-            for i in range(self.n_index.size)
-        ]
 
 
 def work_distribution(
@@ -413,18 +400,9 @@ def work_distribution(
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    """One sampled two-point-measurement trajectory."""
-
-    n_index: int
-    m_index: int
-    work: float
-    generalized_exponent: float
-
-
-@dataclass(frozen=True)
 class TrajectoryBatch:
-    """Column-wise storage for a batch of sampled trajectories."""
+    """Column-wise storage for a batch of sampled trajectories; the fields
+    are the columns of ``trajectories.csv``, in order."""
 
     n_index: np.ndarray
     m_index: np.ndarray
@@ -435,14 +413,6 @@ class TrajectoryBatch:
 
     def __len__(self) -> int:
         return int(self.n_index.size)
-
-    def __getitem__(self, i: int) -> TrajectorySample:
-        return TrajectorySample(
-            n_index=int(self.n_index[i]),
-            m_index=int(self.m_index[i]),
-            work=float(self.work[i]),
-            generalized_exponent=float(self.generalized_exponent[i]),
-        )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import entwit.operators
 from entwit import DensityMatrix, QubitRegister, UnitaryOperator
 
 
@@ -33,3 +36,19 @@ def random_product_state():
         return DensityMatrix(QubitRegister(n), np.outer(vec, vec.conj()))
 
     return make
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Hamiltonians handed to spectral_decompose, in every entwit namespace."""
+    seen = []
+    original = entwit.operators.spectral_decompose
+
+    def counted(operator):
+        seen.append(operator.entries.tobytes())
+        return original(operator)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "entwit" and getattr(module, "spectral_decompose", None) is original:
+            monkeypatch.setattr(module, "spectral_decompose", counted)
+    return seen

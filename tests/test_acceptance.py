@@ -204,7 +204,7 @@ def test_accept_06_detection_region_topology():
         ),
         ref3,
     )
-    detect_at_reference = point.results[0].detected
+    detect_at_reference = bool(point.detected[0, 0, 0])
 
     full3 = sweep_detection(
         SweepGrid(
@@ -213,7 +213,8 @@ def test_accept_06_detection_region_topology():
         ref3,
         workers=2,
     )
-    flags3 = np.array([r.detected for r in full3.results]).reshape(61, 51, 100)
+    flags3 = full3.detected
+    assert flags3.shape == (61, 51, 100)
     nonempty3 = bool(flags3.any())
     intervals_ok = True
     for i in range(61):
@@ -228,7 +229,7 @@ def test_accept_06_detection_region_topology():
         ),
         ref3,
     )
-    empty_hot3 = not any(r.detected for r in hot3.results)
+    empty_hot3 = not hot3.detected.any()
 
     ref7 = sweep_reference(7)
     coarse7 = sweep_detection(
@@ -238,14 +239,14 @@ def test_accept_06_detection_region_topology():
         ref7,
         workers=2,
     )
-    nonempty7 = any(r.detected for r in coarse7.results)
+    nonempty7 = bool(coarse7.detected.any())
     hot7 = sweep_detection(
         SweepGrid(
             GridAxis(0.0, 1.2, 0.3), GridAxis(0.0, 1.0, 0.25), GridAxis(1000.0, 4000.0, 1000.0), n=7
         ),
         ref7,
     )
-    empty_hot7 = not any(r.detected for r in hot7.results)
+    empty_hot7 = not hot7.detected.any()
     elapsed = time.perf_counter() - start
     verdict(
         6,

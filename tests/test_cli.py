@@ -10,6 +10,8 @@ import json
 import numpy as np
 import pytest
 
+import entwit.cli
+from csv_oracle import legacy_sweep_csv, legacy_trajectories_csv
 from entwit import build_css, build_w_state, matrix_to_json, QubitRegister
 from entwit.cli import main
 
@@ -26,6 +28,19 @@ def write_config(tmp_path, payload, name="config.json"):
 def read_json(tmp_path, name):
     with open(tmp_path / name) as fh:
         return json.load(fh)
+
+
+def capture(monkeypatch, name):
+    """Record every value that ``entwit.cli.<name>`` returns."""
+    seen = []
+    original = getattr(entwit.cli, name)
+
+    def recorded(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(entwit.cli, name, recorded)
+    return seen
 
 
 # ---------------------------------------------------------------- witness
@@ -129,8 +144,10 @@ def test_sweep_outputs_are_worker_independent(tmp_path):
     assert (out1 / "sweep_meta.json").read_bytes() == (out2 / "sweep_meta.json").read_bytes()
 
 
-def test_sweep_csv_is_worker_independent_over_many_jz_tasks(tmp_path):
-    # the sweep hands out one task per Jz value, so this grid reaches the pool
+def test_sweep_csv_is_worker_independent_over_many_jz_tasks(tmp_path, monkeypatch):
+    # the sweep hands out one task per Jz value, so this grid reaches the pool;
+    # every file must also equal the per-report writer's
+    grids = capture(monkeypatch, "sweep_detection")
     grid = {
         "B": {"min": 0.0, "max": 1.0, "step": 0.25},
         "Jz": {"min": 0.0, "max": 0.5, "step": 0.1},
@@ -142,6 +159,9 @@ def test_sweep_csv_is_worker_independent_over_many_jz_tasks(tmp_path):
         for workers, out in zip((1, 2), outs):
             out.mkdir()
             main(["sweep", "--config", cfg, "--out", str(out), "--workers", str(workers)])
+            legacy_sweep_csv(grids[-1], out / "legacy.csv")
+            assert (out / "sweep.csv").read_bytes() == (out / "legacy.csv").read_bytes()
+            assert 0 < grids[-1].detected.sum() < grids[-1].point_count  # both flags
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
 
 
@@ -170,6 +190,12 @@ def test_verify_default_protocol_passes(tmp_path, capsys):
     assert report["all_passed"] is True
     names = {check["name"] for check in report["checks"]}
     assert {"unitarity", "jarzynski", "tasaki", "protocol_independence"} <= names
+
+
+def test_verify_diagonalizes_each_hamiltonian_once(tmp_path, decompositions):
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    # the two protocol endpoints and the closed-form evolution's mean Hamiltonian
+    assert len(decompositions) == len(set(decompositions)) == 3
 
 
 def test_verify_rejects_nonunitary_injection(tmp_path, capsys):
@@ -215,6 +241,30 @@ def test_sample_is_deterministic_across_workers(tmp_path, monkeypatch):
         main(["sample", "--config", cfg, "--out", str(out), "--seed", "3"] + extra)
         outs.append((out / "trajectories.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.filterwarnings("ignore:thermal identification")
+def test_trajectories_match_the_per_row_writer(tmp_path, monkeypatch):
+    # a warm, non-commuting seven-qubit drive reaches hundreds of level pairs,
+    # and 34,002 draws end in a partial block
+    draws = capture(monkeypatch, "sample_tpm")
+    schedule = {
+        "initial": {"n": 7, "J": 1.0, "Jz": 0.5, "B": 1.2},
+        "final": {"n": 7, "J": 0.6, "Jz": -0.3, "B": 0.92},
+        "steps": 20,
+    }
+    cfg = write_config(
+        tmp_path, {"protocol": schedule, "beta": 0.1, "count": 34002, "evolution": "trotter"}
+    )
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        main(["sample", "--config", cfg, "--out", str(out), "--seed", "5", "--workers", str(workers)])
+        batch, _ = draws[-1]
+        legacy_trajectories_csv(batch, tmp_path / f"legacy{workers}.csv")
+        assert (out / "trajectories.csv").read_bytes() == (tmp_path / f"legacy{workers}.csv").read_bytes()
+    assert np.unique(batch.n_index * 128 + batch.m_index).size > 500
+    assert (tmp_path / "w1" / "trajectories.csv").read_bytes() == (tmp_path / "w2" / "trajectories.csv").read_bytes()
 
 
 def test_sample_rejects_bad_worker_env(tmp_path, monkeypatch, capsys):

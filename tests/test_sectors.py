@@ -123,11 +123,13 @@ def test_sweep_matches_dense_gibbs_relative_entropy(n):
         GridAxis(0.0, 0.8, 0.4), GridAxis(0.0, 0.6, 0.3), GridAxis(0.5, 2.0, 0.75), n=n
     )
     result = sweep_detection(grid, reference)
-    for report in result.results:
-        meta = report.metadata
-        params = XXZParams(n, 1.0, meta["Jz"], meta["B"])
-        want = dense_s_right(reference.rho, params, meta["T"])
-        assert abs(report.s_right - want) <= 1e-12
+    for (i, b), (j, jz), (k, t) in itertools.product(
+        enumerate(grid.b_axis.values()),
+        enumerate(grid.jz_axis.values()),
+        enumerate(grid.t_axis.values()),
+    ):
+        want = dense_s_right(reference.rho, XXZParams(n, 1.0, jz, b), t)
+        assert abs(result.s_right[i, j, k] - want) <= 1e-12
 
 
 def test_reconstruction_check_rejects_a_corrupted_block():

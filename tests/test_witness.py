@@ -10,6 +10,7 @@ Frozen oracle values, all derivable by hand from the state definitions:
 
 import csv
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -42,6 +43,9 @@ from entwit import (
     witness_evaluate,
     write_sweep_csv,
 )
+from entwit.witness import STRICTNESS_EPSILON, _decide, _finish_report
+
+from csv_oracle import legacy_sweep_csv
 
 LN_9_4 = 0.8109302162163288
 SIX_LN_7_6 = 0.9249040789635501
@@ -307,14 +311,20 @@ def test_sweep_matches_single_point_evaluations():
     grid = small_grid()
     reference = sweep_reference(3)
     done = sweep_detection(grid, reference)
-    assert len(done.results) == grid.point_count
-    for report in done.results[::5]:
-        b, jz, t = report.metadata["B"], report.metadata["Jz"], report.metadata["T"]
+    assert done.margin.shape == grid.shape
+    points = itertools.product(
+        enumerate(grid.b_axis.values()),
+        enumerate(grid.jz_axis.values()),
+        enumerate(grid.t_axis.values()),
+    )
+    for (i, b), (j, jz), (k, t) in itertools.islice(points, 0, None, 5):
         h_star = build_xxz(XXZParams(3, 1.0, jz, b))
         single = witness_evaluate(
             reference.rho, reference.sigma_ref, ThermalSpec(h_star, 1.0 / t)
         )
-        assert abs(report.margin - single.margin) < 1e-10
+        assert abs(done.margin[i, j, k] - single.margin) < 1e-10
+        assert done.detected[i, j, k] == single.detected
+        assert done.s_left == single.s_left
 
 
 def test_sweep_detects_at_the_reference_point():
@@ -322,14 +332,14 @@ def test_sweep_detects_at_the_reference_point():
         GridAxis(0.5, 0.5, 1.0), GridAxis(0.0, 0.0, 1.0), GridAxis(0.01, 0.01, 1.0), n=3
     )
     done = sweep_detection(grid, sweep_reference(3))
-    assert done.results[0].detected
-    assert abs(done.results[0].margin - LN_9_4) < 1e-3
+    assert done.detected[0, 0, 0]
+    assert abs(done.margin[0, 0, 0] - LN_9_4) < 1e-3
 
 
 def test_sweep_is_empty_at_high_temperature():
     grid = small_grid(t_axis=GridAxis(1000.0, 2000.0, 500.0))
     done = sweep_detection(grid, sweep_reference(3))
-    assert not any(r.detected for r in done.results)
+    assert not done.detected.any()
 
 
 def test_sweep_detected_set_is_single_interval():
@@ -337,7 +347,7 @@ def test_sweep_detected_set_is_single_interval():
         GridAxis(0.5, 0.5, 1.0), GridAxis(0.0, 0.0, 1.0), GridAxis(0.02, 2.0, 0.02), n=3
     )
     done = sweep_detection(grid, sweep_reference(3))
-    flags = np.array([r.detected for r in done.results])
+    flags = done.detected.ravel()
     idx = np.flatnonzero(flags)
     assert idx.size > 0
     assert idx[-1] - idx[0] + 1 == idx.size  # contiguous
@@ -349,8 +359,9 @@ def test_sweep_worker_determinism():
     reference = sweep_reference(3)
     one = sweep_detection(grid, reference, workers=1)
     two = sweep_detection(grid, reference, workers=2)
-    for a, b in zip(one.results, two.results):
-        assert a == b
+    assert one.s_left == two.s_left
+    for name in ("s_right", "margin", "detected"):
+        assert np.array_equal(getattr(one, name), getattr(two, name), equal_nan=True)
 
 
 def test_sweep_route_equivalence_on_thermal_reference():
@@ -358,16 +369,14 @@ def test_sweep_route_equivalence_on_thermal_reference():
     thermal_ref = sweep_reference(3, thermal=True)
     direct = sweep_detection(grid, thermal_ref)
     via = sweep_detection(dataclasses.replace(grid, route="via_work"), thermal_ref)
-    for a, b in zip(direct.results, via.results):
-        assert abs(a.margin - b.margin) < 1e-6
+    assert np.abs(direct.margin - via.margin).max() < 1e-6
 
 
 def test_ideal_and_thermal_references_agree_closely():
     grid = small_grid()
     ideal = sweep_detection(grid, sweep_reference(3))
     thermal = sweep_detection(grid, sweep_reference(3, thermal=True))
-    for a, b in zip(ideal.results, thermal.results):
-        assert abs(a.margin - b.margin) < 1e-5
+    assert np.abs(ideal.margin - thermal.margin).max() < 1e-5
 
 
 def test_sweep_reference_variants():
@@ -394,6 +403,31 @@ def test_write_sweep_csv(tmp_path):
         assert row[6] in {"true", "false"}
 
 
+def test_both_infinite_distances_give_nan_margin_and_no_detection(tmp_path):
+    report = _finish_report(math.inf, math.inf, "direct", STRICTNESS_EPSILON, None)
+    assert math.isnan(report.margin) and report.detected is False
+    grid = small_grid()
+    s_right = np.full(grid.shape, math.inf)
+    s_right[..., 0] = 1.0
+    margin, detected = _decide(math.inf, s_right, STRICTNESS_EPSILON)
+    assert np.isnan(margin[..., 1:]).all() and not detected[..., 1:].any()
+    assert (margin[..., 0] == math.inf).all() and detected[..., 0].all()
+    done = dataclasses.replace(
+        grid, s_left=math.inf, s_right=s_right, margin=margin, detected=detected
+    )
+    write_sweep_csv(done, tmp_path / "sweep.csv")
+    legacy_sweep_csv(done, tmp_path / "legacy.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "legacy.csv").read_bytes()
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[1].endswith(",inf,1,inf,true")
+    assert rows[2].endswith(",inf,inf,nan,false")
+
+
+def test_sweep_grid_rejects_misshapen_results():
+    with pytest.raises(ValueError, match="shape"):
+        small_grid(s_right=np.zeros(3))
+
+
 def test_state_checksum_properties():
     w = build_w_state(3)
     a = state_checksum(w)
@@ -407,5 +441,5 @@ def test_sweep_metadata_shape():
     meta = sweep_metadata(done, sweep_reference(3))
     assert meta["n"] == 3
     assert meta["points"] == done.point_count
-    assert meta["detected_points"] == sum(r.detected for r in done.results)
+    assert meta["detected_points"] == done.detected.sum()
     assert meta["reference"]["rho_sha256"] == state_checksum(build_w_state(3))

@@ -220,12 +220,6 @@ class TestWorkDistribution:
         )
         assert np.allclose(equal_beta.generalized_exponent, 0.9 * equal_beta.work)
 
-    def test_csv_rows_layout(self, haar):
-        wd = work_distribution(self.initial, self.final, haar(QubitRegister(2), 3))
-        rows = wd.csv_rows()
-        assert len(rows) == 16
-        assert len(rows[0]) == 6
-
 
 # ═══════════════════════════════════════════════════════════════════
 # Evolution operators
