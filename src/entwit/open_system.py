@@ -31,7 +31,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, NumericalCheckError
 from .operators import (
@@ -55,7 +54,7 @@ from .spin_models import (
     params_at,
     xxz_matrix,
 )
-from .thermo import ThermalSpec, thermal_state
+from .thermo import ThermalSpec, logsumexp, thermal_state
 from .witness import (
     STRICTNESS_EPSILON,
     StateOrSpec,
@@ -424,6 +423,8 @@ def open_trotter_evolution(composite: CompositeSystem, sampling: str = "left") -
     bonds = [(site[l], site[m]) for l, m in _bonds(schedule.n, schedule.initial.boundary)]
     hopping, zz, magnetization = chain_pieces(n, bonds, site)
     pieces = np.stack([fixed, hopping, np.diag(zz), np.diag(magnetization)])
+    if not pieces.imag.any():  # a split XXZ chain: real blocks, real eigh
+        pieces = pieces.real
     ones = _popcounts(n)
     # the chain pieces conserve S^z by construction; only the fixed one may not
     if fixed[ones[:, None] != ones[None, :]].any():

@@ -7,6 +7,10 @@ more than 1e-12 of weight outside the support of sigma.
 
 Partition functions are handled in log space throughout, so steep inverse
 temperatures (beta ~ 100 on spectra of width ~10) stay inside double range.
+Every ln sum exp in the package (ln Z here, the work averages, the witness's
+log weights) goes through ``logsumexp``, a numpy kernel that computes exactly
+what ``scipy.special.logsumexp`` computes for real input, so the package
+needs numpy alone.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NumericalCheckError
 from .operators import (
@@ -31,6 +34,27 @@ from .operators import (
 SUPPORT_LEAK_TOL = 1e-12
 
 LOG_FLOOR = math.log(EIGENVALUE_FLOOR)
+
+
+def logsumexp(a, axis=None):
+    """ln sum exp(a) over ``axis`` (all entries when None), for real input.
+
+    Follows scipy 1.17's algorithm step for step, so results are bit for bit
+    those of ``scipy.special.logsumexp(a, axis)``: the maxima are taken out of
+    the sum and counted, the rest is summed shifted by the maximum, and the
+    result is log1p(rest / count) + ln(count) + max.  A slice of all -inf
+    (or an empty one) gives -inf, a +inf entry gives +inf, and nan propagates.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peak = a.max(axis=axes, keepdims=True, initial=-np.inf)
+        at_peak = a == peak
+        count = at_peak.sum(axis=axes, keepdims=True, dtype=np.float64)
+        rest = np.exp(np.where(at_peak, -np.inf, a) - peak).sum(axis=axes, keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + peak
+    out[peak == -np.inf] = -np.inf
+    return out.squeeze(axis=axes)[()]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,10 @@ Both distances can be computed directly from spectra or rebuilt from
 two-point-measurement work statistics when every state involved is a declared
 Gibbs state; the two routes agree to numerical precision and are kept
 separate on purpose.
+
+A direct sweep diagonalizes the chain once per Jz value and takes the log
+Gibbs weights of the (B, T) plane from one ``thermo.logsumexp`` call (a few
+for large registers and grids).
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError
 from .operators import (
@@ -46,12 +49,16 @@ from .thermo import (
     ThermalSpec,
     _plogp,
     gibbs_relative_entropy,
+    logsumexp,
     relative_entropy,
     thermal_state,
 )
 from .work_stats import relative_entropy_via_work
 
 STRICTNESS_EPSILON = 1e-9
+# A direct sweep stacks the log Gibbs weights of every T and of as many B
+# values as fit in this many entries (whole planes on every acceptance grid).
+SWEEP_STACK_ENTRIES = 1 << 20
 
 # Final-field values that prepare the reference entangled state as the ground
 # state of the chain, per register size.
@@ -510,9 +517,9 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
     energies = np.concatenate([w for _, w, _ in spectra])
     magnetization = np.concatenate([np.full(w.size, s.magnetization) for s, w, _ in spectra])
     b_values, t_values = state["b_values"], state["t_values"]
-    out = np.empty((b_values.size, t_values.size))
 
     if state["route"] == "via_work":
+        out = np.empty((b_values.size, t_values.size))
         dim = 2**n
         vectors = np.zeros((dim, dim))
         column = 0
@@ -540,13 +547,16 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
         ]
     )
     overlaps = np.clip(overlaps, 0.0, None)
-    betas = 1.0 / t_values
-    for i, b_value in enumerate(b_values):
-        shifted_energies = energies - b_value * magnetization
-        shifted = -np.outer(betas, shifted_energies - shifted_energies.min())
-        log_p = shifted - logsumexp(shifted, axis=1)[:, None]
-        out[i] = state["plogp_rho"] - log_p @ overlaps
-    return out
+    # log Gibbs weights of a run of B values at once, shape (b, nT, dim)
+    run = max(1, SWEEP_STACK_ENTRIES // (t_values.size * energies.size))
+    planes = []
+    for b_run in np.split(b_values, range(run, b_values.size, run)):
+        shifted_energies = energies - b_run[:, None] * magnetization
+        shifted_energies -= shifted_energies.min(axis=1, keepdims=True)
+        shifted = -((1.0 / t_values)[:, None] * shifted_energies[:, None, :])
+        log_p = shifted - logsumexp(shifted, axis=2)[..., None]
+        planes.append(state["plogp_rho"] - log_p @ overlaps)
+    return np.concatenate(planes)
 
 
 def sweep_detection(

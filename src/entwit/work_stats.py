@@ -9,12 +9,13 @@ ratios for *any* unitary:
     <exp(-beta W)>                      = Z_f / Z_i            (equal beta)
     <exp(-(beta_f E_f - beta_i E_i))>   = Z_f(beta_f)/Z_i(beta_i)
 
-Every average is evaluated per-term in log space so that steep protocols
-(beta ~ 100) never leave double range.
+Every average is evaluated per-term in log space, with ``thermo.logsumexp``,
+so that steep protocols (beta ~ 100) never leave double range.
 
 Driven protocols, closed and open, share one Trotter routine,
 ``ordered_product``, over a block-diagonal Hamiltonian given as fixed pieces
-and a table of slice coefficients.
+and a table of slice coefficients; it diagonalizes the slices of a chunk of
+steps in one batched call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NumericalCheckError
 from .operators import (
@@ -44,11 +44,15 @@ from .spin_models import (
     params_at,
     xxz_sectors,
 )
-from .thermo import ThermalSpec, thermal_state
+from .thermo import ThermalSpec, logsumexp, thermal_state
 
 STOCHASTICITY_ATOL = 1e-10
 COMMUTATION_ATOL = 1e-9
 SAMPLE_BLOCK = 16384
+# ordered_product diagonalizes up to STEP_CHUNK slices per group in one
+# batched call, and at most CHUNK_ENTRIES matrix entries at a time.
+STEP_CHUNK = 32
+CHUNK_ENTRIES = 1 << 18
 # Where trotter_evolution samples H in each slice.
 SAMPLING_RULES = ("left", "midpoint")
 
@@ -173,12 +177,17 @@ def ordered_product(
     indices (length s; together they cover the register once) with the
     pieces restricted to them, shape (p, s, s).  ``coefficients`` is c, shape
     (steps, p).  Blocks of one size are stacked into a group (indices (k, s),
-    pieces (p, k, s, s)), so each step runs one batched ``checked_eigh`` per
-    group and checks the unitarity of every block factor; each group carries
-    its own products, and the dense unitary is assembled once at the end.
-    Each factor is built spectrally and is therefore exactly unitary, which
-    keeps ||U^dag U - I|| at roundoff level for any step count.  Real pieces
-    give real eigenvectors.
+    pieces (p, k, s, s)), and the steps run in chunks of at most STEP_CHUNK:
+    per group and chunk, the slice Hamiltonians are stacked (chunk, k, s, s),
+    one batched ``checked_eigh`` diagonalizes them and one ``check_unitary``
+    checks every block factor, and the factors then multiply into the
+    group's product one step at a time.  Chunks are shorter where the
+    largest group's stack would pass CHUNK_ENTRIES entries (one step per
+    chunk for the 924-state sectors of n = 12).  Each group
+    carries its own products, and the dense unitary is assembled once at the
+    end.  Each factor is built spectrally and is therefore exactly unitary,
+    which keeps ||U^dag U - I|| at roundoff level for any step count.  Real
+    pieces give real eigenvectors.
     """
     by_size: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     for indices, pieces in blocks:
@@ -191,16 +200,22 @@ def ordered_product(
         np.tile(np.eye(indices.shape[1], dtype=np.complex128), (indices.shape[0], 1, 1))
         for indices, _ in groups
     ]
-    for row in np.asarray(coefficients, dtype=np.float64):
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    largest = max(pieces[0].size for _, pieces in groups)
+    chunk = max(1, min(STEP_CHUNK, CHUNK_ENTRIES // largest))
+    for start in range(0, len(coefficients), chunk):
+        # one column per piece, shaped to scale a (chunk, k, s, s) stack
+        columns = coefficients[start : start + chunk].T[:, :, None, None, None]
         for g, (_, pieces) in enumerate(groups):
-            h = row[0] * pieces[0]
-            for c, piece in zip(row[1:], pieces[1:]):
+            h = columns[0] * pieces[0]
+            for c, piece in zip(columns[1:], pieces[1:]):
                 h += c * piece
             energies, vectors = checked_eigh(h)
             phases = np.exp(-1j * energies * dt)[..., None, :]
-            factor = (vectors * phases) @ vectors.conj().swapaxes(-1, -2)
-            check_unitary(factor)
-            products[g] = factor @ products[g]
+            factors = (vectors * phases) @ vectors.conj().swapaxes(-1, -2)
+            check_unitary(factors)
+            for factor in factors:
+                products[g] = factor @ products[g]
     total = np.zeros((register.dim, register.dim), dtype=np.complex128)
     for (indices, _), product in zip(groups, products):
         for block_indices, block in zip(indices, product):

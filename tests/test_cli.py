@@ -6,6 +6,10 @@ detection.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,25 @@ def test_verify_diagonalizes_each_hamiltonian_once(tmp_path, decompositions):
     assert main(["verify", "--out", str(tmp_path)]) == 0
     # the two protocol endpoints and the closed-form evolution's mean Hamiltonian
     assert len(decompositions) == len(set(decompositions)) == 3
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh interpreter: the package must import and verify on numpy alone
+    script = (
+        "import json, sys\n"
+        "import entwit.cli\n"
+        "code = entwit.cli.main(['verify', '--out', sys.argv[1]])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    source = str(Path(entwit.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+    )
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert read_json(tmp_path, "verify_report.json")["all_passed"] is True
+    assert loaded == []
 
 
 def test_verify_rejects_nonunitary_injection(tmp_path, capsys):

@@ -32,8 +32,10 @@ from entwit import (
     sweep_reference,
     trotter_evolution,
 )
+import entwit.work_stats
 from entwit.operators import check_unitary, checked_eigh
 from entwit.spin_models import sector_spectra, xxz_sectors
+from entwit.work_stats import STEP_CHUNK
 
 couplings = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 boundaries = st.sampled_from(["periodic", "open"])
@@ -116,6 +118,67 @@ def test_trotter_matches_dense_step_product(n, sampling):
     assert np.abs(u - dense_trotter(schedule, sampling)).max() <= 1e-12
 
 
+def four_site_split(steps):
+    """Sites 1-2 of an open four-site chain following a non-commuting ramp."""
+    return dataclasses.replace(
+        split_chain(XXZParams(4, 1.0, 0.4, 0.3, "open"), (1, 2), 1.0),
+        subsystem_hamiltonian=None,
+        subsystem_schedule=DrivingSchedule(
+            XXZParams(2, 1.0, 0.8, 0.3, "open"), XXZParams(2, 0.4, -0.2, 0.7, "open"), t_f=1.1, steps=steps
+        ),
+    )
+
+
+# one step, a chunk less one, a full chunk, one more, and many chunks
+@pytest.mark.parametrize("steps", [1, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1, 1000])
+@pytest.mark.parametrize("sampling", ["left", "midpoint"])
+def test_chunked_products_match_dense_step_products(steps, sampling):
+    schedule = DrivingSchedule(*NONCOMMUTING_RAMP[4], t_f=1.3, steps=steps)
+    u = trotter_evolution(schedule, sampling=sampling).entries
+    assert np.abs(u - dense_trotter(schedule, sampling)).max() <= 1e-12
+    composite = four_site_split(steps)
+    u = open_trotter_evolution(composite, sampling).entries
+    assert np.abs(u - dense_open_trotter(composite, sampling)).max() <= 1e-12
+
+
+def test_each_group_is_diagonalized_once_per_chunk(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return checked_eigh(matrix)
+
+    monkeypatch.setattr(entwit.work_stats, "checked_eigh", counted)
+    trotter_evolution(DrivingSchedule(*NONCOMMUTING_RAMP[4], steps=2 * STEP_CHUNK + 5))
+    # four sites: sector sizes 1, 4, 6, 4, 1 stack into three groups
+    assert len(calls) == 3 * 3
+    assert sorted({shape[0] for shape in calls}) == [5, STEP_CHUNK]
+
+
+@pytest.mark.parametrize("corrupt", ["eigenvalue", "eigenvector"])
+def test_a_corrupted_block_inside_a_chunk_is_rejected(monkeypatch, corrupt):
+    real_eigh = np.linalg.eigh
+
+    def skewed(matrix):
+        w, v = real_eigh(matrix)
+        if matrix.ndim == 4:  # a (chunk, k, s, s) stack of step blocks
+            w, v = w.copy(), v.copy()
+            middle = (matrix.shape[0] // 2, matrix.shape[1] - 1)
+            if corrupt == "eigenvalue":
+                w[middle + (0,)] += 1e-3
+            else:
+                v[middle + (slice(None), 0)] *= 1.0 + 1e-6
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    schedule = DrivingSchedule(*NONCOMMUTING_RAMP[4], steps=STEP_CHUNK + 3)
+    match = "reconstruction" if corrupt == "eigenvalue" else "orthonormal"
+    with pytest.raises(NumericalCheckError, match=match):
+        trotter_evolution(schedule)
+    with pytest.raises(NumericalCheckError, match=match):
+        open_trotter_evolution(four_site_split(STEP_CHUNK + 3))
+
+
 @pytest.mark.parametrize("n", [3, 7])
 def test_sweep_matches_dense_gibbs_relative_entropy(n):
     reference = sweep_reference(n)
@@ -195,14 +258,7 @@ def test_open_trotter_with_a_magnetization_changing_coupling(sampling):
     register = QubitRegister(4)
     sx_sx = np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]])
     composite = dataclasses.replace(
-        split_chain(XXZParams(4, 1.0, 0.4, 0.3, "open"), (1, 2), 1.0),
-        subsystem_hamiltonian=None,
-        subsystem_schedule=DrivingSchedule(
-            XXZParams(2, 1.0, 0.8, 0.3, "open"),
-            XXZParams(2, 0.4, -0.2, 0.7, "open"),
-            t_f=1.1,
-            steps=30,
-        ),
+        four_site_split(30),
         coupling=HermitianOperator(register, 0.7 * embed_operator(register, sx_sx, (2, 3))),
     )
     u = open_trotter_evolution(composite, sampling).entries

@@ -8,7 +8,10 @@ evaluator are implemented independently.
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp as scipy_logsumexp
 
 from entwit import (
     DensityMatrix,
@@ -23,6 +26,7 @@ from entwit import (
     spectral_decompose,
     thermal_state,
 )
+from entwit.thermo import logsumexp
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -44,7 +48,7 @@ class TestThermalSpec:
         for seed in range(5):
             h = random_hermitian(2, rng)
             spec = ThermalSpec(h, 0.8)
-            direct = logsumexp(-0.8 * np.linalg.eigvalsh(h.entries))
+            direct = scipy_logsumexp(-0.8 * np.linalg.eigvalsh(h.entries))
             assert abs(spec.log_partition - direct) < 1e-12
 
     def test_log_partition_survives_overflow(self):
@@ -193,3 +197,30 @@ def test_relative_entropy_rejects_register_mismatch():
     sigma = DensityMatrix(QubitRegister(2), np.eye(4) / 4)
     with pytest.raises(ValueError):
         relative_entropy(rho, sigma)
+
+
+# finite spreads up to +-700 (the steepest beta * width the package meets),
+# small integers for tied maxima, and the non-finite values
+log_terms = st.one_of(
+    st.floats(-700.0, 700.0),
+    st.floats(-700.0, 700.0),
+    st.integers(-3, 3).map(float),
+    st.sampled_from([-np.inf, -np.inf, np.inf, np.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6), elements=log_terms),
+    st.sampled_from([None, -1]),
+)
+@example(np.array([[-np.inf, -np.inf], [0.5, -np.inf]]), -1)  # an all -inf row
+@example(np.full(4, -np.inf), None)
+@example(np.array([2.0, 2.0, -1.0, 2.0]), None)  # three tied maxima
+@example(np.array([[700.0, -700.0], [np.nan, 1.0], [np.inf, 3.0]]), -1)
+def test_logsumexp_is_bit_identical_to_scipy(a, axis):
+    with np.errstate(all="ignore"):
+        want = scipy_logsumexp(a, axis=axis)
+    got = logsumexp(a, axis=axis)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)

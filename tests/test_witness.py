@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+import entwit.witness
 from entwit import (
     ConfigError,
     DensityMatrix,
@@ -362,6 +363,16 @@ def test_sweep_worker_determinism():
     assert one.s_left == two.s_left
     for name in ("s_right", "margin", "detected"):
         assert np.array_equal(getattr(one, name), getattr(two, name), equal_nan=True)
+
+
+@pytest.mark.parametrize("entries", [1, 3 * 8 * 3])
+def test_sweep_in_runs_of_b_values_matches_one_stack(monkeypatch, entries):
+    # 7 B values x 3 T values x 8 states: runs of one B value, then of three
+    grid = small_grid(b_axis=GridAxis(0.0, 0.6, 0.1))
+    reference = sweep_reference(3)
+    whole = sweep_detection(grid, reference)
+    monkeypatch.setattr(entwit.witness, "SWEEP_STACK_ENTRIES", entries)
+    assert np.array_equal(sweep_detection(grid, reference).s_right, whole.s_right)
 
 
 def test_sweep_route_equivalence_on_thermal_reference():
