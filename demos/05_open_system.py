@@ -51,7 +51,7 @@ y, z_b, z_s = subsystem_partition(composite)
 print("\nY  =", y)
 print("Z_B =", z_b)
 print("Z_S =", z_s)
-direct = effective_spec(composite).partition
+direct = np.exp(effective_spec(composite).log_partition)
 print("tr exp(-beta H_eff) =", direct, "  rel dev:", abs(direct - z_s) / z_s)
 
 # the reduced state of the global Gibbs state is thermal for H_eff

@@ -41,8 +41,6 @@ from .operators import (
     UnitaryOperator,
     _partial_trace_matrix,
     embed_operator,
-    hermitian_from_json,
-    matrix_to_json,
     spectral_decompose,
 )
 from .spin_models import (
@@ -50,6 +48,7 @@ from .spin_models import (
     XXZParams,
     _bonds,
     _popcounts,
+    build_xxz,
     chain_pieces,
     params_at,
     xxz_matrix,
@@ -165,22 +164,15 @@ class CompositeSystem:
         return self.subsystem_schedule.t_f if self.subsystem_schedule is not None else 0.0
 
 
-def subsystem_hamiltonian_at(composite: CompositeSystem, t: float = 0.0) -> HermitianOperator:
-    """The bare subsystem Hamiltonian at time ``t`` (static ones ignore ``t``)."""
-    if composite.subsystem_schedule is None:
-        assert composite.subsystem_hamiltonian is not None
-        return composite.subsystem_hamiltonian
-    from .spin_models import build_xxz
-
-    return build_xxz(params_at(composite.subsystem_schedule, t))
-
-
 def full_hamiltonian(composite: CompositeSystem, t: float = 0.0) -> HermitianOperator:
-    """Subsystem + coupling + bath, embedded on the full register."""
+    """Subsystem + coupling + bath, embedded on the full register; a driven
+    subsystem enters with its chain at time ``t``, a static one as it is."""
     register = composite.register
-    entries = embed_operator(
-        register, subsystem_hamiltonian_at(composite, t).entries, composite.subsystem_sites
-    )
+    if composite.subsystem_schedule is None:
+        subsystem = composite.subsystem_hamiltonian
+    else:
+        subsystem = build_xxz(params_at(composite.subsystem_schedule, t))
+    entries = embed_operator(register, subsystem.entries, composite.subsystem_sites)
     if composite.coupling is not None:
         entries = entries + composite.coupling.entries
     if composite.bath_hamiltonian is not None:
@@ -473,61 +465,3 @@ def split_chain(
 def decoupled(composite: CompositeSystem) -> CompositeSystem:
     """The same composite with the subsystem-bath coupling switched off."""
     return dataclasses.replace(composite, coupling=None)
-
-
-def composite_to_json(composite: CompositeSystem) -> dict:
-    """JSON-friendly description (static composites only)."""
-    if composite.is_driven:
-        raise ValueError("driven composites have no JSON form; resolve a time first")
-    assert composite.subsystem_hamiltonian is not None
-    payload: dict = {
-        "beta": composite.beta,
-        "partition": {
-            "subsystem": list(composite.subsystem_sites),
-            "bath": list(composite.bath_sites),
-        },
-        "subsystem_hamiltonian": matrix_to_json(
-            composite.subsystem_register, composite.subsystem_hamiltonian.entries
-        ),
-        "coupling": (
-            None
-            if composite.coupling is None
-            else matrix_to_json(composite.register, composite.coupling.entries)
-        ),
-        "bath_hamiltonian": (
-            None
-            if composite.bath_hamiltonian is None
-            else matrix_to_json(composite.bath_register, composite.bath_hamiltonian.entries)
-        ),
-    }
-    return payload
-
-
-def composite_from_json(payload: dict) -> CompositeSystem:
-    """Inverse of composite_to_json, with strict key checking."""
-    if not isinstance(payload, dict):
-        raise ValueError("composite payload must be an object")
-    allowed = {"beta", "partition", "subsystem_hamiltonian", "coupling", "bath_hamiltonian"}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ValueError(f"composite payload has unknown keys {sorted(unknown)}")
-    for key in ("beta", "partition", "subsystem_hamiltonian"):
-        if key not in payload:
-            raise ValueError(f"composite payload is missing key {key!r}")
-    partition = payload["partition"]
-    if not isinstance(partition, dict) or set(partition) != {"subsystem", "bath"}:
-        raise ValueError("partition must be an object with keys 'subsystem' and 'bath'")
-    sub = tuple(int(s) for s in partition["subsystem"])
-    bath = tuple(int(s) for s in partition["bath"])
-    register = QubitRegister(len(sub) + len(bath))
-    coupling = payload.get("coupling")
-    bath_h = payload.get("bath_hamiltonian")
-    return CompositeSystem(
-        register=register,
-        subsystem_sites=sub,
-        bath_sites=bath,
-        beta=float(payload["beta"]),
-        subsystem_hamiltonian=hermitian_from_json(payload["subsystem_hamiltonian"]),
-        coupling=None if coupling is None else hermitian_from_json(coupling),
-        bath_hamiltonian=None if bath_h is None else hermitian_from_json(bath_h),
-    )

@@ -11,8 +11,8 @@ and ``check_unitary``, which work on any square block or stack of blocks.
 The containers and ``spectral_decompose`` use them on full matrices; the
 ordered product in ``work_stats`` uses them on stacks of the blocks of fixed
 total magnetization (S^z sectors), so both paths hold the same tolerances.
-The Pauli embeddings stay dense; they serve the open-system and
-Dzyaloshinskii-Moriya code, whose generic operators need not conserve S^z.
+``embed_operator`` and the raw partial trace stay dense; they serve the
+open-system code, whose couplings and baths need not conserve S^z.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,16 +34,10 @@ PSD_ATOL = 1e-10
 UNITARITY_ATOL = 1e-10
 ORTHONORMALITY_ATOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-9
-DEGENERACY_TOL = 1e-9
 
 # Eigenvalues at or below this floor count as zero for support purposes
 # (matrix logarithms, relative entropy).
 EIGENVALUE_FLOOR = 1e-14
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 
 @dataclass(frozen=True)
@@ -108,11 +102,10 @@ class UnitaryOperator:
 
     register: QubitRegister
     entries: np.ndarray
-    tolerance: float = UNITARITY_ATOL
 
     def __post_init__(self) -> None:
         entries = _frozen_matrix(self.entries, self.register.dim, "unitary matrix")
-        check_unitary(entries, self.tolerance)
+        check_unitary(entries)
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -161,7 +154,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    degeneracy_tolerance: float = DEGENERACY_TOL
 
     def __post_init__(self) -> None:
         eigenvalues = np.array(self.eigenvalues, dtype=np.float64)
@@ -181,20 +173,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return int(self.eigenvalues.size)
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-    def degenerate_blocks(self) -> list[slice]:
-        """Contiguous index ranges of (numerically) equal eigenvalues."""
-        blocks: list[slice] = []
-        start = 0
-        for i in range(1, self.dim + 1):
-            if i == self.dim or self.eigenvalues[i] - self.eigenvalues[i - 1] > self.degeneracy_tolerance:
-                blocks.append(slice(start, i))
-                start = i
-        return blocks
-
 
 # The checks below take one square block or a stack of them, shape
 # (..., s, s).  Absolute tolerances make the maximum over a stack the same
@@ -210,15 +188,15 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
         )
 
 
-def check_unitary(entries: np.ndarray, tolerance: float = UNITARITY_ATOL) -> None:
-    """Raise unless max |U^dag U - I| <= tolerance for the square block
+def check_unitary(entries: np.ndarray) -> None:
+    """Raise unless max |U^dag U - I| <= UNITARITY_ATOL for the square block
     ``entries``, or for every block of a stack."""
     gram = entries.conj().swapaxes(-1, -2) @ entries
     deviation = float(np.abs(gram - np.eye(entries.shape[-1])).max())
-    if deviation > tolerance:
+    if deviation > UNITARITY_ATOL:
         raise NumericalCheckError(
             f"unitarity check failed: max |U^dag U - I| = {deviation:.3e} "
-            f"exceeds {tolerance:.0e}"
+            f"exceeds {UNITARITY_ATOL:.0e}"
         )
 
 
@@ -256,35 +234,6 @@ def spectral_decompose(operator: HermitianOperator) -> SpectralDecomposition:
     return SpectralDecomposition(*checked_eigh(operator.entries))
 
 
-def hermitian_function(
-    operator: HermitianOperator, func: Callable[[np.ndarray], np.ndarray]
-) -> HermitianOperator:
-    """Apply a real scalar function to a Hermitian operator via its spectrum.
-
-    ``func`` is called on the eigenvalue array (vectorized callables work
-    directly; scalar ones are mapped).  Non-finite results raise, since they
-    mean the function is undefined at an eigenvalue.
-    """
-    decomposition = spectral_decompose(operator)
-    eigenvalues = decomposition.eigenvalues
-    with np.errstate(divide="ignore", invalid="ignore"):
-        try:
-            mapped = np.asarray(func(eigenvalues), dtype=np.float64)
-        except (TypeError, ValueError):
-            mapped = np.asarray([func(x) for x in eigenvalues], dtype=np.float64)
-        if mapped.shape != eigenvalues.shape:
-            mapped = np.asarray([func(x) for x in eigenvalues], dtype=np.float64)
-    if not np.all(np.isfinite(mapped)):
-        bad = float(eigenvalues[~np.isfinite(mapped)][0])
-        raise NumericalCheckError(
-            f"function is undefined at eigenvalue {bad:.6e} (non-finite result)"
-        )
-    v = decomposition.eigenvectors
-    entries = (v * mapped) @ v.conj().T
-    entries = 0.5 * (entries + entries.conj().T)
-    return HermitianOperator(operator.register, entries)
-
-
 def evolution_operator(hamiltonian: HermitianOperator, duration: float) -> UnitaryOperator:
     """exp(-i H t) built from the spectral decomposition, hence exactly unitary
     up to roundoff."""
@@ -296,13 +245,6 @@ def evolution_operator(hamiltonian: HermitianOperator, duration: float) -> Unita
     return UnitaryOperator(hamiltonian.register, (v * phases) @ v.conj().T)
 
 
-def embed_pauli(register: QubitRegister, site: int, axis: str) -> HermitianOperator:
-    """Single-site Pauli sigma^axis acting on ``site`` of the register."""
-    if axis not in PAULIS:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    return HermitianOperator(register, _embed_matrix(register.n, PAULIS[axis], (site,)))
-
-
 def embed_operator(
     register: QubitRegister, entries: np.ndarray, sites: Sequence[int]
 ) -> np.ndarray:
@@ -311,10 +253,9 @@ def embed_operator(
     Tensor factor ``j`` of ``entries`` is placed on ``sites[j]``.  Returns the
     raw matrix; wrap it in the container matching its symmetry.
     """
-    return _embed_matrix(register.n, np.asarray(entries, dtype=np.complex128), tuple(sites))
-
-
-def _embed_matrix(n: int, op: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
+    n = register.n
+    op = np.asarray(entries, dtype=np.complex128)
+    sites = tuple(sites)
     k = len(sites)
     if op.shape != (2**k, 2**k):
         raise ValueError(f"operator on {k} sites must be {2**k}x{2**k}, got {op.shape}")
@@ -335,23 +276,6 @@ def _embed_matrix(n: int, op: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(full.reshape(2**n, 2**n))
 
 
-def partial_trace(state: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out every site not listed in ``keep`` (1-based, any order).
-
-    The reduced state lives on a register of ``len(keep)`` qubits ordered by
-    ascending original site index.
-    """
-    keep_sites = sorted(set(int(s) for s in keep))
-    n = state.register.n
-    if not keep_sites:
-        raise ValueError("keep must name at least one site")
-    for site in keep_sites:
-        if not 1 <= site <= n:
-            raise ValueError(f"site {site} outside register 1..{n}")
-    reduced = _partial_trace_matrix(state.entries, n, [s - 1 for s in keep_sites])
-    return DensityMatrix(QubitRegister(len(keep_sites)), reduced)
-
-
 def _partial_trace_matrix(entries: np.ndarray, n: int, keep0: list[int]) -> np.ndarray:
     """Partial trace of a raw matrix over the complement of ``keep0`` (0-based)."""
     k = len(keep0)
@@ -364,12 +288,6 @@ def _partial_trace_matrix(entries: np.ndarray, n: int, keep0: list[int]) -> np.n
     out = [row[s] for s in keep0] + [n + s for s in keep0]
     reduced = np.einsum(tensor, row + col, out)
     return np.ascontiguousarray(reduced.reshape(2**k, 2**k))
-
-
-def tensor_product(left: DensityMatrix, right: DensityMatrix) -> DensityMatrix:
-    """Joint state ``left (x) right`` on the concatenated register."""
-    register = QubitRegister(left.register.n + right.register.n)
-    return DensityMatrix(register, np.kron(left.entries, right.entries))
 
 
 def dicke_state(register: QubitRegister, k_ones: int) -> np.ndarray:
@@ -410,10 +328,6 @@ def matrix_to_json(register: QubitRegister, entries: np.ndarray) -> dict:
     }
 
 
-def operator_to_json(operator: HermitianOperator | UnitaryOperator | DensityMatrix) -> dict:
-    return matrix_to_json(operator.register, operator.entries)
-
-
 def matrix_from_json(payload: dict) -> tuple[QubitRegister, np.ndarray]:
     if not isinstance(payload, dict):
         raise ValueError("matrix payload must be a JSON object")
@@ -433,16 +347,11 @@ def matrix_from_json(payload: dict) -> tuple[QubitRegister, np.ndarray]:
     return register, real + 1j * imag
 
 
-def hermitian_from_json(payload: dict) -> HermitianOperator:
-    register, entries = matrix_from_json(payload)
-    return HermitianOperator(register, entries)
-
-
 def density_from_json(payload: dict) -> DensityMatrix:
     register, entries = matrix_from_json(payload)
     return DensityMatrix(register, entries)
 
 
-def unitary_from_json(payload: dict, tolerance: float = UNITARITY_ATOL) -> UnitaryOperator:
+def unitary_from_json(payload: dict) -> UnitaryOperator:
     register, entries = matrix_from_json(payload)
-    return UnitaryOperator(register, entries, tolerance)
+    return UnitaryOperator(register, entries)

@@ -1,5 +1,5 @@
-"""XXZ chains in a transverse field, with optional Dzyaloshinskii-Moriya term,
-and linear driving schedules between two parameter sets.
+"""XXZ chains in a transverse field, and linear driving schedules between two
+parameter sets.
 
 The Hamiltonian built here is
 
@@ -19,8 +19,7 @@ dense matrix from the blocks, and ``sector_spectra`` diagonalizes the blocks
 one by one (at most 35 states at n = 7, 924 at n = 12), with the checks of
 ``operators.checked_eigh``.  ``chain_pieces`` applies the same bond action to
 the whole basis of a register, for chains laid on any of its sites (the
-open-system split and driven subsystem).  The Dzyaloshinskii-Moriya term
-breaks S^z for in-plane D and stays a dense Pauli-product operator.
+open-system split and driven subsystem).
 """
 
 from __future__ import annotations
@@ -33,12 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .operators import (
-    HermitianOperator,
-    QubitRegister,
-    checked_eigh,
-    embed_pauli,
-)
+from .operators import HermitianOperator, QubitRegister, checked_eigh
 
 BOUNDARIES = ("periodic", "open")
 INTERPOLATIONS = ("linear", "quench-at-start")
@@ -65,21 +59,6 @@ class XXZParams:
             raise ValueError(
                 f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}"
             )
-
-
-@dataclass(frozen=True)
-class DMParams:
-    """Dzyaloshinskii-Moriya vector D for the bond term D . (sigma_l x sigma_{l+1})."""
-
-    d_x: float = 0.0
-    d_y: float = 0.0
-    d_z: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("d_x", "d_y", "d_z"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -253,28 +232,6 @@ def sector_spectra(params: XXZParams) -> list[tuple[Sector, np.ndarray, np.ndarr
     ]
 
 
-def build_dm_term(
-    register: QubitRegister, dm: DMParams, boundary: str = "periodic"
-) -> HermitianOperator:
-    """Bond-summed D . (sigma_l x sigma_{l+1}); add it to a chain Hamiltonian."""
-    if boundary not in BOUNDARIES:
-        raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-    n = register.n
-    if n < 2:
-        raise ValueError("the Dzyaloshinskii-Moriya term needs at least two sites")
-    sx = [embed_pauli(register, site, "x").entries for site in register.sites()]
-    sy = [embed_pauli(register, site, "y").entries for site in register.sites()]
-    sz = [embed_pauli(register, site, "z").entries for site in register.sites()]
-    h = np.zeros((register.dim, register.dim), dtype=np.complex128)
-    last_bond = n if boundary == "periodic" else n - 1
-    for l in range(last_bond):
-        m = (l + 1) % n
-        h += dm.d_x * (sy[l] @ sz[m] - sz[l] @ sy[m])
-        h += dm.d_y * (sz[l] @ sx[m] - sx[l] @ sz[m])
-        h += dm.d_z * (sx[l] @ sy[m] - sy[l] @ sx[m])
-    return HermitianOperator(register, h)
-
-
 def total_sz(register: QubitRegister) -> HermitianOperator:
     """Total magnetization sum_l sz_l (the U(1) charge of the XXZ chain)."""
     magnetization = register.n - 2 * _popcounts(register.n)
@@ -296,13 +253,6 @@ def params_at(schedule: DrivingSchedule, t: float) -> XXZParams:
         B=initial.B + frac * (final.B - initial.B),
         boundary=initial.boundary,
     )
-
-
-def hamiltonian_at(schedule: DrivingSchedule, step: int) -> HermitianOperator:
-    """Hamiltonian at the left endpoint of slice ``step`` (0 <= step < steps)."""
-    if not isinstance(step, int) or not 0 <= step < schedule.steps:
-        raise ValueError(f"step must lie in 0..{schedule.steps - 1}, got {step!r}")
-    return build_xxz(params_at(schedule, step * schedule.dt))
 
 
 def xxz_params_from_config(payload: dict, path: str = "params") -> XXZParams:

@@ -5,12 +5,23 @@ natural log units (nats).  Support convention: eigenvalues at or below 1e-14
 count as zero, 0 ln 0 = 0, and the result is +infinity whenever rho carries
 more than 1e-12 of weight outside the support of sigma.
 
+Every direct evaluation comes down to the cross term
+tr(rho ln sigma) = sum_i <v_i|rho|v_i> ln w_i over sigma's eigenpairs (v_i, w_i).
+``diagonal_overlaps`` is the one kernel for the overlaps <v_i|rho|v_i>: a
+matrix product and a column sum, so it runs on BLAS.  The dense evaluator
+``relative_entropy``, the witness's analytic-log-weight evaluator and its
+sweeps all call it, and every direct evaluator passes its result through
+``nonnegative_entropy``: roundoff below zero is reported as 0, anything below
+-NEGATIVE_ENTROPY_TOL raises.
+
 Partition functions are handled in log space throughout, so steep inverse
 temperatures (beta ~ 100 on spectra of width ~10) stay inside double range.
-Every ln sum exp in the package (ln Z here, the work averages, the witness's
-log weights) goes through ``logsumexp``, a numpy kernel that computes exactly
-what ``scipy.special.logsumexp`` computes for real input, so the package
-needs numpy alone.
+``ThermalSpec.weights`` and ``ThermalSpec.log_weights`` are the package's one
+rule for normalized Gibbs weights.  Every ln sum exp in the package (ln Z
+here, the work averages, the witness's log weights) goes through
+``logsumexp``, a numpy kernel that computes exactly what
+``scipy.special.logsumexp`` computes for real input, so the package needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -32,8 +43,9 @@ from .operators import (
 # Weight of rho tolerated outside the numerical support of sigma before the
 # relative entropy is reported as infinite.
 SUPPORT_LEAK_TOL = 1e-12
-
-LOG_FLOOR = math.log(EIGENVALUE_FLOOR)
+# Relative entropies down to minus this much are roundoff and read as 0; a
+# lower value means the inputs were not valid states.
+NEGATIVE_ENTROPY_TOL = 1e-8
 
 
 def logsumexp(a, axis=None):
@@ -62,8 +74,7 @@ class ThermalSpec:
     """A Hamiltonian together with an inverse temperature.
 
     Carries its spectral decomposition (computed once, cached) and the derived
-    log partition function.  ``partition`` itself can overflow to inf for very
-    steep beta; ``log_partition`` and ``free_energy`` are always finite.
+    log partition function and Gibbs weights, all finite for any beta.
     """
 
     hamiltonian: HermitianOperator
@@ -99,24 +110,32 @@ class ThermalSpec:
         return float(logsumexp(-self.beta * self.spectrum.eigenvalues))
 
     @property
-    def partition(self) -> float:
-        # overflows to +inf for large beta * |spectrum|; use log_partition then
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_partition))
-
-    @property
     def free_energy(self) -> float:
         return -self.log_partition / self.beta
+
+    def _shifted_energies(self) -> np.ndarray:
+        """-beta (E_k - E_0) over the ascending spectrum."""
+        eigenvalues = self.spectrum.eigenvalues
+        return -self.beta * (eigenvalues - eigenvalues[0])
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Gibbs weights exp(-beta (E_k - E_0)) / sum, in spectrum order."""
+        weights = np.exp(self._shifted_energies())
+        weights /= weights.sum()
+        return weights
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        """ln of ``weights``, exact where the weights themselves underflow."""
+        shifted = self._shifted_energies()
+        return shifted - logsumexp(shifted)
 
 
 def thermal_state(spec: ThermalSpec) -> DensityMatrix:
     """exp(-beta H)/Z, built from the shifted spectrum of H."""
-    decomposition = spec.spectrum
-    shifted = -spec.beta * (decomposition.eigenvalues - decomposition.eigenvalues[0])
-    weights = np.exp(shifted)
-    weights /= weights.sum()
-    v = decomposition.eigenvectors
-    entries = (v * weights) @ v.conj().T
+    v = spec.spectrum.eigenvectors
+    entries = (v * spec.weights) @ v.conj().T
     entries = 0.5 * (entries + entries.conj().T)
     return DensityMatrix(spec.hamiltonian.register, entries)
 
@@ -128,33 +147,45 @@ def _plogp(eigenvalues: np.ndarray) -> float:
     return float(np.sum(lam * np.log(lam)))
 
 
+def diagonal_overlaps(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """<v_i| rho |v_i> for every column v_i of ``vectors``, clamped at 0.
+
+    ``rho`` is a state's matrix (or one diagonal block of it) and ``vectors``
+    the orthonormal eigenvectors of sigma on the same basis.
+    """
+    overlaps = (vectors.conj() * (rho @ vectors)).sum(0).real
+    return np.clip(overlaps, 0.0, None)
+
+
+def nonnegative_entropy(value):
+    """A relative entropy (or an array of them) with roundoff below 0 set to 0.
+
+    Raises NumericalCheckError below -NEGATIVE_ENTROPY_TOL, which valid
+    states cannot produce.
+    """
+    value = np.asarray(value, dtype=np.float64)
+    if np.any(value < -NEGATIVE_ENTROPY_TOL):
+        raise NumericalCheckError(
+            f"relative entropy evaluated to {float(value.min()):.3e}; "
+            "inputs are not valid states"
+        )
+    return np.where(value < 0, 0.0, value)[()]
+
+
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """S(rho||sigma) in nats; math.inf when supp(rho) leaks out of supp(sigma)."""
     if rho.register != sigma.register:
         raise ValueError("states must live on the same register")
-    rho_eigenvalues = np.linalg.eigvalsh(rho.entries)
-    first_term = _plogp(rho_eigenvalues)
-
+    first_term = _plogp(np.linalg.eigvalsh(rho.entries))
     sigma_eigenvalues, sigma_vectors = np.linalg.eigh(sigma.entries)
     sigma_eigenvalues = np.clip(sigma_eigenvalues, 0.0, None)
-    # <v_i| rho |v_i> for every sigma eigenvector
-    overlaps = np.einsum(
-        "ji,jk,ki->i", sigma_vectors.conj(), rho.entries, sigma_vectors
-    ).real
-    overlaps = np.clip(overlaps, 0.0, None)
+    overlaps = diagonal_overlaps(rho.entries, sigma_vectors)
     inside = sigma_eigenvalues > EIGENVALUE_FLOOR
     leak = float(overlaps[~inside].sum())
     if leak > SUPPORT_LEAK_TOL:
         return math.inf
     second_term = float(np.sum(overlaps[inside] * np.log(sigma_eigenvalues[inside])))
-    value = first_term - second_term
-    if value < 0:
-        if value < -1e-8:
-            raise NumericalCheckError(
-                f"relative entropy evaluated to {value:.3e}; inputs are not valid states"
-            )
-        value = 0.0
-    return float(value)
+    return float(nonnegative_entropy(first_term - second_term))
 
 
 def delta_beta_f(initial: ThermalSpec, final: ThermalSpec) -> float:
@@ -180,4 +211,4 @@ def gibbs_relative_entropy(initial: ThermalSpec, final: ThermalSpec) -> float:
         np.einsum("ij,ji->", rho.entries, initial.hamiltonian.entries).real
     )
     weighted = final.beta * final_energy - initial.beta * initial_energy
-    return delta_beta_f(initial, final) - weighted
+    return float(nonnegative_entropy(delta_beta_f(initial, final) - weighted))

@@ -10,11 +10,15 @@ than the closest separable one.
 Both distances can be computed directly from spectra or rebuilt from
 two-point-measurement work statistics when every state involved is a declared
 Gibbs state; the two routes agree to numerical precision and are kept
-separate on purpose.
+separate on purpose.  A direct distance uses one of three evaluators: the
+Gibbs identity when both states are declared Gibbs states, the analytic log
+weights of a declared Gibbs sigma under a dense rho, and the dense spectral
+evaluator otherwise.  The last two share ``thermo.diagonal_overlaps``.
 
-A direct sweep diagonalizes the chain once per Jz value and takes the log
-Gibbs weights of the (B, T) plane from one ``thermo.logsumexp`` call (a few
-for large registers and grids).
+A direct sweep diagonalizes the chain once per Jz value, takes the overlaps
+of the reference state sector by sector, and takes the log Gibbs weights of
+the (B, T) plane from one ``thermo.logsumexp`` call (a few for large
+registers and grids).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import numpy as np
 from .errors import ConfigError
 from .operators import (
     DensityMatrix,
-    HermitianOperator,
     QubitRegister,
     SpectralDecomposition,
     UnitaryOperator,
@@ -48,12 +51,14 @@ from .spin_models import (
 from .thermo import (
     ThermalSpec,
     _plogp,
+    diagonal_overlaps,
     gibbs_relative_entropy,
     logsumexp,
+    nonnegative_entropy,
     relative_entropy,
     thermal_state,
 )
-from .work_stats import relative_entropy_via_work
+from .work_stats import _map_tasks, relative_entropy_via_work
 
 STRICTNESS_EPSILON = 1e-9
 # A direct sweep stacks the log Gibbs weights of every T and of as many B
@@ -63,8 +68,6 @@ SWEEP_STACK_ENTRIES = 1 << 20
 # Final-field values that prepare the reference entangled state as the ground
 # state of the chain, per register size.
 FINAL_FIELD = {3: 0.5, 7: 0.92}
-
-STATE_VARIANTS = ("w_state", "css", "sigma_prime")
 
 
 def build_w_state(n: int) -> DensityMatrix:
@@ -110,19 +113,6 @@ def build_sigma_prime_7() -> DensityMatrix:
     vec = dicke_state(register, 1)
     entries += dicke_weight * np.outer(vec, vec.conj())
     return DensityMatrix(register, entries)
-
-
-def symmetric_state(variant: str, n: int) -> DensityMatrix:
-    """Build one of the named reference states."""
-    if variant == "w_state":
-        return build_w_state(n)
-    if variant == "css":
-        return build_css(n)
-    if variant == "sigma_prime":
-        if n != 7:
-            raise ValueError("sigma_prime is only defined for n = 7")
-        return build_sigma_prime_7()
-    raise ValueError(f"variant must be one of {STATE_VARIANTS}, got {variant!r}")
 
 
 def _warn_if_warm(beta: float) -> None:
@@ -237,35 +227,24 @@ def _identity_unitary(register: QubitRegister) -> UnitaryOperator:
     return UnitaryOperator(register, np.eye(register.dim, dtype=np.complex128))
 
 
-def _cross_term_thermal(state_entries: np.ndarray, spec: ThermalSpec) -> float:
-    """tr(rho ln sigma) for a declared Gibbs sigma, evaluated in log space.
-
-    A Gibbs state is full rank by construction, so its log weights are exact
-    numbers like -beta (E_k - E_0) - ln Z even where the dense matrix would
-    underflow; no support bookkeeping is needed on this path.
-    """
-    decomposition = spec.spectrum
-    shifted = -spec.beta * (decomposition.eigenvalues - decomposition.eigenvalues[0])
-    log_weights = shifted - logsumexp(shifted)
-    v = decomposition.eigenvectors
-    overlaps = np.einsum("ji,jk,ki->i", v.conj(), state_entries, v).real
-    overlaps = np.clip(overlaps, 0.0, None)
-    return float(np.dot(overlaps, log_weights))
-
-
 def _distance_direct(rho: StateOrSpec, sigma: StateOrSpec, rho_name: str, sigma_name: str) -> float:
     """S(rho || sigma) picking the best evaluation for what was declared.
 
     Two declared Gibbs states use the free-energy identity; a Gibbs sigma
     under an arbitrary rho uses the analytic log weights; dense matrices on
     both sides fall back to the spectral evaluator with its support rules.
+    A Gibbs state is full rank by construction, so its log weights are exact
+    numbers like -beta (E_k - E_0) - ln Z even where the dense matrix would
+    underflow; no support bookkeeping is needed on that path.
     """
     if isinstance(rho, ThermalSpec) and isinstance(sigma, ThermalSpec):
         return gibbs_relative_entropy(sigma, rho)
     rho_state = _as_state(rho, rho_name)
     if isinstance(sigma, ThermalSpec):
-        return _plogp(np.linalg.eigvalsh(rho_state.entries)) - _cross_term_thermal(
-            rho_state.entries, sigma
+        overlaps = diagonal_overlaps(rho_state.entries, sigma.spectrum.eigenvectors)
+        cross_term = float(np.dot(overlaps, sigma.log_weights))
+        return float(
+            nonnegative_entropy(_plogp(np.linalg.eigvalsh(rho_state.entries)) - cross_term)
         )
     return relative_entropy(rho_state, _as_state(sigma, sigma_name))
 
@@ -541,12 +520,8 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
     # Gibbs states at every grid point are full rank, so tr(rho ln sigma*) is
     # evaluated from exact log weights; no support bookkeeping applies here.
     overlaps = np.concatenate(
-        [
-            (v.conj() * (rho_ss @ v)).sum(0).real
-            for (_, _, v), rho_ss in zip(spectra, state["rho_blocks"])
-        ]
+        [diagonal_overlaps(rho_ss, v) for (_, _, v), rho_ss in zip(spectra, state["rho_blocks"])]
     )
-    overlaps = np.clip(overlaps, 0.0, None)
     # log Gibbs weights of a run of B values at once, shape (b, nT, dim)
     run = max(1, SWEEP_STACK_ENTRIES // (t_values.size * energies.size))
     planes = []
@@ -556,7 +531,7 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
         shifted = -((1.0 / t_values)[:, None] * shifted_energies[:, None, :])
         log_p = shifted - logsumexp(shifted, axis=2)[..., None]
         planes.append(state["plogp_rho"] - log_p @ overlaps)
-    return np.concatenate(planes)
+    return nonnegative_entropy(np.concatenate(planes))
 
 
 def sweep_detection(
@@ -580,18 +555,7 @@ def sweep_detection(
         raise ValueError(f"route must be 'direct' or 'via-work', got {grid.route!r}")
     shared = _shared_sweep_state(grid, reference, route)
     tasks = grid.jz_axis.values().tolist()
-
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_sweep_worker_init, initargs=(shared,)
-        ) as pool:
-            planes = list(pool.map(_sweep_plane, tasks, chunksize=chunk))
-    else:
-        _sweep_worker_init(shared)
-        planes = [_sweep_plane(task) for task in tasks]
+    planes = _map_tasks(_sweep_plane, tasks, workers, _sweep_worker_init, (shared,))
 
     s_right = np.stack(planes, axis=1)
     margin, detected = _decide(shared["s_left"], s_right, strictness_epsilon)

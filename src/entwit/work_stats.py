@@ -44,10 +44,12 @@ from .spin_models import (
     params_at,
     xxz_sectors,
 )
-from .thermo import ThermalSpec, logsumexp, thermal_state
+from .thermo import ThermalSpec, logsumexp
 
 STOCHASTICITY_ATOL = 1e-10
 COMMUTATION_ATOL = 1e-9
+# exact_evolution compares the Hamiltonians at this many slice starts (and t_f).
+COMMUTATION_SAMPLES = 5
 SAMPLE_BLOCK = 16384
 # ordered_product diagonalizes up to STEP_CHUNK slices per group in one
 # batched call, and at most CHUNK_ENTRIES matrix entries at a time.
@@ -113,18 +115,18 @@ def transition_matrix(h_initial: Measured, h_final: Measured, u: UnitaryOperator
     return _transition_from_spectra(initial, final, u)
 
 
-def exact_evolution(schedule: DrivingSchedule, commutation_samples: int = 5) -> UnitaryOperator:
+def exact_evolution(schedule: DrivingSchedule) -> UnitaryOperator:
     """U = exp(-i integral H(s) ds) for schedules whose Hamiltonians commute.
 
     Commutation is checked numerically on pairs of Hamiltonians sampled at
-    ``commutation_samples`` slice starts spread over the schedule plus t_f
+    COMMUTATION_SAMPLES slice starts spread over the schedule plus t_f
     itself, so H(0) is always compared with H(t_f); schedules that fail the
     check must use trotter_evolution instead.  The time integral is done on
     the interpolated parameters (trapezoid, exact for linear ramps).
     """
     sampled_steps = sorted(
-        {int(round(i * (schedule.steps - 1) / max(commutation_samples - 1, 1)))
-         for i in range(max(commutation_samples, 2))}
+        {int(round(i * (schedule.steps - 1) / (COMMUTATION_SAMPLES - 1)))
+         for i in range(COMMUTATION_SAMPLES)}
     )
     sampled_times = [s * schedule.dt for s in sampled_steps] + [schedule.t_f]
     hams = [build_xxz(params_at(schedule, t)).entries for t in sampled_times]
@@ -270,16 +272,6 @@ def _log_generalized_average(
     return float(logsumexp(log_terms)) - offset
 
 
-def jarzynski_average(
-    beta: float,
-    h_initial: Measured,
-    h_final: Measured,
-    u: UnitaryOperator,
-) -> float:
-    """<exp(-beta W)> over the two-point-measurement distribution."""
-    return tasaki_average(beta, beta, h_initial, h_final, u)
-
-
 def log_jarzynski_average(
     beta: float,
     h_initial: Measured,
@@ -288,19 +280,6 @@ def log_jarzynski_average(
 ) -> float:
     """ln <exp(-beta W)>; stays finite where the plain average overflows."""
     return log_tasaki_average(beta, beta, h_initial, h_final, u)
-
-
-def tasaki_average(
-    beta_initial: float,
-    beta_final: float,
-    h_initial: Measured,
-    h_final: Measured,
-    u: UnitaryOperator,
-) -> float:
-    """<exp(-(beta_f E_f - beta_i E_i))>, the cross-temperature work average."""
-    return float(
-        np.exp(log_tasaki_average(beta_initial, beta_final, h_initial, h_final, u))
-    )
 
 
 def log_tasaki_average(
@@ -336,9 +315,7 @@ def relative_entropy_via_work(
     log_average = _log_generalized_average(initial.beta, final.beta, tm)
 
     final_spectrum = final.spectrum
-    shifted = -final.beta * (final_spectrum.eigenvalues - final_spectrum.eigenvalues[0])
-    weights = np.exp(shifted)
-    weights /= weights.sum()
+    weights = final.weights
     final_energy = float(np.dot(weights, final_spectrum.eigenvalues))
     rho_entries = (final_spectrum.eigenvectors * weights) @ final_spectrum.eigenvectors.conj().T
     initial_energy = float(
@@ -397,12 +374,9 @@ def work_distribution(
     tm = _transition_from_spectra(initial.spectrum, final.spectrum, u)
     e_initial = tm.initial.eigenvalues
     e_final = tm.final.eigenvalues
-    shifted = -initial.beta * (e_initial - e_initial[0])
-    gibbs = np.exp(shifted)
-    gibbs /= gibbs.sum()
     dim = tm.dim
     m_grid, n_grid = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-    probability = (tm.q * gibbs[None, :]).reshape(-1)
+    probability = (tm.q * initial.weights[None, :]).reshape(-1)
     return WorkDistribution(
         beta_initial=initial.beta,
         beta_final=final.beta,
@@ -443,6 +417,29 @@ class EstimatorSummary:
     exact: float
     z_score: float | None
     count: int
+
+
+def _map_tasks(function, tasks: list, workers: int, initializer=None, initargs=()) -> list:
+    """[function(task) for task in tasks], spread over at most ``workers``
+    processes.
+
+    The pool gets min(workers, len(tasks)) processes: a forking pool starts
+    all of its processes at the first submit, so a larger count would only
+    fork idle ones.  With one process the tasks run here, after
+    ``initializer(*initargs)``.  Results come back in task order.
+    """
+    processes = min(workers, len(tasks))
+    if processes <= 1:
+        if initializer is not None:
+            initializer(*initargs)
+        return [function(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = max(1, len(tasks) // (processes * 8))
+    with ProcessPoolExecutor(
+        max_workers=processes, initializer=initializer, initargs=initargs
+    ) as pool:
+        return list(pool.map(function, tasks, chunksize=chunk))
 
 
 def _sample_block(payload: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -488,9 +485,7 @@ def sample_tpm(
     tm = _transition_from_spectra(initial.spectrum, final.spectrum, u)
     e_initial = tm.initial.eigenvalues
     e_final = tm.final.eigenvalues
-    gibbs = np.exp(-initial.beta * (e_initial - e_initial[0]))
-    gibbs /= gibbs.sum()
-    cum_initial = np.cumsum(gibbs)
+    cum_initial = np.cumsum(initial.weights)
     cum_initial[-1] = 1.0
     cum_q = np.cumsum(tm.q, axis=0)
     cum_q[-1, :] = 1.0
@@ -499,13 +494,7 @@ def sample_tpm(
     if count % SAMPLE_BLOCK:
         sizes.append(count % SAMPLE_BLOCK)
     payloads = [(seed, i, size, cum_initial, cum_q) for i, size in enumerate(sizes)]
-    if workers > 1 and len(payloads) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            drawn = list(pool.map(_sample_block, payloads))
-    else:
-        drawn = [_sample_block(p) for p in payloads]
+    drawn = _map_tasks(_sample_block, payloads, workers)
 
     n_idx = np.concatenate([d[0] for d in drawn])
     m_idx = np.concatenate([d[1] for d in drawn])

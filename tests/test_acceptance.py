@@ -41,7 +41,6 @@ from entwit import (
     subsystem_partition,
     sweep_detection,
     sweep_reference,
-    tasaki_average,
     thermal_state,
     transition_matrix,
     trotter_evolution,
@@ -96,7 +95,7 @@ def test_accept_02_two_temperature_average():
     h = HermitianOperator(QubitRegister(1), SZ)
     ident = UnitaryOperator(QubitRegister(1), np.eye(2))
     analytic = np.cosh(2.0) / np.cosh(1.0)
-    dev_single = abs(tasaki_average(1.0, 2.0, h, h, ident) - analytic) / analytic
+    dev_single = abs(np.exp(log_tasaki_average(1.0, 2.0, h, h, ident)) - analytic) / analytic
     # 3-qubit drive with distinct initial/final temperatures
     proto = detection_protocol(3)
     h_i = proto.initial_spec.hamiltonian

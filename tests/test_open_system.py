@@ -19,8 +19,6 @@ from entwit import (
     UnitaryOperator,
     XXZParams,
     build_xxz,
-    composite_from_json,
-    composite_to_json,
     decoupled,
     DrivingSchedule,
     effective_hamiltonian,
@@ -334,19 +332,6 @@ def test_composite_validation():
         )
 
 
-def test_composite_json_round_trip():
-    comp = two_plus_one(0.15, beta=1.7)
-    back = composite_from_json(composite_to_json(comp))
-    assert back.beta == comp.beta
-    assert back.subsystem_sites == comp.subsystem_sites
-    assert np.max(np.abs(back.coupling.entries - comp.coupling.entries)) == 0.0
-    assert np.max(
-        np.abs(back.subsystem_hamiltonian.entries - comp.subsystem_hamiltonian.entries)
-    ) == 0.0
-    with pytest.raises(ValueError):
-        composite_from_json({**composite_to_json(comp), "bogus": 1})
-
-
 def test_driven_composite_and_its_evolution():
     schedule = DrivingSchedule(
         XXZParams(2, 1.0, 0.3, 0.1, boundary="open"),
@@ -369,8 +354,6 @@ def test_driven_composite_and_its_evolution():
     u_sub = trotter_evolution(schedule)
     u_bath = expm(-0.5j * comp.bath_hamiltonian.entries)
     assert np.max(np.abs(u.entries - np.kron(u_sub.entries, u_bath))) < 1e-12
-    with pytest.raises(ValueError):
-        composite_to_json(comp)  # only static composites serialize
 
 
 def test_open_trotter_requires_a_schedule():

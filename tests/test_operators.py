@@ -1,4 +1,5 @@
-"""Container validation, spectral helpers, embeddings, and JSON round trips."""
+"""Container validation, spectral helpers, embeddings, partial traces and
+JSON round trips."""
 
 import math
 
@@ -14,20 +15,16 @@ from entwit import (
     density_from_json,
     dicke_state,
     embed_operator,
-    embed_pauli,
     evolution_operator,
-    hermitian_from_json,
-    hermitian_function,
     matrix_from_json,
     matrix_to_json,
-    operator_to_json,
-    partial_trace,
     pure_state,
     spectral_decompose,
-    tensor_product,
     total_sz,
     unitary_from_json,
 )
+from entwit import operators
+from entwit.operators import _partial_trace_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -76,11 +73,13 @@ def test_unitary_rejects_nonunitary():
         UnitaryOperator(QubitRegister(1), np.diag([1.0, 2.0]))
 
 
-def test_unitary_tolerance_is_adjustable():
+def test_unitary_tolerance_is_adjustable(monkeypatch):
+    # the one tolerance is the module constant UNITARITY_ATOL, read per check
     almost = np.diag([1.0, 1.0 + 1e-8])
-    with pytest.raises(NumericalCheckError):
+    with pytest.raises(NumericalCheckError, match="unitarity"):
         UnitaryOperator(QubitRegister(1), almost)
-    UnitaryOperator(QubitRegister(1), almost, tolerance=1e-6)
+    monkeypatch.setattr(operators, "UNITARITY_ATOL", 1e-6)
+    UnitaryOperator(QubitRegister(1), almost)
 
 
 # ---------------------------------------------------------------- spectra
@@ -91,27 +90,8 @@ def test_spectral_decompose_reconstructs():
     op = HermitianOperator(QubitRegister(3), a + a.conj().T)
     dec = spectral_decompose(op)
     assert np.all(np.diff(dec.eigenvalues) >= 0)
-    assert np.max(np.abs(dec.reconstruct() - op.entries)) < 1e-12
-
-
-def test_degenerate_blocks():
-    # sz(1) + sz(2) on two qubits has spectrum (-2, 0, 0, 2)
-    h = total_sz(QubitRegister(2))
-    blocks = spectral_decompose(h).degenerate_blocks()
-    assert [b.stop - b.start for b in blocks] == [1, 2, 1]
-
-
-def test_hermitian_function_exp():
-    op = HermitianOperator(QubitRegister(1), SX)
-    out = hermitian_function(op, np.exp)
-    expected = np.cosh(1) * np.eye(2) + np.sinh(1) * SX
-    assert np.max(np.abs(out.entries - expected)) < 1e-12
-
-
-def test_hermitian_function_undefined_point():
-    zero = HermitianOperator(QubitRegister(1), np.zeros((2, 2)))
-    with pytest.raises(NumericalCheckError, match="undefined"):
-        hermitian_function(zero, np.log)
+    v = dec.eigenvectors
+    assert np.max(np.abs((v * dec.eigenvalues) @ v.conj().T - op.entries)) < 1e-12
 
 
 def test_evolution_operator_phases():
@@ -126,8 +106,8 @@ def test_evolution_operator_phases():
 
 def test_embed_pauli_site_one_is_leftmost():
     reg = QubitRegister(2)
-    assert np.allclose(np.diag(embed_pauli(reg, 1, "z").entries).real, [1, 1, -1, -1])
-    assert np.allclose(np.diag(embed_pauli(reg, 2, "z").entries).real, [1, -1, 1, -1])
+    assert np.allclose(np.diag(embed_operator(reg, SZ, (1,))).real, [1, 1, -1, -1])
+    assert np.allclose(np.diag(embed_operator(reg, SZ, (2,))).real, [1, -1, 1, -1])
 
 
 def test_embed_operator_matches_manual_kron():
@@ -195,39 +175,31 @@ def test_pure_state_projector():
 
 # ---------------------------------------------------------------- traces
 
+# _partial_trace_matrix keeps the 0-based sites it is given, in register order.
+
 def test_partial_trace_product_recovery():
-    a = DensityMatrix(QubitRegister(1), np.diag([0.75, 0.25]))
-    b = pure_state(QubitRegister(1), np.array([1.0, 1.0]) / np.sqrt(2))
-    joint = tensor_product(a, b)
-    assert np.max(np.abs(partial_trace(joint, (1,)).entries - a.entries)) < 1e-14
-    assert np.max(np.abs(partial_trace(joint, (2,)).entries - b.entries)) < 1e-14
+    a = np.diag([0.75, 0.25]).astype(complex)
+    b = pure_state(QubitRegister(1), np.array([1.0, 1.0]) / np.sqrt(2)).entries
+    joint = np.kron(a, b)
+    assert np.max(np.abs(_partial_trace_matrix(joint, 2, [0]) - a)) < 1e-14
+    assert np.max(np.abs(_partial_trace_matrix(joint, 2, [1]) - b)) < 1e-14
 
 
 def test_partial_trace_bell_is_maximally_mixed():
     bell = pure_state(QubitRegister(2), np.array([1, 0, 0, 1]) / np.sqrt(2))
-    red = partial_trace(bell, (2,))
-    assert np.max(np.abs(red.entries - np.eye(2) / 2)) < 1e-14
+    red = _partial_trace_matrix(bell.entries, 2, [1])
+    assert np.max(np.abs(red - np.eye(2) / 2)) < 1e-14
 
 
 def test_partial_trace_keep_all_is_identity_map():
-    rho = DensityMatrix(QubitRegister(2), np.eye(4) / 4)
-    assert np.max(np.abs(partial_trace(rho, (1, 2)).entries - rho.entries)) < 1e-15
+    rho = np.eye(4, dtype=complex) / 4
+    assert np.max(np.abs(_partial_trace_matrix(rho, 2, [0, 1]) - rho)) < 1e-15
 
 
 def test_partial_trace_keep_order():
-    a = DensityMatrix(QubitRegister(1), np.diag([0.9, 0.1]))
-    b = DensityMatrix(QubitRegister(1), np.diag([0.6, 0.4]))
-    joint = tensor_product(a, b)
-    kept = partial_trace(joint, (1, 2))
-    assert np.allclose(np.diag(kept.entries).real, [0.54, 0.36, 0.06, 0.04])
-
-
-def test_partial_trace_rejects_bad_sites():
-    rho = DensityMatrix(QubitRegister(2), np.eye(4) / 4)
-    with pytest.raises(ValueError):
-        partial_trace(rho, (0,))
-    with pytest.raises(ValueError):
-        partial_trace(rho, ())
+    joint = np.kron(np.diag([0.9, 0.1]), np.diag([0.6, 0.4])).astype(complex)
+    kept = _partial_trace_matrix(joint, 2, [0, 1])
+    assert np.allclose(np.diag(kept).real, [0.54, 0.36, 0.06, 0.04])
 
 
 # ---------------------------------------------------------------- json
@@ -255,14 +227,11 @@ def test_matrix_json_strictness():
 
 def test_operator_json_round_trips():
     reg = QubitRegister(1)
-    herm = HermitianOperator(reg, SY)
-    assert np.max(np.abs(hermitian_from_json(operator_to_json(herm)).entries - SY)) == 0
-
     rho = DensityMatrix(reg, np.diag([0.3, 0.7]))
-    assert np.max(np.abs(density_from_json(operator_to_json(rho)).entries - rho.entries)) == 0
+    assert np.max(np.abs(density_from_json(matrix_to_json(reg, rho.entries)).entries - rho.entries)) == 0
 
     u = UnitaryOperator(reg, (SX + SZ) / np.sqrt(2))
-    assert np.max(np.abs(unitary_from_json(operator_to_json(u)).entries - u.entries)) == 0
+    assert np.max(np.abs(unitary_from_json(matrix_to_json(reg, u.entries)).entries - u.entries)) == 0
 
 
 def test_unitary_from_json_rejects_nonunitary():

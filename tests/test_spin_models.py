@@ -5,20 +5,18 @@ import pytest
 
 from entwit import (
     ConfigError,
-    DMParams,
     DrivingSchedule,
     QubitRegister,
     XXZParams,
-    build_dm_term,
     build_xxz,
     build_w_state,
     embed_operator,
-    hamiltonian_at,
     params_at,
     schedule_from_config,
     total_sz,
     xxz_params_from_config,
 )
+from entwit.work_stats import schedule_coefficients
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -79,20 +77,6 @@ def test_w7_ground_energy():
     assert abs(vals[0] - (-2.0 - 0.92 * 5)) < 1e-12
 
 
-def test_dm_term_structure():
-    reg = QubitRegister(2)
-    got = build_dm_term(reg, DMParams(d_z=0.6), boundary="open")
-    xy = embed_operator(reg, np.kron(SX, SY), (1, 2))
-    yx = embed_operator(reg, np.kron(SY, SX), (1, 2))
-    assert np.max(np.abs(got.entries - 0.6 * (xy - yx))) < 1e-14
-
-
-def test_dm_term_breaks_nothing_when_zero():
-    reg = QubitRegister(3)
-    got = build_dm_term(reg, DMParams(), boundary="periodic")
-    assert np.max(np.abs(got.entries)) == 0.0
-
-
 # ---------------------------------------------------------------- schedules
 
 def make_schedule(steps=10):
@@ -129,22 +113,13 @@ def test_quench_returns_final_immediately():
     assert params_at(sched, 0.0) == sched.final
 
 
-def test_hamiltonian_at_uses_left_endpoint():
+def test_left_sampling_uses_left_endpoint():
+    # slice k of a left-sampled product carries (J, Jz, -B) at t = k dt
     sched = make_schedule(steps=4)
-    h0 = hamiltonian_at(sched, 0)
-    expected = build_xxz(sched.initial)
-    assert np.max(np.abs(h0.entries - expected.entries)) < 1e-14
-    h_last = hamiltonian_at(sched, 3)
-    expected_last = build_xxz(params_at(sched, 1.5))
-    assert np.max(np.abs(h_last.entries - expected_last.entries)) < 1e-14
-
-
-def test_hamiltonian_at_step_bounds():
-    sched = make_schedule(steps=4)
-    with pytest.raises(ValueError):
-        hamiltonian_at(sched, 4)
-    with pytest.raises(ValueError):
-        hamiltonian_at(sched, -1)
+    rows = schedule_coefficients(sched, "left")
+    for step, t in ((0, 0.0), (3, 1.5)):
+        params = params_at(sched, t)
+        assert np.array_equal(rows[step], [params.J, params.Jz, -params.B])
 
 
 def test_schedule_rejects_mismatched_registers():

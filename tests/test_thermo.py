@@ -52,11 +52,12 @@ class TestThermalSpec:
             assert abs(spec.log_partition - direct) < 1e-12
 
     def test_log_partition_survives_overflow(self):
-        # partition itself overflows but the log stays finite
+        # Z = e^1000 overflows, but its log and the Gibbs weights stay finite
         h = HermitianOperator(QubitRegister(1), np.diag([-10.0, 10.0]))
         spec = ThermalSpec(h, 100.0)
-        assert np.isinf(spec.partition)
         assert abs(spec.log_partition - 1000.0) < 1e-9
+        assert list(spec.weights) == [1.0, 0.0]
+        assert abs(spec.log_weights[1] + 2000.0) < 1e-9
 
     def test_free_energy_single_qubit(self):
         h = HermitianOperator(QubitRegister(1), np.diag([1.0, -1.0]))

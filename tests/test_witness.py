@@ -39,7 +39,6 @@ from entwit import (
     sweep_detection,
     sweep_metadata,
     sweep_reference,
-    symmetric_state,
     thermal_state,
     witness_evaluate,
     write_sweep_csv,
@@ -115,15 +114,6 @@ def test_sigma_prime_is_equidistant():
     d_css = relative_entropy(rho, build_css(7))
     assert abs(d_prime - SIX_LN_7_6) < 1e-9
     assert abs(d_prime - d_css) < 1e-6
-
-
-def test_symmetric_state_dispatch():
-    assert np.allclose(symmetric_state("w_state", 4).entries, build_w_state(4).entries)
-    assert np.allclose(symmetric_state("css", 4).entries, build_css(4).entries)
-    with pytest.raises(ValueError):
-        symmetric_state("ghz", 3)
-    with pytest.raises(ValueError):
-        symmetric_state("sigma_prime", 3)
 
 
 # ---------------------------------------------------------------- thermal params
@@ -363,6 +353,16 @@ def test_sweep_worker_determinism():
     assert one.s_left == two.s_left
     for name in ("s_right", "margin", "detected"):
         assert np.array_equal(getattr(one, name), getattr(two, name), equal_nan=True)
+
+
+def test_sweep_pool_is_capped_at_the_jz_task_count(fake_pool):
+    grid = small_grid()
+    tasks = grid.jz_axis.values().size
+    reference = sweep_reference(3)
+    capped = sweep_detection(grid, reference, workers=5000)
+    assert fake_pool == [tasks]
+    assert np.array_equal(capped.s_right, sweep_detection(grid, reference).s_right)
+    assert fake_pool == [tasks]  # one worker runs inline, without a pool
 
 
 @pytest.mark.parametrize("entries", [1, 3 * 8 * 3])
