@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -119,10 +119,13 @@ class DensityMatrix:
 
     Slightly negative eigenvalues from roundoff are tolerated down to
     -1e-10 and are clamped to zero by every function of the spectrum.
+    ``eigenvalues`` keeps the ascending spectrum of the PSD check (read-only),
+    so functions of the spectrum do not diagonalize the state again.
     """
 
     register: QubitRegister
     entries: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = _frozen_matrix(self.entries, self.register.dim, "density matrix")
@@ -136,12 +139,15 @@ class DensityMatrix:
             raise NumericalCheckError(
                 f"density matrix trace differs from 1 by {trace_dev:.3e}"
             )
-        smallest = float(np.linalg.eigvalsh(entries)[0])
+        eigenvalues = np.linalg.eigvalsh(entries)
+        smallest = float(eigenvalues[0])
         if smallest < -PSD_ATOL:
             raise NumericalCheckError(
                 f"density matrix has eigenvalue {smallest:.3e} below -{PSD_ATOL:.0e}"
             )
+        eigenvalues.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
     def dim(self) -> int:

@@ -238,21 +238,26 @@ def total_sz(register: QubitRegister) -> HermitianOperator:
     return HermitianOperator(register, np.diag(magnetization.astype(np.complex128)))
 
 
+def ramp_values(schedule: DrivingSchedule, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J, Jz, B) at time ``t``, elementwise over an array of times in
+    [0, t_f]: the schedule's one interpolation formula."""
+    t = np.asarray(t, dtype=np.float64)
+    initial, final = schedule.initial, schedule.final
+    if schedule.interpolation == "quench-at-start":
+        return tuple(np.full(t.shape, value) for value in (final.J, final.Jz, final.B))
+    frac = np.zeros(t.shape) if schedule.t_f == 0 else np.minimum(t / schedule.t_f, 1.0)
+    return tuple(
+        start + frac * (end - start)
+        for start, end in ((initial.J, final.J), (initial.Jz, final.Jz), (initial.B, final.B))
+    )
+
+
 def params_at(schedule: DrivingSchedule, t: float) -> XXZParams:
     """Interpolated chain parameters at time ``t`` in [0, t_f]."""
     if not 0 <= t <= schedule.t_f * (1 + 1e-12) + 1e-15:
         raise ValueError(f"t={t} outside the schedule window [0, {schedule.t_f}]")
-    initial, final = schedule.initial, schedule.final
-    if schedule.interpolation == "quench-at-start":
-        return final
-    frac = 0.0 if schedule.t_f == 0 else min(t / schedule.t_f, 1.0)
-    return XXZParams(
-        n=initial.n,
-        J=initial.J + frac * (final.J - initial.J),
-        Jz=initial.Jz + frac * (final.Jz - initial.Jz),
-        B=initial.B + frac * (final.B - initial.B),
-        boundary=initial.boundary,
-    )
+    J, Jz, B = (float(value) for value in ramp_values(schedule, t))
+    return XXZParams(n=schedule.n, J=J, Jz=Jz, B=B, boundary=schedule.initial.boundary)
 
 
 def xxz_params_from_config(payload: dict, path: str = "params") -> XXZParams:

@@ -176,7 +176,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """S(rho||sigma) in nats; math.inf when supp(rho) leaks out of supp(sigma)."""
     if rho.register != sigma.register:
         raise ValueError("states must live on the same register")
-    first_term = _plogp(np.linalg.eigvalsh(rho.entries))
+    first_term = _plogp(rho.eigenvalues)
     sigma_eigenvalues, sigma_vectors = np.linalg.eigh(sigma.entries)
     sigma_eigenvalues = np.clip(sigma_eigenvalues, 0.0, None)
     overlaps = diagonal_overlaps(rho.entries, sigma_vectors)

@@ -244,7 +244,7 @@ def _distance_direct(rho: StateOrSpec, sigma: StateOrSpec, rho_name: str, sigma_
         overlaps = diagonal_overlaps(rho_state.entries, sigma.spectrum.eigenvectors)
         cross_term = float(np.dot(overlaps, sigma.log_weights))
         return float(
-            nonnegative_entropy(_plogp(np.linalg.eigvalsh(rho_state.entries)) - cross_term)
+            nonnegative_entropy(_plogp(rho_state.eigenvalues) - cross_term)
         )
     return relative_entropy(rho_state, _as_state(sigma, sigma_name))
 
@@ -439,7 +439,7 @@ def sweep_reference(
 
 
 def _shared_sweep_state(grid: SweepGrid, reference: SweepReference, route: str) -> dict:
-    plogp = _plogp(np.linalg.eigvalsh(reference.rho.entries))
+    plogp = _plogp(reference.rho.eigenvalues)
     if route == "direct":
         if reference.thermal and reference.rho_spec is not None and reference.sigma_spec is not None:
             s_left = gibbs_relative_entropy(reference.sigma_spec, reference.rho_spec)

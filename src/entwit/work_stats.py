@@ -14,8 +14,11 @@ so that steep protocols (beta ~ 100) never leave double range.
 
 Driven protocols, closed and open, share one Trotter routine,
 ``ordered_product``, over a block-diagonal Hamiltonian given as fixed pieces
-and a table of slice coefficients; it diagonalizes the slices of a chunk of
-steps in one batched call.
+and a table of slice coefficients.  Consecutive slices that differ only by a
+multiple of the identity on each block share one spectrum, so it diagonalizes
+once per run of such slices, and a chunk of runs in one batched call: a ramp
+of the field alone costs one eigendecomposition per group of equal-size
+sectors, whatever the step count.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .spin_models import (
     XXZParams,
     build_xxz,
     params_at,
+    ramp_values,
     xxz_sectors,
 )
 from .thermo import ThermalSpec, logsumexp
@@ -51,8 +55,8 @@ COMMUTATION_ATOL = 1e-9
 # exact_evolution compares the Hamiltonians at this many slice starts (and t_f).
 COMMUTATION_SAMPLES = 5
 SAMPLE_BLOCK = 16384
-# ordered_product diagonalizes up to STEP_CHUNK slices per group in one
-# batched call, and at most CHUNK_ENTRIES matrix entries at a time.
+# ordered_product diagonalizes up to STEP_CHUNK runs of equal slices per group
+# in one batched call, and at most CHUNK_ENTRIES matrix entries at a time.
 STEP_CHUNK = 32
 CHUNK_ENTRIES = 1 << 18
 # Where trotter_evolution samples H in each slice.
@@ -159,11 +163,9 @@ def schedule_coefficients(schedule: DrivingSchedule, sampling: str = "left") -> 
     if sampling not in SAMPLING_RULES:
         raise ValueError(f"sampling must be 'left' or 'midpoint', got {sampling!r}")
     offset = 0.0 if sampling == "left" else 0.5
-    rows = []
-    for step in range(schedule.steps):
-        params = params_at(schedule, min((step + offset) * schedule.dt, schedule.t_f))
-        rows.append((params.J, params.Jz, -params.B))
-    return np.array(rows, dtype=np.float64)
+    times = np.minimum((np.arange(schedule.steps) + offset) * schedule.dt, schedule.t_f)
+    J, Jz, B = ramp_values(schedule, times)
+    return np.column_stack([J, Jz, -B])
 
 
 def ordered_product(
@@ -179,17 +181,26 @@ def ordered_product(
     indices (length s; together they cover the register once) with the
     pieces restricted to them, shape (p, s, s).  ``coefficients`` is c, shape
     (steps, p).  Blocks of one size are stacked into a group (indices (k, s),
-    pieces (p, k, s, s)), and the steps run in chunks of at most STEP_CHUNK:
-    per group and chunk, the slice Hamiltonians are stacked (chunk, k, s, s),
-    one batched ``checked_eigh`` diagonalizes them and one ``check_unitary``
-    checks every block factor, and the factors then multiply into the
-    group's product one step at a time.  Chunks are shorter where the
-    largest group's stack would pass CHUNK_ENTRIES entries (one step per
-    chunk for the 924-state sectors of n = 12).  Each group
-    carries its own products, and the dense unitary is assembled once at the
-    end.  Each factor is built spectrally and is therefore exactly unitary,
-    which keeps ||U^dag U - I|| at roundoff level for any step count.  Real
-    pieces give real eigenvectors.
+    pieces (p, k, s, s)); each group carries its own product, which is
+    written into the dense unitary when the group is done.
+
+    Per group, a piece that is exactly alpha_b I on every block b (S_z on a
+    sector, any piece on a 1 x 1 block) only shifts each block's energies.
+    The steps are cut into runs of consecutive steps whose coefficients of
+    the other pieces are exactly equal; the slices of a run then share the
+    eigenvectors V of the run Hamiltonian R (the non-scalar pieces), so their
+    factors commute and the run's product is V diag(exp(-i dt (L E + sum of
+    the run's shifts))) V^dag for a run of L steps, with R = V diag(E) V^dag.
+    A schedule that changes every coefficient at every step has runs of one
+    step.  The runs go in chunks of at most STEP_CHUNK: per group and chunk,
+    the run Hamiltonians are stacked (chunk, k, s, s), one batched
+    ``checked_eigh`` diagonalizes them and one ``check_unitary`` checks every
+    run factor, and the factors then multiply into the group's product in
+    order.  Chunks are shorter where the largest group's stack would pass
+    CHUNK_ENTRIES entries (one run per chunk for the 924-state sectors of
+    n = 12).  Each factor is built spectrally and is therefore exactly
+    unitary, which keeps ||U^dag U - I|| at roundoff level for any step
+    count.  Real pieces give real eigenvectors.
     """
     by_size: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     for indices, pieces in blocks:
@@ -198,28 +209,36 @@ def ordered_product(
         (np.stack([indices for indices, _ in same]), np.stack([p for _, p in same], axis=1))
         for same in by_size.values()
     ]
-    products = [
-        np.tile(np.eye(indices.shape[1], dtype=np.complex128), (indices.shape[0], 1, 1))
-        for indices, _ in groups
-    ]
     coefficients = np.asarray(coefficients, dtype=np.float64)
     largest = max(pieces[0].size for _, pieces in groups)
     chunk = max(1, min(STEP_CHUNK, CHUNK_ENTRIES // largest))
-    for start in range(0, len(coefficients), chunk):
-        # one column per piece, shaped to scale a (chunk, k, s, s) stack
-        columns = coefficients[start : start + chunk].T[:, :, None, None, None]
-        for g, (_, pieces) in enumerate(groups):
-            h = columns[0] * pieces[0]
-            for c, piece in zip(columns[1:], pieces[1:]):
-                h += c * piece
+    total = np.zeros((register.dim, register.dim), dtype=np.complex128)
+    for indices, pieces in groups:
+        # alpha[j, b]: piece j is alpha[j, b] I on block b, where it is scalar
+        alpha = pieces[:, :, 0, 0].real
+        identity = np.eye(pieces.shape[-1])
+        scalar = np.array([
+            np.array_equal(piece, a[:, None, None] * identity) for piece, a in zip(pieces, alpha)
+        ])
+        varying, varying_pieces = coefficients[:, ~scalar], pieces[~scalar]
+        starts = np.flatnonzero(
+            np.concatenate([[True], (varying[1:] != varying[:-1]).any(axis=1)])
+        )
+        lengths = np.diff(starts, append=len(coefficients)).astype(np.float64)
+        # per run and block, the summed energy shift of the scalar pieces
+        shifts = np.add.reduceat(coefficients[:, scalar] @ alpha[scalar], starts, axis=0)
+        product = np.tile(np.eye(indices.shape[1], dtype=np.complex128), (indices.shape[0], 1, 1))
+        for first in range(0, len(starts), chunk):
+            runs = slice(first, first + chunk)
+            h = np.tensordot(varying[starts[runs]], varying_pieces, axes=1)
             energies, vectors = checked_eigh(h)
-            phases = np.exp(-1j * energies * dt)[..., None, :]
+            phases = np.exp(
+                -1j * dt * (lengths[runs, None, None] * energies + shifts[runs, :, None])
+            )[..., None, :]
             factors = (vectors * phases) @ vectors.conj().swapaxes(-1, -2)
             check_unitary(factors)
             for factor in factors:
-                products[g] = factor @ products[g]
-    total = np.zeros((register.dim, register.dim), dtype=np.complex128)
-    for (indices, _), product in zip(groups, products):
+                product = factor @ product
         for block_indices, block in zip(indices, product):
             total[np.ix_(block_indices, block_indices)] = block
     return UnitaryOperator(register, total)
@@ -232,7 +251,10 @@ def trotter_evolution(schedule: DrivingSchedule, sampling: str = "left") -> Unit
     accurate, the default) or at the midpoint (second order).  H(t) conserves
     S^z, so ``ordered_product`` runs on the S^z sectors, with the pieces
     (H_xy, H_zz, S_z) of ``xxz_sectors`` and the coefficients (J, Jz, -B);
-    sectors k and n-k have one size and share a stack.
+    sectors k and n-k have one size and share a stack.  S_z is m I on a
+    sector, so slices that differ only in B share one spectrum: a field ramp
+    at fixed J and Jz (the standard seven-qubit protocol) diagonalizes each
+    stack once for any step count.
     """
     coefficients = schedule_coefficients(schedule, sampling)
     blocks = [

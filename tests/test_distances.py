@@ -109,3 +109,20 @@ def test_kernel_matches_the_einsum_oracle(n):
     assert abs(relative_entropy(w, mixed) - dense_relative_entropy(w, mixed)) <= 1e-12
     spec = ThermalSpec(build_xxz(XXZParams(n, 1.0, 0.2, 0.4)), 1.0)
     assert abs(direct(w, spec) - dense_relative_entropy(w, thermal_state(spec))) <= 1e-12
+
+
+def test_direct_evaluators_reuse_the_spectrum_of_the_state_check(monkeypatch):
+    rho, sigma = build_w_state(3), build_css(3)
+    spec = ThermalSpec(build_xxz(XXZParams(3, 1.0, 0.3, 0.5)), 2.0)
+    spec.spectrum
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return np.linalg.eigh(matrix)[0]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    relative_entropy(rho, sigma)
+    direct(rho, spec)
+    direct(rho, sigma)
+    assert calls == []

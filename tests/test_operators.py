@@ -68,6 +68,15 @@ def test_density_rejects_negative_eigenvalue():
         DensityMatrix(QubitRegister(1), np.diag([1.5, -0.5]))
 
 
+def test_density_keeps_the_spectrum_of_its_check():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    entries = a @ a.conj().T
+    rho = DensityMatrix(QubitRegister(2), entries / np.trace(entries).real)
+    assert np.array_equal(rho.eigenvalues, np.linalg.eigvalsh(rho.entries))
+    assert not rho.eigenvalues.flags.writeable
+
+
 def test_unitary_rejects_nonunitary():
     with pytest.raises(NumericalCheckError, match="unitarity"):
         UnitaryOperator(QubitRegister(1), np.diag([1.0, 2.0]))

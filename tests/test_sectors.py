@@ -25,7 +25,9 @@ from entwit import (
     SweepGrid,
     XXZParams,
     build_xxz,
+    detection_protocol,
     embed_operator,
+    exact_evolution,
     open_trotter_evolution,
     split_chain,
     sweep_detection,
@@ -35,7 +37,7 @@ from entwit import (
 import entwit.work_stats
 from entwit.operators import check_unitary, checked_eigh
 from entwit.spin_models import sector_spectra, xxz_sectors
-from entwit.work_stats import STEP_CHUNK
+from entwit.work_stats import STEP_CHUNK, ordered_product
 
 couplings = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 boundaries = st.sampled_from(["periodic", "open"])
@@ -129,6 +131,80 @@ def four_site_split(steps):
     )
 
 
+@pytest.mark.parametrize("sampling", ["left", "midpoint"])
+@pytest.mark.parametrize("n", [3, 7])
+def test_standard_protocols_match_dense_step_product(n, sampling):
+    # a field ramp (n = 7) or a field and Jz ramp (n = 3): steps share spectra
+    schedule = dataclasses.replace(detection_protocol(n).schedule, steps=100)
+    u = trotter_evolution(schedule, sampling=sampling).entries
+    assert np.abs(u - dense_trotter(schedule, sampling)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("sampling", ["left", "midpoint"])
+def test_a_quench_matches_exact_evolution(sampling):
+    # every slice carries the final parameters, so each group is one run
+    schedule = DrivingSchedule(
+        *NONCOMMUTING_RAMP[4], t_f=1.3, steps=70, interpolation="quench-at-start"
+    )
+    u = trotter_evolution(schedule, sampling=sampling).entries
+    assert np.abs(u - exact_evolution(schedule).entries).max() <= 1e-12
+
+
+@st.composite
+def block_products(draw):
+    """Pieces on blocks of a shuffled register, some of them exact multiples
+    of the identity on some blocks, and a coefficient table whose rows repeat
+    in consecutive runs; between runs, some of the coefficients change."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 4))
+    dim = 2**n
+    cuts = sorted(draw(st.sets(st.integers(1, dim - 1), max_size=dim // 2)))
+    order = rng.permutation(dim)
+    sectors = np.split(order, cuts)
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    count = draw(st.integers(2, 4))
+    blocks = []
+    for indices in sectors:
+        size = len(indices)
+        pieces = np.zeros((count, size, size), dtype=dtype)
+        for piece in pieces:
+            kind = draw(st.sampled_from(["random", "random", "flat-diagonal", "scalar", "zero"]))
+            if kind in ("random", "flat-diagonal"):
+                a = rng.normal(size=(size, size))
+                if dtype is np.complex128:
+                    a = a + 1j * rng.normal(size=(size, size))
+                piece[...] = 0.5 * (a + a.conj().T)
+            if kind == "flat-diagonal":  # alpha I plus off-diagonal entries
+                piece[np.diag_indices(size)] = rng.normal()
+            elif kind == "scalar":
+                piece[...] = rng.normal() * np.eye(size)
+        blocks.append((indices, pieces))
+    rows = []
+    row = rng.uniform(-2.0, 2.0, size=count)
+    for repeat in draw(st.lists(st.integers(1, 6), min_size=2, max_size=8)):
+        changed = sorted(draw(st.sets(st.integers(0, count - 1), min_size=1)))
+        row = row.copy()
+        row[changed] = rng.uniform(-2.0, 2.0, size=len(changed))
+        rows += [row] * repeat
+    return n, blocks, np.array(rows), draw(st.floats(0.01, 0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_products())
+def test_ordered_product_matches_dense_step_product(case):
+    n, blocks, coefficients, dt = case
+    dim = 2**n
+    dense_pieces = np.zeros((coefficients.shape[1], dim, dim), dtype=np.complex128)
+    for indices, pieces in blocks:
+        dense_pieces[:, indices[:, None], indices] = pieces
+    want = np.eye(dim, dtype=np.complex128)
+    for row in coefficients:
+        w, v = np.linalg.eigh(np.tensordot(row, dense_pieces, axes=1))
+        want = (v * np.exp(-1j * dt * w)) @ v.conj().T @ want
+    u = ordered_product(QubitRegister(n), blocks, coefficients, dt).entries
+    assert np.abs(u - want).max() <= 1e-12
+
+
 # one step, a chunk less one, a full chunk, one more, and many chunks
 @pytest.mark.parametrize("steps", [1, STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1, 1000])
 @pytest.mark.parametrize("sampling", ["left", "midpoint"])
@@ -141,7 +217,9 @@ def test_chunked_products_match_dense_step_products(steps, sampling):
     assert np.abs(u - dense_open_trotter(composite, sampling)).max() <= 1e-12
 
 
-def test_each_group_is_diagonalized_once_per_chunk(monkeypatch):
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the stacks ``ordered_product`` hands to ``checked_eigh``."""
     calls = []
 
     def counted(matrix):
@@ -149,10 +227,29 @@ def test_each_group_is_diagonalized_once_per_chunk(monkeypatch):
         return checked_eigh(matrix)
 
     monkeypatch.setattr(entwit.work_stats, "checked_eigh", counted)
+    return calls
+
+
+def test_each_group_is_diagonalized_once_per_chunk(eigh_calls):
     trotter_evolution(DrivingSchedule(*NONCOMMUTING_RAMP[4], steps=2 * STEP_CHUNK + 5))
-    # four sites: sector sizes 1, 4, 6, 4, 1 stack into three groups
-    assert len(calls) == 3 * 3
-    assert sorted({shape[0] for shape in calls}) == [5, STEP_CHUNK]
+    # four sites: sector sizes 1, 4, 6, 4, 1 stack into three groups.  J
+    # changes at every step, so the 4- and 6-state groups have one run per
+    # step, in chunks of 32, 32 and 5; on 1 x 1 blocks every piece is a
+    # multiple of the identity, so that group is one run and one call
+    assert sorted(eigh_calls) == sorted(
+        [(1, 2, 1, 1)] + [(c, 2, 4, 4) for c in (STEP_CHUNK, STEP_CHUNK, 5)]
+        + [(c, 1, 6, 6) for c in (STEP_CHUNK, STEP_CHUNK, 5)]
+    )
+
+
+@pytest.mark.parametrize("steps", [80, 1000])
+def test_a_field_ramp_is_diagonalized_once_per_group(eigh_calls, steps):
+    # the seven-qubit protocol ramps B alone, and S_z is m I on each sector:
+    # every step of a group shares one spectrum
+    schedule = dataclasses.replace(detection_protocol(7).schedule, steps=steps)
+    trotter_evolution(schedule)
+    # sector sizes 1, 7, 21, 35, 35, 21, 7, 1 stack into four groups
+    assert sorted(eigh_calls) == [(1, 2, s, s) for s in (1, 7, 21, 35)]
 
 
 @pytest.mark.parametrize("corrupt", ["eigenvalue", "eigenvector"])
@@ -161,7 +258,7 @@ def test_a_corrupted_block_inside_a_chunk_is_rejected(monkeypatch, corrupt):
 
     def skewed(matrix):
         w, v = real_eigh(matrix)
-        if matrix.ndim == 4:  # a (chunk, k, s, s) stack of step blocks
+        if matrix.ndim == 4 and matrix.shape[0] > 1:  # a (chunk, k, s, s) stack of several runs
             w, v = w.copy(), v.copy()
             middle = (matrix.shape[0] // 2, matrix.shape[1] - 1)
             if corrupt == "eigenvalue":

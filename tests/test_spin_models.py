@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entwit import (
     ConfigError,
@@ -120,6 +122,29 @@ def test_left_sampling_uses_left_endpoint():
     for step, t in ((0, 0.0), (3, 1.5)):
         params = params_at(sched, t)
         assert np.array_equal(rows[step], [params.J, params.Jz, -params.B])
+
+
+values = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ramp=st.lists(values, min_size=6, max_size=6),
+    t_f=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0)),
+    steps=st.integers(1, 400),
+    interpolation=st.sampled_from(["linear", "quench-at-start"]),
+    sampling=st.sampled_from(["left", "midpoint"]),
+)
+def test_coefficient_table_is_the_per_step_params_at_table(ramp, t_f, steps, interpolation, sampling):
+    sched = DrivingSchedule(
+        XXZParams(3, *ramp[:3]), XXZParams(3, *ramp[3:]), t_f, steps, interpolation
+    )
+    offset = 0.0 if sampling == "left" else 0.5
+    want = []
+    for step in range(steps):
+        params = params_at(sched, min((step + offset) * sched.dt, t_f))
+        want.append((params.J, params.Jz, -params.B))
+    assert np.array_equal(schedule_coefficients(sched, sampling), np.array(want))
 
 
 def test_schedule_rejects_mismatched_registers():
