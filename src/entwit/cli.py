@@ -12,7 +12,10 @@ usage error, 2 numerical check failure, 3 clean run without detection.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import functools
+import gc
 import json
 import os
 import sys
@@ -601,7 +604,20 @@ def _run_sample(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    """Run ``gc.freeze`` at interpreter exit; registered once per process.
+
+    Finalization otherwise runs full collections over the ~22k objects that
+    numpy leaves behind, which takes as long as a small run itself; frozen
+    objects are skipped.  Outputs are written and closed before exit, so
+    nothing they hold changes.
+    """
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_heap_at_exit()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

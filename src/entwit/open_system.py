@@ -20,7 +20,8 @@ Jz H_zz - B S_z, with the chain pieces laid on the subsystem's sites, so
 chain's ordered product.  A split XXZ chain conserves the total S^z, and the
 product then runs per S^z sector of the full register; a coupling or bath
 that changes S^z puts the whole register in one block.  The endpoint
-quantities (effective Hamiltonian, partition functions) stay dense.
+spectra come from ``spectral_decompose``, per S^z sector in the same way;
+the effective Hamiltonian and the partial trace stay dense.
 """
 
 from __future__ import annotations
@@ -40,14 +41,15 @@ from .operators import (
     SpectralDecomposition,
     UnitaryOperator,
     _partial_trace_matrix,
+    checked_eigh,
     embed_operator,
+    sector_stacks,
     spectral_decompose,
 )
 from .spin_models import (
     DrivingSchedule,
     XXZParams,
     _bonds,
-    _popcounts,
     build_xxz,
     chain_pieces,
     params_at,
@@ -218,7 +220,7 @@ def _mean_force(
     keep0 = [s - 1 for s in composite.subsystem_sites]
     traced = _partial_trace_matrix(weight_matrix, composite.register.n, keep0)
     traced = 0.5 * (traced + traced.conj().T)
-    m_eigenvalues, m_vectors = np.linalg.eigh(traced)
+    m_eigenvalues, m_vectors = checked_eigh(traced)
     smallest = float(m_eigenvalues[0])
     if smallest <= WEIGHT_RANK_FLOOR:
         raise NumericalCheckError(
@@ -393,10 +395,10 @@ def open_trotter_evolution(composite: CompositeSystem, sampling: str = "left") -
     Hamiltonian is built once, as the pieces (coupling + embedded bath, and
     the subsystem chain's H_xy, H_zz and S_z laid on its sites of the full
     register) with the slice coefficients (1, J, Jz, -B), and handed to
-    ``work_stats.ordered_product``.  When every piece is exactly zero between
-    the register's S^z sectors (as for a split XXZ chain), the product runs
-    per sector; otherwise, for a coupling or bath that changes S^z, it runs on
-    one block holding the whole register.
+    ``work_stats.ordered_product``.  The blocks are those of
+    ``operators.sector_stacks`` on the fixed piece (the chain pieces conserve
+    S^z): the register's S^z sectors when it does too (as for a split XXZ
+    chain), otherwise one block holding the whole register.
     """
     if composite.subsystem_schedule is None:
         raise ValueError("open_trotter_evolution needs a driven composite")
@@ -417,13 +419,12 @@ def open_trotter_evolution(composite: CompositeSystem, sampling: str = "left") -
     pieces = np.stack([fixed, hopping, np.diag(zz), np.diag(magnetization)])
     if not pieces.imag.any():  # a split XXZ chain: real blocks, real eigh
         pieces = pieces.real
-    ones = _popcounts(n)
     # the chain pieces conserve S^z by construction; only the fixed one may not
-    if fixed[ones[:, None] != ones[None, :]].any():
-        sectors = [np.arange(register.dim)]
-    else:
-        sectors = [np.flatnonzero(ones == k) for k in range(n + 1)]
-    blocks = [(indices, pieces[:, indices[:, None], indices]) for indices in sectors]
+    blocks = [
+        (indices, pieces[:, indices[:, None], indices])
+        for stacked, _ in sector_stacks(fixed)
+        for indices in stacked
+    ]
     return ordered_product(register, blocks, coefficients, schedule.dt)
 
 

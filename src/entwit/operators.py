@@ -1,22 +1,31 @@
-"""Dense operator algebra for small qubit registers.
+"""Operator algebra for qubit registers of up to 12 qubits.
 
-Everything here is an explicit complex matrix wrapped in a thin validated
-container.  Site indices are 1-based and site 1 is the leftmost (most
+Operators and states are explicit complex matrices wrapped in thin validated
+containers.  Site indices are 1-based and site 1 is the leftmost (most
 significant) tensor factor, so ``|01>`` on two qubits is basis index 1.
-Registers are capped at 12 qubits: the point of this library is transparent
-dense numerics, not scale.
+Registers are capped at 12 qubits (4096 x 4096 matrices).
+
+Every Hamiltonian and reference state of the witness conserves the total
+magnetization S^z, so it is block diagonal in the sectors of fixed popcount
+(number of qubits in |1>): 924 states at most for n = 12.  ``sector_stacks``
+is the one routine that splits a register-sized matrix: into its popcount
+sectors when every entry between two of them is exactly 0, into one
+whole-register block otherwise, with blocks of equal size stacked by
+``size_groups``.  The spectral decomposition, the ``DensityMatrix`` PSD check
+and the relative entropy's sigma (in ``thermo``) diagonalize those stacks,
+so their cost is that of the largest sector, not of the register.
 
 The eigensolver and unitarity checks live in two helpers, ``checked_eigh``
-and ``check_unitary``, which work on any square block or stack of blocks.
-The containers and ``spectral_decompose`` use them on full matrices; the
-ordered product in ``work_stats`` uses them on stacks of the blocks of fixed
-total magnetization (S^z sectors), so both paths hold the same tolerances.
-``embed_operator`` and the raw partial trace stay dense; they serve the
-open-system code, whose couplings and baths need not conserve S^z.
+and ``check_unitary``, which work on any square block or stack of blocks, so
+the sector stacks here and the ordered product in ``work_stats`` hold the
+same tolerances.  ``embed_operator`` and the raw partial trace stay dense;
+they serve the open-system code, whose couplings and baths need not conserve
+S^z.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -120,7 +129,8 @@ class DensityMatrix:
     Slightly negative eigenvalues from roundoff are tolerated down to
     -1e-10 and are clamped to zero by every function of the spectrum.
     ``eigenvalues`` keeps the ascending spectrum of the PSD check (read-only),
-    so functions of the spectrum do not diagonalize the state again.
+    so functions of the spectrum do not diagonalize the state again; the
+    check runs ``eigvalsh`` on the ``sector_stacks`` of the state.
     """
 
     register: QubitRegister
@@ -139,7 +149,9 @@ class DensityMatrix:
             raise NumericalCheckError(
                 f"density matrix trace differs from 1 by {trace_dev:.3e}"
             )
-        eigenvalues = np.linalg.eigvalsh(entries)
+        eigenvalues = np.sort(
+            np.concatenate([np.linalg.eigvalsh(blocks).ravel() for _, blocks in sector_stacks(entries)])
+        )
         smallest = float(eigenvalues[0])
         if smallest < -PSD_ATOL:
             raise NumericalCheckError(
@@ -235,9 +247,81 @@ def checked_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, eigenvectors
 
 
+def _popcounts(n: int) -> np.ndarray:
+    """Number of qubits in |1> of every basis state; S^z = n - 2 popcount."""
+    states = np.arange(2**n)
+    return sum((states >> shift) & 1 for shift in range(n))
+
+
+def size_groups(index_sets: Sequence[np.ndarray]) -> list[tuple[np.ndarray, list[int]]]:
+    """Index sets of equal length, stacked: one (indices, members) pair per
+    length, in order of first appearance, where ``indices`` (k, s) stacks the
+    k sets of length s and ``members`` are their positions in ``index_sets``."""
+    by_size: dict[int, list[int]] = {}
+    for position, indices in enumerate(index_sets):
+        by_size.setdefault(len(indices), []).append(position)
+    return [(np.stack([index_sets[p] for p in members]), members) for members in by_size.values()]
+
+
+@functools.lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The popcount sectors of n qubits stacked by size, then the whole
+    register as one block; read-only."""
+    ones = _popcounts(n)
+    sectors = tuple(indices for indices, _ in size_groups(
+        [np.flatnonzero(ones == k) for k in range(n + 1)]
+    ))
+    whole = (np.arange(2**n)[None, :],)
+    for indices in sectors + whole:
+        indices.setflags(write=False)
+    return sectors, whole
+
+
+def sector_stacks(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The diagonal blocks of a register-sized matrix, stacked by size.
+
+    Returns (indices, blocks) pairs: ``indices`` (k, s) holds the basis
+    indices of k blocks of s states and ``blocks`` (k, s, s) the matrix
+    restricted to each.  The blocks are the popcount (S^z) sectors when every
+    entry between two sectors is exactly 0; otherwise there is one block, the
+    whole register.  A matrix whose imaginary part is exactly 0 gives real
+    blocks, so ``eigh`` returns real eigenvectors.
+    """
+    if np.iscomplexobj(matrix) and not matrix.imag.any():
+        matrix = matrix.real
+    nonzero = np.count_nonzero(matrix)
+    for partition in _partitions(matrix.shape[-1].bit_length() - 1):
+        stacks = [(indices, matrix[indices[:, :, None], indices[:, None, :]]) for indices in partition]
+        if sum(np.count_nonzero(blocks) for _, blocks in stacks) == nonzero:
+            break  # always reached by the last partition, the whole register
+    return stacks
+
+
 def spectral_decompose(operator: HermitianOperator) -> SpectralDecomposition:
-    """Diagonalize a Hermitian operator, checking the reconstruction error."""
-    return SpectralDecomposition(*checked_eigh(operator.entries))
+    """Diagonalize a Hermitian operator with one ``checked_eigh`` per stack
+    of ``sector_stacks``.
+
+    The eigenvalues come in stable ascending order over the sectors taken by
+    ascending popcount, so within a degenerate level the eigenvectors follow
+    the sectors; each eigenvector is nonzero only on its sector's rows, and
+    real when the operator is.
+    """
+    dim = operator.dim
+    spectra = [(indices, *checked_eigh(blocks)) for indices, blocks in sector_stacks(operator.entries)]
+    eigenvalues = np.concatenate([w.ravel() for _, w, _ in spectra])
+    # ties go to the sector with the smaller first basis index, which is the
+    # one with fewer ones; the sort is stable, so then to the order in a block
+    first_index = np.concatenate([np.repeat(indices[:, 0], w.shape[1]) for indices, w, _ in spectra])
+    order = np.lexsort((first_index, eigenvalues))
+    column = np.empty(dim, dtype=np.int64)
+    column[order] = np.arange(dim)
+    vectors = np.zeros((dim, dim), dtype=np.complex128)
+    start = 0
+    for indices, w, v in spectra:
+        columns = column[start : start + w.size].reshape(w.shape)
+        vectors[indices[:, :, None], columns[:, None, :]] = v
+        start += w.size
+    return SpectralDecomposition(eigenvalues[order], vectors)
 
 
 def evolution_operator(hamiltonian: HermitianOperator, duration: float) -> UnitaryOperator:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .operators import HermitianOperator, QubitRegister, checked_eigh
+from .operators import HermitianOperator, QubitRegister, _popcounts, checked_eigh
 
 BOUNDARIES = ("periodic", "open")
 INTERPOLATIONS = ("linear", "quench-at-start")
@@ -136,11 +136,6 @@ def _bonds(n: int, boundary: str) -> list[tuple[int, int]]:
     """0-based site pairs of the chain's bonds (two equal ones at n=2, periodic)."""
     last_bond = n if boundary == "periodic" else n - 1
     return [(l, (l + 1) % n) for l in range(last_bond)]
-
-
-def _popcounts(n: int) -> np.ndarray:
-    states = np.arange(2**n)
-    return sum((states >> shift) & 1 for shift in range(n))
 
 
 def _bond_action(

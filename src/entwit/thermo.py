@@ -8,11 +8,11 @@ more than 1e-12 of weight outside the support of sigma.
 Every direct evaluation comes down to the cross term
 tr(rho ln sigma) = sum_i <v_i|rho|v_i> ln w_i over sigma's eigenpairs (v_i, w_i).
 ``diagonal_overlaps`` is the one kernel for the overlaps <v_i|rho|v_i>: a
-matrix product and a column sum, so it runs on BLAS.  The dense evaluator
-``relative_entropy``, the witness's analytic-log-weight evaluator and its
-sweeps all call it, and every direct evaluator passes its result through
-``nonnegative_entropy``: roundoff below zero is reported as 0, anything below
--NEGATIVE_ENTROPY_TOL raises.
+matrix product and a column sum, so it runs on BLAS.  The spectral evaluator
+``relative_entropy`` (sigma diagonalized per S^z sector), the witness's
+analytic-log-weight evaluator and its sweeps all call it, and every direct
+evaluator passes its result through ``nonnegative_entropy``: roundoff below
+zero is reported as 0, anything below -NEGATIVE_ENTROPY_TOL raises.
 
 Partition functions are handled in log space throughout, so steep inverse
 temperatures (beta ~ 100 on spectra of width ~10) stay inside double range.
@@ -37,6 +37,8 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     SpectralDecomposition,
+    checked_eigh,
+    sector_stacks,
     spectral_decompose,
 )
 
@@ -151,9 +153,10 @@ def diagonal_overlaps(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """<v_i| rho |v_i> for every column v_i of ``vectors``, clamped at 0.
 
     ``rho`` is a state's matrix (or one diagonal block of it) and ``vectors``
-    the orthonormal eigenvectors of sigma on the same basis.
+    the orthonormal eigenvectors of sigma on the same basis; stacks of blocks
+    (..., s, s) give overlaps of shape (..., s).
     """
-    overlaps = (vectors.conj() * (rho @ vectors)).sum(0).real
+    overlaps = (vectors.conj() * (rho @ vectors)).sum(-2).real
     return np.clip(overlaps, 0.0, None)
 
 
@@ -173,13 +176,23 @@ def nonnegative_entropy(value):
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """S(rho||sigma) in nats; math.inf when supp(rho) leaks out of supp(sigma)."""
+    """S(rho||sigma) in nats; math.inf when supp(rho) leaks out of supp(sigma).
+
+    sigma is diagonalized per stack of its ``sector_stacks``.  Each of its
+    eigenvectors then lies in one block, so only rho's matching diagonal
+    blocks enter the overlaps, which is exact for any rho.
+    """
     if rho.register != sigma.register:
         raise ValueError("states must live on the same register")
     first_term = _plogp(rho.eigenvalues)
-    sigma_eigenvalues, sigma_vectors = np.linalg.eigh(sigma.entries)
-    sigma_eigenvalues = np.clip(sigma_eigenvalues, 0.0, None)
-    overlaps = diagonal_overlaps(rho.entries, sigma_vectors)
+    sigma_eigenvalues, overlaps = [], []
+    for indices, blocks in sector_stacks(sigma.entries):
+        eigenvalues, vectors = checked_eigh(blocks)
+        rho_blocks = rho.entries[indices[:, :, None], indices[:, None, :]]
+        sigma_eigenvalues.append(eigenvalues.ravel())
+        overlaps.append(diagonal_overlaps(rho_blocks, vectors).ravel())
+    sigma_eigenvalues = np.clip(np.concatenate(sigma_eigenvalues), 0.0, None)
+    overlaps = np.concatenate(overlaps)
     inside = sigma_eigenvalues > EIGENVALUE_FLOOR
     leak = float(overlaps[~inside].sum())
     if leak > SUPPORT_LEAK_TOL:

@@ -36,10 +36,10 @@ from .errors import ConfigError
 from .operators import (
     DensityMatrix,
     QubitRegister,
-    SpectralDecomposition,
     UnitaryOperator,
     dicke_state,
     pure_state,
+    spectral_decompose,
 )
 from .spin_models import (
     DrivingSchedule,
@@ -486,37 +486,31 @@ def _sweep_worker_init(state: dict) -> None:
 def _sweep_plane(jz_value: float) -> np.ndarray:
     """s_right for one Jz value over the whole (B, T) plane, shape (nB, nT).
 
-    The sectors are diagonalized once at B = 0; each B only shifts their
-    energies by -B m and leaves the eigenvectors alone.
+    On the direct route the sectors are diagonalized once at B = 0; each B
+    only shifts their energies by -B m and leaves the eigenvectors alone.  The
+    work route needs a dense spectrum per B, which ``spectral_decompose``
+    builds from the same sectors.
     """
     state = _SWEEP_STATE
     assert state is not None
     n, boundary = state["n"], state["boundary"]
-    spectra = sector_spectra(XXZParams(n, state["coupling_j"], jz_value, 0.0, boundary))
-    energies = np.concatenate([w for _, w, _ in spectra])
-    magnetization = np.concatenate([np.full(w.size, s.magnetization) for s, w, _ in spectra])
     b_values, t_values = state["b_values"], state["t_values"]
 
     if state["route"] == "via_work":
         out = np.empty((b_values.size, t_values.size))
-        dim = 2**n
-        vectors = np.zeros((dim, dim))
-        column = 0
-        for sector, w, v in spectra:
-            vectors[sector.indices, column : column + w.size] = v
-            column += w.size
         rho_spec = state["rho_spec"]
         identity = _identity_unitary(QubitRegister(n))
         for i, b_value in enumerate(b_values):
-            shifted = energies - b_value * magnetization
-            order = np.argsort(shifted, kind="stable")
-            spectrum = SpectralDecomposition(shifted[order], vectors[:, order])
             h_star = build_xxz(XXZParams(n, state["coupling_j"], jz_value, float(b_value), boundary))
+            spectrum = spectral_decompose(h_star)
             for j, temperature in enumerate(t_values):
                 star_spec = ThermalSpec.with_spectrum(h_star, 1.0 / temperature, spectrum)
                 out[i, j] = relative_entropy_via_work(star_spec, rho_spec, identity)
         return out
 
+    spectra = sector_spectra(XXZParams(n, state["coupling_j"], jz_value, 0.0, boundary))
+    energies = np.concatenate([w for _, w, _ in spectra])
+    magnetization = np.concatenate([np.full(w.size, s.magnetization) for s, w, _ in spectra])
     # Gibbs states at every grid point are full rank, so tr(rho ln sigma*) is
     # evaluated from exact log weights; no support bookkeeping applies here.
     overlaps = np.concatenate(

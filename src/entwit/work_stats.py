@@ -38,6 +38,7 @@ from .operators import (
     check_unitary,
     checked_eigh,
     evolution_operator,
+    size_groups,
     spectral_decompose,
 )
 from .spin_models import (
@@ -122,22 +123,26 @@ def transition_matrix(h_initial: Measured, h_final: Measured, u: UnitaryOperator
 def exact_evolution(schedule: DrivingSchedule) -> UnitaryOperator:
     """U = exp(-i integral H(s) ds) for schedules whose Hamiltonians commute.
 
-    Commutation is checked numerically on pairs of Hamiltonians sampled at
-    COMMUTATION_SAMPLES slice starts spread over the schedule plus t_f
-    itself, so H(0) is always compared with H(t_f); schedules that fail the
-    check must use trotter_evolution instead.  The time integral is done on
-    the interpolated parameters (trapezoid, exact for linear ramps).
+    Commutation is checked numerically, sector by sector, on pairs of
+    Hamiltonians sampled at COMMUTATION_SAMPLES slice starts spread over the
+    schedule plus t_f itself, so H(0) is always compared with H(t_f);
+    schedules that fail the check must use trotter_evolution instead.  The
+    time integral is done on the interpolated parameters (trapezoid, exact
+    for linear ramps).
     """
     sampled_steps = sorted(
         {int(round(i * (schedule.steps - 1) / (COMMUTATION_SAMPLES - 1)))
          for i in range(COMMUTATION_SAMPLES)}
     )
     sampled_times = [s * schedule.dt for s in sampled_steps] + [schedule.t_f]
-    hams = [build_xxz(params_at(schedule, t)).entries for t in sampled_times]
+    sampled = [params_at(schedule, t) for t in sampled_times]
     worst = 0.0
-    for i in range(len(hams)):
-        for j in range(i + 1, len(hams)):
-            worst = max(worst, float(np.abs(hams[i] @ hams[j] - hams[j] @ hams[i]).max()))
+    # every sampled H conserves S^z, so the commutators are block diagonal too
+    for sector in xxz_sectors(schedule.n, schedule.initial.boundary):
+        hams = [sector.block(params) for params in sampled]
+        for i in range(len(hams)):
+            for j in range(i + 1, len(hams)):
+                worst = max(worst, float(np.abs(hams[i] @ hams[j] - hams[j] @ hams[i]).max()))
     if worst > COMMUTATION_ATOL:
         raise NumericalCheckError(
             f"schedule Hamiltonians do not commute (max commutator entry {worst:.3e} "
@@ -180,9 +185,10 @@ def ordered_product(
     ``blocks`` are the diagonal blocks of every P_j: each pairs its basis
     indices (length s; together they cover the register once) with the
     pieces restricted to them, shape (p, s, s).  ``coefficients`` is c, shape
-    (steps, p).  Blocks of one size are stacked into a group (indices (k, s),
-    pieces (p, k, s, s)); each group carries its own product, which is
-    written into the dense unitary when the group is done.
+    (steps, p).  Blocks of one size are stacked into a group by
+    ``operators.size_groups`` (indices (k, s), pieces (p, k, s, s)); each
+    group carries its own product, which is written into the dense unitary
+    when the group is done.
 
     Per group, a piece that is exactly alpha_b I on every block b (S_z on a
     sector, any piece on a 1 x 1 block) only shifts each block's energies.
@@ -202,12 +208,9 @@ def ordered_product(
     unitary, which keeps ||U^dag U - I|| at roundoff level for any step
     count.  Real pieces give real eigenvectors.
     """
-    by_size: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for indices, pieces in blocks:
-        by_size.setdefault(len(indices), []).append((indices, pieces))
     groups = [
-        (np.stack([indices for indices, _ in same]), np.stack([p for _, p in same], axis=1))
-        for same in by_size.values()
+        (indices, np.stack([blocks[b][1] for b in members], axis=1))
+        for indices, members in size_groups([indices for indices, _ in blocks])
     ]
     coefficients = np.asarray(coefficients, dtype=np.float64)
     largest = max(pieces[0].size for _, pieces in groups)

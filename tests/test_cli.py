@@ -5,6 +5,8 @@ configuration problems, 2 failed numerical checks, 3 clean run with no
 detection.
 """
 
+import atexit
+import gc
 import json
 import os
 import subprocess
@@ -350,6 +352,17 @@ def test_unknown_keys_are_named(tmp_path, capsys):
 def test_unknown_subcommand_is_config_error(capsys):
     assert main(["frobnicate"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_main_registers_one_exit_hook(monkeypatch):
+    # finalization skips the frozen heap; a second main in one process must
+    # not register the hook again
+    registered = []
+    monkeypatch.setattr(atexit, "register", registered.append)
+    entwit.cli._freeze_heap_at_exit.cache_clear()
+    assert main(["frobnicate"]) == 1
+    assert main(["frobnicate"]) == 1
+    assert registered == [gc.freeze]
 
 
 def test_help_exits_zero():

@@ -36,6 +36,8 @@ from entwit import (
     trotter_evolution,
     witness_evaluate,
 )
+from entwit.open_system import _mean_force, log_bath_partition
+from entwit.operators import spectral_decompose
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -157,6 +159,29 @@ def test_effective_hamiltonian_beta_dependence():
 def test_rank_deficient_weight_operator_raises():
     with pytest.raises(NumericalCheckError, match="rank deficient"):
         effective_hamiltonian(two_plus_one(0.5, beta=5000.0))
+
+
+@pytest.mark.parametrize("corrupt", ["eigenvalue", "eigenvector"])
+def test_mean_force_rejects_a_corrupted_eigendecomposition(monkeypatch, corrupt):
+    composite = split_chain(XXZParams(4, 1.0, 0.4, 0.2), (1, 2), 2.0)
+    full = spectral_decompose(full_hamiltonian(composite))
+    log_bath = log_bath_partition(composite)
+    _mean_force(composite, full, log_bath)
+    real_eigh = np.linalg.eigh
+
+    def skewed(matrix):
+        w, v = real_eigh(matrix)
+        w, v = w.copy(), v.copy()
+        if corrupt == "eigenvalue":
+            w[0] += 1e-3
+        else:
+            v[:, 0] *= 1.0 + 1e-6
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    match = "reconstruction" if corrupt == "eigenvalue" else "orthonormal"
+    with pytest.raises(NumericalCheckError, match=match):
+        _mean_force(composite, full, log_bath)
 
 
 # ---------------------------------------------------------------- partitions
