@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import gc
 import json
+import math
 import os
 import sys
 
@@ -35,6 +36,7 @@ from .witness import (
     DetectionProtocol,
     GridAxis,
     SweepGrid,
+    _identity_unitary,
     detection_protocol,
     sweep_detection,
     sweep_metadata,
@@ -157,13 +159,18 @@ def _float_key(payload: dict, key: str, default: float, file: str) -> float:
 
 
 def _protocol_from_config(value, beta: float, file: str) -> DetectionProtocol:
+    if not (math.isfinite(beta) and beta > 0):
+        raise ConfigError(f"{file}: beta: must be a finite positive number, got {beta!r}")
     if isinstance(value, str):
         if value not in PROTOCOL_NAMES:
             raise ConfigError(
                 f"{file}: protocol: unknown name {value!r}; use "
                 "'three-qubit', 'seven-qubit', or a schedule object"
             )
-        return detection_protocol(PROTOCOL_NAMES[value], beta=beta)
+        try:
+            return detection_protocol(PROTOCOL_NAMES[value], beta=beta)
+        except ValueError as err:  # endpoint parameters out of range at this beta
+            raise ConfigError(f"{file}: protocol: {err}") from err
     if isinstance(value, dict):
         try:
             schedule = schedule_from_config(value, "protocol")
@@ -212,7 +219,10 @@ def _state_from_config(value, path: str, file: str, expected_n: int):
         beta = _float_key(value, "beta", 0.0, file)
         if beta <= 0:
             raise ConfigError(f"{file}: {path}.beta: must be positive")
-    return ThermalSpec(build_xxz(params), beta)
+    try:
+        return ThermalSpec(build_xxz(params), beta)
+    except ValueError as err:  # NaN or infinite beta, or 1/temperature out of range
+        raise ConfigError(f"{file}: {path}: {err}") from err
 
 
 def _sampling_from_config(cfg: dict, file: str) -> str:
@@ -429,7 +439,7 @@ def _run_verify(args) -> int:
         )
 
     u_trotter = trotter_evolution(schedule)
-    identity = UnitaryOperator(register, np.eye(register.dim, dtype=np.complex128))
+    identity = _identity_unitary(register)
     eye = np.eye(register.dim)
     unitarity_dev = float(
         np.abs(u_trotter.entries.conj().T @ u_trotter.entries - eye).max()
@@ -573,8 +583,7 @@ def _run_sample(args) -> int:
     evolution_kind = cfg.get("evolution", "trotter")
     evolution = _resolve_evolution(evolution_kind, protocol, sampling, file)
     if evolution is None:
-        register = QubitRegister(protocol.schedule.n)
-        evolution = UnitaryOperator(register, np.eye(register.dim, dtype=np.complex128))
+        evolution = _identity_unitary(QubitRegister(protocol.schedule.n))
     if args.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {args.seed}")
     workers = _resolve_workers(args)

@@ -15,11 +15,12 @@ Driving evolves the full register unitarily; the bath is never rethermalized
 mid-protocol.  Endpoint states are the equilibrium ones at the shared beta,
 which is all the fluctuation identities require.  The driven Hamiltonian is
 affine in the subsystem parameters, H(t) = (coupling + bath) + J H_xy +
-Jz H_zz - B S_z, with the chain pieces laid on the subsystem's sites, so
-``open_trotter_evolution`` builds the pieces once and shares the closed
-chain's ordered product.  A split XXZ chain conserves the total S^z, and the
-product then runs per S^z sector of the full register; a coupling or bath
-that changes S^z puts the whole register in one block.  The endpoint
+Jz H_zz - B S_z, with ``spin_models.chain_pieces`` laid on the subsystem's
+sites, so ``open_trotter_evolution`` builds the dense pieces once and hands
+them to the closed chain's ordered product, which cuts them with
+``operators.sector_stacks``.  A split XXZ chain conserves the total S^z, and
+the product then runs per S^z sector of the full register; a coupling or
+bath that changes S^z puts the whole register in one block.  The endpoint
 spectra come from ``spectral_decompose``, per S^z sector in the same way;
 the effective Hamiltonian and the partial trace stay dense.
 """
@@ -43,7 +44,6 @@ from .operators import (
     _partial_trace_matrix,
     checked_eigh,
     embed_operator,
-    sector_stacks,
     spectral_decompose,
 )
 from .spin_models import (
@@ -392,13 +392,11 @@ def open_trotter_evolution(composite: CompositeSystem, sampling: str = "left") -
     The bath and coupling stay fixed while the subsystem parameters follow the
     schedule; sampling works as in the closed-system integrator ("left" for
     plain first order, "midpoint" for the symmetric variant).  The full
-    Hamiltonian is built once, as the pieces (coupling + embedded bath, and
-    the subsystem chain's H_xy, H_zz and S_z laid on its sites of the full
-    register) with the slice coefficients (1, J, Jz, -B), and handed to
-    ``work_stats.ordered_product``.  The blocks are those of
-    ``operators.sector_stacks`` on the fixed piece (the chain pieces conserve
-    S^z): the register's S^z sectors when it does too (as for a split XXZ
-    chain), otherwise one block holding the whole register.
+    Hamiltonian is built once, as the dense pieces (coupling + embedded bath,
+    and the subsystem chain's H_xy, H_zz and S_z laid on its sites of the
+    full register) with the slice coefficients (1, J, Jz, -B), and handed to
+    ``work_stats.ordered_product``, which exploits S^z conservation when the
+    coupling and bath have it too (as for a split XXZ chain).
     """
     if composite.subsystem_schedule is None:
         raise ValueError("open_trotter_evolution needs a driven composite")
@@ -407,7 +405,6 @@ def open_trotter_evolution(composite: CompositeSystem, sampling: str = "left") -
         [np.ones(schedule.steps), schedule_coefficients(schedule, sampling)]
     )
     register = composite.register
-    n = register.n
     fixed = np.zeros((register.dim, register.dim), dtype=np.complex128)
     if composite.coupling is not None:
         fixed += composite.coupling.entries
@@ -415,17 +412,9 @@ def open_trotter_evolution(composite: CompositeSystem, sampling: str = "left") -
         fixed += embed_operator(register, composite.bath_hamiltonian.entries, composite.bath_sites)
     site = [s - 1 for s in composite.subsystem_sites]
     bonds = [(site[l], site[m]) for l, m in _bonds(schedule.n, schedule.initial.boundary)]
-    hopping, zz, magnetization = chain_pieces(n, bonds, site)
+    hopping, zz, magnetization = chain_pieces(register.n, bonds, site)
     pieces = np.stack([fixed, hopping, np.diag(zz), np.diag(magnetization)])
-    if not pieces.imag.any():  # a split XXZ chain: real blocks, real eigh
-        pieces = pieces.real
-    # the chain pieces conserve S^z by construction; only the fixed one may not
-    blocks = [
-        (indices, pieces[:, indices[:, None], indices])
-        for stacked, _ in sector_stacks(fixed)
-        for indices in stacked
-    ]
-    return ordered_product(register, blocks, coefficients, schedule.dt)
+    return ordered_product(register, pieces, coefficients, schedule.dt)
 
 
 def split_chain(

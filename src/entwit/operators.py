@@ -8,12 +8,14 @@ Registers are capped at 12 qubits (4096 x 4096 matrices).
 Every Hamiltonian and reference state of the witness conserves the total
 magnetization S^z, so it is block diagonal in the sectors of fixed popcount
 (number of qubits in |1>): 924 states at most for n = 12.  ``sector_stacks``
-is the one routine that splits a register-sized matrix: into its popcount
-sectors when every entry between two of them is exactly 0, into one
-whole-register block otherwise, with blocks of equal size stacked by
-``size_groups``.  The spectral decomposition, the ``DensityMatrix`` PSD check
-and the relative entropy's sigma (in ``thermo``) diagonalize those stacks,
-so their cost is that of the largest sector, not of the register.
+is the one routine that decides the blocks of a register-sized matrix, or
+of a stack of them: the popcount sectors when every entry between two of
+them is exactly 0, one whole-register block otherwise, with blocks of equal
+size stacked together.  The spectral decomposition, the ``DensityMatrix``
+PSD check, the relative entropy and the direct sweep (in ``thermo`` and
+``witness``), and the Trotter product and commutation check (in
+``work_stats``) all run on those stacks, so their cost is that of the
+largest sector, not of the register.
 
 The eigensolver and unitarity checks live in two helpers, ``checked_eigh``
 and ``check_unitary``, which work on any square block or stack of blocks, so
@@ -253,24 +255,20 @@ def _popcounts(n: int) -> np.ndarray:
     return sum((states >> shift) & 1 for shift in range(n))
 
 
-def size_groups(index_sets: Sequence[np.ndarray]) -> list[tuple[np.ndarray, list[int]]]:
-    """Index sets of equal length, stacked: one (indices, members) pair per
-    length, in order of first appearance, where ``indices`` (k, s) stacks the
-    k sets of length s and ``members`` are their positions in ``index_sets``."""
-    by_size: dict[int, list[int]] = {}
-    for position, indices in enumerate(index_sets):
-        by_size.setdefault(len(indices), []).append(position)
-    return [(np.stack([index_sets[p] for p in members]), members) for members in by_size.values()]
-
-
 @functools.lru_cache(maxsize=None)
 def _partitions(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The popcount sectors of n qubits stacked by size, then the whole
-    register as one block; read-only."""
+    register as one block; read-only.
+
+    Sectors of one size (k and n - k ones) share a stack, shape (count, size),
+    in order of first appearance by popcount; the whole register is (1, 2^n).
+    """
     ones = _popcounts(n)
-    sectors = tuple(indices for indices, _ in size_groups(
-        [np.flatnonzero(ones == k) for k in range(n + 1)]
-    ))
+    by_size: dict[int, list[np.ndarray]] = {}
+    for k in range(n + 1):
+        indices = np.flatnonzero(ones == k)
+        by_size.setdefault(indices.size, []).append(indices)
+    sectors = tuple(np.stack(members) for members in by_size.values())
     whole = (np.arange(2**n)[None, :],)
     for indices in sectors + whole:
         indices.setflags(write=False)
@@ -278,20 +276,22 @@ def _partitions(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
 
 
 def sector_stacks(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The diagonal blocks of a register-sized matrix, stacked by size.
+    """The diagonal blocks of a register-sized matrix, or of a stack of them
+    (..., dim, dim), stacked by size.
 
     Returns (indices, blocks) pairs: ``indices`` (k, s) holds the basis
-    indices of k blocks of s states and ``blocks`` (k, s, s) the matrix
+    indices of k blocks of s states and ``blocks`` (..., k, s, s) the matrix
     restricted to each.  The blocks are the popcount (S^z) sectors when every
-    entry between two sectors is exactly 0; otherwise there is one block, the
-    whole register.  A matrix whose imaginary part is exactly 0 gives real
-    blocks, so ``eigh`` returns real eigenvectors.
+    entry between two sectors is exactly 0, in every matrix of a stack;
+    otherwise there is one block, the whole register.  A matrix whose
+    imaginary part is exactly 0 gives real blocks, so ``eigh`` returns real
+    eigenvectors.
     """
     if np.iscomplexobj(matrix) and not matrix.imag.any():
         matrix = matrix.real
     nonzero = np.count_nonzero(matrix)
     for partition in _partitions(matrix.shape[-1].bit_length() - 1):
-        stacks = [(indices, matrix[indices[:, :, None], indices[:, None, :]]) for indices in partition]
+        stacks = [(indices, matrix[..., indices[:, :, None], indices[:, None, :]]) for indices in partition]
         if sum(np.count_nonzero(blocks) for _, blocks in stacks) == nonzero:
             break  # always reached by the last partition, the whole register
     return stacks

@@ -9,17 +9,15 @@ with the two-site sum wrapping around for periodic chains (the l = n bond is
 dropped for open ones) and the field always running over all n sites.
 
 Written as H = J H_xy + Jz H_zz - B S_z over three fixed pieces, it conserves
-the total magnetization S^z = sum_l sz_l, so it is block diagonal in the
-sectors of fixed S^z.  ``xxz_sectors`` builds, once per (n, boundary), each
-sector's basis indices, its real hopping block (H_xy), its H_zz diagonal and
-its magnetization m, from the action of every bond on basis states; no
-dense 2^n x 2^n piece is ever stored.  S_z commutes with everything, so a
-field only shifts a sector's energies by -B m.  ``build_xxz`` assembles the
-dense matrix from the blocks, and ``sector_spectra`` diagonalizes the blocks
-one by one (at most 35 states at n = 7, 924 at n = 12), with the checks of
-``operators.checked_eigh``.  ``chain_pieces`` applies the same bond action to
-the whole basis of a register, for chains laid on any of its sites (the
-open-system split and driven subsystem).
+the total magnetization S^z = sum_l sz_l.  ``chain_pieces`` builds the
+pieces of any bond graph on a register from the action of every bond on the
+basis states: H_xy as a dense real matrix, H_zz and S_z as diagonals.
+``xxz_pieces`` caches them, read-only, per (n, boundary) for the standard
+chain, and ``xxz_matrix`` combines them for one parameter set; this is the
+package's one representation of a chain Hamiltonian.  Where the S^z
+sectors matter (spectra, Trotter products, commutators), the callers cut
+the dense matrices with ``operators.sector_stacks``; S_z is m I on a
+sector, so a field only shifts a sector's energies by -B m.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .operators import HermitianOperator, QubitRegister, _popcounts, checked_eigh
+from .operators import HermitianOperator, QubitRegister
 
 BOUNDARIES = ("periodic", "open")
 INTERPOLATIONS = ("linear", "quench-at-start")
@@ -98,35 +96,12 @@ class DrivingSchedule:
         return self.initial.n
 
 
-@dataclass(frozen=True)
-class Sector:
-    """The chain restricted to the basis states with k sites in |1>.
-
-    ``indices`` are those states' basis indices in ascending order;
-    ``hopping`` is the real block of H_xy = -(1/2) sum (sx sx + sy sy) on them,
-    ``zz`` the diagonal of H_zz = -sum sz sz, and ``magnetization`` the
-    eigenvalue m = n - 2k of S_z.  Arrays are read-only.
-    """
-
-    indices: np.ndarray
-    hopping: np.ndarray
-    zz: np.ndarray
-    magnetization: int
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
-
-    def block(self, params: XXZParams) -> np.ndarray:
-        """J H_xy + Jz H_zz - B S_z on this sector, as a real symmetric matrix."""
-        return xxz_matrix(params, self.hopping, self.zz, self.magnetization)
-
-
 def xxz_matrix(
     params: XXZParams, hopping: np.ndarray, zz: np.ndarray, magnetization: np.ndarray | float
 ) -> np.ndarray:
-    """J H_xy + Jz H_zz - B S_z from the hopping matrix and the H_zz and S_z
-    diagonals (a scalar magnetization for one sector)."""
+    """J H_xy + Jz H_zz - B S_z, as a real matrix, from the hopping matrix
+    and the H_zz and S_z diagonals (a scalar magnetization shifts every
+    diagonal entry alike)."""
     out = params.J * hopping
     out.flat[:: hopping.shape[0] + 1] += params.Jz * zz - params.B * magnetization
     return out
@@ -138,33 +113,11 @@ def _bonds(n: int, boundary: str) -> list[tuple[int, int]]:
     return [(l, (l + 1) % n) for l in range(last_bond)]
 
 
-def _bond_action(
-    n: int, bonds: list[tuple[int, int]], indices: np.ndarray, position: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """H_xy = -(1/2) sum (sx sx + sy sy) and the diagonal of H_zz = -sum sz sz
-    over ``bonds`` (0-based site pairs), on the basis states ``indices``.
-
-    ``position`` maps a basis index to its row; the bonds must map the states
-    into themselves, as they do for a sector of fixed S^z or the whole basis.
-    """
-    hopping = np.zeros((indices.size, indices.size))
-    zz = np.zeros(indices.size)
-    for l, m in bonds:
-        # site l (0-based) is bit n-1-l of the basis index; site 0 is leftmost
-        mask_l, mask_m = 1 << (n - 1 - l), 1 << (n - 1 - m)
-        differ = ((indices & mask_l) == 0) != ((indices & mask_m) == 0)
-        zz += np.where(differ, 1.0, -1.0)
-        # sx sx + sy sy swaps an antiparallel pair with amplitude 2
-        source = np.flatnonzero(differ)
-        target = position[indices[source] ^ (mask_l | mask_m)]
-        np.add.at(hopping, (target, source), -1.0)
-    return hopping, zz
-
-
 def chain_pieces(
     n: int, bonds: list[tuple[int, int]], field_sites: Iterable[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense H_xy and the diagonals of H_zz and S_z on an n-qubit register.
+    """Dense H_xy = -(1/2) sum (sx sx + sy sy) and the diagonals of
+    H_zz = -sum sz sz and S_z on an n-qubit register, all real.
 
     The XXZ pieces of any bond graph: ``bonds`` are 0-based site pairs and
     ``field_sites`` the 0-based sites the field acts on, so a chain laid on
@@ -173,64 +126,43 @@ def chain_pieces(
     """
     QubitRegister(n)
     states = np.arange(2**n)
-    hopping, zz = _bond_action(n, bonds, states, states)
-    magnetization = np.zeros(2**n)
+    hopping = np.zeros((states.size, states.size))
+    zz = np.zeros(states.size)
+    for l, m in bonds:
+        # site l (0-based) is bit n-1-l of the basis index; site 0 is leftmost
+        mask_l, mask_m = 1 << (n - 1 - l), 1 << (n - 1 - m)
+        differ = ((states & mask_l) == 0) != ((states & mask_m) == 0)
+        zz += np.where(differ, 1.0, -1.0)
+        # sx sx + sy sy swaps an antiparallel pair with amplitude 2
+        source = np.flatnonzero(differ)
+        np.add.at(hopping, (source ^ (mask_l | mask_m), source), -1.0)
+    magnetization = np.zeros(states.size)
     for site in field_sites:
         magnetization += 1 - 2 * ((states >> (n - 1 - site)) & 1)
     return hopping, zz, magnetization
 
 
 @functools.lru_cache(maxsize=None)
-def xxz_sectors(n: int, boundary: str = "periodic") -> tuple[Sector, ...]:
-    """The S^z sectors of the n-site chain, by ascending number of ones.
+def xxz_pieces(n: int, boundary: str = "periodic") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``chain_pieces`` of the n-site chain with the field on every site:
+    H_xy, and the diagonals of H_zz and S_z.
 
-    Built once per (n, boundary) and cached; every parameter set reuses them.
+    Built once per (n, boundary) and cached read-only; every parameter set
+    reuses them.
     """
-    QubitRegister(n)
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-    states = np.arange(2**n)
-    ones = _popcounts(n)
-    position = np.empty(2**n, dtype=np.int64)
-    bonds = _bonds(n, boundary)
-    sectors = []
-    for k in range(n + 1):
-        indices = states[ones == k]
-        position[indices] = np.arange(indices.size)
-        hopping, zz = _bond_action(n, bonds, indices, position)
-        for array in (indices, hopping, zz):
-            array.setflags(write=False)
-        sectors.append(Sector(indices, hopping, zz, n - 2 * k))
-    return tuple(sectors)
+    pieces = chain_pieces(n, _bonds(n, boundary), range(n))
+    for array in pieces:
+        array.setflags(write=False)
+    return pieces
 
 
 def build_xxz(params: XXZParams) -> HermitianOperator:
-    """Dense Hamiltonian matrix for the given chain parameters, assembled
-    from the sector blocks."""
-    register = QubitRegister(params.n)
-    h = np.zeros((register.dim, register.dim), dtype=np.complex128)
-    for sector in xxz_sectors(params.n, params.boundary):
-        h[np.ix_(sector.indices, sector.indices)] = sector.block(params)
-    return HermitianOperator(register, h)
-
-
-def sector_spectra(params: XXZParams) -> list[tuple[Sector, np.ndarray, np.ndarray]]:
-    """(sector, ascending energies, real orthonormal eigenvectors) for every
-    S^z sector of the chain, each from one checked ``eigh`` of its block.
-
-    The field enters a sector only as the shift -B m of its energies, so a
-    caller scanning B may diagonalize once at B = 0 and shift.
-    """
-    return [
-        (sector, *checked_eigh(sector.block(params)))
-        for sector in xxz_sectors(params.n, params.boundary)
-    ]
-
-
-def total_sz(register: QubitRegister) -> HermitianOperator:
-    """Total magnetization sum_l sz_l (the U(1) charge of the XXZ chain)."""
-    magnetization = register.n - 2 * _popcounts(register.n)
-    return HermitianOperator(register, np.diag(magnetization.astype(np.complex128)))
+    """Dense Hamiltonian matrix for the given chain parameters, from the
+    cached pieces."""
+    pieces = xxz_pieces(params.n, params.boundary)
+    return HermitianOperator(QubitRegister(params.n), xxz_matrix(params, *pieces))
 
 
 def ramp_values(schedule: DrivingSchedule, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,11 +8,13 @@ more than 1e-12 of weight outside the support of sigma.
 Every direct evaluation comes down to the cross term
 tr(rho ln sigma) = sum_i <v_i|rho|v_i> ln w_i over sigma's eigenpairs (v_i, w_i).
 ``diagonal_overlaps`` is the one kernel for the overlaps <v_i|rho|v_i>: a
-matrix product and a column sum, so it runs on BLAS.  The spectral evaluator
-``relative_entropy`` (sigma diagonalized per S^z sector), the witness's
-analytic-log-weight evaluator and its sweeps all call it, and every direct
-evaluator passes its result through ``nonnegative_entropy``: roundoff below
-zero is reported as 0, anything below -NEGATIVE_ENTROPY_TOL raises.
+matrix product and a column sum, so it runs on BLAS.  ``sector_overlaps``
+diagonalizes sigma per stack of its S^z sectors and takes the overlaps from
+rho's matching blocks; the spectral evaluator ``relative_entropy`` and the
+direct sweep share it.  The witness's analytic-log-weight evaluator calls
+the kernel on the dense eigenvectors.  Every direct evaluator passes its
+result through ``nonnegative_entropy``: roundoff below zero is reported as
+0, anything below -NEGATIVE_ENTROPY_TOL raises.
 
 Partition functions are handled in log space throughout, so steep inverse
 temperatures (beta ~ 100 on spectra of width ~10) stay inside double range.
@@ -175,24 +177,34 @@ def nonnegative_entropy(value):
     return np.where(value < 0, 0.0, value)[()]
 
 
+def sector_overlaps(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma's eigenvalues w_i and the overlaps <v_i|rho|v_i> of its
+    eigenvectors, from one checked ``eigh`` per stack of sigma's
+    ``sector_stacks``, in stack order (not sorted).
+
+    Each eigenvector lies in one block, so only rho's matching diagonal
+    blocks enter the overlaps, which is exact for any rho.  Also returns the
+    first basis index of each eigenvector's block, which names its sector.
+    """
+    eigenvalues, overlaps, first = [], [], []
+    for indices, blocks in sector_stacks(sigma):
+        w, v = checked_eigh(blocks)
+        eigenvalues.append(w.ravel())
+        overlaps.append(diagonal_overlaps(rho[indices[:, :, None], indices[:, None, :]], v).ravel())
+        first.append(np.repeat(indices[:, 0], w.shape[-1]))
+    return np.concatenate(eigenvalues), np.concatenate(overlaps), np.concatenate(first)
+
+
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """S(rho||sigma) in nats; math.inf when supp(rho) leaks out of supp(sigma).
 
-    sigma is diagonalized per stack of its ``sector_stacks``.  Each of its
-    eigenvectors then lies in one block, so only rho's matching diagonal
-    blocks enter the overlaps, which is exact for any rho.
+    sigma's spectrum and the overlaps come from ``sector_overlaps``.
     """
     if rho.register != sigma.register:
         raise ValueError("states must live on the same register")
     first_term = _plogp(rho.eigenvalues)
-    sigma_eigenvalues, overlaps = [], []
-    for indices, blocks in sector_stacks(sigma.entries):
-        eigenvalues, vectors = checked_eigh(blocks)
-        rho_blocks = rho.entries[indices[:, :, None], indices[:, None, :]]
-        sigma_eigenvalues.append(eigenvalues.ravel())
-        overlaps.append(diagonal_overlaps(rho_blocks, vectors).ravel())
-    sigma_eigenvalues = np.clip(np.concatenate(sigma_eigenvalues), 0.0, None)
-    overlaps = np.concatenate(overlaps)
+    sigma_eigenvalues, overlaps, _ = sector_overlaps(rho.entries, sigma.entries)
+    sigma_eigenvalues = np.clip(sigma_eigenvalues, 0.0, None)
     inside = sigma_eigenvalues > EIGENVALUE_FLOOR
     leak = float(overlaps[~inside].sum())
     if leak > SUPPORT_LEAK_TOL:

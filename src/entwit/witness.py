@@ -15,10 +15,11 @@ Gibbs identity when both states are declared Gibbs states, the analytic log
 weights of a declared Gibbs sigma under a dense rho, and the dense spectral
 evaluator otherwise.  The last two share ``thermo.diagonal_overlaps``.
 
-A direct sweep diagonalizes the chain once per Jz value, takes the overlaps
-of the reference state sector by sector, and takes the log Gibbs weights of
-the (B, T) plane from one ``thermo.logsumexp`` call (a few for large
-registers and grids).
+A direct sweep builds the chain once per Jz value from the cached
+``spin_models.xxz_pieces``, diagonalizes it and takes the reference state's
+overlaps in one ``thermo.sector_overlaps`` call, and takes the log Gibbs
+weights of the (B, T) plane from one ``thermo.logsumexp`` call (a few for
+large registers and grids).
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .spin_models import (
     DrivingSchedule,
     XXZParams,
     build_xxz,
-    sector_spectra,
-    xxz_sectors,
+    xxz_matrix,
+    xxz_pieces,
 )
 from .thermo import (
     ThermalSpec,
@@ -56,6 +57,7 @@ from .thermo import (
     logsumexp,
     nonnegative_entropy,
     relative_entropy,
+    sector_overlaps,
     thermal_state,
 )
 from .work_stats import _map_tasks, relative_entropy_via_work
@@ -457,17 +459,13 @@ def _shared_sweep_state(grid: SweepGrid, reference: SweepReference, route: str) 
             else _identity_unitary(register)
         )
         s_left = relative_entropy_via_work(reference.sigma_spec, reference.rho_spec, u_left)
-    # Every candidate is block diagonal in the S^z sectors, so only the
-    # diagonal blocks of rho enter tr(rho ln sigma*).
-    sectors = xxz_sectors(grid.n, grid.boundary)
-    rho_blocks = [reference.rho.entries[np.ix_(s.indices, s.indices)] for s in sectors]
     return {
         "n": grid.n,
         "coupling_j": grid.coupling_j,
         "boundary": grid.boundary,
         "b_values": grid.b_axis.values(),
         "t_values": grid.t_axis.values(),
-        "rho_blocks": rho_blocks,
+        "rho": reference.rho.entries,
         "plogp_rho": plogp,
         "s_left": float(s_left),
         "route": route,
@@ -486,10 +484,10 @@ def _sweep_worker_init(state: dict) -> None:
 def _sweep_plane(jz_value: float) -> np.ndarray:
     """s_right for one Jz value over the whole (B, T) plane, shape (nB, nT).
 
-    On the direct route the sectors are diagonalized once at B = 0; each B
-    only shifts their energies by -B m and leaves the eigenvectors alone.  The
-    work route needs a dense spectrum per B, which ``spectral_decompose``
-    builds from the same sectors.
+    On the direct route the chain's sectors are diagonalized once at B = 0
+    (``thermo.sector_overlaps``); each B only shifts their energies by -B m
+    and leaves the eigenvectors alone.  The work route needs a dense
+    spectrum per B, which ``spectral_decompose`` builds from the same sectors.
     """
     state = _SWEEP_STATE
     assert state is not None
@@ -508,14 +506,12 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
                 out[i, j] = relative_entropy_via_work(star_spec, rho_spec, identity)
         return out
 
-    spectra = sector_spectra(XXZParams(n, state["coupling_j"], jz_value, 0.0, boundary))
-    energies = np.concatenate([w for _, w, _ in spectra])
-    magnetization = np.concatenate([np.full(w.size, s.magnetization) for s, w, _ in spectra])
+    pieces = xxz_pieces(n, boundary)
+    h_zero = xxz_matrix(XXZParams(n, state["coupling_j"], jz_value, 0.0, boundary), *pieces)
     # Gibbs states at every grid point are full rank, so tr(rho ln sigma*) is
     # evaluated from exact log weights; no support bookkeeping applies here.
-    overlaps = np.concatenate(
-        [diagonal_overlaps(rho_ss, v) for (_, _, v), rho_ss in zip(spectra, state["rho_blocks"])]
-    )
+    energies, overlaps, first = sector_overlaps(state["rho"], h_zero)
+    magnetization = pieces[2][first]
     # log Gibbs weights of a run of B values at once, shape (b, nT, dim)
     run = max(1, SWEEP_STACK_ENTRIES // (t_values.size * energies.size))
     planes = []

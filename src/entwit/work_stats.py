@@ -13,18 +13,19 @@ Every average is evaluated per-term in log space, with ``thermo.logsumexp``,
 so that steep protocols (beta ~ 100) never leave double range.
 
 Driven protocols, closed and open, share one Trotter routine,
-``ordered_product``, over a block-diagonal Hamiltonian given as fixed pieces
-and a table of slice coefficients.  Consecutive slices that differ only by a
-multiple of the identity on each block share one spectrum, so it diagonalizes
-once per run of such slices, and a chunk of runs in one batched call: a ramp
-of the field alone costs one eigendecomposition per group of equal-size
-sectors, whatever the step count.
+``ordered_product``, over a Hamiltonian given as dense fixed pieces and a
+table of slice coefficients; the closed chain's pieces are the cached
+``spin_models.xxz_pieces``.  The product runs on the ``sector_stacks`` of
+the pieces.  Consecutive slices that differ only by a multiple of the
+identity on each block share one spectrum, so it diagonalizes once per run
+of such slices, and a chunk of runs in one batched call: a ramp of the field
+alone costs one eigendecomposition per stack of equal-size sectors, whatever
+the step count.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ from .operators import (
     check_unitary,
     checked_eigh,
     evolution_operator,
-    size_groups,
+    sector_stacks,
     spectral_decompose,
 )
 from .spin_models import (
@@ -47,7 +48,8 @@ from .spin_models import (
     build_xxz,
     params_at,
     ramp_values,
-    xxz_sectors,
+    xxz_matrix,
+    xxz_pieces,
 )
 from .thermo import ThermalSpec, logsumexp
 
@@ -123,7 +125,7 @@ def transition_matrix(h_initial: Measured, h_final: Measured, u: UnitaryOperator
 def exact_evolution(schedule: DrivingSchedule) -> UnitaryOperator:
     """U = exp(-i integral H(s) ds) for schedules whose Hamiltonians commute.
 
-    Commutation is checked numerically, sector by sector, on pairs of
+    Commutation is checked numerically on the ``sector_stacks`` of the
     Hamiltonians sampled at COMMUTATION_SAMPLES slice starts spread over the
     schedule plus t_f itself, so H(0) is always compared with H(t_f);
     schedules that fail the check must use trotter_evolution instead.  The
@@ -135,14 +137,15 @@ def exact_evolution(schedule: DrivingSchedule) -> UnitaryOperator:
          for i in range(COMMUTATION_SAMPLES)}
     )
     sampled_times = [s * schedule.dt for s in sampled_steps] + [schedule.t_f]
-    sampled = [params_at(schedule, t) for t in sampled_times]
+    pieces = xxz_pieces(schedule.n, schedule.initial.boundary)
+    sampled = sector_stacks(np.stack([xxz_matrix(params_at(schedule, t), *pieces) for t in sampled_times]))
     worst = 0.0
-    # every sampled H conserves S^z, so the commutators are block diagonal too
-    for sector in xxz_sectors(schedule.n, schedule.initial.boundary):
-        hams = [sector.block(params) for params in sampled]
-        for i in range(len(hams)):
-            for j in range(i + 1, len(hams)):
-                worst = max(worst, float(np.abs(hams[i] @ hams[j] - hams[j] @ hams[i]).max()))
+    # block diagonal Hamiltonians have block diagonal commutators
+    for _, blocks in sampled:
+        for i in range(len(blocks)):
+            for j in range(i + 1, len(blocks)):
+                commutator = blocks[i] @ blocks[j] - blocks[j] @ blocks[i]
+                worst = max(worst, float(np.abs(commutator).max()))
     if worst > COMMUTATION_ATOL:
         raise NumericalCheckError(
             f"schedule Hamiltonians do not commute (max commutator entry {worst:.3e} "
@@ -175,22 +178,21 @@ def schedule_coefficients(schedule: DrivingSchedule, sampling: str = "left") -> 
 
 def ordered_product(
     register: QubitRegister,
-    blocks: Sequence[tuple[np.ndarray, np.ndarray]],
+    pieces: np.ndarray,
     coefficients: np.ndarray,
     dt: float,
 ) -> UnitaryOperator:
     """Ordered product of slice propagators exp(-i H_k dt), step 0 applied
-    first, for the block-diagonal affine Hamiltonian H_k = sum_j c[k, j] P_j.
+    first, for the affine Hamiltonian H_k = sum_j c[k, j] P_j.
 
-    ``blocks`` are the diagonal blocks of every P_j: each pairs its basis
-    indices (length s; together they cover the register once) with the
-    pieces restricted to them, shape (p, s, s).  ``coefficients`` is c, shape
-    (steps, p).  Blocks of one size are stacked into a group by
-    ``operators.size_groups`` (indices (k, s), pieces (p, k, s, s)); each
-    group carries its own product, which is written into the dense unitary
-    when the group is done.
+    ``pieces`` are the dense P_j, shape (p, dim, dim), and ``coefficients``
+    is c, shape (steps, p).  The blocks are the ``sector_stacks`` of the
+    pieces: the S^z sectors when no piece has an entry between two of them,
+    otherwise the whole register.  Each stack of equal-size blocks (pieces
+    (p, k, s, s)) carries its own product, which is written into the dense
+    unitary when the stack is done.
 
-    Per group, a piece that is exactly alpha_b I on every block b (S_z on a
+    Per stack, a piece that is exactly alpha_b I on every block b (S_z on a
     sector, any piece on a 1 x 1 block) only shifts each block's energies.
     The steps are cut into runs of consecutive steps whose coefficients of
     the other pieces are exactly equal; the slices of a run then share the
@@ -198,32 +200,29 @@ def ordered_product(
     factors commute and the run's product is V diag(exp(-i dt (L E + sum of
     the run's shifts))) V^dag for a run of L steps, with R = V diag(E) V^dag.
     A schedule that changes every coefficient at every step has runs of one
-    step.  The runs go in chunks of at most STEP_CHUNK: per group and chunk,
+    step.  The runs go in chunks of at most STEP_CHUNK: per stack and chunk,
     the run Hamiltonians are stacked (chunk, k, s, s), one batched
     ``checked_eigh`` diagonalizes them and one ``check_unitary`` checks every
-    run factor, and the factors then multiply into the group's product in
-    order.  Chunks are shorter where the largest group's stack would pass
+    run factor, and the factors then multiply into the stack's product in
+    order.  Chunks are shorter where the largest stack would pass
     CHUNK_ENTRIES entries (one run per chunk for the 924-state sectors of
     n = 12).  Each factor is built spectrally and is therefore exactly
     unitary, which keeps ||U^dag U - I|| at roundoff level for any step
     count.  Real pieces give real eigenvectors.
     """
-    groups = [
-        (indices, np.stack([blocks[b][1] for b in members], axis=1))
-        for indices, members in size_groups([indices for indices, _ in blocks])
-    ]
+    stacks = sector_stacks(pieces)
     coefficients = np.asarray(coefficients, dtype=np.float64)
-    largest = max(pieces[0].size for _, pieces in groups)
+    largest = max(blocks[0].size for _, blocks in stacks)
     chunk = max(1, min(STEP_CHUNK, CHUNK_ENTRIES // largest))
     total = np.zeros((register.dim, register.dim), dtype=np.complex128)
-    for indices, pieces in groups:
+    for indices, blocks in stacks:
         # alpha[j, b]: piece j is alpha[j, b] I on block b, where it is scalar
-        alpha = pieces[:, :, 0, 0].real
-        identity = np.eye(pieces.shape[-1])
+        alpha = blocks[:, :, 0, 0].real
+        identity = np.eye(blocks.shape[-1])
         scalar = np.array([
-            np.array_equal(piece, a[:, None, None] * identity) for piece, a in zip(pieces, alpha)
+            np.array_equal(piece, a[:, None, None] * identity) for piece, a in zip(blocks, alpha)
         ])
-        varying, varying_pieces = coefficients[:, ~scalar], pieces[~scalar]
+        varying, varying_blocks = coefficients[:, ~scalar], blocks[~scalar]
         starts = np.flatnonzero(
             np.concatenate([[True], (varying[1:] != varying[:-1]).any(axis=1)])
         )
@@ -233,7 +232,7 @@ def ordered_product(
         product = np.tile(np.eye(indices.shape[1], dtype=np.complex128), (indices.shape[0], 1, 1))
         for first in range(0, len(starts), chunk):
             runs = slice(first, first + chunk)
-            h = np.tensordot(varying[starts[runs]], varying_pieces, axes=1)
+            h = np.tensordot(varying[starts[runs]], varying_blocks, axes=1)
             energies, vectors = checked_eigh(h)
             phases = np.exp(
                 -1j * dt * (lengths[runs, None, None] * energies + shifts[runs, :, None])
@@ -251,27 +250,16 @@ def trotter_evolution(schedule: DrivingSchedule, sampling: str = "left") -> Unit
     """Ordered product of per-slice propagators, step 0 applied first.
 
     ``sampling`` picks H at the left endpoint of each slice (first-order
-    accurate, the default) or at the midpoint (second order).  H(t) conserves
-    S^z, so ``ordered_product`` runs on the S^z sectors, with the pieces
-    (H_xy, H_zz, S_z) of ``xxz_sectors`` and the coefficients (J, Jz, -B);
-    sectors k and n-k have one size and share a stack.  S_z is m I on a
-    sector, so slices that differ only in B share one spectrum: a field ramp
-    at fixed J and Jz (the standard seven-qubit protocol) diagonalizes each
-    stack once for any step count.
+    accurate, the default) or at the midpoint (second order).  The cached
+    pieces (H_xy, H_zz, S_z) of ``xxz_pieces`` and the coefficients
+    (J, Jz, -B) go to ``ordered_product``, where slices that differ only in B
+    share one spectrum: a field ramp at fixed J and Jz (the standard
+    seven-qubit protocol) costs the same for any step count.
     """
+    hopping, zz, magnetization = xxz_pieces(schedule.n, schedule.initial.boundary)
+    pieces = np.stack([hopping, np.diag(zz), np.diag(magnetization)])
     coefficients = schedule_coefficients(schedule, sampling)
-    blocks = [
-        (
-            sector.indices,
-            np.stack([
-                sector.hopping,
-                np.diag(sector.zz),
-                sector.magnetization * np.eye(sector.size),
-            ]),
-        )
-        for sector in xxz_sectors(schedule.n, schedule.initial.boundary)
-    ]
-    return ordered_product(QubitRegister(schedule.n), blocks, coefficients, schedule.dt)
+    return ordered_product(QubitRegister(schedule.n), pieces, coefficients, schedule.dt)
 
 
 def _log_generalized_average(

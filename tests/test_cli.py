@@ -326,6 +326,47 @@ def test_unknown_sampling_rule_is_config_error(tmp_path, capsys, command, payloa
 
 # ---------------------------------------------------------------- errors
 
+THREE_QUBIT_CHAIN = {"n": 3, "J": 1.0, "Jz": 0.497, "B": 0.003}
+BETA_CONFIGS = {
+    "witness": lambda v: {"protocol": "three-qubit", "beta": v, "rho_star": W3},
+    "witness-schedule": lambda v: {
+        "protocol": {"initial": THREE_QUBIT_CHAIN, "final": THREE_QUBIT_CHAIN, "steps": 4},
+        "beta": v,
+        "rho_star": W3,
+    },
+    "witness-rho_star-beta": lambda v: {
+        "protocol": "three-qubit", "rho_star": {"params": THREE_QUBIT_CHAIN, "beta": v}
+    },
+    "witness-rho_star-temperature": lambda v: {
+        "protocol": "three-qubit", "rho_star": {"params": THREE_QUBIT_CHAIN, "temperature": v}
+    },
+    "sample": lambda v: {"protocol": "three-qubit", "beta": v, "count": 10},
+    "verify": lambda v: {"protocol": "three-qubit", "beta": v},
+    "sweep": lambda v: {"n": 3, "beta": v, "grid": SMALL_GRID},
+}
+
+# beta = 1e-320 overflows the standard protocols' fields and 1/temperature,
+# but is a valid inverse temperature for a custom schedule or a candidate
+TINY_BETA_IS_VALID = {"witness-schedule", "witness-rho_star-beta"}
+INVALID_BETAS = [
+    (case, value)
+    for case in sorted(BETA_CONFIGS)
+    for value in (0.0, -1.0, float("nan"), float("inf"), 1e-320)
+    if not (value == 1e-320 and case in TINY_BETA_IS_VALID)
+]
+
+
+@pytest.mark.filterwarnings("ignore:thermal identification")
+@pytest.mark.parametrize("case, value", INVALID_BETAS)
+def test_an_invalid_inverse_temperature_is_a_config_error(tmp_path, capsys, case, value):
+    # json writes NaN and Infinity, and json.load reads them back
+    cfg = write_config(tmp_path, BETA_CONFIGS[case](value))
+    rc = main([case.split("-")[0], "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
 def test_missing_config_file(tmp_path, capsys):
     rc = main(["witness", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
     assert rc == 1

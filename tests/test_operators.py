@@ -20,11 +20,11 @@ from entwit import (
     matrix_to_json,
     pure_state,
     spectral_decompose,
-    total_sz,
     unitary_from_json,
 )
 from entwit import operators
 from entwit.operators import _partial_trace_matrix
+from entwit.spin_models import xxz_pieces
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -144,8 +144,7 @@ def test_embed_operator_rejects_bad_sites():
 
 
 def test_total_sz_diagonal():
-    reg = QubitRegister(3)
-    diag = np.diag(total_sz(reg).entries).real
+    diag = xxz_pieces(3, "periodic")[2]
     assert diag[0] == 3 and diag[-1] == -3
     assert diag[1] == 1  # |001> has two up, one down
 

@@ -37,7 +37,7 @@ from entwit import (
     work_distribution,
 )
 from entwit.operators import sector_stacks, spectral_decompose
-from entwit.spin_models import sector_spectra
+from entwit.spin_models import xxz_matrix, xxz_pieces
 from entwit.thermo import logsumexp
 
 
@@ -220,7 +220,8 @@ def test_twelve_qubit_ground_state_witness_runs_end_to_end():
     # reference holds with weight ((n-1)/n)^(n-1)
     assert report.s_left == pytest.approx((n - 1) * math.log(n / (n - 1)), abs=1e-12)
     # S(W || e^{-beta H}/Z) = beta <W|H|W> + ln Z, with <W|H|W> = -2J - B (n - 2)
-    energies = np.concatenate([w for _, w, _ in sector_spectra(params)])
+    chain = xxz_matrix(params, *xxz_pieces(n, params.boundary))
+    energies = np.concatenate([np.linalg.eigvalsh(blocks).ravel() for _, blocks in sector_stacks(chain)])
     want = beta * (-2.0 - 0.5 * (n - 2)) + float(logsumexp(-beta * energies))
     assert report.s_right == pytest.approx(want, abs=1e-12 * want)
     assert not report.detected

@@ -1,9 +1,10 @@
-"""The S^z-sector representation of the XXZ chain against the dense oracle.
+"""The XXZ chain's cached pieces and their S^z sectors against the dense oracle.
 
-Every fast path built on the sector blocks (the dense assembly, the sector
-spectra, the closed and open Trotter products and the direct sweep) is
-compared with the dense code in ``dense_oracle``; the per-block numerical
-checks must still reject corrupted blocks, alone or inside a stack.
+Every fast path built on the pieces and the blocks ``sector_stacks`` cuts
+from them (the dense assembly, the sector spectra, the closed and open
+Trotter products and the direct sweep) is compared with the dense code in
+``dense_oracle``; the per-block numerical checks must still reject corrupted
+blocks, alone or inside a stack.
 """
 
 import dataclasses
@@ -35,12 +36,34 @@ from entwit import (
     trotter_evolution,
 )
 import entwit.work_stats
-from entwit.operators import check_unitary, checked_eigh
-from entwit.spin_models import sector_spectra, xxz_sectors
+from entwit.operators import check_unitary, checked_eigh, sector_stacks
+from entwit.spin_models import xxz_matrix, xxz_pieces
 from entwit.work_stats import STEP_CHUNK, ordered_product
 
 couplings = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 boundaries = st.sampled_from(["periodic", "open"])
+
+
+def chain_matrix(params):
+    """The chain's real dense matrix, from its cached pieces."""
+    return xxz_matrix(params, *xxz_pieces(params.n, params.boundary))
+
+
+def chain_spectra(params):
+    """(basis indices, ascending energies, eigenvectors) of every S^z sector
+    of the chain, one checked ``eigh`` per stack of ``sector_stacks``."""
+    return [
+        sector
+        for indices, blocks in sector_stacks(chain_matrix(params))
+        for sector in zip(indices, *checked_eigh(blocks))
+    ]
+
+
+def sector_stack(params, size):
+    """The stack of the chain's S^z sectors that hold ``size`` states."""
+    return next(
+        blocks for indices, blocks in sector_stacks(chain_matrix(params)) if indices.shape[1] == size
+    )
 
 
 def chain_params(max_n):
@@ -67,38 +90,48 @@ def test_build_xxz_matches_pauli_products(params):
 @settings(max_examples=30, deadline=None)
 @given(chain_params(7))
 def test_sector_eigenvalues_match_dense_spectrum(params):
-    energies = np.sort(np.concatenate([w for _, w, _ in sector_spectra(params)]))
+    energies = np.sort(np.concatenate([w for _, w, _ in chain_spectra(params)]))
     dense = np.linalg.eigvalsh(dense_xxz(params).entries)
     assert np.abs(energies - dense).max() <= 1e-12 * (1.0 + np.abs(dense).max())
 
 
 @pytest.mark.parametrize("n", [2, 5, 7])
 def test_sectors_partition_the_basis(n):
-    sectors = xxz_sectors(n, "periodic")
-    assert sectors is xxz_sectors(n, "periodic")  # built once, then reused
-    indices = np.concatenate([s.indices for s in sectors])
+    pieces = xxz_pieces(n, "periodic")
+    assert pieces is xxz_pieces(n, "periodic")  # built once, then reused
+    hopping, zz, magnetization = pieces
+    for piece in pieces:
+        assert not piece.flags.writeable
+        with pytest.raises(ValueError):
+            piece[0] = 1.0
+    assert np.array_equal(hopping, hopping.T)
+    stacks = sector_stacks(np.stack([hopping, np.diag(zz), np.diag(magnetization)]))
+    sectors = [indices for stacked, _ in stacks for indices in stacked]
+    indices = np.concatenate(sectors)
     assert np.array_equal(np.sort(indices), np.arange(2**n))
-    assert [s.size for s in sectors] == [math.comb(n, k) for k in range(n + 1)]
-    assert [s.magnetization for s in sectors] == [n - 2 * k for k in range(n + 1)]
-    for s in sectors:
-        assert not s.hopping.flags.writeable
-        assert np.array_equal(s.hopping, s.hopping.T)
+    ones = [bin(int(s[0])).count("1") for s in sectors]
+    assert sorted(ones) == list(range(n + 1))
+    assert [s.size for s in sectors] == [math.comb(n, k) for k in ones]
+    for s, k in zip(sectors, ones):
+        assert np.all(magnetization[s] == n - 2 * k)
 
 
 def test_twelve_site_open_chain_is_free_fermions():
     # The open XX chain maps to free fermions with single-particle energies
     # -2J cos(pi q / (n + 1)); sector k holds every k-particle sum.  This
-    # checks the largest register without any 4096 x 4096 matrix.
+    # checks the largest register without a 4096 x 4096 eigensolve.
     n, coupling, field = 12, 0.8, 0.3
     params = XXZParams(n, J=coupling, Jz=0.0, B=field, boundary="open")
     single = -2.0 * coupling * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-    spectra = sector_spectra(params)
-    assert max(s.size for s, _, _ in spectra) == 924
-    for k, (sector, energies, vectors) in enumerate(spectra):
+    spectra = chain_spectra(params)
+    assert max(indices.size for indices, _, _ in spectra) == 924
+    ones = [bin(int(indices[0])).count("1") for indices, _, _ in spectra]
+    assert sorted(ones) == list(range(n + 1))
+    for k, (indices, energies, vectors) in zip(ones, spectra):
         sums = [single[list(c)].sum() for c in itertools.combinations(range(n), k)]
         want = np.sort(np.array(sums, dtype=float) - field * (n - 2 * k))
         assert np.abs(energies - want).max() <= 1e-11
-        assert vectors.shape == (sector.size, sector.size)
+        assert vectors.shape == (indices.size, indices.size)
 
 
 NONCOMMUTING_RAMP = {
@@ -152,33 +185,37 @@ def test_a_quench_matches_exact_evolution(sampling):
 
 @st.composite
 def block_products(draw):
-    """Pieces on blocks of a shuffled register, some of them exact multiples
-    of the identity on some blocks, and a coefficient table whose rows repeat
-    in consecutive runs; between runs, some of the coefficients change."""
+    """Dense pieces that are block diagonal in the popcount sectors, some of
+    them exact multiples of the identity on some sectors, one of them perhaps
+    with an entry between two sectors; and a coefficient table whose rows
+    repeat in consecutive runs; between runs, some of the coefficients
+    change."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 4))
     dim = 2**n
-    cuts = sorted(draw(st.sets(st.integers(1, dim - 1), max_size=dim // 2)))
-    order = rng.permutation(dim)
-    sectors = np.split(order, cuts)
+    ones = np.array([bin(i).count("1") for i in range(dim)])
     dtype = draw(st.sampled_from([np.float64, np.complex128]))
     count = draw(st.integers(2, 4))
-    blocks = []
-    for indices in sectors:
-        size = len(indices)
-        pieces = np.zeros((count, size, size), dtype=dtype)
+    pieces = np.zeros((count, dim, dim), dtype=dtype)
+    for k in range(n + 1):
+        indices = np.flatnonzero(ones == k)
+        size = indices.size
         for piece in pieces:
             kind = draw(st.sampled_from(["random", "random", "flat-diagonal", "scalar", "zero"]))
+            block = np.zeros((size, size), dtype=dtype)
             if kind in ("random", "flat-diagonal"):
                 a = rng.normal(size=(size, size))
                 if dtype is np.complex128:
                     a = a + 1j * rng.normal(size=(size, size))
-                piece[...] = 0.5 * (a + a.conj().T)
+                block[...] = 0.5 * (a + a.conj().T)
             if kind == "flat-diagonal":  # alpha I plus off-diagonal entries
-                piece[np.diag_indices(size)] = rng.normal()
+                block[np.diag_indices(size)] = rng.normal()
             elif kind == "scalar":
-                piece[...] = rng.normal() * np.eye(size)
-        blocks.append((indices, pieces))
+                block[...] = rng.normal() * np.eye(size)
+            piece[indices[:, None], indices] = block
+    if draw(st.booleans()):  # one entry between sectors: the whole register is one block
+        piece = pieces[draw(st.integers(0, count - 1))]
+        piece[0, dim - 1] = piece[dim - 1, 0] = rng.normal()
     rows = []
     row = rng.uniform(-2.0, 2.0, size=count)
     for repeat in draw(st.lists(st.integers(1, 6), min_size=2, max_size=8)):
@@ -186,23 +223,24 @@ def block_products(draw):
         row = row.copy()
         row[changed] = rng.uniform(-2.0, 2.0, size=len(changed))
         rows += [row] * repeat
-    return n, blocks, np.array(rows), draw(st.floats(0.01, 0.5))
+    return n, pieces, np.array(rows), draw(st.floats(0.01, 0.5))
+
+
+def dense_step_product(pieces, coefficients, dt):
+    """Ordered product of full-register step propagators, step 0 first."""
+    want = np.eye(pieces.shape[-1], dtype=np.complex128)
+    for row in coefficients:
+        w, v = np.linalg.eigh(np.tensordot(row, pieces, axes=1))
+        want = (v * np.exp(-1j * dt * w)) @ v.conj().T @ want
+    return want
 
 
 @settings(max_examples=60, deadline=None)
 @given(block_products())
 def test_ordered_product_matches_dense_step_product(case):
-    n, blocks, coefficients, dt = case
-    dim = 2**n
-    dense_pieces = np.zeros((coefficients.shape[1], dim, dim), dtype=np.complex128)
-    for indices, pieces in blocks:
-        dense_pieces[:, indices[:, None], indices] = pieces
-    want = np.eye(dim, dtype=np.complex128)
-    for row in coefficients:
-        w, v = np.linalg.eigh(np.tensordot(row, dense_pieces, axes=1))
-        want = (v * np.exp(-1j * dt * w)) @ v.conj().T @ want
-    u = ordered_product(QubitRegister(n), blocks, coefficients, dt).entries
-    assert np.abs(u - want).max() <= 1e-12
+    n, pieces, coefficients, dt = case
+    u = ordered_product(QubitRegister(n), pieces, coefficients, dt).entries
+    assert np.abs(u - dense_step_product(pieces, coefficients, dt)).max() <= 1e-12
 
 
 # one step, a chunk less one, a full chunk, one more, and many chunks
@@ -228,6 +266,19 @@ def eigh_calls(monkeypatch):
 
     monkeypatch.setattr(entwit.work_stats, "checked_eigh", counted)
     return calls
+
+
+def test_a_varying_piece_off_the_sectors_puts_the_register_in_one_block(eigh_calls):
+    # the fixed piece conserves S^z, the varying one (sx on site 2) does not:
+    # the blocks must come from both, so the product runs on the whole register
+    register = QubitRegister(3)
+    fixed = chain_matrix(XXZParams(3, 1.0, 0.4, 0.2))
+    sx = embed_operator(register, np.array([[0.0, 1.0], [1.0, 0.0]]), (2,)).real
+    pieces = np.stack([fixed, sx])
+    coefficients = np.column_stack([np.ones(20), np.linspace(0.1, 0.9, 20)])
+    u = ordered_product(register, pieces, coefficients, 0.05).entries
+    assert np.abs(u - dense_step_product(pieces, coefficients, 0.05)).max() <= 1e-12
+    assert eigh_calls and all(shape[1:] == (1, 8, 8) for shape in eigh_calls)
 
 
 def test_each_group_is_diagonalized_once_per_chunk(eigh_calls):
@@ -293,7 +344,7 @@ def test_sweep_matches_dense_gibbs_relative_entropy(n):
 
 
 def test_reconstruction_check_rejects_a_corrupted_block():
-    block = xxz_sectors(5, "periodic")[2].block(XXZParams(5, 1.0, 0.4, 0.1))
+    block = sector_stack(XXZParams(5, 1.0, 0.4, 0.1), 10)[0]
     checked_eigh(block)
     corrupted = block.copy()
     corrupted[0, 1] += 1e-3  # eigh reads one triangle only, so V w V^T misses this
@@ -316,7 +367,8 @@ def test_orthonormality_check_rejects_corrupted_eigenvectors(monkeypatch):
 
 
 def test_unitarity_check_rejects_a_corrupted_propagator_block():
-    w, v = checked_eigh(xxz_sectors(4, "open")[2].block(XXZParams(4, 1.0, 0.4, 0.1, "open")))
+    (block,) = sector_stack(XXZParams(4, 1.0, 0.4, 0.1, "open"), 6)
+    w, v = checked_eigh(block)
     factor = (v * np.exp(-0.1j * w)) @ v.T
     check_unitary(factor)
     factor[1, 1] *= 1.0 + 1e-8
@@ -365,9 +417,7 @@ def test_open_trotter_with_a_magnetization_changing_coupling(sampling):
 
 
 def test_stacked_checks_reject_one_corrupted_block():
-    params = XXZParams(6, 1.0, 0.4, 0.1)
-    sectors = xxz_sectors(6, "periodic")
-    stack = np.stack([sectors[2].block(params), sectors[4].block(params)])  # both 15 x 15
+    stack = sector_stack(XXZParams(6, 1.0, 0.4, 0.1), 15)  # two and four ones
     w, v = checked_eigh(stack)
     factors = (v * np.exp(-0.1j * w)[:, None, :]) @ v.swapaxes(-1, -2)
     check_unitary(factors)

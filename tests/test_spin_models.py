@@ -15,9 +15,9 @@ from entwit import (
     embed_operator,
     params_at,
     schedule_from_config,
-    total_sz,
     xxz_params_from_config,
 )
+from entwit.spin_models import xxz_pieces
 from entwit.work_stats import schedule_coefficients
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -36,7 +36,7 @@ def test_two_site_open_closed_form():
     params = XXZParams(2, J=1.3, Jz=0.4, B=0.25, boundary="open")
     reg = QubitRegister(2)
     expected = bond_term(reg, 1, 2, 1.3, 0.4)
-    expected -= 0.25 * total_sz(reg).entries
+    expected -= 0.25 * np.diag(xxz_pieces(2, "open")[2])
     assert np.max(np.abs(build_xxz(params).entries - expected)) < 1e-14
 
 
@@ -57,8 +57,8 @@ def test_two_site_periodic_doubles_the_bond():
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_magnetization_is_conserved(boundary):
     h = build_xxz(XXZParams(4, J=1.0, Jz=0.7, B=0.31, boundary=boundary))
-    sz = total_sz(QubitRegister(4))
-    comm = h.entries @ sz.entries - sz.entries @ h.entries
+    sz = np.diag(xxz_pieces(4, boundary)[2])
+    comm = h.entries @ sz - sz @ h.entries
     assert np.max(np.abs(comm)) < 1e-12
 
 
