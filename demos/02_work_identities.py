@@ -69,5 +69,5 @@ wd = work_distribution(warm_i, warm_f, u)
 print("\nwork distribution at beta=1:")
 print("  outcomes  :", len(wd.probability))
 print("  <W>       :", wd.mean_work())
-print("  ln<e^{-W}>:", wd.log_exponential_average())
+print("  ln<e^{-W}>:", log_jarzynski_average(1.0, warm_i.spectrum, warm_f.spectrum, u))
 print("  -Delta F  :", warm_i.free_energy - warm_f.free_energy, "(Jensen: <W> >= Delta F)")

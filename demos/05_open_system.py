@@ -18,14 +18,13 @@ from entwit import (
     build_xxz,
     decoupled,
     effective_hamiltonian,
-    effective_spec,
     embed_operator,
     full_hamiltonian,
+    log_bath_partition,
     open_witness,
     reduced_state,
     relative_entropy,
     split_chain,
-    subsystem_partition,
     thermal_state,
 )
 
@@ -46,17 +45,20 @@ print("\n|H_eff - H_bare| (coupled)  :", np.abs(h_eff.entries - h_bare.entries).
 h_eff_dec = effective_hamiltonian(decoupled(composite))
 print("|H_eff - H_bare| (decoupled):", np.abs(h_eff_dec.entries - h_bare.entries).max())
 
-# partition functions split as Z_S = Y / Z_B
-y, z_b, z_s = subsystem_partition(composite)
-print("\nY  =", y)
-print("Z_B =", z_b)
-print("Z_S =", z_s)
-direct = np.exp(effective_spec(composite).log_partition)
-print("tr exp(-beta H_eff) =", direct, "  rel dev:", abs(direct - z_s) / z_s)
+# partition functions split as ln Z_S = ln Y - ln Z_B
+log_y = ThermalSpec(full_hamiltonian(composite), composite.beta).log_partition
+log_z_b = log_bath_partition(composite)
+log_z_s = log_y - log_z_b
+print("\nln Y   =", log_y)
+print("ln Z_B =", log_z_b)
+print("ln Z_S =", log_z_s)
+effective = ThermalSpec(effective_hamiltonian(composite), composite.beta)
+direct = effective.log_partition
+print("ln tr exp(-beta H_eff) =", direct, "  abs dev:", abs(direct - log_z_s))
 
 # the reduced state of the global Gibbs state is thermal for H_eff
 rho_sub = reduced_state(composite)
-tau_eff = thermal_state(effective_spec(composite))
+tau_eff = thermal_state(effective)
 print("\nS(reduced || thermal(H_eff)) =", relative_entropy(rho_sub, tau_eff))
 
 # the deformation shrinks linearly with the coupling strength

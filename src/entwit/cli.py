@@ -71,6 +71,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer seed, checked before any work starts."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="entwit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -99,11 +110,11 @@ def _build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="check the statistical identities")
     add_common(verify, False)
-    verify.add_argument("--seed", type=int, default=0, help="seed for the random protocol")
+    verify.add_argument("--seed", type=_seed, default=0, help="seed for the random protocol")
 
     sample = sub.add_parser("sample", help="draw measurement trajectories")
     add_common(sample, True)
-    sample.add_argument("--seed", type=int, default=0, help="random seed")
+    sample.add_argument("--seed", type=_seed, default=0, help="random seed")
     sample.add_argument("--workers", type=int, default=None, help="parallel workers")
 
     return parser
@@ -234,14 +245,19 @@ def _sampling_from_config(cfg: dict, file: str) -> str:
     return sampling
 
 
-def _resolve_evolution(kind: str, protocol: DetectionProtocol, sampling: str, file: str):
+def _evolution_from_config(cfg: dict, default: str, file: str) -> str:
+    kind = cfg.get("evolution", default)
+    if kind not in EVOLUTION_KINDS:
+        raise ConfigError(f"{file}: evolution: expected one of {EVOLUTION_KINDS}, got {kind!r}")
+    return kind
+
+
+def _resolve_evolution(kind: str, protocol: DetectionProtocol, sampling: str):
     if kind == "identity":
         return None
     if kind == "exact":
         return exact_evolution(protocol.schedule)
-    if kind == "trotter":
-        return trotter_evolution(protocol.schedule, sampling=sampling)
-    raise ConfigError(f"{file}: evolution: expected one of {EVOLUTION_KINDS}, got {kind!r}")
+    return trotter_evolution(protocol.schedule, sampling=sampling)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -279,7 +295,7 @@ def _run_witness(args) -> int:
         else None
     )
     sampling = _sampling_from_config(cfg, file)
-    evolution_kind = cfg.get("evolution", "identity")
+    evolution_kind = _evolution_from_config(cfg, "identity", file)
     metadata = {
         "source": "cli",
         "beta": beta,
@@ -291,7 +307,7 @@ def _run_witness(args) -> int:
         rho_star,
         route,
         evolution=(
-            _resolve_evolution(evolution_kind, protocol, sampling, file)
+            _resolve_evolution(evolution_kind, protocol, sampling)
             if route == "via_work"
             else None
         ),
@@ -580,12 +596,10 @@ def _run_sample(args) -> int:
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ConfigError(f"{file}: count: expected a positive integer, got {count!r}")
     sampling = _sampling_from_config(cfg, file)
-    evolution_kind = cfg.get("evolution", "trotter")
-    evolution = _resolve_evolution(evolution_kind, protocol, sampling, file)
+    evolution_kind = _evolution_from_config(cfg, "trotter", file)
+    evolution = _resolve_evolution(evolution_kind, protocol, sampling)
     if evolution is None:
         evolution = _identity_unitary(QubitRegister(protocol.schedule.n))
-    if args.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {args.seed}")
     workers = _resolve_workers(args)
     batch, summary = sample_tpm(
         protocol.initial_spec,

@@ -23,6 +23,13 @@ the product then runs per S^z sector of the full register; a coupling or
 bath that changes S^z puts the whole register in one block.  The endpoint
 spectra come from ``spectral_decompose``, per S^z sector in the same way;
 the effective Hamiltonian and the partial trace stay dense.
+
+Partition functions stay in log space and come from ``thermo``'s one rule:
+ln Y is ``ThermalSpec(full_hamiltonian(c), beta).log_partition``, ln Z_B is
+``log_bath_partition(c)``, and ln Z_S = ln Y - ln Z_B is the log partition
+function of ``ThermalSpec(effective_hamiltonian(c), beta)``.  The work
+route's reference distance takes its energy term from
+``thermo.weighted_energy``.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from .spin_models import (
     params_at,
     xxz_matrix,
 )
-from .thermo import ThermalSpec, logsumexp, thermal_state
+from .thermo import ThermalSpec, thermal_state, weighted_energy
 from .witness import (
     STRICTNESS_EPSILON,
     StateOrSpec,
@@ -190,8 +197,7 @@ def log_bath_partition(composite: CompositeSystem) -> float:
         return 0.0
     if composite.bath_hamiltonian is None:
         return len(composite.bath_sites) * math.log(2.0)
-    eigenvalues = spectral_decompose(composite.bath_hamiltonian).eigenvalues
-    return float(logsumexp(-composite.beta * eigenvalues))
+    return ThermalSpec(composite.bath_hamiltonian, composite.beta).log_partition
 
 
 def effective_hamiltonian(composite: CompositeSystem, t: float = 0.0) -> HermitianOperator:
@@ -237,56 +243,12 @@ def _mean_force(
     return HermitianOperator(composite.subsystem_register, entries)
 
 
-def effective_spec(composite: CompositeSystem, t: float = 0.0) -> ThermalSpec:
-    """ThermalSpec pairing the effective Hamiltonian with the composite's beta."""
-    return ThermalSpec(effective_hamiltonian(composite, t), composite.beta)
-
-
 def reduced_state(composite: CompositeSystem, t: float = 0.0) -> DensityMatrix:
     """tr_B of the full Gibbs state at the composite's beta."""
     full_state = thermal_state(ThermalSpec(full_hamiltonian(composite, t), composite.beta))
     keep0 = [s - 1 for s in composite.subsystem_sites]
     reduced = _partial_trace_matrix(full_state.entries, composite.register.n, keep0)
     return DensityMatrix(composite.subsystem_register, reduced)
-
-
-@dataclass(frozen=True)
-class PartitionSplit:
-    """Log partition functions of the full system and its factors.
-
-    ``log_subsystem`` is defined through the identity Z_S = Y / Z_B; the
-    plain (non-log) properties can overflow to inf at steep beta and exist
-    for convenience only.  Unpacks as (Y, Z_B, Z_S).
-    """
-
-    log_full: float
-    log_bath: float
-
-    def __iter__(self):
-        return iter((self.full, self.bath, self.subsystem))
-
-    @property
-    def log_subsystem(self) -> float:
-        return self.log_full - self.log_bath
-
-    @property
-    def full(self) -> float:
-        return float(np.exp(self.log_full))
-
-    @property
-    def bath(self) -> float:
-        return float(np.exp(self.log_bath))
-
-    @property
-    def subsystem(self) -> float:
-        return float(np.exp(self.log_subsystem))
-
-
-def subsystem_partition(composite: CompositeSystem, t: float = 0.0) -> PartitionSplit:
-    """Split ln Y into bath and subsystem pieces at the composite's beta."""
-    eigenvalues = spectral_decompose(full_hamiltonian(composite, t)).eigenvalues
-    log_full = float(logsumexp(-composite.beta * eigenvalues))
-    return PartitionSplit(log_full=log_full, log_bath=log_bath_partition(composite))
 
 
 def _require_shared_environment(initial: CompositeSystem, final: CompositeSystem) -> None:
@@ -376,10 +338,7 @@ def open_witness(
     if u_full.register != initial.register:
         raise ConfigError("evolution must act on the full register")
     log_average = log_jarzynski_average(initial.beta, full_initial, full_final, u_full)
-    rho_final = thermal_state(spec_final)
-    delta = spec_final.hamiltonian.entries - spec_initial.hamiltonian.entries
-    energy_shift = float(np.einsum("ij,ji->", rho_final.entries, delta).real)
-    s_left = -initial.beta * energy_shift - log_average
+    s_left = -weighted_energy(spec_initial, spec_final) - log_average
     s_right = relative_entropy_via_work(
         rho_star, spec_final, _identity_unitary(initial.subsystem_register)
     )

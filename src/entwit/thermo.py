@@ -7,23 +7,23 @@ more than 1e-12 of weight outside the support of sigma.
 
 Every direct evaluation comes down to the cross term
 tr(rho ln sigma) = sum_i <v_i|rho|v_i> ln w_i over sigma's eigenpairs (v_i, w_i).
-``diagonal_overlaps`` is the one kernel for the overlaps <v_i|rho|v_i>: a
-matrix product and a column sum, so it runs on BLAS.  ``sector_overlaps``
-diagonalizes sigma per stack of its S^z sectors and takes the overlaps from
-rho's matching blocks; the spectral evaluator ``relative_entropy`` and the
-direct sweep share it.  The witness's analytic-log-weight evaluator calls
-the kernel on the dense eigenvectors.  Every direct evaluator passes its
-result through ``nonnegative_entropy``: roundoff below zero is reported as
-0, anything below -NEGATIVE_ENTROPY_TOL raises.
+``sector_overlaps`` is its one loop: it diagonalizes sigma per stack of S^z
+sectors and takes the overlaps from rho's matching blocks on BLAS.
+``relative_entropy``, the witness's analytic evaluator (a dense rho against
+a Gibbs sigma given by its Hamiltonian) and the direct sweep share it, so no
+dense eigenvector matrix of sigma is built.  Every direct evaluator clamps
+roundoff below zero with ``nonnegative_entropy``, and raises below
+-NEGATIVE_ENTROPY_TOL.
 
-Partition functions are handled in log space throughout, so steep inverse
-temperatures (beta ~ 100 on spectra of width ~10) stay inside double range.
-``ThermalSpec.weights`` and ``ThermalSpec.log_weights`` are the package's one
-rule for normalized Gibbs weights.  Every ln sum exp in the package (ln Z
-here, the work averages, the witness's log weights) goes through
+This module holds the package's one Gibbs rule: ``log_gibbs_weights``
+(ln exp(-beta (E - E_min)) / sum over the last axis, beta broadcast), its
+linear form ``ThermalSpec.weights``, ``ThermalSpec.log_partition`` for every
+ln Z, and ``weighted_energy``, the energy term tr[rho_f (beta_f H_f -
+beta_i H_i)] shared by the Gibbs identity and the work route.  All of it
+stays in log space, so steep inverse temperatures (beta ~ 100 on spectra of
+width ~10) stay inside double range.  Every ln sum exp goes through
 ``logsumexp``, a numpy kernel that computes exactly what
-``scipy.special.logsumexp`` computes for real input, so the package needs
-numpy alone.
+``scipy.special.logsumexp`` computes for real input.
 """
 
 from __future__ import annotations
@@ -117,23 +117,30 @@ class ThermalSpec:
     def free_energy(self) -> float:
         return -self.log_partition / self.beta
 
-    def _shifted_energies(self) -> np.ndarray:
-        """-beta (E_k - E_0) over the ascending spectrum."""
-        eigenvalues = self.spectrum.eigenvalues
-        return -self.beta * (eigenvalues - eigenvalues[0])
-
     @property
     def weights(self) -> np.ndarray:
         """Gibbs weights exp(-beta (E_k - E_0)) / sum, in spectrum order."""
-        weights = np.exp(self._shifted_energies())
+        eigenvalues = self.spectrum.eigenvalues
+        weights = np.exp(-self.beta * (eigenvalues - eigenvalues[0]))
         weights /= weights.sum()
         return weights
 
     @property
     def log_weights(self) -> np.ndarray:
         """ln of ``weights``, exact where the weights themselves underflow."""
-        shifted = self._shifted_energies()
-        return shifted - logsumexp(shifted)
+        return log_gibbs_weights(self.spectrum.eigenvalues, self.beta)
+
+
+def log_gibbs_weights(energies, beta) -> np.ndarray:
+    """ln of exp(-beta (E - E_min)) / sum over the last axis of ``energies``.
+
+    ``beta`` broadcasts against ``energies``: a direct sweep passes energies
+    (b, 1, dim) and inverse temperatures (nT, 1) for weights (b, nT, dim).
+    Exact where the weights themselves underflow.
+    """
+    energies = np.asarray(energies, dtype=np.float64)
+    shifted = -(np.asarray(beta) * (energies - energies.min(axis=-1, keepdims=True)))
+    return shifted - logsumexp(shifted, axis=-1)[..., None]
 
 
 def thermal_state(spec: ThermalSpec) -> DensityMatrix:
@@ -149,17 +156,6 @@ def _plogp(eigenvalues: np.ndarray) -> float:
     support = clamped > EIGENVALUE_FLOOR
     lam = clamped[support]
     return float(np.sum(lam * np.log(lam)))
-
-
-def diagonal_overlaps(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """<v_i| rho |v_i> for every column v_i of ``vectors``, clamped at 0.
-
-    ``rho`` is a state's matrix (or one diagonal block of it) and ``vectors``
-    the orthonormal eigenvectors of sigma on the same basis; stacks of blocks
-    (..., s, s) give overlaps of shape (..., s).
-    """
-    overlaps = (vectors.conj() * (rho @ vectors)).sum(-2).real
-    return np.clip(overlaps, 0.0, None)
 
 
 def nonnegative_entropy(value):
@@ -183,14 +179,17 @@ def sector_overlaps(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.
     ``sector_stacks``, in stack order (not sorted).
 
     Each eigenvector lies in one block, so only rho's matching diagonal
-    blocks enter the overlaps, which is exact for any rho.  Also returns the
-    first basis index of each eigenvector's block, which names its sector.
+    blocks enter the overlaps, which is exact for any rho.  The overlaps are
+    a matrix product and a column sum, so they run on BLAS, and are clamped
+    at 0.  Also returns the first basis index of each eigenvector's block,
+    which names its sector.
     """
     eigenvalues, overlaps, first = [], [], []
     for indices, blocks in sector_stacks(sigma):
         w, v = checked_eigh(blocks)
+        rho_blocks = rho[indices[:, :, None], indices[:, None, :]]
         eigenvalues.append(w.ravel())
-        overlaps.append(diagonal_overlaps(rho[indices[:, :, None], indices[:, None, :]], v).ravel())
+        overlaps.append(np.clip((v.conj() * (rho_blocks @ v)).sum(-2).real, 0.0, None).ravel())
         first.append(np.repeat(indices[:, 0], w.shape[-1]))
     return np.concatenate(eigenvalues), np.concatenate(overlaps), np.concatenate(first)
 
@@ -218,6 +217,22 @@ def delta_beta_f(initial: ThermalSpec, final: ThermalSpec) -> float:
     return initial.log_partition - final.log_partition
 
 
+def weighted_energy(initial: ThermalSpec, final: ThermalSpec) -> float:
+    """tr[rho_f (beta_f H_f - beta_i H_i)] for rho_f the Gibbs state of ``final``.
+
+    <H_f> is w . E_f over the final spectrum; <H_i> is the trace of
+    rho_f = V diag(w) V^dag against H_i.
+    """
+    spectrum = final.spectrum
+    weights = final.weights
+    final_energy = float(np.dot(weights, spectrum.eigenvalues))
+    rho_entries = (spectrum.eigenvectors * weights) @ spectrum.eigenvectors.conj().T
+    initial_energy = float(
+        np.einsum("ij,ji->", rho_entries, initial.hamiltonian.entries).real
+    )
+    return final.beta * final_energy - initial.beta * initial_energy
+
+
 def gibbs_relative_entropy(initial: ThermalSpec, final: ThermalSpec) -> float:
     """S(thermal(final) || thermal(initial)) via the Gibbs-state identity
 
@@ -228,12 +243,6 @@ def gibbs_relative_entropy(initial: ThermalSpec, final: ThermalSpec) -> float:
     """
     if initial.hamiltonian.register != final.hamiltonian.register:
         raise ValueError("thermal specs must live on the same register")
-    rho = thermal_state(final)
-    final_energy = float(
-        np.einsum("ij,ji->", rho.entries, final.hamiltonian.entries).real
+    return float(
+        nonnegative_entropy(delta_beta_f(initial, final) - weighted_energy(initial, final))
     )
-    initial_energy = float(
-        np.einsum("ij,ji->", rho.entries, initial.hamiltonian.entries).real
-    )
-    weighted = final.beta * final_energy - initial.beta * initial_energy
-    return float(nonnegative_entropy(delta_beta_f(initial, final) - weighted))

@@ -13,13 +13,15 @@ Gibbs state; the two routes agree to numerical precision and are kept
 separate on purpose.  A direct distance uses one of three evaluators: the
 Gibbs identity when both states are declared Gibbs states, the analytic log
 weights of a declared Gibbs sigma under a dense rho, and the dense spectral
-evaluator otherwise.  The last two share ``thermo.diagonal_overlaps``.
+evaluator otherwise.  The last two share ``thermo.sector_overlaps``, so a
+Gibbs sigma is diagonalized per S^z sector and its dense eigenvector matrix
+is never built.
 
 A direct sweep builds the chain once per Jz value from the cached
 ``spin_models.xxz_pieces``, diagonalizes it and takes the reference state's
 overlaps in one ``thermo.sector_overlaps`` call, and takes the log Gibbs
-weights of the (B, T) plane from one ``thermo.logsumexp`` call (a few for
-large registers and grids).
+weights of the (B, T) plane from one ``thermo.log_gibbs_weights`` call (a
+few for large registers and grids).
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ from .spin_models import (
 from .thermo import (
     ThermalSpec,
     _plogp,
-    diagonal_overlaps,
     gibbs_relative_entropy,
-    logsumexp,
+    log_gibbs_weights,
     nonnegative_entropy,
     relative_entropy,
     sector_overlaps,
@@ -243,8 +244,8 @@ def _distance_direct(rho: StateOrSpec, sigma: StateOrSpec, rho_name: str, sigma_
         return gibbs_relative_entropy(sigma, rho)
     rho_state = _as_state(rho, rho_name)
     if isinstance(sigma, ThermalSpec):
-        overlaps = diagonal_overlaps(rho_state.entries, sigma.spectrum.eigenvectors)
-        cross_term = float(np.dot(overlaps, sigma.log_weights))
+        energies, overlaps, _ = sector_overlaps(rho_state.entries, sigma.hamiltonian.entries)
+        cross_term = float(log_gibbs_weights(energies, sigma.beta) @ overlaps)
         return float(
             nonnegative_entropy(_plogp(rho_state.eigenvalues) - cross_term)
         )
@@ -516,10 +517,8 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
     run = max(1, SWEEP_STACK_ENTRIES // (t_values.size * energies.size))
     planes = []
     for b_run in np.split(b_values, range(run, b_values.size, run)):
-        shifted_energies = energies - b_run[:, None] * magnetization
-        shifted_energies -= shifted_energies.min(axis=1, keepdims=True)
-        shifted = -((1.0 / t_values)[:, None] * shifted_energies[:, None, :])
-        log_p = shifted - logsumexp(shifted, axis=2)[..., None]
+        field_energies = energies - b_run[:, None] * magnetization
+        log_p = log_gibbs_weights(field_energies[:, None, :], (1.0 / t_values)[:, None])
         planes.append(state["plogp_rho"] - log_p @ overlaps)
     return nonnegative_entropy(np.concatenate(planes))
 

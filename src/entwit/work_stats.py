@@ -9,8 +9,11 @@ ratios for *any* unitary:
     <exp(-beta W)>                      = Z_f / Z_i            (equal beta)
     <exp(-(beta_f E_f - beta_i E_i))>   = Z_f(beta_f)/Z_i(beta_i)
 
-Every average is evaluated per-term in log space, with ``thermo.logsumexp``,
-so that steep protocols (beta ~ 100) never leave double range.
+Every average is evaluated per-term in log space, from the log Gibbs weights
+of ``thermo.log_gibbs_weights`` and one ``thermo.logsumexp`` over all (m, n)
+terms, so that steep protocols (beta ~ 100) never leave double range.  The
+work route's relative entropy adds the energy term
+``thermo.weighted_energy``, which the Gibbs identity shares.
 
 Driven protocols, closed and open, share one Trotter routine,
 ``ordered_product``, over a Hamiltonian given as dense fixed pieces and a
@@ -51,7 +54,7 @@ from .spin_models import (
     xxz_matrix,
     xxz_pieces,
 )
-from .thermo import ThermalSpec, logsumexp
+from .thermo import ThermalSpec, log_gibbs_weights, logsumexp, weighted_energy
 
 STOCHASTICITY_ATOL = 1e-10
 COMMUTATION_ATOL = 1e-9
@@ -268,16 +271,15 @@ def _log_generalized_average(
     """ln of sum_{m,n} p_n q[m,n] exp(-(beta_f E_m - beta_i E_n)).
 
     Every (m, n) term's exponent is assembled before exponentiation: the
-    Gibbs weight contributes -beta_i(E_n - E_0^i) - ln Z~_i, which cancels the
-    +beta_i E_n of the work exponential up to the spectrum shift.  Terms with
-    q = 0 are dropped.
+    log Gibbs weight ``thermo.log_gibbs_weights`` contributes
+    -beta_i(E_n - E_0^i) - ln Z~_i, which cancels the +beta_i E_n of the work
+    exponential up to the spectrum shift.  Terms with q = 0 are dropped.
     """
     e_initial = tm.initial.eigenvalues
     e_final = tm.final.eigenvalues
     shifted_initial = beta_initial * (e_initial - e_initial[0])
     shifted_final = beta_final * (e_final - e_final[0])
-    log_z_shifted = float(logsumexp(-shifted_initial))
-    log_weights = -shifted_initial - log_z_shifted
+    log_weights = log_gibbs_weights(e_initial, beta_initial)
     offset = beta_final * e_final[0] - beta_initial * e_initial[0]
     exponents = log_weights[None, :] - (shifted_final[:, None] - shifted_initial[None, :])
     with np.errstate(divide="ignore"):
@@ -326,16 +328,7 @@ def relative_entropy_via_work(
         raise ValueError("unitary must act on the same register as the Hamiltonians")
     tm = _transition_from_spectra(initial.spectrum, final.spectrum, u)
     log_average = _log_generalized_average(initial.beta, final.beta, tm)
-
-    final_spectrum = final.spectrum
-    weights = final.weights
-    final_energy = float(np.dot(weights, final_spectrum.eigenvalues))
-    rho_entries = (final_spectrum.eigenvectors * weights) @ final_spectrum.eigenvectors.conj().T
-    initial_energy = float(
-        np.einsum("ij,ji->", rho_entries, initial.hamiltonian.entries).real
-    )
-    weighted = final.beta * final_energy - initial.beta * initial_energy
-    return -weighted - log_average
+    return -weighted_energy(initial, final) - log_average
 
 
 @dataclass(frozen=True)
@@ -371,13 +364,6 @@ class WorkDistribution:
 
     def mean_work(self) -> float:
         return float(np.dot(self.probability, self.work))
-
-    def log_exponential_average(self) -> float:
-        """ln <exp(-(beta_f E_f - beta_i E_i))>, evaluated in log space."""
-        mask = self.probability > 0
-        return float(
-            logsumexp(np.log(self.probability[mask]) - self.generalized_exponent[mask])
-        )
 
 
 def work_distribution(

@@ -38,7 +38,6 @@ from entwit import (
     relative_entropy,
     sample_tpm,
     sigma_prime_thermal_params_7,
-    subsystem_partition,
     sweep_detection,
     sweep_reference,
     thermal_state,
@@ -46,7 +45,7 @@ from entwit import (
     trotter_evolution,
     witness_evaluate,
 )
-from entwit.open_system import CompositeSystem
+from entwit.open_system import CompositeSystem, log_bath_partition
 from entwit import HermitianOperator, embed_operator
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -342,17 +341,18 @@ def test_accept_09_open_system_identities():
         np.max(np.abs(effective_hamiltonian(bare).entries - bare.subsystem_hamiltonian.entries))
     )
 
-    Y, Z_B, Z_S = subsystem_partition(coupled)
+    def log_subsystem_partition(c):
+        # ln Z_S = ln Y - ln Z_B
+        return ThermalSpec(full_hamiltonian(c), beta).log_partition - log_bath_partition(c)
+
     direct_zs = float(
         np.trace(_expm_neg(beta, effective_hamiltonian(coupled).entries)).real
     )
-    dev_partition = abs(Y / Z_B - direct_zs) / direct_zs
+    dev_partition = abs(np.exp(log_subsystem_partition(coupled)) - direct_zs) / direct_zs
 
     initial = composite(0.1, 0.1)
     final = composite(0.1, 0.6)
-    log_zs_ratio = (
-        subsystem_partition(final).log_subsystem - subsystem_partition(initial).log_subsystem
-    )
+    log_zs_ratio = log_subsystem_partition(final) - log_subsystem_partition(initial)
     dev_jarzynski = abs(
         log_jarzynski_average(
             beta,

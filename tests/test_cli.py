@@ -367,6 +367,31 @@ def test_an_invalid_inverse_temperature_is_a_config_error(tmp_path, capsys, case
     assert err.startswith("error:")
     assert "Traceback" not in err
 
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_a_negative_seed_is_refused_before_any_work(tmp_path, monkeypatch, capsys, command):
+    built = capture(monkeypatch, "_protocol_from_config")
+    cfg = write_config(tmp_path, {"protocol": "three-qubit"})
+    rc = main([command, "--config", cfg, "--seed", "-1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "--seed" in err
+    assert built == []
+
+
+@pytest.mark.parametrize("route", ["direct", "via-work"])
+def test_an_unknown_evolution_is_a_config_error_on_either_route(tmp_path, capsys, route):
+    rho_star = {"params": THREE_QUBIT_CHAIN, "beta": 100.0}
+    cfg = write_config(
+        tmp_path, {"protocol": "three-qubit", "rho_star": rho_star, "evolution": "bogus"}
+    )
+    rc = main(["witness", "--config", cfg, "--route", route, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "evolution" in err and "bogus" in err
+    assert not (tmp_path / "witness_report.json").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = main(["witness", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
     assert rc == 1

@@ -3,7 +3,7 @@
 ``witness._distance_direct`` picks one of three evaluators: the Gibbs
 identity (two declared Gibbs states), the analytic log weights (a declared
 Gibbs sigma under a dense rho) and the dense spectral path.  The last two take
-their overlaps from ``thermo.diagonal_overlaps``; ``dense_oracle`` keeps the
+their overlaps from ``thermo.sector_overlaps``; ``dense_oracle`` keeps the
 former einsum evaluator, which shares no code with that kernel.
 """
 
@@ -27,6 +27,8 @@ from entwit import (
     relative_entropy,
     thermal_state,
 )
+import entwit.thermo
+import entwit.witness
 from entwit.thermo import nonnegative_entropy
 from entwit.witness import _distance_direct
 
@@ -126,3 +128,17 @@ def test_direct_evaluators_reuse_the_spectrum_of_the_state_check(monkeypatch):
     direct(rho, spec)
     direct(rho, sigma)
     assert calls == []
+
+
+def test_analytic_branch_builds_no_dense_spectrum(monkeypatch):
+    # a Gibbs sigma under a dense rho is evaluated on sigma's S^z sectors;
+    # the dense eigenvector matrix of ThermalSpec.spectrum is never built
+    def refuse(operator):
+        raise AssertionError("spectral_decompose called")
+
+    for module in (entwit.thermo, entwit.witness):
+        monkeypatch.setattr(module, "spectral_decompose", refuse)
+    spec = ThermalSpec(build_xxz(XXZParams(5, 1.0, 0.2, 0.4)), 3.0)
+    value = direct(build_w_state(5), spec)
+    monkeypatch.undo()
+    assert abs(value - dense_relative_entropy(build_w_state(5), thermal_state(spec))) <= 1e-12

@@ -22,7 +22,6 @@ from entwit import (
     decoupled,
     DrivingSchedule,
     effective_hamiltonian,
-    effective_spec,
     embed_operator,
     full_hamiltonian,
     log_jarzynski_average,
@@ -31,7 +30,6 @@ from entwit import (
     reduced_state,
     relative_entropy,
     split_chain,
-    subsystem_partition,
     thermal_state,
     trotter_evolution,
     witness_evaluate,
@@ -46,6 +44,13 @@ def trace_out_last(matrix, keep_dim, drop_dim):
     """Partial trace over the trailing factor, written without the package."""
     blocks = matrix.reshape(keep_dim, drop_dim, keep_dim, drop_dim)
     return np.einsum("ikjk->ij", blocks)
+
+
+def log_partitions(comp):
+    """(ln Y, ln Z_B, ln Z_S) of a composite, with Z_S = Y / Z_B."""
+    log_y = ThermalSpec(full_hamiltonian(comp), comp.beta).log_partition
+    log_z_b = log_bath_partition(comp)
+    return log_y, log_z_b, log_y - log_z_b
 
 
 def one_plus_one(g, beta=1.0, a=0.7, b=0.3):
@@ -133,8 +138,8 @@ def test_empty_bath_is_the_closed_system():
         bath_hamiltonian=None,
     )
     assert np.max(np.abs(effective_hamiltonian(comp).entries - h_s.entries)) < 1e-12
-    Y, Z_B, Z_S = subsystem_partition(comp)
-    assert Z_B == 1.0 and abs(Y - Z_S) < 1e-12
+    log_y, log_z_b, log_z_s = log_partitions(comp)
+    assert log_z_b == 0.0 and abs(np.exp(log_y) - np.exp(log_z_s)) < 1e-12
 
 
 def test_effective_hamiltonian_against_dense_oracle():
@@ -189,17 +194,11 @@ def test_mean_force_rejects_a_corrupted_eigendecomposition(monkeypatch, corrupt)
 def test_partition_unpacks_and_matches_effective_trace():
     for beta, g in [(1.0, 0.2), (2.0, 0.5), (0.5, 0.1)]:
         comp = one_plus_one(g, beta=beta)
-        Y, Z_B, Z_S = subsystem_partition(comp)
-        assert abs(Y / Z_B - Z_S) < 1e-12 * abs(Z_S)
+        log_y, log_z_b, log_z_s = log_partitions(comp)
+        Z_S = np.exp(log_z_s)
+        assert abs(np.exp(log_y) / np.exp(log_z_b) - Z_S) < 1e-12 * abs(Z_S)
         direct = float(np.trace(expm(-beta * effective_hamiltonian(comp).entries)).real)
         assert abs(Z_S - direct) / direct < 1e-9
-
-
-def test_partition_log_forms():
-    comp = two_plus_one(0.1)
-    split = subsystem_partition(comp)
-    assert abs(split.log_subsystem - (split.log_full - split.log_bath)) < 1e-14
-    assert abs(np.log(split.full) - split.log_full) < 1e-12
 
 
 def test_zero_hamiltonians_count_dimensions():
@@ -213,16 +212,16 @@ def test_zero_hamiltonians_count_dimensions():
         coupling=None,
         bath_hamiltonian=None,
     )
-    Y, Z_B, Z_S = subsystem_partition(comp)
-    assert abs(Y - 8.0) < 1e-12
-    assert abs(Z_B - 2.0) < 1e-12
-    assert abs(Z_S - 4.0) < 1e-12
+    log_y, log_z_b, log_z_s = log_partitions(comp)
+    assert abs(np.exp(log_y) - 8.0) < 1e-12
+    assert abs(np.exp(log_z_b) - 2.0) < 1e-12
+    assert abs(np.exp(log_z_s) - 4.0) < 1e-12
 
 
 def test_reduced_state_is_gibbs_of_the_effective_hamiltonian():
     comp = one_plus_one(0.3, beta=1.5)
     via_trace = reduced_state(comp)
-    via_effective = thermal_state(effective_spec(comp))
+    via_effective = thermal_state(ThermalSpec(effective_hamiltonian(comp), comp.beta))
     assert np.max(np.abs(via_trace.entries - via_effective.entries)) < 1e-12
     assert relative_entropy(via_trace, via_effective) < 1e-12
 
@@ -235,10 +234,7 @@ def test_full_jarzynski_gives_subsystem_free_energy_ratio(haar):
     beta = 1.0
     initial = two_plus_one(0.1, beta=beta, b_field=0.1)
     final = two_plus_one(0.1, beta=beta, b_field=0.6, jz=0.0)
-    log_zs_ratio = (
-        subsystem_partition(final).log_subsystem
-        - subsystem_partition(initial).log_subsystem
-    )
+    log_zs_ratio = log_partitions(final)[2] - log_partitions(initial)[2]
     for u in (
         UnitaryOperator(QubitRegister(3), np.eye(8)),
         haar(QubitRegister(3), 17),

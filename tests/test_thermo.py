@@ -26,7 +26,7 @@ from entwit import (
     spectral_decompose,
     thermal_state,
 )
-from entwit.thermo import logsumexp
+from entwit.thermo import log_gibbs_weights, logsumexp
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -225,3 +225,32 @@ def test_logsumexp_is_bit_identical_to_scipy(a, axis):
     got = logsumexp(a, axis=axis)
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want, equal_nan=True)
+
+
+# energies from a few levels, so ties (within a row and at the minimum) are common
+tied_energies = st.integers(1, 12).flatmap(
+    lambda dim: hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.just(1), st.just(dim)),
+        elements=st.one_of(st.sampled_from([-1.5, 0.0, 0.25, 2.0]), st.floats(-5.0, 5.0)),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tied_energies,
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.just(1)),
+        elements=st.floats(np.log(1e-2), np.log(1e3)).map(np.exp),
+    ),
+)
+def test_log_gibbs_weights_on_a_grid_match_row_by_row_calls(energies, beta):
+    # a direct sweep evaluates (b, nT, dim) at once; each row must be bit for
+    # bit what a 1-D call (ThermalSpec.log_weights, the work averages) gives
+    grid = log_gibbs_weights(energies, beta)
+    assert grid.shape == (energies.shape[0], beta.shape[0], energies.shape[2])
+    for i, row in enumerate(energies[:, 0]):
+        for j, b in enumerate(beta[:, 0]):
+            assert np.array_equal(grid[i, j], log_gibbs_weights(row, b))

@@ -205,12 +205,6 @@ class TestWorkDistribution:
         assert abs(wd.probability.sum() - 1.0) < 1e-12
         assert len(wd.probability) == 16
 
-    def test_log_average_matches_closed_form(self, haar):
-        u = haar(QubitRegister(2), 3)
-        wd = work_distribution(self.initial, self.final, u)
-        expected = log_tasaki_average(0.9, 1.4, self.h_i, self.h_f, u)
-        assert abs(wd.log_exponential_average() - expected) < 1e-12
-
     def test_work_and_exponent_columns(self, haar):
         wd = work_distribution(self.initial, self.final, haar(QubitRegister(2), 3))
         assert np.allclose(wd.work, wd.energy_final - wd.energy_initial)
