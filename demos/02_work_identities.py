@@ -53,9 +53,10 @@ for _ in range(10):
     devs.append(abs(log_jarzynski_average(beta, h_i, h_f, u_rand) - expected))
 print("worst deviation over 10 random unitaries:", max(devs))
 
-# the transition matrix behind the averages is doubly stochastic
+# the transition matrix behind the averages is doubly stochastic; it is
+# held as its S^z blocks, and q vanishes between them
 tm = transition_matrix(h_i, h_f, u_trot)
-print("\ntransition matrix column sums:", np.round(tm.q.sum(axis=0), 12))
+print("\ntransition matrix column sums:", np.round(tm.column_sums, 12))
 
 # different preparation and measurement temperatures
 expected2 = ThermalSpec(h_f, beta / 2).log_partition - ThermalSpec(h_i, beta).log_partition

@@ -21,8 +21,10 @@ them to the closed chain's ordered product, which cuts them with
 ``operators.sector_stacks``.  A split XXZ chain conserves the total S^z, and
 the product then runs per S^z sector of the full register; a coupling or
 bath that changes S^z puts the whole register in one block.  The endpoint
-spectra come from ``spectral_decompose``, per S^z sector in the same way;
-the effective Hamiltonian and the partial trace stay dense.
+spectra come from ``spectral_decompose``, per S^z sector in the same way,
+and keep their blocks: the weight operator exp(-beta (H - E0)) is built from
+them with ``operators.spectral_function``.  Its partial trace and the
+effective Hamiltonian stay dense.
 
 Partition functions stay in log space and come from ``thermo``'s one rule:
 ln Y is ``ThermalSpec(full_hamiltonian(c), beta).log_partition``, ln Z_B is
@@ -49,9 +51,11 @@ from .operators import (
     SpectralDecomposition,
     UnitaryOperator,
     _partial_trace_matrix,
+    assemble,
     checked_eigh,
     embed_operator,
     spectral_decompose,
+    spectral_function,
 )
 from .spin_models import (
     DrivingSchedule,
@@ -221,8 +225,7 @@ def _mean_force(
     """effective_hamiltonian from the full Hamiltonian's spectrum and ln Z_B."""
     ground = full.eigenvalues[0]
     weights = np.exp(-composite.beta * (full.eigenvalues - ground))
-    v = full.eigenvectors
-    weight_matrix = (v * weights) @ v.conj().T
+    weight_matrix = assemble(spectral_function(full, weights))
     keep0 = [s - 1 for s in composite.subsystem_sites]
     traced = _partial_trace_matrix(weight_matrix, composite.register.n, keep0)
     traced = 0.5 * (traced + traced.conj().T)

@@ -11,11 +11,20 @@ magnetization S^z, so it is block diagonal in the sectors of fixed popcount
 is the one routine that decides the blocks of a register-sized matrix, or
 of a stack of them: the popcount sectors when every entry between two of
 them is exactly 0, one whole-register block otherwise, with blocks of equal
-size stacked together.  The spectral decomposition, the ``DensityMatrix``
-PSD check, the relative entropy and the direct sweep (in ``thermo`` and
-``witness``), and the Trotter product and commutation check (in
-``work_stats``) all run on those stacks, so their cost is that of the
-largest sector, not of the register.
+size stacked together; ``assemble`` puts such stacks back into one matrix.
+The spectral decomposition, the ``DensityMatrix`` PSD check, the
+``UnitaryOperator`` check, the relative entropy and the direct sweep (in
+``thermo`` and ``witness``), and the Trotter product, commutation check and
+transition probabilities (in ``work_stats``) all run on those stacks, so
+their cost is that of the largest sector, not of the register.
+
+A ``SpectralDecomposition`` keeps the eigenvectors of each block, with the
+position of each block eigenvalue in the ascending spectrum; the transition
+probabilities merge the blocks into one only for a unitary that mixes
+sectors.  ``spectral_function`` is the
+package's one V f(w) V^dag, taken block by block: Gibbs states, propagators,
+the open system's weight operator and the work route's energy term all come
+from it.
 
 The eigensolver and unitarity checks live in two helpers, ``checked_eigh``
 and ``check_unitary``, which work on any square block or stack of blocks, so
@@ -30,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -109,15 +118,48 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class UnitaryOperator:
-    """A unitary matrix on a qubit register, validated at construction."""
+    """A unitary matrix on a qubit register, given either as its ``entries``
+    or as its diagonal ``blocks`` ((indices, blocks) stacks, as
+    ``sector_stacks`` gives them), and checked per block at construction.
+
+    Entries are split with ``sector_stacks``; blocks are assembled into
+    ``entries`` and not split again.  A matrix so split is unitary exactly
+    when each block is, so a unitary that conserves S^z is checked at the
+    cost of its largest sector.  ``stacks`` keeps the blocks (read-only),
+    which the transition probabilities read, and ``deviation`` the largest
+    entry of |U^dag U - I| over them.
+    """
 
     register: QubitRegister
-    entries: np.ndarray
+    entries: np.ndarray | None = None
+    blocks: InitVar[Sequence[tuple[np.ndarray, np.ndarray]] | None] = None
+    stacks: tuple = field(init=False, repr=False, compare=False)
+    deviation: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        entries = _frozen_matrix(self.entries, self.register.dim, "unitary matrix")
-        check_unitary(entries)
+    def __post_init__(self, blocks) -> None:
+        dim = self.register.dim
+        if (self.entries is None) == (blocks is None):
+            raise ValueError("a unitary takes either its entries or its blocks")
+        if blocks is None:
+            entries = _frozen_matrix(self.entries, dim, "unitary matrix")
+            stacks = tuple(sector_stacks(entries))
+        else:
+            stacks = tuple((indices, np.asarray(part)) for indices, part in blocks)
+            covered = np.sort(np.concatenate([indices.ravel() for indices, _ in stacks]))
+            if not np.array_equal(covered, np.arange(dim)) or any(
+                part.shape != indices.shape + indices.shape[-1:] for indices, part in stacks
+            ):
+                raise ValueError("unitary blocks must hold every basis state of the register once")
+            if not all(np.all(np.isfinite(part)) for _, part in stacks):
+                raise NumericalCheckError("unitary matrix contains non-finite entries")
+            entries = assemble(stacks, np.complex128)
+            entries.setflags(write=False)
+        deviation = max(check_unitary(part) for _, part in stacks)
+        for _, part in stacks:
+            part.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "stacks", stacks)
+        object.__setattr__(self, "deviation", deviation)
 
     @property
     def dim(self) -> int:
@@ -170,24 +212,40 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
+    """Eigenvalues in ascending order, with the eigenvectors of each block of
+    ``sector_stacks``.
+
+    ``stacks`` holds one (indices, levels, vectors) triple per stack of k
+    blocks of s basis states: ``indices`` (k, s) are the blocks' basis
+    indices, ``levels`` (k, s) the position in ``eigenvalues`` of each block
+    eigenvalue, and ``vectors`` (k, s, s) the orthonormal eigenvector columns
+    on the block's basis states, in the order of ``levels``.  The
+    eigenvectors are checked where they are computed (``checked_eigh``);
+    construction checks only that the blocks cover every basis state and
+    every level once.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    stacks: tuple
 
     def __post_init__(self) -> None:
         eigenvalues = np.array(self.eigenvalues, dtype=np.float64)
-        eigenvectors = np.array(self.eigenvectors, dtype=np.complex128)
-        dim = eigenvalues.size
-        if eigenvectors.shape != (dim, dim):
-            raise ValueError("eigenvector matrix shape does not match eigenvalue count")
         if np.any(np.diff(eigenvalues) < 0):
             raise ValueError("eigenvalues must be sorted in ascending order")
-        _check_orthonormal(eigenvectors)
+        stacks = tuple(tuple(np.array(part) for part in stack) for stack in self.stacks)
+        for indices, levels, vectors in stacks:
+            if levels.shape != indices.shape or vectors.shape != indices.shape + indices.shape[-1:]:
+                raise ValueError("each stack needs (k, s) indices and levels and (k, s, s) vectors")
+        for part in (0, 1):
+            covered = np.sort(np.concatenate([stack[part].ravel() for stack in stacks]))
+            if not np.array_equal(covered, np.arange(eigenvalues.size)):
+                raise ValueError("the blocks must hold every basis state and every level once")
         eigenvalues.setflags(write=False)
-        eigenvectors.setflags(write=False)
+        for stack in stacks:
+            for part in stack:
+                part.setflags(write=False)
         object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "eigenvectors", eigenvectors)
+        object.__setattr__(self, "stacks", stacks)
 
     @property
     def dim(self) -> int:
@@ -208,9 +266,9 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
         )
 
 
-def check_unitary(entries: np.ndarray) -> None:
-    """Raise unless max |U^dag U - I| <= UNITARITY_ATOL for the square block
-    ``entries``, or for every block of a stack."""
+def check_unitary(entries: np.ndarray) -> float:
+    """max |U^dag U - I| of the square block ``entries``, or over every block
+    of a stack; raises when it exceeds UNITARITY_ATOL."""
     gram = entries.conj().swapaxes(-1, -2) @ entries
     deviation = float(np.abs(gram - np.eye(entries.shape[-1])).max())
     if deviation > UNITARITY_ATOL:
@@ -218,6 +276,7 @@ def check_unitary(entries: np.ndarray) -> None:
             f"unitarity check failed: max |U^dag U - I| = {deviation:.3e} "
             f"exceeds {UNITARITY_ATOL:.0e}"
         )
+    return deviation
 
 
 def checked_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,56 +342,79 @@ def sector_stacks(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     indices of k blocks of s states and ``blocks`` (..., k, s, s) the matrix
     restricted to each.  The blocks are the popcount (S^z) sectors when every
     entry between two sectors is exactly 0, in every matrix of a stack;
-    otherwise there is one block, the whole register.  A matrix whose
-    imaginary part is exactly 0 gives real blocks, so ``eigh`` returns real
-    eigenvectors.
+    otherwise there is one block, the whole register, as a view of
+    ``matrix``.  A matrix whose imaginary part is exactly 0 gives real
+    blocks, so ``eigh`` returns real eigenvectors.  ``assemble`` is the
+    inverse.
     """
     if np.iscomplexobj(matrix) and not matrix.imag.any():
         matrix = matrix.real
-    nonzero = np.count_nonzero(matrix)
-    for partition in _partitions(matrix.shape[-1].bit_length() - 1):
-        stacks = [(indices, matrix[..., indices[:, :, None], indices[:, None, :]]) for indices in partition]
-        if sum(np.count_nonzero(blocks) for _, blocks in stacks) == nonzero:
-            break  # always reached by the last partition, the whole register
-    return stacks
+    sectors, (whole,) = _partitions(matrix.shape[-1].bit_length() - 1)
+    stacks = [(indices, matrix[..., indices[:, :, None], indices[:, None, :]]) for indices in sectors]
+    if sum(np.count_nonzero(blocks) for _, blocks in stacks) == np.count_nonzero(matrix):
+        return stacks
+    return [(whole, matrix[..., None, :, :])]
+
+
+def assemble(stacks: Sequence[tuple[np.ndarray, np.ndarray]], dtype=None) -> np.ndarray:
+    """The register-sized matrix with the (indices, blocks) ``stacks`` of one
+    matrix on its diagonal and 0 everywhere else; ``dtype`` defaults to that
+    of the blocks."""
+    dim = sum(indices.size for indices, _ in stacks)
+    if dtype is None:
+        dtype = np.result_type(*(blocks for _, blocks in stacks))
+    out = np.zeros((dim, dim), dtype=dtype)
+    for indices, blocks in stacks:
+        out[indices[:, :, None], indices[:, None, :]] = blocks
+    return out
 
 
 def spectral_decompose(operator: HermitianOperator) -> SpectralDecomposition:
     """Diagonalize a Hermitian operator with one ``checked_eigh`` per stack
-    of ``sector_stacks``.
+    of ``sector_stacks``, keeping the blocks.
 
-    The eigenvalues come in stable ascending order over the sectors taken by
+    The levels come in stable ascending order over the sectors taken by
     ascending popcount, so within a degenerate level the eigenvectors follow
-    the sectors; each eigenvector is nonzero only on its sector's rows, and
-    real when the operator is.
+    the sectors, then their order within a block; each eigenvector is real
+    when the operator is.
     """
-    dim = operator.dim
     spectra = [(indices, *checked_eigh(blocks)) for indices, blocks in sector_stacks(operator.entries)]
     eigenvalues = np.concatenate([w.ravel() for _, w, _ in spectra])
     # ties go to the sector with the smaller first basis index, which is the
     # one with fewer ones; the sort is stable, so then to the order in a block
     first_index = np.concatenate([np.repeat(indices[:, 0], w.shape[1]) for indices, w, _ in spectra])
     order = np.lexsort((first_index, eigenvalues))
-    column = np.empty(dim, dtype=np.int64)
-    column[order] = np.arange(dim)
-    vectors = np.zeros((dim, dim), dtype=np.complex128)
-    start = 0
+    level = np.empty(operator.dim, dtype=np.int64)
+    level[order] = np.arange(operator.dim)
+    stacks, start = [], 0
     for indices, w, v in spectra:
-        columns = column[start : start + w.size].reshape(w.shape)
-        vectors[indices[:, :, None], columns[:, None, :]] = v
+        stacks.append((indices, level[start : start + w.size].reshape(w.shape), v))
         start += w.size
-    return SpectralDecomposition(eigenvalues[order], vectors)
+    return SpectralDecomposition(eigenvalues[order], tuple(stacks))
+
+
+def spectral_function(
+    spectrum: SpectralDecomposition, values: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """f(H) = V diag(f) V^dag, built block by block as (indices, blocks)
+    stacks on the blocks of ``spectrum``; ``values`` holds f at every
+    eigenvalue, in ascending order.  Real eigenvectors and values give real
+    blocks; ``assemble`` gives the dense matrix."""
+    values = np.asarray(values)
+    return [
+        (indices, (v * values[levels][:, None, :]) @ v.conj().swapaxes(-1, -2))
+        for indices, levels, v in spectrum.stacks
+    ]
 
 
 def evolution_operator(hamiltonian: HermitianOperator, duration: float) -> UnitaryOperator:
-    """exp(-i H t) built from the spectral decomposition, hence exactly unitary
-    up to roundoff."""
+    """exp(-i H t) built block by block from the spectral decomposition,
+    hence exactly unitary up to roundoff."""
     if not math.isfinite(duration):
         raise ValueError("evolution duration must be finite")
     decomposition = spectral_decompose(hamiltonian)
     phases = np.exp(-1j * decomposition.eigenvalues * duration)
-    v = decomposition.eigenvectors
-    return UnitaryOperator(hamiltonian.register, (v * phases) @ v.conj().T)
+    return UnitaryOperator(hamiltonian.register, blocks=spectral_function(decomposition, phases))
 
 
 def embed_operator(

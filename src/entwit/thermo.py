@@ -19,7 +19,11 @@ This module holds the package's one Gibbs rule: ``log_gibbs_weights``
 (ln exp(-beta (E - E_min)) / sum over the last axis, beta broadcast), its
 linear form ``ThermalSpec.weights``, ``ThermalSpec.log_partition`` for every
 ln Z, and ``weighted_energy``, the energy term tr[rho_f (beta_f H_f -
-beta_i H_i)] shared by the Gibbs identity and the work route.  All of it
+beta_i H_i)] shared by the Gibbs identity and the work route.  A
+``ThermalSpec.spectrum`` keeps its S^z blocks: ``thermal_state`` and the
+rho_f of ``weighted_energy`` are built block by block with
+``operators.spectral_function``, and tr(rho_f H_i) is summed over rho_f's
+blocks, so neither forms a register-sized eigenvector matrix.  All of it
 stays in log space, so steep inverse temperatures (beta ~ 100 on spectra of
 width ~10) stay inside double range.  Every ln sum exp goes through
 ``logsumexp``, a numpy kernel that computes exactly what
@@ -39,9 +43,11 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     SpectralDecomposition,
+    assemble,
     checked_eigh,
     sector_stacks,
     spectral_decompose,
+    spectral_function,
 )
 
 # Weight of rho tolerated outside the numerical support of sigma before the
@@ -144,10 +150,9 @@ def log_gibbs_weights(energies, beta) -> np.ndarray:
 
 
 def thermal_state(spec: ThermalSpec) -> DensityMatrix:
-    """exp(-beta H)/Z, built from the shifted spectrum of H."""
-    v = spec.spectrum.eigenvectors
-    entries = (v * spec.weights) @ v.conj().T
-    entries = 0.5 * (entries + entries.conj().T)
+    """exp(-beta H)/Z, built block by block from the shifted spectrum of H."""
+    stacks = spectral_function(spec.spectrum, spec.weights)
+    entries = assemble([(indices, 0.5 * (b + b.conj().swapaxes(-1, -2))) for indices, b in stacks])
     return DensityMatrix(spec.hamiltonian.register, entries)
 
 
@@ -220,15 +225,17 @@ def delta_beta_f(initial: ThermalSpec, final: ThermalSpec) -> float:
 def weighted_energy(initial: ThermalSpec, final: ThermalSpec) -> float:
     """tr[rho_f (beta_f H_f - beta_i H_i)] for rho_f the Gibbs state of ``final``.
 
-    <H_f> is w . E_f over the final spectrum; <H_i> is the trace of
-    rho_f = V diag(w) V^dag against H_i.
+    <H_f> is w . E_f over the final spectrum.  rho_f = V diag(w) V^dag is
+    block diagonal on the final spectrum's blocks, so <H_i> is the sum over
+    blocks b of tr(rho_f,bb H_i,bb), which is exact for any H_i.
     """
     spectrum = final.spectrum
     weights = final.weights
     final_energy = float(np.dot(weights, spectrum.eigenvalues))
-    rho_entries = (spectrum.eigenvectors * weights) @ spectrum.eigenvectors.conj().T
-    initial_energy = float(
-        np.einsum("ij,ji->", rho_entries, initial.hamiltonian.entries).real
+    h_initial = initial.hamiltonian.entries
+    initial_energy = sum(
+        float(np.einsum("kij,kji->", rho, h_initial[indices[:, :, None], indices[:, None, :]]).real)
+        for indices, rho in spectral_function(spectrum, weights)
     )
     return final.beta * final_energy - initial.beta * initial_energy
 

@@ -40,6 +40,7 @@ from .operators import (
     DensityMatrix,
     QubitRegister,
     UnitaryOperator,
+    _partitions,
     dicke_state,
     pure_state,
     spectral_decompose,
@@ -227,7 +228,13 @@ def _as_state(value: StateOrSpec, what: str) -> DensityMatrix:
 
 
 def _identity_unitary(register: QubitRegister) -> UnitaryOperator:
-    return UnitaryOperator(register, np.eye(register.dim, dtype=np.complex128))
+    """The identity, handed over as the identity block of every S^z sector."""
+    sectors, _ = _partitions(register.n)
+    blocks = [
+        (indices, np.broadcast_to(np.eye(indices.shape[1]), indices.shape + indices.shape[1:]))
+        for indices in sectors
+    ]
+    return UnitaryOperator(register, blocks=blocks)
 
 
 def _distance_direct(rho: StateOrSpec, sigma: StateOrSpec, rho_name: str, sigma_name: str) -> float:
@@ -309,10 +316,9 @@ def witness_evaluate(
                 raise ConfigError(
                     f"route 'via_work' needs declared Gibbs states; {name} is not a ThermalSpec"
                 )
-        register = rho.hamiltonian.register
-        u_left = evolution if evolution is not None else _identity_unitary(register)
-        s_left = relative_entropy_via_work(sigma_ref, rho, u_left)
-        s_right = relative_entropy_via_work(rho_star, rho, _identity_unitary(register))
+        identity = _identity_unitary(rho.hamiltonian.register)
+        s_left = relative_entropy_via_work(sigma_ref, rho, identity if evolution is None else evolution)
+        s_right = relative_entropy_via_work(rho_star, rho, identity)
     else:
         raise ValueError(f"route must be 'direct' or 'via_work', got {route!r}")
     return _finish_report(s_left, s_right, route, strictness_epsilon, metadata)
@@ -487,8 +493,8 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
 
     On the direct route the chain's sectors are diagonalized once at B = 0
     (``thermo.sector_overlaps``); each B only shifts their energies by -B m
-    and leaves the eigenvectors alone.  The work route needs a dense
-    spectrum per B, which ``spectral_decompose`` builds from the same sectors.
+    and leaves the eigenvectors alone.  The work route needs a spectrum per
+    B, which ``spectral_decompose`` builds from the same sectors.
     """
     state = _SWEEP_STATE
     assert state is not None

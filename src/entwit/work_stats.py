@@ -9,10 +9,17 @@ ratios for *any* unitary:
     <exp(-beta W)>                      = Z_f / Z_i            (equal beta)
     <exp(-(beta_f E_f - beta_i E_i))>   = Z_f(beta_f)/Z_i(beta_i)
 
+Both spectra keep their S^z blocks, and so does U (``UnitaryOperator.stacks``).
+q is formed per block of their common partition: the S^z sectors when all
+three are split into them, so q vanishes between sectors, or the whole
+register as one block when any of them mixes sectors (a Haar unitary, say).
+``TransitionMatrix`` holds and checks the blocks, and the work average, the
+work distribution and the sampler read them.
+
 Every average is evaluated per-term in log space, from the log Gibbs weights
-of ``thermo.log_gibbs_weights`` and one ``thermo.logsumexp`` over all (m, n)
-terms, so that steep protocols (beta ~ 100) never leave double range.  The
-work route's relative entropy adds the energy term
+of ``thermo.log_gibbs_weights`` and one ``thermo.logsumexp`` over the (m, n)
+terms of the blocks, so that steep protocols (beta ~ 100) never leave double
+range.  The work route's relative entropy adds the energy term
 ``thermo.weighted_energy``, which the Gibbs identity shares.
 
 Driven protocols, closed and open, share one Trotter routine,
@@ -29,6 +36,7 @@ the step count.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,32 +79,78 @@ SAMPLING_RULES = ("left", "midpoint")
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """q[m, n] = |<final_m|U|initial_n>|^2 plus the two spectra behind it."""
+    """q[m, n] = |<final_m|U|initial_n>|^2 on its diagonal blocks, plus the
+    two spectra behind it.
 
-    q: np.ndarray
+    ``stacks`` holds one (rows, columns, q) triple per stack of k blocks of s
+    levels: the final levels m (k, s), the initial levels n (k, s), and q
+    restricted to them (k, s, s).  q is 0 between blocks, so the
+    stochasticity check and every reader work on the blocks alone.
+    """
+
+    stacks: tuple
     initial: SpectralDecomposition
     final: SpectralDecomposition
 
     def __post_init__(self) -> None:
-        q = np.array(self.q, dtype=np.float64)
+        stacks = tuple((rows, columns, np.asarray(q, dtype=np.float64)) for rows, columns, q in self.stacks)
         dim = self.initial.dim
-        if q.shape != (dim, dim) or self.final.dim != dim:
-            raise ValueError("transition matrix shape must match both spectra")
-        if q.min() < -STOCHASTICITY_ATOL:
+        if self.final.dim != dim:
+            raise ValueError("transition matrix needs two spectra on one register")
+        for rows, columns, q in stacks:
+            if columns.shape != rows.shape or q.shape != rows.shape + rows.shape[-1:]:
+                raise ValueError("each stack needs (k, s) rows and columns and (k, s, s) q")
+        for part in (0, 1):
+            covered = np.sort(np.concatenate([stack[part].ravel() for stack in stacks]))
+            if not np.array_equal(covered, np.arange(dim)):
+                raise ValueError("transition blocks must hold every level of both spectra once")
+        if min(float(q.min()) for _, _, q in stacks) < -STOCHASTICITY_ATOL:
             raise NumericalCheckError("transition probabilities must be non-negative")
-        row_dev = float(np.abs(q.sum(axis=1) - 1.0).max())
-        col_dev = float(np.abs(q.sum(axis=0) - 1.0).max())
+        for _, _, q in stacks:
+            q.setflags(write=False)
+        object.__setattr__(self, "stacks", stacks)
+        row_dev = float(np.abs(self.row_sums - 1.0).max())
+        col_dev = float(np.abs(self.column_sums - 1.0).max())
         if max(row_dev, col_dev) > STOCHASTICITY_ATOL:
             raise NumericalCheckError(
                 f"transition matrix is not doubly stochastic: row deviation "
                 f"{row_dev:.3e}, column deviation {col_dev:.3e}"
             )
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
 
     @property
     def dim(self) -> int:
         return self.initial.dim
+
+    @property
+    def row_sums(self) -> np.ndarray:
+        """sum_n q[m, n] for every final level m."""
+        sums = np.empty(self.dim)
+        for rows, _, q in self.stacks:
+            sums[rows] = q.sum(axis=-1)
+        return sums
+
+    @property
+    def column_sums(self) -> np.ndarray:
+        """sum_m q[m, n] for every initial level n."""
+        sums = np.empty(self.dim)
+        for _, columns, q in self.stacks:
+            sums[columns] = q.sum(axis=-2)
+        return sums
+
+
+def _whole_register(spectrum: SpectralDecomposition) -> tuple:
+    """The spectrum's blocks merged into one, the whole register, whose
+    eigenvector column j belongs to level j."""
+    dim = spectrum.dim
+    vectors = np.zeros((dim, dim), dtype=np.result_type(*(v for _, _, v in spectrum.stacks)))
+    for indices, levels, v in spectrum.stacks:
+        vectors[indices[:, :, None], levels[:, None, :]] = v
+    everything = np.arange(dim)[None, :]
+    return ((everything, everything, vectors[None]),)
+
+
+def _same_blocks(a: Sequence[tuple], b: Sequence[tuple]) -> bool:
+    return len(a) == len(b) and all(np.array_equal(x[0], y[0]) for x, y in zip(a, b))
 
 
 def _transition_from_spectra(
@@ -104,8 +158,18 @@ def _transition_from_spectra(
     final: SpectralDecomposition,
     u: UnitaryOperator,
 ) -> TransitionMatrix:
-    amplitudes = final.eigenvectors.conj().T @ u.entries @ initial.eigenvectors
-    return TransitionMatrix(np.abs(amplitudes) ** 2, initial, final)
+    """q from V_f,b^dag U_bb V_i,b on every block b of the common partition
+    of both spectra and U: their S^z sectors when all three have them, else
+    the whole register as one block (a Haar unitary, say)."""
+    spectra, u_stacks = (initial.stacks, final.stacks), u.stacks
+    if not all(_same_blocks(stacks, u_stacks) for stacks in spectra):
+        spectra = (_whole_register(initial), _whole_register(final))
+        u_stacks = ((np.arange(u.dim)[None, :], u.entries[None]),)
+    stacks = []
+    for (_, columns, v_initial), (_, rows, v_final), (_, u_blocks) in zip(*spectra, u_stacks):
+        amplitudes = v_final.conj().swapaxes(-1, -2) @ u_blocks @ v_initial
+        stacks.append((rows, columns, np.abs(amplitudes) ** 2))
+    return TransitionMatrix(tuple(stacks), initial, final)
 
 
 # A measured Hamiltonian, or its spectral decomposition when the caller holds
@@ -192,8 +256,8 @@ def ordered_product(
     is c, shape (steps, p).  The blocks are the ``sector_stacks`` of the
     pieces: the S^z sectors when no piece has an entry between two of them,
     otherwise the whole register.  Each stack of equal-size blocks (pieces
-    (p, k, s, s)) carries its own product, which is written into the dense
-    unitary when the stack is done.
+    (p, k, s, s)) carries its own product; the products are the blocks of
+    the unitary.
 
     Per stack, a piece that is exactly alpha_b I on every block b (S_z on a
     sector, any piece on a 1 x 1 block) only shifts each block's energies.
@@ -211,13 +275,15 @@ def ordered_product(
     CHUNK_ENTRIES entries (one run per chunk for the 924-state sectors of
     n = 12).  Each factor is built spectrally and is therefore exactly
     unitary, which keeps ||U^dag U - I|| at roundoff level for any step
-    count.  Real pieces give real eigenvectors.
+    count; ``UnitaryOperator`` takes the product's blocks and checks them
+    again.  Real
+    pieces give real eigenvectors.
     """
     stacks = sector_stacks(pieces)
     coefficients = np.asarray(coefficients, dtype=np.float64)
     largest = max(blocks[0].size for _, blocks in stacks)
     chunk = max(1, min(STEP_CHUNK, CHUNK_ENTRIES // largest))
-    total = np.zeros((register.dim, register.dim), dtype=np.complex128)
+    products = []
     for indices, blocks in stacks:
         # alpha[j, b]: piece j is alpha[j, b] I on block b, where it is scalar
         alpha = blocks[:, :, 0, 0].real
@@ -244,9 +310,8 @@ def ordered_product(
             check_unitary(factors)
             for factor in factors:
                 product = factor @ product
-        for block_indices, block in zip(indices, product):
-            total[np.ix_(block_indices, block_indices)] = block
-    return UnitaryOperator(register, total)
+        products.append((indices, product))
+    return UnitaryOperator(register, blocks=products)
 
 
 def trotter_evolution(schedule: DrivingSchedule, sampling: str = "left") -> UnitaryOperator:
@@ -273,7 +338,8 @@ def _log_generalized_average(
     Every (m, n) term's exponent is assembled before exponentiation: the
     log Gibbs weight ``thermo.log_gibbs_weights`` contributes
     -beta_i(E_n - E_0^i) - ln Z~_i, which cancels the +beta_i E_n of the work
-    exponential up to the spectrum shift.  Terms with q = 0 are dropped.
+    exponential up to the spectrum shift.  Only the (m, n) pairs of the
+    blocks of q enter; terms with q = 0 are dropped.
     """
     e_initial = tm.initial.eigenvalues
     e_final = tm.final.eigenvalues
@@ -281,10 +347,14 @@ def _log_generalized_average(
     shifted_final = beta_final * (e_final - e_final[0])
     log_weights = log_gibbs_weights(e_initial, beta_initial)
     offset = beta_final * e_final[0] - beta_initial * e_initial[0]
-    exponents = log_weights[None, :] - (shifted_final[:, None] - shifted_initial[None, :])
-    with np.errstate(divide="ignore"):
-        log_terms = np.log(tm.q) + exponents
-    return float(logsumexp(log_terms)) - offset
+    log_terms = []
+    for rows, columns, q in tm.stacks:
+        exponents = log_weights[columns][:, None, :] - (
+            shifted_final[rows][:, :, None] - shifted_initial[columns][:, None, :]
+        )
+        with np.errstate(divide="ignore"):
+            log_terms.append((np.log(q) + exponents).ravel())
+    return float(logsumexp(np.concatenate(log_terms))) - offset
 
 
 def log_jarzynski_average(
@@ -369,13 +439,16 @@ class WorkDistribution:
 def work_distribution(
     initial: ThermalSpec, final: ThermalSpec, u: UnitaryOperator
 ) -> WorkDistribution:
-    """All dim^2 transition outcomes with probabilities p_n q[m, n]."""
+    """All dim^2 transition outcomes with probabilities p_n q[m, n], read
+    from the blocks of q (0 between them), in m-major order."""
     tm = _transition_from_spectra(initial.spectrum, final.spectrum, u)
     e_initial = tm.initial.eigenvalues
     e_final = tm.final.eigenvalues
     dim = tm.dim
     m_grid, n_grid = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-    probability = (tm.q * initial.weights[None, :]).reshape(-1)
+    probability = np.zeros((dim, dim))
+    for rows, columns, q in tm.stacks:
+        probability[rows[:, :, None], columns[:, None, :]] = q * initial.weights[columns][:, None, :]
     return WorkDistribution(
         beta_initial=initial.beta,
         beta_final=final.beta,
@@ -383,7 +456,7 @@ def work_distribution(
         m_index=m_grid.reshape(-1).copy(),
         energy_initial=e_initial[n_grid.reshape(-1)],
         energy_final=e_final[m_grid.reshape(-1)],
-        probability=probability,
+        probability=probability.reshape(-1),
     )
 
 
@@ -441,20 +514,33 @@ def _map_tasks(function, tasks: list, workers: int, initializer=None, initargs=(
         return list(pool.map(function, tasks, chunksize=chunk))
 
 
+def _cumulative(probabilities: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Partial sums along ``axis``, with the closing run of sums equal to the
+    total (from the last nonzero probability on) raised to at least 1.0.
+
+    A uniform draw u < 1 then finds the first sum above it at an outcome of
+    nonzero probability, however the total rounds; below the total, the
+    draw is the one the plain partial sums give.
+    """
+    cum = np.cumsum(probabilities, axis=axis)
+    total = np.take(cum, [-1], axis=axis)
+    return np.where(cum == total, np.maximum(total, 1.0), cum)
+
+
 def _sample_block(payload: tuple) -> tuple[np.ndarray, np.ndarray]:
-    (seed, block_index, size, cum_initial, cum_q) = payload
+    (seed, block_index, size, cum_initial, targets) = payload
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
     rng = np.random.Generator(np.random.Philox(seq))
-    dim = cum_initial.size
     u_first = rng.random(size)
-    n_idx = np.minimum(np.searchsorted(cum_initial, u_first, side="right"), dim - 1)
+    n_idx = np.searchsorted(cum_initial, u_first, side="right")
     u_second = rng.random(size)
     # one binary search per distinct first index, so memory stays O(size)
     m_idx = np.empty(size, dtype=np.int64)
     for column in np.unique(n_idx):
         chosen = n_idx == column
-        m_idx[chosen] = np.searchsorted(cum_q[:, column], u_second[chosen], side="right")
-    return n_idx.astype(np.int64), np.minimum(m_idx, dim - 1)
+        rows, cum = targets[column]
+        m_idx[chosen] = rows[np.searchsorted(cum, u_second[chosen], side="right")]
+    return n_idx.astype(np.int64), m_idx
 
 
 def sample_tpm(
@@ -467,8 +553,11 @@ def sample_tpm(
 ) -> tuple[TrajectoryBatch, EstimatorSummary]:
     """Sample two-point-measurement trajectories and estimate the average.
 
-    The first index is drawn from the initial Gibbs weights, the second from
-    the matching transition-matrix column.  ``count`` is partitioned into
+    The first index n is drawn from the initial Gibbs weights, the second
+    from column n of q, searched over the rows of n's block in ascending
+    order: their partial sums are those of the whole column, whose other
+    entries are 0, and the closing 1.0 falls on the block's last allowed
+    row, so a draw never leaves the block.  ``count`` is partitioned into
     fixed 16384-sample blocks, each with its own counter-based stream derived
     from (seed, block index), so results are byte-identical for any worker
     count.  The estimator is standardized against the exact partition ratio,
@@ -484,15 +573,23 @@ def sample_tpm(
     tm = _transition_from_spectra(initial.spectrum, final.spectrum, u)
     e_initial = tm.initial.eigenvalues
     e_final = tm.final.eigenvalues
-    cum_initial = np.cumsum(initial.weights)
-    cum_initial[-1] = 1.0
-    cum_q = np.cumsum(tm.q, axis=0)
-    cum_q[-1, :] = 1.0
+    cum_initial = _cumulative(initial.weights)
+    # per initial level n: the final levels of its block in ascending order,
+    # and the partial sums of column n over them
+    targets: list = [None] * tm.dim
+    for rows, columns, q in tm.stacks:
+        order = np.argsort(rows, axis=-1)
+        rows = np.take_along_axis(rows, order, axis=-1)
+        cum_q = _cumulative(np.take_along_axis(q, order[:, :, None], axis=-2), axis=-2)
+        cum_q = np.ascontiguousarray(cum_q.swapaxes(-1, -2))
+        for block_rows, block_columns, block_cum in zip(rows, columns, cum_q):
+            for level, column_cum in zip(block_columns.tolist(), block_cum):
+                targets[level] = (block_rows, column_cum)
 
     sizes = [SAMPLE_BLOCK] * (count // SAMPLE_BLOCK)
     if count % SAMPLE_BLOCK:
         sizes.append(count % SAMPLE_BLOCK)
-    payloads = [(seed, i, size, cum_initial, cum_q) for i, size in enumerate(sizes)]
+    payloads = [(seed, i, size, cum_initial, targets) for i, size in enumerate(sizes)]
     drawn = _map_tasks(_sample_block, payloads, workers)
 
     n_idx = np.concatenate([d[0] for d in drawn])

@@ -3,8 +3,12 @@
 These are the package's former dense paths: the XXZ Hamiltonian as a sum of
 products of embedded Pauli matrices, the closed and open Trotter products of
 full 2^n x 2^n step propagators, the relative entropy with its overlaps from
-a 3-operand einsum, and the direct sweep distance from dense Gibbs states.
-They share no sector code and no overlap kernel with ``entwit``.
+a 3-operand einsum, the direct sweep distance from dense Gibbs states, and
+the two-point-measurement transitions, work distribution and sampler from one
+dense ``np.linalg.eigh`` per Hamiltonian.  They share no sector code and no
+overlap kernel with ``entwit``; ``dense_eigenvectors`` and
+``dense_transitions`` scatter the package's blocks into full matrices for
+comparison.
 """
 
 import math
@@ -94,3 +98,49 @@ def dense_s_right(rho: DensityMatrix, params: XXZParams, temperature: float) -> 
     """S(rho || Gibbs state of the dense chain at 1/temperature)."""
     sigma = thermal_state(ThermalSpec(dense_xxz(params), 1.0 / temperature))
     return dense_relative_entropy(rho, sigma)
+
+
+def dense_eigenvectors(spectrum) -> np.ndarray:
+    """The eigenvector matrix of a blocked spectrum, column j for level j."""
+    vectors = np.zeros((spectrum.dim, spectrum.dim), dtype=np.complex128)
+    for indices, levels, v in spectrum.stacks:
+        vectors[indices[:, :, None], levels[:, None, :]] = v
+    return vectors
+
+
+def dense_transitions(tm) -> np.ndarray:
+    """The full q[m, n] of a blocked transition matrix, 0 between blocks."""
+    q = np.zeros((tm.dim, tm.dim))
+    for rows, columns, block in tm.stacks:
+        q[rows[:, :, None], columns[:, None, :]] = block
+    return q
+
+
+def dense_tpm(h_initial: np.ndarray, h_final: np.ndarray, u: np.ndarray):
+    """Both spectra (one dense eigh each) and q = |V_f^dag U V_i|^2."""
+    e_initial, v_initial = np.linalg.eigh(h_initial)
+    e_final, v_final = np.linalg.eigh(h_final)
+    return e_initial, e_final, np.abs(v_final.conj().T @ u @ v_initial) ** 2
+
+
+def dense_gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:
+    weights = np.exp(-beta * (energies - energies[0]))
+    return weights / weights.sum()
+
+
+def dense_sample(e_initial, e_final, q, beta, count: int, seed: int, block: int = 16384):
+    """(n, m) draws of the two-point measurement with the sampler's streams:
+    n from the Gibbs weights, m from column n of q by its partial sums."""
+    cum_initial = np.cumsum(dense_gibbs_weights(e_initial, beta))
+    cum_q = np.cumsum(q, axis=0)
+    n_all, m_all = [], []
+    for index, start in enumerate(range(0, count, block)):
+        size = min(block, count - start)
+        stream = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        )
+        n_idx = np.searchsorted(cum_initial, stream.random(size), side="right")
+        second = stream.random(size)
+        m_all.append(np.array([np.searchsorted(cum_q[:, n], u, side="right") for n, u in zip(n_idx, second)]))
+        n_all.append(n_idx)
+    return np.concatenate(n_all), np.concatenate(m_all)

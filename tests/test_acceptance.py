@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from dense_oracle import dense_transitions
 from entwit import (
     DensityMatrix,
     DrivingSchedule,
@@ -386,11 +387,11 @@ def test_accept_10_numerical_infrastructure():
         h_i = HermitianOperator(QubitRegister(n), (a + a.conj().T) / 2)
         b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h_f = HermitianOperator(QubitRegister(n), (b + b.conj().T) / 2)
-        tm = transition_matrix(h_i, h_f, haar_unitary(QubitRegister(n), seed))
+        q = dense_transitions(transition_matrix(h_i, h_f, haar_unitary(QubitRegister(n), seed)))
         worst_sum = max(
             worst_sum,
-            float(np.max(np.abs(tm.q.sum(axis=0) - 1.0))),
-            float(np.max(np.abs(tm.q.sum(axis=1) - 1.0))),
+            float(np.max(np.abs(q.sum(axis=0) - 1.0))),
+            float(np.max(np.abs(q.sum(axis=1) - 1.0))),
         )
 
     u = trotter_evolution(detection_protocol(3).schedule)  # 1000 steps

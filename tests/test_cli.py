@@ -9,8 +9,10 @@ import atexit
 import gc
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,11 @@ import pytest
 
 import entwit.cli
 from csv_oracle import legacy_sweep_csv, legacy_trajectories_csv
-from entwit import build_css, build_w_state, matrix_to_json, QubitRegister
+from entwit import build_css, build_w_state, matrix_to_json, QubitRegister, XXZParams
 from entwit.cli import main
+from entwit.operators import sector_stacks
+from entwit.spin_models import xxz_matrix, xxz_pieces
+from entwit.thermo import logsumexp
 
 W3 = {"matrix": matrix_to_json(QubitRegister(3), build_w_state(3).entries)}
 CSS3 = {"matrix": matrix_to_json(QubitRegister(3), build_css(3).entries)}
@@ -85,6 +90,52 @@ def test_witness_routes_agree(tmp_path):
     b = read_json(out_b, "witness_report.json")["report"]
     assert abs(a["s_left"] - b["s_left"]) < 1e-8
     assert abs(a["s_right"] - b["s_right"]) < 1e-8
+
+
+def test_twelve_qubit_work_route_witness(tmp_path):
+    # an inline field ramp between two Gibbs states of the XX chain, and a
+    # candidate with Jz = 0.1; every spectrum and transition stays in its
+    # S^z blocks
+    n, beta, beta_star = 12, 100.0, 1.0 / 0.05
+    chain = {"n": n, "J": 1.0, "Jz": 0.0}
+    cfg = write_config(tmp_path, {
+        "protocol": {"initial": {**chain, "B": 1.2}, "final": {**chain, "B": 0.5}, "steps": 40},
+        "rho_star": {"params": {"n": n, "J": 1.0, "Jz": 0.1, "B": 0.5}, "temperature": 0.05},
+    })
+    started = time.perf_counter()
+    rc = main(["witness", "--config", cfg, "--route", "via-work", "--out", str(tmp_path)])
+    elapsed = time.perf_counter() - started
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"n=12 work-route witness: {elapsed:.1f} s, process peak RSS {peak_mb:.0f} MB")
+    report = read_json(tmp_path, "witness_report.json")["report"]
+
+    # Oracle from one eigh per sector of H_f.  H_i = H_f - 0.7 S_z has the
+    # same eigenvectors and energies E_f - 0.7 m, and
+    # S(rho_f || rho*) = sum p ln p + beta* tr(rho_f H*) + ln Z*.
+    pieces = xxz_pieces(n)
+    h_final = xxz_matrix(XXZParams(n, 1.0, 0.0, 0.5), *pieces)
+    h_star = xxz_matrix(XXZParams(n, 1.0, 0.1, 0.5), *pieces)
+    e_final, m, star_diagonal = [], [], []
+    for indices, blocks in sector_stacks(h_final):
+        w, v = np.linalg.eigh(blocks)
+        star = h_star[indices[:, :, None], indices[:, None, :]]
+        e_final.append(w.ravel())
+        m.append(np.repeat(pieces[2][indices[:, 0]], w.shape[-1]))
+        star_diagonal.append((v * (star @ v)).sum(axis=-2).ravel())
+    e_final, m, star_diagonal = (np.concatenate(x) for x in (e_final, m, star_diagonal))
+    e_star = np.concatenate([np.linalg.eigvalsh(b).ravel() for _, b in sector_stacks(h_star)])
+
+    def log_gibbs(energies, b):
+        return -b * energies - logsumexp(-b * energies)
+
+    log_p = log_gibbs(e_final, beta)
+    p = np.exp(log_p)
+    s_left = float(p @ (log_p - log_gibbs(e_final - 0.7 * m, beta)))
+    s_right = float(p @ log_p + beta_star * (p @ star_diagonal) + logsumexp(-beta_star * e_star))
+    assert report["s_left"] == pytest.approx(s_left, abs=1e-9 * max(1.0, s_left))
+    assert report["s_right"] == pytest.approx(s_right, abs=1e-9 * max(1.0, s_right))
+    assert report["detected"] == (s_right < s_left - 1e-9)
+    assert rc == (0 if report["detected"] else 3)
 
 
 def test_direct_witness_builds_no_evolution(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dense_oracle import dense_transitions
 from entwit import (
     DrivingSchedule,
     HermitianOperator,
@@ -65,30 +66,34 @@ class TestTransitionMatrix:
         rng = np.random.default_rng(42)
         for seed in range(20):
             n = 2 + seed % 2
-            tm = transition_matrix(
-                random_hermitian(n, rng),
-                random_hermitian(n, rng),
-                haar(QubitRegister(n), 1000 + seed),
+            q = dense_transitions(
+                transition_matrix(
+                    random_hermitian(n, rng),
+                    random_hermitian(n, rng),
+                    haar(QubitRegister(n), 1000 + seed),
+                )
             )
-            assert np.max(np.abs(tm.q.sum(axis=0) - 1.0)) < 1e-10
-            assert np.max(np.abs(tm.q.sum(axis=1) - 1.0)) < 1e-10
-            assert np.min(tm.q) >= -1e-14
+            assert np.max(np.abs(q.sum(axis=0) - 1.0)) < 1e-10
+            assert np.max(np.abs(q.sum(axis=1) - 1.0)) < 1e-10
+            assert np.min(q) >= -1e-14
 
     def test_identity_protocol_gives_identity_matrix(self):
         h = HermitianOperator(QubitRegister(1), np.diag([0.2, 1.9]))
         tm = transition_matrix(h, h, identity_on(1))
-        assert np.max(np.abs(tm.q - np.eye(2))) < 1e-14
+        assert np.max(np.abs(dense_transitions(tm) - np.eye(2))) < 1e-14
 
     def test_rejects_nonstochastic_matrix(self):
         h = HermitianOperator(QubitRegister(1), np.diag([0.0, 1.0]))
         dec = spectral_decompose(h)
+        levels = np.arange(2)[None, :]
         with pytest.raises(NumericalCheckError):
-            TransitionMatrix(np.full((2, 2), 0.75), dec, dec)
+            TransitionMatrix(((levels, levels, np.full((1, 2, 2), 0.75)),), dec, dec)
 
     def test_rejects_shape_mismatch(self):
         h1 = spectral_decompose(HermitianOperator(QubitRegister(1), SZ))
+        levels = np.arange(4)[None, :]
         with pytest.raises(ValueError):
-            TransitionMatrix(np.eye(4) / 1.0, h1, h1)
+            TransitionMatrix(((levels, levels, np.eye(4)[None] / 1.0),), h1, h1)
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -356,7 +361,8 @@ class TestSampler:
         cum_initial = np.cumsum(gibbs / gibbs.sum())
         cum_initial[-1] = 1.0
         for seed, block, size in [(0, 0, 1), (3, 1, 1000), (12345, 4, SAMPLE_BLOCK)]:
-            payload = (seed, block, size, cum_initial, cum_q)
+            targets = [(np.arange(dim), np.ascontiguousarray(cum_q[:, n])) for n in range(dim)]
+            payload = (seed, block, size, cum_initial, targets)
             n_idx, m_idx = _sample_block(payload)
 
             stream = np.random.Generator(
@@ -369,6 +375,33 @@ class TestSampler:
             want_m = np.minimum((columns <= second[None, :]).sum(axis=0), dim - 1)
             assert n_idx.tobytes() == want_n.astype(np.int64).tobytes()
             assert m_idx.tobytes() == want_m.astype(np.int64).tobytes()
+
+    def test_a_draw_above_the_column_total_stays_in_its_block(self, monkeypatch):
+        # the largest uniform draw below 1 lies above the rounded total of
+        # some columns of q; it must land on an allowed transition of that
+        # column's S^z block, not on the register's last level
+        schedule = DrivingSchedule(XXZParams(4, 1.0, 0.8, 0.3), XXZParams(4, 1.0, 0.0, 0.7), steps=20)
+        initial = ThermalSpec(build_xxz(schedule.initial), 1.0)
+        final = ThermalSpec(build_xxz(schedule.final), 1.0)
+        u = trotter_evolution(schedule)
+        dim = 16
+        cum = np.cumsum(initial.weights)
+        first = 0.5 * (np.concatenate([[0.0], cum[:-1]]) + cum)  # one draw per level
+
+        class Stub:
+            """Hands out ``first``, then the largest double below 1."""
+
+            def __init__(self, bit_generator):
+                self.draws = iter([first, np.full(dim, np.nextafter(1.0, 0.0))])
+
+            def random(self, size):
+                return next(self.draws)
+
+        monkeypatch.setattr(np.random, "Generator", Stub)
+        batch, _ = sample_tpm(initial, final, u, count=dim, seed=0)
+        assert batch.n_index.tolist() == list(range(dim))
+        probability = work_distribution(initial, final, u).probability.reshape(dim, dim)
+        assert np.all(probability[batch.m_index, batch.n_index] > 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
