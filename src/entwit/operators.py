@@ -11,7 +11,9 @@ magnetization S^z, so it is block diagonal in the sectors of fixed popcount
 is the one routine that decides the blocks of a register-sized matrix, or
 of a stack of them: the popcount sectors when every entry between two of
 them is exactly 0, one whole-register block otherwise, with blocks of equal
-size stacked together; ``assemble`` puts such stacks back into one matrix.
+size stacked together; ``assemble`` puts such stacks back into one matrix,
+and ``diagonal_blocks`` restricts a matrix to given blocks (a view, not a
+copy, when the block is the whole register).
 The spectral decomposition, the ``DensityMatrix`` PSD check, the
 ``UnitaryOperator`` check, the relative entropy and the direct sweep (in
 ``thermo`` and ``witness``), and the Trotter product, commutation check and
@@ -39,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -118,42 +120,24 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class UnitaryOperator:
-    """A unitary matrix on a qubit register, given either as its ``entries``
-    or as its diagonal ``blocks`` ((indices, blocks) stacks, as
-    ``sector_stacks`` gives them), and checked per block at construction.
+    """A unitary matrix on a qubit register, checked per block of its
+    ``sector_stacks`` at construction.
 
-    Entries are split with ``sector_stacks``; blocks are assembled into
-    ``entries`` and not split again.  A matrix so split is unitary exactly
-    when each block is, so a unitary that conserves S^z is checked at the
-    cost of its largest sector.  ``stacks`` keeps the blocks (read-only),
-    which the transition probabilities read, and ``deviation`` the largest
-    entry of |U^dag U - I| over them.
+    A matrix so split is unitary exactly when each block is, so a unitary
+    that conserves S^z is checked at the cost of its largest sector.
+    ``stacks`` keeps the blocks (read-only), which the transition
+    probabilities read, and ``deviation`` the largest entry of
+    |U^dag U - I| over them.
     """
 
     register: QubitRegister
-    entries: np.ndarray | None = None
-    blocks: InitVar[Sequence[tuple[np.ndarray, np.ndarray]] | None] = None
+    entries: np.ndarray
     stacks: tuple = field(init=False, repr=False, compare=False)
     deviation: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, blocks) -> None:
-        dim = self.register.dim
-        if (self.entries is None) == (blocks is None):
-            raise ValueError("a unitary takes either its entries or its blocks")
-        if blocks is None:
-            entries = _frozen_matrix(self.entries, dim, "unitary matrix")
-            stacks = tuple(sector_stacks(entries))
-        else:
-            stacks = tuple((indices, np.asarray(part)) for indices, part in blocks)
-            covered = np.sort(np.concatenate([indices.ravel() for indices, _ in stacks]))
-            if not np.array_equal(covered, np.arange(dim)) or any(
-                part.shape != indices.shape + indices.shape[-1:] for indices, part in stacks
-            ):
-                raise ValueError("unitary blocks must hold every basis state of the register once")
-            if not all(np.all(np.isfinite(part)) for _, part in stacks):
-                raise NumericalCheckError("unitary matrix contains non-finite entries")
-            entries = assemble(stacks, np.complex128)
-            entries.setflags(write=False)
+    def __post_init__(self) -> None:
+        entries = _frozen_matrix(self.entries, self.register.dim, "unitary matrix")
+        stacks = tuple(sector_stacks(entries))
         deviation = max(check_unitary(part) for _, part in stacks)
         for _, part in stacks:
             part.setflags(write=False)
@@ -219,10 +203,10 @@ class SpectralDecomposition:
     blocks of s basis states: ``indices`` (k, s) are the blocks' basis
     indices, ``levels`` (k, s) the position in ``eigenvalues`` of each block
     eigenvalue, and ``vectors`` (k, s, s) the orthonormal eigenvector columns
-    on the block's basis states, in the order of ``levels``.  The
-    eigenvectors are checked where they are computed (``checked_eigh``);
-    construction checks only that the blocks cover every basis state and
-    every level once.
+    on the block's basis states, in the order of ``levels``.  Construction
+    checks that the eigenvalues are finite and ascending, that the blocks
+    cover every basis state and every level once, and that each block's
+    eigenvectors are orthonormal, at the cost of its largest block.
     """
 
     eigenvalues: np.ndarray
@@ -230,12 +214,15 @@ class SpectralDecomposition:
 
     def __post_init__(self) -> None:
         eigenvalues = np.array(self.eigenvalues, dtype=np.float64)
+        if not np.all(np.isfinite(eigenvalues)):
+            raise NumericalCheckError("eigenvalues contain non-finite entries")
         if np.any(np.diff(eigenvalues) < 0):
             raise ValueError("eigenvalues must be sorted in ascending order")
         stacks = tuple(tuple(np.array(part) for part in stack) for stack in self.stacks)
         for indices, levels, vectors in stacks:
             if levels.shape != indices.shape or vectors.shape != indices.shape + indices.shape[-1:]:
                 raise ValueError("each stack needs (k, s) indices and levels and (k, s, s) vectors")
+            _check_orthonormal(vectors)
         for part in (0, 1):
             covered = np.sort(np.concatenate([stack[part].ravel() for stack in stacks]))
             if not np.array_equal(covered, np.arange(eigenvalues.size)):
@@ -260,7 +247,8 @@ class SpectralDecomposition:
 def _check_orthonormal(vectors: np.ndarray) -> None:
     gram = vectors.conj().swapaxes(-1, -2) @ vectors
     gram_dev = float(np.abs(gram - np.eye(vectors.shape[-1])).max())
-    if gram_dev > ORTHONORMALITY_ATOL:
+    # also fails on a non-finite deviation
+    if not gram_dev <= ORTHONORMALITY_ATOL:
         raise NumericalCheckError(
             f"eigenvectors are not orthonormal: deviation {gram_dev:.3e}"
         )
@@ -350,10 +338,20 @@ def sector_stacks(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     if np.iscomplexobj(matrix) and not matrix.imag.any():
         matrix = matrix.real
     sectors, (whole,) = _partitions(matrix.shape[-1].bit_length() - 1)
-    stacks = [(indices, matrix[..., indices[:, :, None], indices[:, None, :]]) for indices in sectors]
+    stacks = [(indices, diagonal_blocks(matrix, indices)) for indices in sectors]
     if sum(np.count_nonzero(blocks) for _, blocks in stacks) == np.count_nonzero(matrix):
         return stacks
-    return [(whole, matrix[..., None, :, :])]
+    return [(whole, diagonal_blocks(matrix, whole))]
+
+
+def diagonal_blocks(matrix: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """A register-sized matrix, or a stack of them (..., dim, dim),
+    restricted to the k blocks of basis ``indices`` (k, s): shape
+    (..., k, s, s).  The whole register in basis order is a view of
+    ``matrix``, not a copy."""
+    if indices.shape[0] == 1 and np.array_equal(indices[0], np.arange(matrix.shape[-1])):
+        return matrix[..., None, :, :]
+    return matrix[..., indices[:, :, None], indices[:, None, :]]
 
 
 def assemble(stacks: Sequence[tuple[np.ndarray, np.ndarray]], dtype=None) -> np.ndarray:
@@ -414,7 +412,8 @@ def evolution_operator(hamiltonian: HermitianOperator, duration: float) -> Unita
         raise ValueError("evolution duration must be finite")
     decomposition = spectral_decompose(hamiltonian)
     phases = np.exp(-1j * decomposition.eigenvalues * duration)
-    return UnitaryOperator(hamiltonian.register, blocks=spectral_function(decomposition, phases))
+    entries = assemble(spectral_function(decomposition, phases), np.complex128)
+    return UnitaryOperator(hamiltonian.register, entries)
 
 
 def embed_operator(

@@ -45,6 +45,7 @@ from .operators import (
     SpectralDecomposition,
     assemble,
     checked_eigh,
+    diagonal_blocks,
     sector_stacks,
     spectral_decompose,
     spectral_function,
@@ -192,7 +193,7 @@ def sector_overlaps(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.
     eigenvalues, overlaps, first = [], [], []
     for indices, blocks in sector_stacks(sigma):
         w, v = checked_eigh(blocks)
-        rho_blocks = rho[indices[:, :, None], indices[:, None, :]]
+        rho_blocks = diagonal_blocks(rho, indices)
         eigenvalues.append(w.ravel())
         overlaps.append(np.clip((v.conj() * (rho_blocks @ v)).sum(-2).real, 0.0, None).ravel())
         first.append(np.repeat(indices[:, 0], w.shape[-1]))
@@ -234,7 +235,7 @@ def weighted_energy(initial: ThermalSpec, final: ThermalSpec) -> float:
     final_energy = float(np.dot(weights, spectrum.eigenvalues))
     h_initial = initial.hamiltonian.entries
     initial_energy = sum(
-        float(np.einsum("kij,kji->", rho, h_initial[indices[:, :, None], indices[:, None, :]]).real)
+        float(np.einsum("kij,kji->", rho, diagonal_blocks(h_initial, indices)).real)
         for indices, rho in spectral_function(spectrum, weights)
     )
     return final.beta * final_energy - initial.beta * initial_energy

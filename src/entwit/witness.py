@@ -40,7 +40,6 @@ from .operators import (
     DensityMatrix,
     QubitRegister,
     UnitaryOperator,
-    _partitions,
     dicke_state,
     pure_state,
     spectral_decompose,
@@ -228,13 +227,7 @@ def _as_state(value: StateOrSpec, what: str) -> DensityMatrix:
 
 
 def _identity_unitary(register: QubitRegister) -> UnitaryOperator:
-    """The identity, handed over as the identity block of every S^z sector."""
-    sectors, _ = _partitions(register.n)
-    blocks = [
-        (indices, np.broadcast_to(np.eye(indices.shape[1]), indices.shape + indices.shape[1:]))
-        for indices in sectors
-    ]
-    return UnitaryOperator(register, blocks=blocks)
+    return UnitaryOperator(register, np.eye(register.dim))
 
 
 def _distance_direct(rho: StateOrSpec, sigma: StateOrSpec, rho_name: str, sigma_name: str) -> float:

@@ -47,6 +47,7 @@ from .operators import (
     QubitRegister,
     SpectralDecomposition,
     UnitaryOperator,
+    assemble,
     check_unitary,
     checked_eigh,
     evolution_operator,
@@ -275,9 +276,8 @@ def ordered_product(
     CHUNK_ENTRIES entries (one run per chunk for the 924-state sectors of
     n = 12).  Each factor is built spectrally and is therefore exactly
     unitary, which keeps ||U^dag U - I|| at roundoff level for any step
-    count; ``UnitaryOperator`` takes the product's blocks and checks them
-    again.  Real
-    pieces give real eigenvectors.
+    count; ``UnitaryOperator`` checks the assembled product again, per
+    block.  Real pieces give real eigenvectors.
     """
     stacks = sector_stacks(pieces)
     coefficients = np.asarray(coefficients, dtype=np.float64)
@@ -311,7 +311,7 @@ def ordered_product(
             for factor in factors:
                 product = factor @ product
         products.append((indices, product))
-    return UnitaryOperator(register, blocks=products)
+    return UnitaryOperator(register, assemble(products, np.complex128))
 
 
 def trotter_evolution(schedule: DrivingSchedule, sampling: str = "left") -> UnitaryOperator:

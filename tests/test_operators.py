@@ -91,45 +91,22 @@ def test_unitary_tolerance_is_adjustable(monkeypatch):
     UnitaryOperator(QubitRegister(1), almost)
 
 
-def test_unitary_from_blocks_matches_the_dense_matrix():
-    # a unitary on the sectors of two qubits, given dense and as its blocks
+def test_unitary_keeps_its_sector_blocks_and_deviation():
+    # a unitary on the sectors of two qubits is checked on its blocks
     rng = np.random.default_rng(5)
     middle, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     dense = np.zeros((4, 4), dtype=complex)
     dense[0, 0], dense[3, 3] = 1j, -1.0
     dense[1:3, 1:3] = middle
-    register = QubitRegister(2)
-    ends, centre = np.array([[0], [3]]), np.array([[1, 2]])
-    blocks = [(ends, np.array([[[1j]], [[-1.0]]])), (centre, middle[None])]
-    from_blocks = UnitaryOperator(register, blocks=blocks)
-    from_entries = UnitaryOperator(register, dense)
-    assert np.array_equal(from_blocks.entries, dense)
-    assert not from_blocks.entries.flags.writeable
-    assert [indices.tolist() for indices, _ in from_entries.stacks] == [[[0], [3]], [[1, 2]]]
-    assert from_blocks.deviation == from_entries.deviation <= 1e-15
-
-
-@pytest.mark.parametrize(
-    "blocks, error, match",
-    [
-        ([(np.array([[0, 1]]), np.eye(2)[None])], ValueError, "every basis state"),
-        ([(np.array([[0, 1], [1, 0]]), np.stack([np.eye(2)] * 2))], ValueError, "every basis state"),
-        ([(np.array([[0, 1, 2, 3]]), np.eye(3)[None])], ValueError, "every basis state"),
-        ([(np.array([[0, 1, 2, 3]]), np.diag([1.0, 1.0, 1.0, np.nan])[None])], NumericalCheckError, "non-finite"),
-        ([(np.array([[0, 1, 2, 3]]), np.diag([1.0, 1.0, 1.0, 2.0])[None])], NumericalCheckError, "unitarity"),
-    ],
-)
-def test_unitary_blocks_are_checked(blocks, error, match):
-    with pytest.raises(error, match=match):
-        UnitaryOperator(QubitRegister(2), blocks=blocks)
-
-
-def test_unitary_takes_entries_or_blocks():
-    blocks = [(np.array([[0, 1]]), np.eye(2)[None])]
-    with pytest.raises(ValueError, match="either"):
-        UnitaryOperator(QubitRegister(1))
-    with pytest.raises(ValueError, match="either"):
-        UnitaryOperator(QubitRegister(1), np.eye(2), blocks)
+    u = UnitaryOperator(QubitRegister(2), dense)
+    assert [indices.tolist() for indices, _ in u.stacks] == [[[0], [3]], [[1, 2]]]
+    assert np.array_equal(u.stacks[1][1][0], middle)
+    assert not any(part.flags.writeable for _, part in u.stacks)
+    assert dense.flags.writeable
+    assert u.deviation == max(
+        np.abs(part.conj().swapaxes(-1, -2) @ part - np.eye(part.shape[-1])).max() for _, part in u.stacks
+    )
+    assert u.deviation <= 1e-15
 
 
 # ---------------------------------------------------------------- spectra
@@ -142,6 +119,21 @@ def test_spectral_decompose_reconstructs():
     assert np.all(np.diff(dec.eigenvalues) >= 0)
     rebuilt = assemble(spectral_function(dec, dec.eigenvalues))
     assert np.max(np.abs(rebuilt - op.entries)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "eigenvalues, vectors, error, match",
+    [
+        ([0.0, np.nan], np.eye(2), NumericalCheckError, "non-finite"),
+        ([1.0, 0.0], np.eye(2), ValueError, "ascending"),
+        ([0.0, 1.0], np.array([[1.0, 1.0], [0.0, 1.0]]), NumericalCheckError, "orthonormal"),
+        ([0.0, 1.0], np.diag([1.0, np.nan]), NumericalCheckError, "orthonormal"),
+    ],
+)
+def test_spectral_decomposition_checks_its_blocks(eigenvalues, vectors, error, match):
+    everything = np.arange(2)[None, :]
+    with pytest.raises(error, match=match):
+        operators.SpectralDecomposition(np.array(eigenvalues), ((everything, everything, vectors[None]),))
 
 
 def test_evolution_operator_phases():

@@ -36,7 +36,7 @@ from entwit import (
     witness_evaluate,
     work_distribution,
 )
-from entwit.operators import sector_stacks, spectral_decompose
+from entwit.operators import diagonal_blocks, sector_stacks, spectral_decompose
 from entwit.spin_models import xxz_matrix, xxz_pieces
 from entwit.thermo import logsumexp
 
@@ -135,6 +135,15 @@ def test_one_tiny_entry_between_sectors_takes_the_whole_register(case):
     decomposition = spectral_decompose(HermitianOperator(QubitRegister(n), matrix))
     assert np.abs(decomposition.eigenvalues - np.linalg.eigvalsh(matrix)).max() <= 1e-12
 
+
+def test_the_whole_register_block_is_a_view_and_other_blocks_are_gathered():
+    matrix = np.arange(64.0).reshape(8, 8)
+    whole = diagonal_blocks(matrix, np.arange(8)[None, :])
+    assert np.shares_memory(whole, matrix) and np.array_equal(whole[0], matrix)
+    shuffled = np.array([[3, 0, 5, 1, 7, 2, 6, 4]])
+    assert np.array_equal(diagonal_blocks(matrix, shuffled)[0], matrix[np.ix_(shuffled[0], shuffled[0])])
+    pairs = np.array([[0, 7], [2, 5]])
+    assert np.array_equal(diagonal_blocks(matrix, pairs)[1], matrix[np.ix_([2, 5], [2, 5])])
 
 @settings(max_examples=30, deadline=None)
 @given(
