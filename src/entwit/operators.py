@@ -24,9 +24,8 @@ A ``SpectralDecomposition`` keeps the eigenvectors of each block, with the
 position of each block eigenvalue in the ascending spectrum; the transition
 probabilities merge the blocks into one only for a unitary that mixes
 sectors.  ``spectral_function`` is the
-package's one V f(w) V^dag, taken block by block: Gibbs states, propagators,
-the open system's weight operator and the work route's energy term all come
-from it.
+package's one V f(w) V^dag, taken block by block: Gibbs states, propagators
+and the open system's weight operator all come from it.
 
 The eigensolver and unitarity checks live in two helpers, ``checked_eigh``
 and ``check_unitary``, which work on any square block or stack of blocks, so
@@ -256,10 +255,10 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 
 def check_unitary(entries: np.ndarray) -> float:
     """max |U^dag U - I| of the square block ``entries``, or over every block
-    of a stack; raises when it exceeds UNITARITY_ATOL."""
+    of a stack; raises when it exceeds UNITARITY_ATOL or is not finite."""
     gram = entries.conj().swapaxes(-1, -2) @ entries
     deviation = float(np.abs(gram - np.eye(entries.shape[-1])).max())
-    if deviation > UNITARITY_ATOL:
+    if not deviation <= UNITARITY_ATOL:
         raise NumericalCheckError(
             f"unitarity check failed: max |U^dag U - I| = {deviation:.3e} "
             f"exceeds {UNITARITY_ATOL:.0e}"

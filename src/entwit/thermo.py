@@ -20,11 +20,11 @@ This module holds the package's one Gibbs rule: ``log_gibbs_weights``
 linear form ``ThermalSpec.weights``, ``ThermalSpec.log_partition`` for every
 ln Z, and ``weighted_energy``, the energy term tr[rho_f (beta_f H_f -
 beta_i H_i)] shared by the Gibbs identity and the work route.  A
-``ThermalSpec.spectrum`` keeps its S^z blocks: ``thermal_state`` and the
-rho_f of ``weighted_energy`` are built block by block with
-``operators.spectral_function``, and tr(rho_f H_i) is summed over rho_f's
-blocks, so neither forms a register-sized eigenvector matrix.  All of it
-stays in log space, so steep inverse temperatures (beta ~ 100 on spectra of
+``ThermalSpec.spectrum`` keeps its S^z blocks: ``thermal_state`` is built
+block by block with ``operators.spectral_function``, and ``weighted_energy``
+sums tr(rho_f H_i) over the final levels of positive Gibbs weight, each
+inside one block, so neither forms a register-sized eigenvector matrix.  All
+of it stays in log space, so steep inverse temperatures (beta ~ 100 on spectra of
 width ~10) stay inside double range.  Every ln sum exp goes through
 ``logsumexp``, a numpy kernel that computes exactly what
 ``scipy.special.logsumexp`` computes for real input.
@@ -226,18 +226,24 @@ def delta_beta_f(initial: ThermalSpec, final: ThermalSpec) -> float:
 def weighted_energy(initial: ThermalSpec, final: ThermalSpec) -> float:
     """tr[rho_f (beta_f H_f - beta_i H_i)] for rho_f the Gibbs state of ``final``.
 
-    <H_f> is w . E_f over the final spectrum.  rho_f = V diag(w) V^dag is
-    block diagonal on the final spectrum's blocks, so <H_i> is the sum over
-    blocks b of tr(rho_f,bb H_i,bb), which is exact for any H_i.
+    <H_f> is w . E_f over the final spectrum.  rho_f = sum_j w_j |v_j><v_j|
+    over the final eigenvectors, each inside one block, so <H_i> is the sum
+    of w_j <v_j|H_i,bb|v_j> over the levels j with w_j > 0, which is exact
+    for any H_i.  Per stack only the eigenvector columns with a positive
+    weight in some block enter, so a steep beta, whose weights underflow to
+    exactly 0 above the lowest levels, costs a few columns, not rho_f.
     """
     spectrum = final.spectrum
     weights = final.weights
     final_energy = float(np.dot(weights, spectrum.eigenvalues))
     h_initial = initial.hamiltonian.entries
-    initial_energy = sum(
-        float(np.einsum("kij,kji->", rho, diagonal_blocks(h_initial, indices)).real)
-        for indices, rho in spectral_function(spectrum, weights)
-    )
+    initial_energy = 0.0
+    for indices, levels, v in spectrum.stacks:
+        w = weights[levels]
+        columns = np.flatnonzero((w > 0).any(axis=0))
+        v, w = v[:, :, columns], w[:, columns]
+        expectations = (v.conj() * (diagonal_blocks(h_initial, indices) @ v)).sum(axis=-2).real
+        initial_energy += float(np.sum(w * expectations))
     return final.beta * final_energy - initial.beta * initial_energy
 
 

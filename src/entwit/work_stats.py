@@ -27,10 +27,12 @@ Driven protocols, closed and open, share one Trotter routine,
 table of slice coefficients; the closed chain's pieces are the cached
 ``spin_models.xxz_pieces``.  The product runs on the ``sector_stacks`` of
 the pieces.  Consecutive slices that differ only by a multiple of the
-identity on each block share one spectrum, so it diagonalizes once per run
-of such slices, and a chunk of runs in one batched call: a ramp of the field
-alone costs one eigendecomposition per stack of equal-size sectors, whatever
-the step count.
+identity on each block form one run, and a chunk of runs is exponentiated in
+one batched call of one of two kernels.  Short runs, whose exponents have
+1-norm at most TAYLOR_THETA, take a Taylor polynomial of a few matrix
+products; longer ones take one ``checked_eigh``, so a ramp of the field alone
+costs one eigendecomposition per stack of equal-size sectors, whatever the
+step count.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .spin_models import (
     DrivingSchedule,
     XXZParams,
     build_xxz,
-    params_at,
     ramp_values,
     xxz_matrix,
     xxz_pieces,
@@ -67,13 +68,17 @@ from .thermo import ThermalSpec, log_gibbs_weights, logsumexp, weighted_energy
 
 STOCHASTICITY_ATOL = 1e-10
 COMMUTATION_ATOL = 1e-9
-# exact_evolution compares the Hamiltonians at this many slice starts (and t_f).
-COMMUTATION_SAMPLES = 5
 SAMPLE_BLOCK = 16384
-# ordered_product diagonalizes up to STEP_CHUNK runs of equal slices per group
+# ordered_product exponentiates up to STEP_CHUNK runs of equal slices per group
 # in one batched call, and at most CHUNK_ENTRIES matrix entries at a time.
 STEP_CHUNK = 32
 CHUNK_ENTRIES = 1 << 18
+# A chunk whose run exponents tau R all have 1-norm at most TAYLOR_THETA goes
+# through a Taylor polynomial of degree at most TAYLOR_DEGREE: the largest
+# theta at which the first dropped term theta^(m+1)/(m+1)! stays below the
+# unit roundoff 2^-53 at m = TAYLOR_DEGREE (about 0.070).
+TAYLOR_DEGREE = 8
+TAYLOR_THETA = (math.factorial(TAYLOR_DEGREE + 1) * 2.0**-53) ** (1 / (TAYLOR_DEGREE + 1))
 # Where trotter_evolution samples H in each slice.
 SAMPLING_RULES = ("left", "midpoint")
 
@@ -193,36 +198,28 @@ def transition_matrix(h_initial: Measured, h_final: Measured, u: UnitaryOperator
 def exact_evolution(schedule: DrivingSchedule) -> UnitaryOperator:
     """U = exp(-i integral H(s) ds) for schedules whose Hamiltonians commute.
 
-    Commutation is checked numerically on the ``sector_stacks`` of the
-    Hamiltonians sampled at COMMUTATION_SAMPLES slice starts spread over the
-    schedule plus t_f itself, so H(0) is always compared with H(t_f);
-    schedules that fail the check must use trotter_evolution instead.  The
-    time integral is done on the interpolated parameters (trapezoid, exact
-    for linear ramps).
+    A quench at start holds H_f at every t > 0, so it has nothing to check.
+    A linear ramp has H(t) = H_i + (t / t_f)(H_f - H_i), so
+    [H(s), H(t)] = ((t - s) / t_f) [H_i, H_f]: all of them commute exactly
+    when the endpoints do, and the endpoints' commutator is the largest.  It
+    is checked numerically, one commutator per block of the ``sector_stacks``
+    of H_i and H_f; schedules that fail the check must use trotter_evolution
+    instead.  The time integral is done on the interpolated parameters
+    (trapezoid, exact for linear ramps).
     """
-    sampled_steps = sorted(
-        {int(round(i * (schedule.steps - 1) / (COMMUTATION_SAMPLES - 1)))
-         for i in range(COMMUTATION_SAMPLES)}
-    )
-    sampled_times = [s * schedule.dt for s in sampled_steps] + [schedule.t_f]
-    pieces = xxz_pieces(schedule.n, schedule.initial.boundary)
-    sampled = sector_stacks(np.stack([xxz_matrix(params_at(schedule, t), *pieces) for t in sampled_times]))
-    worst = 0.0
-    # block diagonal Hamiltonians have block diagonal commutators
-    for _, blocks in sampled:
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                commutator = blocks[i] @ blocks[j] - blocks[j] @ blocks[i]
-                worst = max(worst, float(np.abs(commutator).max()))
-    if worst > COMMUTATION_ATOL:
-        raise NumericalCheckError(
-            f"schedule Hamiltonians do not commute (max commutator entry {worst:.3e} "
-            f"> {COMMUTATION_ATOL:.0e}); use trotter_evolution for this protocol"
-        )
     if schedule.interpolation == "quench-at-start":
         mean_params = schedule.final
     else:
         initial, final = schedule.initial, schedule.final
+        pieces = xxz_pieces(schedule.n, initial.boundary)
+        endpoints = np.stack([xxz_matrix(initial, *pieces), xxz_matrix(final, *pieces)])
+        # block diagonal Hamiltonians have block diagonal commutators
+        worst = max(float(np.abs(h_i @ h_f - h_f @ h_i).max()) for _, (h_i, h_f) in sector_stacks(endpoints))
+        if worst > COMMUTATION_ATOL:
+            raise NumericalCheckError(
+                f"schedule Hamiltonians do not commute (max commutator entry {worst:.3e} "
+                f"> {COMMUTATION_ATOL:.0e}); use trotter_evolution for this protocol"
+            )
         mean_params = XXZParams(
             n=initial.n,
             J=0.5 * (initial.J + final.J),
@@ -244,6 +241,53 @@ def schedule_coefficients(schedule: DrivingSchedule, sampling: str = "left") -> 
     return np.column_stack([J, Jz, -B])
 
 
+def _horner(y: np.ndarray, coefficients: Sequence[float]) -> np.ndarray:
+    """c_0 I + c_1 y + ... + c_p y^p for a stack y (..., s, s), by Horner's
+    rule; the innermost step c_(p-1) I + c_p y takes no product."""
+    identity = np.eye(y.shape[-1])
+    if len(coefficients) == 1:
+        return np.broadcast_to(coefficients[0] * identity, y.shape)
+    total = coefficients[-1] * y + coefficients[-2] * identity
+    for c in reversed(coefficients[:-2]):
+        total = y @ total + c * identity
+    return total
+
+
+def taylor_exp(x: np.ndarray, degree: int) -> np.ndarray:
+    """exp(-i x) to ``degree`` in x, for a stack of Hermitian blocks
+    x (..., s, s): cos x - i sin x, where cos x and (sin x) / x are
+    polynomials in y = x^2 run by Horner's rule, so real blocks take real
+    products only."""
+    y = x @ x
+    cos = _horner(y, [(-1) ** j / math.factorial(2 * j) for j in range(degree // 2 + 1)])
+    sin = x @ _horner(y, [(-1) ** j / math.factorial(2 * j + 1) for j in range((degree + 1) // 2)])
+    return cos - 1j * sin
+
+
+def _taylor_degree(theta: float) -> int:
+    """The smallest degree m whose first dropped term theta^(m+1)/(m+1)! is
+    at most 2^-53, and TAYLOR_DEGREE at most."""
+    return next(
+        (m for m in range(1, TAYLOR_DEGREE) if theta ** (m + 1) <= math.factorial(m + 1) * 2.0**-53),
+        TAYLOR_DEGREE,
+    )
+
+
+def _run_factors(h: np.ndarray, lengths: np.ndarray, shifts: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt (L R + shift)) for the run Hamiltonians R of one chunk,
+    stacked (runs, k, s, s), with run lengths L (runs,) and per-block energy
+    shifts (runs, k), from the kernel that theta = max ||dt L R||_1 picks."""
+    durations = dt * lengths
+    theta = float(np.max(durations * np.abs(h).sum(axis=-2).max(axis=(-2, -1))))
+    if theta <= TAYLOR_THETA:
+        phases = np.exp(-1j * dt * shifts)[..., None, None]
+        return taylor_exp(durations[:, None, None, None] * h, _taylor_degree(theta)) * phases
+    # a non-finite theta lands here too, and checked_eigh raises on it
+    energies, vectors = checked_eigh(h)
+    phases = np.exp(-1j * dt * (lengths[:, None, None] * energies + shifts[:, :, None]))[..., None, :]
+    return (vectors * phases) @ vectors.conj().swapaxes(-1, -2)
+
+
 def ordered_product(
     register: QubitRegister,
     pieces: np.ndarray,
@@ -263,21 +307,35 @@ def ordered_product(
     Per stack, a piece that is exactly alpha_b I on every block b (S_z on a
     sector, any piece on a 1 x 1 block) only shifts each block's energies.
     The steps are cut into runs of consecutive steps whose coefficients of
-    the other pieces are exactly equal; the slices of a run then share the
-    eigenvectors V of the run Hamiltonian R (the non-scalar pieces), so their
-    factors commute and the run's product is V diag(exp(-i dt (L E + sum of
-    the run's shifts))) V^dag for a run of L steps, with R = V diag(E) V^dag.
-    A schedule that changes every coefficient at every step has runs of one
-    step.  The runs go in chunks of at most STEP_CHUNK: per stack and chunk,
-    the run Hamiltonians are stacked (chunk, k, s, s), one batched
-    ``checked_eigh`` diagonalizes them and one ``check_unitary`` checks every
-    run factor, and the factors then multiply into the stack's product in
-    order.  Chunks are shorter where the largest stack would pass
+    the other pieces are exactly equal; the slices of a run commute, so a
+    run of L steps contributes exp(-i tau R) times the phase
+    exp(-i dt (sum of the run's shifts)), with tau = L dt and R the run
+    Hamiltonian (the non-scalar pieces).  A schedule that changes every
+    coefficient at every step has runs of one step.  The runs go in chunks
+    of at most STEP_CHUNK, shorter where the largest stack would pass
     CHUNK_ENTRIES entries (one run per chunk for the 924-state sectors of
-    n = 12).  Each factor is built spectrally and is therefore exactly
-    unitary, which keeps ||U^dag U - I|| at roundoff level for any step
-    count; ``UnitaryOperator`` checks the assembled product again, per
-    block.  Real pieces give real eigenvectors.
+    n = 12).  Per stack and chunk, the run Hamiltonians are stacked
+    (chunk, k, s, s) and exponentiated by one batched call of one of two
+    kernels, picked by theta, the largest ||tau R||_1 of the chunk:
+
+    - theta <= TAYLOR_THETA (about 0.070): ``taylor_exp``, the Taylor
+      polynomial of the smallest degree m <= TAYLOR_DEGREE whose first
+      dropped term theta^(m+1)/(m+1)! is at most 2^-53, so the factor is
+      exact to roundoff.  Short slices of a schedule that changes at every
+      step land here (the three-qubit protocol in 1000 steps: theta about
+      0.006, degree 5), at a few matrix products instead of an ``eigh``.
+    - otherwise, a non-finite theta included: the spectral kernel.  One
+      batched ``checked_eigh`` gives R = V diag(E) V^dag, and the factor is
+      V diag(exp(-i dt (L E + shift))) V^dag.  It stays for long runs of
+      equal slices (a field ramp shares one spectrum for any step count),
+      where a polynomial would need scaling and squaring, and the eigensolver
+      check raises on a non-finite R.
+
+    One ``check_unitary`` checks every run factor of the chunk, whichever
+    kernel built it, and the factors then multiply into the stack's product
+    in order.  Both kernels keep ||U^dag U - I|| at roundoff level for any
+    step count; ``UnitaryOperator`` checks the assembled product again, per
+    block.  Real pieces give real eigenvectors and real polynomial products.
     """
     stacks = sector_stacks(pieces)
     coefficients = np.asarray(coefficients, dtype=np.float64)
@@ -302,11 +360,7 @@ def ordered_product(
         for first in range(0, len(starts), chunk):
             runs = slice(first, first + chunk)
             h = np.tensordot(varying[starts[runs]], varying_blocks, axes=1)
-            energies, vectors = checked_eigh(h)
-            phases = np.exp(
-                -1j * dt * (lengths[runs, None, None] * energies + shifts[runs, :, None])
-            )[..., None, :]
-            factors = (vectors * phases) @ vectors.conj().swapaxes(-1, -2)
+            factors = _run_factors(h, lengths[runs], shifts[runs], dt)
             check_unitary(factors)
             for factor in factors:
                 product = factor @ product
@@ -321,8 +375,12 @@ def trotter_evolution(schedule: DrivingSchedule, sampling: str = "left") -> Unit
     accurate, the default) or at the midpoint (second order).  The cached
     pieces (H_xy, H_zz, S_z) of ``xxz_pieces`` and the coefficients
     (J, Jz, -B) go to ``ordered_product``, where slices that differ only in B
-    share one spectrum: a field ramp at fixed J and Jz (the standard
-    seven-qubit protocol) costs the same for any step count.
+    form one run.  A run whose exponent has 1-norm at most TAYLOR_THETA
+    (about 0.070) takes the Taylor kernel, a few real matrix products; a
+    longer one takes the spectral kernel, one checked ``eigh``, which keeps a
+    field ramp at fixed J and Jz (the standard seven-qubit protocol) at one
+    spectrum per sector stack for any step count, where a polynomial would
+    need scaling and squaring.
     """
     hopping, zz, magnetization = xxz_pieces(schedule.n, schedule.initial.boundary)
     pieces = np.stack([hopping, np.diag(zz), np.diag(magnetization)])

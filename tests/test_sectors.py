@@ -4,7 +4,9 @@ Every fast path built on the pieces and the blocks ``sector_stacks`` cuts
 from them (the dense assembly, the sector spectra, the closed and open
 Trotter products and the direct sweep) is compared with the dense code in
 ``dense_oracle``; the per-block numerical checks must still reject corrupted
-blocks, alone or inside a stack.
+blocks, alone or inside a stack.  The Trotter products are compared on both
+sides of TAYLOR_THETA, where the run factors come from the Taylor kernel
+below it and from the spectral kernel above it.
 """
 
 import dataclasses
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import dense_open_trotter, dense_s_right, dense_trotter, dense_xxz
@@ -38,7 +40,15 @@ from entwit import (
 import entwit.work_stats
 from entwit.operators import check_unitary, checked_eigh, sector_stacks
 from entwit.spin_models import xxz_matrix, xxz_pieces
-from entwit.work_stats import STEP_CHUNK, ordered_product
+from entwit.work_stats import (
+    STEP_CHUNK,
+    TAYLOR_DEGREE,
+    TAYLOR_THETA,
+    _taylor_degree,
+    ordered_product,
+    schedule_coefficients,
+    taylor_exp,
+)
 
 couplings = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 boundaries = st.sampled_from(["periodic", "open"])
@@ -153,13 +163,13 @@ def test_trotter_matches_dense_step_product(n, sampling):
     assert np.abs(u - dense_trotter(schedule, sampling)).max() <= 1e-12
 
 
-def four_site_split(steps):
+def four_site_split(steps, t_f=1.1):
     """Sites 1-2 of an open four-site chain following a non-commuting ramp."""
     return dataclasses.replace(
         split_chain(XXZParams(4, 1.0, 0.4, 0.3, "open"), (1, 2), 1.0),
         subsystem_hamiltonian=None,
         subsystem_schedule=DrivingSchedule(
-            XXZParams(2, 1.0, 0.8, 0.3, "open"), XXZParams(2, 0.4, -0.2, 0.7, "open"), t_f=1.1, steps=steps
+            XXZParams(2, 1.0, 0.8, 0.3, "open"), XXZParams(2, 0.4, -0.2, 0.7, "open"), t_f=t_f, steps=steps
         ),
     )
 
@@ -189,7 +199,8 @@ def block_products(draw):
     them exact multiples of the identity on some sectors, one of them perhaps
     with an entry between two sectors; and a coefficient table whose rows
     repeat in consecutive runs; between runs, some of the coefficients
-    change."""
+    change.  The first piece is random on the largest sector, so that some
+    time step puts a chunk above TAYLOR_THETA."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 4))
     dim = 2**n
@@ -200,8 +211,10 @@ def block_products(draw):
     for k in range(n + 1):
         indices = np.flatnonzero(ones == k)
         size = indices.size
-        for piece in pieces:
+        for j, piece in enumerate(pieces):
             kind = draw(st.sampled_from(["random", "random", "flat-diagonal", "scalar", "zero"]))
+            if j == 0 and k == n // 2:
+                kind = "random"
             block = np.zeros((size, size), dtype=dtype)
             if kind in ("random", "flat-diagonal"):
                 a = rng.normal(size=(size, size))
@@ -235,12 +248,94 @@ def dense_step_product(pieces, coefficients, dt):
     return want
 
 
+def counting(kind, kernel, calls):
+    """``kernel``, recording (kind, stack shape) in ``calls`` at each call."""
+
+    def counted(matrix, *args):
+        calls.append((kind, matrix.shape))
+        return kernel(matrix, *args)
+
+    return counted
+
+
+def record_kernels(patch, calls):
+    """Record in ``calls`` the (kernel, stack shape) of every batched
+    exponential ``ordered_product`` takes: 'spectral' for ``checked_eigh``,
+    'taylor' for ``taylor_exp``."""
+    patch.setattr(entwit.work_stats, "checked_eigh", counting("spectral", checked_eigh, calls))
+    patch.setattr(entwit.work_stats, "taylor_exp", counting("taylor", taylor_exp, calls))
+
+
+def product_and_kernels(n, pieces, coefficients, dt):
+    """The ordered product, and the kernel calls it made."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        record_kernels(patch, calls)
+        u = ordered_product(QubitRegister(n), pieces, coefficients, dt).entries
+    return u, calls
+
+
+def time_steps_across_theta_star(pieces, coefficients):
+    """A time step at which every chunk has theta <= TAYLOR_THETA, and one at
+    which some chunk has theta >= 2 TAYLOR_THETA, with theta the largest
+    ||L dt R||_1 of a chunk's runs.
+
+    Above: L <= steps and ||R_b||_1 <= sum_j |c_j| ||P_j||_1 on any block b.
+    Below: ||R_b||_1 >= spectral radius >= spread / 2, and the spread of R on
+    a block is that of H there (the scalar pieces only shift it), which is
+    at least its spread on any S^z sector inside the block (interlacing).
+    """
+    steps = len(coefficients)
+    ceiling = steps * sum(
+        np.abs(c).max() * np.abs(piece).sum(axis=0).max() for c, piece in zip(coefficients.T, pieces)
+    )
+    ones = np.array([bin(i).count("1") for i in range(pieces.shape[-1])])
+    spread = 0.0
+    for k in np.unique(ones):
+        indices = np.flatnonzero(ones == k)
+        w = np.linalg.eigvalsh(np.tensordot(coefficients, pieces[:, indices[:, None], indices], axes=1))
+        spread = max(spread, float((w[:, -1] - w[:, 0]).max()))
+    return TAYLOR_THETA / ceiling, 4.0 * TAYLOR_THETA / spread
+
+
 @settings(max_examples=60, deadline=None)
 @given(block_products())
 def test_ordered_product_matches_dense_step_product(case):
     n, pieces, coefficients, dt = case
-    u = ordered_product(QubitRegister(n), pieces, coefficients, dt).entries
-    assert np.abs(u - dense_step_product(pieces, coefficients, dt)).max() <= 1e-12
+    taylor_dt, spectral_dt = time_steps_across_theta_star(pieces, coefficients)
+    # larger time steps would test the dense oracle's roundoff, not the kernels
+    assume(spectral_dt <= 0.5)
+    ran = set()
+    for step in (dt, taylor_dt, spectral_dt):
+        u, calls = product_and_kernels(n, pieces, coefficients, step)
+        assert np.abs(u - dense_step_product(pieces, coefficients, step)).max() <= 1e-12
+        kinds = {kind for kind, _ in calls}
+        if step == taylor_dt:
+            assert kinds == {"taylor"}
+        if step == spectral_dt:
+            assert "spectral" in kinds
+        ran |= kinds
+    assert ran == {"spectral", "taylor"}
+
+
+def test_the_taylor_kernel_is_exact_to_roundoff_up_to_theta_star():
+    # random Hermitian stacks, real and complex, scaled to 1-norms from 1e-9
+    # (degree 1) to TAYLOR_THETA (degree TAYLOR_DEGREE), against exp(-i x)
+    # from eigh
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(3, 6, 6))
+    b = a + 1j * rng.normal(size=(3, 6, 6))
+    degrees = set()
+    for block in (a + a.swapaxes(-1, -2), b + b.conj().swapaxes(-1, -2)):
+        unit = block / np.abs(block).sum(axis=-2).max()
+        for theta in np.geomspace(1e-9, TAYLOR_THETA, 40):
+            x = theta * unit
+            w, v = np.linalg.eigh(x)
+            want = (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+            degree = _taylor_degree(theta)
+            degrees.add(degree)
+            assert np.abs(taylor_exp(x, degree) - want).max() <= 2e-15
+    assert degrees == set(range(1, TAYLOR_DEGREE + 1))
 
 
 # one step, a chunk less one, a full chunk, one more, and many chunks
@@ -256,19 +351,14 @@ def test_chunked_products_match_dense_step_products(steps, sampling):
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """Shapes of the stacks ``ordered_product`` hands to ``checked_eigh``."""
+def kernel_calls(monkeypatch):
+    """The kernel calls ``ordered_product`` makes, as ``record_kernels``."""
     calls = []
-
-    def counted(matrix):
-        calls.append(matrix.shape)
-        return checked_eigh(matrix)
-
-    monkeypatch.setattr(entwit.work_stats, "checked_eigh", counted)
+    record_kernels(monkeypatch, calls)
     return calls
 
 
-def test_a_varying_piece_off_the_sectors_puts_the_register_in_one_block(eigh_calls):
+def test_a_varying_piece_off_the_sectors_puts_the_register_in_one_block(kernel_calls):
     # the fixed piece conserves S^z, the varying one (sx on site 2) does not:
     # the blocks must come from both, so the product runs on the whole register
     register = QubitRegister(3)
@@ -278,29 +368,38 @@ def test_a_varying_piece_off_the_sectors_puts_the_register_in_one_block(eigh_cal
     coefficients = np.column_stack([np.ones(20), np.linspace(0.1, 0.9, 20)])
     u = ordered_product(register, pieces, coefficients, 0.05).entries
     assert np.abs(u - dense_step_product(pieces, coefficients, 0.05)).max() <= 1e-12
-    assert eigh_calls and all(shape[1:] == (1, 8, 8) for shape in eigh_calls)
+    # one kernel call for the one chunk of 20 runs, on the whole register
+    assert [shape for _, shape in kernel_calls] == [(20, 1, 8, 8)]
 
 
-def test_each_group_is_diagonalized_once_per_chunk(eigh_calls):
+def test_each_group_is_diagonalized_once_per_chunk(kernel_calls):
     trotter_evolution(DrivingSchedule(*NONCOMMUTING_RAMP[4], steps=2 * STEP_CHUNK + 5))
     # four sites: sector sizes 1, 4, 6, 4, 1 stack into three groups.  J
     # changes at every step, so the 4- and 6-state groups have one run per
     # step, in chunks of 32, 32 and 5; on 1 x 1 blocks every piece is a
-    # multiple of the identity, so that group is one run and one call
-    assert sorted(eigh_calls) == sorted(
+    # multiple of the identity, so that group is one run and one call.  Each
+    # chunk takes one call of one kernel, whichever its theta picks
+    assert sorted(shape for _, shape in kernel_calls) == sorted(
         [(1, 2, 1, 1)] + [(c, 2, 4, 4) for c in (STEP_CHUNK, STEP_CHUNK, 5)]
         + [(c, 1, 6, 6) for c in (STEP_CHUNK, STEP_CHUNK, 5)]
     )
+    # at dt = 1/69 both kernels run: the 6-state group's first chunk (largest
+    # J) is above TAYLOR_THETA, the 1 x 1 group (theta = 0) below it
+    assert {kind for kind, _ in kernel_calls} == {"spectral", "taylor"}
 
 
 @pytest.mark.parametrize("steps", [80, 1000])
-def test_a_field_ramp_is_diagonalized_once_per_group(eigh_calls, steps):
+def test_a_field_ramp_is_diagonalized_once_per_group(kernel_calls, steps):
     # the seven-qubit protocol ramps B alone, and S_z is m I on each sector:
-    # every step of a group shares one spectrum
+    # every step of a group shares one spectrum, and that one run's theta
+    # is the whole t_f R, above TAYLOR_THETA for any step count; on the
+    # 1 x 1 blocks R = 0, so theta = 0 and the polynomial takes them
     schedule = dataclasses.replace(detection_protocol(7).schedule, steps=steps)
     trotter_evolution(schedule)
     # sector sizes 1, 7, 21, 35, 35, 21, 7, 1 stack into four groups
-    assert sorted(eigh_calls) == [(1, 2, s, s) for s in (1, 7, 21, 35)]
+    assert sorted(kernel_calls) == sorted(
+        [("taylor", (1, 2, 1, 1))] + [("spectral", (1, 2, s, s)) for s in (7, 21, 35)]
+    )
 
 
 @pytest.mark.parametrize("corrupt", ["eigenvalue", "eigenvector"])
@@ -319,12 +418,63 @@ def test_a_corrupted_block_inside_a_chunk_is_rejected(monkeypatch, corrupt):
         return w, v
 
     monkeypatch.setattr(np.linalg, "eigh", skewed)
-    schedule = DrivingSchedule(*NONCOMMUTING_RAMP[4], steps=STEP_CHUNK + 3)
+    # dt = 1: every chunk is far above TAYLOR_THETA, so the spectral kernel
+    # takes the stacks of several runs
+    steps = STEP_CHUNK + 3
+    schedule = DrivingSchedule(*NONCOMMUTING_RAMP[4], t_f=float(steps), steps=steps)
     match = "reconstruction" if corrupt == "eigenvalue" else "orthonormal"
     with pytest.raises(NumericalCheckError, match=match):
         trotter_evolution(schedule)
     with pytest.raises(NumericalCheckError, match=match):
-        open_trotter_evolution(four_site_split(STEP_CHUNK + 3))
+        open_trotter_evolution(four_site_split(steps, t_f=float(steps)))
+
+
+def test_a_corrupted_polynomial_factor_is_rejected(monkeypatch):
+    corrupted = []
+
+    def skewed(x, degree):
+        factors = taylor_exp(x, degree)
+        if x.shape[0] > 1:  # a stack of several runs
+            factors[x.shape[0] // 2, -1, 0, 0] *= 1.0 + 1e-8
+            corrupted.append(x.shape)
+        return factors
+
+    monkeypatch.setattr(entwit.work_stats, "taylor_exp", skewed)
+    # 1000 slices of a non-commuting ramp: every chunk is below TAYLOR_THETA
+    for evolve in (
+        lambda: trotter_evolution(DrivingSchedule(*NONCOMMUTING_RAMP[4], steps=1000)),
+        lambda: open_trotter_evolution(four_site_split(1000)),
+    ):
+        with pytest.raises(NumericalCheckError, match="unitarity") as caught:
+            evolve()
+        # the chunk's own check fails, before the product is assembled
+        assert [entry.name for entry in caught.traceback[-2:]] == ["ordered_product", "check_unitary"]
+    assert len(corrupted) == 2
+
+
+def test_a_nan_coefficient_is_rejected(kernel_calls):
+    # a NaN coefficient of a varying piece (sx on site 2, off the sectors)
+    # makes theta NaN, which takes the spectral kernel and its eigensolver
+    # check
+    register = QubitRegister(3)
+    sx = embed_operator(register, np.array([[0.0, 1.0], [1.0, 0.0]]), (2,)).real
+    pieces = np.stack([chain_matrix(XXZParams(3, 1.0, 0.4, 0.2)), sx])
+    coefficients = np.column_stack([np.ones(1000), np.linspace(0.1, 0.9, 1000)])
+    coefficients[500, 1] = np.nan
+    with pytest.raises(NumericalCheckError, match="eigensolver|orthonormal"):
+        ordered_product(register, pieces, coefficients, 1e-3)
+    assert kernel_calls[-1] == ("spectral", (STEP_CHUNK, 1, 8, 8))
+    # a NaN in -B (S_z, a multiple of the identity on every sector) leaves
+    # theta finite and the polynomial factor's phase NaN, which its
+    # unitarity check rejects
+    schedule = DrivingSchedule(*NONCOMMUTING_RAMP[4], steps=1000)
+    hopping, zz, magnetization = xxz_pieces(4, "periodic")
+    pieces = np.stack([hopping, np.diag(zz), np.diag(magnetization)])
+    coefficients = schedule_coefficients(schedule)
+    coefficients[500, 2] = np.nan
+    with pytest.raises(NumericalCheckError, match="unitarity"):
+        ordered_product(QubitRegister(4), pieces, coefficients, schedule.dt)
+    assert kernel_calls[-1][0] == "taylor"
 
 
 @pytest.mark.parametrize("n", [3, 7])

@@ -41,7 +41,8 @@ from entwit import (
     work_distribution,
 )
 
-from entwit.work_stats import SAMPLE_BLOCK, _sample_block
+from entwit.spin_models import xxz_pieces
+from entwit.work_stats import COMMUTATION_ATOL, SAMPLE_BLOCK, _sample_block
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -258,6 +259,28 @@ class TestEvolution:
         )
         with pytest.raises(NumericalCheckError, match="trotter"):
             exact_evolution(ramp)
+
+    @pytest.mark.parametrize("scale, commutes", [(0.5, True), (2.0, False)])
+    def test_a_linear_ramp_is_judged_by_its_endpoints_commutator(self, scale, commutes):
+        # J = 1 throughout while Jz ramps 0 -> eps, so [H_i, H_f] =
+        # eps [H_xy, H_zz]; eps puts its largest entry at scale * COMMUTATION_ATOL.
+        # Every other pair of slices has a smaller commutator, by (t - s)/t_f
+        hopping, zz, _ = xxz_pieces(4, "periodic")
+        largest = np.abs(hopping * zz[None, :] - zz[:, None] * hopping).max()
+        eps = scale * COMMUTATION_ATOL / largest
+        ramp = DrivingSchedule(XXZParams(4, 1.0, 0.0, 0.3), XXZParams(4, 1.0, eps, 0.3), steps=50)
+        if commutes:
+            exact_evolution(ramp)
+        else:
+            with pytest.raises(NumericalCheckError, match="do not commute"):
+                exact_evolution(ramp)
+
+    def test_a_quench_between_noncommuting_endpoints_is_accepted(self):
+        # every slice after t = 0 holds H_f, which commutes with itself
+        quench = dataclasses.replace(NONCOMMUTING, interpolation="quench-at-start")
+        u = exact_evolution(quench)
+        want = evolution_operator(build_xxz(quench.final), quench.t_f)
+        assert np.array_equal(u.entries, want.entries)
 
     def test_left_sampling_error_is_first_order(self):
         sched = dataclasses.replace(detection_protocol(3).schedule, steps=1000)
