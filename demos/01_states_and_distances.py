@@ -3,16 +3,16 @@ Reference states and relative-entropy distances
 ===============================================
 
 Builds the symmetric one-excitation state on small chains, the closest
-separable reference, and the rank-two mimic on seven qubits, then prints
-the distances between them.
+separable reference, and the rank-two reference that the seven-qubit
+protocol prepares, then prints the distances between them.
 """
 
 import numpy as np
 
 from entwit import (
     build_css,
-    build_sigma_prime_7,
     build_w_state,
+    reference_state,
     relative_entropy,
 )
 
@@ -29,9 +29,10 @@ print("\ncss_3 spectrum:", np.round(eigenvalues[eigenvalues > 1e-12], 6))
 print("expected      :", np.round(sorted([1 / 27, 6 / 27, 8 / 27, 12 / 27]), 6))
 
 # on seven qubits a rank-two state is exactly as far from rho_7 as the
-# full separable reference
+# full separable reference; it is not separable itself, and the witness
+# needs only its distance
 rho7 = build_w_state(7)
-prime = build_sigma_prime_7()
+prime = reference_state(7)
 print("\nS(rho_7 || sigma'_7)  =", relative_entropy(rho7, prime))
 print("S(rho_7 || css_7)     =", relative_entropy(rho7, build_css(7)))
 print("6 ln(7/6)             =", 6 * np.log(7 / 6))

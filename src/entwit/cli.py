@@ -103,7 +103,9 @@ def _build_parser() -> _Parser:
         help="compute distances spectrally or from work statistics",
     )
 
-    sweep = sub.add_parser("sweep", help="map detection over a (B, Jz, T) grid")
+    sweep = sub.add_parser(
+        "sweep", help="map detection over a (B, Jz, T) grid of an n-qubit ring, 3 <= n <= 12"
+    )
     add_common(sweep, True)
     sweep.add_argument("--route", choices=["direct", "via-work"], default="direct")
     sweep.add_argument("--workers", type=int, default=None, help="parallel workers")
@@ -345,10 +347,10 @@ def _run_sweep(args) -> int:
         file,
     )
     n = cfg["n"]
-    if n not in (3, 7):
-        raise ConfigError(f"{file}: n: standard sweeps support n=3 and n=7, got {n!r}")
     coupling_j = _float_key(cfg, "J", 1.0, file)
     beta = _float_key(cfg, "beta", 100.0, file)
+    if not (0.0 < beta < math.inf and 1.0 / beta < math.inf):  # for either reference
+        raise ConfigError(f"{file}: beta: must be positive with a finite 1/beta, got {beta!r}")
     boundary = cfg.get("boundary", "periodic")
     reference_kind = cfg.get("reference", "ideal")
     if reference_kind not in ("ideal", "thermal"):

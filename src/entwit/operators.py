@@ -14,8 +14,8 @@ them is exactly 0, one whole-register block otherwise, with blocks of equal
 size stacked together; ``assemble`` puts such stacks back into one matrix,
 and ``diagonal_blocks`` restricts a matrix to given blocks (a view, not a
 copy, when the block is the whole register).
-The spectral decomposition, the ``DensityMatrix`` PSD check, the
-``UnitaryOperator`` check, the relative entropy and the direct sweep (in
+The spectral decomposition, the container checks (hermiticity, PSD,
+unitarity), the relative entropy and the direct sweep (in
 ``thermo`` and ``witness``), and the Trotter product, commutation check and
 transition probabilities (in ``work_stats``) all run on those stacks, so
 their cost is that of the largest sector, not of the register.
@@ -104,12 +104,7 @@ class HermitianOperator:
 
     def __post_init__(self) -> None:
         entries = _frozen_matrix(self.entries, self.register.dim, "operator matrix")
-        deviation = float(np.abs(entries - entries.conj().T).max())
-        if deviation > HERMITICITY_ATOL:
-            raise NumericalCheckError(
-                f"matrix is not self-adjoint: max |A - A^dag| = {deviation:.3e} "
-                f"exceeds {HERMITICITY_ATOL:.0e}"
-            )
+        _check_hermitian(sector_stacks(entries), "matrix")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -156,8 +151,8 @@ class DensityMatrix:
     Slightly negative eigenvalues from roundoff are tolerated down to
     -1e-10 and are clamped to zero by every function of the spectrum.
     ``eigenvalues`` keeps the ascending spectrum of the PSD check (read-only),
-    so functions of the spectrum do not diagonalize the state again; the
-    check runs ``eigvalsh`` on the ``sector_stacks`` of the state.
+    so functions of the spectrum do not diagonalize the state again; its
+    checks run on the ``sector_stacks`` of the state.
     """
 
     register: QubitRegister
@@ -166,18 +161,15 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         entries = _frozen_matrix(self.entries, self.register.dim, "density matrix")
-        herm_dev = float(np.abs(entries - entries.conj().T).max())
-        if herm_dev > HERMITICITY_ATOL:
-            raise NumericalCheckError(
-                f"density matrix is not self-adjoint: deviation {herm_dev:.3e}"
-            )
+        stacks = sector_stacks(entries)
+        _check_hermitian(stacks, "density matrix")
         trace_dev = abs(complex(np.trace(entries)) - 1.0)
         if trace_dev > TRACE_ATOL:
             raise NumericalCheckError(
                 f"density matrix trace differs from 1 by {trace_dev:.3e}"
             )
         eigenvalues = np.sort(
-            np.concatenate([np.linalg.eigvalsh(blocks).ravel() for _, blocks in sector_stacks(entries)])
+            np.concatenate([np.linalg.eigvalsh(blocks).ravel() for _, blocks in stacks])
         )
         smallest = float(eigenvalues[0])
         if smallest < -PSD_ATOL:
@@ -250,6 +242,17 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
     if not gram_dev <= ORTHONORMALITY_ATOL:
         raise NumericalCheckError(
             f"eigenvectors are not orthonormal: deviation {gram_dev:.3e}"
+        )
+
+
+def _check_hermitian(stacks: Sequence[tuple[np.ndarray, np.ndarray]], what: str) -> None:
+    """Raise unless each block of ``sector_stacks`` is within HERMITICITY_ATOL
+    of its adjoint: the whole matrix is, as it is 0 between sector blocks."""
+    deviation = max(float(np.abs(b - b.conj().swapaxes(-1, -2)).max()) for _, b in stacks)
+    if deviation > HERMITICITY_ATOL:
+        raise NumericalCheckError(
+            f"{what} is not self-adjoint: max |A - A^dag| = {deviation:.3e} "
+            f"exceeds {HERMITICITY_ATOL:.0e}"
         )
 
 

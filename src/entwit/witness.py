@@ -1,11 +1,11 @@
 """Relative-entropy entanglement witness and parameter-space detection sweeps.
 
 The test compares two distances from a reference entangled state ``rho``:
-``s_left = S(rho||sigma_ref)`` against a known separable reference
-``sigma_ref``, and ``s_right = S(rho||rho_star)`` against the state under
-test.  Whenever ``s_right < s_left`` (strictly, beyond a small epsilon),
-``rho_star`` must be entangled: no separable state sits closer to ``rho``
-than the closest separable one.
+``s_left = S(rho||sigma_ref)``, its relative entropy of entanglement (only that
+distance counts; ``sigma_ref`` need not be separable), and ``s_right =
+S(rho||rho_star)`` against the state under test.  Whenever ``s_right < s_left``
+(strictly, beyond a small epsilon), ``rho_star`` must be entangled: no
+separable state sits closer to ``rho`` than the closest separable one.
 
 Both distances can be computed directly from spectra or rebuilt from
 two-point-measurement work statistics when every state involved is a declared
@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .operators import (
+    MAX_QUBITS,
     DensityMatrix,
     QubitRegister,
     UnitaryOperator,
@@ -68,8 +69,8 @@ STRICTNESS_EPSILON = 1e-9
 # values as fit in this many entries (whole planes on every acceptance grid).
 SWEEP_STACK_ENTRIES = 1 << 20
 
-# Final-field values that prepare the reference entangled state as the ground
-# state of the chain, per register size.
+# Final fields (times J) that make W_n the chain's ground state; any other n
+# takes the window's midpoint cos(pi/n), which is 0.5000000000000001 at n = 3.
 FINAL_FIELD = {3: 0.5, 7: 0.92}
 
 
@@ -79,6 +80,15 @@ def build_w_state(n: int) -> DensityMatrix:
     if n < 2:
         raise ValueError("the single-excitation state needs at least two qubits")
     return pure_state(register, dicke_state(register, 1))
+
+
+def _dicke_mixture(register: QubitRegister, weights: dict[int, float]) -> DensityMatrix:
+    """sum_k weights[k] |D_k><D_k| over the Dicke states D_k with k ones."""
+    entries = np.zeros((register.dim, register.dim), dtype=np.complex128)
+    for k_ones, weight in weights.items():
+        vec = dicke_state(register, k_ones)
+        entries += weight * np.outer(vec, vec.conj())
+    return DensityMatrix(register, entries)
 
 
 def build_css(n: int) -> DensityMatrix:
@@ -92,30 +102,32 @@ def build_css(n: int) -> DensityMatrix:
     register = QubitRegister(n)
     if n < 2:
         raise ValueError("the separable reference needs at least two qubits")
-    entries = np.zeros((register.dim, register.dim), dtype=np.complex128)
     total = float(n**n)
-    for k_zeros in range(n + 1):
-        weight = math.comb(n, k_zeros) * float((n - 1) ** k_zeros) / total
-        vec = dicke_state(register, n - k_zeros)
-        entries += weight * np.outer(vec, vec.conj())
-    return DensityMatrix(register, entries)
+    return _dicke_mixture(
+        register, {n - k: math.comb(n, k) * float((n - 1) ** k) / total for k in range(n + 1)}
+    )
 
 
-def build_sigma_prime_7() -> DensityMatrix:
-    """Separable seven-qubit reference mixing the all-zeros projector with the
-    single-excitation Dicke projector; unlike the full closest separable
-    state, this one is exactly preparable as a low-temperature Gibbs state
-    of the chain, and it sits at the same distance from the reference
-    entangled state."""
-    register = QubitRegister(7)
-    total = float(7**7)
-    zeros_weight = (7**7 - 7 * 6**6) / total
-    dicke_weight = 7 * 6**6 / total
-    entries = np.zeros((register.dim, register.dim), dtype=np.complex128)
-    entries[0, 0] = zeros_weight
-    vec = dicke_state(register, 1)
-    entries += dicke_weight * np.outer(vec, vec.conj())
-    return DensityMatrix(register, entries)
+def _check_reference_size(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or not 3 <= n <= MAX_QUBITS:
+        raise ValueError(f"references take an integer n from 3 to {MAX_QUBITS}, got n={n!r}")
+
+
+def reference_state(n: int) -> DensityMatrix:
+    """The state sigma_ref that the witness measures W_n against, 3 <= n <= 12:
+    ``build_css(3)`` at n = 3, else sigma'_n = p_0 |0...0><0...0| + p_W |W_n><W_n|
+    with p_W = n (n-1)^(n-1) / n^n, a Gibbs state of ``reference_params``.
+
+    sigma'_n is not separable (at n = 7 its partial transpose on qubit 1 has
+    the eigenvalue -0.0304), and the witness does not need it to be: it uses
+    only S(W_n || sigma'_n) = -ln p_W = (n-1) ln(n/(n-1)), the relative
+    entropy of entanglement of W_n."""
+    _check_reference_size(n)
+    if n == 3:
+        return build_css(3)
+    total = float(n**n)
+    weights = {0: (n**n - n * (n - 1) ** (n - 1)) / total, 1: n * (n - 1) ** (n - 1) / total}
+    return _dicke_mixture(QubitRegister(n), weights)
 
 
 def _warn_if_warm(beta: float) -> None:
@@ -127,40 +139,39 @@ def _warn_if_warm(beta: float) -> None:
         )
 
 
-def css_thermal_params_3(beta: float, coupling_j: float = 1.0, boundary: str = "periodic") -> XXZParams:
-    """Chain parameters whose Gibbs state at ``beta`` reproduces the 3-qubit
-    closest separable state (to many digits once beta is large)."""
+def reference_params(n: int, beta: float, coupling_j: float = 1.0, boundary: str = "periodic") -> XXZParams:
+    """Chain parameters whose Gibbs state at ``beta`` is ``reference_state(n)``
+    to many digits once beta is large.
+
+    At n = 3 a Jz term shapes css_3.  For n >= 4, Jz = 0 and
+    B = J + ln(p_0 / p_W) / (2 beta), which sets the weights of |0...0> and
+    W_n; every other level sits at least 4 J (1 - cos(pi/n)) above W_n.  No
+    field makes W_n the ground state for J <= 0, which raises ValueError.
+    The real limit is the protocol's final side: at beta = 100 and J = 1 its
+    Gibbs state holds weight 1.1e-7 outside W_n at n = 7, 1.2e-5 at n = 9,
+    1.1e-4 at n = 10 and 2.2e-3 at n = 12, and the thermal s_left reads low
+    by 2.0e-6, 1.2e-5, 1.1e-4 and 2.2e-3.
+    """
+    _check_reference_size(n)
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if not coupling_j > 0:
+        raise ValueError(f"the reference protocol needs J > 0, got J={coupling_j!r}")
     _warn_if_warm(beta)
-    return XXZParams(
-        n=3,
-        J=coupling_j,
-        Jz=(2.0 * coupling_j - math.log(3.0) / beta) / 4.0,
-        B=math.log(2.0) / (2.0 * beta),
-        boundary=boundary,
-    )
-
-
-def sigma_prime_thermal_params_7(beta: float, coupling_j: float = 1.0, boundary: str = "periodic") -> XXZParams:
-    """Chain parameters whose Gibbs state at ``beta`` reproduces the exactly
-    preparable 7-qubit separable reference."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    _warn_if_warm(beta)
-    return XXZParams(
-        n=7,
-        J=coupling_j,
-        Jz=0.0,
-        B=math.log(70993.0 / 46656.0) / (2.0 * beta) + coupling_j,
-        boundary=boundary,
-    )
+    if n == 3:
+        jz = (2.0 * coupling_j - math.log(3.0) / beta) / 4.0
+        field = math.log(2.0) / (2.0 * beta)
+    else:
+        jz = 0.0
+        ratio = (n ** (n - 1) - (n - 1) ** (n - 1)) / (n - 1) ** (n - 1)
+        field = math.log(ratio) / (2.0 * beta) + coupling_j
+    return XXZParams(n=n, J=coupling_j, Jz=jz, B=field, boundary=boundary)
 
 
 @dataclass(frozen=True)
 class DetectionProtocol:
-    """Driving protocol that carries the separable reference into the
-    entangled reference as the endpoints' low-temperature Gibbs states."""
+    """Driving protocol whose endpoints' low-temperature Gibbs states are
+    the reference pair, ``reference_state(n)`` and then W_n."""
 
     schedule: DrivingSchedule
     beta: float
@@ -183,14 +194,12 @@ def detection_protocol(
     steps: int = 1000,
     boundary: str = "periodic",
 ) -> DetectionProtocol:
-    """The standard witness protocol for n = 3 or n = 7 qubits."""
-    if n == 3:
-        initial = css_thermal_params_3(beta, coupling_j, boundary)
-    elif n == 7:
-        initial = sigma_prime_thermal_params_7(beta, coupling_j, boundary)
-    else:
-        raise ValueError(f"standard protocols exist for n = 3 and n = 7, got n={n}")
-    final = XXZParams(n=n, J=coupling_j, Jz=0.0, B=FINAL_FIELD[n], boundary=boundary)
+    """The standard witness protocol on n qubits, 3 <= n <= 12: from
+    ``reference_params`` to J, Jz = 0 and a final field in the window
+    J (2 cos(pi/n) - 1) < B < J where W_n is the ground state."""
+    initial = reference_params(n, beta, coupling_j, boundary)
+    final_field = coupling_j * FINAL_FIELD.get(n, math.cos(math.pi / n))
+    final = XXZParams(n=n, J=coupling_j, Jz=0.0, B=final_field, boundary=boundary)
     schedule = DrivingSchedule(initial=initial, final=final, t_f=t_f, steps=steps)
     return DetectionProtocol(schedule=schedule, beta=beta)
 
@@ -368,6 +377,7 @@ class SweepGrid:
     detected: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        XXZParams(self.n, self.coupling_j, 0.0, 0.0, self.boundary)  # raises on a bad chain
         if self.t_axis.minimum <= 0:
             raise ValueError("temperatures must be strictly positive")
         for name in ("s_right", "margin", "detected"):
@@ -403,7 +413,6 @@ class SweepReference:
     sigma_ref: DensityMatrix
     rho_spec: ThermalSpec | None = None
     sigma_spec: ThermalSpec | None = None
-    evolution: UnitaryOperator | None = None
     thermal: bool = False
     description: str = ""
 
@@ -415,28 +424,21 @@ def sweep_reference(
     boundary: str = "periodic",
     thermal: bool = False,
 ) -> SweepReference:
-    """Standard sweep reference for n = 3 (closest separable state) or n = 7
-    (the preparable two-component reference).  With ``thermal=True`` the ideal
-    states are replaced by their Gibbs-state identifications at ``beta``,
+    """Standard sweep reference on n qubits, 3 <= n <= 12: W_n and
+    ``reference_state(n)``, which need no chain, or with ``thermal=True``
+    the Gibbs states of ``detection_protocol``'s endpoints at ``beta``,
     which is what the work-statistics route requires."""
+    if not thermal:
+        sigma = reference_state(n)  # checks n before the W state is built
+        return SweepReference(build_w_state(n), sigma, description="ideal reference states")
     protocol = detection_protocol(n, beta=beta, coupling_j=coupling_j, boundary=boundary)
-    rho_spec = protocol.final_spec
-    sigma_spec = protocol.initial_spec
-    if thermal:
-        rho = thermal_state(rho_spec)
-        sigma = thermal_state(sigma_spec)
-        description = f"thermal identification at beta={beta:g}"
-    else:
-        rho = build_w_state(n)
-        sigma = build_css(n) if n == 3 else build_sigma_prime_7()
-        description = "ideal reference states"
     return SweepReference(
-        rho=rho,
-        sigma_ref=sigma,
-        rho_spec=rho_spec,
-        sigma_spec=sigma_spec,
-        thermal=thermal,
-        description=description,
+        rho=thermal_state(protocol.final_spec),
+        sigma_ref=thermal_state(protocol.initial_spec),
+        rho_spec=protocol.final_spec,
+        sigma_spec=protocol.initial_spec,
+        thermal=True,
+        description=f"thermal identification at beta={beta:g}",
     )
 
 
@@ -452,13 +454,8 @@ def _shared_sweep_state(grid: SweepGrid, reference: SweepReference, route: str) 
             raise ConfigError(
                 "route 'via_work' needs a sweep reference with thermal declarations"
             )
-        register = reference.rho_spec.hamiltonian.register
-        u_left = (
-            reference.evolution
-            if reference.evolution is not None
-            else _identity_unitary(register)
-        )
-        s_left = relative_entropy_via_work(reference.sigma_spec, reference.rho_spec, u_left)
+        identity = _identity_unitary(reference.rho_spec.hamiltonian.register)
+        s_left = relative_entropy_via_work(reference.sigma_spec, reference.rho_spec, identity)
     return {
         "n": grid.n,
         "coupling_j": grid.coupling_j,

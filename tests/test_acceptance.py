@@ -24,10 +24,8 @@ from entwit import (
     UnitaryOperator,
     XXZParams,
     build_css,
-    build_sigma_prime_7,
     build_w_state,
     build_xxz,
-    css_thermal_params_3,
     decoupled,
     delta_beta_f,
     detection_protocol,
@@ -36,9 +34,10 @@ from entwit import (
     full_hamiltonian,
     log_jarzynski_average,
     log_tasaki_average,
+    reference_params,
+    reference_state,
     relative_entropy,
     sample_tpm,
-    sigma_prime_thermal_params_7,
     sweep_detection,
     sweep_reference,
     thermal_state,
@@ -163,7 +162,7 @@ def test_accept_04_reference_states():
     )
     rho7 = build_w_state(7)
     dev_prime = abs(
-        relative_entropy(rho7, build_sigma_prime_7()) - relative_entropy(rho7, build_css(7))
+        relative_entropy(rho7, reference_state(7)) - relative_entropy(rho7, build_css(7))
     )
     verdict(
         4,
@@ -177,10 +176,10 @@ def test_accept_04_reference_states():
 def test_accept_05_thermal_matching():
     # beta = 100 (T = 0.01), J = 1
     target3 = math.log(9 / 4)
-    sigma3 = thermal_state(ThermalSpec(build_xxz(css_thermal_params_3(100.0)), 100.0))
+    sigma3 = thermal_state(ThermalSpec(build_xxz(reference_params(3, 100.0)), 100.0))
     rel3 = abs(relative_entropy(build_w_state(3), sigma3) - target3) / target3
 
-    params7 = sigma_prime_thermal_params_7(100.0)
+    params7 = reference_params(7, 100.0)
     dev_field = abs(params7.B - (math.log(70993 / 46656) / 200.0 + 1.0))
     target7 = 6 * math.log(7 / 6)
     sigma7 = thermal_state(ThermalSpec(build_xxz(params7), 100.0))

@@ -229,10 +229,54 @@ def test_sweep_rejects_zero_step_axis(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
-def test_sweep_rejects_unknown_n(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"n": 4, "grid": SMALL_GRID})
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "n" in capsys.readouterr().err
+def test_sweep_rejects_unknown_n(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("entwit.cli.sweep_detection", refuse)
+    for n in (2, 13, True, "7"):
+        cfg = write_config(tmp_path, {"n": n, "grid": SMALL_GRID})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n=" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_a_bad_chain_with_the_ideal_reference(tmp_path, capsys):
+    # the ideal reference builds no chain, so the grid checks it
+    for key, value in (("boundary", "twisted"), ("J", float("nan"))):
+        cfg = write_config(tmp_path, {"n": 3, key: value, "grid": SMALL_GRID})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_runs_every_size_from_three_to_twelve(tmp_path):
+    for n in (4, 5):
+        cfg = write_config(tmp_path, {"n": n, "grid": SMALL_GRID})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / f"n{n}")]) in (0, 3)
+        meta = read_json(tmp_path / f"n{n}", "sweep_meta.json")
+        assert meta["grid"]["n"] == n
+
+
+def test_sweep_thermal_reference_follows_the_coupling(tmp_path, capsys):
+    # at T = 100 the chain's Gibbs state is near-maximally mixed, so
+    # separable; with the final field blind to J it read s_left = 81.1
+    hot = {**SMALL_GRID, "T": {"min": 100.0, "max": 100.0, "step": 1.0}}
+    cfg = write_config(tmp_path, {"n": 7, "J": 2, "reference": "thermal", "grid": hot})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "hot")]) == 3
+    with open(tmp_path / "hot" / "sweep.csv") as fh:
+        s_left = float(fh.readlines()[1].split(",")[3])
+    assert abs(s_left - 6 * np.log(7 / 6)) < 1e-5
+    # no chain makes W_n its ground state at J <= 0
+    for route in ("direct", "via-work"):
+        cfg = write_config(tmp_path, {"n": 7, "J": -1, "reference": "thermal", "grid": hot})
+        assert main(["sweep", "--route", route, "--config", cfg, "--out", str(tmp_path / "neg")]) == 1
+        assert "J=-1" in capsys.readouterr().err
+    # the ideal reference needs no chain
+    cfg = write_config(tmp_path, {"n": 3, "J": -1, "grid": SMALL_GRID})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "ideal")]) in (0, 3)
 
 
 # ---------------------------------------------------------------- verify

@@ -58,6 +58,22 @@ def test_hermitian_rejects_shape_mismatch():
         HermitianOperator(QubitRegister(2), np.eye(2))
 
 
+@pytest.mark.parametrize("container", [HermitianOperator, DensityMatrix])
+@pytest.mark.parametrize("row, col", [(3, 5), (6, 5), (1, 4)])
+def test_hermiticity_is_checked_inside_every_sector_block(container, row, col):
+    # a state block diagonal in the popcount sectors of three qubits, made
+    # non-Hermitian inside one block only, so the check runs on the sectors
+    base = np.diag([0.4, 0.1, 0.1, 0.05, 0.1, 0.05, 0.05, 0.15]).astype(complex)
+    for step, passes in ((0.5e-12, True), (2e-12, False), (2e-12j, False)):
+        entries = base.copy()
+        entries[row, col] += step
+        if passes:
+            container(QubitRegister(3), entries)
+        else:
+            with pytest.raises(NumericalCheckError, match="not self-adjoint"):
+                container(QubitRegister(3), entries)
+
+
 def test_density_rejects_bad_trace():
     with pytest.raises(NumericalCheckError, match="trace"):
         DensityMatrix(QubitRegister(1), np.eye(2))

@@ -3,7 +3,7 @@
 Frozen oracle values, all derivable by hand from the state definitions:
 
   S(W_3 || css_3)      = ln(9/4)   = 0.8109302162163288
-  S(W_7 || sigma'_7)   = 6 ln(7/6) = 0.9249040789635501
+  S(W_n || sigma'_n)   = (n-1) ln(n/(n-1)); 6 ln(7/6) = 0.9249040789635501
   sigma'_7 weights       (7^7 - 7*6^6)/7^7 and 7*6^6/7^7
   css_3 eigenvalues      {8/27, 12/27, 6/27, 1/27} on the magnetization ladder
 """
@@ -26,15 +26,15 @@ from entwit import (
     ThermalSpec,
     XXZParams,
     build_css,
-    build_sigma_prime_7,
     build_w_state,
     build_xxz,
-    css_thermal_params_3,
     detection_protocol,
     dicke_state,
     pure_state,
+    reference_params,
+    reference_state,
     relative_entropy,
-    sigma_prime_thermal_params_7,
+    spectral_decompose,
     state_checksum,
     sweep_detection,
     sweep_metadata,
@@ -97,7 +97,7 @@ def test_css_3_spectrum():
 
 
 def test_sigma_prime_structure():
-    sigma = build_sigma_prime_7()
+    sigma = reference_state(7)
     reg = QubitRegister(7)
     zero = np.zeros(128, dtype=complex)
     zero[0] = 1.0
@@ -110,7 +110,7 @@ def test_sigma_prime_structure():
 
 def test_sigma_prime_is_equidistant():
     rho = build_w_state(7)
-    d_prime = relative_entropy(rho, build_sigma_prime_7())
+    d_prime = relative_entropy(rho, reference_state(7))
     d_css = relative_entropy(rho, build_css(7))
     assert abs(d_prime - SIX_LN_7_6) < 1e-9
     assert abs(d_prime - d_css) < 1e-6
@@ -119,14 +119,14 @@ def test_sigma_prime_is_equidistant():
 # ---------------------------------------------------------------- thermal params
 
 def test_css_thermal_params_3_closed_form():
-    params = css_thermal_params_3(100.0)
+    params = reference_params(3, 100.0)
     assert abs(params.B - np.log(2) / 200.0) < 1e-15
     assert abs(params.Jz - (2.0 - np.log(3) / 100.0) / 4.0) < 1e-15
     assert params.n == 3 and params.J == 1.0
 
 
 def test_sigma_prime_thermal_params_7_closed_form():
-    params = sigma_prime_thermal_params_7(100.0)
+    params = reference_params(7, 100.0)
     assert abs(params.B - 1.0020988987212267) < 1e-15
     assert abs(params.B - (np.log(70993 / 46656) / 200.0 + 1.0)) < 1e-15
     assert params.Jz == 0.0
@@ -134,22 +134,22 @@ def test_sigma_prime_thermal_params_7_closed_form():
 
 def test_thermal_params_warn_when_warm():
     with pytest.warns(UserWarning):
-        css_thermal_params_3(1.0)
+        reference_params(3, 1.0)
     with pytest.warns(UserWarning):
-        sigma_prime_thermal_params_7(5.0)
+        reference_params(7, 5.0)
 
 
 def test_thermal_identification_3():
     # the engineered Gibbs state reproduces the separable reference distance
     # to better than six significant figures at T = 0.01
-    sigma = thermal_state(ThermalSpec(build_xxz(css_thermal_params_3(100.0)), 100.0))
+    sigma = thermal_state(ThermalSpec(build_xxz(reference_params(3, 100.0)), 100.0))
     value = relative_entropy(build_w_state(3), sigma)
     assert abs(value - LN_9_4) / LN_9_4 < 5e-7
 
 
 def test_thermal_identification_7():
     sigma = thermal_state(
-        ThermalSpec(build_xxz(sigma_prime_thermal_params_7(100.0)), 100.0)
+        ThermalSpec(build_xxz(reference_params(7, 100.0)), 100.0)
     )
     value = relative_entropy(build_w_state(7), sigma)
     assert abs(value - SIX_LN_7_6) / SIX_LN_7_6 < 5e-6
@@ -166,8 +166,72 @@ def test_detection_protocol_endpoints():
     proto7 = detection_protocol(7, beta=50.0)
     assert proto7.schedule.final.B == 0.92
     assert proto7.initial_spec.beta == 50.0
-    with pytest.raises(ValueError):
-        detection_protocol(5)
+    assert detection_protocol(5).schedule.final.B == math.cos(math.pi / 5)
+    assert detection_protocol(5, coupling_j=2.0).schedule.final.B == 2.0 * math.cos(math.pi / 5)
+    for n in BAD_SIZES:
+        with pytest.raises(ValueError, match="from 3 to 12"):
+            detection_protocol(n)
+
+
+BAD_SIZES = (2, 13, True, "7")
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_reference_state_sits_at_the_w_states_entanglement(n):
+    # S(W_n || sigma'_n) = -ln p_W, the relative entropy of entanglement of W_n
+    value = relative_entropy(build_w_state(n), reference_state(n))
+    assert abs(value - (n - 1) * math.log(n / (n - 1))) < 1e-12
+
+
+def test_reference_state_is_the_paper_choice_at_n_3():
+    assert np.array_equal(reference_state(3).entries, build_css(3).entries)
+
+
+@pytest.mark.parametrize("coupling_j", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_w_state_is_the_ground_state_of_the_final_chain(n, coupling_j):
+    final = detection_protocol(n, coupling_j=coupling_j).schedule.final
+    hamiltonian = build_xxz(final)
+    levels = spectral_decompose(hamiltonian).eigenvalues
+    w = dicke_state(QubitRegister(n), 1)
+    assert abs((w.conj() @ hamiltonian.entries @ w).real - levels[0]) < 1e-12
+    # the gap to |0...0> is 2 (J - B); at the window's midpoint
+    # B = J cos(pi/n) it equals the gap to the two-excitation band
+    gap = 2.0 * (coupling_j - final.B) if n == 7 else 2.0 * coupling_j * (1 - math.cos(math.pi / n))
+    assert abs((levels[1] - levels[0]) - gap) < 1e-12 * coupling_j
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_gibbs_state_of_reference_params_is_the_reference_state(n):
+    sigma = thermal_state(ThermalSpec(build_xxz(reference_params(n, 100.0)), 100.0))
+    # roundoff in the energies, amplified by beta = 100
+    assert np.abs(sigma.entries - reference_state(n).entries).max() < 1e-12
+    register = QubitRegister(n)
+    zeros = np.zeros(register.dim)
+    zeros[0] = 1.0
+    w = dicke_state(register, 1)
+    inside = sum((v.conj() @ sigma.entries @ v).real for v in (zeros, w))
+    assert 1.0 - inside < 1e-13
+
+
+def test_reference_params_need_a_positive_coupling():
+    for n in (3, 7):
+        for coupling_j in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="J > 0"):
+                reference_params(n, 100.0, coupling_j)
+    for n in BAD_SIZES:
+        with pytest.raises(ValueError, match="from 3 to 12"):
+            reference_params(n, 100.0)
+        with pytest.raises(ValueError, match="from 3 to 12"):
+            reference_state(n)
+
+
+def test_thermal_s_left_follows_the_coupling():
+    # the final field scales with J: at J = 2 the seven-qubit thermal
+    # reference reads 6 ln(7/6), where a final field of 0.92 read 81.1
+    grid = small_grid(n=7, coupling_j=2.0)
+    done = sweep_detection(grid, sweep_reference(7, coupling_j=2.0, thermal=True))
+    assert abs(done.s_left - SIX_LN_7_6) < 1e-5
 
 
 # ---------------------------------------------------------------- evaluation
@@ -394,9 +458,16 @@ def test_sweep_reference_variants():
     ref = sweep_reference(7)
     assert ref.description
     assert not ref.thermal
+    # the ideal reference builds no chain, so it does not depend on J
+    assert ref.rho_spec is None and ref.sigma_spec is None
+    assert state_checksum(sweep_reference(7, coupling_j=-1.0).sigma_ref) == state_checksum(ref.sigma_ref)
     assert sweep_reference(3, thermal=True).thermal
-    with pytest.raises(ValueError):
-        sweep_reference(4)
+    assert sweep_reference(4, thermal=True).thermal
+    with pytest.raises(ValueError, match="J > 0"):
+        sweep_reference(7, coupling_j=-1.0, thermal=True)
+    for n in BAD_SIZES:
+        with pytest.raises(ValueError, match="from 3 to 12"):
+            sweep_reference(n)
 
 
 # ---------------------------------------------------------------- output
