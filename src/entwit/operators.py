@@ -256,11 +256,19 @@ def _check_hermitian(stacks: Sequence[tuple[np.ndarray, np.ndarray]], what: str)
         )
 
 
-def check_unitary(entries: np.ndarray) -> float:
+def check_unitary(entries: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """max |U^dag U - I| of the square block ``entries``, or over every block
-    of a stack; raises when it exceeds UNITARITY_ATOL or is not finite."""
-    gram = entries.conj().swapaxes(-1, -2) @ entries
-    deviation = float(np.abs(gram - np.eye(entries.shape[-1])).max())
+    of a stack; raises when it exceeds UNITARITY_ATOL or is not finite.
+
+    ``out``, when given, is two complex arrays shaped like ``entries`` that
+    receive U^* and the Gram matrix U^dag U, so a caller checking many
+    stacks of one shape can keep them; otherwise both are made here."""
+    adjoint, gram = (None, None) if out is None else out
+    adjoint = np.conjugate(entries, out=adjoint)
+    gram = np.matmul(adjoint.swapaxes(-1, -2), entries, out=gram)
+    gram -= np.eye(entries.shape[-1])
+    # the magnitudes go over U^*, which is no longer needed
+    deviation = float(np.abs(gram, out=adjoint.real).max())
     if not deviation <= UNITARITY_ATOL:
         raise NumericalCheckError(
             f"unitarity check failed: max |U^dag U - I| = {deviation:.3e} "

@@ -130,11 +130,20 @@ def reference_state(n: int) -> DensityMatrix:
     return _dicke_mixture(QubitRegister(n), weights)
 
 
-def _warn_if_warm(beta: float) -> None:
-    if 1.0 / beta > 0.1:
+# The final Gibbs state holds about exp(-beta gap) of its weight outside W_n;
+# below this beta gap that leak passes 1e-6.
+WARM_LIMIT = math.log(1e6)
+
+
+def _warn_if_warm(n: int, beta: float, coupling_j: float) -> None:
+    """Warn when beta times the final chain's gap 2J(1 - cos(pi/n)) to the
+    two-excitation band is below WARM_LIMIT."""
+    beta_gap = beta * 2.0 * coupling_j * (1.0 - math.cos(math.pi / n))
+    if beta_gap < WARM_LIMIT:
         warnings.warn(
-            "thermal identification of the separable reference is only accurate "
-            f"at low temperature; 1/beta = {1.0 / beta:.3g} > 0.1",
+            "thermal identification of the reference pair is only accurate "
+            f"when beta times the final gap is large; it is {beta_gap:.3g} < ln(1e6) "
+            f"at n={n}, beta={beta:g}, J={coupling_j:g}",
             stacklevel=3,
         )
 
@@ -147,17 +156,29 @@ def reference_params(n: int, beta: float, coupling_j: float = 1.0, boundary: str
     B = J + ln(p_0 / p_W) / (2 beta), which sets the weights of |0...0> and
     W_n; every other level sits at least 4 J (1 - cos(pi/n)) above W_n.  No
     field makes W_n the ground state for J <= 0, which raises ValueError.
+    W_n is an eigenstate of the periodic ring only (the open chain's final
+    ground state overlaps it by 0.947, 0.929 and 0.903 at n = 4, 5 and 7),
+    so any other boundary raises ValueError too.
+
     The real limit is the protocol's final side: at beta = 100 and J = 1 its
     Gibbs state holds weight 1.1e-7 outside W_n at n = 7, 1.2e-5 at n = 9,
     1.1e-4 at n = 10 and 2.2e-3 at n = 12, and the thermal s_left reads low
-    by 2.0e-6, 1.2e-5, 1.1e-4 and 2.2e-3.
+    by 2.0e-6, 1.2e-5, 1.1e-4 and 2.2e-3; at n = 7, beta = 100 and J = 0.5
+    it reads low by 3.1e-3.  So it warns when beta 2J(1 - cos(pi/n)) is
+    below ln(1e6), about 13.8: at beta = 100 and J = 1, n >= 9 warn and
+    n = 7 and 8 do not.
     """
     _check_reference_size(n)
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if not coupling_j > 0:
         raise ValueError(f"the reference protocol needs J > 0, got J={coupling_j!r}")
-    _warn_if_warm(beta)
+    if boundary != "periodic":
+        raise ValueError(
+            f"the reference protocol needs the periodic ring, got boundary={boundary!r}: "
+            "W_n is not an eigenstate of the open chain"
+        )
+    _warn_if_warm(n, beta, coupling_j)
     if n == 3:
         jz = (2.0 * coupling_j - math.log(3.0) / beta) / 4.0
         field = math.log(2.0) / (2.0 * beta)
@@ -194,8 +215,9 @@ def detection_protocol(
     steps: int = 1000,
     boundary: str = "periodic",
 ) -> DetectionProtocol:
-    """The standard witness protocol on n qubits, 3 <= n <= 12: from
-    ``reference_params`` to J, Jz = 0 and a final field in the window
+    """The standard witness protocol on the periodic ring of n qubits,
+    3 <= n <= 12: from ``reference_params`` (which raises for another
+    boundary) to J, Jz = 0 and a final field in the window
     J (2 cos(pi/n) - 1) < B < J where W_n is the ground state."""
     initial = reference_params(n, beta, coupling_j, boundary)
     final_field = coupling_j * FINAL_FIELD.get(n, math.cos(math.pi / n))
@@ -425,9 +447,10 @@ def sweep_reference(
     thermal: bool = False,
 ) -> SweepReference:
     """Standard sweep reference on n qubits, 3 <= n <= 12: W_n and
-    ``reference_state(n)``, which need no chain, or with ``thermal=True``
-    the Gibbs states of ``detection_protocol``'s endpoints at ``beta``,
-    which is what the work-statistics route requires."""
+    ``reference_state(n)``, which need no chain (so any boundary), or with
+    ``thermal=True`` the Gibbs states of ``detection_protocol``'s endpoints
+    at ``beta``, which is what the work-statistics route requires; those
+    exist on the periodic ring only."""
     if not thermal:
         sigma = reference_state(n)  # checks n before the W state is built
         return SweepReference(build_w_state(n), sigma, description="ideal reference states")

@@ -9,6 +9,12 @@ dense ``np.linalg.eigh`` per Hamiltonian.  They share no sector code and no
 overlap kernel with ``entwit``; ``dense_eigenvectors`` and
 ``dense_transitions`` scatter the package's blocks into full matrices for
 comparison.
+
+``allocating_product`` is the exception: the chunk loop ``ordered_product``
+ran before it computed into a reused workspace, kept here with a fresh array
+for every intermediate, so that the workspace product can be held to the
+same bits.  It shares the sector, check and kernel-choice code with
+``entwit`` on purpose.
 """
 
 import math
@@ -27,8 +33,9 @@ from entwit import (
     params_at,
     thermal_state,
 )
-from entwit.operators import EIGENVALUE_FLOOR
+from entwit.operators import EIGENVALUE_FLOOR, assemble, check_unitary, checked_eigh, sector_stacks
 from entwit.thermo import SUPPORT_LEAK_TOL
+from entwit.work_stats import CHUNK_ENTRIES, STEP_CHUNK, TAYLOR_THETA, _taylor_degree
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -144,3 +151,63 @@ def dense_sample(e_initial, e_final, q, beta, count: int, seed: int, block: int 
         m_all.append(np.array([np.searchsorted(cum_q[:, n], u, side="right") for n, u in zip(n_idx, second)]))
         n_all.append(n_idx)
     return np.concatenate(n_all), np.concatenate(m_all)
+
+
+def _allocating_horner(y, coefficients):
+    identity = np.eye(y.shape[-1])
+    if len(coefficients) == 1:
+        return np.broadcast_to(coefficients[0] * identity, y.shape)
+    total = coefficients[-1] * y + coefficients[-2] * identity
+    for c in reversed(coefficients[:-2]):
+        total = y @ total + c * identity
+    return total
+
+
+def _allocating_taylor_exp(x, degree):
+    y = x @ x
+    cos = _allocating_horner(y, [(-1) ** j / math.factorial(2 * j) for j in range(degree // 2 + 1)])
+    sin = x @ _allocating_horner(y, [(-1) ** j / math.factorial(2 * j + 1) for j in range((degree + 1) // 2)])
+    return cos - 1j * sin
+
+
+def _allocating_run_factors(h, lengths, shifts, dt):
+    durations = dt * lengths
+    theta = float(np.max(durations * np.abs(h).sum(axis=-2).max(axis=(-2, -1))))
+    if theta <= TAYLOR_THETA:
+        phases = np.exp(-1j * dt * shifts)[..., None, None]
+        return _allocating_taylor_exp(durations[:, None, None, None] * h, _taylor_degree(theta)) * phases
+    energies, vectors = checked_eigh(h)
+    phases = np.exp(-1j * dt * (lengths[:, None, None] * energies + shifts[:, :, None]))[..., None, :]
+    return (vectors * phases) @ vectors.conj().swapaxes(-1, -2)
+
+
+def allocating_product(pieces: np.ndarray, coefficients: np.ndarray, dt: float) -> np.ndarray:
+    """The dense matrix of ``ordered_product(register, pieces, coefficients,
+    dt)`` from the same runs, chunks and kernels, each step allocating."""
+    stacks = sector_stacks(pieces)
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    largest = max(blocks[0].size for _, blocks in stacks)
+    chunk = max(1, min(STEP_CHUNK, CHUNK_ENTRIES // largest))
+    products = []
+    for indices, blocks in stacks:
+        alpha = blocks[:, :, 0, 0].real
+        identity = np.eye(blocks.shape[-1])
+        scalar = np.array([
+            np.array_equal(piece, a[:, None, None] * identity) for piece, a in zip(blocks, alpha)
+        ])
+        varying, varying_blocks = coefficients[:, ~scalar], blocks[~scalar]
+        starts = np.flatnonzero(
+            np.concatenate([[True], (varying[1:] != varying[:-1]).any(axis=1)])
+        )
+        lengths = np.diff(starts, append=len(coefficients)).astype(np.float64)
+        shifts = np.add.reduceat(coefficients[:, scalar] @ alpha[scalar], starts, axis=0)
+        product = np.tile(np.eye(indices.shape[1], dtype=np.complex128), (indices.shape[0], 1, 1))
+        for first in range(0, len(starts), chunk):
+            runs = slice(first, first + chunk)
+            h = np.tensordot(varying[starts[runs]], varying_blocks, axes=1)
+            factors = _allocating_run_factors(h, lengths[runs], shifts[runs], dt)
+            check_unitary(factors)
+            for factor in factors:
+                product = factor @ product
+        products.append((indices, product))
+    return assemble(products, np.complex128)

@@ -260,6 +260,22 @@ def test_sweep_runs_every_size_from_three_to_twelve(tmp_path):
         assert meta["grid"]["n"] == n
 
 
+def test_sweep_refuses_an_open_chain_for_the_reference_protocol(tmp_path, capsys):
+    # W_n is the ground state of the periodic ring only, so neither the
+    # thermal reference nor the work route exists on an open chain
+    for extra, route in (({"reference": "thermal"}, "direct"), ({}, "via-work")):
+        cfg = write_config(tmp_path, {"n": 5, "boundary": "open", **extra, "grid": SMALL_GRID})
+        out = tmp_path / f"open-{route}"
+        assert main(["sweep", "--route", route, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "boundary='open'" in err and "Traceback" not in err
+        assert not out.exists()
+    # the ideal reference pair does not depend on the chain
+    cfg = write_config(tmp_path, {"n": 5, "boundary": "open", "grid": SMALL_GRID})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "ideal")]) in (0, 3)
+    assert read_json(tmp_path / "ideal", "sweep_meta.json")["config"]["boundary"] == "open"
+
+
 def test_sweep_thermal_reference_follows_the_coupling(tmp_path, capsys):
     # at T = 100 the chain's Gibbs state is near-maximally mixed, so
     # separable; with the final field blind to J it read s_left = 81.1

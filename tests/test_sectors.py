@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_open_trotter, dense_s_right, dense_trotter, dense_xxz
+from dense_oracle import allocating_product, dense_open_trotter, dense_s_right, dense_trotter, dense_xxz
 from entwit import (
     DrivingSchedule,
     GridAxis,
@@ -309,6 +309,8 @@ def test_ordered_product_matches_dense_step_product(case):
     for step in (dt, taylor_dt, spectral_dt):
         u, calls = product_and_kernels(n, pieces, coefficients, step)
         assert np.abs(u - dense_step_product(pieces, coefficients, step)).max() <= 1e-12
+        # the workspace runs the allocating loop's operations in its order
+        assert np.array_equal(u, allocating_product(pieces, coefficients, step))
         kinds = {kind for kind, _ in calls}
         if step == taylor_dt:
             assert kinds == {"taylor"}
@@ -316,6 +318,24 @@ def test_ordered_product_matches_dense_step_product(case):
             assert "spectral" in kinds
         ran |= kinds
     assert ran == {"spectral", "taylor"}
+
+
+def test_consecutive_products_share_no_memory():
+    register = QubitRegister(4)
+    hopping, zz, magnetization = xxz_pieces(4, "periodic")
+    pieces = np.stack([hopping, np.diag(zz), np.diag(magnetization)])
+
+    def product(schedule):
+        return ordered_product(register, pieces, schedule_coefficients(schedule), schedule.dt)
+
+    first = product(DrivingSchedule(*NONCOMMUTING_RAMP[4], t_f=1.3, steps=2 * STEP_CHUNK + 5))
+    kept = first.entries.copy()
+    second = product(DrivingSchedule(*NONCOMMUTING_RAMP[4][::-1], t_f=0.7, steps=STEP_CHUNK + 3))
+    assert np.array_equal(first.entries, kept)
+    assert not np.array_equal(first.entries, second.entries)
+    assert not np.shares_memory(first.entries, second.entries)
+    for (_, a), (_, b) in zip(first.stacks, second.stacks, strict=True):
+        assert not np.shares_memory(a, b)
 
 
 def test_the_taylor_kernel_is_exact_to_roundoff_up_to_theta_star():
@@ -432,8 +452,8 @@ def test_a_corrupted_block_inside_a_chunk_is_rejected(monkeypatch, corrupt):
 def test_a_corrupted_polynomial_factor_is_rejected(monkeypatch):
     corrupted = []
 
-    def skewed(x, degree):
-        factors = taylor_exp(x, degree)
+    def skewed(x, degree, work):
+        factors = taylor_exp(x, degree, work)
         if x.shape[0] > 1:  # a stack of several runs
             factors[x.shape[0] // 2, -1, 0, 0] *= 1.0 + 1e-8
             corrupted.append(x.shape)

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from entwit import (
     witness_evaluate,
     write_sweep_csv,
 )
-from entwit.witness import STRICTNESS_EPSILON, _decide, _finish_report
+from entwit.witness import FINAL_FIELD, STRICTNESS_EPSILON, _decide, _finish_report
 
 from csv_oracle import legacy_sweep_csv
 
@@ -137,6 +138,47 @@ def test_thermal_params_warn_when_warm():
         reference_params(3, 1.0)
     with pytest.warns(UserWarning):
         reference_params(7, 5.0)
+
+
+@pytest.mark.parametrize("n, beta, coupling_j", [(7, 100.0, 0.5)] + [(n, 100.0, 1.0) for n in range(9, 13)])
+def test_thermal_params_warn_when_beta_times_the_final_gap_is_small(n, beta, coupling_j):
+    # beta 2J(1 - cos(pi/n)) < ln(1e6): at n = 7, beta = 100, J = 0.5 the
+    # thermal s_left reads 3.1e-3 low
+    with pytest.warns(UserWarning, match="thermal identification"):
+        reference_params(n, beta, coupling_j)
+
+
+@pytest.mark.parametrize("n", [3, 7, 8])
+def test_thermal_params_are_quiet_when_the_final_gap_is_large(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reference_params(n, 100.0)
+        detection_protocol(n)
+
+
+def test_the_reference_protocol_refuses_an_open_chain():
+    # W_n is an eigenstate of the periodic ring only
+    for n in (3, 4, 7):
+        with pytest.raises(ValueError, match="periodic ring"):
+            reference_params(n, 100.0, boundary="open")
+        with pytest.raises(ValueError, match="periodic ring"):
+            detection_protocol(n, boundary="open")
+        with pytest.raises(ValueError, match="periodic ring"):
+            sweep_reference(n, boundary="open", thermal=True)
+        # the ideal pair needs no chain
+        ideal = sweep_reference(n, boundary="open")
+        assert np.array_equal(ideal.sigma_ref.entries, reference_state(n).entries)
+    grid = small_grid(boundary="open")
+    assert sweep_detection(grid, sweep_reference(3, boundary="open")).detected.any()
+
+
+def test_the_open_chain_ground_state_is_not_w():
+    # the measured overlaps behind the refusal above
+    for n, overlap in ((4, 0.947), (5, 0.929), (7, 0.903)):
+        final = XXZParams(n, 1.0, 0.0, FINAL_FIELD.get(n, math.cos(math.pi / n)), "open")
+        _, vectors = np.linalg.eigh(build_xxz(final).entries)
+        w = dicke_state(QubitRegister(n), 1)
+        assert abs(abs(w.conj() @ vectors[:, 0]) ** 2 - overlap) < 5e-4
 
 
 def test_thermal_identification_3():
