@@ -30,6 +30,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -352,6 +353,16 @@ def witness_evaluate(
 # Parameter-space sweeps
 
 
+# Result bytes per sweep point: the per-Jz planes and the stacked s_right
+# (8 B each), the margin (8 B) and the detection flag (1 B).
+SWEEP_POINT_BYTES = 25
+
+
+def memory_budget() -> int:
+    """Bytes of physical memory, the most that one request may need."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @dataclass(frozen=True)
 class GridAxis:
     """Inclusive arithmetic range min, min+step, ..., max."""
@@ -371,10 +382,16 @@ class GridAxis:
             raise ValueError(
                 f"axis range is empty: maximum {self.maximum} < minimum {self.minimum}"
             )
+        if not math.isfinite((self.maximum - self.minimum) / self.step):
+            raise ValueError(f"axis step {self.step} is too small for its range")
+
+    @property
+    def count(self) -> int:
+        """Number of values, computed without building them."""
+        return max(0, int(math.floor((self.maximum - self.minimum) / self.step + 1e-9)) + 1)
 
     def values(self) -> np.ndarray:
-        count = int(math.floor((self.maximum - self.minimum) / self.step + 1e-9)) + 1
-        return self.minimum + self.step * np.arange(count)
+        return self.minimum + self.step * np.arange(self.count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,6 +419,12 @@ class SweepGrid:
         XXZParams(self.n, self.coupling_j, 0.0, 0.0, self.boundary)  # raises on a bad chain
         if self.t_axis.minimum <= 0:
             raise ValueError("temperatures must be strictly positive")
+        needed, budget = SWEEP_POINT_BYTES * self.point_count, memory_budget()
+        if needed > budget:
+            raise ValueError(
+                f"the grid has {self.point_count} points, whose results need about {needed} bytes, "
+                f"more than the memory budget of {budget} bytes"
+            )
         for name in ("s_right", "margin", "detected"):
             value = getattr(self, name)
             if value is not None and np.shape(value) != self.shape:
@@ -411,11 +434,7 @@ class SweepGrid:
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return (
-            self.b_axis.values().size,
-            self.jz_axis.values().size,
-            self.t_axis.values().size,
-        )
+        return (self.b_axis.count, self.jz_axis.count, self.t_axis.count)
 
     @property
     def point_count(self) -> int:
@@ -587,30 +606,31 @@ def state_checksum(state: DensityMatrix) -> str:
 def write_sweep_csv(grid: SweepGrid, path) -> None:
     """Plot-ready CSV: B, Jz, T, s_left, s_right, margin, detected.
 
-    The axis values and s_left are formatted once; only s_right and the
-    margin are formatted per point, and rows go out one B value at a time.
+    Each (Jz, T) row's text but its s_right, margin and flag is a ``%``
+    template built once; each B plane fills its joined rows with one ``%``
+    over a flat (s_right, margin, flag) list, so no Python code runs per
+    point and memory is O(one plane).  ``"%.17g" % x`` formats as
+    ``f"{x:.17g}"`` does, so the cost is bounded by the ``.17g`` conversions.
     """
     if grid.s_right is None:
         raise ValueError("grid has no results; run sweep_detection first")
-    jz_text = [f"{jz:.17g}," for jz in grid.jz_axis.values().tolist()]
-    t_text = [f"{t:.17g},{grid.s_left:.17g}," for t in grid.t_axis.values().tolist()]
-    flag_text = (",false\n", ",true\n")
+    rows = [
+        f"{jz:.17g},{t:.17g},{grid.s_left:.17g},%.17g,%.17g%s"
+        for jz in grid.jz_axis.values().tolist()
+        for t in grid.t_axis.values().tolist()
+    ]
+    flag_text = np.array([",false\n", ",true\n"], dtype=object)
+    fields = [None] * (3 * len(rows))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("B,Jz,T,s_left,s_right,margin,detected\n")
         for b, s_right, margin, detected in zip(
-            grid.b_axis.values().tolist(),
-            grid.s_right.tolist(),
-            grid.margin.tolist(),
-            grid.detected.tolist(),
+            grid.b_axis.values().tolist(), grid.s_right, grid.margin, grid.detected
         ):
+            fields[0::3] = s_right.ravel().tolist()
+            fields[1::3] = margin.ravel().tolist()
+            fields[2::3] = flag_text[detected.ravel().astype(np.intp)].tolist()
             b_text = f"{b:.17g},"
-            handle.write(
-                "".join(
-                    f"{b_text}{jz}{t}{s:.17g},{m:.17g}{flag_text[d]}"
-                    for jz, s_row, m_row, d_row in zip(jz_text, s_right, margin, detected)
-                    for t, s, m, d in zip(t_text, s_row, m_row, d_row)
-                )
-            )
+            handle.write((b_text + b_text.join(rows)) % tuple(fields))
 
 
 def sweep_metadata(grid: SweepGrid, reference: SweepReference) -> dict:

@@ -657,16 +657,21 @@ def _cumulative(probabilities: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _sample_block(payload: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(n, m) indices of one block's draws from its own Philox stream.  One
+    stable sort groups the draws by n, and each distinct n takes one binary
+    search over its slice: O(size log size), however many levels occur."""
     (seed, block_index, size, cum_initial, targets) = payload
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
     rng = np.random.Generator(np.random.Philox(seq))
     u_first = rng.random(size)
     n_idx = np.searchsorted(cum_initial, u_first, side="right")
     u_second = rng.random(size)
-    # one binary search per distinct first index, so memory stays O(size)
+    order = np.argsort(n_idx, kind="stable")
+    counts = np.bincount(n_idx)
+    ends = np.cumsum(counts)
     m_idx = np.empty(size, dtype=np.int64)
-    for column in np.unique(n_idx):
-        chosen = n_idx == column
+    for column in np.flatnonzero(counts).tolist():
+        chosen = order[ends[column] - counts[column] : ends[column]]
         rows, cum = targets[column]
         m_idx[chosen] = rows[np.searchsorted(cum, u_second[chosen], side="right")]
     return n_idx.astype(np.int64), m_idx

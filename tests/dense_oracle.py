@@ -8,7 +8,8 @@ the two-point-measurement transitions, work distribution and sampler from one
 dense ``np.linalg.eigh`` per Hamiltonian.  They share no sector code and no
 overlap kernel with ``entwit``; ``dense_eigenvectors`` and
 ``dense_transitions`` scatter the package's blocks into full matrices for
-comparison.
+comparison.  ``smallest_partial_transpose_eigenvalue`` checks each detection
+against a criterion of its own, the partial transpose over every bipartition.
 
 ``allocating_product`` is the exception: the chunk loop ``ordered_product``
 ran before it computed into a reused workspace, kept here with a fresh array
@@ -151,6 +152,23 @@ def dense_sample(e_initial, e_final, q, beta, count: int, seed: int, block: int 
         m_all.append(np.array([np.searchsorted(cum_q[:, n], u, side="right") for n, u in zip(n_idx, second)]))
         n_all.append(n_idx)
     return np.concatenate(n_all), np.concatenate(m_all)
+
+
+def smallest_partial_transpose_eigenvalue(rho: np.ndarray, n: int) -> float:
+    """The smallest eigenvalue of rho's partial transpose over all 2^(n-1) - 1
+    bipartitions of n qubits (Peres, PRL 77, 1413 (1996)).  A negative value
+    on some cut proves rho entangled.  Each cut transposes the qubits of its
+    side that does not hold the last qubit."""
+    tensor = np.asarray(rho).reshape((2,) * (2 * n))
+    smallest = math.inf
+    for cut in range(1, 2 ** (n - 1)):
+        axes = list(range(2 * n))
+        for qubit in range(n - 1):
+            if cut >> qubit & 1:
+                axes[qubit], axes[n + qubit] = n + qubit, qubit
+        transposed = tensor.transpose(axes).reshape(2**n, 2**n)
+        smallest = min(smallest, float(np.linalg.eigvalsh(transposed)[0]))
+    return smallest
 
 
 def _allocating_horner(y, coefficients):

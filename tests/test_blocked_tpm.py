@@ -13,6 +13,7 @@ direct and work routes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +42,7 @@ from entwit import (
     work_distribution,
 )
 from entwit.operators import assemble, spectral_decompose, spectral_function
+from entwit.work_stats import SAMPLE_BLOCK
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 couplings = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -135,6 +137,23 @@ def test_blocked_transitions_match_the_dense_oracle(n, seed, conserving, betas):
     assert np.array_equal(batch.m_index, m_index)
     assert np.abs(batch.energy_initial - e_initial[n_index]).max() <= 1e-12
     assert np.abs(batch.energy_final - e_final[m_index]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("conserving", [True, False])
+def test_sampler_matches_the_dense_oracle_over_several_blocks(conserving):
+    # at beta = 0.1 all 64 levels are drawn as first indices, so every block
+    # groups its draws into many levels; three full blocks and a remainder
+    rng = np.random.default_rng(61 + conserving)
+    n, beta, count, seed = 6, 0.1, 3 * SAMPLE_BLOCK + 1234, 808
+    h_initial, h_final = sector_hamiltonian(n, rng), sector_hamiltonian(n, rng)
+    u = random_unitary(n, rng, conserving)
+    initial, final = ThermalSpec(h_initial, beta), ThermalSpec(h_final, beta)
+    batch, _ = sample_tpm(initial, final, u, count=count, seed=seed)
+    e_initial, e_final, q = dense_tpm(h_initial.entries, h_final.entries, u.entries)
+    n_index, m_index = dense_sample(e_initial, e_final, q, beta, count, seed)
+    assert np.unique(batch.n_index[-1234:]).size == 2**n
+    assert batch.n_index.tobytes() == n_index.astype(np.int64).tobytes()
+    assert batch.m_index.tobytes() == m_index.astype(np.int64).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

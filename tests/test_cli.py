@@ -252,6 +252,21 @@ def test_sweep_rejects_a_bad_chain_with_the_ideal_reference(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_refuses_a_grid_whose_results_exceed_memory(tmp_path, capsys, monkeypatch):
+    # a 1e-12 step asks for 10^12 B values; the grid is refused before any
+    # axis is built, where it once ended in numpy's allocation error
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("entwit.cli.sweep_detection", refuse)
+    grid = {**SMALL_GRID, "B": {"min": 0.0, "max": 1.0, "step": 1e-12}}
+    cfg = write_config(tmp_path, {"n": 3, "grid": grid})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "memory budget" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_runs_every_size_from_three_to_twelve(tmp_path):
     for n in (4, 5):
         cfg = write_config(tmp_path, {"n": n, "grid": SMALL_GRID})

@@ -16,6 +16,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entwit.witness
 from entwit import (
@@ -47,6 +49,7 @@ from entwit import (
 from entwit.witness import FINAL_FIELD, STRICTNESS_EPSILON, _decide, _finish_report
 
 from csv_oracle import legacy_sweep_csv
+from dense_oracle import dense_xxz, smallest_partial_transpose_eigenvalue
 
 LN_9_4 = 0.8109302162163288
 SIX_LN_7_6 = 0.9249040789635501
@@ -388,6 +391,34 @@ def test_grid_axis_validation():
         GridAxis(0.0, np.inf, 0.1)
 
 
+def test_grid_axis_count_matches_its_values():
+    for axis in (
+        GridAxis(0.0, 1.2, 0.02),
+        GridAxis(0.5, 0.5, 1.0),
+        GridAxis(0.02, 2.0, 0.02),
+        GridAxis(-0.5, 0.5, 0.07),
+        GridAxis(0.0, -1e-13, 1e-15),  # within the empty-range tolerance
+    ):
+        assert axis.count == axis.values().size
+    # counted, not built: 10^12 values would take 8 TB
+    assert GridAxis(0.0, 1.0, 1e-12).count == 10**12 + 1
+    with pytest.raises(ValueError, match="too small"):
+        GridAxis(-1e308, 1e308, 1e-300)
+
+
+def test_sweep_grid_refuses_results_beyond_the_memory_budget(monkeypatch):
+    with pytest.raises(ValueError, match="6000000000006 points.*memory budget"):
+        small_grid(b_axis=GridAxis(0.0, 1.0, 1e-12))
+    # 18 points need 25 bytes each: s_right (planes and stack), margin, flag
+    assert small_grid().point_count == 18
+    monkeypatch.setattr(entwit.witness, "memory_budget", lambda: 18 * 25)
+    done = sweep_detection(small_grid(), sweep_reference(3))
+    assert done.shape == (3, 2, 3)
+    monkeypatch.setattr(entwit.witness, "memory_budget", lambda: 18 * 25 - 1)
+    with pytest.raises(ValueError, match="18 points, whose results need about 450 bytes"):
+        small_grid()
+
+
 def test_sweep_grid_requires_positive_temperature():
     with pytest.raises(ValueError):
         SweepGrid(GridAxis(0, 1, 0.5), GridAxis(0, 1, 0.5), GridAxis(0.0, 1.0, 0.5), n=3)
@@ -512,6 +543,36 @@ def test_sweep_reference_variants():
             sweep_reference(n)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=6),
+    b_value=st.floats(0.0, 1.0),
+    jz_start=st.floats(-0.5, -0.45),
+    jz_step=st.floats(0.04, 0.1),
+    temperature=st.floats(0.02, 0.5),
+)
+def test_every_detected_gibbs_state_has_a_negative_partial_transpose(
+    n, b_value, jz_start, jz_step, temperature
+):
+    # the witness rests on S(W_n || sigma_ref) being W_n's relative entropy of
+    # entanglement; the Peres criterion checks each detection without it.  A
+    # detected state that is PPT on every cut is bound entangled or a bug.
+    # Each example crosses the (B, Jz) band where detection happens, which
+    # narrows as n grows, along a random Jz axis at one random B and T
+    grid = SweepGrid(
+        GridAxis(b_value, b_value, 1.0),
+        GridAxis(jz_start, 0.5, jz_step),
+        GridAxis(temperature, temperature, 1.0),
+        n=n,
+    )
+    done = sweep_detection(grid, sweep_reference(n))
+    for jz_value in grid.jz_axis.values()[done.detected[0, :, 0]].tolist():
+        params = XXZParams(n, 1.0, jz_value, b_value)
+        gibbs = thermal_state(ThermalSpec(dense_xxz(params), 1.0 / temperature))
+        smallest = smallest_partial_transpose_eigenvalue(gibbs.entries, n)
+        assert smallest < -1e-9, (params, temperature, smallest)
+
+
 # ---------------------------------------------------------------- output
 
 def test_write_sweep_csv(tmp_path):
@@ -545,6 +606,42 @@ def test_both_infinite_distances_give_nan_margin_and_no_detection(tmp_path):
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert rows[1].endswith(",inf,1,inf,true")
     assert rows[2].endswith(",inf,inf,nan,false")
+
+
+def assert_matches_legacy_csv(grid, tmp_path):
+    write_sweep_csv(grid, tmp_path / "sweep.csv")
+    legacy_sweep_csv(grid, tmp_path / "legacy.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "legacy.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        # 21 x 11 x 50 = 11,550 points
+        (GridAxis(0.0, 1.0, 0.05), GridAxis(0.0, 0.5, 0.05), GridAxis(0.02, 1.0, 0.02)),
+        (GridAxis(0.4, 0.4, 1.0), GridAxis(0.1, 0.1, 1.0), GridAxis(0.05, 0.05, 1.0)),
+        (GridAxis(0.0, 1.0, 0.1), GridAxis(0.2, 0.2, 1.0), GridAxis(0.02, 0.5, 0.04)),
+        (GridAxis(0.0, 1.0, 0.1), GridAxis(-0.5, 0.5, 0.1), GridAxis(0.03, 0.03, 1.0)),
+    ],
+    ids=["large", "one-point", "one-jz", "one-t"],
+)
+def test_write_sweep_csv_matches_the_per_report_writer(tmp_path, axes):
+    done = sweep_detection(SweepGrid(*axes, n=3), sweep_reference(3))
+    if done.point_count > 1:
+        assert 0 < done.detected.sum() < done.point_count  # both flags
+    assert_matches_legacy_csv(done, tmp_path)
+
+
+@pytest.mark.parametrize("s_left", [0.0, -0.0, math.inf])
+def test_write_sweep_csv_formats_signed_zeros_infinities_and_nans(tmp_path, s_left):
+    grid = small_grid()
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5, 0.1]
+    s_right = np.resize(np.array(specials), grid.shape)
+    margin, detected = _decide(s_left, s_right, STRICTNESS_EPSILON)
+    done = dataclasses.replace(grid, s_left=s_left, s_right=s_right, margin=margin, detected=detected)
+    assert_matches_legacy_csv(done, tmp_path)
+    text = (tmp_path / "sweep.csv").read_text()
+    assert ",-0," in text and ",nan," in text and ",-inf," in text
 
 
 def test_sweep_grid_rejects_misshapen_results():
