@@ -66,6 +66,15 @@ hot = SweepGrid(
 hot = sweep_detection(hot, reference)
 print("\nhot grid detections:", int(hot.detected.sum()))
 
+# the witness's reach on the J = 1 ring with the ideal reference: over the
+# README's 825-point grid its detections fall fast with n, though most of
+# these Gibbs states have a negative partial transpose (README table)
+print("\ndetections on 825 points (B 0..1, Jz -0.5..0.5, T 0.02..1.0):")
+for n in range(3, 7):
+    reach = SweepGrid(GridAxis(0.0, 1.0, 0.1), GridAxis(-0.5, 0.5, 0.25), GridAxis(0.02, 1.0, 0.07), n=n)
+    reach = sweep_detection(reach, sweep_reference(n))
+    print(f"  n = {n}: {int(reach.detected.sum())} of {reach.point_count}")
+
 # persist results the same way the CLI does
 out = tempfile.mkdtemp()
 csv_path = os.path.join(out, "sweep.csv")

@@ -362,11 +362,11 @@ def _run_sweep(args) -> int:
         raise ConfigError(f"{file}: grid: expected an object with axes B, Jz, T")
     _check_keys(grid_cfg, {"B", "Jz", "T"}, {"B", "Jz", "T"}, file, "grid")
     route = args.route.replace("-", "_")
+    # parsed outside the try below, which would name the file a second time
+    axes = [_axis_from_config(grid_cfg[key], f"grid.{key}", file) for key in ("B", "Jz", "T")]
     try:
         grid = SweepGrid(
-            b_axis=_axis_from_config(grid_cfg["B"], "grid.B", file),
-            jz_axis=_axis_from_config(grid_cfg["Jz"], "grid.Jz", file),
-            t_axis=_axis_from_config(grid_cfg["T"], "grid.T", file),
+            *axes,
             n=n,
             coupling_j=coupling_j,
             boundary=boundary,

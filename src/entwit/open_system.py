@@ -16,15 +16,17 @@ mid-protocol.  Endpoint states are the equilibrium ones at the shared beta,
 which is all the fluctuation identities require.  The driven Hamiltonian is
 affine in the subsystem parameters, H(t) = (coupling + bath) + J H_xy +
 Jz H_zz - B S_z, with ``spin_models.chain_pieces`` laid on the subsystem's
-sites, so ``open_trotter_evolution`` builds the dense pieces once and hands
-them to the closed chain's ordered product, which cuts them with
-``operators.sector_stacks``.  A split XXZ chain conserves the total S^z, and
-the product then runs per S^z sector of the full register; a coupling or
-bath that changes S^z puts the whole register in one block.  The endpoint
-spectra come from ``spectral_decompose``, per S^z sector in the same way,
-and keep their blocks: the weight operator exp(-beta (H - E0)) is built from
-them with ``operators.spectral_function``.  Its partial trace and the
-effective Hamiltonian stay dense.
+sites; ``full_hamiltonian`` and ``open_trotter_evolution`` build it with
+the same two helpers.  ``open_trotter_evolution`` builds the pieces once
+(H_zz and S_z as diagonals) and hands them to the closed chain's ordered
+product, which cuts the dense ones with ``operators.sector_stacks``.  A
+split XXZ chain conserves the total S^z, and the product then runs per S^z
+sector of the full register; a coupling or bath that changes S^z puts the
+whole register in one block.  The endpoint spectra come from
+``spectral_decompose``, per S^z sector in the same way, and keep their
+blocks: the weight operator exp(-beta (H - E0)) is built from them with
+``operators.spectral_function``.  Its partial trace and the effective
+Hamiltonian stay dense.
 
 Partition functions stay in log space and come from ``thermo``'s one rule:
 ln Y is ``ThermalSpec(full_hamiltonian(c), beta).log_partition``, ln Z_B is
@@ -61,7 +63,6 @@ from .spin_models import (
     DrivingSchedule,
     XXZParams,
     _bonds,
-    build_xxz,
     chain_pieces,
     params_at,
     xxz_matrix,
@@ -182,17 +183,30 @@ def full_hamiltonian(composite: CompositeSystem, t: float = 0.0) -> HermitianOpe
     subsystem enters with its chain at time ``t``, a static one as it is."""
     register = composite.register
     if composite.subsystem_schedule is None:
-        subsystem = composite.subsystem_hamiltonian
+        subsystem = embed_operator(register, composite.subsystem_hamiltonian.entries, composite.subsystem_sites)
     else:
-        subsystem = build_xxz(params_at(composite.subsystem_schedule, t))
-    entries = embed_operator(register, subsystem.entries, composite.subsystem_sites)
+        subsystem = xxz_matrix(params_at(composite.subsystem_schedule, t), *_subsystem_pieces(composite))
+    return HermitianOperator(register, _add_environment(composite, subsystem))
+
+
+def _subsystem_pieces(composite: CompositeSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``chain_pieces`` of a driven subsystem's chain laid on its sites of
+    the full register: H_xy, and the diagonals of H_zz and S_z."""
+    schedule = composite.subsystem_schedule
+    site = [s - 1 for s in composite.subsystem_sites]
+    bonds = [(site[l], site[m]) for l, m in _bonds(schedule.n, schedule.initial.boundary)]
+    return chain_pieces(composite.register.n, bonds, site)
+
+
+def _add_environment(composite: CompositeSystem, entries: np.ndarray) -> np.ndarray:
+    """``entries`` plus the coupling, then plus the bath embedded on its sites."""
     if composite.coupling is not None:
         entries = entries + composite.coupling.entries
     if composite.bath_hamiltonian is not None:
         entries = entries + embed_operator(
-            register, composite.bath_hamiltonian.entries, composite.bath_sites
+            composite.register, composite.bath_hamiltonian.entries, composite.bath_sites
         )
-    return HermitianOperator(register, entries)
+    return entries
 
 
 def log_bath_partition(composite: CompositeSystem) -> float:
@@ -354,16 +368,15 @@ def open_trotter_evolution(composite: CompositeSystem, sampling: str = "left") -
     The bath and coupling stay fixed while the subsystem parameters follow the
     schedule; sampling works as in the closed-system integrator ("left" for
     plain first order, "midpoint" for the symmetric variant).  The full
-    Hamiltonian is built once, as the dense pieces (coupling + embedded bath,
-    and the subsystem chain's H_xy, H_zz and S_z laid on its sites of the
-    full register) with the slice coefficients (1, J, Jz, -B), and handed to
-    ``work_stats.ordered_product``, which exploits S^z conservation when the
-    coupling and bath have it too (as for a split XXZ chain).  The subsystem's
-    H_zz is not a multiple of the identity on the full register's sectors,
-    so a ramp of Jz makes every slice a run of its own; short slices (1-norm
-    of the exponent at most TAYLOR_THETA, about 0.070; 0.006 for 1000 steps
-    of the three-qubit protocol) take the Taylor kernel, a few matrix
-    products, and longer ones the spectral kernel, one checked ``eigh``.
+    Hamiltonian is built once, as the pieces of ``full_hamiltonian``: coupling
+    + embedded bath and the subsystem chain's H_xy, dense, and its H_zz and
+    S_z diagonals, laid on its sites of the full register.  With the slice
+    coefficients (1, J, Jz, -B) they go to ``work_stats.ordered_product``,
+    which exploits S^z conservation when the coupling and bath have it too
+    (as for a split XXZ chain).  The subsystem's H_zz is not a multiple of
+    the identity on the full register's sectors, so a ramp of Jz makes every
+    slice a run of its own, which short slices (0.006 for 1000 steps of the
+    three-qubit protocol) take through the Taylor kernel.
     """
     if composite.subsystem_schedule is None:
         raise ValueError("open_trotter_evolution needs a driven composite")
@@ -372,16 +385,9 @@ def open_trotter_evolution(composite: CompositeSystem, sampling: str = "left") -
         [np.ones(schedule.steps), schedule_coefficients(schedule, sampling)]
     )
     register = composite.register
-    fixed = np.zeros((register.dim, register.dim), dtype=np.complex128)
-    if composite.coupling is not None:
-        fixed += composite.coupling.entries
-    if composite.bath_hamiltonian is not None:
-        fixed += embed_operator(register, composite.bath_hamiltonian.entries, composite.bath_sites)
-    site = [s - 1 for s in composite.subsystem_sites]
-    bonds = [(site[l], site[m]) for l, m in _bonds(schedule.n, schedule.initial.boundary)]
-    hopping, zz, magnetization = chain_pieces(register.n, bonds, site)
-    pieces = np.stack([fixed, hopping, np.diag(zz), np.diag(magnetization)])
-    return ordered_product(register, pieces, coefficients, schedule.dt)
+    fixed = _add_environment(composite, np.zeros((register.dim, register.dim), dtype=np.complex128))
+    hopping, zz, magnetization = _subsystem_pieces(composite)
+    return ordered_product(register, (fixed, hopping, zz, magnetization), coefficients, schedule.dt)
 
 
 def split_chain(

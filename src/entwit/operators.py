@@ -24,8 +24,9 @@ A ``SpectralDecomposition`` keeps the eigenvectors of each block, with the
 position of each block eigenvalue in the ascending spectrum; the transition
 probabilities merge the blocks into one only for a unitary that mixes
 sectors.  ``spectral_function`` is the
-package's one V f(w) V^dag, taken block by block: Gibbs states, propagators
-and the open system's weight operator all come from it.
+package's one V f(w) V^dag, taken block by block: Gibbs states and the open
+system's weight operator come from it.  Propagators do not: every one,
+exact evolution included, is a product of ``work_stats.ordered_product``.
 
 The eigensolver and unitarity checks live in two helpers, ``checked_eigh``
 and ``check_unitary``, which work on any square block or stack of blocks, so
@@ -413,17 +414,6 @@ def spectral_function(
         (indices, (v * values[levels][:, None, :]) @ v.conj().swapaxes(-1, -2))
         for indices, levels, v in spectrum.stacks
     ]
-
-
-def evolution_operator(hamiltonian: HermitianOperator, duration: float) -> UnitaryOperator:
-    """exp(-i H t) built block by block from the spectral decomposition,
-    hence exactly unitary up to roundoff."""
-    if not math.isfinite(duration):
-        raise ValueError("evolution duration must be finite")
-    decomposition = spectral_decompose(hamiltonian)
-    phases = np.exp(-1j * decomposition.eigenvalues * duration)
-    entries = assemble(spectral_function(decomposition, phases), np.complex128)
-    return UnitaryOperator(hamiltonian.register, entries)
 
 
 def embed_operator(

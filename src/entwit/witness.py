@@ -384,6 +384,8 @@ class GridAxis:
             )
         if not math.isfinite((self.maximum - self.minimum) / self.step):
             raise ValueError(f"axis step {self.step} is too small for its range")
+        if self.count == 0:
+            raise ValueError(f"axis holds no value: maximum {self.maximum} < minimum {self.minimum}")
 
     @property
     def count(self) -> int:
@@ -445,16 +447,15 @@ class SweepGrid:
 class SweepReference:
     """Reference pair (and optional Gibbs declarations) for a sweep.
 
-    ``thermal`` marks ``rho``/``sigma_ref`` as the thermal states of the
-    declared specs, letting the sweep use the exact log-space distance for
-    the reference leg instead of the dense evaluator.
+    When both specs are declared, ``rho``/``sigma_ref`` are their thermal
+    states, and the sweep takes the reference leg from the exact log-space
+    distance instead of the dense evaluator.
     """
 
     rho: DensityMatrix
     sigma_ref: DensityMatrix
     rho_spec: ThermalSpec | None = None
     sigma_spec: ThermalSpec | None = None
-    thermal: bool = False
     description: str = ""
 
 
@@ -479,7 +480,6 @@ def sweep_reference(
         sigma_ref=thermal_state(protocol.initial_spec),
         rho_spec=protocol.final_spec,
         sigma_spec=protocol.initial_spec,
-        thermal=True,
         description=f"thermal identification at beta={beta:g}",
     )
 
@@ -487,7 +487,7 @@ def sweep_reference(
 def _shared_sweep_state(grid: SweepGrid, reference: SweepReference, route: str) -> dict:
     plogp = _plogp(reference.rho.eigenvalues)
     if route == "direct":
-        if reference.thermal and reference.rho_spec is not None and reference.sigma_spec is not None:
+        if reference.rho_spec is not None and reference.sigma_spec is not None:
             s_left = gibbs_relative_entropy(reference.sigma_spec, reference.rho_spec)
         else:
             s_left = relative_entropy(reference.rho, reference.sigma_ref)

@@ -22,25 +22,28 @@ terms of the blocks, so that steep protocols (beta ~ 100) never leave double
 range.  The work route's relative entropy adds the energy term
 ``thermo.weighted_energy``, which the Gibbs identity shares.
 
-Driven protocols, closed and open, share one Trotter routine,
-``ordered_product``, over a Hamiltonian given as dense fixed pieces and a
-table of slice coefficients; the closed chain's pieces are the cached
-``spin_models.xxz_pieces``.  The product runs on the ``sector_stacks`` of
-the pieces.  Consecutive slices that differ only by a multiple of the
-identity on each block form one run, and a chunk of runs is exponentiated in
-one batched call of one of two kernels.  Short runs, whose exponents have
+Every propagator of the package comes from one routine, ``ordered_product``,
+shared by closed and open chains: the ordered product of slice propagators
+of a Hamiltonian given as pieces, each a dense matrix or a diagonal, and a
+table of slice coefficients.  The closed chain's pieces are the cached
+``spin_models.xxz_pieces`` as they are (H_xy dense, H_zz and S_z
+diagonals), and ``exact_evolution`` is one midpoint slice.  The product
+runs on the ``sector_stacks`` of the dense pieces, and each diagonal is cut
+to their blocks, so on S^z sectors it never becomes a register-sized
+matrix.  Consecutive slices that differ only by a multiple of the identity
+on each block form one run, and a chunk of runs is exponentiated in one
+batched call of one of two kernels.  Short runs, whose exponents have
 1-norm at most TAYLOR_THETA, take a Taylor polynomial of a few matrix
 products; longer ones take one ``checked_eigh``, so a ramp of the field alone
 costs one eigendecomposition per stack of equal-size sectors, whatever the
 step count.  Each stack computes its chunks into one ``_Workspace``, arrays
-made once and freed when the stack is done: a fresh temporary of each
-intermediate per chunk (a dozen of up to 230 KB on a 3+3-site open chain)
-made glibc trim the heap after every chunk and grow it again for the next,
-8,000-16,000 page faults per 1000-step product.
+made once and freed when the stack is done: fresh temporaries per chunk made
+glibc trim the heap after every chunk and grow it again for the next.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -56,14 +59,11 @@ from .operators import (
     assemble,
     check_unitary,
     checked_eigh,
-    evolution_operator,
     sector_stacks,
     spectral_decompose,
 )
 from .spin_models import (
     DrivingSchedule,
-    XXZParams,
-    build_xxz,
     ramp_values,
     xxz_matrix,
     xxz_pieces,
@@ -208,15 +208,13 @@ def exact_evolution(schedule: DrivingSchedule) -> UnitaryOperator:
     when the endpoints do, and the endpoints' commutator is the largest.  It
     is checked numerically, one commutator per block of the ``sector_stacks``
     of H_i and H_f; schedules that fail the check must use trotter_evolution
-    instead.  The time integral is done on the interpolated parameters
-    (trapezoid, exact for linear ramps).
+    instead.  U is then one midpoint slice of ``trotter_evolution``:
+    exp(-i t_f H(t_f / 2)), where H(t_f / 2) is the time average of a linear
+    ramp and H_f for a quench, so the one slice is exact.
     """
-    if schedule.interpolation == "quench-at-start":
-        mean_params = schedule.final
-    else:
-        initial, final = schedule.initial, schedule.final
-        pieces = xxz_pieces(schedule.n, initial.boundary)
-        endpoints = np.stack([xxz_matrix(initial, *pieces), xxz_matrix(final, *pieces)])
+    if schedule.interpolation != "quench-at-start":
+        pieces = xxz_pieces(schedule.n, schedule.initial.boundary)
+        endpoints = np.stack([xxz_matrix(params, *pieces) for params in (schedule.initial, schedule.final)])
         # block diagonal Hamiltonians have block diagonal commutators
         worst = max(float(np.abs(h_i @ h_f - h_f @ h_i).max()) for _, (h_i, h_f) in sector_stacks(endpoints))
         if worst > COMMUTATION_ATOL:
@@ -224,14 +222,7 @@ def exact_evolution(schedule: DrivingSchedule) -> UnitaryOperator:
                 f"schedule Hamiltonians do not commute (max commutator entry {worst:.3e} "
                 f"> {COMMUTATION_ATOL:.0e}); use trotter_evolution for this protocol"
             )
-        mean_params = XXZParams(
-            n=initial.n,
-            J=0.5 * (initial.J + final.J),
-            Jz=0.5 * (initial.Jz + final.Jz),
-            B=0.5 * (initial.B + final.B),
-            boundary=initial.boundary,
-        )
-    return evolution_operator(build_xxz(mean_params), schedule.t_f)
+    return trotter_evolution(dataclasses.replace(schedule, steps=1), "midpoint")
 
 
 def schedule_coefficients(schedule: DrivingSchedule, sampling: str = "left") -> np.ndarray:
@@ -339,21 +330,41 @@ def _run_factors(
     return (vectors * phases) @ vectors.conj().swapaxes(-1, -2)
 
 
+def _piece_stacks(pieces: Sequence[np.ndarray]):
+    """The (indices, blocks) stacks of ``ordered_product``'s pieces, blocks
+    (p, k, s, s): the ``sector_stacks`` of the dense pieces, with each
+    diagonal piece d as diag(d[indices]) on every block, since a diagonal
+    never mixes sectors."""
+    dense = [j for j, piece in enumerate(pieces) if np.ndim(piece) == 2]
+    diagonal = [j for j, piece in enumerate(pieces) if np.ndim(piece) == 1]
+    stacks = sector_stacks(np.stack([pieces[j] for j in dense]))
+    dtype = np.result_type(stacks[0][1], *(pieces[j] for j in diagonal))
+    for indices, dense_blocks in stacks:
+        blocks = np.zeros((len(pieces), *dense_blocks.shape[1:]), dtype)
+        blocks[dense] = dense_blocks
+        span = np.arange(indices.shape[1])
+        for j in diagonal:
+            blocks[j][:, span, span] = pieces[j][indices]
+        yield indices, blocks
+
+
 def ordered_product(
     register: QubitRegister,
-    pieces: np.ndarray,
+    pieces: Sequence[np.ndarray],
     coefficients: np.ndarray,
     dt: float,
 ) -> UnitaryOperator:
     """Ordered product of slice propagators exp(-i H_k dt), step 0 applied
     first, for the affine Hamiltonian H_k = sum_j c[k, j] P_j.
 
-    ``pieces`` are the dense P_j, shape (p, dim, dim), and ``coefficients``
-    is c, shape (steps, p).  The blocks are the ``sector_stacks`` of the
-    pieces: the S^z sectors when no piece has an entry between two of them,
-    otherwise the whole register.  Each stack of equal-size blocks (pieces
-    (p, k, s, s)) carries its own product; the products are the blocks of
-    the unitary.
+    ``pieces`` are the P_j, each either a dense (dim, dim) matrix or the
+    (dim,) diagonal of a diagonal one, at least one of them dense (a stacked
+    (p, dim, dim) array is p dense pieces), and ``coefficients`` is c, shape
+    (steps, p).  The blocks are the ``sector_stacks`` of the dense pieces:
+    the S^z sectors when no dense piece has an entry between two of them,
+    otherwise the whole register; a diagonal piece d is diag(d[indices]) on
+    each block.  Each stack of equal-size blocks (pieces (p, k, s, s))
+    carries its own product; the products are the blocks of the unitary.
 
     Per stack, a piece that is exactly alpha_b I on every block b (S_z on a
     sector, any piece on a 1 x 1 block) only shifts each block's energies.
@@ -389,18 +400,14 @@ def ordered_product(
     block.  Real pieces give real eigenvectors and real polynomial products.
 
     Per stack, the run Hamiltonians, their magnitudes for theta, the Taylor
-    kernel's x, x^2, Horner accumulators and complex factors, the check's
-    U^* and Gram matrix, and a pair of products that take turns are made
-    once, with room for min(chunk, runs) runs, and every chunk computes
-    into them with ``out=``; the spectral kernel keeps its own arrays.  The
-    operations and their order are those of fresh temporaries, so the
-    unitary is the same to the bit, but glibc no longer trims the heap
-    after every chunk and grows it again for the next (8,400-12,400 page
-    faults per 1000-step product on a 3+3-site open chain became about
-    670).  The workspace goes when its stack is done, so the assembly
-    allocates after it is freed.
+    kernel's arrays, the check's U^* and Gram matrix and a pair of products
+    that take turns are made once, in a ``_Workspace`` with room for
+    min(chunk, runs) runs, and every chunk computes into them with ``out=``
+    in the operations and order of fresh temporaries, so the unitary is the
+    same to the bit.  The workspace goes when its stack is done, so the
+    assembly allocates after it is freed.
     """
-    stacks = sector_stacks(pieces)
+    stacks = list(_piece_stacks(pieces))
     coefficients = np.asarray(coefficients, dtype=np.float64)
     largest = max(blocks[0].size for _, blocks in stacks)
     chunk = max(1, min(STEP_CHUNK, CHUNK_ENTRIES // largest))
@@ -444,17 +451,13 @@ def trotter_evolution(schedule: DrivingSchedule, sampling: str = "left") -> Unit
 
     ``sampling`` picks H at the left endpoint of each slice (first-order
     accurate, the default) or at the midpoint (second order).  The cached
-    pieces (H_xy, H_zz, S_z) of ``xxz_pieces`` and the coefficients
-    (J, Jz, -B) go to ``ordered_product``, where slices that differ only in B
-    form one run.  A run whose exponent has 1-norm at most TAYLOR_THETA
-    (about 0.070) takes the Taylor kernel, a few real matrix products; a
-    longer one takes the spectral kernel, one checked ``eigh``, which keeps a
-    field ramp at fixed J and Jz (the standard seven-qubit protocol) at one
-    spectrum per sector stack for any step count, where a polynomial would
-    need scaling and squaring.
+    pieces of ``xxz_pieces`` (H_xy dense, the H_zz and S_z diagonals) and
+    the coefficients (J, Jz, -B) go to ``ordered_product``, where slices
+    that differ only in B form one run: a field ramp at fixed J and Jz (the
+    standard seven-qubit protocol) takes one spectrum per sector stack for
+    any step count.
     """
-    hopping, zz, magnetization = xxz_pieces(schedule.n, schedule.initial.boundary)
-    pieces = np.stack([hopping, np.diag(zz), np.diag(magnetization)])
+    pieces = xxz_pieces(schedule.n, schedule.initial.boundary)
     coefficients = schedule_coefficients(schedule, sampling)
     return ordered_product(QubitRegister(schedule.n), pieces, coefficients, schedule.dt)
 

@@ -2,9 +2,11 @@
 
 These are the package's former dense paths: the XXZ Hamiltonian as a sum of
 products of embedded Pauli matrices, the closed and open Trotter products of
-full 2^n x 2^n step propagators, the relative entropy with its overlaps from
-a 3-operand einsum, the direct sweep distance from dense Gibbs states, and
-the two-point-measurement transitions, work distribution and sampler from one
+full 2^n x 2^n step propagators (``dense_propagator``, one dense
+``np.linalg.eigh`` each; the open chain's Hamiltonian is built here from the
+Pauli-product chain), the relative entropy with its overlaps from a
+3-operand einsum, the direct sweep distance from dense Gibbs states, and the
+two-point-measurement transitions, work distribution and sampler from one
 dense ``np.linalg.eigh`` per Hamiltonian.  They share no sector code and no
 overlap kernel with ``entwit``; ``dense_eigenvectors`` and
 ``dense_transitions`` scatter the package's blocks into full matrices for
@@ -29,8 +31,6 @@ from entwit import (
     ThermalSpec,
     XXZParams,
     embed_operator,
-    evolution_operator,
-    full_hamiltonian,
     params_at,
     thermal_state,
 )
@@ -62,14 +62,34 @@ def dense_xxz(params: XXZParams) -> HermitianOperator:
     return HermitianOperator(register, h)
 
 
+def dense_propagator(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) of a Hermitian matrix, from one dense ``np.linalg.eigh``."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * dt * w)) @ v.conj().T
+
+
 def dense_trotter(schedule, sampling: str = "left") -> np.ndarray:
     """Ordered product of full-register step propagators, step 0 first."""
     total = np.eye(2**schedule.n, dtype=np.complex128)
     offset = 0.0 if sampling == "left" else 0.5
     for step in range(schedule.steps):
         params = params_at(schedule, min((step + offset) * schedule.dt, schedule.t_f))
-        total = evolution_operator(dense_xxz(params), schedule.dt).entries @ total
+        total = dense_propagator(dense_xxz(params).entries, schedule.dt) @ total
     return total
+
+
+def dense_open_hamiltonian(composite, t: float) -> np.ndarray:
+    """A driven composite's full Hamiltonian at time ``t``: the Pauli-product
+    chain embedded on the subsystem's sites, plus the coupling and the
+    embedded bath."""
+    register = composite.register
+    chain = dense_xxz(params_at(composite.subsystem_schedule, t)).entries
+    h = embed_operator(register, chain, composite.subsystem_sites)
+    if composite.coupling is not None:
+        h = h + composite.coupling.entries
+    if composite.bath_hamiltonian is not None:
+        h = h + embed_operator(register, composite.bath_hamiltonian.entries, composite.bath_sites)
+    return h
 
 
 def dense_open_trotter(composite, sampling: str = "left") -> np.ndarray:
@@ -80,7 +100,7 @@ def dense_open_trotter(composite, sampling: str = "left") -> np.ndarray:
     offset = 0.0 if sampling == "left" else 0.5
     for step in range(schedule.steps):
         t = min((step + offset) * schedule.dt, schedule.t_f)
-        total = evolution_operator(full_hamiltonian(composite, t), schedule.dt).entries @ total
+        total = dense_propagator(dense_open_hamiltonian(composite, t), schedule.dt) @ total
     return total
 
 

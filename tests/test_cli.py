@@ -267,6 +267,18 @@ def test_sweep_refuses_a_grid_whose_results_exceed_memory(tmp_path, capsys, monk
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("axis", ["B", "Jz"])
+def test_sweep_refuses_an_axis_without_values(tmp_path, capsys, axis):
+    grid = {**SMALL_GRID, axis: {"min": 0.0, "max": -1e-13, "step": 1e-15}}
+    cfg = write_config(tmp_path, {"n": 3, "grid": grid})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"grid.{axis}" in err and "no value" in err
+    # the file is named once, not once per layer of the error
+    assert err.count(cfg) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_runs_every_size_from_three_to_twelve(tmp_path):
     for n in (4, 5):
         cfg = write_config(tmp_path, {"n": n, "grid": SMALL_GRID})
@@ -326,8 +338,9 @@ def test_verify_default_protocol_passes(tmp_path, capsys):
 
 def test_verify_diagonalizes_each_hamiltonian_once(tmp_path, decompositions):
     assert main(["verify", "--out", str(tmp_path)]) == 0
-    # the two protocol endpoints and the closed-form evolution's mean Hamiltonian
-    assert len(decompositions) == len(set(decompositions)) == 3
+    # the two protocol endpoints; the exact evolution diagonalizes no
+    # Hamiltonian of its own
+    assert len(decompositions) == len(set(decompositions)) == 2
 
 
 def test_cli_runs_without_scipy(tmp_path):

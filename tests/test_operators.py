@@ -15,7 +15,6 @@ from entwit import (
     density_from_json,
     dicke_state,
     embed_operator,
-    evolution_operator,
     matrix_from_json,
     matrix_to_json,
     pure_state,
@@ -150,14 +149,6 @@ def test_spectral_decomposition_checks_its_blocks(eigenvalues, vectors, error, m
     everything = np.arange(2)[None, :]
     with pytest.raises(error, match=match):
         operators.SpectralDecomposition(np.array(eigenvalues), ((everything, everything, vectors[None]),))
-
-
-def test_evolution_operator_phases():
-    h = HermitianOperator(QubitRegister(1), SZ)
-    u = evolution_operator(h, 0.7)
-    assert np.allclose(np.diag(u.entries), [np.exp(-0.7j), np.exp(0.7j)], atol=1e-14)
-    ident = evolution_operator(h, 0.0)
-    assert np.max(np.abs(ident.entries - np.eye(2))) < 1e-14
 
 
 # ---------------------------------------------------------------- embeddings

@@ -37,6 +37,7 @@ from entwit import (
     sweep_reference,
     trotter_evolution,
 )
+import entwit.open_system
 import entwit.work_stats
 from entwit.operators import check_unitary, checked_eigh, sector_stacks
 from entwit.spin_models import xxz_matrix, xxz_pieces
@@ -376,6 +377,52 @@ def kernel_calls(monkeypatch):
     calls = []
     record_kernels(monkeypatch, calls)
     return calls
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_diagonal_pieces_give_the_bits_of_their_dense_matrices(kernel_calls, n, boundary):
+    # H_zz and S_z passed as diagonals or as np.diag matrices: the blocks,
+    # and so every operation of the product, are the same.  A field ramp
+    # shares one spectrum per stack (the spectral kernel); 1000 slices of a
+    # non-commuting ramp each take the Taylor kernel
+    register = QubitRegister(n)
+    hopping, zz, magnetization = xxz_pieces(n, boundary)
+    dense = np.stack([hopping, np.diag(zz), np.diag(magnetization)])
+    field = DrivingSchedule(XXZParams(n, 1.0, 0.3, 1.2, boundary), XXZParams(n, 1.0, 0.3, 0.5, boundary), steps=80)
+    ramp = DrivingSchedule(XXZParams(n, 1.0, 0.8, 0.3, boundary), XXZParams(n, 0.4, -0.2, 0.7, boundary), steps=1000)
+    for schedule, kinds in ((field, {"spectral", "taylor"}), (ramp, {"taylor"})):
+        coefficients = schedule_coefficients(schedule)
+        u = ordered_product(register, (hopping, zz, magnetization), coefficients, schedule.dt)
+        assert np.array_equal(u.entries, ordered_product(register, dense, coefficients, schedule.dt).entries)
+        assert {kind for kind, _ in kernel_calls} == kinds
+        kernel_calls.clear()
+
+
+@pytest.mark.parametrize("sampling", ["left", "midpoint"])
+def test_the_open_chain_passes_diagonals_with_the_bits_of_dense_pieces(monkeypatch, sampling):
+    # sites 1-3 of an open six-site chain follow a Jz and field ramp in 1000
+    # slices; the fixed piece and H_xy come dense, H_zz and S_z as diagonals
+    composite = dataclasses.replace(
+        split_chain(XXZParams(6, 1.0, 0.4, 0.3, "open"), (1, 2, 3), 1.0),
+        subsystem_hamiltonian=None,
+        subsystem_schedule=DrivingSchedule(
+            XXZParams(3, 1.0, 0.5, 0.01, "open"), XXZParams(3, 1.0, 0.0, 0.5, "open"), steps=1000
+        ),
+    )
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return ordered_product(*args)
+
+    monkeypatch.setattr(entwit.open_system, "ordered_product", recorded)
+    u = open_trotter_evolution(composite, sampling)
+    ((register, pieces, coefficients, dt),) = calls
+    assert [np.ndim(piece) for piece in pieces] == [2, 2, 1, 1]
+    dense = np.stack([piece if np.ndim(piece) == 2 else np.diag(piece) for piece in pieces])
+    assert np.array_equal(u.entries, ordered_product(register, dense, coefficients, dt).entries)
+
 
 
 def test_a_varying_piece_off_the_sectors_puts_the_register_in_one_block(kernel_calls):

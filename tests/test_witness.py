@@ -397,13 +397,22 @@ def test_grid_axis_count_matches_its_values():
         GridAxis(0.5, 0.5, 1.0),
         GridAxis(0.02, 2.0, 0.02),
         GridAxis(-0.5, 0.5, 0.07),
-        GridAxis(0.0, -1e-13, 1e-15),  # within the empty-range tolerance
+        GridAxis(0.0, -1e-13, 1.0),  # within the empty-range tolerance: one value
     ):
         assert axis.count == axis.values().size
     # counted, not built: 10^12 values would take 8 TB
     assert GridAxis(0.0, 1.0, 1e-12).count == 10**12 + 1
     with pytest.raises(ValueError, match="too small"):
         GridAxis(-1e308, 1e308, 1e-300)
+
+
+@pytest.mark.parametrize("axis", ["b_axis", "jz_axis"])
+def test_an_axis_without_values_is_refused(axis):
+    # max lies below min within the empty-range tolerance, yet below it by
+    # 100 steps: the axis would hold no value, and the sweep would end in
+    # np.stack (Jz) or a header-only CSV (B)
+    with pytest.raises(ValueError, match="holds no value"):
+        small_grid(**{axis: GridAxis(0.0, -1e-13, 1e-15)})
 
 
 def test_sweep_grid_refuses_results_beyond_the_memory_budget(monkeypatch):
@@ -530,12 +539,12 @@ def test_ideal_and_thermal_references_agree_closely():
 def test_sweep_reference_variants():
     ref = sweep_reference(7)
     assert ref.description
-    assert not ref.thermal
     # the ideal reference builds no chain, so it does not depend on J
     assert ref.rho_spec is None and ref.sigma_spec is None
     assert state_checksum(sweep_reference(7, coupling_j=-1.0).sigma_ref) == state_checksum(ref.sigma_ref)
-    assert sweep_reference(3, thermal=True).thermal
-    assert sweep_reference(4, thermal=True).thermal
+    for n in (3, 4):
+        thermal = sweep_reference(n, thermal=True)
+        assert thermal.rho_spec is not None and thermal.sigma_spec is not None
     with pytest.raises(ValueError, match="J > 0"):
         sweep_reference(7, coupling_j=-1.0, thermal=True)
     for n in BAD_SIZES:

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dense_oracle import dense_transitions
+from dense_oracle import dense_propagator, dense_transitions, dense_xxz
 from entwit import (
     DrivingSchedule,
     HermitianOperator,
@@ -26,7 +26,6 @@ from entwit import (
     UnitaryOperator,
     XXZParams,
     detection_protocol,
-    evolution_operator,
     exact_evolution,
     build_xxz,
     gibbs_relative_entropy,
@@ -279,8 +278,28 @@ class TestEvolution:
         # every slice after t = 0 holds H_f, which commutes with itself
         quench = dataclasses.replace(NONCOMMUTING, interpolation="quench-at-start")
         u = exact_evolution(quench)
-        want = evolution_operator(build_xxz(quench.final), quench.t_f)
-        assert np.array_equal(u.entries, want.entries)
+        want = dense_propagator(dense_xxz(quench.final).entries, quench.t_f)
+        assert np.abs(u.entries - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("interpolation", ["linear", "quench-at-start"])
+    def test_exact_evolution_matches_the_dense_propagator(self, n, boundary, interpolation):
+        # J and Jz keep their ratio, so every slice commutes with every other;
+        # U = exp(-i t_f H) at the mean parameters of a linear ramp, and at
+        # the final ones of a quench
+        initial = XXZParams(n, 1.0, 0.4, 0.2, boundary)
+        final = XXZParams(n, 0.5, 0.2, 0.9, boundary)
+        schedule = DrivingSchedule(initial, final, t_f=1.7, steps=80, interpolation=interpolation)
+        if interpolation == "linear":
+            mean = XXZParams(n, 0.75, 0.3, 0.55, boundary)
+        else:
+            mean = final
+        want = dense_propagator(dense_xxz(mean).entries, schedule.t_f)
+        assert np.abs(exact_evolution(schedule).entries - want).max() <= 1e-12
+        # no time, no evolution: the identity to the bit
+        still = exact_evolution(dataclasses.replace(schedule, t_f=0.0))
+        assert np.array_equal(still.entries, np.eye(2**n))
 
     def test_left_sampling_error_is_first_order(self):
         sched = dataclasses.replace(detection_protocol(3).schedule, steps=1000)
@@ -295,11 +314,11 @@ class TestEvolution:
         sched = dataclasses.replace(NONCOMMUTING, steps=2)
         u = trotter_evolution(sched, sampling="left")
         u0, u1 = (
-            evolution_operator(build_xxz(params_at(sched, k * sched.dt)), sched.dt)
+            dense_propagator(dense_xxz(params_at(sched, k * sched.dt)).entries, sched.dt)
             for k in (0, 1)
         )
-        assert np.max(np.abs(u.entries - u1.entries @ u0.entries)) < 1e-13
-        assert np.max(np.abs(u.entries - u0.entries @ u1.entries)) > 1e-2
+        assert np.max(np.abs(u.entries - u1 @ u0)) < 1e-13
+        assert np.max(np.abs(u.entries - u0 @ u1)) > 1e-2
 
     def test_trotter_output_is_unitary(self):
         sched = dataclasses.replace(NONCOMMUTING, steps=1000)
