@@ -274,24 +274,12 @@ def _require_shared_environment(initial: CompositeSystem, final: CompositeSystem
     if initial.subsystem_sites != final.subsystem_sites or initial.bath_sites != final.bath_sites:
         raise ConfigError("composites must share the subsystem/bath partition")
     if initial.beta != final.beta:
-        raise ConfigError(
-            f"composites must share beta, got {initial.beta} and {final.beta}"
-        )
-
-    def entries_or_none(op: HermitianOperator | None) -> np.ndarray | None:
-        return None if op is None else op.entries
-
-    for name, a, b in (
-        ("coupling", entries_or_none(initial.coupling), entries_or_none(final.coupling)),
-        (
-            "bath Hamiltonian",
-            entries_or_none(initial.bath_hamiltonian),
-            entries_or_none(final.bath_hamiltonian),
-        ),
-    ):
+        raise ConfigError(f"composites must share beta, got {initial.beta} and {final.beta}")
+    for name, field_name in (("coupling", "coupling"), ("bath Hamiltonian", "bath_hamiltonian")):
+        a, b = getattr(initial, field_name), getattr(final, field_name)
         if (a is None) != (b is None):
             raise ConfigError(f"composites must share the {name} (one side lacks it)")
-        if a is not None and b is not None and np.abs(a - b).max() > OPERATOR_MATCH_ATOL:
+        if a is not None and np.abs(a.entries - b.entries).max() > OPERATOR_MATCH_ATOL:
             raise ConfigError(f"composites must share the {name}; entries differ")
 
 
@@ -314,8 +302,10 @@ def open_witness(
     protocol independent), and ``rho_star`` must be a declared Gibbs state on
     the subsystem register.
     """
-    _require_shared_environment(initial, final)
     route = route.replace("-", "_")
+    if route not in ("direct", "via_work"):
+        raise ValueError(f"route must be 'direct' or 'via_work', got {route!r}")
+    _require_shared_environment(initial, final)
     # Each full Hamiltonian and the shared bath are diagonalized once; the
     # effective specs and the work average below reuse the spectra.
     full_initial = spectral_decompose(full_hamiltonian(initial, 0.0))
@@ -338,8 +328,6 @@ def open_witness(
             strictness_epsilon=strictness_epsilon,
             metadata=metadata,
         )
-    if route != "via_work":
-        raise ValueError(f"route must be 'direct' or 'via_work', got {route!r}")
     if sigma_ref is not None:
         raise ConfigError(
             "the work route derives the reference distance from the full-system "

@@ -1,9 +1,8 @@
 """Operator algebra for qubit registers of up to 12 qubits.
 
-Operators and states are explicit complex matrices wrapped in thin validated
-containers.  Site indices are 1-based and site 1 is the leftmost (most
-significant) tensor factor, so ``|01>`` on two qubits is basis index 1.
-Registers are capped at 12 qubits (4096 x 4096 matrices).
+Site indices are 1-based and site 1 is the leftmost (most significant)
+tensor factor, so ``|01>`` on two qubits is basis index 1.  Registers are
+capped at 12 qubits (4096 x 4096 matrices).
 
 Every Hamiltonian and reference state of the witness conserves the total
 magnetization S^z, so it is block diagonal in the sectors of fixed popcount
@@ -14,19 +13,24 @@ them is exactly 0, one whole-register block otherwise, with blocks of equal
 size stacked together; ``assemble`` puts such stacks back into one matrix,
 and ``diagonal_blocks`` restricts a matrix to given blocks (a view, not a
 copy, when the block is the whole register).
-The spectral decomposition, the container checks (hermiticity, PSD,
-unitarity), the relative entropy and the direct sweep (in
-``thermo`` and ``witness``), and the Trotter product, commutation check and
-transition probabilities (in ``work_stats``) all run on those stacks, so
-their cost is that of the largest sector, not of the register.
+
+``HermitianOperator``, ``DensityMatrix`` and ``UnitaryOperator`` store
+only such stacks (a dense matrix is split once; the Trotter product and a
+Gibbs state pass their blocks), and ``entries`` assembles the dense matrix
+when read.  Their checks (hermiticity, PSD, unitarity), the spectral
+decomposition, the relative entropy and the direct sweep (in ``thermo``
+and ``witness``), and the Trotter product, commutation check and
+transition probabilities (in ``work_stats``) all run on the stacks, at the
+cost of the largest sector; ``restrict`` gives one container's blocks on
+another's partition.
 
 A ``SpectralDecomposition`` keeps the eigenvectors of each block, with the
 position of each block eigenvalue in the ascending spectrum; the transition
 probabilities merge the blocks into one only for a unitary that mixes
-sectors.  ``spectral_function`` is the
-package's one V f(w) V^dag, taken block by block: Gibbs states and the open
-system's weight operator come from it.  Propagators do not: every one,
-exact evolution included, is a product of ``work_stats.ordered_product``.
+sectors.  ``spectral_function`` is the package's one V f(w) V^dag, taken
+block by block: Gibbs states and the open system's weight operator come
+from it.  Propagators do not: every one, exact evolution included, is a
+product of ``work_stats.ordered_product``.
 
 The eigensolver and unitarity checks live in two helpers, ``checked_eigh``
 and ``check_unitary``, which work on any square block or stack of blocks, so
@@ -86,104 +90,104 @@ class QubitRegister:
         return range(1, self.n + 1)
 
 
-def _frozen_matrix(entries: np.ndarray, dim: int, what: str) -> np.ndarray:
-    arr = np.array(entries, dtype=np.complex128)
-    if arr.shape != (dim, dim):
-        raise ValueError(f"{what} must be {dim}x{dim}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise NumericalCheckError(f"{what} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
+def check_partition(parts: Sequence[np.ndarray], dim: int, message: str) -> None:
+    """Raise ValueError(``message``) unless the index arrays ``parts`` hold
+    every number from 0 to dim - 1 exactly once between them."""
+    covered = np.sort(np.concatenate([np.ravel(part) for part in parts]))
+    if not np.array_equal(covered, np.arange(dim)):
+        raise ValueError(message)
+
+
+def _stored_stacks(matrix, dim: int) -> tuple:
+    """The read-only (indices, blocks) stacks a container keeps of ``matrix``:
+    a dense (dim, dim) array split once by ``sector_stacks`` (a whole-register
+    block, a view, copied), or stacks with checked shapes and basis cover."""
+    if isinstance(matrix, (list, tuple)) and all(isinstance(stack, tuple) for stack in matrix):
+        stacks = [(np.asarray(indices), np.asarray(blocks)) for indices, blocks in matrix]
+        for i, b in stacks:
+            if i.ndim != 2 or i.dtype.kind not in "iu" or b.shape != i.shape + i.shape[-1:]:
+                raise ValueError("each stack needs (k, s) integer indices and (k, s, s) blocks")
+        check_partition([indices for indices, _ in stacks], dim, "the blocks must hold every basis state once")
+    else:
+        dense = np.asarray(matrix)
+        dense = dense.astype(np.complex128 if np.iscomplexobj(dense) else np.float64, copy=False)
+        if dense.shape != (dim, dim):
+            raise ValueError(f"matrix must be {dim}x{dim}, got shape {dense.shape}")
+        stacks = [(i, b.copy() if np.may_share_memory(b, dense) else b) for i, b in sector_stacks(dense)]
+    if not all(np.isfinite(blocks).all() for _, blocks in stacks):
+        raise NumericalCheckError("matrix contains non-finite entries")
+    stacks = tuple((indices.view(), blocks.view()) for indices, blocks in stacks)
+    for indices, blocks in stacks:
+        indices.setflags(write=False)
+        blocks.setflags(write=False)
+    return stacks
 
 
 @dataclass(frozen=True)
-class HermitianOperator:
+class _BlockStacked:
+    """A matrix on a qubit register stored only as its read-only (indices,
+    blocks) ``stacks``: ``(register, matrix)`` takes ``matrix`` as
+    ``_stored_stacks`` does and runs the subclass's ``_check`` on them, and
+    ``entries`` assembles the dense complex matrix on each read."""
+
+    register: QubitRegister
+    stacks: tuple = field(repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stacks", _stored_stacks(self.stacks, self.register.dim))
+        self._check()
+
+    @property
+    def dim(self) -> int:
+        return self.register.dim
+
+    @property
+    def entries(self) -> np.ndarray:
+        return assemble(self.stacks, np.complex128)
+
+
+@dataclass(frozen=True)
+class HermitianOperator(_BlockStacked):
     """A self-adjoint matrix on a qubit register."""
 
-    register: QubitRegister
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = _frozen_matrix(self.entries, self.register.dim, "operator matrix")
-        _check_hermitian(sector_stacks(entries), "matrix")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def dim(self) -> int:
-        return self.register.dim
+    def _check(self) -> None:
+        _check_hermitian(self.stacks, "matrix")
 
 
 @dataclass(frozen=True)
-class UnitaryOperator:
-    """A unitary matrix on a qubit register, checked per block of its
-    ``sector_stacks`` at construction.
+class UnitaryOperator(_BlockStacked):
+    """A unitary matrix on a qubit register, checked per block (it is unitary
+    exactly when each block is); ``deviation`` keeps the largest entry of
+    |U^dag U - I| over the blocks."""
 
-    A matrix so split is unitary exactly when each block is, so a unitary
-    that conserves S^z is checked at the cost of its largest sector.
-    ``stacks`` keeps the blocks (read-only), which the transition
-    probabilities read, and ``deviation`` the largest entry of
-    |U^dag U - I| over them.
-    """
-
-    register: QubitRegister
-    entries: np.ndarray
-    stacks: tuple = field(init=False, repr=False, compare=False)
     deviation: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        entries = _frozen_matrix(self.entries, self.register.dim, "unitary matrix")
-        stacks = tuple(sector_stacks(entries))
-        deviation = max(check_unitary(part) for _, part in stacks)
-        for _, part in stacks:
-            part.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "stacks", stacks)
-        object.__setattr__(self, "deviation", deviation)
-
-    @property
-    def dim(self) -> int:
-        return self.register.dim
+    def _check(self) -> None:
+        object.__setattr__(self, "deviation", max(check_unitary(part) for _, part in self.stacks))
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_BlockStacked):
     """A trace-one positive semidefinite matrix on a qubit register.
 
     Slightly negative eigenvalues from roundoff are tolerated down to
     -1e-10 and are clamped to zero by every function of the spectrum.
     ``eigenvalues`` keeps the ascending spectrum of the PSD check (read-only),
-    so functions of the spectrum do not diagonalize the state again; its
-    checks run on the ``sector_stacks`` of the state.
+    so functions of the spectrum do not diagonalize the state again.
     """
 
-    register: QubitRegister
-    entries: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        entries = _frozen_matrix(self.entries, self.register.dim, "density matrix")
-        stacks = sector_stacks(entries)
-        _check_hermitian(stacks, "density matrix")
-        trace_dev = abs(complex(np.trace(entries)) - 1.0)
+    def _check(self) -> None:
+        _check_hermitian(self.stacks, "density matrix")
+        trace_dev = abs(sum(complex(np.trace(b, axis1=-2, axis2=-1).sum()) for _, b in self.stacks) - 1.0)
         if trace_dev > TRACE_ATOL:
-            raise NumericalCheckError(
-                f"density matrix trace differs from 1 by {trace_dev:.3e}"
-            )
-        eigenvalues = np.sort(
-            np.concatenate([np.linalg.eigvalsh(blocks).ravel() for _, blocks in stacks])
-        )
-        smallest = float(eigenvalues[0])
-        if smallest < -PSD_ATOL:
-            raise NumericalCheckError(
-                f"density matrix has eigenvalue {smallest:.3e} below -{PSD_ATOL:.0e}"
-            )
+            raise NumericalCheckError(f"density matrix trace differs from 1 by {trace_dev:.3e}")
+        eigenvalues = np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for _, b in self.stacks]))
+        if (smallest := eigenvalues[0]) < -PSD_ATOL:
+            raise NumericalCheckError(f"density matrix has eigenvalue {smallest:.3e} below -{PSD_ATOL:.0e}")
         eigenvalues.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "eigenvalues", eigenvalues)
-
-    @property
-    def dim(self) -> int:
-        return self.register.dim
 
 
 @dataclass(frozen=True)
@@ -215,10 +219,9 @@ class SpectralDecomposition:
             if levels.shape != indices.shape or vectors.shape != indices.shape + indices.shape[-1:]:
                 raise ValueError("each stack needs (k, s) indices and levels and (k, s, s) vectors")
             _check_orthonormal(vectors)
+        message = "the blocks must hold every basis state and every level once"
         for part in (0, 1):
-            covered = np.sort(np.concatenate([stack[part].ravel() for stack in stacks]))
-            if not np.array_equal(covered, np.arange(eigenvalues.size)):
-                raise ValueError("the blocks must hold every basis state and every level once")
+            check_partition([stack[part] for stack in stacks], eigenvalues.size, message)
         eigenvalues.setflags(write=False)
         for stack in stacks:
             for part in stack:
@@ -378,16 +381,27 @@ def assemble(stacks: Sequence[tuple[np.ndarray, np.ndarray]], dtype=None) -> np.
     return out
 
 
+def restrict(stacks: Sequence[tuple[np.ndarray, np.ndarray]], indices: np.ndarray) -> np.ndarray:
+    """The matrix of the (indices, blocks) ``stacks`` restricted to the k
+    blocks of basis ``indices`` (k, s), shape (k, s, s): the stack's own
+    blocks when one stack has exactly these indices, else gathered from the
+    assembled matrix."""
+    for own, blocks in stacks:
+        if np.array_equal(own, indices):
+            return blocks
+    return diagonal_blocks(assemble(stacks), indices)
+
+
 def spectral_decompose(operator: HermitianOperator) -> SpectralDecomposition:
     """Diagonalize a Hermitian operator with one ``checked_eigh`` per stack
-    of ``sector_stacks``, keeping the blocks.
+    of its stored blocks, keeping the blocks.
 
     The levels come in stable ascending order over the sectors taken by
     ascending popcount, so within a degenerate level the eigenvectors follow
     the sectors, then their order within a block; each eigenvector is real
     when the operator is.
     """
-    spectra = [(indices, *checked_eigh(blocks)) for indices, blocks in sector_stacks(operator.entries)]
+    spectra = [(indices, *checked_eigh(blocks)) for indices, blocks in operator.stacks]
     eigenvalues = np.concatenate([w.ravel() for _, w, _ in spectra])
     # ties go to the sector with the smaller first basis index, which is the
     # one with fewer ones; the sort is stable, so then to the order in a block
@@ -408,7 +422,7 @@ def spectral_function(
     """f(H) = V diag(f) V^dag, built block by block as (indices, blocks)
     stacks on the blocks of ``spectrum``; ``values`` holds f at every
     eigenvalue, in ascending order.  Real eigenvectors and values give real
-    blocks; ``assemble`` gives the dense matrix."""
+    blocks."""
     values = np.asarray(values)
     return [
         (indices, (v * values[levels][:, None, :]) @ v.conj().swapaxes(-1, -2))

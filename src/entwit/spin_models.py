@@ -14,9 +14,9 @@ pieces of any bond graph on a register from the action of every bond on the
 basis states: H_xy as a dense real matrix, H_zz and S_z as diagonals.
 ``xxz_pieces`` caches them, read-only, per (n, boundary) for the standard
 chain, and ``xxz_matrix`` combines them for one parameter set; this is the
-package's one representation of a chain Hamiltonian.  Where the S^z
-sectors matter (spectra, Trotter products, commutators), the callers cut
-the dense matrices with ``operators.sector_stacks``; S_z is m I on a
+package's one representation of a chain Hamiltonian.  ``build_xxz``'s
+``HermitianOperator`` keeps only its S^z blocks, and the Trotter product
+cuts the pieces with ``operators.sector_stacks``; S_z is m I on a
 sector, so a field only shifts a sector's energies by -B m.
 """
 
@@ -49,6 +49,7 @@ class XXZParams:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"chain needs at least two sites, got n={self.n!r}")
+        QubitRegister(self.n)  # raises above MAX_QUBITS
         for name in ("J", "Jz", "B"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -159,8 +160,8 @@ def xxz_pieces(n: int, boundary: str = "periodic") -> tuple[np.ndarray, np.ndarr
 
 
 def build_xxz(params: XXZParams) -> HermitianOperator:
-    """Dense Hamiltonian matrix for the given chain parameters, from the
-    cached pieces."""
+    """The chain Hamiltonian for the given parameters, from the cached
+    pieces, stored as its S^z blocks."""
     pieces = xxz_pieces(params.n, params.boundary)
     return HermitianOperator(QubitRegister(params.n), xxz_matrix(params, *pieces))
 

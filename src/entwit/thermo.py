@@ -7,13 +7,12 @@ more than 1e-12 of weight outside the support of sigma.
 
 Every direct evaluation comes down to the cross term
 tr(rho ln sigma) = sum_i <v_i|rho|v_i> ln w_i over sigma's eigenpairs (v_i, w_i).
-``sector_overlaps`` is its one loop: it diagonalizes sigma per stack of S^z
-sectors and takes the overlaps from rho's matching blocks on BLAS.
-``relative_entropy``, the witness's analytic evaluator (a dense rho against
+``sector_overlaps`` is its one loop: it diagonalizes sigma's stored S^z
+blocks and takes the overlaps from rho's matching blocks on BLAS.
+``relative_entropy``, the witness's analytic evaluator (a state rho against
 a Gibbs sigma given by its Hamiltonian) and the direct sweep share it, so no
-dense eigenvector matrix of sigma is built.  Every direct evaluator clamps
-roundoff below zero with ``nonnegative_entropy``, and raises below
--NEGATIVE_ENTROPY_TOL.
+dense matrix of either is read.  Every direct evaluator clamps roundoff
+below zero with ``nonnegative_entropy``, and raises below -NEGATIVE_ENTROPY_TOL.
 
 This module holds the package's one Gibbs rule: ``log_gibbs_weights``
 (ln exp(-beta (E - E_min)) / sum over the last axis, beta broadcast), its
@@ -21,13 +20,14 @@ linear form ``ThermalSpec.weights``, ``ThermalSpec.log_partition`` for every
 ln Z, and ``weighted_energy``, the energy term tr[rho_f (beta_f H_f -
 beta_i H_i)] shared by the Gibbs identity and the work route.  A
 ``ThermalSpec.spectrum`` keeps its S^z blocks: ``thermal_state`` is built
-block by block with ``operators.spectral_function``, and ``weighted_energy``
-sums tr(rho_f H_i) over the final levels of positive Gibbs weight, each
-inside one block, so neither forms a register-sized eigenvector matrix.  All
-of it stays in log space, so steep inverse temperatures (beta ~ 100 on spectra of
-width ~10) stay inside double range.  Every ln sum exp goes through
-``logsumexp``, a numpy kernel that computes exactly what
-``scipy.special.logsumexp`` computes for real input.
+block by block with ``operators.spectral_function`` and keeps those
+blocks, and ``weighted_energy`` sums tr(rho_f H_i) over the final levels
+of positive Gibbs weight, each inside one block, so neither forms a
+register-sized eigenvector matrix.  All of it stays in log space, so steep
+inverse temperatures (beta ~ 100 on spectra of width ~10) stay inside
+double range.  Every ln sum exp goes through ``logsumexp``, a numpy kernel
+that computes exactly what ``scipy.special.logsumexp`` computes for real
+input.
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     SpectralDecomposition,
-    assemble,
     checked_eigh,
-    diagonal_blocks,
-    sector_stacks,
+    restrict,
     spectral_decompose,
     spectral_function,
 )
@@ -153,8 +151,8 @@ def log_gibbs_weights(energies, beta) -> np.ndarray:
 def thermal_state(spec: ThermalSpec) -> DensityMatrix:
     """exp(-beta H)/Z, built block by block from the shifted spectrum of H."""
     stacks = spectral_function(spec.spectrum, spec.weights)
-    entries = assemble([(indices, 0.5 * (b + b.conj().swapaxes(-1, -2))) for indices, b in stacks])
-    return DensityMatrix(spec.hamiltonian.register, entries)
+    symmetrized = [(indices, 0.5 * (b + b.conj().swapaxes(-1, -2))) for indices, b in stacks]
+    return DensityMatrix(spec.hamiltonian.register, symmetrized)
 
 
 def _plogp(eigenvalues: np.ndarray) -> float:
@@ -179,21 +177,21 @@ def nonnegative_entropy(value):
     return np.where(value < 0, 0.0, value)[()]
 
 
-def sector_overlaps(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sector_overlaps(rho, sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sigma's eigenvalues w_i and the overlaps <v_i|rho|v_i> of its
-    eigenvectors, from one checked ``eigh`` per stack of sigma's
-    ``sector_stacks``, in stack order (not sorted).
+    eigenvectors, from one checked ``eigh`` per stack of sigma's (indices,
+    blocks) stacks, in stack order (not sorted).
 
-    Each eigenvector lies in one block, so only rho's matching diagonal
-    blocks enter the overlaps, which is exact for any rho.  The overlaps are
-    a matrix product and a column sum, so they run on BLAS, and are clamped
-    at 0.  Also returns the first basis index of each eigenvector's block,
-    which names its sector.
+    Each eigenvector lies in one block, so only rho's matching blocks (the
+    ``operators.restrict`` of rho's stacks) enter the overlaps, which is
+    exact for any rho.  The overlaps are a matrix product and a column sum,
+    so they run on BLAS, and are clamped at 0.  Also returns the first basis
+    index of each eigenvector's block, which names its sector.
     """
     eigenvalues, overlaps, first = [], [], []
-    for indices, blocks in sector_stacks(sigma):
+    for indices, blocks in sigma:
         w, v = checked_eigh(blocks)
-        rho_blocks = diagonal_blocks(rho, indices)
+        rho_blocks = restrict(rho, indices)
         eigenvalues.append(w.ravel())
         overlaps.append(np.clip((v.conj() * (rho_blocks @ v)).sum(-2).real, 0.0, None).ravel())
         first.append(np.repeat(indices[:, 0], w.shape[-1]))
@@ -208,7 +206,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.register != sigma.register:
         raise ValueError("states must live on the same register")
     first_term = _plogp(rho.eigenvalues)
-    sigma_eigenvalues, overlaps, _ = sector_overlaps(rho.entries, sigma.entries)
+    sigma_eigenvalues, overlaps, _ = sector_overlaps(rho.stacks, sigma.stacks)
     sigma_eigenvalues = np.clip(sigma_eigenvalues, 0.0, None)
     inside = sigma_eigenvalues > EIGENVALUE_FLOOR
     leak = float(overlaps[~inside].sum())
@@ -236,13 +234,13 @@ def weighted_energy(initial: ThermalSpec, final: ThermalSpec) -> float:
     spectrum = final.spectrum
     weights = final.weights
     final_energy = float(np.dot(weights, spectrum.eigenvalues))
-    h_initial = initial.hamiltonian.entries
+    h_initial = initial.hamiltonian.stacks
     initial_energy = 0.0
     for indices, levels, v in spectrum.stacks:
         w = weights[levels]
         columns = np.flatnonzero((w > 0).any(axis=0))
         v, w = v[:, :, columns], w[:, columns]
-        expectations = (v.conj() * (diagonal_blocks(h_initial, indices) @ v)).sum(axis=-2).real
+        expectations = (v.conj() * (restrict(h_initial, indices) @ v)).sum(axis=-2).real
         initial_energy += float(np.sum(w * expectations))
     return final.beta * final_energy - initial.beta * initial_energy
 

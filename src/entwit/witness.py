@@ -12,10 +12,9 @@ two-point-measurement work statistics when every state involved is a declared
 Gibbs state; the two routes agree to numerical precision and are kept
 separate on purpose.  A direct distance uses one of three evaluators: the
 Gibbs identity when both states are declared Gibbs states, the analytic log
-weights of a declared Gibbs sigma under a dense rho, and the dense spectral
+weights of a declared Gibbs sigma under a state rho, and the spectral
 evaluator otherwise.  The last two share ``thermo.sector_overlaps``, so a
-Gibbs sigma is diagonalized per S^z sector and its dense eigenvector matrix
-is never built.
+Gibbs sigma is diagonalized per S^z sector and no dense matrix is read.
 
 A direct sweep builds the chain once per Jz value from the cached
 ``spin_models.xxz_pieces``, diagonalizes it and takes the reference state's
@@ -44,6 +43,7 @@ from .operators import (
     UnitaryOperator,
     dicke_state,
     pure_state,
+    sector_stacks,
     spectral_decompose,
 )
 from .spin_models import (
@@ -266,8 +266,8 @@ def _distance_direct(rho: StateOrSpec, sigma: StateOrSpec, rho_name: str, sigma_
     """S(rho || sigma) picking the best evaluation for what was declared.
 
     Two declared Gibbs states use the free-energy identity; a Gibbs sigma
-    under an arbitrary rho uses the analytic log weights; dense matrices on
-    both sides fall back to the spectral evaluator with its support rules.
+    under an arbitrary rho uses the analytic log weights; states on both
+    sides fall back to the spectral evaluator with its support rules.
     A Gibbs state is full rank by construction, so its log weights are exact
     numbers like -beta (E_k - E_0) - ln Z even where the dense matrix would
     underflow; no support bookkeeping is needed on that path.
@@ -276,7 +276,7 @@ def _distance_direct(rho: StateOrSpec, sigma: StateOrSpec, rho_name: str, sigma_
         return gibbs_relative_entropy(sigma, rho)
     rho_state = _as_state(rho, rho_name)
     if isinstance(sigma, ThermalSpec):
-        energies, overlaps, _ = sector_overlaps(rho_state.entries, sigma.hamiltonian.entries)
+        energies, overlaps, _ = sector_overlaps(rho_state.stacks, sigma.hamiltonian.stacks)
         cross_term = float(log_gibbs_weights(energies, sigma.beta) @ overlaps)
         return float(
             nonnegative_entropy(_plogp(rho_state.eigenvalues) - cross_term)
@@ -449,7 +449,7 @@ class SweepReference:
 
     When both specs are declared, ``rho``/``sigma_ref`` are their thermal
     states, and the sweep takes the reference leg from the exact log-space
-    distance instead of the dense evaluator.
+    distance instead of the spectral evaluator.
     """
 
     rho: DensityMatrix
@@ -504,7 +504,7 @@ def _shared_sweep_state(grid: SweepGrid, reference: SweepReference, route: str) 
         "boundary": grid.boundary,
         "b_values": grid.b_axis.values(),
         "t_values": grid.t_axis.values(),
-        "rho": reference.rho.entries,
+        "rho": reference.rho.stacks,
         "plogp_rho": plogp,
         "s_left": float(s_left),
         "route": route,
@@ -549,7 +549,7 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
     h_zero = xxz_matrix(XXZParams(n, state["coupling_j"], jz_value, 0.0, boundary), *pieces)
     # Gibbs states at every grid point are full rank, so tr(rho ln sigma*) is
     # evaluated from exact log weights; no support bookkeeping applies here.
-    energies, overlaps, first = sector_overlaps(state["rho"], h_zero)
+    energies, overlaps, first = sector_overlaps(state["rho"], sector_stacks(h_zero))
     magnetization = pieces[2][first]
     # log Gibbs weights of a run of B values at once, shape (b, nT, dim)
     run = max(1, SWEEP_STACK_ENTRIES // (t_values.size * energies.size))
@@ -599,7 +599,7 @@ def sweep_detection(
 
 
 def state_checksum(state: DensityMatrix) -> str:
-    """SHA-256 of the raw row-major matrix bytes (stable across runs)."""
+    """SHA-256 of the assembled complex128 matrix's row-major bytes (stable across runs)."""
     return hashlib.sha256(np.ascontiguousarray(state.entries).tobytes()).hexdigest()
 
 

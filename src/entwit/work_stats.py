@@ -9,12 +9,13 @@ ratios for *any* unitary:
     <exp(-beta W)>                      = Z_f / Z_i            (equal beta)
     <exp(-(beta_f E_f - beta_i E_i))>   = Z_f(beta_f)/Z_i(beta_i)
 
-Both spectra keep their S^z blocks, and so does U (``UnitaryOperator.stacks``).
-q is formed per block of their common partition: the S^z sectors when all
-three are split into them, so q vanishes between sectors, or the whole
-register as one block when any of them mixes sectors (a Haar unitary, say).
-``TransitionMatrix`` holds and checks the blocks, and the work average, the
-work distribution and the sampler read them.
+Both spectra keep their S^z blocks, and U stores only its blocks
+(``UnitaryOperator.stacks``).  q is formed per block of their common
+partition: the S^z sectors when all three are split into them, so q vanishes
+between sectors, or the whole register as one block when any of them mixes
+sectors (a Haar unitary, say).  ``TransitionMatrix`` holds and checks the
+blocks, and the work average, the work distribution and the sampler read
+them.
 
 Every average is evaluated per-term in log space, from the log Gibbs weights
 of ``thermo.log_gibbs_weights`` and one ``thermo.logsumexp`` over the (m, n)
@@ -26,19 +27,20 @@ Every propagator of the package comes from one routine, ``ordered_product``,
 shared by closed and open chains: the ordered product of slice propagators
 of a Hamiltonian given as pieces, each a dense matrix or a diagonal, and a
 table of slice coefficients.  The closed chain's pieces are the cached
-``spin_models.xxz_pieces`` as they are (H_xy dense, H_zz and S_z
-diagonals), and ``exact_evolution`` is one midpoint slice.  The product
-runs on the ``sector_stacks`` of the dense pieces, and each diagonal is cut
-to their blocks, so on S^z sectors it never becomes a register-sized
-matrix.  Consecutive slices that differ only by a multiple of the identity
-on each block form one run, and a chunk of runs is exponentiated in one
-batched call of one of two kernels.  Short runs, whose exponents have
-1-norm at most TAYLOR_THETA, take a Taylor polynomial of a few matrix
-products; longer ones take one ``checked_eigh``, so a ramp of the field alone
-costs one eigendecomposition per stack of equal-size sectors, whatever the
-step count.  Each stack computes its chunks into one ``_Workspace``, arrays
-made once and freed when the stack is done: fresh temporaries per chunk made
-glibc trim the heap after every chunk and grow it again for the next.
+``spin_models.xxz_pieces`` as they are (H_xy dense, H_zz and S_z diagonals),
+and ``exact_evolution`` is one midpoint slice.  The product runs on the
+``sector_stacks`` of the dense pieces, and each diagonal is cut to their
+blocks, so on S^z sectors it never becomes a register-sized matrix: the
+unitary keeps the per-stack products as its blocks.  Consecutive slices that
+differ only by a multiple of the identity on each block form one run, and a
+chunk of runs is exponentiated in one batched call of one of two kernels.
+Short runs, whose exponents have 1-norm at most TAYLOR_THETA, take a Taylor
+polynomial of a few matrix products; longer ones take one ``checked_eigh``,
+so a ramp of the field alone costs one eigendecomposition per stack of
+equal-size sectors, whatever the step count.  Each stack computes its chunks
+into one ``_Workspace``, arrays made once and freed when the stack is done:
+fresh temporaries per chunk made glibc trim the heap after every chunk and
+grow it again for the next.
 """
 
 from __future__ import annotations
@@ -56,18 +58,14 @@ from .operators import (
     QubitRegister,
     SpectralDecomposition,
     UnitaryOperator,
-    assemble,
+    check_partition,
     check_unitary,
     checked_eigh,
+    restrict,
     sector_stacks,
     spectral_decompose,
 )
-from .spin_models import (
-    DrivingSchedule,
-    ramp_values,
-    xxz_matrix,
-    xxz_pieces,
-)
+from .spin_models import DrivingSchedule, build_xxz, ramp_values, xxz_pieces
 from .thermo import ThermalSpec, log_gibbs_weights, logsumexp, weighted_energy
 
 STOCHASTICITY_ATOL = 1e-10
@@ -110,10 +108,9 @@ class TransitionMatrix:
         for rows, columns, q in stacks:
             if columns.shape != rows.shape or q.shape != rows.shape + rows.shape[-1:]:
                 raise ValueError("each stack needs (k, s) rows and columns and (k, s, s) q")
+        message = "transition blocks must hold every level of both spectra once"
         for part in (0, 1):
-            covered = np.sort(np.concatenate([stack[part].ravel() for stack in stacks]))
-            if not np.array_equal(covered, np.arange(dim)):
-                raise ValueError("transition blocks must hold every level of both spectra once")
+            check_partition([stack[part] for stack in stacks], dim, message)
         if min(float(q.min()) for _, _, q in stacks) < -STOCHASTICITY_ATOL:
             raise NumericalCheckError("transition probabilities must be non-negative")
         for _, _, q in stacks:
@@ -174,7 +171,8 @@ def _transition_from_spectra(
     spectra, u_stacks = (initial.stacks, final.stacks), u.stacks
     if not all(_same_blocks(stacks, u_stacks) for stacks in spectra):
         spectra = (_whole_register(initial), _whole_register(final))
-        u_stacks = ((np.arange(u.dim)[None, :], u.entries[None]),)
+        everything = np.arange(u.dim)[None, :]
+        u_stacks = ((everything, restrict(u.stacks, everything).astype(np.complex128, copy=False)),)
     stacks = []
     for (_, columns, v_initial), (_, rows, v_final), (_, u_blocks) in zip(*spectra, u_stacks):
         amplitudes = v_final.conj().swapaxes(-1, -2) @ u_blocks @ v_initial
@@ -206,17 +204,17 @@ def exact_evolution(schedule: DrivingSchedule) -> UnitaryOperator:
     A linear ramp has H(t) = H_i + (t / t_f)(H_f - H_i), so
     [H(s), H(t)] = ((t - s) / t_f) [H_i, H_f]: all of them commute exactly
     when the endpoints do, and the endpoints' commutator is the largest.  It
-    is checked numerically, one commutator per block of the ``sector_stacks``
-    of H_i and H_f; schedules that fail the check must use trotter_evolution
-    instead.  U is then one midpoint slice of ``trotter_evolution``:
-    exp(-i t_f H(t_f / 2)), where H(t_f / 2) is the time average of a linear
-    ramp and H_f for a quench, so the one slice is exact.
+    is checked numerically, one commutator per stored block of H_i and H_f;
+    schedules that fail the check must use trotter_evolution instead.  U is
+    then one midpoint slice of ``trotter_evolution``: exp(-i t_f H(t_f / 2)),
+    where H(t_f / 2) is the time average of a linear ramp and H_f for a
+    quench, so the one slice is exact.
     """
     if schedule.interpolation != "quench-at-start":
-        pieces = xxz_pieces(schedule.n, schedule.initial.boundary)
-        endpoints = np.stack([xxz_matrix(params, *pieces) for params in (schedule.initial, schedule.final)])
+        initial, final = (build_xxz(params).stacks for params in (schedule.initial, schedule.final))
         # block diagonal Hamiltonians have block diagonal commutators
-        worst = max(float(np.abs(h_i @ h_f - h_f @ h_i).max()) for _, (h_i, h_f) in sector_stacks(endpoints))
+        worst = max(float(np.abs(h @ restrict(final, i) - restrict(final, i) @ h).max()) for i, h in initial)
+        del initial, final  # freed before the product
         if worst > COMMUTATION_ATOL:
             raise NumericalCheckError(
                 f"schedule Hamiltonians do not commute (max commutator entry {worst:.3e} "
@@ -396,8 +394,9 @@ def ordered_product(
     One ``check_unitary`` checks every run factor of the chunk, whichever
     kernel built it, and the factors then multiply into the stack's product
     in order.  Both kernels keep ||U^dag U - I|| at roundoff level for any
-    step count; ``UnitaryOperator`` checks the assembled product again, per
-    block.  Real pieces give real eigenvectors and real polynomial products.
+    step count; ``UnitaryOperator`` checks the products again, per block,
+    and keeps them as its blocks.  Real pieces give real eigenvectors and
+    real polynomial products.
 
     Per stack, the run Hamiltonians, their magnitudes for theta, the Taylor
     kernel's arrays, the check's U^* and Gram matrix and a pair of products
@@ -405,7 +404,7 @@ def ordered_product(
     min(chunk, runs) runs, and every chunk computes into them with ``out=``
     in the operations and order of fresh temporaries, so the unitary is the
     same to the bit.  The workspace goes when its stack is done, so the
-    assembly allocates after it is freed.
+    next stack allocates after it is freed.
     """
     stacks = list(_piece_stacks(pieces))
     coefficients = np.asarray(coefficients, dtype=np.float64)
@@ -441,9 +440,8 @@ def ordered_product(
                 product, spare = spare, product
         products.append((indices, product))
         # the views keep the workspace alive: drop them before the next stack
-        # or the assembly allocates
         del work, spare, factors, factor
-    return UnitaryOperator(register, assemble(products, np.complex128))
+    return UnitaryOperator(register, products)
 
 
 def trotter_evolution(schedule: DrivingSchedule, sampling: str = "left") -> UnitaryOperator:

@@ -242,6 +242,16 @@ def test_sweep_rejects_unknown_n(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_an_inline_schedule_above_twelve_sites_is_a_config_error(tmp_path, capsys, command):
+    chain = {"n": 13, "J": 1.0, "Jz": 0.0}
+    cfg = write_config(tmp_path, {"protocol": {"initial": {**chain, "B": 1.2}, "final": {**chain, "B": 0.5}}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n=13" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_a_bad_chain_with_the_ideal_reference(tmp_path, capsys):
     # the ideal reference builds no chain, so the grid checks it
     for key, value in (("boundary", "twisted"), ("J", float("nan"))):

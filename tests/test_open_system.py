@@ -279,6 +279,14 @@ def test_open_witness_diagonalizes_each_hamiltonian_once(decompositions, route, 
     assert len(decompositions) == len(set(decompositions)) == count
 
 
+def test_open_witness_checks_the_route_before_any_diagonalization(decompositions):
+    initial = split_chain(XXZParams(8, 1.0, 0.3, 0.4), (1, 2, 3), 1.0)
+    final = split_chain(XXZParams(8, 1.0, 0.3, 0.6), (1, 2, 3), 1.0)
+    with pytest.raises(ValueError, match="route"):
+        open_witness(initial, final, ThermalSpec(initial.subsystem_hamiltonian, 1.0), route="bogus")
+    assert decompositions == []
+
+
 def test_open_witness_margins_decouple_linearly():
     rho_star = ThermalSpec(
         HermitianOperator(

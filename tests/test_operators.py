@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entwit import (
     DensityMatrix,
@@ -22,8 +24,9 @@ from entwit import (
     unitary_from_json,
 )
 from entwit import operators
-from entwit.operators import _partial_trace_matrix, assemble, spectral_function
+from entwit.operators import _partial_trace_matrix, assemble, sector_stacks, spectral_function
 from entwit.spin_models import xxz_pieces
+from entwit.witness import build_w_state, reference_state, state_checksum, sweep_reference
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -122,6 +125,108 @@ def test_unitary_keeps_its_sector_blocks_and_deviation():
         np.abs(part.conj().swapaxes(-1, -2) @ part - np.eye(part.shape[-1])).max() for _, part in u.stacks
     )
     assert u.deviation <= 1e-15
+
+
+# ---------------------------------------------------------------- stored form
+
+def container_matrix(kind, n, seed, conserving):
+    """A random matrix that ``kind`` accepts, block diagonal in the popcount
+    sectors when ``conserving``, with entries between them otherwise."""
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    ones = np.array([bin(i).count("1") for i in range(dim)])
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if conserving:
+        g[ones[:, None] != ones[None, :]] = 0.0
+    if kind is HermitianOperator:
+        return g + g.conj().T
+    if kind is DensityMatrix:
+        rho = g @ g.conj().T
+        return rho / np.trace(rho).real
+    if not conserving:
+        return np.linalg.qr(g)[0]
+    u = np.zeros((dim, dim), dtype=complex)
+    for k in range(n + 1):
+        sector = np.ix_(ones == k, ones == k)
+        u[sector] = np.linalg.qr(g[sector])[0]
+    return u
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from([HermitianOperator, DensityMatrix, UnitaryOperator]),
+    n=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    conserving=st.booleans(),
+)
+def test_a_container_from_a_matrix_equals_the_one_from_its_stacks(kind, n, seed, conserving):
+    matrix = container_matrix(kind, n, seed, conserving)
+    from_matrix = kind(QubitRegister(n), matrix)
+    from_stacks = kind(QubitRegister(n), sector_stacks(matrix))
+    assert len(from_matrix.stacks) == len(from_stacks.stacks)
+    for (i, a), (j, b) in zip(from_matrix.stacks, from_stacks.stacks):
+        assert np.array_equal(i, j) and np.array_equal(a, b)
+    assert (len(from_matrix.stacks[0][0]) > 1) == conserving
+    assert from_matrix.entries.dtype == from_stacks.entries.dtype == np.complex128
+    assert np.array_equal(from_matrix.entries, matrix)
+    assert np.array_equal(from_stacks.entries, matrix)
+
+
+def two_qubit_stacks():
+    return [(np.array([[0], [3]]), np.full((2, 1, 1), 0.25)), (np.array([[1, 2]]), 0.25 * np.eye(2)[None])]
+
+
+@pytest.mark.parametrize(
+    "change, error, match",
+    [
+        (lambda s: s[:1], ValueError, "every basis state once"),
+        (lambda s: [s[0], (np.array([[1, 1]]), s[1][1])], ValueError, "every basis state once"),
+        (lambda s: [s[0], (s[1][0], s[1][1][:, :1])], ValueError, "blocks"),
+        (lambda s: [s[0], (s[1][0], np.full((1, 2, 2), np.nan))], NumericalCheckError, "non-finite"),
+    ],
+    ids=["missing index", "duplicated index", "block shape", "nan"],
+)
+@pytest.mark.parametrize("kind", [HermitianOperator, DensityMatrix])
+def test_malformed_stacks_are_refused(kind, change, error, match):
+    kind(QubitRegister(2), two_qubit_stacks())
+    with pytest.raises(error, match=match):
+        kind(QubitRegister(2), change(two_qubit_stacks()))
+
+
+def test_a_whole_register_container_keeps_no_reference_to_its_input():
+    matrix = container_matrix(DensityMatrix, 3, 2, conserving=False)
+    rho = DensityMatrix(QubitRegister(3), matrix)
+    (indices, blocks), = rho.stacks
+    assert indices.shape == (1, 8)
+    kept = rho.entries
+    matrix[0, 0] = 7.0
+    assert np.array_equal(rho.entries, kept)
+    assert matrix.flags.writeable and not blocks.flags.writeable
+
+
+# SHA-256 digests of the complex128 bytes that sweep_meta.json records for
+# the reference states; any drift in dtype or in the sign of a zero shows here
+CHECKSUMS = {
+    ("w", 3): "5f094cef845c2539fcd0145fb163066b898aa51bb68e478f0c7718c53de3eda9",
+    ("reference", 3): "c32c86f3412642319a1e1da33b0c30100910adff0225b08618a8c56ed4c97744",
+    ("w", 7): "504d6ba6eefa184163ae3372212a77f24fda4d5fed354e91c03c36fd756d7f78",
+    ("reference", 7): "32a3d2b2fb8bd1e37b20df474717351a8bbf3fab413889dfc682f14747669b95",
+    ("thermal rho", 7): "e429f057cc44baae0a5f68e7c20b77a930fb577d63c42b0e8b6e8f4ba77af1f6",
+    ("thermal sigma_ref", 7): "dc1baeab34ccd959f906c502b972e9e2ccbfa9c1c0d8a72ef99eff91b83c5e75",
+}
+
+
+def test_state_checksums_are_pinned():
+    thermal = sweep_reference(7, thermal=True)
+    states = {
+        ("w", 3): build_w_state(3),
+        ("reference", 3): reference_state(3),
+        ("w", 7): build_w_state(7),
+        ("reference", 7): reference_state(7),
+        ("thermal rho", 7): thermal.rho,
+        ("thermal sigma_ref", 7): thermal.sigma_ref,
+    }
+    assert {key: state_checksum(state) for key, state in states.items()} == CHECKSUMS
 
 
 # ---------------------------------------------------------------- spectra
