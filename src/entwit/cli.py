@@ -30,7 +30,7 @@ from .operators import (
     density_from_json,
     unitary_from_json,
 )
-from .spin_models import build_xxz, schedule_from_config, xxz_params_from_config
+from .spin_models import build_xxz, check_keys, config_number, schedule_from_config, xxz_params_from_config
 from .thermo import ThermalSpec, delta_beta_f
 from .witness import (
     DetectionProtocol,
@@ -38,6 +38,7 @@ from .witness import (
     SweepGrid,
     _identity_unitary,
     detection_protocol,
+    memory_budget,
     sweep_detection,
     sweep_metadata,
     sweep_reference,
@@ -47,6 +48,7 @@ from .witness import (
 from .work_stats import (
     SAMPLE_BLOCK,
     SAMPLING_RULES,
+    TRAJECTORY_BYTES,
     TrajectoryBatch,
     exact_evolution,
     log_jarzynski_average,
@@ -155,24 +157,15 @@ def _load_config(path: str) -> dict:
 
 
 def _check_keys(payload: dict, allowed: set, required: set, file: str, prefix: str = "") -> None:
-    anchor = f"{file}: {prefix}" if prefix else file
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ConfigError(f"{anchor}: unknown keys {sorted(unknown)}")
-    for key in sorted(required):
-        if key not in payload:
-            raise ConfigError(f"{anchor}: missing required key {key!r}")
+    check_keys(payload, allowed, sorted(required), f"{file}: {prefix}" if prefix else file)
 
 
 def _float_key(payload: dict, key: str, default: float, file: str) -> float:
-    value = payload.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{file}: {key}: expected a number, got {value!r}")
-    return float(value)
+    return config_number(payload.get(key, default), f"{file}: {key}")
 
 
 def _protocol_from_config(value, beta: float, file: str) -> DetectionProtocol:
-    if not (math.isfinite(beta) and beta > 0):
+    if beta <= 0:
         raise ConfigError(f"{file}: beta: must be a finite positive number, got {beta!r}")
     if isinstance(value, str):
         if value not in PROTOCOL_NAMES:
@@ -224,17 +217,17 @@ def _state_from_config(value, path: str, file: str, expected_n: int):
             f"{file}: {path}.params: chain has {params.n} sites, protocol uses {expected_n}"
         )
     if "temperature" in value:
-        temperature = _float_key(value, "temperature", 0.0, file)
+        temperature = config_number(value["temperature"], f"{file}: {path}.temperature")
         if temperature <= 0:
             raise ConfigError(f"{file}: {path}.temperature: must be positive")
         beta = 1.0 / temperature
     else:
-        beta = _float_key(value, "beta", 0.0, file)
+        beta = config_number(value["beta"], f"{file}: {path}.beta")
         if beta <= 0:
             raise ConfigError(f"{file}: {path}.beta: must be positive")
     try:
         return ThermalSpec(build_xxz(params), beta)
-    except ValueError as err:  # NaN or infinite beta, or 1/temperature out of range
+    except ValueError as err:  # 1/temperature beyond the range of a float
         raise ConfigError(f"{file}: {path}: {err}") from err
 
 
@@ -327,13 +320,10 @@ def _axis_from_config(value, path: str, file: str) -> GridAxis:
     if not isinstance(value, dict):
         raise ConfigError(f"{file}: {path}: expected an object with min, max, step")
     _check_keys(value, {"min", "max", "step"}, {"min", "max", "step"}, file, path)
+    bounds = [config_number(value[key], f"{file}: {path}.{key}") for key in ("min", "max", "step")]
     try:
-        return GridAxis(
-            minimum=float(value["min"]),
-            maximum=float(value["max"]),
-            step=float(value["step"]),
-        )
-    except (TypeError, ValueError) as err:
+        return GridAxis(*bounds)
+    except ValueError as err:
         raise ConfigError(f"{file}: {path}: {err}") from err
 
 
@@ -593,6 +583,13 @@ def _run_sample(args) -> int:
     count = cfg.get("count", 100000)
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ConfigError(f"{file}: count: expected a positive integer, got {count!r}")
+    # the draws' columns alone: a count refused here cannot fit
+    needed, budget = TRAJECTORY_BYTES * count, memory_budget()
+    if needed > budget:
+        raise ConfigError(
+            f"{file}: count: {count} draws need at least {needed} bytes, "
+            f"more than the memory budget of {budget} bytes"
+        )
     sampling = _sampling_from_config(cfg, file)
     evolution_kind = _evolution_from_config(cfg, "trotter", file)
     evolution = _resolve_evolution(evolution_kind, protocol, sampling)

@@ -16,14 +16,14 @@ mid-protocol.  Endpoint states are the equilibrium ones at the shared beta,
 which is all the fluctuation identities require.  The driven Hamiltonian is
 affine in the subsystem parameters, H(t) = (coupling + bath) + J H_xy +
 Jz H_zz - B S_z, with ``spin_models.chain_pieces`` laid on the subsystem's
-sites; ``full_hamiltonian`` and ``open_trotter_evolution`` build it with
-the same two helpers.  ``open_trotter_evolution`` builds the pieces once
-(H_zz and S_z as diagonals) and hands them to the closed chain's ordered
-product, which cuts the dense ones with ``operators.sector_stacks``.  A
-split XXZ chain conserves the total S^z, and the product then runs per S^z
-sector of the full register; a coupling or bath that changes S^z puts the
-whole register in one block.  The endpoint spectra come from
-``spectral_decompose``, per S^z sector in the same way, and keep their
+sites.  ``_open_pieces`` cuts these four pieces into
+``operators.piece_stacks``; ``full_hamiltonian`` combines them at one time,
+and ``open_trotter_evolution`` hands them to the closed chain's ordered
+product.  A split XXZ chain conserves the total S^z, and both then run per
+S^z sector of the full register; a coupling or bath that changes S^z puts
+the whole register in one block.  ``split_chain`` combines the stacks of
+its parts and of its coupling in the same way.  The endpoint spectra come
+from ``spectral_decompose``, per S^z sector in the same way, and keep their
 blocks: the weight operator exp(-beta (H - E0)) is built from them with
 ``operators.spectral_function``.  Its partial trace and the effective
 Hamiltonian stay dense.
@@ -55,18 +55,13 @@ from .operators import (
     _partial_trace_matrix,
     assemble,
     checked_eigh,
+    combine,
     embed_operator,
+    piece_stacks,
     spectral_decompose,
     spectral_function,
 )
-from .spin_models import (
-    DrivingSchedule,
-    XXZParams,
-    _bonds,
-    chain_pieces,
-    params_at,
-    xxz_matrix,
-)
+from .spin_models import DrivingSchedule, XXZParams, _bonds, chain_pieces, params_at
 from .thermo import ThermalSpec, thermal_state, weighted_energy
 from .witness import (
     STRICTNESS_EPSILON,
@@ -180,22 +175,26 @@ class CompositeSystem:
 
 def full_hamiltonian(composite: CompositeSystem, t: float = 0.0) -> HermitianOperator:
     """Subsystem + coupling + bath, embedded on the full register; a driven
-    subsystem enters with its chain at time ``t``, a static one as it is."""
+    subsystem enters with its chain at time ``t``, combined on the blocks of
+    ``_open_pieces``, a static one as it is."""
     register = composite.register
     if composite.subsystem_schedule is None:
         subsystem = embed_operator(register, composite.subsystem_hamiltonian.entries, composite.subsystem_sites)
-    else:
-        subsystem = xxz_matrix(params_at(composite.subsystem_schedule, t), *_subsystem_pieces(composite))
-    return HermitianOperator(register, _add_environment(composite, subsystem))
+        return HermitianOperator(register, _add_environment(composite, subsystem))
+    params = params_at(composite.subsystem_schedule, t)
+    return HermitianOperator(register, combine(_open_pieces(composite), (1.0, params.J, params.Jz, -params.B)))
 
 
-def _subsystem_pieces(composite: CompositeSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``chain_pieces`` of a driven subsystem's chain laid on its sites of
-    the full register: H_xy, and the diagonals of H_zz and S_z."""
-    schedule = composite.subsystem_schedule
+def _open_pieces(composite: CompositeSystem) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The ``piece_stacks`` of a driven composite's Hamiltonian, whose
+    coefficients are (1, J, Jz, -B): the fixed piece (coupling plus embedded
+    bath), then the subsystem chain's H_xy, H_zz and S_z laid on its sites of
+    the full register by ``chain_pieces``."""
+    schedule, register = composite.subsystem_schedule, composite.register
     site = [s - 1 for s in composite.subsystem_sites]
     bonds = [(site[l], site[m]) for l, m in _bonds(schedule.n, schedule.initial.boundary)]
-    return chain_pieces(composite.register.n, bonds, site)
+    fixed = _add_environment(composite, np.zeros((register.dim, register.dim), dtype=np.complex128))
+    return piece_stacks((fixed, *chain_pieces(register.n, bonds, site)))
 
 
 def _add_environment(composite: CompositeSystem, entries: np.ndarray) -> np.ndarray:
@@ -356,10 +355,10 @@ def open_trotter_evolution(composite: CompositeSystem, sampling: str = "left") -
     The bath and coupling stay fixed while the subsystem parameters follow the
     schedule; sampling works as in the closed-system integrator ("left" for
     plain first order, "midpoint" for the symmetric variant).  The full
-    Hamiltonian is built once, as the pieces of ``full_hamiltonian``: coupling
-    + embedded bath and the subsystem chain's H_xy, dense, and its H_zz and
-    S_z diagonals, laid on its sites of the full register.  With the slice
-    coefficients (1, J, Jz, -B) they go to ``work_stats.ordered_product``,
+    Hamiltonian is cut once, as the piece stacks of ``full_hamiltonian``
+    (``_open_pieces``): coupling + embedded bath and the subsystem chain's
+    H_xy, H_zz and S_z, laid on its sites of the full register.  With the
+    slice coefficients (1, J, Jz, -B) they go to ``work_stats.ordered_product``,
     which exploits S^z conservation when the coupling and bath have it too
     (as for a split XXZ chain).  The subsystem's H_zz is not a multiple of
     the identity on the full register's sectors, so a ramp of Jz makes every
@@ -372,10 +371,7 @@ def open_trotter_evolution(composite: CompositeSystem, sampling: str = "left") -
     coefficients = np.column_stack(
         [np.ones(schedule.steps), schedule_coefficients(schedule, sampling)]
     )
-    register = composite.register
-    fixed = _add_environment(composite, np.zeros((register.dim, register.dim), dtype=np.complex128))
-    hopping, zz, magnetization = _subsystem_pieces(composite)
-    return ordered_product(register, (fixed, hopping, zz, magnetization), coefficients, schedule.dt)
+    return ordered_product(composite.register, _open_pieces(composite), coefficients, schedule.dt)
 
 
 def split_chain(
@@ -394,22 +390,23 @@ def split_chain(
     bonds = _bonds(params.n, params.boundary)
     cross = [(l, m) for l, m in bonds if (l + 1 in sub) != (m + 1 in sub)]
 
-    def part(sites: tuple[int, ...]) -> HermitianOperator:
-        local = {site - 1: idx for idx, site in enumerate(sites)}
-        inside = [(local[l], local[m]) for l, m in bonds if l in local and m in local]
-        pieces = chain_pieces(len(sites), inside, range(len(sites)))
-        return HermitianOperator(QubitRegister(len(sites)), xxz_matrix(params, *pieces))
+    def part(n: int, pairs: list[tuple[int, int]], field_sites) -> HermitianOperator:
+        stacks = piece_stacks(chain_pieces(n, pairs, field_sites))
+        return HermitianOperator(QubitRegister(n), combine(stacks, (params.J, params.Jz, -params.B)))
 
-    hopping, zz, _ = chain_pieces(params.n, cross, [])
-    coupling = xxz_matrix(params, hopping, zz, 0.0)
+    def inside(sites: tuple[int, ...]) -> HermitianOperator:
+        local = {site - 1: idx for idx, site in enumerate(sites)}
+        pairs = [(local[l], local[m]) for l, m in bonds if l in local and m in local]
+        return part(len(sites), pairs, range(len(sites)))
+
     return CompositeSystem(
         register=register,
         subsystem_sites=sub,
         bath_sites=bath,
         beta=beta,
-        subsystem_hamiltonian=part(sub),
-        coupling=HermitianOperator(register, coupling) if cross else None,
-        bath_hamiltonian=part(bath) if bath else None,
+        subsystem_hamiltonian=inside(sub),
+        coupling=part(params.n, cross, []) if cross else None,
+        bath_hamiltonian=inside(bath) if bath else None,
     )
 
 

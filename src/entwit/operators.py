@@ -6,45 +6,44 @@ capped at 12 qubits (4096 x 4096 matrices).
 
 Every Hamiltonian and reference state of the witness conserves the total
 magnetization S^z, so it is block diagonal in the sectors of fixed popcount
-(number of qubits in |1>): 924 states at most for n = 12.  ``sector_stacks``
-is the one routine that decides the blocks of a register-sized matrix, or
-of a stack of them: the popcount sectors when every entry between two of
-them is exactly 0, one whole-register block otherwise, with blocks of equal
-size stacked together; ``assemble`` puts such stacks back into one matrix,
-and ``diagonal_blocks`` restricts a matrix to given blocks (a view, not a
-copy, when the block is the whole register).
+(number of qubits in |1>): 924 states at most for n = 12.
+``sector_partition`` gives them, stacked by size, and objects known to
+conserve S^z (the identity, the Dicke states) are built on them directly.
+``sector_stacks`` decides the blocks of a register-sized matrix, or of a
+stack of them: the popcount sectors when every entry between two of them is
+exactly 0, one whole-register block otherwise.  ``assemble`` puts such
+stacks back into one matrix, and ``diagonal_blocks`` restricts a matrix to
+given blocks.  A Hamiltonian affine in its pieces P_j (dense matrices or
+diagonals) is cut once into ``piece_stacks``, every piece on every block,
+and ``combine`` sums c_j P_j on them: every chain Hamiltonian, closed or
+open, and every slice of the Trotter product comes from such stacks.
 
 ``HermitianOperator``, ``DensityMatrix`` and ``UnitaryOperator`` store
-only such stacks (a dense matrix is split once; the Trotter product and a
-Gibbs state pass their blocks), and ``entries`` assembles the dense matrix
-when read.  Their checks (hermiticity, PSD, unitarity), the spectral
-decomposition, the relative entropy and the direct sweep (in ``thermo``
-and ``witness``), and the Trotter product, commutation check and
-transition probabilities (in ``work_stats``) all run on the stacks, at the
-cost of the largest sector; ``restrict`` gives one container's blocks on
-another's partition.
+only (indices, blocks) stacks (a dense matrix is split once), and
+``entries`` assembles the dense matrix when read.  Their checks
+(hermiticity, PSD, unitarity), the spectral decomposition, the relative
+entropy and the direct sweep (in ``thermo`` and ``witness``), and the
+Trotter product, commutation check and transition probabilities (in
+``work_stats``) all run on the stacks, at the cost of the largest sector;
+``restrict`` gives one container's blocks on another's partition.
 
 A ``SpectralDecomposition`` keeps the eigenvectors of each block, with the
 position of each block eigenvalue in the ascending spectrum; the transition
 probabilities merge the blocks into one only for a unitary that mixes
 sectors.  ``spectral_function`` is the package's one V f(w) V^dag, taken
 block by block: Gibbs states and the open system's weight operator come
-from it.  Propagators do not: every one, exact evolution included, is a
-product of ``work_stats.ordered_product``.
+from it.  Propagators do not: every one is a product of
+``work_stats.ordered_product``.
 
-The eigensolver and unitarity checks live in two helpers, ``checked_eigh``
-and ``check_unitary``, which work on any square block or stack of blocks, so
-the sector stacks here and the ordered product in ``work_stats`` hold the
-same tolerances.  ``embed_operator`` and the raw partial trace stay dense;
-they serve the open-system code, whose couplings and baths need not conserve
-S^z.
+``checked_eigh`` and ``check_unitary`` work on any square block or stack of
+blocks, so the containers here and the ordered product hold the same
+tolerances.  ``embed_operator`` and the raw partial trace stay dense; they
+serve the open-system code, whose couplings and baths need not conserve S^z.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -368,6 +367,55 @@ def diagonal_blocks(matrix: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return matrix[..., indices[:, :, None], indices[:, None, :]]
 
 
+def sector_partition(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The popcount sectors of n qubits, stacked as ``sector_stacks`` cuts
+    them: (indices (k, s), ones (k,)) pairs, ``ones`` the popcount of each
+    block.  An object that conserves S^z is laid out on them directly."""
+    ones = _popcounts(n)
+    return tuple((indices, ones[indices[:, 0]]) for indices in _partitions(n)[0])
+
+
+def piece_stacks(pieces: Sequence[np.ndarray]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The read-only (indices, blocks) stacks of the pieces P_j of a
+    Hamiltonian: ``blocks`` (p, k, s, s) holds every piece on the k blocks of
+    s basis states of ``indices`` (k, s).
+
+    Each piece is a dense (dim, dim) matrix or the (dim,) diagonal of a
+    diagonal one, at least one dense.  The blocks are the ``sector_stacks``
+    of the dense pieces (a lone one is cut without a stacked copy), and a
+    diagonal d is diag(d[indices]) on each, as it never mixes sectors.
+    """
+    dense = [j for j, piece in enumerate(pieces) if np.ndim(piece) == 2]
+    diagonal = [j for j, piece in enumerate(pieces) if np.ndim(piece) == 1]
+    matrix = pieces[dense[0]][None] if len(dense) == 1 else np.stack([pieces[j] for j in dense])
+    stacks = sector_stacks(matrix)
+    dtype = np.result_type(stacks[0][1], *(pieces[j] for j in diagonal))
+    out = []
+    for indices, dense_blocks in stacks:
+        blocks = np.zeros((len(pieces), *dense_blocks.shape[1:]), dtype)
+        blocks[dense] = dense_blocks
+        span = np.arange(indices.shape[1])
+        for j in diagonal:
+            blocks[j][:, span, span] = pieces[j][indices]
+        blocks.setflags(write=False)
+        out.append((indices, blocks))
+    return tuple(out)
+
+
+def combine(
+    stacks: Sequence[tuple[np.ndarray, np.ndarray]], coefficients: Sequence[float]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (indices, blocks) stacks of sum_j c_j P_j from the ``piece_stacks``
+    of the P_j, each block (k, s, s) the terms c_j P_j added in piece order."""
+    out = []
+    for indices, blocks in stacks:
+        total = coefficients[0] * blocks[0]
+        for c, piece in zip(coefficients[1:], blocks[1:]):
+            total += c * piece
+        out.append((indices, total))
+    return out
+
+
 def assemble(stacks: Sequence[tuple[np.ndarray, np.ndarray]], dtype=None) -> np.ndarray:
     """The register-sized matrix with the (indices, blocks) ``stacks`` of one
     matrix on its diagonal and 0 everywhere else; ``dtype`` defaults to that
@@ -473,30 +521,6 @@ def _partial_trace_matrix(entries: np.ndarray, n: int, keep0: list[int]) -> np.n
     out = [row[s] for s in keep0] + [n + s for s in keep0]
     reduced = np.einsum(tensor, row + col, out)
     return np.ascontiguousarray(reduced.reshape(2**k, 2**k))
-
-
-def dicke_state(register: QubitRegister, k_ones: int) -> np.ndarray:
-    """Equal-amplitude superposition of all basis states with ``k_ones`` ones."""
-    n = register.n
-    if not isinstance(k_ones, int) or not 0 <= k_ones <= n:
-        raise ValueError(f"k_ones must lie in 0..{n}, got {k_ones}")
-    vec = np.zeros(register.dim, dtype=np.complex128)
-    for ones in itertools.combinations(range(n), k_ones):
-        index = sum(1 << (n - 1 - site) for site in ones)
-        vec[index] = 1.0
-    return vec / math.sqrt(math.comb(n, k_ones))
-
-
-def pure_state(register: QubitRegister, amplitudes: np.ndarray) -> DensityMatrix:
-    """Projector onto a (normalized) state vector."""
-    vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    if vec.size != register.dim:
-        raise ValueError(f"state vector must have length {register.dim}, got {vec.size}")
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ValueError("cannot normalize the zero vector")
-    vec = vec / norm
-    return DensityMatrix(register, np.outer(vec, vec.conj()))
 
 
 # JSON matrix exchange format: {"n": qubits, "re": [[...]], "im": [[...]]},

@@ -1,5 +1,5 @@
-"""XXZ chains in a transverse field, and linear driving schedules between two
-parameter sets.
+"""XXZ chains in a transverse field, linear driving schedules between two
+parameter sets, and their strict JSON config parsers.
 
 The Hamiltonian built here is
 
@@ -12,12 +12,12 @@ Written as H = J H_xy + Jz H_zz - B S_z over three fixed pieces, it conserves
 the total magnetization S^z = sum_l sz_l.  ``chain_pieces`` builds the
 pieces of any bond graph on a register from the action of every bond on the
 basis states: H_xy as a dense real matrix, H_zz and S_z as diagonals.
-``xxz_pieces`` caches them, read-only, per (n, boundary) for the standard
-chain, and ``xxz_matrix`` combines them for one parameter set; this is the
-package's one representation of a chain Hamiltonian.  ``build_xxz``'s
-``HermitianOperator`` keeps only its S^z blocks, and the Trotter product
-cuts the pieces with ``operators.sector_stacks``; S_z is m I on a
-sector, so a field only shifts a sector's energies by -B m.
+``xxz_pieces`` cuts them once per (n, boundary) into read-only
+``operators.piece_stacks``, every piece on every S^z sector, and keeps only
+those: this is the package's one stored form of a chain.  ``build_xxz``
+combines them for one parameter set, the Trotter product takes them as they
+are, and S_z is m I on a sector, so a field only shifts a sector's energies
+by -B m.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .operators import HermitianOperator, QubitRegister
+from .operators import HermitianOperator, QubitRegister, combine, piece_stacks
 
 BOUNDARIES = ("periodic", "open")
 INTERPOLATIONS = ("linear", "quench-at-start")
@@ -79,7 +79,7 @@ class DrivingSchedule:
             raise ValueError("schedule endpoints must share the chain size")
         if self.initial.boundary != self.final.boundary:
             raise ValueError("schedule endpoints must share the boundary condition")
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         if not math.isfinite(self.t_f) or self.t_f < 0:
             raise ValueError(f"t_f must be finite and non-negative, got {self.t_f!r}")
@@ -97,17 +97,6 @@ class DrivingSchedule:
         return self.initial.n
 
 
-def xxz_matrix(
-    params: XXZParams, hopping: np.ndarray, zz: np.ndarray, magnetization: np.ndarray | float
-) -> np.ndarray:
-    """J H_xy + Jz H_zz - B S_z, as a real matrix, from the hopping matrix
-    and the H_zz and S_z diagonals (a scalar magnetization shifts every
-    diagonal entry alike)."""
-    out = params.J * hopping
-    out.flat[:: hopping.shape[0] + 1] += params.Jz * zz - params.B * magnetization
-    return out
-
-
 def _bonds(n: int, boundary: str) -> list[tuple[int, int]]:
     """0-based site pairs of the chain's bonds (two equal ones at n=2, periodic)."""
     last_bond = n if boundary == "periodic" else n - 1
@@ -122,8 +111,9 @@ def chain_pieces(
 
     The XXZ pieces of any bond graph: ``bonds`` are 0-based site pairs and
     ``field_sites`` the 0-based sites the field acts on, so a chain laid on
-    any sites of a larger register needs no operator embedding.  Combine them
-    with ``xxz_matrix``.
+    any sites of a larger register needs no operator embedding.  Cut them
+    with ``operators.piece_stacks`` and combine them with
+    ``operators.combine``.
     """
     QubitRegister(n)
     states = np.arange(2**n)
@@ -144,26 +134,21 @@ def chain_pieces(
 
 
 @functools.lru_cache(maxsize=None)
-def xxz_pieces(n: int, boundary: str = "periodic") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``chain_pieces`` of the n-site chain with the field on every site:
-    H_xy, and the diagonals of H_zz and S_z.
-
-    Built once per (n, boundary) and cached read-only; every parameter set
-    reuses them.
-    """
+def xxz_pieces(n: int, boundary: str = "periodic") -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The ``operators.piece_stacks`` of the n-site chain with the field on
+    every site: H_xy, H_zz and S_z on each S^z sector stack, (3, k, s, s).
+    Built once per (n, boundary) and cached read-only, for every parameter
+    set; the dense H_xy of ``chain_pieces`` is freed once it is cut."""
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-    pieces = chain_pieces(n, _bonds(n, boundary), range(n))
-    for array in pieces:
-        array.setflags(write=False)
-    return pieces
+    return piece_stacks(chain_pieces(n, _bonds(n, boundary), range(n)))
 
 
 def build_xxz(params: XXZParams) -> HermitianOperator:
-    """The chain Hamiltonian for the given parameters, from the cached
-    pieces, stored as its S^z blocks."""
-    pieces = xxz_pieces(params.n, params.boundary)
-    return HermitianOperator(QubitRegister(params.n), xxz_matrix(params, *pieces))
+    """The chain Hamiltonian for the given parameters, J H_xy + Jz H_zz -
+    B S_z combined on the blocks of the cached pieces."""
+    stacks = xxz_pieces(params.n, params.boundary)
+    return HermitianOperator(QubitRegister(params.n), combine(stacks, (params.J, params.Jz, -params.B)))
 
 
 def ramp_values(schedule: DrivingSchedule, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -188,25 +173,37 @@ def params_at(schedule: DrivingSchedule, t: float) -> XXZParams:
     return XXZParams(n=schedule.n, J=J, Jz=Jz, B=B, boundary=schedule.initial.boundary)
 
 
+def check_keys(payload: dict, allowed, required, anchor: str) -> None:
+    """Raise ConfigError, prefixed by ``anchor``, for keys of ``payload`` not
+    in ``allowed``, then for the first key of ``required`` it lacks."""
+    unknown = set(payload) - set(allowed)
+    if unknown:
+        raise ConfigError(f"{anchor}: unknown keys {sorted(unknown)}")
+    for key in required:
+        if key not in payload:
+            raise ConfigError(f"{anchor}: missing required key {key!r}")
+
+
+def config_number(value, path: str) -> float:
+    """A config number as a float: a finite int or float and not a bool;
+    anything else raises ConfigError naming ``path``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the range of a float
+            pass
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+
+
 def xxz_params_from_config(payload: dict, path: str = "params") -> XXZParams:
     """Strictly parse an XXZParams block from JSON config data."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected an object with keys n, J, Jz, B, boundary")
-    allowed = {"n", "J", "Jz", "B", "boundary"}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    for key in ("n", "J", "Jz", "B"):
-        if key not in payload:
-            raise ConfigError(f"{path}: missing required key {key!r}")
+    check_keys(payload, {"n", "J", "Jz", "B", "boundary"}, ("n", "J", "Jz", "B"), path)
+    J, Jz, B = (config_number(payload[key], f"{path}.{key}") for key in ("J", "Jz", "B"))
     try:
-        return XXZParams(
-            n=payload["n"],
-            J=float(payload["J"]),
-            Jz=float(payload["Jz"]),
-            B=float(payload["B"]),
-            boundary=payload.get("boundary", "periodic"),
-        )
+        return XXZParams(n=payload["n"], J=J, Jz=Jz, B=B, boundary=payload.get("boundary", "periodic"))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from err
 
@@ -217,21 +214,19 @@ def schedule_from_config(payload: dict, path: str = "schedule") -> DrivingSchedu
         raise ConfigError(
             f"{path}: expected an object with keys initial, final, t_f, steps, interpolation"
         )
-    allowed = {"initial", "final", "t_f", "steps", "interpolation"}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    for key in ("initial", "final"):
-        if key not in payload:
-            raise ConfigError(f"{path}: missing required key {key!r}")
+    check_keys(payload, {"initial", "final", "t_f", "steps", "interpolation"}, ("initial", "final"), path)
     initial = xxz_params_from_config(payload["initial"], f"{path}.initial")
     final = xxz_params_from_config(payload["final"], f"{path}.final")
+    t_f = config_number(payload.get("t_f", 1.0), f"{path}.t_f")
+    steps = payload.get("steps", 1000)
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise ConfigError(f"{path}.steps: expected an integer, got {steps!r}")
     try:
         return DrivingSchedule(
             initial=initial,
             final=final,
-            t_f=float(payload.get("t_f", 1.0)),
-            steps=payload.get("steps", 1000),
+            t_f=t_f,
+            steps=steps,
             interpolation=payload.get("interpolation", "linear"),
         )
     except (TypeError, ValueError) as err:

@@ -177,25 +177,24 @@ def nonnegative_entropy(value):
     return np.where(value < 0, 0.0, value)[()]
 
 
-def sector_overlaps(rho, sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sector_overlaps(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     """sigma's eigenvalues w_i and the overlaps <v_i|rho|v_i> of its
     eigenvectors, from one checked ``eigh`` per stack of sigma's (indices,
-    blocks) stacks, in stack order (not sorted).
+    blocks) stacks, in stack order (not sorted), each block's eigenvalues
+    together.
 
     Each eigenvector lies in one block, so only rho's matching blocks (the
     ``operators.restrict`` of rho's stacks) enter the overlaps, which is
     exact for any rho.  The overlaps are a matrix product and a column sum,
-    so they run on BLAS, and are clamped at 0.  Also returns the first basis
-    index of each eigenvector's block, which names its sector.
+    so they run on BLAS, and are clamped at 0.
     """
-    eigenvalues, overlaps, first = [], [], []
+    eigenvalues, overlaps = [], []
     for indices, blocks in sigma:
         w, v = checked_eigh(blocks)
         rho_blocks = restrict(rho, indices)
         eigenvalues.append(w.ravel())
         overlaps.append(np.clip((v.conj() * (rho_blocks @ v)).sum(-2).real, 0.0, None).ravel())
-        first.append(np.repeat(indices[:, 0], w.shape[-1]))
-    return np.concatenate(eigenvalues), np.concatenate(overlaps), np.concatenate(first)
+    return np.concatenate(eigenvalues), np.concatenate(overlaps)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -206,7 +205,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.register != sigma.register:
         raise ValueError("states must live on the same register")
     first_term = _plogp(rho.eigenvalues)
-    sigma_eigenvalues, overlaps, _ = sector_overlaps(rho.stacks, sigma.stacks)
+    sigma_eigenvalues, overlaps = sector_overlaps(rho.stacks, sigma.stacks)
     sigma_eigenvalues = np.clip(sigma_eigenvalues, 0.0, None)
     inside = sigma_eigenvalues > EIGENVALUE_FLOOR
     leak = float(overlaps[~inside].sum())

@@ -16,11 +16,14 @@ weights of a declared Gibbs sigma under a state rho, and the spectral
 evaluator otherwise.  The last two share ``thermo.sector_overlaps``, so a
 Gibbs sigma is diagonalized per S^z sector and no dense matrix is read.
 
-A direct sweep builds the chain once per Jz value from the cached
-``spin_models.xxz_pieces``, diagonalizes it and takes the reference state's
-overlaps in one ``thermo.sector_overlaps`` call, and takes the log Gibbs
-weights of the (B, T) plane from one ``thermo.log_gibbs_weights`` call (a
-few for large registers and grids).
+The reference states (W_n, the Dicke mixtures) and the identity unitary are
+laid out per popcount sector (``operators.sector_partition``), so none of
+them becomes a register-sized matrix.  A direct sweep combines the cached
+``spin_models.xxz_pieces`` once per Jz value at B = 0, diagonalizes the
+blocks and takes the reference state's overlaps in one
+``thermo.sector_overlaps`` call, reads each eigenvector's magnetization off
+the S_z blocks, and takes the log Gibbs weights of the (B, T) plane from one
+``thermo.log_gibbs_weights`` call (a few for large registers and grids).
 """
 
 from __future__ import annotations
@@ -41,18 +44,11 @@ from .operators import (
     DensityMatrix,
     QubitRegister,
     UnitaryOperator,
-    dicke_state,
-    pure_state,
-    sector_stacks,
+    combine,
+    sector_partition,
     spectral_decompose,
 )
-from .spin_models import (
-    DrivingSchedule,
-    XXZParams,
-    build_xxz,
-    xxz_matrix,
-    xxz_pieces,
-)
+from .spin_models import DrivingSchedule, XXZParams, build_xxz, xxz_pieces
 from .thermo import (
     ThermalSpec,
     _plogp,
@@ -75,21 +71,36 @@ SWEEP_STACK_ENTRIES = 1 << 20
 FINAL_FIELD = {3: 0.5, 7: 0.92}
 
 
+def _sector_constants(register: QubitRegister, entries: dict[int, float]) -> DensityMatrix:
+    """The state whose block on the popcount sector with k ones has every
+    entry ``entries[k]`` (0 for an absent k): a mixture of Dicke states."""
+    stacks = []
+    for indices, ones in sector_partition(register.n):
+        blocks = np.empty(indices.shape + indices.shape[-1:])
+        blocks[...] = np.array([entries.get(k, 0.0) for k in ones.tolist()])[:, None, None]
+        stacks.append((indices, blocks))
+    return DensityMatrix(register, stacks)
+
+
 def build_w_state(n: int) -> DensityMatrix:
-    """Projector onto the single-excitation Dicke state on n qubits."""
+    """Projector onto the single-excitation Dicke state on n qubits: every
+    entry of its block is a^2, a = (1/sqrt(n)) (1/|v|) renormalized by the
+    norm |v| of the dense amplitude vector (a^2 is one bit off
+    (1/sqrt(n))^2 at n = 2, 5, 7, 8 and 10)."""
     register = QubitRegister(n)
     if n < 2:
         raise ValueError("the single-excitation state needs at least two qubits")
-    return pure_state(register, dicke_state(register, 1))
+    vector = np.zeros(register.dim, dtype=np.complex128)
+    vector[1 << np.arange(n)] = 1.0 / math.sqrt(n)
+    amplitude = 1.0 / math.sqrt(n) * (1.0 / np.linalg.norm(vector))
+    return _sector_constants(register, {1: amplitude * amplitude})
 
 
 def _dicke_mixture(register: QubitRegister, weights: dict[int, float]) -> DensityMatrix:
-    """sum_k weights[k] |D_k><D_k| over the Dicke states D_k with k ones."""
-    entries = np.zeros((register.dim, register.dim), dtype=np.complex128)
-    for k_ones, weight in weights.items():
-        vec = dicke_state(register, k_ones)
-        entries += weight * np.outer(vec, vec.conj())
-    return DensityMatrix(register, entries)
+    """sum_k weights[k] |D_k><D_k| over the Dicke states D_k with k ones,
+    whose amplitudes are a_k = 1 / sqrt(C(n, k))."""
+    amplitudes = {k: 1.0 / math.sqrt(math.comb(register.n, k)) for k in weights}
+    return _sector_constants(register, {k: w * (amplitudes[k] * amplitudes[k]) for k, w in weights.items()})
 
 
 def build_css(n: int) -> DensityMatrix:
@@ -259,7 +270,9 @@ def _as_state(value: StateOrSpec, what: str) -> DensityMatrix:
 
 
 def _identity_unitary(register: QubitRegister) -> UnitaryOperator:
-    return UnitaryOperator(register, np.eye(register.dim))
+    """The identity, laid out on the popcount sectors."""
+    sectors = sector_partition(register.n)
+    return UnitaryOperator(register, [(i, np.tile(np.eye(i.shape[1]), (len(i), 1, 1))) for i, _ in sectors])
 
 
 def _distance_direct(rho: StateOrSpec, sigma: StateOrSpec, rho_name: str, sigma_name: str) -> float:
@@ -276,7 +289,7 @@ def _distance_direct(rho: StateOrSpec, sigma: StateOrSpec, rho_name: str, sigma_
         return gibbs_relative_entropy(sigma, rho)
     rho_state = _as_state(rho, rho_name)
     if isinstance(sigma, ThermalSpec):
-        energies, overlaps, _ = sector_overlaps(rho_state.stacks, sigma.hamiltonian.stacks)
+        energies, overlaps = sector_overlaps(rho_state.stacks, sigma.hamiltonian.stacks)
         cross_term = float(log_gibbs_weights(energies, sigma.beta) @ overlaps)
         return float(
             nonnegative_entropy(_plogp(rho_state.eigenvalues) - cross_term)
@@ -545,12 +558,14 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
                 out[i, j] = relative_entropy_via_work(star_spec, rho_spec, identity)
         return out
 
-    pieces = xxz_pieces(n, boundary)
-    h_zero = xxz_matrix(XXZParams(n, state["coupling_j"], jz_value, 0.0, boundary), *pieces)
+    stacks = xxz_pieces(n, boundary)
+    # -B = -0.0 adds the signed zeros that J H_xy + Jz H_zz - 0.0 S_z holds
+    h_zero = combine(stacks, (state["coupling_j"], jz_value, -0.0))
     # Gibbs states at every grid point are full rank, so tr(rho ln sigma*) is
     # evaluated from exact log weights; no support bookkeeping applies here.
-    energies, overlaps, first = sector_overlaps(state["rho"], sector_stacks(h_zero))
-    magnetization = pieces[2][first]
+    energies, overlaps = sector_overlaps(state["rho"], h_zero)
+    # S_z is m I on each sector block: every eigenvector there has that m
+    magnetization = np.concatenate([np.repeat(p[2, :, 0, 0], indices.shape[1]) for indices, p in stacks])
     # log Gibbs weights of a run of B values at once, shape (b, nT, dim)
     run = max(1, SWEEP_STACK_ENTRIES // (t_values.size * energies.size))
     planes = []

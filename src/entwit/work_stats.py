@@ -25,12 +25,10 @@ range.  The work route's relative entropy adds the energy term
 
 Every propagator of the package comes from one routine, ``ordered_product``,
 shared by closed and open chains: the ordered product of slice propagators
-of a Hamiltonian given as pieces, each a dense matrix or a diagonal, and a
-table of slice coefficients.  The closed chain's pieces are the cached
-``spin_models.xxz_pieces`` as they are (H_xy dense, H_zz and S_z diagonals),
-and ``exact_evolution`` is one midpoint slice.  The product runs on the
-``sector_stacks`` of the dense pieces, and each diagonal is cut to their
-blocks, so on S^z sectors it never becomes a register-sized matrix: the
+of a Hamiltonian given as the ``operators.piece_stacks`` of its pieces and a
+table of slice coefficients.  The closed chain's stacks are the cached
+``spin_models.xxz_pieces`` as they are, and ``exact_evolution`` is one
+midpoint slice.  On S^z sectors no register-sized matrix is made: the
 unitary keeps the per-stack products as its blocks.  Consecutive slices that
 differ only by a multiple of the identity on each block form one run, and a
 chunk of runs is exponentiated in one batched call of one of two kernels.
@@ -62,7 +60,6 @@ from .operators import (
     check_unitary,
     checked_eigh,
     restrict,
-    sector_stacks,
     spectral_decompose,
 )
 from .spin_models import DrivingSchedule, build_xxz, ramp_values, xxz_pieces
@@ -71,6 +68,8 @@ from .thermo import ThermalSpec, log_gibbs_weights, logsumexp, weighted_energy
 STOCHASTICITY_ATOL = 1e-10
 COMMUTATION_ATOL = 1e-9
 SAMPLE_BLOCK = 16384
+# Bytes per sampled trajectory in a TrajectoryBatch: six 8-byte columns.
+TRAJECTORY_BYTES = 48
 # ordered_product exponentiates up to STEP_CHUNK runs of equal slices per group
 # in one batched call, and at most CHUNK_ENTRIES matrix entries at a time.
 STEP_CHUNK = 32
@@ -328,40 +327,19 @@ def _run_factors(
     return (vectors * phases) @ vectors.conj().swapaxes(-1, -2)
 
 
-def _piece_stacks(pieces: Sequence[np.ndarray]):
-    """The (indices, blocks) stacks of ``ordered_product``'s pieces, blocks
-    (p, k, s, s): the ``sector_stacks`` of the dense pieces, with each
-    diagonal piece d as diag(d[indices]) on every block, since a diagonal
-    never mixes sectors."""
-    dense = [j for j, piece in enumerate(pieces) if np.ndim(piece) == 2]
-    diagonal = [j for j, piece in enumerate(pieces) if np.ndim(piece) == 1]
-    stacks = sector_stacks(np.stack([pieces[j] for j in dense]))
-    dtype = np.result_type(stacks[0][1], *(pieces[j] for j in diagonal))
-    for indices, dense_blocks in stacks:
-        blocks = np.zeros((len(pieces), *dense_blocks.shape[1:]), dtype)
-        blocks[dense] = dense_blocks
-        span = np.arange(indices.shape[1])
-        for j in diagonal:
-            blocks[j][:, span, span] = pieces[j][indices]
-        yield indices, blocks
-
-
 def ordered_product(
     register: QubitRegister,
-    pieces: Sequence[np.ndarray],
+    stacks: Sequence[tuple[np.ndarray, np.ndarray]],
     coefficients: np.ndarray,
     dt: float,
 ) -> UnitaryOperator:
     """Ordered product of slice propagators exp(-i H_k dt), step 0 applied
     first, for the affine Hamiltonian H_k = sum_j c[k, j] P_j.
 
-    ``pieces`` are the P_j, each either a dense (dim, dim) matrix or the
-    (dim,) diagonal of a diagonal one, at least one of them dense (a stacked
-    (p, dim, dim) array is p dense pieces), and ``coefficients`` is c, shape
-    (steps, p).  The blocks are the ``sector_stacks`` of the dense pieces:
-    the S^z sectors when no dense piece has an entry between two of them,
-    otherwise the whole register; a diagonal piece d is diag(d[indices]) on
-    each block.  Each stack of equal-size blocks (pieces (p, k, s, s))
+    ``stacks`` are the ``operators.piece_stacks`` of the P_j: per stack of k
+    equal-size blocks, the basis indices (k, s) and every piece on them
+    (p, k, s, s); the S^z sectors when the pieces conserve S^z, else the
+    whole register.  ``coefficients`` is c, shape (steps, p).  Each stack
     carries its own product; the products are the blocks of the unitary.
 
     Per stack, a piece that is exactly alpha_b I on every block b (S_z on a
@@ -406,7 +384,6 @@ def ordered_product(
     same to the bit.  The workspace goes when its stack is done, so the
     next stack allocates after it is freed.
     """
-    stacks = list(_piece_stacks(pieces))
     coefficients = np.asarray(coefficients, dtype=np.float64)
     largest = max(blocks[0].size for _, blocks in stacks)
     chunk = max(1, min(STEP_CHUNK, CHUNK_ENTRIES // largest))
@@ -449,15 +426,15 @@ def trotter_evolution(schedule: DrivingSchedule, sampling: str = "left") -> Unit
 
     ``sampling`` picks H at the left endpoint of each slice (first-order
     accurate, the default) or at the midpoint (second order).  The cached
-    pieces of ``xxz_pieces`` (H_xy dense, the H_zz and S_z diagonals) and
-    the coefficients (J, Jz, -B) go to ``ordered_product``, where slices
+    piece stacks of ``xxz_pieces`` (H_xy, H_zz and S_z on each S^z sector)
+    and the coefficients (J, Jz, -B) go to ``ordered_product``, where slices
     that differ only in B form one run: a field ramp at fixed J and Jz (the
     standard seven-qubit protocol) takes one spectrum per sector stack for
     any step count.
     """
-    pieces = xxz_pieces(schedule.n, schedule.initial.boundary)
+    stacks = xxz_pieces(schedule.n, schedule.initial.boundary)
     coefficients = schedule_coefficients(schedule, sampling)
-    return ordered_product(QubitRegister(schedule.n), pieces, coefficients, schedule.dt)
+    return ordered_product(QubitRegister(schedule.n), stacks, coefficients, schedule.dt)
 
 
 def _log_generalized_average(

@@ -1,7 +1,10 @@
 """Dense reference implementations that the fast paths are checked against.
 
 These are the package's former dense paths: the XXZ Hamiltonian as a sum of
-products of embedded Pauli matrices, the closed and open Trotter products of
+products of embedded Pauli matrices, and as J H_xy + Jz H_zz - B S_z over
+the dense ``chain_pieces`` triple (``dense_chain_pieces``, ``xxz_matrix``),
+the Dicke states and projectors as dense vectors and outer products
+(``dicke_state``, ``pure_state``), the closed and open Trotter products of
 full 2^n x 2^n step propagators (``dense_propagator``, one dense
 ``np.linalg.eigh`` each; the open chain's Hamiltonian is built here from the
 Pauli-product chain), the relative entropy with its overlaps from a
@@ -20,6 +23,7 @@ same bits.  It shares the sector, check and kernel-choice code with
 ``entwit`` on purpose.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -35,6 +39,7 @@ from entwit import (
     thermal_state,
 )
 from entwit.operators import EIGENVALUE_FLOOR, assemble, check_unitary, checked_eigh, sector_stacks
+from entwit.spin_models import _bonds, chain_pieces
 from entwit.thermo import SUPPORT_LEAK_TOL
 from entwit.work_stats import CHUNK_ENTRIES, STEP_CHUNK, TAYLOR_THETA, _taylor_degree
 
@@ -60,6 +65,55 @@ def dense_xxz(params: XXZParams) -> HermitianOperator:
     for l in range(n):
         h -= params.B * sz[l]
     return HermitianOperator(register, h)
+
+
+def dense_chain_pieces(n: int, boundary: str = "periodic") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-site chain's dense H_xy and its H_zz and S_z diagonals, the
+    ``chain_pieces`` triple that ``xxz_pieces`` cuts into sector stacks."""
+    return chain_pieces(n, _bonds(n, boundary), range(n))
+
+
+def xxz_matrix(params: XXZParams, hopping, zz, magnetization) -> np.ndarray:
+    """J H_xy + Jz H_zz - B S_z as a dense real matrix, from the hopping
+    matrix and the H_zz and S_z diagonals (a scalar magnetization shifts
+    every diagonal entry alike)."""
+    out = params.J * hopping
+    out.flat[:: hopping.shape[0] + 1] += params.Jz * zz - params.B * magnetization
+    return out
+
+
+def dicke_state(register: QubitRegister, k_ones: int) -> np.ndarray:
+    """Equal-amplitude superposition of all basis states with ``k_ones`` ones."""
+    n = register.n
+    if not isinstance(k_ones, int) or not 0 <= k_ones <= n:
+        raise ValueError(f"k_ones must lie in 0..{n}, got {k_ones}")
+    vec = np.zeros(register.dim, dtype=np.complex128)
+    for ones in itertools.combinations(range(n), k_ones):
+        vec[sum(1 << (n - 1 - site) for site in ones)] = 1.0
+    return vec / math.sqrt(math.comb(n, k_ones))
+
+
+def pure_state(register: QubitRegister, amplitudes: np.ndarray) -> DensityMatrix:
+    """Projector onto a state vector, normalized first, from the dense outer
+    product."""
+    vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+    if vec.size != register.dim:
+        raise ValueError(f"state vector must have length {register.dim}, got {vec.size}")
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        raise ValueError("cannot normalize the zero vector")
+    vec = vec / norm
+    return DensityMatrix(register, np.outer(vec, vec.conj()))
+
+
+def dense_dicke_mixture(register: QubitRegister, weights: dict[int, float]) -> DensityMatrix:
+    """sum_k weights[k] |D_k><D_k| from the dense outer products of the Dicke
+    states ``dicke_state(register, k)``."""
+    entries = np.zeros((register.dim, register.dim), dtype=np.complex128)
+    for k_ones, weight in weights.items():
+        vec = dicke_state(register, k_ones)
+        entries += weight * np.outer(vec, vec.conj())
+    return DensityMatrix(register, entries)
 
 
 def dense_propagator(h: np.ndarray, dt: float) -> np.ndarray:

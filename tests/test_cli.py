@@ -20,10 +20,10 @@ import pytest
 
 import entwit.cli
 from csv_oracle import legacy_sweep_csv, legacy_trajectories_csv
-from entwit import build_css, build_w_state, matrix_to_json, QubitRegister, XXZParams
+from entwit import build_css, build_w_state, matrix_to_json, QubitRegister, ThermalSpec, XXZParams
 from entwit.cli import main
+from dense_oracle import dense_chain_pieces, xxz_matrix
 from entwit.operators import sector_stacks
-from entwit.spin_models import xxz_matrix, xxz_pieces
 from entwit.thermo import logsumexp
 
 W3 = {"matrix": matrix_to_json(QubitRegister(3), build_w_state(3).entries)}
@@ -112,7 +112,7 @@ def test_twelve_qubit_work_route_witness(tmp_path):
     # Oracle from one eigh per sector of H_f.  H_i = H_f - 0.7 S_z has the
     # same eigenvectors and energies E_f - 0.7 m, and
     # S(rho_f || rho*) = sum p ln p + beta* tr(rho_f H*) + ln Z*.
-    pieces = xxz_pieces(n)
+    pieces = dense_chain_pieces(n)
     h_final = xxz_matrix(XXZParams(n, 1.0, 0.0, 0.5), *pieces)
     h_star = xxz_matrix(XXZParams(n, 1.0, 0.1, 0.5), *pieces)
     e_final, m, star_diagonal = [], [], []
@@ -454,6 +454,70 @@ def test_sample_rejects_bad_count(tmp_path, capsys):
     cfg = write_config(tmp_path, {"protocol": "three-qubit", "count": -5})
     assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "count" in capsys.readouterr().err
+
+
+def test_sample_refuses_a_count_beyond_the_memory_budget(tmp_path, capsys, monkeypatch):
+    # 10^13 draws need 4.8e14 bytes for their six columns alone: refused
+    # before any spectrum or unitary is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sample started")
+
+    for name in ("trotter_evolution", "exact_evolution", "sample_tpm"):
+        monkeypatch.setattr(f"entwit.cli.{name}", refuse)
+    monkeypatch.setattr(ThermalSpec, "spectrum", property(refuse))
+    cfg = write_config(tmp_path, {"protocol": "three-qubit", "count": 10**13})
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "count" in err and "memory budget" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sample_count_bound_is_48_bytes_per_draw(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("entwit.cli.memory_budget", lambda: 48 * 10)
+    for count, rc in ((11, 1), (10, 0)):
+        cfg = write_config(tmp_path, {"protocol": "three-qubit", "count": count, "evolution": "identity"})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / f"out{count}")]) == rc
+    assert "memory budget" in capsys.readouterr().err
+    assert not (tmp_path / "out11").exists() and (tmp_path / "out10" / "trajectories.csv").exists()
+
+
+THREE = {"n": 3, "J": 1.0, "Jz": 0.497, "B": 0.003}
+
+
+def candidate(**params):
+    return {"protocol": "three-qubit", "rho_star": {"params": {**THREE, **params}, "beta": 20.0}}
+
+
+def schedule(**fields):
+    return {"protocol": {"initial": THREE, "final": THREE, **fields}}
+
+
+def grid(axis, **bounds):
+    return {"n": 3, "grid": {**SMALL_GRID, axis: {"min": 0.1, "max": 1.0, "step": 0.5, **bounds}}}
+
+
+# a config number is a finite int or float and not a bool, and steps an int
+NOT_NUMBERS = [
+    ("witness", candidate(J="1", Jz=True, B="0.5"), "rho_star.params.J"),
+    ("witness", candidate(Jz=True), "rho_star.params.Jz"),
+    ("witness", candidate(B=10**400), "rho_star.params.B"),
+    ("witness", {**candidate(), "rho_star": {"params": THREE, "temperature": "0.05"}}, "rho_star.temperature"),
+    ("sweep", grid("B", min="0"), "grid.B.min"),
+    ("sweep", grid("T", min=True), "grid.T.min"),
+    ("verify", schedule(t_f="1", steps=True), "protocol.t_f"),
+    ("verify", schedule(steps=True), "protocol.steps"),
+    ("verify", schedule(steps=40.0), "protocol.steps"),
+    ("sample", {**schedule(), "count": 10, "beta": False}, "beta"),
+]
+
+
+@pytest.mark.parametrize("command, payload, key", NOT_NUMBERS)
+def test_a_config_value_that_is_not_a_number_is_refused(tmp_path, capsys, command, payload, key):
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

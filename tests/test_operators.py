@@ -15,18 +15,16 @@ from entwit import (
     QubitRegister,
     UnitaryOperator,
     density_from_json,
-    dicke_state,
     embed_operator,
     matrix_from_json,
     matrix_to_json,
-    pure_state,
     spectral_decompose,
     unitary_from_json,
 )
 from entwit import operators
 from entwit.operators import _partial_trace_matrix, assemble, sector_stacks, spectral_function
-from entwit.spin_models import xxz_pieces
-from entwit.witness import build_w_state, reference_state, state_checksum, sweep_reference
+from dense_oracle import dense_chain_pieces, dense_dicke_mixture, dicke_state, pure_state
+from entwit.witness import _identity_unitary, build_css, build_w_state, reference_state, state_checksum, sweep_reference
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -229,6 +227,36 @@ def test_state_checksums_are_pinned():
     assert {key: state_checksum(state) for key, state in states.items()} == CHECKSUMS
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_reference_states_have_the_bytes_of_dense_outer_products(n):
+    # built per popcount sector, the states keep the bytes of the dense
+    # outer products they replaced.  W_n's entries are its amplitude
+    # renormalized by the dense vector's norm, squared: one bit off the
+    # square of 1/sqrt(n) itself at n = 5, 7, 8 and 10
+    register, total = QubitRegister(n), float(n**n)
+    css = {n - k: math.comb(n, k) * float((n - 1) ** k) / total for k in range(n + 1)}
+    prime = {0: (n**n - n * (n - 1) ** (n - 1)) / total, 1: n * (n - 1) ** (n - 1) / total}
+    want = {
+        "w": pure_state(register, dicke_state(register, 1)),
+        "css": dense_dicke_mixture(register, css),
+        "reference": dense_dicke_mixture(register, css if n == 3 else prime),
+    }
+    got = {"w": build_w_state(n), "css": build_css(n), "reference": reference_state(n)}
+    assert {k: state_checksum(v) for k, v in got.items()} == {k: state_checksum(v) for k, v in want.items()}
+    for key, state in got.items():
+        for (i, a), (j, b) in zip(state.stacks, want[key].stacks, strict=True):
+            assert np.array_equal(i, j) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    amplitude = 1 / math.sqrt(n)
+    assert (build_w_state(n).entries[1, 1].real != amplitude * amplitude) == (n in (5, 7, 8, 10))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_identity_unitary_has_the_sector_stacks_of_the_identity_matrix(n):
+    got = _identity_unitary(QubitRegister(n)).stacks
+    for (i, a), (j, b) in zip(got, sector_stacks(np.eye(2**n)), strict=True):
+        assert np.array_equal(i, j) and a.dtype == b.dtype and np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------- spectra
 
 def test_spectral_decompose_reconstructs():
@@ -289,7 +317,7 @@ def test_embed_operator_rejects_bad_sites():
 
 
 def test_total_sz_diagonal():
-    diag = xxz_pieces(3, "periodic")[2]
+    diag = dense_chain_pieces(3, "periodic")[2]
     assert diag[0] == 3 and diag[-1] == -3
     assert diag[1] == 1  # |001> has two up, one down
 

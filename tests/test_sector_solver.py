@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_eigenvectors, dense_relative_entropy
+from dense_oracle import dense_chain_pieces, dense_eigenvectors, dense_relative_entropy, xxz_matrix
 from entwit import (
     DensityMatrix,
     HermitianOperator,
@@ -37,7 +37,6 @@ from entwit import (
     work_distribution,
 )
 from entwit.operators import diagonal_blocks, sector_stacks, spectral_decompose
-from entwit.spin_models import xxz_matrix, xxz_pieces
 from entwit.thermo import logsumexp
 
 
@@ -231,7 +230,7 @@ def test_twelve_qubit_ground_state_witness_runs_end_to_end():
     # reference holds with weight ((n-1)/n)^(n-1)
     assert report.s_left == pytest.approx((n - 1) * math.log(n / (n - 1)), abs=1e-12)
     # S(W || e^{-beta H}/Z) = beta <W|H|W> + ln Z, with <W|H|W> = -2J - B (n - 2)
-    chain = xxz_matrix(params, *xxz_pieces(n, params.boundary))
+    chain = xxz_matrix(params, *dense_chain_pieces(n, params.boundary))
     energies = np.concatenate([np.linalg.eigvalsh(blocks).ravel() for _, blocks in sector_stacks(chain)])
     want = beta * (-2.0 - 0.5 * (n - 2)) + float(logsumexp(-beta * energies))
     assert report.s_right == pytest.approx(want, abs=1e-12 * want)

@@ -1,9 +1,9 @@
-"""The XXZ chain's cached pieces and their S^z sectors against the dense oracle.
+"""The XXZ chain's cached piece stacks and their S^z sectors against the
+dense oracle.
 
-Every fast path built on the pieces and the blocks ``sector_stacks`` cuts
-from them (the dense assembly, the sector spectra, the closed and open
-Trotter products and the direct sweep) is compared with the dense code in
-``dense_oracle``; the per-block numerical checks must still reject corrupted
+Every fast path built on the piece stacks (the chain's blocks, the sector
+spectra, the closed and open Trotter products and the direct sweep) is
+compared with the dense code in ``dense_oracle``; the per-block numerical checks must still reject corrupted
 blocks, alone or inside a stack.  The Trotter products are compared on both
 sides of TAYLOR_THETA, where the run factors come from the Taylor kernel
 below it and from the spectral kernel above it.
@@ -18,7 +18,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import allocating_product, dense_open_trotter, dense_s_right, dense_trotter, dense_xxz
+from dense_oracle import (
+    allocating_product,
+    dense_chain_pieces,
+    dense_open_trotter,
+    dense_s_right,
+    dense_trotter,
+    dense_xxz,
+    xxz_matrix,
+)
 from entwit import (
     DrivingSchedule,
     GridAxis,
@@ -39,8 +47,9 @@ from entwit import (
 )
 import entwit.open_system
 import entwit.work_stats
-from entwit.operators import check_unitary, checked_eigh, sector_stacks
-from entwit.spin_models import xxz_matrix, xxz_pieces
+from entwit.open_system import _open_pieces
+from entwit.operators import check_unitary, checked_eigh, piece_stacks, sector_stacks
+from entwit.spin_models import chain_pieces, xxz_pieces
 from entwit.work_stats import (
     STEP_CHUNK,
     TAYLOR_DEGREE,
@@ -56,25 +65,23 @@ boundaries = st.sampled_from(["periodic", "open"])
 
 
 def chain_matrix(params):
-    """The chain's real dense matrix, from its cached pieces."""
-    return xxz_matrix(params, *xxz_pieces(params.n, params.boundary))
+    """The chain's real dense matrix, from ``build_xxz``'s blocks."""
+    return build_xxz(params).entries.real
 
 
 def chain_spectra(params):
     """(basis indices, ascending energies, eigenvectors) of every S^z sector
-    of the chain, one checked ``eigh`` per stack of ``sector_stacks``."""
+    of the chain, one checked ``eigh`` per stack of ``build_xxz``'s blocks."""
     return [
         sector
-        for indices, blocks in sector_stacks(chain_matrix(params))
+        for indices, blocks in build_xxz(params).stacks
         for sector in zip(indices, *checked_eigh(blocks))
     ]
 
 
 def sector_stack(params, size):
     """The stack of the chain's S^z sectors that hold ``size`` states."""
-    return next(
-        blocks for indices, blocks in sector_stacks(chain_matrix(params)) if indices.shape[1] == size
-    )
+    return next(blocks for indices, blocks in build_xxz(params).stacks if indices.shape[1] == size)
 
 
 def chain_params(max_n):
@@ -98,6 +105,26 @@ def test_build_xxz_matches_pauli_products(params):
     assert dev <= 1e-13
 
 
+@settings(max_examples=60, deadline=None)
+@given(chain_params(8))
+@example(XXZParams(4, J=-0.7, Jz=0.4, B=0.3, boundary="periodic"))
+@example(XXZParams(4, J=0.7, Jz=-0.4, B=-0.3, boundary="periodic"))
+def test_build_xxz_has_the_bits_of_the_dense_combination(params):
+    # J H_xy + diag(Jz zz - B m) on the dense pieces, cut into its sectors:
+    # equal values, and for J > 0 equal bytes, signed zeros included (for
+    # J < 0 the dense J H_xy holds -0.0 where the blocks add +0.0 to it)
+    dense = xxz_matrix(params, *dense_chain_pieces(params.n, params.boundary))
+    stacks = build_xxz(params).stacks
+    want = sector_stacks(dense)
+    assert len(stacks) == len(want)
+    for (indices, blocks), (want_indices, want_blocks) in zip(stacks, want):
+        assert np.array_equal(indices, want_indices)
+        assert blocks.dtype == want_blocks.dtype == np.float64
+        assert np.array_equal(blocks, want_blocks)
+        if params.J > 0:
+            assert blocks.tobytes() == np.ascontiguousarray(want_blocks).tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(chain_params(7))
 def test_sector_eigenvalues_match_dense_spectrum(params):
@@ -108,23 +135,30 @@ def test_sector_eigenvalues_match_dense_spectrum(params):
 
 @pytest.mark.parametrize("n", [2, 5, 7])
 def test_sectors_partition_the_basis(n):
-    pieces = xxz_pieces(n, "periodic")
-    assert pieces is xxz_pieces(n, "periodic")  # built once, then reused
-    hopping, zz, magnetization = pieces
-    for piece in pieces:
-        assert not piece.flags.writeable
-        with pytest.raises(ValueError):
-            piece[0] = 1.0
-    assert np.array_equal(hopping, hopping.T)
-    stacks = sector_stacks(np.stack([hopping, np.diag(zz), np.diag(magnetization)]))
+    stacks = xxz_pieces(n, "periodic")
+    assert stacks is xxz_pieces(n, "periodic")  # built once, then reused
+    for indices, blocks in stacks:
+        for array in (indices, blocks):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        hopping, zz, magnetization = blocks
+        assert np.array_equal(hopping, hopping.swapaxes(-1, -2))
+        for piece in (zz, magnetization):
+            assert np.array_equal(piece, piece * np.eye(indices.shape[1]))
+    # the blocks are the chain's dense pieces, cut to the popcount sectors
+    dense = dense_chain_pieces(n, "periodic")
+    want = sector_stacks(np.stack([dense[0], np.diag(dense[1]), np.diag(dense[2])]))
+    for (indices, blocks), (want_indices, want_blocks) in zip(stacks, want, strict=True):
+        assert np.array_equal(indices, want_indices) and np.array_equal(blocks, want_blocks)
     sectors = [indices for stacked, _ in stacks for indices in stacked]
     indices = np.concatenate(sectors)
     assert np.array_equal(np.sort(indices), np.arange(2**n))
     ones = [bin(int(s[0])).count("1") for s in sectors]
     assert sorted(ones) == list(range(n + 1))
     assert [s.size for s in sectors] == [math.comb(n, k) for k in ones]
-    for s, k in zip(sectors, ones):
-        assert np.all(magnetization[s] == n - 2 * k)
+    magnetization = [m for _, blocks in stacks for m in blocks[2, :, 0, 0]]
+    assert magnetization == [n - 2 * k for k in ones]
 
 
 def test_twelve_site_open_chain_is_free_fermions():
@@ -272,7 +306,7 @@ def product_and_kernels(n, pieces, coefficients, dt):
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         record_kernels(patch, calls)
-        u = ordered_product(QubitRegister(n), pieces, coefficients, dt).entries
+        u = ordered_product(QubitRegister(n), piece_stacks(pieces), coefficients, dt).entries
     return u, calls
 
 
@@ -323,11 +357,9 @@ def test_ordered_product_matches_dense_step_product(case):
 
 def test_consecutive_products_share_no_memory():
     register = QubitRegister(4)
-    hopping, zz, magnetization = xxz_pieces(4, "periodic")
-    pieces = np.stack([hopping, np.diag(zz), np.diag(magnetization)])
 
     def product(schedule):
-        return ordered_product(register, pieces, schedule_coefficients(schedule), schedule.dt)
+        return ordered_product(register, xxz_pieces(4), schedule_coefficients(schedule), schedule.dt)
 
     first = product(DrivingSchedule(*NONCOMMUTING_RAMP[4], t_f=1.3, steps=2 * STEP_CHUNK + 5))
     kept = first.entries.copy()
@@ -382,18 +414,19 @@ def kernel_calls(monkeypatch):
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_diagonal_pieces_give_the_bits_of_their_dense_matrices(kernel_calls, n, boundary):
-    # H_zz and S_z passed as diagonals or as np.diag matrices: the blocks,
-    # and so every operation of the product, are the same.  A field ramp
-    # shares one spectrum per stack (the spectral kernel); 1000 slices of a
+    # the cached piece stacks, whose H_zz and S_z were cut from diagonals,
+    # and the piece stacks of np.diag matrices: the blocks, and so every
+    # operation of the product, are the same.  A field ramp shares one
+    # spectrum per stack (the spectral kernel); 1000 slices of a
     # non-commuting ramp each take the Taylor kernel
     register = QubitRegister(n)
-    hopping, zz, magnetization = xxz_pieces(n, boundary)
-    dense = np.stack([hopping, np.diag(zz), np.diag(magnetization)])
+    hopping, zz, magnetization = dense_chain_pieces(n, boundary)
+    dense = piece_stacks(np.stack([hopping, np.diag(zz), np.diag(magnetization)]))
     field = DrivingSchedule(XXZParams(n, 1.0, 0.3, 1.2, boundary), XXZParams(n, 1.0, 0.3, 0.5, boundary), steps=80)
     ramp = DrivingSchedule(XXZParams(n, 1.0, 0.8, 0.3, boundary), XXZParams(n, 0.4, -0.2, 0.7, boundary), steps=1000)
     for schedule, kinds in ((field, {"spectral", "taylor"}), (ramp, {"taylor"})):
         coefficients = schedule_coefficients(schedule)
-        u = ordered_product(register, (hopping, zz, magnetization), coefficients, schedule.dt)
+        u = ordered_product(register, xxz_pieces(n, boundary), coefficients, schedule.dt)
         assert np.array_equal(u.entries, ordered_product(register, dense, coefficients, schedule.dt).entries)
         assert {kind for kind, _ in kernel_calls} == kinds
         kernel_calls.clear()
@@ -402,7 +435,9 @@ def test_diagonal_pieces_give_the_bits_of_their_dense_matrices(kernel_calls, n, 
 @pytest.mark.parametrize("sampling", ["left", "midpoint"])
 def test_the_open_chain_passes_diagonals_with_the_bits_of_dense_pieces(monkeypatch, sampling):
     # sites 1-3 of an open six-site chain follow a Jz and field ramp in 1000
-    # slices; the fixed piece and H_xy come dense, H_zz and S_z as diagonals
+    # slices.  ``_open_pieces`` cuts the fixed piece and H_xy dense and H_zz
+    # and S_z as diagonals; the same pieces with the diagonals expanded to
+    # matrices give the same product, to the bit
     composite = dataclasses.replace(
         split_chain(XXZParams(6, 1.0, 0.4, 0.3, "open"), (1, 2, 3), 1.0),
         subsystem_hamiltonian=None,
@@ -418,9 +453,13 @@ def test_the_open_chain_passes_diagonals_with_the_bits_of_dense_pieces(monkeypat
 
     monkeypatch.setattr(entwit.open_system, "ordered_product", recorded)
     u = open_trotter_evolution(composite, sampling)
-    ((register, pieces, coefficients, dt),) = calls
-    assert [np.ndim(piece) for piece in pieces] == [2, 2, 1, 1]
-    dense = np.stack([piece if np.ndim(piece) == 2 else np.diag(piece) for piece in pieces])
+    ((register, stacks, coefficients, dt),) = calls
+    for (indices, blocks), (own, own_blocks) in zip(stacks, _open_pieces(composite), strict=True):
+        assert np.array_equal(indices, own) and np.array_equal(blocks, own_blocks)
+    fixed = np.zeros((64, 64), dtype=np.complex128) + composite.coupling.entries
+    fixed = fixed + embed_operator(register, composite.bath_hamiltonian.entries, (4, 5, 6))
+    hopping, zz, magnetization = chain_pieces(6, [(0, 1), (1, 2)], [0, 1, 2])
+    dense = piece_stacks(np.stack([fixed, hopping, np.diag(zz), np.diag(magnetization)]))
     assert np.array_equal(u.entries, ordered_product(register, dense, coefficients, dt).entries)
 
 
@@ -433,7 +472,7 @@ def test_a_varying_piece_off_the_sectors_puts_the_register_in_one_block(kernel_c
     sx = embed_operator(register, np.array([[0.0, 1.0], [1.0, 0.0]]), (2,)).real
     pieces = np.stack([fixed, sx])
     coefficients = np.column_stack([np.ones(20), np.linspace(0.1, 0.9, 20)])
-    u = ordered_product(register, pieces, coefficients, 0.05).entries
+    u = ordered_product(register, piece_stacks(pieces), coefficients, 0.05).entries
     assert np.abs(u - dense_step_product(pieces, coefficients, 0.05)).max() <= 1e-12
     # one kernel call for the one chunk of 20 runs, on the whole register
     assert [shape for _, shape in kernel_calls] == [(20, 1, 8, 8)]
@@ -525,7 +564,7 @@ def test_a_nan_coefficient_is_rejected(kernel_calls):
     # check
     register = QubitRegister(3)
     sx = embed_operator(register, np.array([[0.0, 1.0], [1.0, 0.0]]), (2,)).real
-    pieces = np.stack([chain_matrix(XXZParams(3, 1.0, 0.4, 0.2)), sx])
+    pieces = piece_stacks(np.stack([chain_matrix(XXZParams(3, 1.0, 0.4, 0.2)), sx]))
     coefficients = np.column_stack([np.ones(1000), np.linspace(0.1, 0.9, 1000)])
     coefficients[500, 1] = np.nan
     with pytest.raises(NumericalCheckError, match="eigensolver|orthonormal"):
@@ -535,12 +574,10 @@ def test_a_nan_coefficient_is_rejected(kernel_calls):
     # theta finite and the polynomial factor's phase NaN, which its
     # unitarity check rejects
     schedule = DrivingSchedule(*NONCOMMUTING_RAMP[4], steps=1000)
-    hopping, zz, magnetization = xxz_pieces(4, "periodic")
-    pieces = np.stack([hopping, np.diag(zz), np.diag(magnetization)])
     coefficients = schedule_coefficients(schedule)
     coefficients[500, 2] = np.nan
     with pytest.raises(NumericalCheckError, match="unitarity"):
-        ordered_product(QubitRegister(4), pieces, coefficients, schedule.dt)
+        ordered_product(QubitRegister(4), xxz_pieces(4), coefficients, schedule.dt)
     assert kernel_calls[-1][0] == "taylor"
 
 

@@ -17,7 +17,7 @@ from entwit import (
     schedule_from_config,
     xxz_params_from_config,
 )
-from entwit.spin_models import xxz_pieces
+from dense_oracle import dense_chain_pieces
 from entwit.work_stats import schedule_coefficients
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -36,7 +36,7 @@ def test_two_site_open_closed_form():
     params = XXZParams(2, J=1.3, Jz=0.4, B=0.25, boundary="open")
     reg = QubitRegister(2)
     expected = bond_term(reg, 1, 2, 1.3, 0.4)
-    expected -= 0.25 * np.diag(xxz_pieces(2, "open")[2])
+    expected -= 0.25 * np.diag(dense_chain_pieces(2, "open")[2])
     assert np.max(np.abs(build_xxz(params).entries - expected)) < 1e-14
 
 
@@ -57,7 +57,7 @@ def test_two_site_periodic_doubles_the_bond():
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_magnetization_is_conserved(boundary):
     h = build_xxz(XXZParams(4, J=1.0, Jz=0.7, B=0.31, boundary=boundary))
-    sz = np.diag(xxz_pieces(4, boundary)[2])
+    sz = np.diag(dense_chain_pieces(4, boundary)[2])
     comm = h.entries @ sz - sz @ h.entries
     assert np.max(np.abs(comm)) < 1e-12
 

@@ -21,12 +21,12 @@ from entwit import (
     ThermalSpec,
     delta_beta_f,
     gibbs_relative_entropy,
-    pure_state,
     relative_entropy,
     spectral_decompose,
     thermal_state,
 )
 from entwit.thermo import log_gibbs_weights, logsumexp
+from dense_oracle import pure_state
 
 
 def random_hermitian(n, rng, scale=1.0):

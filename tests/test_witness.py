@@ -32,8 +32,6 @@ from entwit import (
     build_w_state,
     build_xxz,
     detection_protocol,
-    dicke_state,
-    pure_state,
     reference_params,
     reference_state,
     relative_entropy,
@@ -49,7 +47,7 @@ from entwit import (
 from entwit.witness import FINAL_FIELD, STRICTNESS_EPSILON, _decide, _finish_report
 
 from csv_oracle import legacy_sweep_csv
-from dense_oracle import dense_xxz, smallest_partial_transpose_eigenvalue
+from dense_oracle import dense_xxz, dicke_state, pure_state, smallest_partial_transpose_eigenvalue
 
 LN_9_4 = 0.8109302162163288
 SIX_LN_7_6 = 0.9249040789635501

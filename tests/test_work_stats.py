@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dense_oracle import dense_propagator, dense_transitions, dense_xxz
+from dense_oracle import dense_chain_pieces, dense_propagator, dense_transitions, dense_xxz
 from entwit import (
     DrivingSchedule,
     HermitianOperator,
@@ -40,7 +40,6 @@ from entwit import (
     work_distribution,
 )
 
-from entwit.spin_models import xxz_pieces
 from entwit.work_stats import COMMUTATION_ATOL, SAMPLE_BLOCK, _sample_block
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -264,7 +263,7 @@ class TestEvolution:
         # J = 1 throughout while Jz ramps 0 -> eps, so [H_i, H_f] =
         # eps [H_xy, H_zz]; eps puts its largest entry at scale * COMMUTATION_ATOL.
         # Every other pair of slices has a smaller commutator, by (t - s)/t_f
-        hopping, zz, _ = xxz_pieces(4, "periodic")
+        hopping, zz, _ = dense_chain_pieces(4, "periodic")
         largest = np.abs(hopping * zz[None, :] - zz[:, None] * hopping).max()
         eps = scale * COMMUTATION_ATOL / largest
         ramp = DrivingSchedule(XXZParams(4, 1.0, 0.0, 0.3), XXZParams(4, 1.0, eps, 0.3), steps=50)
