@@ -83,13 +83,13 @@ def _sector_constants(register: QubitRegister, entries: dict[int, float]) -> Den
 
 
 def build_w_state(n: int) -> DensityMatrix:
-    """Projector onto the single-excitation Dicke state on n qubits: every
-    entry of its block is a^2, a = (1/sqrt(n)) (1/|v|) renormalized by the
-    norm |v| of the dense amplitude vector (a^2 is one bit off
-    (1/sqrt(n))^2 at n = 2, 5, 7, 8 and 10)."""
+    """Projector onto the single-excitation Dicke state on n qubits.  Every
+    entry of its block is a^2, a = (1/sqrt(n)) (1/|v|) with |v| the norm of
+    the amplitude vector v, one bit off (1/sqrt(n))^2 at n = 2, 5, 7, 8, 10."""
     register = QubitRegister(n)
     if n < 2:
         raise ValueError("the single-excitation state needs at least two qubits")
+    # np.linalg.norm over the whole complex vector: its summation order sets a's last bit
     vector = np.zeros(register.dim, dtype=np.complex128)
     vector[1 << np.arange(n)] = 1.0 / math.sqrt(n)
     amplitude = 1.0 / math.sqrt(n) * (1.0 / np.linalg.norm(vector))
@@ -564,8 +564,8 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
     # Gibbs states at every grid point are full rank, so tr(rho ln sigma*) is
     # evaluated from exact log weights; no support bookkeeping applies here.
     energies, overlaps = sector_overlaps(state["rho"], h_zero)
-    # S_z is m I on each sector block: every eigenvector there has that m
-    magnetization = np.concatenate([np.repeat(p[2, :, 0, 0], indices.shape[1]) for indices, p in stacks])
+    # S_z is m I on each sector block, so its diagonal is each eigenvector's m
+    magnetization = np.concatenate([np.diagonal(pieces[2], 0, 1, 2).ravel() for _, pieces in stacks])
     # log Gibbs weights of a run of B values at once, shape (b, nT, dim)
     run = max(1, SWEEP_STACK_ENTRIES // (t_values.size * energies.size))
     planes = []
