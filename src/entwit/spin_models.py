@@ -218,15 +218,12 @@ def schedule_from_config(payload: dict, path: str = "schedule") -> DrivingSchedu
     initial = xxz_params_from_config(payload["initial"], f"{path}.initial")
     final = xxz_params_from_config(payload["final"], f"{path}.final")
     t_f = config_number(payload.get("t_f", 1.0), f"{path}.t_f")
-    steps = payload.get("steps", 1000)
-    if isinstance(steps, bool) or not isinstance(steps, int):
-        raise ConfigError(f"{path}.steps: expected an integer, got {steps!r}")
     try:
         return DrivingSchedule(
             initial=initial,
             final=final,
             t_f=t_f,
-            steps=steps,
+            steps=payload.get("steps", 1000),
             interpolation=payload.get("interpolation", "linear"),
         )
     except (TypeError, ValueError) as err:

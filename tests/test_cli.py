@@ -505,8 +505,8 @@ NOT_NUMBERS = [
     ("sweep", grid("B", min="0"), "grid.B.min"),
     ("sweep", grid("T", min=True), "grid.T.min"),
     ("verify", schedule(t_f="1", steps=True), "protocol.t_f"),
-    ("verify", schedule(steps=True), "protocol.steps"),
-    ("verify", schedule(steps=40.0), "protocol.steps"),
+    ("verify", schedule(steps=True), "steps must be a positive integer"),
+    ("verify", schedule(steps=40.0), "steps must be a positive integer"),
     ("sample", {**schedule(), "count": 10, "beta": False}, "beta"),
 ]
 
