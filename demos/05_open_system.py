@@ -18,7 +18,6 @@ from entwit import (
     build_xxz,
     decoupled,
     effective_hamiltonian,
-    embed_operator,
     full_hamiltonian,
     log_bath_partition,
     open_witness,
@@ -67,6 +66,7 @@ h_s = HermitianOperator(
     QubitRegister(2), build_xxz(XXZParams(2, 1.0, 0.3, 0.4, boundary="open")).entries
 )
 bath = HermitianOperator(QubitRegister(1), 0.3 * SZ)
+# the coupling g sz sz acts on sites 2 and 3 of the three-site register
 print("\neffective-Hamiltonian deformation vs coupling g:")
 for g in (0.1, 0.01, 0.001):
     sys = CompositeSystem(
@@ -75,7 +75,7 @@ for g in (0.1, 0.01, 0.001):
         bath_sites=(3,),
         beta=1.0,
         subsystem_hamiltonian=h_s,
-        coupling=HermitianOperator(reg, g * embed_operator(reg, np.kron(SZ, SZ), (2, 3))),
+        coupling=HermitianOperator(reg, g * np.kron(np.eye(2), np.kron(SZ, SZ))),
         bath_hamiltonian=bath,
     )
     dev = np.abs(effective_hamiltonian(sys).entries - h_s.entries).max()
@@ -93,7 +93,7 @@ def quenched(b_field):
             QubitRegister(2),
             build_xxz(XXZParams(2, 1.0, 0.3, b_field, boundary="open")).entries,
         ),
-        coupling=HermitianOperator(reg, 0.1 * embed_operator(reg, np.kron(SZ, SZ), (2, 3))),
+        coupling=HermitianOperator(reg, 0.1 * np.kron(np.eye(2), np.kron(SZ, SZ))),
         bath_hamiltonian=bath,
     )
 

@@ -13,20 +13,18 @@ and only references the subsystem through the effective energies.
 
 Driving evolves the full register unitarily; the bath is never rethermalized
 mid-protocol.  Endpoint states are the equilibrium ones at the shared beta,
-which is all the fluctuation identities require.  The driven Hamiltonian is
-affine in the subsystem parameters, H(t) = (coupling + bath) + J H_xy +
-Jz H_zz - B S_z, with ``spin_models.chain_pieces`` laid on the subsystem's
-sites.  ``_open_pieces`` cuts these four pieces into
-``operators.piece_stacks``; ``full_hamiltonian`` combines them at one time,
-and ``open_trotter_evolution`` hands them to the closed chain's ordered
-product.  A split XXZ chain conserves the total S^z, and both then run per
-S^z sector of the full register; a coupling or bath that changes S^z puts
-the whole register in one block.  ``split_chain`` combines the stacks of
-its parts and of its coupling in the same way.  The endpoint spectra come
-from ``spectral_decompose``, per S^z sector in the same way, and keep their
-blocks: the weight operator exp(-beta (H - E0)) is built from them with
-``operators.spectral_function``.  Its partial trace and the effective
-Hamiltonian stay dense.
+which is all the fluctuation identities require.  ``_open_pieces`` stacks
+the Hamiltonian's pieces: the fixed coupling plus bath, then the subsystem's
+pieces laid on its sites by ``operators.embed``, which for a driven chain are
+its cached ``spin_models.xxz_pieces``, so H(t) = (coupling + bath) + J H_xy +
+Jz H_zz - B S_z.  ``full_hamiltonian`` combines them at one time and
+``open_trotter_evolution`` hands them to the closed chain's ordered product.
+A split XXZ chain conserves the total S^z, so these run per S^z sector of the
+full register, and so do the endpoint spectra (``spectral_decompose``), the
+weight operator exp(-beta (H - E0)) (``operators.spectral_function``) and its
+trace over the bath (``operators.partial_trace``); the effective Hamiltonian
+is built per sector of the subsystem.  A coupling or bath that changes S^z
+puts the whole register in one block.
 
 Partition functions stay in log space and come from ``thermo``'s one rule:
 ln Y is ``ThermalSpec(full_hamiltonian(c), beta).log_partition``, ln Z_B is
@@ -52,16 +50,17 @@ from .operators import (
     QubitRegister,
     SpectralDecomposition,
     UnitaryOperator,
-    _partial_trace_matrix,
-    assemble,
     checked_eigh,
     combine,
-    embed_operator,
+    embed,
+    partial_trace,
     piece_stacks,
+    restrict,
+    shared_blocks,
     spectral_decompose,
     spectral_function,
 )
-from .spin_models import DrivingSchedule, XXZParams, _bonds, chain_pieces, params_at
+from .spin_models import DrivingSchedule, XXZParams, _bonds, chain_pieces, is_number, params_at, xxz_pieces
 from .thermo import ThermalSpec, thermal_state, weighted_energy
 from .witness import (
     STRICTNESS_EPSILON,
@@ -123,33 +122,19 @@ class CompositeSystem:
                 f"subsystem {sub} and bath {bath} must cover register sites "
                 f"1..{self.register.n} exactly"
             )
-        if not isinstance(self.beta, (int, float)) or not math.isfinite(self.beta) or self.beta <= 0:
+        if not is_number(self.beta) or self.beta <= 0:
             raise ValueError(f"beta must be a finite positive number, got {self.beta!r}")
         if (self.subsystem_hamiltonian is None) == (self.subsystem_schedule is None):
+            raise ValueError("provide exactly one of subsystem_hamiltonian or subsystem_schedule")
+        size = self.subsystem_schedule.n if self.is_driven else self.subsystem_hamiltonian.register.n
+        if size != len(sub):
+            kind = "schedule" if self.is_driven else "Hamiltonian"
+            raise ValueError(f"subsystem {kind} is for {size} qubits but the subsystem has {len(sub)} sites")
+        if self.bath_hamiltonian is not None and self.bath_hamiltonian.register.n != len(bath):
             raise ValueError(
-                "provide exactly one of subsystem_hamiltonian or subsystem_schedule"
+                f"bath Hamiltonian acts on {self.bath_hamiltonian.register.n} "
+                f"qubits but the bath has {len(bath)} sites"
             )
-        if self.subsystem_hamiltonian is not None:
-            if self.subsystem_hamiltonian.register.n != len(sub):
-                raise ValueError(
-                    f"subsystem Hamiltonian acts on {self.subsystem_hamiltonian.register.n} "
-                    f"qubits but the subsystem has {len(sub)} sites"
-                )
-        else:
-            assert self.subsystem_schedule is not None
-            if self.subsystem_schedule.n != len(sub):
-                raise ValueError(
-                    f"subsystem schedule is for {self.subsystem_schedule.n} qubits "
-                    f"but the subsystem has {len(sub)} sites"
-                )
-        if self.bath_hamiltonian is not None:
-            if not bath:
-                raise ValueError("bath_hamiltonian given but the bath is empty")
-            if self.bath_hamiltonian.register.n != len(bath):
-                raise ValueError(
-                    f"bath Hamiltonian acts on {self.bath_hamiltonian.register.n} "
-                    f"qubits but the bath has {len(bath)} sites"
-                )
         if self.coupling is not None:
             if not bath:
                 raise ValueError("coupling given but there is no bath to couple to")
@@ -161,10 +146,6 @@ class CompositeSystem:
         return QubitRegister(len(self.subsystem_sites))
 
     @property
-    def bath_register(self) -> QubitRegister:
-        return QubitRegister(len(self.bath_sites))
-
-    @property
     def is_driven(self) -> bool:
         return self.subsystem_schedule is not None
 
@@ -174,38 +155,37 @@ class CompositeSystem:
 
 
 def full_hamiltonian(composite: CompositeSystem, t: float = 0.0) -> HermitianOperator:
-    """Subsystem + coupling + bath, embedded on the full register; a driven
-    subsystem enters with its chain at time ``t``, combined on the blocks of
-    ``_open_pieces``, a static one as it is."""
-    register = composite.register
-    if composite.subsystem_schedule is None:
-        subsystem = embed_operator(register, composite.subsystem_hamiltonian.entries, composite.subsystem_sites)
-        return HermitianOperator(register, _add_environment(composite, subsystem))
-    params = params_at(composite.subsystem_schedule, t)
-    return HermitianOperator(register, combine(_open_pieces(composite), (1.0, params.J, params.Jz, -params.B)))
+    """Subsystem + coupling + bath on the full register, combined on the
+    blocks of ``_open_pieces``; a driven subsystem enters with its chain at
+    time ``t``."""
+    params = None if composite.subsystem_schedule is None else params_at(composite.subsystem_schedule, t)
+    coefficients = (1.0, 1.0) if params is None else (1.0, params.J, params.Jz, -params.B)
+    return HermitianOperator(composite.register, combine(_open_pieces(composite), coefficients))
 
 
 def _open_pieces(composite: CompositeSystem) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The ``piece_stacks`` of a driven composite's Hamiltonian, whose
-    coefficients are (1, J, Jz, -B): the fixed piece (coupling plus embedded
-    bath), then the subsystem chain's H_xy, H_zz and S_z laid on its sites of
-    the full register by ``chain_pieces``."""
-    schedule, register = composite.subsystem_schedule, composite.register
-    site = [s - 1 for s in composite.subsystem_sites]
-    bonds = [(site[l], site[m]) for l, m in _bonds(schedule.n, schedule.initial.boundary)]
-    fixed = _add_environment(composite, np.zeros((register.dim, register.dim), dtype=np.complex128))
-    return piece_stacks((fixed, *chain_pieces(register.n, bonds, site)))
-
-
-def _add_environment(composite: CompositeSystem, entries: np.ndarray) -> np.ndarray:
-    """``entries`` plus the coupling, then plus the bath embedded on its sites."""
-    if composite.coupling is not None:
-        entries = entries + composite.coupling.entries
+    """The read-only piece stacks of the composite's Hamiltonian on their
+    ``shared_blocks``: the fixed piece (coupling plus the bath embedded on
+    its sites), then the subsystem's pieces embedded on its sites.  These are
+    a static Hamiltonian (coefficients (1, 1)) or a driven chain's cached
+    H_xy, H_zz and S_z (coefficients (1, J, Jz, -B))."""
+    n, schedule = composite.register.n, composite.subsystem_schedule
+    if schedule is None:
+        subsystem = [(indices, blocks[None]) for indices, blocks in composite.subsystem_hamiltonian.stacks]
+    else:
+        subsystem = xxz_pieces(schedule.n, schedule.initial.boundary)
+    varying = embed(subsystem, n, composite.subsystem_sites)
+    fixed = [] if composite.coupling is None else [composite.coupling.stacks]
     if composite.bath_hamiltonian is not None:
-        entries = entries + embed_operator(
-            composite.register, composite.bath_hamiltonian.entries, composite.bath_sites
-        )
-    return entries
+        fixed.append(embed(composite.bath_hamiltonian.stacks, n, composite.bath_sites))
+    out = []
+    for indices in shared_blocks(n, varying, *fixed):
+        pieces = restrict(varying, indices)
+        total = sum((restrict(term, indices) for term in fixed), np.zeros(pieces.shape[1:]))
+        blocks = np.concatenate([total[None], pieces])
+        blocks.setflags(write=False)
+        out.append((indices, blocks))
+    return tuple(out)
 
 
 def log_bath_partition(composite: CompositeSystem) -> float:
@@ -235,35 +215,32 @@ def effective_hamiltonian(composite: CompositeSystem, t: float = 0.0) -> Hermiti
 def _mean_force(
     composite: CompositeSystem, full: SpectralDecomposition, log_bath: float
 ) -> HermitianOperator:
-    """effective_hamiltonian from the full Hamiltonian's spectrum and ln Z_B."""
+    """effective_hamiltonian from the full Hamiltonian's spectrum and ln Z_B,
+    per S^z sector of the subsystem when the full Hamiltonian conserves S^z."""
     ground = full.eigenvalues[0]
     weights = np.exp(-composite.beta * (full.eigenvalues - ground))
-    weight_matrix = assemble(spectral_function(full, weights))
-    keep0 = [s - 1 for s in composite.subsystem_sites]
-    traced = _partial_trace_matrix(weight_matrix, composite.register.n, keep0)
-    traced = 0.5 * (traced + traced.conj().T)
-    m_eigenvalues, m_vectors = checked_eigh(traced)
-    smallest = float(m_eigenvalues[0])
+    traced = partial_trace(spectral_function(full, weights), composite.register.n, composite.subsystem_sites)
+    spectra = [(indices, *checked_eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))) for indices, m in traced]
+    smallest = min(float(w.min()) for _, w, _ in spectra)
     if smallest <= WEIGHT_RANK_FLOOR:
         raise NumericalCheckError(
             "bath-traced weight operator is numerically rank deficient "
             f"(smallest eigenvalue {smallest:.3e}); the effective Hamiltonian "
             f"is not resolvable at beta={composite.beta:g}"
         )
-    log_m = (m_vectors * np.log(m_eigenvalues)) @ m_vectors.conj().T
-    dim = 2 ** len(composite.subsystem_sites)
-    identity = np.eye(dim, dtype=np.complex128)
     shift = ground + log_bath / composite.beta
-    entries = shift * identity - log_m / composite.beta
-    entries = 0.5 * (entries + entries.conj().T)
-    return HermitianOperator(composite.subsystem_register, entries)
+    stacks = []
+    for indices, w, v in spectra:
+        log_m = (v * np.log(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        h = shift * np.eye(w.shape[-1]) - log_m / composite.beta
+        stacks.append((indices, 0.5 * (h + h.conj().swapaxes(-1, -2))))
+    return HermitianOperator(composite.subsystem_register, stacks)
 
 
 def reduced_state(composite: CompositeSystem, t: float = 0.0) -> DensityMatrix:
     """tr_B of the full Gibbs state at the composite's beta."""
     full_state = thermal_state(ThermalSpec(full_hamiltonian(composite, t), composite.beta))
-    keep0 = [s - 1 for s in composite.subsystem_sites]
-    reduced = _partial_trace_matrix(full_state.entries, composite.register.n, keep0)
+    reduced = partial_trace(full_state.stacks, composite.register.n, composite.subsystem_sites)
     return DensityMatrix(composite.subsystem_register, reduced)
 
 
@@ -278,7 +255,12 @@ def _require_shared_environment(initial: CompositeSystem, final: CompositeSystem
         a, b = getattr(initial, field_name), getattr(final, field_name)
         if (a is None) != (b is None):
             raise ConfigError(f"composites must share the {name} (one side lacks it)")
-        if a is not None and np.abs(a.entries - b.entries).max() > OPERATOR_MATCH_ATOL:
+        # each side's blocks hold every entry where it is not 0
+        if a is not None and max(
+            float(np.abs(blocks - restrict(theirs, indices)).max())
+            for ours, theirs in ((a.stacks, b.stacks), (b.stacks, a.stacks))
+            for indices, blocks in ours
+        ) > OPERATOR_MATCH_ATOL:
             raise ConfigError(f"composites must share the {name}; entries differ")
 
 
@@ -354,16 +336,13 @@ def open_trotter_evolution(composite: CompositeSystem, sampling: str = "left") -
 
     The bath and coupling stay fixed while the subsystem parameters follow the
     schedule; sampling works as in the closed-system integrator ("left" for
-    plain first order, "midpoint" for the symmetric variant).  The full
-    Hamiltonian is cut once, as the piece stacks of ``full_hamiltonian``
-    (``_open_pieces``): coupling + embedded bath and the subsystem chain's
-    H_xy, H_zz and S_z, laid on its sites of the full register.  With the
-    slice coefficients (1, J, Jz, -B) they go to ``work_stats.ordered_product``,
-    which exploits S^z conservation when the coupling and bath have it too
-    (as for a split XXZ chain).  The subsystem's H_zz is not a multiple of
-    the identity on the full register's sectors, so a ramp of Jz makes every
-    slice a run of its own, which short slices (0.006 for 1000 steps of the
-    three-qubit protocol) take through the Taylor kernel.
+    plain first order, "midpoint" for the symmetric variant).  The pieces of
+    ``_open_pieces`` go with the slice coefficients (1, J, Jz, -B) to
+    ``work_stats.ordered_product``, per S^z sector when the coupling and bath
+    conserve S^z (as for a split XXZ chain).  The subsystem's H_zz is not a
+    multiple of the identity on the full register's sectors, so a ramp of Jz
+    makes every slice a run of its own, which short slices (0.006 for 1000
+    steps of the three-qubit protocol) take through the Taylor kernel.
     """
     if composite.subsystem_schedule is None:
         raise ValueError("open_trotter_evolution needs a driven composite")
@@ -399,13 +378,21 @@ def split_chain(
         pairs = [(local[l], local[m]) for l, m in bonds if l in local and m in local]
         return part(len(sites), pairs, range(len(sites)))
 
+    def across() -> HermitianOperator:
+        # H_xy and H_zz of each bond across the cut, a two-site chain, laid on
+        # its sites and summed exactly (as small integers) before combining
+        bond = [(i, b[:2].astype(np.int8)) for i, b in piece_stacks(chain_pieces(2, [(0, 1)], []))]
+        terms = [embed(bond, params.n, (l + 1, m + 1)) for l, m in cross]
+        pieces = [(i, sum(restrict(t, i) for t in terms)) for i in shared_blocks(params.n, *terms)]
+        return HermitianOperator(register, combine(pieces, (float(params.J), float(params.Jz))))
+
     return CompositeSystem(
         register=register,
         subsystem_sites=sub,
         bath_sites=bath,
         beta=beta,
         subsystem_hamiltonian=inside(sub),
-        coupling=part(params.n, cross, []) if cross else None,
+        coupling=across() if cross else None,
         bath_hamiltonian=inside(bath) if bath else None,
     )
 

@@ -37,8 +37,9 @@ from it.  Propagators do not: every one is a product of
 
 ``checked_eigh`` and ``check_unitary`` work on any square block or stack of
 blocks, so the containers here and the ordered product hold the same
-tolerances.  ``embed_operator`` and the raw partial trace stay dense; they
-serve the open-system code, whose couplings and baths need not conserve S^z.
+tolerances.  ``embed`` lays an operator on some sites onto the register and
+``partial_trace`` traces sites out, both on stacks: on the S^z sectors, or
+on one whole-register block for an operator that does not conserve S^z.
 """
 
 from __future__ import annotations
@@ -418,20 +419,21 @@ def combine(
 
 def assemble(stacks: Sequence[tuple[np.ndarray, np.ndarray]], dtype=None) -> np.ndarray:
     """The register-sized matrix with the (indices, blocks) ``stacks`` of one
-    matrix on its diagonal and 0 everywhere else; ``dtype`` defaults to that
-    of the blocks."""
+    matrix on its diagonal and 0 everywhere else, or a stack of them when
+    the blocks (..., k, s, s) carry a leading piece axis; ``dtype`` defaults
+    to that of the blocks."""
     dim = sum(indices.size for indices, _ in stacks)
     if dtype is None:
         dtype = np.result_type(*(blocks for _, blocks in stacks))
-    out = np.zeros((dim, dim), dtype=dtype)
+    out = np.zeros((*stacks[0][1].shape[:-3], dim, dim), dtype=dtype)
     for indices, blocks in stacks:
-        out[indices[:, :, None], indices[:, None, :]] = blocks
+        out[..., indices[:, :, None], indices[:, None, :]] = blocks
     return out
 
 
 def restrict(stacks: Sequence[tuple[np.ndarray, np.ndarray]], indices: np.ndarray) -> np.ndarray:
     """The matrix of the (indices, blocks) ``stacks`` restricted to the k
-    blocks of basis ``indices`` (k, s), shape (k, s, s): the stack's own
+    blocks of basis ``indices`` (k, s), shape (..., k, s, s): the stack's own
     blocks when one stack has exactly these indices, else gathered from the
     assembled matrix."""
     for own, blocks in stacks:
@@ -478,49 +480,56 @@ def spectral_function(
     ]
 
 
-def embed_operator(
-    register: QubitRegister, entries: np.ndarray, sites: Sequence[int]
-) -> np.ndarray:
-    """Embed an operator on ``len(sites)`` qubits into the full register.
-
-    Tensor factor ``j`` of ``entries`` is placed on ``sites[j]``.  Returns the
-    raw matrix; wrap it in the container matching its symmetry.
-    """
-    n = register.n
-    op = np.asarray(entries, dtype=np.complex128)
-    sites = tuple(sites)
-    k = len(sites)
-    if op.shape != (2**k, 2**k):
-        raise ValueError(f"operator on {k} sites must be {2**k}x{2**k}, got {op.shape}")
-    if len(set(sites)) != k:
-        raise ValueError(f"sites must be distinct, got {sites}")
-    for site in sites:
-        if not 1 <= site <= n:
-            raise ValueError(f"site {site} outside register 1..{n}")
-    if k == n and sites == tuple(range(1, n + 1)):
-        return op.copy()
-    rest = np.eye(2 ** (n - k), dtype=np.complex128)
-    full = np.kron(op, rest).reshape((2,) * (2 * n))
-    # Row axes currently ordered [op sites..., remaining sites...]; build the
-    # permutation that sends them to register order.
-    source_order = list(sites) + [s for s in range(1, n + 1) if s not in sites]
-    perm = [source_order.index(s) for s in range(1, n + 1)]
-    full = full.transpose(perm + [p + n for p in perm])
-    return np.ascontiguousarray(full.reshape(2**n, 2**n))
+def site_indices(n: int, sites: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The index of every basis state of n qubits on the 1-based ``sites``
+    (tensor factor j on sites[j]) and on the other sites, in register order."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    rest = [site for site in range(1, n + 1) if site not in sites]
+    columns = [bits[:, np.array(part, dtype=int) - 1] for part in (sites, rest)]
+    return tuple(c @ (1 << np.arange(c.shape[1]))[::-1] for c in columns)
 
 
-def _partial_trace_matrix(entries: np.ndarray, n: int, keep0: list[int]) -> np.ndarray:
-    """Partial trace of a raw matrix over the complement of ``keep0`` (0-based)."""
-    k = len(keep0)
-    if k == n:
-        return entries.copy()
-    traced = [s for s in range(n) if s not in keep0]
-    tensor = entries.reshape((2,) * (2 * n))
-    row = list(range(n))
-    col = [row[s] if s in traced else n + s for s in range(n)]
-    out = [row[s] for s in keep0] + [n + s for s in keep0]
-    reduced = np.einsum(tensor, row + col, out)
-    return np.ascontiguousarray(reduced.reshape(2**k, 2**k))
+def shared_blocks(n: int, *terms) -> tuple[np.ndarray, ...]:
+    """The blocks of n qubits on which every operator made of the (indices,
+    blocks) stack lists ``terms`` is block diagonal: the popcount sectors
+    when each block of every term lies in one sector of its own register,
+    else the whole register as one block."""
+    for stacks in terms:
+        ones = _popcounts(sum(indices.size for indices, _ in stacks).bit_length() - 1)
+        if any((ones[indices] != ones[indices[:, :1]]).any() for indices, _ in stacks):
+            return _partitions(n)[1]
+    return _partitions(n)[0]
+
+
+def embed(stacks: Sequence[tuple[np.ndarray, np.ndarray]], n: int, sites: Sequence[int]) -> list:
+    """An operator on the 1-based ``sites`` of n qubits (tensor factor j on
+    sites[j]), as (indices, blocks) stacks with an optional leading piece
+    axis, laid on the register as op[x_T, x'_T] delta(x_R, x'_R): its stacks
+    on their ``shared_blocks``, one gather each."""
+    dim = sum(indices.size for indices, _ in stacks)
+    if dim != 2 ** len(sites) or len(set(sites)) != len(sites) or not set(sites) <= set(range(1, n + 1)):
+        raise ValueError(f"the operator does not fit sites {tuple(sites)} of {n} qubits")
+    op, (inner, outer) = assemble(stacks), site_indices(n, sites)
+    out = []
+    for indices in shared_blocks(n, stacks):
+        x, rest = inner[indices], outer[indices]
+        gathered = op[..., x[:, :, None], x[:, None, :]]
+        out.append((indices, np.where(rest[:, :, None] == rest[:, None, :], gathered, 0)))
+    return out
+
+
+def partial_trace(stacks: Sequence[tuple[np.ndarray, np.ndarray]], n: int, sites: Sequence[int]) -> list:
+    """The trace over all but the 1-based ``sites`` of an n-qubit matrix's
+    (indices, blocks) stacks: each block adds its entries between states that
+    agree off ``sites`` into the kept sites' matrix (factor j on sites[j]),
+    which ``sector_stacks`` cuts (S^z-sector blocks put nothing between its sectors)."""
+    (inner, outer), k = site_indices(n, sites), len(sites)
+    out = np.zeros((2**k, 2**k), np.result_type(*(blocks for _, blocks in stacks)))
+    for indices, blocks in stacks:
+        x, rest = inner[indices], outer[indices]
+        same = rest[:, :, None] == rest[:, None, :]
+        np.add.at(out.reshape(-1), ((x[:, :, None] << k) + x[:, None, :])[same], blocks[same])
+    return sector_stacks(out)
 
 
 # JSON matrix exchange format: {"n": qubits, "re": [[...]], "im": [[...]]},

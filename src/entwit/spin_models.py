@@ -52,7 +52,7 @@ class XXZParams:
         QubitRegister(self.n)  # raises above MAX_QUBITS
         for name in ("J", "Jz", "B"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not is_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(
@@ -81,7 +81,7 @@ class DrivingSchedule:
             raise ValueError("schedule endpoints must share the boundary condition")
         if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
-        if not math.isfinite(self.t_f) or self.t_f < 0:
+        if not is_number(self.t_f) or self.t_f < 0:
             raise ValueError(f"t_f must be finite and non-negative, got {self.t_f!r}")
         if self.interpolation not in INTERPOLATIONS:
             raise ValueError(
@@ -110,10 +110,9 @@ def chain_pieces(
     H_zz = -sum sz sz and S_z on an n-qubit register, all real.
 
     The XXZ pieces of any bond graph: ``bonds`` are 0-based site pairs and
-    ``field_sites`` the 0-based sites the field acts on, so a chain laid on
-    any sites of a larger register needs no operator embedding.  Cut them
-    with ``operators.piece_stacks`` and combine them with
-    ``operators.combine``.
+    ``field_sites`` the 0-based sites the field acts on.  Cut them with
+    ``operators.piece_stacks`` and combine them with ``operators.combine``;
+    ``operators.embed`` lays their stacks on some sites of a larger register.
     """
     QubitRegister(n)
     states = np.arange(2**n)
@@ -184,15 +183,20 @@ def check_keys(payload: dict, allowed, required, anchor: str) -> None:
             raise ConfigError(f"{anchor}: missing required key {key!r}")
 
 
+def is_number(value) -> bool:
+    """Whether ``value`` is a finite int or float and not a bool: the one
+    test of a number given to a parameter class or read from a config."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the range of a float
+        return False
+
+
 def config_number(value, path: str) -> float:
-    """A config number as a float: a finite int or float and not a bool;
-    anything else raises ConfigError naming ``path``."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an int beyond the range of a float
-            pass
+    """A config number as a float when ``is_number``; anything else raises
+    ConfigError naming ``path``."""
+    if is_number(value):
+        return float(value)
     raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 

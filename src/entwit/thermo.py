@@ -48,6 +48,7 @@ from .operators import (
     spectral_decompose,
     spectral_function,
 )
+from .spin_models import is_number
 
 # Weight of rho tolerated outside the numerical support of sigma before the
 # relative entropy is reported as infinite.
@@ -90,7 +91,7 @@ class ThermalSpec:
     beta: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.beta, (int, float)) or not math.isfinite(self.beta):
+        if not is_number(self.beta):
             raise ValueError(f"beta must be a finite number, got {self.beta!r}")
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")

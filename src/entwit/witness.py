@@ -48,7 +48,7 @@ from .operators import (
     sector_partition,
     spectral_decompose,
 )
-from .spin_models import DrivingSchedule, XXZParams, build_xxz, xxz_pieces
+from .spin_models import DrivingSchedule, XXZParams, build_xxz, is_number, xxz_pieces
 from .thermo import (
     ThermalSpec,
     _plogp,
@@ -387,7 +387,7 @@ class GridAxis:
     def __post_init__(self) -> None:
         for name in ("minimum", "maximum", "step"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not is_number(value):
                 raise ValueError(f"axis {name} must be finite, got {value!r}")
         if self.step <= 0:
             raise ValueError(f"axis step must be positive, got {self.step}")
@@ -615,7 +615,7 @@ def sweep_detection(
 
 def state_checksum(state: DensityMatrix) -> str:
     """SHA-256 of the assembled complex128 matrix's row-major bytes (stable across runs)."""
-    return hashlib.sha256(np.ascontiguousarray(state.entries).tobytes()).hexdigest()
+    return hashlib.sha256(state.entries).hexdigest()
 
 
 def write_sweep_csv(grid: SweepGrid, path) -> None:

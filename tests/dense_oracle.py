@@ -15,6 +15,9 @@ overlap kernel with ``entwit``; ``dense_eigenvectors`` and
 ``dense_transitions`` scatter the package's blocks into full matrices for
 comparison.  ``smallest_partial_transpose_eigenvalue`` checks each detection
 against a criterion of its own, the partial transpose over every bipartition.
+``embed_operator`` and ``partial_trace_matrix`` are the dense embedding (a
+Kronecker product with an identity, its axes permuted) and partial trace (one
+einsum) that ``operators.embed`` and ``operators.partial_trace`` replaced.
 
 ``allocating_product`` is the exception: the chunk loop ``ordered_product``
 ran before it computed into a reused workspace, kept here with a fresh array
@@ -34,7 +37,6 @@ from entwit import (
     QubitRegister,
     ThermalSpec,
     XXZParams,
-    embed_operator,
     params_at,
     thermal_state,
 )
@@ -46,6 +48,47 @@ from entwit.work_stats import CHUNK_ENTRIES, STEP_CHUNK, TAYLOR_THETA, _taylor_d
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+
+
+def embed_operator(register: QubitRegister, entries: np.ndarray, sites) -> np.ndarray:
+    """Embed an operator on ``len(sites)`` qubits into the full register as a
+    dense matrix, tensor factor ``j`` of ``entries`` on ``sites[j]``."""
+    n = register.n
+    op = np.asarray(entries, dtype=np.complex128)
+    sites = tuple(sites)
+    k = len(sites)
+    if op.shape != (2**k, 2**k):
+        raise ValueError(f"operator on {k} sites must be {2**k}x{2**k}, got {op.shape}")
+    if len(set(sites)) != k:
+        raise ValueError(f"sites must be distinct, got {sites}")
+    for site in sites:
+        if not 1 <= site <= n:
+            raise ValueError(f"site {site} outside register 1..{n}")
+    if k == n and sites == tuple(range(1, n + 1)):
+        return op.copy()
+    rest = np.eye(2 ** (n - k), dtype=np.complex128)
+    full = np.kron(op, rest).reshape((2,) * (2 * n))
+    # Row axes are ordered [op sites..., remaining sites...]; the permutation
+    # sends them to register order.
+    source_order = list(sites) + [s for s in range(1, n + 1) if s not in sites]
+    perm = [source_order.index(s) for s in range(1, n + 1)]
+    full = full.transpose(perm + [p + n for p in perm])
+    return np.ascontiguousarray(full.reshape(2**n, 2**n))
+
+
+def partial_trace_matrix(entries: np.ndarray, n: int, keep0: list[int]) -> np.ndarray:
+    """Partial trace of a dense matrix over the complement of the 0-based
+    sites ``keep0``, kept in register order, by one einsum."""
+    k = len(keep0)
+    if k == n:
+        return entries.copy()
+    traced = [s for s in range(n) if s not in keep0]
+    tensor = entries.reshape((2,) * (2 * n))
+    row = list(range(n))
+    col = [row[s] if s in traced else n + s for s in range(n)]
+    out = [row[s] for s in keep0] + [n + s for s in keep0]
+    reduced = np.einsum(tensor, row + col, out)
+    return np.ascontiguousarray(reduced.reshape(2**k, 2**k))
 
 
 def dense_xxz(params: XXZParams) -> HermitianOperator:

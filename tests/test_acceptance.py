@@ -46,7 +46,8 @@ from entwit import (
     witness_evaluate,
 )
 from entwit.open_system import CompositeSystem, log_bath_partition
-from entwit import HermitianOperator, embed_operator
+from entwit import HermitianOperator
+from dense_oracle import embed_operator
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 

@@ -22,7 +22,6 @@ from entwit import (
     decoupled,
     DrivingSchedule,
     effective_hamiltonian,
-    embed_operator,
     full_hamiltonian,
     log_jarzynski_average,
     open_trotter_evolution,
@@ -34,6 +33,7 @@ from entwit import (
     trotter_evolution,
     witness_evaluate,
 )
+from dense_oracle import embed_operator
 from entwit.open_system import _mean_force, log_bath_partition
 from entwit.operators import spectral_decompose
 

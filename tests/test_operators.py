@@ -15,15 +15,22 @@ from entwit import (
     QubitRegister,
     UnitaryOperator,
     density_from_json,
-    embed_operator,
     matrix_from_json,
     matrix_to_json,
     spectral_decompose,
     unitary_from_json,
 )
 from entwit import operators
-from entwit.operators import _partial_trace_matrix, assemble, sector_stacks, spectral_function
-from dense_oracle import dense_chain_pieces, dense_dicke_mixture, dicke_state, pure_state
+from entwit.operators import assemble, sector_stacks, spectral_function
+from entwit.spin_models import xxz_pieces
+from dense_oracle import (
+    dense_chain_pieces,
+    dense_dicke_mixture,
+    dicke_state,
+    embed_operator,
+    partial_trace_matrix,
+    pure_state,
+)
 from entwit.witness import _identity_unitary, build_css, build_w_state, reference_state, state_checksum, sweep_reference
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -356,31 +363,111 @@ def test_pure_state_projector():
 
 # ---------------------------------------------------------------- traces
 
-# _partial_trace_matrix keeps the 0-based sites it is given, in register order.
+# partial_trace_matrix keeps the 0-based sites it is given, in register order.
 
 def test_partial_trace_product_recovery():
     a = np.diag([0.75, 0.25]).astype(complex)
     b = pure_state(QubitRegister(1), np.array([1.0, 1.0]) / np.sqrt(2)).entries
     joint = np.kron(a, b)
-    assert np.max(np.abs(_partial_trace_matrix(joint, 2, [0]) - a)) < 1e-14
-    assert np.max(np.abs(_partial_trace_matrix(joint, 2, [1]) - b)) < 1e-14
+    assert np.max(np.abs(partial_trace_matrix(joint, 2, [0]) - a)) < 1e-14
+    assert np.max(np.abs(partial_trace_matrix(joint, 2, [1]) - b)) < 1e-14
 
 
 def test_partial_trace_bell_is_maximally_mixed():
     bell = pure_state(QubitRegister(2), np.array([1, 0, 0, 1]) / np.sqrt(2))
-    red = _partial_trace_matrix(bell.entries, 2, [1])
+    red = partial_trace_matrix(bell.entries, 2, [1])
     assert np.max(np.abs(red - np.eye(2) / 2)) < 1e-14
 
 
 def test_partial_trace_keep_all_is_identity_map():
     rho = np.eye(4, dtype=complex) / 4
-    assert np.max(np.abs(_partial_trace_matrix(rho, 2, [0, 1]) - rho)) < 1e-15
+    assert np.max(np.abs(partial_trace_matrix(rho, 2, [0, 1]) - rho)) < 1e-15
 
 
 def test_partial_trace_keep_order():
     joint = np.kron(np.diag([0.9, 0.1]), np.diag([0.6, 0.4])).astype(complex)
-    kept = _partial_trace_matrix(joint, 2, [0, 1])
+    kept = partial_trace_matrix(joint, 2, [0, 1])
     assert np.allclose(np.diag(kept).real, [0.54, 0.36, 0.06, 0.04])
+
+
+# ---------------------------------------------------------------- stacked embedding and trace
+
+# ``operators.embed`` and ``operators.partial_trace`` work on (indices,
+# blocks) stacks; the dense ``embed_operator`` and ``partial_trace_matrix``
+# of the oracle are held against them over random site splits, in and out of
+# order.
+
+
+@st.composite
+def site_splits(draw):
+    n = draw(st.integers(2, 8))
+    order = draw(st.permutations(range(1, n + 1)))
+    return n, tuple(order[: draw(st.integers(1, n))]), draw(st.integers(0, 2**32 - 1))
+
+
+def conserving_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A random Hermitian matrix on n qubits with every entry between two
+    popcount sectors 0 and every entry inside one nonzero."""
+    ones = np.array([bin(i).count("1") for i in range(2**n)])
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    return np.where(ones[:, None] == ones[None, :], a + a.conj().T, 0)
+
+
+def in_sectors(stacks) -> bool:
+    return all(np.ptp([bin(i).count("1") for i in block]) == 0 for indices, _ in stacks for block in indices)
+
+
+@settings(max_examples=40, deadline=None)
+@given(site_splits())
+def test_stacked_embedding_matches_the_dense_oracle(split):
+    n, sites, seed = split
+    k, register = len(sites), QubitRegister(n)
+    op = HermitianOperator(QubitRegister(k), conserving_matrix(k, np.random.default_rng(seed)))
+    embedded = operators.embed(op.stacks, n, sites)
+    assert in_sectors(embedded)
+    assert np.array_equal(assemble(embedded), embed_operator(register, op.entries, sites))
+    # sx on one site changes S^z: the embedding is one whole-register block
+    flip = operators.embed(HermitianOperator(QubitRegister(1), SX).stacks, n, sites[:1])
+    assert [indices.shape for indices, _ in flip] == [(1, 2**n)]
+    assert np.abs(assemble(flip) - embed_operator(register, SX, sites[:1])).max() <= 1e-13
+    # a piece stack with a leading axis: each piece as the dense embedding of
+    # its dense form
+    if k >= 2:
+        pieces = assemble(operators.embed(xxz_pieces(k, "open"), n, sites))
+        hopping, zz, magnetization = dense_chain_pieces(k, "open")
+        for piece, dense in zip(pieces, (hopping, np.diag(zz), np.diag(magnetization)), strict=True):
+            assert np.array_equal(piece, embed_operator(register, dense, sites))
+
+
+@settings(max_examples=40, deadline=None)
+@given(site_splits())
+def test_stacked_partial_trace_matches_the_dense_oracle(split):
+    # the oracle keeps its sites in register order
+    n, sites, seed = split[0], tuple(sorted(split[1])), split[2]
+    rng = np.random.default_rng(seed)
+    keep0 = [site - 1 for site in sites]
+    conserving = HermitianOperator(QubitRegister(n), conserving_matrix(n, rng))
+    traced = operators.partial_trace(conserving.stacks, n, sites)
+    assert in_sectors(traced)
+    want = partial_trace_matrix(conserving.entries, n, keep0)
+    assert np.abs(assemble(traced) - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+    # a matrix that mixes sectors is one whole-register block, traced as the
+    # dense matrix is
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    mixing = HermitianOperator(QubitRegister(n), a + a.conj().T)
+    want = partial_trace_matrix(mixing.entries, n, keep0)
+    got = assemble(operators.partial_trace(mixing.stacks, n, sites))
+    assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def test_stacked_embedding_rejects_bad_sites():
+    sx = HermitianOperator(QubitRegister(1), SX).stacks
+    with pytest.raises(ValueError):
+        operators.embed(sx, 2, (3,))
+    with pytest.raises(ValueError):
+        operators.embed(HermitianOperator(QubitRegister(2), np.kron(SX, SX)).stacks, 2, (1, 1))
+    with pytest.raises(ValueError):
+        operators.embed(sx, 2, (1, 2))
 
 
 # ---------------------------------------------------------------- json

@@ -25,6 +25,7 @@ from dense_oracle import (
     dense_s_right,
     dense_trotter,
     dense_xxz,
+    embed_operator,
     xxz_matrix,
 )
 from entwit import (
@@ -37,7 +38,6 @@ from entwit import (
     XXZParams,
     build_xxz,
     detection_protocol,
-    embed_operator,
     exact_evolution,
     open_trotter_evolution,
     split_chain,

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 from entwit import (
     ConfigError,
     DrivingSchedule,
+    GridAxis,
     QubitRegister,
+    ThermalSpec,
     XXZParams,
     build_xxz,
     build_w_state,
-    embed_operator,
     params_at,
     schedule_from_config,
+    split_chain,
     xxz_params_from_config,
 )
-from dense_oracle import dense_chain_pieces
+from dense_oracle import dense_chain_pieces, embed_operator
 from entwit.work_stats import schedule_coefficients
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -158,6 +160,24 @@ def test_schedule_rejects_mixed_boundaries():
             XXZParams(3, 1.0, 0.0, 0.0, boundary="open"),
             XXZParams(3, 1.0, 0.0, 0.0, boundary="periodic"),
         )
+
+
+@pytest.mark.parametrize("bad", [True, "1"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: XXZParams(3, J=x, Jz=0.0, B=0.0),
+        lambda x: GridAxis(x, 1.0, 0.5),
+        lambda x: ThermalSpec(build_xxz(XXZParams(3, 1.0, 0.0, 0.5)), x),
+        lambda x: split_chain(XXZParams(4, 1.0, 0.2, 0.5), (1, 2), x),
+        lambda x: DrivingSchedule(XXZParams(3, 1.0, 0.0, 0.0), XXZParams(3, 1.0, 0.0, 0.5), x, 10),
+    ],
+    ids=["XXZParams.J", "GridAxis.minimum", "ThermalSpec.beta", "CompositeSystem.beta", "DrivingSchedule.t_f"],
+)
+def test_parameter_classes_refuse_booleans_and_strings(build, bad):
+    # the one number rule of config files: a finite int or float, not a bool
+    with pytest.raises(ValueError):
+        build(bad)
 
 
 # ---------------------------------------------------------------- config
