@@ -58,6 +58,8 @@ from .work_stats import (
 )
 
 PROTOCOL_NAMES = {"three-qubit": 3, "seven-qubit": 7}
+# --route spellings and the library's route names
+ROUTES = {"direct": "direct", "via-work": "via_work"}
 EVOLUTION_KINDS = ("identity", "exact", "trotter")
 
 EXIT_OK = 0
@@ -100,7 +102,7 @@ def _build_parser() -> _Parser:
     add_common(witness, True)
     witness.add_argument(
         "--route",
-        choices=["direct", "via-work"],
+        choices=ROUTES,
         default="direct",
         help="compute distances spectrally or from work statistics",
     )
@@ -109,7 +111,7 @@ def _build_parser() -> _Parser:
         "sweep", help="map detection over a (B, Jz, T) grid of an n-qubit ring, 3 <= n <= 12"
     )
     add_common(sweep, True)
-    sweep.add_argument("--route", choices=["direct", "via-work"], default="direct")
+    sweep.add_argument("--route", choices=ROUTES, default="direct")
     sweep.add_argument("--workers", type=int, default=None, help="parallel workers")
 
     verify = sub.add_parser("verify", help="check the statistical identities")
@@ -282,7 +284,6 @@ def _run_witness(args) -> int:
     beta = _float_key(cfg, "beta", 100.0, file)
     protocol = _protocol_from_config(cfg["protocol"], beta, file)
     n = protocol.schedule.n
-    route = args.route.replace("-", "_")
     rho_star = _state_from_config(cfg["rho_star"], "rho_star", file, n)
     sigma_override = (
         _state_from_config(cfg["sigma_ref"], "sigma_ref", file, n)
@@ -300,10 +301,10 @@ def _run_witness(args) -> int:
         protocol.final_spec,
         sigma_override if sigma_override is not None else protocol.initial_spec,
         rho_star,
-        route,
+        args.route,
         evolution=(
             _resolve_evolution(evolution_kind, protocol, sampling)
-            if route == "via_work"
+            if args.route == "via_work"
             else None
         ),
         metadata=metadata,
@@ -351,7 +352,6 @@ def _run_sweep(args) -> int:
     if not isinstance(grid_cfg, dict):
         raise ConfigError(f"{file}: grid: expected an object with axes B, Jz, T")
     _check_keys(grid_cfg, {"B", "Jz", "T"}, {"B", "Jz", "T"}, file, "grid")
-    route = args.route.replace("-", "_")
     # parsed outside the try below, which would name the file a second time
     axes = [_axis_from_config(grid_cfg[key], f"grid.{key}", file) for key in ("B", "Jz", "T")]
     try:
@@ -360,14 +360,14 @@ def _run_sweep(args) -> int:
             n=n,
             coupling_j=coupling_j,
             boundary=boundary,
-            route=route,
+            route=args.route,
         )
         reference = sweep_reference(
             n,
             coupling_j=coupling_j,
             beta=beta,
             boundary=boundary,
-            thermal=(reference_kind == "thermal" or route == "via_work"),
+            thermal=(reference_kind == "thermal" or args.route == "via_work"),
         )
     except ValueError as err:
         raise ConfigError(f"{file}: {err}") from err
@@ -412,15 +412,9 @@ def _run_verify(args) -> int:
     external_u: UnitaryOperator | None = None
     if "unitary_file" in cfg:
         path = cfg["unitary_file"]
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except OSError as err:
-            raise ConfigError(f"{anchor}: unitary_file: {err.strerror or err}") from err
-        except json.JSONDecodeError as err:
-            raise ConfigError(
-                f"{path}: config parse error at line {err.lineno}, column {err.colno}"
-            ) from err
+        if not isinstance(path, str):  # open() takes an int as a file descriptor
+            raise ConfigError(f"{anchor}: unitary_file: expected a file path, got {path!r}")
+        payload = _load_config(path)
         try:
             external_u = unitary_from_json(payload)
         except (ValueError, TypeError) as err:
@@ -639,6 +633,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if "route" in args:
+            args.route = ROUTES[args.route]
         runner = {
             "witness": _run_witness,
             "sweep": _run_sweep,

@@ -29,9 +29,18 @@ puts the whole register in one block.
 Partition functions stay in log space and come from ``thermo``'s one rule:
 ln Y is ``ThermalSpec(full_hamiltonian(c), beta).log_partition``, ln Z_B is
 ``log_bath_partition(c)``, and ln Z_S = ln Y - ln Z_B is the log partition
-function of ``ThermalSpec(effective_hamiltonian(c), beta)``.  The work
-route's reference distance takes its energy term from
-``thermo.weighted_energy``.
+function of ``ThermalSpec(effective_hamiltonian(c), beta)``.
+``effective_hamiltonian`` and ``reduced_state`` take a driven subsystem's
+chain at t = 0; ``open_witness`` takes the final side's at the end of its
+schedule.
+
+``open_witness`` takes the routes of the closed witness, ``"direct"`` and
+``"via_work"``, and gets the distance to ``rho_star`` (and on the direct
+route the reference distance too) from ``witness._distances``, the closed
+witness's one rule.  The work route's reference distance comes from the
+full-system work average instead and takes its energy term from
+``thermo.weighted_energy``; sigma_ref is always the initial side's
+effective Gibbs state.
 """
 
 from __future__ import annotations
@@ -62,20 +71,8 @@ from .operators import (
 )
 from .spin_models import DrivingSchedule, XXZParams, _bonds, chain_pieces, is_number, params_at, xxz_pieces
 from .thermo import ThermalSpec, thermal_state, weighted_energy
-from .witness import (
-    STRICTNESS_EPSILON,
-    StateOrSpec,
-    WitnessReport,
-    _finish_report,
-    _identity_unitary,
-    witness_evaluate,
-)
-from .work_stats import (
-    log_jarzynski_average,
-    ordered_product,
-    relative_entropy_via_work,
-    schedule_coefficients,
-)
+from .witness import StateOrSpec, WitnessReport, _check_route, _distances, _finish_report, _identity_unitary
+from .work_stats import log_jarzynski_average, ordered_product, schedule_coefficients
 
 # Smallest eigenvalue of the bath-traced weight operator that still leaves
 # log() with usable precision; anything below means the temperature is too
@@ -197,8 +194,9 @@ def log_bath_partition(composite: CompositeSystem) -> float:
     return ThermalSpec(composite.bath_hamiltonian, composite.beta).log_partition
 
 
-def effective_hamiltonian(composite: CompositeSystem, t: float = 0.0) -> HermitianOperator:
-    """Hamiltonian of mean force on the subsystem register.
+def effective_hamiltonian(composite: CompositeSystem) -> HermitianOperator:
+    """Hamiltonian of mean force on the subsystem register, with a driven
+    subsystem's chain at t = 0.
 
     Computed from the ground-shifted full Gibbs weights so nothing overflows:
     with M = tr_B exp(-beta (H - E0)),
@@ -208,7 +206,7 @@ def effective_hamiltonian(composite: CompositeSystem, t: float = 0.0) -> Hermiti
     Raises NumericalCheckError when M is numerically rank deficient, which
     happens once beta times the spectral width exceeds what doubles resolve.
     """
-    full = spectral_decompose(full_hamiltonian(composite, t))
+    full = spectral_decompose(full_hamiltonian(composite))
     return _mean_force(composite, full, log_bath_partition(composite))
 
 
@@ -237,9 +235,10 @@ def _mean_force(
     return HermitianOperator(composite.subsystem_register, stacks)
 
 
-def reduced_state(composite: CompositeSystem, t: float = 0.0) -> DensityMatrix:
-    """tr_B of the full Gibbs state at the composite's beta."""
-    full_state = thermal_state(ThermalSpec(full_hamiltonian(composite, t), composite.beta))
+def reduced_state(composite: CompositeSystem) -> DensityMatrix:
+    """tr_B of the full Gibbs state at the composite's beta, with a driven
+    subsystem's chain at t = 0."""
+    full_state = thermal_state(ThermalSpec(full_hamiltonian(composite), composite.beta))
     reduced = partial_trace(full_state.stacks, composite.register.n, composite.subsystem_sites)
     return DensityMatrix(composite.subsystem_register, reduced)
 
@@ -270,22 +269,18 @@ def open_witness(
     rho_star: StateOrSpec,
     *,
     evolution: UnitaryOperator | None = None,
-    sigma_ref: StateOrSpec | None = None,
     route: str = "direct",
-    strictness_epsilon: float = STRICTNESS_EPSILON,
 ) -> WitnessReport:
     """Witness evaluation with open-system endpoint states.
 
     The reference pair is the effective Gibbs state of ``final`` (playing rho)
-    against the effective Gibbs state of ``initial`` (playing sigma_ref, unless
-    overridden).  On the work route the left distance comes from full-system
-    work statistics under ``evolution`` (identity by default; the average is
-    protocol independent), and ``rho_star`` must be a declared Gibbs state on
-    the subsystem register.
+    against the effective Gibbs state of ``initial`` (playing sigma_ref).  On
+    route "via_work" the left distance comes from full-system work statistics
+    under ``evolution`` (identity by default; the average is protocol
+    independent), and ``rho_star`` must be a declared Gibbs state on the
+    subsystem register.
     """
-    route = route.replace("-", "_")
-    if route not in ("direct", "via_work"):
-        raise ValueError(f"route must be 'direct' or 'via_work', got {route!r}")
+    _check_route(route)
     _require_shared_environment(initial, final)
     # Each full Hamiltonian and the shared bath are diagonalized once; the
     # effective specs and the work average below reuse the spectra.
@@ -301,34 +296,16 @@ def open_witness(
         "bath_sites": list(initial.bath_sites),
     }
     if route == "direct":
-        return witness_evaluate(
-            spec_final,
-            sigma_ref if sigma_ref is not None else spec_initial,
-            rho_star,
-            "direct",
-            strictness_epsilon=strictness_epsilon,
-            metadata=metadata,
-        )
-    if sigma_ref is not None:
-        raise ConfigError(
-            "the work route derives the reference distance from the full-system "
-            "protocol; a custom sigma_ref needs route='direct'"
-        )
-    if not isinstance(rho_star, ThermalSpec):
-        raise ConfigError(
-            "route 'via_work' needs declared Gibbs states; rho_star is not a ThermalSpec"
-        )
-    if rho_star.hamiltonian.register != initial.subsystem_register:
-        raise ConfigError("rho_star must live on the subsystem register")
-    u_full = evolution if evolution is not None else _identity_unitary(initial.register)
-    if u_full.register != initial.register:
-        raise ConfigError("evolution must act on the full register")
-    log_average = log_jarzynski_average(initial.beta, full_initial, full_final, u_full)
-    s_left = -weighted_energy(spec_initial, spec_final) - log_average
-    s_right = relative_entropy_via_work(
-        rho_star, spec_final, _identity_unitary(initial.subsystem_register)
-    )
-    return _finish_report(s_left, s_right, "via_work", strictness_epsilon, metadata)
+        legs = (("sigma_ref", spec_initial, None), ("rho_star", rho_star, None))
+        s_left, s_right = _distances(route, spec_final, legs)
+    else:
+        (s_right,) = _distances(route, spec_final, (("rho_star", rho_star, None),))
+        u_full = evolution if evolution is not None else _identity_unitary(initial.register)
+        if u_full.register != initial.register:
+            raise ConfigError("evolution must act on the full register")
+        log_average = log_jarzynski_average(initial.beta, full_initial, full_final, u_full)
+        s_left = -weighted_energy(spec_initial, spec_final) - log_average
+    return _finish_report(s_left, s_right, route, metadata)
 
 
 def open_trotter_evolution(composite: CompositeSystem, sampling: str = "left") -> UnitaryOperator:

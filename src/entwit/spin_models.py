@@ -47,7 +47,9 @@ class XXZParams:
     boundary: str = "periodic"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"n must be an integer, got n={self.n!r} of type {type(self.n).__name__}")
+        if self.n < 2:
             raise ValueError(f"chain needs at least two sites, got n={self.n!r}")
         QubitRegister(self.n)  # raises above MAX_QUBITS
         for name in ("J", "Jz", "B"):

@@ -4,17 +4,21 @@ The test compares two distances from a reference entangled state ``rho``:
 ``s_left = S(rho||sigma_ref)``, its relative entropy of entanglement (only that
 distance counts; ``sigma_ref`` need not be separable), and ``s_right =
 S(rho||rho_star)`` against the state under test.  Whenever ``s_right < s_left``
-(strictly, beyond a small epsilon), ``rho_star`` must be entangled: no
+(strictly, beyond ``STRICTNESS_EPSILON``), ``rho_star`` must be entangled: no
 separable state sits closer to ``rho`` than the closest separable one.
 
-Both distances can be computed directly from spectra or rebuilt from
-two-point-measurement work statistics when every state involved is a declared
-Gibbs state; the two routes agree to numerical precision and are kept
-separate on purpose.  A direct distance uses one of three evaluators: the
-Gibbs identity when both states are declared Gibbs states, the analytic log
-weights of a declared Gibbs sigma under a state rho, and the spectral
-evaluator otherwise.  The last two share ``thermo.sector_overlaps``, so a
-Gibbs sigma is diagonalized per S^z sector and no dense matrix is read.
+Both distances can be computed directly from spectra (route ``"direct"``) or
+rebuilt from two-point-measurement work statistics (route ``"via_work"``)
+when every state involved is a declared Gibbs state; the two routes agree to
+numerical precision and are kept separate on purpose.  ``_distances`` makes
+that choice for ``witness_evaluate``, ``open_system.open_witness`` and a
+sweep's reference leg alike.  A direct distance uses one of three
+evaluators: the Gibbs identity when both states are declared Gibbs states,
+the analytic log weights of a declared Gibbs sigma under a state rho, and
+the spectral evaluator otherwise.  The last two share
+``thermo.sector_overlaps``, so a Gibbs sigma is diagonalized per S^z sector
+and no dense matrix is read; the analytic one and the direct sweep share one
+expression, ``_gibbs_cross_entropy``.
 
 The reference states (W_n, the Dicke mixtures) and the identity unitary are
 laid out per popcount sector (``operators.sector_partition``), so none of
@@ -242,8 +246,8 @@ def detection_protocol(
 class WitnessReport:
     """Outcome of one witness evaluation.
 
-    ``margin = s_left - s_right``; detection requires the margin to exceed the
-    strictness epsilon.  Infinities are meaningful (support mismatches); when
+    ``margin = s_left - s_right``; detection requires the margin to exceed
+    ``STRICTNESS_EPSILON``.  Infinities are meaningful (support mismatches); when
     both sides are infinite the margin is NaN and nothing is detected.
     """
 
@@ -275,6 +279,13 @@ def _identity_unitary(register: QubitRegister) -> UnitaryOperator:
     return UnitaryOperator(register, [(i, np.tile(np.eye(i.shape[1]), (len(i), 1, 1))) for i, _ in sectors])
 
 
+def _gibbs_cross_entropy(plogp_rho, log_weights: np.ndarray, overlaps: np.ndarray):
+    """S(rho || sigma) = tr rho ln rho - sum_i ln w_i <v_i|rho|v_i> for a Gibbs
+    sigma with log weights ln w_i on its eigenvectors v_i, clamped by
+    ``nonnegative_entropy``; leading axes of ``log_weights`` stack sigmas."""
+    return nonnegative_entropy(plogp_rho - log_weights @ overlaps)
+
+
 def _distance_direct(rho: StateOrSpec, sigma: StateOrSpec, rho_name: str, sigma_name: str) -> float:
     """S(rho || sigma) picking the best evaluation for what was declared.
 
@@ -289,32 +300,56 @@ def _distance_direct(rho: StateOrSpec, sigma: StateOrSpec, rho_name: str, sigma_
         return gibbs_relative_entropy(sigma, rho)
     rho_state = _as_state(rho, rho_name)
     if isinstance(sigma, ThermalSpec):
+        if rho_state.register != sigma.hamiltonian.register:
+            raise ValueError("states must live on the same register")
         energies, overlaps = sector_overlaps(rho_state.stacks, sigma.hamiltonian.stacks)
-        cross_term = float(log_gibbs_weights(energies, sigma.beta) @ overlaps)
-        return float(
-            nonnegative_entropy(_plogp(rho_state.eigenvalues) - cross_term)
-        )
+        log_weights = log_gibbs_weights(energies, sigma.beta)
+        return float(_gibbs_cross_entropy(_plogp(rho_state.eigenvalues), log_weights, overlaps))
     return relative_entropy(rho_state, _as_state(sigma, sigma_name))
 
 
-def _decide(s_left, s_right, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+def _check_route(route: str) -> None:
+    if route not in ("direct", "via_work"):
+        raise ValueError(f"route must be 'direct' or 'via_work', got {route!r}")
+
+
+def _distances(route: str, rho: StateOrSpec, legs) -> list[float]:
+    """S(rho || sigma) for each ``(name, sigma, evolution)`` of ``legs`` on
+    ``route``: the one choice of evaluator for ``witness_evaluate``, a
+    sweep's reference leg and ``open_system.open_witness``.
+
+    route="direct" picks ``_distance_direct``'s evaluator for each pair.
+    route="via_work" needs rho and every sigma to be a ThermalSpec and
+    rebuilds each distance from the work statistics of the sigma -> rho
+    protocol under the leg's evolution, or the identity (built once) when
+    it is None.
+    """
+    _check_route(route)
+    if route == "direct":
+        return [_distance_direct(rho, sigma, "rho", name) for name, sigma, _ in legs]
+    for name, value in (("rho", rho), *((name, sigma) for name, sigma, _ in legs)):
+        if not isinstance(value, ThermalSpec):
+            raise ConfigError(f"route 'via_work' needs declared Gibbs states; {name} is not a ThermalSpec")
+    identity = _identity_unitary(rho.hamiltonian.register)
+    return [relative_entropy_via_work(sigma, rho, identity if u is None else u) for _, sigma, u in legs]
+
+
+def _decide(s_left, s_right) -> tuple[np.ndarray, np.ndarray]:
     """Margin s_left - s_right and detection flag, elementwise over arrays.
 
-    Detection requires the margin to exceed ``epsilon``; when both sides are
-    infinite the margin is NaN and nothing is detected.
+    Detection requires the margin to exceed ``STRICTNESS_EPSILON``; when both
+    sides are infinite the margin is NaN and nothing is detected.
     """
     s_left, s_right = np.asarray(s_left, dtype=np.float64), np.asarray(s_right, dtype=np.float64)
     both_infinite = np.isinf(s_left) & np.isinf(s_right)
     with np.errstate(invalid="ignore"):
         margin = np.where(both_infinite, np.nan, s_left - s_right)
-        detected = ~both_infinite & (s_right < s_left - epsilon)
+        detected = ~both_infinite & (s_right < s_left - STRICTNESS_EPSILON)
     return margin, detected
 
 
-def _finish_report(
-    s_left: float, s_right: float, route: str, epsilon: float, metadata: dict | None
-) -> WitnessReport:
-    margin, detected = _decide(s_left, s_right, epsilon)
+def _finish_report(s_left: float, s_right: float, route: str, metadata: dict | None) -> WitnessReport:
+    margin, detected = _decide(s_left, s_right)
     return WitnessReport(
         s_left=float(s_left),
         s_right=float(s_right),
@@ -332,7 +367,6 @@ def witness_evaluate(
     route: str = "direct",
     *,
     evolution: UnitaryOperator | None = None,
-    strictness_epsilon: float = STRICTNESS_EPSILON,
     metadata: dict | None = None,
 ) -> WitnessReport:
     """Evaluate the witness for one candidate state.
@@ -344,22 +378,9 @@ def witness_evaluate(
     requires every slot to be a ThermalSpec; ``evolution`` (default:
     identity) is used for the sigma_ref -> rho leg.
     """
-    route = route.replace("-", "_")
-    if route == "direct":
-        s_left = _distance_direct(rho, sigma_ref, "rho", "sigma_ref")
-        s_right = _distance_direct(rho, rho_star, "rho", "rho_star")
-    elif route == "via_work":
-        for name, value in (("rho", rho), ("sigma_ref", sigma_ref), ("rho_star", rho_star)):
-            if not isinstance(value, ThermalSpec):
-                raise ConfigError(
-                    f"route 'via_work' needs declared Gibbs states; {name} is not a ThermalSpec"
-                )
-        identity = _identity_unitary(rho.hamiltonian.register)
-        s_left = relative_entropy_via_work(sigma_ref, rho, identity if evolution is None else evolution)
-        s_right = relative_entropy_via_work(rho_star, rho, identity)
-    else:
-        raise ValueError(f"route must be 'direct' or 'via_work', got {route!r}")
-    return _finish_report(s_left, s_right, route, strictness_epsilon, metadata)
+    legs = (("sigma_ref", sigma_ref, evolution), ("rho_star", rho_star, None))
+    s_left, s_right = _distances(route, rho, legs)
+    return _finish_report(s_left, s_right, route, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -497,20 +518,10 @@ def sweep_reference(
     )
 
 
-def _shared_sweep_state(grid: SweepGrid, reference: SweepReference, route: str) -> dict:
-    plogp = _plogp(reference.rho.eigenvalues)
-    if route == "direct":
-        if reference.rho_spec is not None and reference.sigma_spec is not None:
-            s_left = gibbs_relative_entropy(reference.sigma_spec, reference.rho_spec)
-        else:
-            s_left = relative_entropy(reference.rho, reference.sigma_ref)
-    else:
-        if reference.rho_spec is None or reference.sigma_spec is None:
-            raise ConfigError(
-                "route 'via_work' needs a sweep reference with thermal declarations"
-            )
-        identity = _identity_unitary(reference.rho_spec.hamiltonian.register)
-        s_left = relative_entropy_via_work(reference.sigma_spec, reference.rho_spec, identity)
+def _shared_sweep_state(grid: SweepGrid, reference: SweepReference) -> dict:
+    rho = reference.rho if reference.rho_spec is None else reference.rho_spec
+    sigma = reference.sigma_ref if reference.sigma_spec is None else reference.sigma_spec
+    (s_left,) = _distances(grid.route, rho, (("sigma_ref", sigma, None),))
     return {
         "n": grid.n,
         "coupling_j": grid.coupling_j,
@@ -518,10 +529,10 @@ def _shared_sweep_state(grid: SweepGrid, reference: SweepReference, route: str) 
         "b_values": grid.b_axis.values(),
         "t_values": grid.t_axis.values(),
         "rho": reference.rho.stacks,
-        "plogp_rho": plogp,
+        "plogp_rho": _plogp(reference.rho.eigenvalues),
         "s_left": float(s_left),
-        "route": route,
-        "rho_spec": reference.rho_spec if route == "via_work" else None,
+        "route": grid.route,
+        "rho_spec": reference.rho_spec if grid.route == "via_work" else None,
     }
 
 
@@ -572,15 +583,14 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
     for b_run in np.split(b_values, range(run, b_values.size, run)):
         field_energies = energies - b_run[:, None] * magnetization
         log_p = log_gibbs_weights(field_energies[:, None, :], (1.0 / t_values)[:, None])
-        planes.append(state["plogp_rho"] - log_p @ overlaps)
-    return nonnegative_entropy(np.concatenate(planes))
+        planes.append(_gibbs_cross_entropy(state["plogp_rho"], log_p, overlaps))
+    return np.concatenate(planes)
 
 
 def sweep_detection(
     grid: SweepGrid,
     reference: SweepReference,
     workers: int = 1,
-    strictness_epsilon: float = STRICTNESS_EPSILON,
 ) -> SweepGrid:
     """Evaluate the witness on every grid point against thermal chain states.
 
@@ -592,20 +602,16 @@ def sweep_detection(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    route = grid.route.replace("-", "_")
-    if route not in ("direct", "via_work"):
-        raise ValueError(f"route must be 'direct' or 'via-work', got {grid.route!r}")
-    shared = _shared_sweep_state(grid, reference, route)
+    shared = _shared_sweep_state(grid, reference)
     tasks = grid.jz_axis.values().tolist()
     planes = _map_tasks(_sweep_plane, tasks, workers, _sweep_worker_init, (shared,))
 
     s_right = np.stack(planes, axis=1)
-    margin, detected = _decide(shared["s_left"], s_right, strictness_epsilon)
+    margin, detected = _decide(shared["s_left"], s_right)
     for column in (s_right, margin, detected):
         column.setflags(write=False)
     return dataclasses.replace(
         grid,
-        route=route,
         s_left=shared["s_left"],
         s_right=s_right,
         margin=margin,

@@ -78,17 +78,15 @@ def embed_operator(register: QubitRegister, entries: np.ndarray, sites) -> np.nd
 
 def partial_trace_matrix(entries: np.ndarray, n: int, keep0: list[int]) -> np.ndarray:
     """Partial trace of a dense matrix over the complement of the 0-based
-    sites ``keep0``, kept in register order, by one einsum."""
+    sites ``keep0``, kept in the order ``keep0`` lists them, by one einsum."""
     k = len(keep0)
-    if k == n:
-        return entries.copy()
     traced = [s for s in range(n) if s not in keep0]
     tensor = entries.reshape((2,) * (2 * n))
     row = list(range(n))
     col = [row[s] if s in traced else n + s for s in range(n)]
     out = [row[s] for s in keep0] + [n + s for s in keep0]
     reduced = np.einsum(tensor, row + col, out)
-    return np.ascontiguousarray(reduced.reshape(2**k, 2**k))
+    return reduced.reshape(2**k, 2**k).copy()  # a permutation alone is a view
 
 
 def dense_xxz(params: XXZParams) -> HermitianOperator:

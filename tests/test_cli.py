@@ -242,6 +242,19 @@ def test_sweep_rejects_unknown_n(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_chain_size_that_is_not_an_int_names_its_type(tmp_path, capsys):
+    star = {"params": {"n": 3.0, "J": 1.0, "Jz": 0.0, "B": 0.5}, "temperature": 0.05}
+    for command, payload in (
+        ("sweep", {"n": 3.0, "grid": SMALL_GRID}),
+        ("witness", {"protocol": "three-qubit", "rho_star": star}),
+    ):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n must be an integer, got n=3.0 of type float" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "sample"])
 def test_an_inline_schedule_above_twelve_sites_is_a_config_error(tmp_path, capsys, command):
     chain = {"n": 13, "J": 1.0, "Jz": 0.0}
@@ -370,6 +383,22 @@ def test_cli_runs_without_scipy(tmp_path):
     assert code == 0
     assert read_json(tmp_path, "verify_report.json")["all_passed"] is True
     assert loaded == []
+
+
+def test_verify_reads_the_unitary_file_as_it_reads_a_config(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    missing = tmp_path / "missing.json"
+    for path, reason in ((missing, "No such file"), (broken, "parse error at line 1"), (tmp_path, "Is a directory")):
+        cfg = write_config(tmp_path, {"unitary_file": str(path)})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and reason in err
+    # open() would take an int as a file descriptor
+    cfg = write_config(tmp_path, {"unitary_file": 0})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "unitary_file: expected a file path" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_rejects_nonunitary_injection(tmp_path, capsys):

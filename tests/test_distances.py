@@ -113,6 +113,20 @@ def test_kernel_matches_the_einsum_oracle(n):
     assert abs(direct(w, spec) - dense_relative_entropy(w, thermal_state(spec))) <= 1e-12
 
 
+def test_every_direct_evaluator_refuses_states_on_different_registers():
+    # the analytic branch read rho's blocks by sigma's indices: an IndexError
+    # for a smaller rho, a false NumericalCheckError for a larger one
+    three, four = (ThermalSpec(build_xxz(XXZParams(n, 1.0, 0.2, 0.5)), 1.0) for n in (3, 4))
+    for rho, sigma in (
+        (three, four),
+        (thermal_state(three), four),
+        (thermal_state(four), three),
+        (thermal_state(three), thermal_state(four)),
+    ):
+        with pytest.raises(ValueError, match="same register"):
+            direct(rho, sigma)
+
+
 def test_direct_evaluators_reuse_the_spectrum_of_the_state_check(monkeypatch):
     rho, sigma = build_w_state(3), build_css(3)
     spec = ThermalSpec(build_xxz(XXZParams(3, 1.0, 0.3, 0.5)), 2.0)

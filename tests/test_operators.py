@@ -363,7 +363,7 @@ def test_pure_state_projector():
 
 # ---------------------------------------------------------------- traces
 
-# partial_trace_matrix keeps the 0-based sites it is given, in register order.
+# partial_trace_matrix keeps the 0-based sites it is given, in the order given.
 
 def test_partial_trace_product_recovery():
     a = np.diag([0.75, 0.25]).astype(complex)
@@ -388,6 +388,12 @@ def test_partial_trace_keep_order():
     joint = np.kron(np.diag([0.9, 0.1]), np.diag([0.6, 0.4])).astype(complex)
     kept = partial_trace_matrix(joint, 2, [0, 1])
     assert np.allclose(np.diag(kept).real, [0.54, 0.36, 0.06, 0.04])
+    # keeping both sites in swapped order permutes them: SWAP rho SWAP
+    rng = np.random.default_rng(5)
+    rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    assert np.array_equal(partial_trace_matrix(rho, 2, [1, 0]), swap @ rho @ swap)
+    assert not np.array_equal(swap @ rho @ swap, rho)
 
 
 # ---------------------------------------------------------------- stacked embedding and trace

@@ -1,5 +1,7 @@
 """Chain Hamiltonian construction and driving schedules."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,18 @@ def test_parameter_classes_refuse_booleans_and_strings(build, bad):
     # the one number rule of config files: a finite int or float, not a bool
     with pytest.raises(ValueError):
         build(bad)
+
+
+@pytest.mark.parametrize("n", [np.int64(7), 3.0, True, "3"], ids=["int64", "float", "bool", "str"])
+def test_chain_size_must_be_an_int_before_it_is_a_size(n):
+    message = f"n must be an integer, got n={n!r} of type {type(n).__name__}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        XXZParams(n, 1.0, 0.0, 0.0)
+
+
+def test_chain_size_below_two_is_a_size_problem():
+    with pytest.raises(ValueError, match="at least two sites"):
+        XXZParams(1, 1.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------- config

@@ -44,7 +44,7 @@ from entwit import (
     witness_evaluate,
     write_sweep_csv,
 )
-from entwit.witness import FINAL_FIELD, STRICTNESS_EPSILON, _decide, _finish_report
+from entwit.witness import FINAL_FIELD, _decide, _finish_report
 
 from csv_oracle import legacy_sweep_csv
 from dense_oracle import dense_xxz, dicke_state, pure_state, smallest_partial_transpose_eigenvalue
@@ -330,7 +330,7 @@ def test_witness_via_work_route():
     proto = detection_protocol(3)
     direct = witness_evaluate(proto.final_spec, proto.initial_spec, proto.initial_spec)
     via = witness_evaluate(
-        proto.final_spec, proto.initial_spec, proto.initial_spec, route="via-work"
+        proto.final_spec, proto.initial_spec, proto.initial_spec, route="via_work"
     )
     assert via.route == "via_work"
     assert abs(via.s_left - direct.s_left) < 1e-8
@@ -345,12 +345,27 @@ def test_witness_via_work_needs_thermal_slots():
         )
 
 
-def test_witness_strictness_epsilon():
+def test_witness_takes_only_the_library_route_names():
+    proto = detection_protocol(3)
+    specs = (proto.final_spec, proto.initial_spec, proto.initial_spec)
+    for route in ("via-work", "bogus"):
+        with pytest.raises(ValueError, match="'via_work'"):
+            witness_evaluate(*specs, route=route)
+        with pytest.raises(ValueError, match="'via_work'"):
+            sweep_detection(small_grid(route=route), sweep_reference(3, thermal=True))
+
+
+def test_witness_strictness_epsilon(monkeypatch):
     sigma = build_css(3)
-    loose = witness_evaluate(build_w_state(3), sigma, sigma, strictness_epsilon=-1.0)
-    assert loose.detected  # a negative epsilon turns ties into detections
     strict = witness_evaluate(build_w_state(3), sigma, sigma)
     assert not strict.detected
+    monkeypatch.setattr(entwit.witness, "STRICTNESS_EPSILON", -2.0)
+    loose = witness_evaluate(build_w_state(3), sigma, sigma)
+    assert loose.detected  # a negative epsilon turns ties into detections
+    # near T = 1000, s_right is about S(W_3 || I/8) = ln 8, within 2 of ln(9/4);
+    # the real epsilon detects nothing there
+    swept = sweep_detection(small_grid(t_axis=GridAxis(1000.0, 1000.0, 1.0)), sweep_reference(3))
+    assert swept.detected.all()
 
 
 def test_witness_double_infinity_is_nan_margin():
@@ -460,6 +475,25 @@ def test_sweep_matches_single_point_evaluations():
         assert abs(done.margin[i, j, k] - single.margin) < 1e-10
         assert done.detected[i, j, k] == single.detected
         assert done.s_left == single.s_left
+
+
+@pytest.mark.parametrize("thermal", [False, True], ids=["ideal", "thermal"])
+@pytest.mark.parametrize("route", ["direct", "via_work"])
+def test_sweep_s_left_is_the_witness_s_left_bit_for_bit(route, thermal):
+    grid = small_grid(route=route)
+    reference = sweep_reference(3, thermal=thermal)
+    rho = reference.rho if reference.rho_spec is None else reference.rho_spec
+    sigma = reference.sigma_ref if reference.sigma_spec is None else reference.sigma_spec
+    rho_star = ThermalSpec(build_xxz(XXZParams(3, 1.0, 0.0, 0.5)), 20.0)
+    if route == "via_work" and not thermal:
+        # both refuse dense reference states on the work route
+        with pytest.raises(ConfigError, match="not a ThermalSpec"):
+            sweep_detection(grid, reference)
+        with pytest.raises(ConfigError, match="not a ThermalSpec"):
+            witness_evaluate(rho, sigma, rho_star, route)
+        return
+    single = witness_evaluate(rho, sigma, rho_star, route)
+    assert sweep_detection(grid, reference).s_left == single.s_left
 
 
 def test_sweep_detects_at_the_reference_point():
@@ -596,12 +630,12 @@ def test_write_sweep_csv(tmp_path):
 
 
 def test_both_infinite_distances_give_nan_margin_and_no_detection(tmp_path):
-    report = _finish_report(math.inf, math.inf, "direct", STRICTNESS_EPSILON, None)
+    report = _finish_report(math.inf, math.inf, "direct", None)
     assert math.isnan(report.margin) and report.detected is False
     grid = small_grid()
     s_right = np.full(grid.shape, math.inf)
     s_right[..., 0] = 1.0
-    margin, detected = _decide(math.inf, s_right, STRICTNESS_EPSILON)
+    margin, detected = _decide(math.inf, s_right)
     assert np.isnan(margin[..., 1:]).all() and not detected[..., 1:].any()
     assert (margin[..., 0] == math.inf).all() and detected[..., 0].all()
     done = dataclasses.replace(
@@ -644,7 +678,7 @@ def test_write_sweep_csv_formats_signed_zeros_infinities_and_nans(tmp_path, s_le
     grid = small_grid()
     specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5, 0.1]
     s_right = np.resize(np.array(specials), grid.shape)
-    margin, detected = _decide(s_left, s_right, STRICTNESS_EPSILON)
+    margin, detected = _decide(s_left, s_right)
     done = dataclasses.replace(grid, s_left=s_left, s_right=s_right, margin=margin, detected=detected)
     assert_matches_legacy_csv(done, tmp_path)
     text = (tmp_path / "sweep.csv").read_text()
