@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -28,6 +29,8 @@ from .operators import (
     QubitRegister,
     UnitaryOperator,
     density_from_json,
+    restrict,
+    shared_blocks,
     unitary_from_json,
 )
 from .spin_models import build_xxz, check_keys, config_number, schedule_from_config, xxz_params_from_config
@@ -263,9 +266,16 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def _ensure_out(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
+@contextlib.contextmanager
+def _output_dir(out: str):
+    """``out``, made if it is missing, for the writes of the block: an
+    OSError from making it or writing into it is a ConfigError naming the
+    path."""
+    try:
+        os.makedirs(out, exist_ok=True)
+        yield out
+    except OSError as err:
+        raise ConfigError(f"{err.filename or out}: {err.strerror or err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +319,11 @@ def _run_witness(args) -> int:
         ),
         metadata=metadata,
     )
-    out = _ensure_out(args)
-    _write_json(
-        os.path.join(out, "witness_report.json"),
-        {"command": "witness", "config": cfg, "report": report.to_json_dict()},
-    )
+    with _output_dir(args.out) as out:
+        _write_json(
+            os.path.join(out, "witness_report.json"),
+            {"command": "witness", "config": cfg, "report": report.to_json_dict()},
+        )
     return EXIT_OK if report.detected else EXIT_NOT_DETECTED
 
 
@@ -373,16 +383,12 @@ def _run_sweep(args) -> int:
         raise ConfigError(f"{file}: {err}") from err
     workers = _resolve_workers(args)
     result = sweep_detection(grid, reference, workers=workers)
-    out = _ensure_out(args)
-    write_sweep_csv(result, os.path.join(out, "sweep.csv"))
-    _write_json(
-        os.path.join(out, "sweep_meta.json"),
-        {
-            "command": "sweep",
-            "config": cfg,
-            "grid": sweep_metadata(result, reference),
-        },
-    )
+    with _output_dir(args.out) as out:
+        write_sweep_csv(result, os.path.join(out, "sweep.csv"))
+        _write_json(
+            os.path.join(out, "sweep_meta.json"),
+            {"command": "sweep", "config": cfg, "grid": sweep_metadata(result, reference)},
+        )
     return EXIT_OK if result.detected.any() else EXIT_NOT_DETECTED
 
 
@@ -393,7 +399,14 @@ def _haar_unitary(register: QubitRegister, seed: int) -> UnitaryOperator:
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
-    return UnitaryOperator(register, q * phases[None, :])
+    return UnitaryOperator(register, [(np.arange(dim)[None, :], (q * phases[None, :])[None])])
+
+
+def _largest_difference(a: UnitaryOperator, b: UnitaryOperator) -> float:
+    """max |a - b| over every entry, taken on the blocks both are made of:
+    between those blocks both are 0."""
+    blocks = shared_blocks(a.register.n, a.stacks, b.stacks)
+    return max(float(np.abs(restrict(a.stacks, i) - restrict(b.stacks, i)).max()) for i in blocks)
 
 
 def _run_verify(args) -> int:
@@ -429,13 +442,13 @@ def _run_verify(args) -> int:
 
     checks: list[dict] = []
 
-    def record(name: str, value: float, tolerance: float, detail: str) -> None:
+    def record(name: str, value: float | None, tolerance: float, detail: str) -> None:
         checks.append(
             {
                 "name": name,
                 "value": value,
                 "tolerance": tolerance,
-                "passed": bool(value <= tolerance),
+                "passed": None if value is None else bool(value <= tolerance),  # None: skipped
                 "detail": detail,
             }
         )
@@ -508,31 +521,18 @@ def _run_verify(args) -> int:
 
     try:
         u_exact = exact_evolution(schedule)
-        u_mid = trotter_evolution(schedule, sampling="midpoint")
-        trotter_dev = float(np.abs(u_mid.entries - u_exact.entries).max())
-        record(
-            "trotter_vs_exact",
-            trotter_dev,
-            1e-4,
-            "midpoint product vs closed-form evolution",
-        )
+        trotter_dev = _largest_difference(trotter_evolution(schedule, sampling="midpoint"), u_exact)
+        detail = "midpoint product vs closed-form evolution"
     except NumericalCheckError:
-        checks.append(
-            {
-                "name": "trotter_vs_exact",
-                "value": None,
-                "tolerance": 1e-4,
-                "passed": None,
-                "detail": "skipped: protocol Hamiltonians do not commute",
-            }
-        )
+        trotter_dev, detail = None, "skipped: protocol Hamiltonians do not commute"
+    record("trotter_vs_exact", trotter_dev, 1e-4, detail)
 
     all_passed = all(c["passed"] is not False for c in checks)
-    out = _ensure_out(args)
-    _write_json(
-        os.path.join(out, "verify_report.json"),
-        {"command": "verify", "config": cfg, "checks": checks, "all_passed": all_passed},
-    )
+    with _output_dir(args.out) as out:
+        _write_json(
+            os.path.join(out, "verify_report.json"),
+            {"command": "verify", "config": cfg, "checks": checks, "all_passed": all_passed},
+        )
     for check in checks:
         status = {True: "pass", False: "FAIL", None: "skip"}[check["passed"]]
         print(f"{check['name']}: {status}")
@@ -577,11 +577,11 @@ def _run_sample(args) -> int:
     count = cfg.get("count", 100000)
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ConfigError(f"{file}: count: expected a positive integer, got {count!r}")
-    # the draws' columns alone: a count refused here cannot fit
+    # refused before any spectrum or unitary is built
     needed, budget = TRAJECTORY_BYTES * count, memory_budget()
     if needed > budget:
         raise ConfigError(
-            f"{file}: count: {count} draws need at least {needed} bytes, "
+            f"{file}: count: {count} draws need about {needed} bytes, "
             f"more than the memory budget of {budget} bytes"
         )
     sampling = _sampling_from_config(cfg, file)
@@ -598,21 +598,21 @@ def _run_sample(args) -> int:
         args.seed,
         workers=workers,
     )
-    out = _ensure_out(args)
-    _write_trajectories(os.path.join(out, "trajectories.csv"), batch, 2**protocol.schedule.n)
-    _write_json(
-        os.path.join(out, "sample_summary.json"),
-        {
-            "command": "sample",
-            "config": cfg,
-            "count": summary.count,
-            "exact": summary.exact,
-            "mean": summary.mean,
-            "seed": args.seed,
-            "stderr": summary.stderr,
-            "z_score": summary.z_score,
-        },
-    )
+    with _output_dir(args.out) as out:
+        _write_trajectories(os.path.join(out, "trajectories.csv"), batch, 2**protocol.schedule.n)
+        _write_json(
+            os.path.join(out, "sample_summary.json"),
+            {
+                "command": "sample",
+                "config": cfg,
+                "count": summary.count,
+                "exact": summary.exact,
+                "mean": summary.mean,
+                "seed": args.seed,
+                "stderr": summary.stderr,
+                "z_score": summary.z_score,
+            },
+        )
     return EXIT_OK
 
 
@@ -635,6 +635,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if "route" in args:
             args.route = ROUTES[args.route]
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError(f"{args.out}: exists and is not a directory")
         runner = {
             "witness": _run_witness,
             "sweep": _run_sweep,

@@ -29,11 +29,11 @@ Trotter product, commutation check and transition probabilities (in
 
 A ``SpectralDecomposition`` keeps the eigenvectors of each block, with the
 position of each block eigenvalue in the ascending spectrum; the transition
-probabilities merge the blocks into one only for a unitary that mixes
-sectors.  ``spectral_function`` is the package's one V f(w) V^dag, taken
-block by block: Gibbs states and the open system's weight operator come
-from it.  Propagators do not: every one is a product of
-``work_stats.ordered_product``.
+probabilities of a unitary that mixes sectors multiply its whole-register
+block by them block by block, and merge no blocks.  ``spectral_function``
+is the package's one V f(w) V^dag, taken block by block: Gibbs states and
+the open system's weight operator come from it.  Propagators do not: every
+one is a product of ``work_stats.ordered_product``.
 
 ``checked_eigh`` and ``check_unitary`` work on any square block or stack of
 blocks, so the containers here and the ordered product hold the same

@@ -164,17 +164,16 @@ def _warn_if_warm(n: int, beta: float, coupling_j: float) -> None:
         )
 
 
-def reference_params(n: int, beta: float, coupling_j: float = 1.0, boundary: str = "periodic") -> XXZParams:
-    """Chain parameters whose Gibbs state at ``beta`` is ``reference_state(n)``
-    to many digits once beta is large.
+def reference_params(n: int, beta: float, coupling_j: float = 1.0) -> XXZParams:
+    """Parameters of the periodic ring whose Gibbs state at ``beta`` is
+    ``reference_state(n)`` to many digits once beta is large.
 
     At n = 3 a Jz term shapes css_3.  For n >= 4, Jz = 0 and
     B = J + ln(p_0 / p_W) / (2 beta), which sets the weights of |0...0> and
     W_n; every other level sits at least 4 J (1 - cos(pi/n)) above W_n.  No
     field makes W_n the ground state for J <= 0, which raises ValueError.
     W_n is an eigenstate of the periodic ring only (the open chain's final
-    ground state overlaps it by 0.947, 0.929 and 0.903 at n = 4, 5 and 7),
-    so any other boundary raises ValueError too.
+    ground state overlaps it by 0.947, 0.929 and 0.903 at n = 4, 5 and 7).
 
     The real limit is the protocol's final side: at beta = 100 and J = 1 its
     Gibbs state holds weight 1.1e-7 outside W_n at n = 7, 1.2e-5 at n = 9,
@@ -189,11 +188,6 @@ def reference_params(n: int, beta: float, coupling_j: float = 1.0, boundary: str
         raise ValueError(f"beta must be positive, got {beta}")
     if not coupling_j > 0:
         raise ValueError(f"the reference protocol needs J > 0, got J={coupling_j!r}")
-    if boundary != "periodic":
-        raise ValueError(
-            f"the reference protocol needs the periodic ring, got boundary={boundary!r}: "
-            "W_n is not an eigenstate of the open chain"
-        )
     _warn_if_warm(n, beta, coupling_j)
     if n == 3:
         jz = (2.0 * coupling_j - math.log(3.0) / beta) / 4.0
@@ -202,7 +196,7 @@ def reference_params(n: int, beta: float, coupling_j: float = 1.0, boundary: str
         jz = 0.0
         ratio = (n ** (n - 1) - (n - 1) ** (n - 1)) / (n - 1) ** (n - 1)
         field = math.log(ratio) / (2.0 * beta) + coupling_j
-    return XXZParams(n=n, J=coupling_j, Jz=jz, B=field, boundary=boundary)
+    return XXZParams(n=n, J=coupling_j, Jz=jz, B=field)
 
 
 @dataclass(frozen=True)
@@ -223,22 +217,15 @@ class DetectionProtocol:
         return ThermalSpec(build_xxz(self.schedule.final), self.beta)
 
 
-def detection_protocol(
-    n: int,
-    beta: float = 100.0,
-    coupling_j: float = 1.0,
-    t_f: float = 1.0,
-    steps: int = 1000,
-    boundary: str = "periodic",
-) -> DetectionProtocol:
+def detection_protocol(n: int, beta: float = 100.0, coupling_j: float = 1.0) -> DetectionProtocol:
     """The standard witness protocol on the periodic ring of n qubits,
-    3 <= n <= 12: from ``reference_params`` (which raises for another
-    boundary) to J, Jz = 0 and a final field in the window
+    3 <= n <= 12, over the schedule's default t_f = 1 in 1,000 steps: from
+    ``reference_params`` to J, Jz = 0 and a final field in the window
     J (2 cos(pi/n) - 1) < B < J where W_n is the ground state."""
-    initial = reference_params(n, beta, coupling_j, boundary)
+    initial = reference_params(n, beta, coupling_j)
     final_field = coupling_j * FINAL_FIELD.get(n, math.cos(math.pi / n))
-    final = XXZParams(n=n, J=coupling_j, Jz=0.0, B=final_field, boundary=boundary)
-    schedule = DrivingSchedule(initial=initial, final=final, t_f=t_f, steps=steps)
+    final = XXZParams(n=n, J=coupling_j, Jz=0.0, B=final_field)
+    schedule = DrivingSchedule(initial=initial, final=final)
     return DetectionProtocol(schedule=schedule, beta=beta)
 
 
@@ -387,9 +374,10 @@ def witness_evaluate(
 # Parameter-space sweeps
 
 
-# Result bytes per sweep point: the per-Jz planes and the stacked s_right
-# (8 B each), the margin (8 B) and the detection flag (1 B).
-SWEEP_POINT_BYTES = 25
+# Peak bytes per point of ``entwit sweep`` (result planes and columns, writer
+# rows): the tracemalloc peak of cli.main read 33.1-33.5 B per point at 79,300
+# and 793,000 points of an n = 3 grid, plus a quarter.
+SWEEP_POINT_BYTES = 42
 
 
 def memory_budget() -> int:
@@ -504,11 +492,17 @@ def sweep_reference(
     ``reference_state(n)``, which need no chain (so any boundary), or with
     ``thermal=True`` the Gibbs states of ``detection_protocol``'s endpoints
     at ``beta``, which is what the work-statistics route requires; those
-    exist on the periodic ring only."""
+    exist on the periodic ring only, so another ``boundary`` raises
+    ValueError."""
     if not thermal:
         sigma = reference_state(n)  # checks n before the W state is built
         return SweepReference(build_w_state(n), sigma, description="ideal reference states")
-    protocol = detection_protocol(n, beta=beta, coupling_j=coupling_j, boundary=boundary)
+    if boundary != "periodic":
+        raise ValueError(
+            f"the reference protocol needs the periodic ring, got boundary={boundary!r}: "
+            "W_n is not an eigenstate of the open chain"
+        )
+    protocol = detection_protocol(n, beta=beta, coupling_j=coupling_j)
     return SweepReference(
         rho=thermal_state(protocol.final_spec),
         sigma_ref=thermal_state(protocol.initial_spec),

@@ -10,12 +10,13 @@ ratios for *any* unitary:
     <exp(-(beta_f E_f - beta_i E_i))>   = Z_f(beta_f)/Z_i(beta_i)
 
 Both spectra keep their S^z blocks, and U stores only its blocks
-(``UnitaryOperator.stacks``).  q is formed per block of their common
-partition: the S^z sectors when all three are split into them, so q vanishes
-between sectors, or the whole register as one block when any of them mixes
-sectors (a Haar unitary, say).  ``TransitionMatrix`` holds and checks the
-blocks, and the work average, the work distribution and the sampler read
-them.
+(``UnitaryOperator.stacks``).  q is formed per S^z sector when all three are
+split into them, so q vanishes between sectors.  When any of them mixes
+sectors (a Haar unitary, say), q is one whole-register block, made from U on
+the whole register (its one stored block, for such a U) and each block of
+the two spectra's eigenvectors: no merged eigenvector matrix is built.
+``TransitionMatrix`` holds and checks the blocks, and the work average, the
+work distribution and the sampler read them.
 
 Every average is evaluated per-term in log space, from the log Gibbs weights
 of ``thermo.log_gibbs_weights`` and one ``thermo.logsumexp`` over the (m, n)
@@ -68,8 +69,10 @@ from .thermo import ThermalSpec, log_gibbs_weights, logsumexp, weighted_energy
 STOCHASTICITY_ATOL = 1e-10
 COMMUTATION_ATOL = 1e-9
 SAMPLE_BLOCK = 16384
-# Bytes per sampled trajectory in a TrajectoryBatch: six 8-byte columns.
-TRAJECTORY_BYTES = 48
+# Peak bytes per draw of ``entwit sample`` (the batch's six 8-byte columns and
+# temporaries): the tracemalloc peak of cli.main read 72.1-73.5 B per draw at
+# 2e5 and 1e6 draws of the three- and seven-qubit protocols, plus a quarter.
+TRAJECTORY_BYTES = 92
 # ordered_product exponentiates up to STEP_CHUNK runs of equal slices per group
 # in one batched call, and at most CHUNK_ENTRIES matrix entries at a time.
 STEP_CHUNK = 32
@@ -144,17 +147,6 @@ class TransitionMatrix:
         return sums
 
 
-def _whole_register(spectrum: SpectralDecomposition) -> tuple:
-    """The spectrum's blocks merged into one, the whole register, whose
-    eigenvector column j belongs to level j."""
-    dim = spectrum.dim
-    vectors = np.zeros((dim, dim), dtype=np.result_type(*(v for _, _, v in spectrum.stacks)))
-    for indices, levels, v in spectrum.stacks:
-        vectors[indices[:, :, None], levels[:, None, :]] = v
-    everything = np.arange(dim)[None, :]
-    return ((everything, everything, vectors[None]),)
-
-
 def _same_blocks(a: Sequence[tuple], b: Sequence[tuple]) -> bool:
     return len(a) == len(b) and all(np.array_equal(x[0], y[0]) for x, y in zip(a, b))
 
@@ -164,19 +156,28 @@ def _transition_from_spectra(
     final: SpectralDecomposition,
     u: UnitaryOperator,
 ) -> TransitionMatrix:
-    """q from V_f,b^dag U_bb V_i,b on every block b of the common partition
-    of both spectra and U: their S^z sectors when all three have them, else
-    the whole register as one block (a Haar unitary, say)."""
-    spectra, u_stacks = (initial.stacks, final.stacks), u.stacks
-    if not all(_same_blocks(stacks, u_stacks) for stacks in spectra):
-        spectra = (_whole_register(initial), _whole_register(final))
-        everything = np.arange(u.dim)[None, :]
-        u_stacks = ((everything, restrict(u.stacks, everything).astype(np.complex128, copy=False)),)
-    stacks = []
-    for (_, columns, v_initial), (_, rows, v_final), (_, u_blocks) in zip(*spectra, u_stacks):
-        amplitudes = v_final.conj().swapaxes(-1, -2) @ u_blocks @ v_initial
-        stacks.append((rows, columns, np.abs(amplitudes) ** 2))
-    return TransitionMatrix(tuple(stacks), initial, final)
+    """q from V_f,b^dag U_bb V_i,b on every block b when both spectra and U
+    share their blocks (the S^z sectors).  Otherwise (a Haar unitary, say) q
+    is one whole-register block, levels in order: U's column panels on each
+    block of the initial spectrum times its eigenvectors give U V_i, and each
+    block of V_f^dag times U V_i's row panels gives q's rows of its levels."""
+    if all(_same_blocks(spectrum.stacks, u.stacks) for spectrum in (initial, final)):
+        stacks = [
+            (rows, columns, np.abs(v_final.conj().swapaxes(-1, -2) @ u_blocks @ v_initial) ** 2)
+            for (_, columns, v_initial), (_, rows, v_final), (_, u_blocks) in zip(
+                initial.stacks, final.stacks, u.stacks
+            )
+        ]
+        return TransitionMatrix(tuple(stacks), initial, final)
+    everything = np.arange(u.dim)[None, :]
+    (u_whole,) = restrict(u.stacks, everything)
+    u_v = np.empty((u.dim, u.dim), np.result_type(u_whole, *(v for _, _, v in initial.stacks)))
+    for indices, levels, v in initial.stacks:
+        u_v[:, levels] = (u_whole[:, indices].transpose(1, 0, 2) @ v).transpose(1, 0, 2)
+    q = np.empty((u.dim, u.dim))
+    for indices, levels, v in final.stacks:
+        q[levels] = np.abs(v.conj().swapaxes(-1, -2) @ u_v[indices]) ** 2
+    return TransitionMatrix(((everything, everything, q[None]),), initial, final)
 
 
 # A measured Hamiltonian, or its spectral decomposition when the caller holds

@@ -12,6 +12,8 @@ of ln <exp(-beta W)> (Tasaki, cond-mat/0009244), and the agreement of the
 direct and work routes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,23 @@ def test_blocked_transitions_match_the_dense_oracle(n, seed, conserving, betas):
     assert np.array_equal(batch.m_index, m_index)
     assert np.abs(batch.energy_initial - e_initial[n_index]).max() <= 1e-12
     assert np.abs(batch.energy_final - e_final[m_index]).max() <= 1e-12
+
+
+def test_a_whole_register_transition_merges_no_eigenvectors():
+    # per register entry, U V_i takes 16 B and q 8 B, and one stack's panels
+    # about 14 B more at n = 10 (38.5 B in all); two merged real eigenvector
+    # matrices and their products put the peak at 64 B
+    n = 10
+    spectra = [spectral_decompose(build_xxz(XXZParams(n, 1.0, jz, b))) for jz, b in ((0.3, 1.2), (0.0, 0.5))]
+    u = random_unitary(n, np.random.default_rng(5), conserving=False)
+    tracemalloc.start()
+    try:
+        tm = transition_matrix(*spectra, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tm.stacks) == 1
+    assert peak < 48 * 4**n
 
 
 @pytest.mark.parametrize("conserving", [True, False])

