@@ -16,8 +16,7 @@ from entwit import (
     UnitaryOperator,
     detection_protocol,
     exact_evolution,
-    log_jarzynski_average,
-    log_tasaki_average,
+    log_work_average,
     transition_matrix,
     trotter_evolution,
     work_distribution,
@@ -27,21 +26,24 @@ proto = detection_protocol(3)
 h_i = proto.initial_spec.hamiltonian
 h_f = proto.final_spec.hamiltonian
 beta = proto.beta
+# the two measured eigenbases; each drive below is measured once between them
+s_i = proto.initial_spec.spectrum
+s_f = proto.final_spec.spectrum
 
 expected = ThermalSpec(h_f, beta).log_partition - ThermalSpec(h_i, beta).log_partition
 print("ln(Z_f/Z_i)                    =", expected)
 
 # the protocol's own unitary
-u = exact_evolution(proto.schedule)
-print("log average, exact evolution   =", log_jarzynski_average(beta, h_i, h_f, u))
+exact = transition_matrix(s_i, s_f, exact_evolution(proto.schedule))
+print("log average, exact evolution   =", log_work_average(exact, beta, beta))
 
 # a Trotterized version of the same drive
-u_trot = trotter_evolution(proto.schedule)
-print("log average, Trotter evolution =", log_jarzynski_average(beta, h_i, h_f, u_trot))
+trotter = transition_matrix(s_i, s_f, trotter_evolution(proto.schedule))
+print("log average, Trotter evolution =", log_work_average(trotter, beta, beta))
 
 # no evolution at all: still the same average
-ident = UnitaryOperator(QubitRegister(3), np.eye(8))
-print("log average, sudden quench     =", log_jarzynski_average(beta, h_i, h_f, ident))
+quench = transition_matrix(s_i, s_f, UnitaryOperator(QubitRegister(3), np.eye(8)))
+print("log average, sudden quench     =", log_work_average(quench, beta, beta))
 
 # protocol independence in bulk: random unitaries
 rng = np.random.default_rng(0)
@@ -50,25 +52,25 @@ for _ in range(10):
     z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     q, r = np.linalg.qr(z)
     u_rand = UnitaryOperator(QubitRegister(3), q * (np.diag(r) / np.abs(np.diag(r)))[None, :])
-    devs.append(abs(log_jarzynski_average(beta, h_i, h_f, u_rand) - expected))
+    devs.append(abs(log_work_average(transition_matrix(s_i, s_f, u_rand), beta, beta) - expected))
 print("worst deviation over 10 random unitaries:", max(devs))
 
 # the transition matrix behind the averages is doubly stochastic; it is
 # held as its S^z blocks, and q vanishes between them
-tm = transition_matrix(h_i, h_f, u_trot)
-print("\ntransition matrix column sums:", np.round(tm.column_sums, 12))
+print("\ntransition matrix column sums:", np.round(trotter.column_sums, 12))
 
-# different preparation and measurement temperatures
+# different preparation and measurement temperatures, from the same matrix
 expected2 = ThermalSpec(h_f, beta / 2).log_partition - ThermalSpec(h_i, beta).log_partition
-got2 = log_tasaki_average(beta, beta / 2, h_i, h_f, u)
+got2 = log_work_average(exact, beta, beta / 2)
 print("\ntwo-temperature identity: expected", expected2, "got", got2)
 
-# the full work distribution at moderate temperature
-warm_i = ThermalSpec(h_i, 1.0)
-warm_f = ThermalSpec(h_f, 1.0)
-wd = work_distribution(warm_i, warm_f, u)
+# the full work distribution at moderate temperature: the same spectra, so
+# the same matrix
+warm_i = ThermalSpec.with_spectrum(h_i, 1.0, s_i)
+warm_f = ThermalSpec.with_spectrum(h_f, 1.0, s_f)
+wd = work_distribution(warm_i, warm_f, exact)
 print("\nwork distribution at beta=1:")
 print("  outcomes  :", len(wd.probability))
 print("  <W>       :", wd.mean_work())
-print("  ln<e^{-W}>:", log_jarzynski_average(1.0, warm_i.spectrum, warm_f.spectrum, u))
+print("  ln<e^{-W}>:", log_work_average(exact, 1.0, 1.0))
 print("  -Delta F  :", warm_i.free_energy - warm_f.free_energy, "(Jensen: <W> >= Delta F)")

@@ -15,6 +15,7 @@ import argparse
 import atexit
 import contextlib
 import dataclasses
+import errno
 import functools
 import gc
 import json
@@ -54,9 +55,9 @@ from .work_stats import (
     TRAJECTORY_BYTES,
     TrajectoryBatch,
     exact_evolution,
-    log_jarzynski_average,
-    log_tasaki_average,
+    log_work_average,
     sample_tpm,
+    transition_matrix,
     trotter_evolution,
 )
 
@@ -266,6 +267,21 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
+def _check_out(out: str) -> None:
+    """Refuse, before any work, an ``out`` that is not a directory or whose
+    nearest existing ancestor is not one; the error names the path that
+    ``os.makedirs`` would fail on, as ``_output_dir`` does."""
+    if os.path.exists(out):
+        if not os.path.isdir(out):
+            raise ConfigError(f"{out}: exists and is not a directory")
+        return
+    missing, parent = out, os.path.dirname(out.rstrip(os.sep))
+    while parent and not os.path.exists(parent):
+        missing, parent = parent, os.path.dirname(parent)
+    if parent and not os.path.isdir(parent):
+        raise ConfigError(f"{missing}: {os.strerror(errno.ENOTDIR)}")
+
+
 @contextlib.contextmanager
 def _output_dir(out: str):
     """``out``, made if it is missing, for the writes of the block: an
@@ -418,7 +434,7 @@ def _run_verify(args) -> int:
     protocol = _protocol_from_config(cfg.get("protocol", "three-qubit"), beta, anchor)
     schedule = protocol.schedule
     register = QubitRegister(schedule.n)
-    # every work average below reuses these two spectra
+    # every drive below is measured once, between these two spectra
     h_initial = protocol.initial_spec.spectrum
     h_final = protocol.final_spec.spectrum
 
@@ -453,8 +469,10 @@ def _run_verify(args) -> int:
             }
         )
 
+    def log_average(u: UnitaryOperator) -> float:
+        return log_work_average(transition_matrix(h_initial, h_final, u), beta, beta)
+
     u_trotter = trotter_evolution(schedule)
-    identity = _identity_unitary(register)
     record(
         "unitarity",
         u_trotter.deviation,
@@ -463,7 +481,8 @@ def _run_verify(args) -> int:
     )
 
     expected = -delta_beta_f(protocol.initial_spec, protocol.final_spec)
-    log_trotter = log_jarzynski_average(beta, h_initial, h_final, u_trotter)
+    trotter = transition_matrix(h_initial, h_final, u_trotter)
+    log_trotter = log_work_average(trotter, beta, beta)
     jarzynski_dev = abs(log_trotter - expected)
     record(
         "jarzynski",
@@ -476,10 +495,7 @@ def _run_verify(args) -> int:
         protocol.final_spec.hamiltonian, beta / 2.0, h_final
     )
     expected_cross = half_spec.log_partition - protocol.initial_spec.log_partition
-    tasaki_dev = abs(
-        log_tasaki_average(beta, beta / 2.0, h_initial, h_final, u_trotter)
-        - expected_cross
-    )
+    tasaki_dev = abs(log_work_average(trotter, beta, beta / 2.0) - expected_cross)
     record(
         "tasaki",
         tasaki_dev,
@@ -487,17 +503,12 @@ def _run_verify(args) -> int:
         "cross-temperature log average vs its partition ratio",
     )
 
-    base = log_jarzynski_average(beta, h_initial, h_final, identity)
+    quench = transition_matrix(h_initial, h_final, _identity_unitary(register))
+    base = log_work_average(quench, beta, beta)
     protocol_dev = abs(log_trotter - base)
     if external_u is not None:
-        protocol_dev = max(
-            protocol_dev,
-            abs(log_jarzynski_average(beta, h_initial, h_final, external_u) - base),
-        )
-    haar_dev = abs(
-        log_jarzynski_average(beta, h_initial, h_final, _haar_unitary(register, args.seed))
-        - base
-    )
+        protocol_dev = max(protocol_dev, abs(log_average(external_u) - base))
+    haar_dev = abs(log_average(_haar_unitary(register, args.seed)) - base)
     record(
         "protocol_independence",
         max(protocol_dev, haar_dev),
@@ -590,14 +601,9 @@ def _run_sample(args) -> int:
     if evolution is None:
         evolution = _identity_unitary(QubitRegister(protocol.schedule.n))
     workers = _resolve_workers(args)
-    batch, summary = sample_tpm(
-        protocol.initial_spec,
-        protocol.final_spec,
-        evolution,
-        count,
-        args.seed,
-        workers=workers,
-    )
+    initial, final = protocol.initial_spec, protocol.final_spec
+    tm = transition_matrix(initial.spectrum, final.spectrum, evolution)
+    batch, summary = sample_tpm(initial, final, tm, count, args.seed, workers=workers)
     with _output_dir(args.out) as out:
         _write_trajectories(os.path.join(out, "trajectories.csv"), batch, 2**protocol.schedule.n)
         _write_json(
@@ -635,8 +641,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if "route" in args:
             args.route = ROUTES[args.route]
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise ConfigError(f"{args.out}: exists and is not a directory")
+        _check_out(args.out)
         runner = {
             "witness": _run_witness,
             "sweep": _run_sweep,

@@ -72,7 +72,7 @@ from .operators import (
 from .spin_models import DrivingSchedule, XXZParams, _bonds, chain_pieces, is_number, params_at, xxz_pieces
 from .thermo import ThermalSpec, thermal_state, weighted_energy
 from .witness import StateOrSpec, WitnessReport, _check_route, _distances, _finish_report, _identity_unitary
-from .work_stats import log_jarzynski_average, ordered_product, schedule_coefficients
+from .work_stats import log_work_average, ordered_product, schedule_coefficients, transition_matrix
 
 # Smallest eigenvalue of the bath-traced weight operator that still leaves
 # log() with usable precision; anything below means the temperature is too
@@ -303,7 +303,8 @@ def open_witness(
         u_full = evolution if evolution is not None else _identity_unitary(initial.register)
         if u_full.register != initial.register:
             raise ConfigError("evolution must act on the full register")
-        log_average = log_jarzynski_average(initial.beta, full_initial, full_final, u_full)
+        tm = transition_matrix(full_initial, full_final, u_full)
+        log_average = log_work_average(tm, initial.beta, initial.beta)
         s_left = -weighted_energy(spec_initial, spec_final) - log_average
     return _finish_report(s_left, s_right, route, metadata)
 

@@ -63,7 +63,7 @@ from .thermo import (
     sector_overlaps,
     thermal_state,
 )
-from .work_stats import _map_tasks, relative_entropy_via_work
+from .work_stats import _map_tasks, relative_entropy_via_work, transition_matrix
 
 STRICTNESS_EPSILON = 1e-9
 # A direct sweep stacks the log Gibbs weights of every T and of as many B
@@ -309,7 +309,7 @@ def _distances(route: str, rho: StateOrSpec, legs) -> list[float]:
     route="via_work" needs rho and every sigma to be a ThermalSpec and
     rebuilds each distance from the work statistics of the sigma -> rho
     protocol under the leg's evolution, or the identity (built once) when
-    it is None.
+    it is None: one transition matrix per leg.
     """
     _check_route(route)
     if route == "direct":
@@ -318,7 +318,11 @@ def _distances(route: str, rho: StateOrSpec, legs) -> list[float]:
         if not isinstance(value, ThermalSpec):
             raise ConfigError(f"route 'via_work' needs declared Gibbs states; {name} is not a ThermalSpec")
     identity = _identity_unitary(rho.hamiltonian.register)
-    return [relative_entropy_via_work(sigma, rho, identity if u is None else u) for _, sigma, u in legs]
+    distances = []
+    for _, sigma, u in legs:
+        tm = transition_matrix(sigma.spectrum, rho.spectrum, identity if u is None else u)
+        distances.append(relative_entropy_via_work(sigma, rho, tm))
+    return distances
 
 
 def _decide(s_left, s_right) -> tuple[np.ndarray, np.ndarray]:
@@ -443,6 +447,8 @@ class SweepGrid:
         XXZParams(self.n, self.coupling_j, 0.0, 0.0, self.boundary)  # raises on a bad chain
         if self.t_axis.minimum <= 0:
             raise ValueError("temperatures must be strictly positive")
+        if not math.isfinite(1.0 / self.t_axis.minimum):
+            raise ValueError(f"temperatures need a finite 1/T, got T={self.t_axis.minimum!r}")
         needed, budget = SWEEP_POINT_BYTES * self.point_count, memory_budget()
         if needed > budget:
             raise ValueError(
@@ -544,7 +550,8 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
     On the direct route the chain's sectors are diagonalized once at B = 0
     (``thermo.sector_overlaps``); each B only shifts their energies by -B m
     and leaves the eigenvectors alone.  The work route needs a spectrum per
-    B, which ``spectral_decompose`` builds from the same sectors.
+    B, which ``spectral_decompose`` builds from the same sectors, and one
+    transition matrix per B, which every T of the row reads.
     """
     state = _SWEEP_STATE
     assert state is not None
@@ -558,9 +565,10 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
         for i, b_value in enumerate(b_values):
             h_star = build_xxz(XXZParams(n, state["coupling_j"], jz_value, float(b_value), boundary))
             spectrum = spectral_decompose(h_star)
+            tm = transition_matrix(spectrum, rho_spec.spectrum, identity)
             for j, temperature in enumerate(t_values):
                 star_spec = ThermalSpec.with_spectrum(h_star, 1.0 / temperature, spectrum)
-                out[i, j] = relative_entropy_via_work(star_spec, rho_spec, identity)
+                out[i, j] = relative_entropy_via_work(star_spec, rho_spec, tm)
         return out
 
     stacks = xxz_pieces(n, boundary)
@@ -613,9 +621,28 @@ def sweep_detection(
     )
 
 
+# state_checksum assembles at most this many entries of the matrix at a time
+# (4 MiB of complex128, 64 rows at n = 12).
+CHECKSUM_PANEL_ENTRIES = 1 << 18
+
+
 def state_checksum(state: DensityMatrix) -> str:
-    """SHA-256 of the assembled complex128 matrix's row-major bytes (stable across runs)."""
-    return hashlib.sha256(state.entries).hexdigest()
+    """SHA-256 of the assembled complex128 matrix's row-major bytes (stable
+    across runs).  The rows go to the hash in panels of at most
+    CHECKSUM_PANEL_ENTRIES entries, each assembled from the stacks, so the
+    register-sized matrix is never made."""
+    digest = hashlib.sha256()
+    dim = state.dim
+    rows = min(dim, max(1, CHECKSUM_PANEL_ENTRIES // dim))
+    panel = np.empty((rows, dim), dtype=np.complex128)
+    for start in range(0, dim, rows):
+        part = panel[: dim - start]  # the last panel may be short
+        part.fill(0)
+        for indices, blocks in state.stacks:
+            block, row = np.nonzero((indices >= start) & (indices < start + len(part)))
+            part[(indices[block, row] - start)[:, None], indices[block]] = blocks[block, row]
+        digest.update(part)
+    return digest.hexdigest()
 
 
 def write_sweep_csv(grid: SweepGrid, path) -> None:

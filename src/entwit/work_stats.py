@@ -15,8 +15,11 @@ split into them, so q vanishes between sectors.  When any of them mixes
 sectors (a Haar unitary, say), q is one whole-register block, made from U on
 the whole register (its one stored block, for such a U) and each block of
 the two spectra's eigenvectors: no merged eigenvector matrix is built.
-``TransitionMatrix`` holds and checks the blocks, and the work average, the
-work distribution and the sampler read them.
+``TransitionMatrix`` holds and checks the blocks.  A caller measures each
+drive once, by ``transition_matrix`` on the two spectra, and every reader
+takes that one matrix: ``log_work_average``, ``relative_entropy_via_work``,
+``work_distribution`` and ``sample_tpm``.  The readers that also take
+Gibbs specs refuse a matrix measured between other spectra.
 
 Every average is evaluated per-term in log space, from the log Gibbs weights
 of ``thermo.log_gibbs_weights`` and one ``thermo.logsumexp`` over the (m, n)
@@ -53,7 +56,6 @@ import numpy as np
 
 from .errors import NumericalCheckError
 from .operators import (
-    HermitianOperator,
     QubitRegister,
     SpectralDecomposition,
     UnitaryOperator,
@@ -61,7 +63,6 @@ from .operators import (
     check_unitary,
     checked_eigh,
     restrict,
-    spectral_decompose,
 )
 from .spin_models import DrivingSchedule, build_xxz, ramp_values, xxz_pieces
 from .thermo import ThermalSpec, log_gibbs_weights, logsumexp, weighted_energy
@@ -180,21 +181,25 @@ def _transition_from_spectra(
     return TransitionMatrix(((everything, everything, q[None]),), initial, final)
 
 
-# A measured Hamiltonian, or its spectral decomposition when the caller holds
-# one already (ThermalSpec.spectrum, say); a decomposition is used as it is.
-Measured = HermitianOperator | SpectralDecomposition
-
-
-def transition_matrix(h_initial: Measured, h_final: Measured, u: UnitaryOperator) -> TransitionMatrix:
-    """Transition probabilities between the two measured eigenbases; only a
-    Hamiltonian given as an operator is diagonalized here."""
-    initial, final = (
-        h if isinstance(h, SpectralDecomposition) else spectral_decompose(h)
-        for h in (h_initial, h_final)
-    )
+def transition_matrix(
+    initial: SpectralDecomposition, final: SpectralDecomposition, u: UnitaryOperator
+) -> TransitionMatrix:
+    """Transition probabilities between the two measured eigenbases under U.
+    Every work-statistics reader below takes this one matrix, so a caller
+    measures each drive once and reads it as often as it likes."""
+    if not all(isinstance(s, SpectralDecomposition) for s in (initial, final)):
+        raise TypeError("transition_matrix takes two SpectralDecompositions; decompose a Hamiltonian first")
     if initial.dim != u.register.dim or final.dim != u.register.dim:
-        raise ValueError("Hamiltonians and unitary must share one register")
+        raise ValueError("spectra and unitary must share one register")
     return _transition_from_spectra(initial, final, u)
+
+
+def _check_measured(tm: TransitionMatrix, initial: ThermalSpec, final: ThermalSpec) -> None:
+    """Raise ValueError unless ``tm`` was measured between the spectra of
+    ``initial`` and ``final``: each side must hold the spec's eigenvalues."""
+    for side, spec in (("initial", initial), ("final", final)):
+        if not np.array_equal(getattr(tm, side).eigenvalues, spec.spectrum.eigenvalues):
+            raise ValueError(f"the transition matrix's {side} spectrum is not that of the {side} spec")
 
 
 def exact_evolution(schedule: DrivingSchedule) -> UnitaryOperator:
@@ -438,10 +443,12 @@ def trotter_evolution(schedule: DrivingSchedule, sampling: str = "left") -> Unit
     return ordered_product(QubitRegister(schedule.n), stacks, coefficients, schedule.dt)
 
 
-def _log_generalized_average(
-    beta_initial: float, beta_final: float, tm: TransitionMatrix
-) -> float:
-    """ln of sum_{m,n} p_n q[m,n] exp(-(beta_f E_m - beta_i E_n)).
+def log_work_average(tm: TransitionMatrix, beta_initial: float, beta_final: float) -> float:
+    """ln <exp(-(beta_f E_f - beta_i E_i))> over the measurement distribution
+    p_n q[m, n]: ln sum_{m,n} p_n q[m,n] exp(-(beta_f E_m - beta_i E_n)).
+    At equal betas this is Jarzynski's ln <exp(-beta W)> = ln Z_f / Z_i, and
+    otherwise Tasaki's ln Z_f(beta_f) / Z_i(beta_i); it stays finite where
+    the plain average overflows.
 
     Every (m, n) term's exponent is assembled before exponentiation: the
     log Gibbs weight ``thermo.log_gibbs_weights`` contributes
@@ -449,6 +456,8 @@ def _log_generalized_average(
     exponential up to the spectrum shift.  Only the (m, n) pairs of the
     blocks of q enter; terms with q = 0 are dropped.
     """
+    if beta_initial <= 0 or beta_final <= 0:
+        raise ValueError("inverse temperatures must be positive")
     e_initial = tm.initial.eigenvalues
     e_final = tm.final.eigenvalues
     shifted_initial = beta_initial * (e_initial - e_initial[0])
@@ -465,48 +474,18 @@ def _log_generalized_average(
     return float(logsumexp(np.concatenate(log_terms))) - offset
 
 
-def log_jarzynski_average(
-    beta: float,
-    h_initial: Measured,
-    h_final: Measured,
-    u: UnitaryOperator,
-) -> float:
-    """ln <exp(-beta W)>; stays finite where the plain average overflows."""
-    return log_tasaki_average(beta, beta, h_initial, h_final, u)
-
-
-def log_tasaki_average(
-    beta_initial: float,
-    beta_final: float,
-    h_initial: Measured,
-    h_final: Measured,
-    u: UnitaryOperator,
-) -> float:
-    """ln <exp(-(beta_f E_f - beta_i E_i))> over the measurement distribution."""
-    if beta_initial <= 0 or beta_final <= 0:
-        raise ValueError("inverse temperatures must be positive")
-    tm = transition_matrix(h_initial, h_final, u)
-    return _log_generalized_average(beta_initial, beta_final, tm)
-
-
-def relative_entropy_via_work(
-    initial: ThermalSpec, final: ThermalSpec, u: UnitaryOperator
-) -> float:
+def relative_entropy_via_work(initial: ThermalSpec, final: ThermalSpec, tm: TransitionMatrix) -> float:
     """S(thermal(final) || thermal(initial)) from work statistics alone:
 
         S = -tr[rho_f (beta_f H_f - beta_i H_i)] - ln <exp(-(beta_f E_f - beta_i E_i))>
 
-    The average is protocol independent, so any unitary (identity included)
-    gives the same value; passing the actual protocol unitary exercises the
-    full two-point-measurement pipeline.
+    with the average read from ``tm``, measured between the two specs'
+    spectra.  The average is protocol independent, so any unitary (identity
+    included) gives the same value; the actual protocol unitary exercises
+    the full two-point-measurement pipeline.
     """
-    if initial.hamiltonian.register != final.hamiltonian.register:
-        raise ValueError("thermal specs must live on the same register")
-    if initial.hamiltonian.register != u.register:
-        raise ValueError("unitary must act on the same register as the Hamiltonians")
-    tm = _transition_from_spectra(initial.spectrum, final.spectrum, u)
-    log_average = _log_generalized_average(initial.beta, final.beta, tm)
-    return -weighted_energy(initial, final) - log_average
+    _check_measured(tm, initial, final)
+    return -weighted_energy(initial, final) - log_work_average(tm, initial.beta, final.beta)
 
 
 @dataclass(frozen=True)
@@ -544,12 +523,10 @@ class WorkDistribution:
         return float(np.dot(self.probability, self.work))
 
 
-def work_distribution(
-    initial: ThermalSpec, final: ThermalSpec, u: UnitaryOperator
-) -> WorkDistribution:
+def work_distribution(initial: ThermalSpec, final: ThermalSpec, tm: TransitionMatrix) -> WorkDistribution:
     """All dim^2 transition outcomes with probabilities p_n q[m, n], read
-    from the blocks of q (0 between them), in m-major order."""
-    tm = _transition_from_spectra(initial.spectrum, final.spectrum, u)
+    from the blocks of ``tm`` (0 between them), in m-major order."""
+    _check_measured(tm, initial, final)
     e_initial = tm.initial.eigenvalues
     e_final = tm.final.eigenvalues
     dim = tm.dim
@@ -659,7 +636,7 @@ def _sample_block(payload: tuple) -> tuple[np.ndarray, np.ndarray]:
 def sample_tpm(
     initial: ThermalSpec,
     final: ThermalSpec,
-    u: UnitaryOperator,
+    tm: TransitionMatrix,
     count: int,
     seed: int,
     workers: int = 1,
@@ -667,7 +644,7 @@ def sample_tpm(
     """Sample two-point-measurement trajectories and estimate the average.
 
     The first index n is drawn from the initial Gibbs weights, the second
-    from column n of q, searched over the rows of n's block in ascending
+    from column n of ``tm``'s q, searched over the rows of n's block in ascending
     order: their partial sums are those of the whole column, whose other
     entries are 0, and the closing 1.0 falls on the block's last allowed
     row, so a draw never leaves the block.  ``count`` is partitioned into
@@ -682,8 +659,8 @@ def sample_tpm(
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
+    _check_measured(tm, initial, final)
 
-    tm = _transition_from_spectra(initial.spectrum, final.spectrum, u)
     e_initial = tm.initial.eigenvalues
     e_final = tm.final.eigenvalues
     cum_initial = _cumulative(initial.weights)

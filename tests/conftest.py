@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import entwit.operators
+import entwit.work_stats
 from entwit import DensityMatrix, QubitRegister, UnitaryOperator
 
 
@@ -52,6 +53,21 @@ def decompositions(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "entwit" and getattr(module, "spectral_decompose", None) is original:
             monkeypatch.setattr(module, "spectral_decompose", counted)
+    return seen
+
+
+@pytest.fixture
+def transitions(monkeypatch):
+    """One entry per transition matrix formed: the arguments of every call
+    of ``work_stats._transition_from_spectra``."""
+    seen = []
+    original = entwit.work_stats._transition_from_spectra
+
+    def counted(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(entwit.work_stats, "_transition_from_spectra", counted)
     return seen
 
 

@@ -258,6 +258,20 @@ def test_sweep_rejects_zero_step_axis(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["direct", "via-work"])
+def test_sweep_refuses_a_temperature_without_a_finite_inverse(tmp_path, capsys, monkeypatch, route):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("entwit.cli.sweep_detection", refuse)
+    grid = {**SMALL_GRID, "T": {"min": 1e-310, "max": 1e-310, "step": 1.0}}
+    cfg = write_config(tmp_path, {"n": 3, "grid": grid})
+    assert main(["sweep", "--route", route, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite 1/T" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_unknown_n(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep started")
@@ -406,6 +420,40 @@ def test_verify_diagonalizes_each_hamiltonian_once(tmp_path, decompositions):
     # the two protocol endpoints; the exact evolution diagonalizes no
     # Hamiltonian of its own
     assert len(decompositions) == len(set(decompositions)) == 2
+
+
+# CI's n = 5 via-work sweep grid: 5 B, 6 Jz and 5 T values
+CI_GRID = {
+    "B": {"min": 0.0, "max": 1.0, "step": 0.25},
+    "Jz": {"min": 0.0, "max": 0.5, "step": 0.1},
+    "T": {"min": 0.02, "max": 0.5, "step": 0.12},
+}
+W3_DRIVEN = {
+    "protocol": "three-qubit",
+    "evolution": "trotter",
+    "rho_star": {"params": {"n": 3, "J": 1, "Jz": 0.1, "B": 0.5}, "temperature": 0.05},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, config, built",
+    [
+        # the Trotter, identity and Haar drives, which the Tasaki average
+        # reads again, and the two legs of the witness's work route
+        (["verify"], None, 5),
+        (["verify"], {"unitary_file": "u.json"}, 6),
+        # the reference leg, then one matrix per (B, Jz) that every T reads
+        (["sweep", "--route", "via-work"], {"n": 5, "reference": "thermal", "grid": CI_GRID}, 31),
+        (["sample"], {"protocol": "three-qubit", "count": 100}, 1),
+        (["witness", "--route", "via-work"], W3_DRIVEN, 2),
+    ],
+)
+def test_each_drive_is_measured_once(tmp_path, monkeypatch, transitions, argv, config, built):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u.json").write_text(json.dumps(matrix_to_json(QubitRegister(3), np.eye(8))))
+    config_args = [] if config is None else ["--config", write_config(tmp_path, config)]
+    assert main(argv + config_args + ["--out", str(tmp_path / "out")]) in (0, 3)
+    assert len(transitions) == built
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -714,8 +762,20 @@ OUTPUTS = {
 }
 
 
+@pytest.mark.parametrize(
+    "below, named, reason",
+    [
+        ("", "taken", "exists and is not a directory"),
+        # a file as the nearest existing ancestor: the message os.makedirs
+        # gives, naming the path it would fail on (root ignores permissions)
+        ("out", "taken/out", "Not a directory"),
+        ("a/b", "taken/a", "Not a directory"),
+    ],
+)
 @pytest.mark.parametrize("command", sorted(OUTPUTS))
-def test_an_out_that_is_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+def test_an_out_that_is_a_file_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, command, below, named, reason
+):
     def refuse(*args, **kwargs):
         raise AssertionError("the work started")
 
@@ -725,8 +785,8 @@ def test_an_out_that_is_a_file_is_refused_before_any_work(tmp_path, capsys, monk
     taken = tmp_path / "taken"
     taken.write_text("kept")
     cfg = write_config(tmp_path, OUTPUTS[command][0])
-    assert main([command, "--config", cfg, "--out", str(taken)]) == 1
-    assert capsys.readouterr().err == f"error: {taken}: exists and is not a directory\n"
+    assert main([command, "--config", cfg, "--out", str(taken / below)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / named}: {reason}\n"
     assert taken.read_text() == "kept"
 
 

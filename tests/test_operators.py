@@ -1,7 +1,9 @@
 """Container validation, spectral helpers, embeddings, partial traces and
 JSON round trips."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from entwit import (
     spectral_decompose,
     unitary_from_json,
 )
-from entwit import operators
+from entwit import operators, witness
 from entwit.operators import assemble, sector_stacks, spectral_function
 from entwit.spin_models import xxz_pieces
 from dense_oracle import (
@@ -232,6 +234,32 @@ def test_state_checksums_are_pinned():
         ("thermal sigma_ref", 7): thermal.sigma_ref,
     }
     assert {key: state_checksum(state) for key, state in states.items()} == CHECKSUMS
+
+
+@pytest.mark.parametrize("entries", [128, 3 * 128, 5 * 128 + 17])
+def test_a_checksum_in_small_panels_is_the_one_panel_digest(monkeypatch, random_product_state, entries):
+    # at n = 7 the default panel holds the whole matrix; panels of 1, 3 and
+    # 5 rows (the last one partial) must hash the same bytes, for states on
+    # S^z sectors and for one on a whole-register block
+    thermal = sweep_reference(7, thermal=True)
+    states = [build_w_state(7), reference_state(7), thermal.rho, random_product_state(7, 2)]
+    want = [hashlib.sha256(state.entries).hexdigest() for state in states]
+    assert witness.CHECKSUM_PANEL_ENTRIES >= 4**7
+    assert [state_checksum(state) for state in states] == want
+    monkeypatch.setattr(witness, "CHECKSUM_PANEL_ENTRIES", entries)
+    assert [state_checksum(state) for state in states] == want
+
+
+def test_a_checksum_never_assembles_the_whole_matrix():
+    # n = 10: the complex matrix takes 16 MiB, a default panel 4 MiB
+    state = reference_state(10)
+    tracemalloc.start()
+    try:
+        state_checksum(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4**10 / 2
 
 
 @pytest.mark.parametrize("n", range(3, 11))

@@ -32,6 +32,7 @@ from entwit import (
     exact_evolution,
     relative_entropy,
     thermal_state,
+    transition_matrix,
     trotter_evolution,
     witness_evaluate,
     work_distribution,
@@ -209,10 +210,11 @@ def test_work_distribution_matches_the_dense_oracle(n, beta, evolve):
     protocol = detection_protocol(n, beta=beta)
     u = evolve(protocol.schedule)
     initial, final = protocol.initial_spec, protocol.final_spec
-    work, probability = work_levels(work_distribution(initial, final, u))
-    want_work, want_probability = work_levels(
-        work_distribution(dense_spec(initial), dense_spec(final), u)
-    )
+    tm = transition_matrix(initial.spectrum, final.spectrum, u)
+    work, probability = work_levels(work_distribution(initial, final, tm))
+    dense_initial, dense_final = dense_spec(initial), dense_spec(final)
+    dense_tm = transition_matrix(dense_initial.spectrum, dense_final.spectrum, u)
+    want_work, want_probability = work_levels(work_distribution(dense_initial, dense_final, dense_tm))
     assert work.shape == want_work.shape
     assert np.abs(work - want_work).max() <= 1e-12
     assert np.abs(probability - want_probability).max() <= 1e-12

@@ -442,6 +442,15 @@ def test_sweep_grid_requires_positive_temperature():
         SweepGrid(GridAxis(0, 1, 0.5), GridAxis(0, 1, 0.5), GridAxis(0.0, 1.0, 0.5), n=3)
 
 
+@pytest.mark.parametrize("route", ["direct", "via_work"])
+def test_sweep_grid_requires_a_finite_inverse_temperature(route):
+    # 1 / 1e-310 overflows to inf: the direct route read nan and the work
+    # route failed deep inside ThermalSpec; the grid now refuses it
+    with pytest.raises(ValueError, match="finite 1/T"):
+        small_grid(t_axis=GridAxis(1e-310, 1.0, 0.5), route=route)
+    assert small_grid(t_axis=GridAxis(1e-300, 1.0, 0.5), route=route).shape == (3, 2, 3)
+
+
 def small_grid(**overrides):
     kwargs = dict(
         b_axis=GridAxis(0.3, 0.7, 0.2),

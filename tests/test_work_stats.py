@@ -29,8 +29,7 @@ from entwit import (
     exact_evolution,
     build_xxz,
     gibbs_relative_entropy,
-    log_jarzynski_average,
-    log_tasaki_average,
+    log_work_average,
     params_at,
     relative_entropy_via_work,
     sample_tpm,
@@ -43,6 +42,7 @@ from entwit import (
 from entwit.work_stats import COMMUTATION_ATOL, SAMPLE_BLOCK, _sample_block
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
+SZ_OPERATOR = HermitianOperator(QubitRegister(1), SZ)
 
 
 def random_hermitian(n, rng, scale=0.6):
@@ -55,6 +55,16 @@ def identity_on(n):
     return UnitaryOperator(QubitRegister(n), np.eye(2**n))
 
 
+def measured(h_initial, h_final, u):
+    """The transition matrix of the drive u between two Hamiltonians."""
+    return transition_matrix(spectral_decompose(h_initial), spectral_decompose(h_final), u)
+
+
+def measured_specs(initial, final, u):
+    """The transition matrix of the drive u between two Gibbs specs."""
+    return transition_matrix(initial.spectrum, final.spectrum, u)
+
+
 # ═══════════════════════════════════════════════════════════════════
 # Transition matrices
 # ═══════════════════════════════════════════════════════════════════
@@ -65,20 +75,15 @@ class TestTransitionMatrix:
         rng = np.random.default_rng(42)
         for seed in range(20):
             n = 2 + seed % 2
-            q = dense_transitions(
-                transition_matrix(
-                    random_hermitian(n, rng),
-                    random_hermitian(n, rng),
-                    haar(QubitRegister(n), 1000 + seed),
-                )
-            )
+            h_i, h_f = random_hermitian(n, rng), random_hermitian(n, rng)
+            q = dense_transitions(measured(h_i, h_f, haar(QubitRegister(n), 1000 + seed)))
             assert np.max(np.abs(q.sum(axis=0) - 1.0)) < 1e-10
             assert np.max(np.abs(q.sum(axis=1) - 1.0)) < 1e-10
             assert np.min(q) >= -1e-14
 
     def test_identity_protocol_gives_identity_matrix(self):
         h = HermitianOperator(QubitRegister(1), np.diag([0.2, 1.9]))
-        tm = transition_matrix(h, h, identity_on(1))
+        tm = measured(h, h, identity_on(1))
         assert np.max(np.abs(dense_transitions(tm) - np.eye(2))) < 1e-14
 
     def test_rejects_nonstochastic_matrix(self):
@@ -94,6 +99,16 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             TransitionMatrix(((levels, levels, np.eye(4)[None] / 1.0),), h1, h1)
 
+    def test_takes_spectra_not_hamiltonians(self):
+        h = HermitianOperator(QubitRegister(1), SZ)
+        with pytest.raises(TypeError, match="SpectralDecomposition"):
+            transition_matrix(h, h, identity_on(1))
+
+    def test_refuses_a_unitary_on_another_register(self):
+        dec = spectral_decompose(HermitianOperator(QubitRegister(1), SZ))
+        with pytest.raises(ValueError, match="one register"):
+            transition_matrix(dec, dec, identity_on(2))
+
 
 # ═══════════════════════════════════════════════════════════════════
 # Closed-form averages
@@ -104,20 +119,14 @@ class TestExponentialAverages:
     def test_single_qubit_two_temperature_value(self):
         # H = sz at beta 1 -> 2: the average is Z(2)/Z(1) = cosh(2)/cosh(1)
         h = HermitianOperator(QubitRegister(1), SZ)
-        got = np.exp(log_tasaki_average(1.0, 2.0, h, h, identity_on(1)))
+        got = np.exp(log_work_average(measured(h, h, identity_on(1)), 1.0, 2.0))
         assert abs(got - 2.4381069959666024) < 1e-12
         assert abs(got - np.cosh(2.0) / np.cosh(1.0)) < 1e-12
 
     def test_zero_hamiltonians_average_to_one(self, haar):
         zero = HermitianOperator(QubitRegister(2), np.zeros((4, 4)))
-        got = log_tasaki_average(1.3, 0.7, zero, zero, haar(QubitRegister(2), 8))
+        got = log_work_average(measured(zero, zero, haar(QubitRegister(2), 8)), 1.3, 0.7)
         assert abs(got) < 1e-13
-
-    def test_equal_betas_reduce_to_jarzynski(self, haar):
-        rng = np.random.default_rng(10)
-        h_i, h_f = random_hermitian(2, rng), random_hermitian(2, rng)
-        u = haar(QubitRegister(2), 77)
-        assert log_tasaki_average(0.8, 0.8, h_i, h_f, u) == log_jarzynski_average(0.8, h_i, h_f, u)
 
     def test_jarzynski_matches_partition_ratio(self, haar):
         rng = np.random.default_rng(23)
@@ -125,7 +134,7 @@ class TestExponentialAverages:
             h_i, h_f = random_hermitian(2, rng), random_hermitian(2, rng)
             beta = float(rng.uniform(0.2, 2.0))
             expected = ThermalSpec(h_f, beta).log_partition - ThermalSpec(h_i, beta).log_partition
-            got = log_jarzynski_average(beta, h_i, h_f, haar(QubitRegister(2), seed))
+            got = log_work_average(measured(h_i, h_f, haar(QubitRegister(2), seed)), beta, beta)
             assert abs(got - expected) < 1e-12
 
     def test_protocol_independence(self, haar):
@@ -133,7 +142,7 @@ class TestExponentialAverages:
         rng = np.random.default_rng(31)
         h_i, h_f = random_hermitian(3, rng), random_hermitian(3, rng)
         values = [
-            log_tasaki_average(1.1, 0.4, h_i, h_f, haar(QubitRegister(3), seed))
+            log_work_average(measured(h_i, h_f, haar(QubitRegister(3), seed)), 1.1, 0.4)
             for seed in range(20)
         ]
         assert np.ptp(values) < 1e-12
@@ -151,16 +160,17 @@ class TestExponentialAverages:
         h_i_p = HermitianOperator(QubitRegister(2), perm @ h_i.entries @ perm.T)
         h_f_p = HermitianOperator(QubitRegister(2), perm @ h_f.entries @ perm.T)
         u_p = UnitaryOperator(QubitRegister(2), perm @ u.entries @ perm.T)
-        a = log_tasaki_average(0.9, 1.7, h_i, h_f, u)
-        b = log_tasaki_average(0.9, 1.7, h_i_p, h_f_p, u_p)
+        a = log_work_average(measured(h_i, h_f, u), 0.9, 1.7)
+        b = log_work_average(measured(h_i_p, h_f_p, u_p), 0.9, 1.7)
         assert abs(a - b) < 1e-10
 
     def test_rejects_nonpositive_beta(self):
         h = HermitianOperator(QubitRegister(1), SZ)
+        tm = measured(h, h, identity_on(1))
         with pytest.raises(ValueError):
-            log_tasaki_average(0.0, 1.0, h, h, identity_on(1))
+            log_work_average(tm, 0.0, 1.0)
         with pytest.raises(ValueError):
-            log_jarzynski_average(-1.0, h, h, identity_on(1))
+            log_work_average(tm, -1.0, -1.0)
 
     def test_mean_work_dominates_free_energy_difference(self, haar):
         # Jensen: <W> >= Delta F for every protocol at equal temperatures
@@ -170,7 +180,8 @@ class TestExponentialAverages:
             beta = float(rng.uniform(0.2, 2.0))
             initial = ThermalSpec(h_i, beta)
             final = ThermalSpec(h_f, beta)
-            wd = work_distribution(initial, final, haar(QubitRegister(2), seed))
+            tm = measured_specs(initial, final, haar(QubitRegister(2), seed))
+            wd = work_distribution(initial, final, tm)
             delta_f = final.free_energy - initial.free_energy
             assert wd.mean_work() >= delta_f - 1e-12
 
@@ -179,7 +190,7 @@ class TestViaWork:
     def test_zero_for_identical_specs(self):
         h = HermitianOperator(QubitRegister(2), np.diag([0.0, 0.3, 0.9, 1.4]))
         spec = ThermalSpec(h, 1.2)
-        assert abs(relative_entropy_via_work(spec, spec, identity_on(2))) < 1e-13
+        assert abs(relative_entropy_via_work(spec, spec, measured_specs(spec, spec, identity_on(2)))) < 1e-13
 
     def test_matches_gibbs_identity_for_any_unitary(self, haar):
         rng = np.random.default_rng(61)
@@ -188,7 +199,45 @@ class TestViaWork:
         final = ThermalSpec(h_f, 1.4)
         expected = gibbs_relative_entropy(initial, final)
         for u in (identity_on(2), haar(QubitRegister(2), 5), haar(QubitRegister(2), 9)):
-            assert abs(relative_entropy_via_work(initial, final, u) - expected) < 1e-12
+            tm = measured_specs(initial, final, u)
+            assert abs(relative_entropy_via_work(initial, final, tm) - expected) < 1e-12
+
+
+def _sample(initial, final, tm):
+    return sample_tpm(initial, final, tm, count=10, seed=1)
+
+
+class TestOneMatrixPerDrive:
+    """Each reader takes the one transition matrix of a drive, and refuses
+    one measured between other spectra than its specs'."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        self.initial = ThermalSpec(random_hermitian(2, rng), 1.0)
+        self.final = ThermalSpec(random_hermitian(2, rng), 0.5)
+        self.other = ThermalSpec(random_hermitian(2, rng), 1.0)
+
+    @pytest.mark.parametrize("reader", [relative_entropy_via_work, work_distribution, _sample])
+    def test_a_matrix_of_other_spectra_is_refused(self, haar, reader):
+        u = haar(QubitRegister(2), 4)
+        initial, final, other = self.initial, self.final, self.other
+        reader(initial, final, measured_specs(initial, final, u))
+        for side, tm in (
+            ("initial", measured_specs(other, final, u)),
+            ("final", measured_specs(initial, other, u)),
+            ("initial", measured_specs(final, initial, u)),
+            ("initial", measured(SZ_OPERATOR, SZ_OPERATOR, identity_on(1))),
+        ):
+            with pytest.raises(ValueError, match=f"{side} spectrum"):
+                reader(initial, final, tm)
+
+    def test_one_matrix_serves_every_temperature(self, haar):
+        # a spec at another beta on the same spectrum reads the same matrix
+        tm = measured_specs(self.initial, self.final, haar(QubitRegister(2), 6))
+        for beta in (0.3, 1.0, 4.0):
+            initial = ThermalSpec.with_spectrum(self.initial.hamiltonian, beta, self.initial.spectrum)
+            want = gibbs_relative_entropy(initial, self.final)
+            assert abs(relative_entropy_via_work(initial, self.final, tm) - want) < 1e-12
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -205,16 +254,17 @@ class TestWorkDistribution:
         self.final = ThermalSpec(self.h_f, 1.4)
 
     def test_probabilities_sum_to_one(self, haar):
-        wd = work_distribution(self.initial, self.final, haar(QubitRegister(2), 3))
+        tm = measured_specs(self.initial, self.final, haar(QubitRegister(2), 3))
+        wd = work_distribution(self.initial, self.final, tm)
         assert abs(wd.probability.sum() - 1.0) < 1e-12
         assert len(wd.probability) == 16
 
     def test_work_and_exponent_columns(self, haar):
-        wd = work_distribution(self.initial, self.final, haar(QubitRegister(2), 3))
+        tm = measured_specs(self.initial, self.final, haar(QubitRegister(2), 3))
+        wd = work_distribution(self.initial, self.final, tm)
         assert np.allclose(wd.work, wd.energy_final - wd.energy_initial)
-        equal_beta = work_distribution(
-            ThermalSpec(self.h_i, 0.9), ThermalSpec(self.h_f, 0.9), identity_on(2)
-        )
+        initial, final = ThermalSpec(self.h_i, 0.9), ThermalSpec(self.h_f, 0.9)
+        equal_beta = work_distribution(initial, final, measured_specs(initial, final, identity_on(2)))
         assert np.allclose(equal_beta.generalized_exponent, 0.9 * equal_beta.work)
 
 
@@ -342,50 +392,50 @@ class TestSampler:
         self.h_f = random_hermitian(2, rng)
         self.initial = ThermalSpec(self.h_i, 1.0)
         self.final = ThermalSpec(self.h_f, 1.0)
-        self.u = identity_on(2)
+        self.tm = measured_specs(self.initial, self.final, identity_on(2))
 
     def test_deterministic_across_worker_counts(self):
-        b1, s1 = sample_tpm(self.initial, self.final, self.u, count=5000, seed=99, workers=1)
-        b2, s2 = sample_tpm(self.initial, self.final, self.u, count=5000, seed=99, workers=2)
+        b1, s1 = sample_tpm(self.initial, self.final, self.tm, count=5000, seed=99, workers=1)
+        b2, s2 = sample_tpm(self.initial, self.final, self.tm, count=5000, seed=99, workers=2)
         assert np.array_equal(b1.work, b2.work)
         assert np.array_equal(b1.n_index, b2.n_index)
         assert s1.mean == s2.mean and s1.stderr == s2.stderr
 
     def test_pool_is_capped_at_the_block_count(self, fake_pool):
         count = 2 * SAMPLE_BLOCK + 1  # three blocks
-        capped, _ = sample_tpm(self.initial, self.final, self.u, count, seed=4, workers=5000)
+        capped, _ = sample_tpm(self.initial, self.final, self.tm, count, seed=4, workers=5000)
         assert fake_pool == [3]
-        inline, _ = sample_tpm(self.initial, self.final, self.u, count, seed=4, workers=1)
+        inline, _ = sample_tpm(self.initial, self.final, self.tm, count, seed=4, workers=1)
         assert fake_pool == [3]
         assert np.array_equal(capped.m_index, inline.m_index)
 
     def test_different_seeds_differ(self):
-        b1, _ = sample_tpm(self.initial, self.final, self.u, count=2000, seed=1)
-        b2, _ = sample_tpm(self.initial, self.final, self.u, count=2000, seed=2)
+        b1, _ = sample_tpm(self.initial, self.final, self.tm, count=2000, seed=1)
+        b2, _ = sample_tpm(self.initial, self.final, self.tm, count=2000, seed=2)
         assert not np.array_equal(b1.m_index, b2.m_index)
 
     def test_summary_against_closed_form(self):
-        _, summary = sample_tpm(self.initial, self.final, self.u, count=20000, seed=7)
-        exact = np.exp(log_tasaki_average(1.0, 1.0, self.h_i, self.h_f, self.u))
+        _, summary = sample_tpm(self.initial, self.final, self.tm, count=20000, seed=7)
+        exact = np.exp(log_work_average(self.tm, 1.0, 1.0))
         assert abs(summary.exact - exact) < 1e-12
         assert summary.count == 20000
         assert abs(summary.z_score) < 5.0
         assert abs(summary.mean - exact) < 5.0 * summary.stderr
 
     def test_mean_is_the_sample_average(self):
-        batch, summary = sample_tpm(self.initial, self.final, self.u, count=3000, seed=5)
+        batch, summary = sample_tpm(self.initial, self.final, self.tm, count=3000, seed=5)
         direct = float(np.mean(np.exp(-batch.generalized_exponent)))
         assert abs(summary.mean - direct) < 1e-12
         assert np.allclose(batch.work, batch.energy_final - batch.energy_initial)
 
     def test_stderr_shrinks_with_count(self):
-        _, s3 = sample_tpm(self.initial, self.final, self.u, count=1000, seed=11)
-        _, s4 = sample_tpm(self.initial, self.final, self.u, count=10000, seed=11)
+        _, s3 = sample_tpm(self.initial, self.final, self.tm, count=1000, seed=11)
+        _, s4 = sample_tpm(self.initial, self.final, self.tm, count=10000, seed=11)
         ratio = s3.stderr / s4.stderr
         assert 2.0 < ratio < 5.0  # sqrt(10) up to sampling noise
 
     def test_single_sample_has_no_error_bar(self):
-        _, summary = sample_tpm(self.initial, self.final, self.u, count=1, seed=3)
+        _, summary = sample_tpm(self.initial, self.final, self.tm, count=1, seed=3)
         assert summary.stderr is None and summary.z_score is None
 
     @pytest.mark.parametrize("dim, beta", [(2, 1.0), (8, 0.3), (32, 4.0), (128, 10.0)])
@@ -424,7 +474,7 @@ class TestSampler:
         schedule = DrivingSchedule(XXZParams(4, 1.0, 0.8, 0.3), XXZParams(4, 1.0, 0.0, 0.7), steps=20)
         initial = ThermalSpec(build_xxz(schedule.initial), 1.0)
         final = ThermalSpec(build_xxz(schedule.final), 1.0)
-        u = trotter_evolution(schedule)
+        tm = measured_specs(initial, final, trotter_evolution(schedule))
         dim = 16
         cum = np.cumsum(initial.weights)
         first = 0.5 * (np.concatenate([[0.0], cum[:-1]]) + cum)  # one draw per level
@@ -439,13 +489,13 @@ class TestSampler:
                 return next(self.draws)
 
         monkeypatch.setattr(np.random, "Generator", Stub)
-        batch, _ = sample_tpm(initial, final, u, count=dim, seed=0)
+        batch, _ = sample_tpm(initial, final, tm, count=dim, seed=0)
         assert batch.n_index.tolist() == list(range(dim))
-        probability = work_distribution(initial, final, u).probability.reshape(dim, dim)
+        probability = work_distribution(initial, final, tm).probability.reshape(dim, dim)
         assert np.all(probability[batch.m_index, batch.n_index] > 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sample_tpm(self.initial, self.final, self.u, count=0, seed=1)
+            sample_tpm(self.initial, self.final, self.tm, count=0, seed=1)
         with pytest.raises(ValueError):
-            sample_tpm(self.initial, self.final, self.u, count=10, seed=1, workers=0)
+            sample_tpm(self.initial, self.final, self.tm, count=10, seed=1, workers=0)
