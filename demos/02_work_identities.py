@@ -65,10 +65,9 @@ got2 = log_work_average(exact, beta, beta / 2)
 print("\ntwo-temperature identity: expected", expected2, "got", got2)
 
 # the full work distribution at moderate temperature: the same spectra, so
-# the same matrix
-warm_i = ThermalSpec.with_spectrum(h_i, 1.0, s_i)
-warm_f = ThermalSpec.with_spectrum(h_f, 1.0, s_f)
-wd = work_distribution(warm_i, warm_f, exact)
+# the same matrix, read at beta = 1
+wd = work_distribution(exact, 1.0, 1.0)
+warm_i, warm_f = ThermalSpec(h_i, 1.0), ThermalSpec(h_f, 1.0)
 print("\nwork distribution at beta=1:")
 print("  outcomes  :", len(wd.probability))
 print("  <W>       :", wd.mean_work())

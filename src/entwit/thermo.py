@@ -16,18 +16,17 @@ below zero with ``nonnegative_entropy``, and raises below -NEGATIVE_ENTROPY_TOL.
 
 This module holds the package's one Gibbs rule: ``log_gibbs_weights``
 (ln exp(-beta (E - E_min)) / sum over the last axis, beta broadcast), its
-linear form ``ThermalSpec.weights``, ``ThermalSpec.log_partition`` for every
-ln Z, and ``weighted_energy``, the energy term tr[rho_f (beta_f H_f -
-beta_i H_i)] shared by the Gibbs identity and the work route.  A
-``ThermalSpec.spectrum`` keeps its S^z blocks: ``thermal_state`` is built
-block by block with ``operators.spectral_function`` and keeps those
-blocks, and ``weighted_energy`` sums tr(rho_f H_i) over the final levels
-of positive Gibbs weight, each inside one block, so neither forms a
-register-sized eigenvector matrix.  All of it stays in log space, so steep
-inverse temperatures (beta ~ 100 on spectra of width ~10) stay inside
-double range.  Every ln sum exp goes through ``logsumexp``, a numpy kernel
-that computes exactly what ``scipy.special.logsumexp`` computes for real
-input.
+linear form ``gibbs_weights`` and ``gibbs_log_partition`` for every ln Z
+(read by ``ThermalSpec`` and by the work-statistics readers), and
+``weighted_energy``, the energy term tr[rho_f (beta_f H_f - beta_i H_i)]
+shared by the Gibbs identity and the work route.  A ``ThermalSpec.spectrum``
+keeps its S^z blocks: ``thermal_state`` is built block by block with
+``operators.spectral_function``, and ``weighted_energy`` sums tr(rho_f H_i)
+over the final levels of positive Gibbs weight, each inside one block, so
+neither forms a register-sized eigenvector matrix.  All of it stays in log
+space, so steep inverse temperatures (beta ~ 100 on spectra of width ~10)
+stay inside double range.  Every ln sum exp goes through ``logsumexp``, a
+numpy kernel computing exactly what ``scipy.special.logsumexp`` does.
 """
 
 from __future__ import annotations
@@ -97,16 +96,6 @@ class ThermalSpec:
             raise ValueError(f"beta must be positive, got {self.beta}")
         object.__setattr__(self, "_spectrum_cache", None)
 
-    @classmethod
-    def with_spectrum(
-        cls, hamiltonian: HermitianOperator, beta: float, spectrum: SpectralDecomposition
-    ) -> "ThermalSpec":
-        """Build a spec around an already-computed decomposition of the same
-        operator, so sweeps over beta do not re-diagonalize."""
-        spec = cls(hamiltonian, beta)
-        object.__setattr__(spec, "_spectrum_cache", spectrum)
-        return spec
-
     @property
     def spectrum(self) -> SpectralDecomposition:
         cached = getattr(self, "_spectrum_cache")
@@ -117,7 +106,7 @@ class ThermalSpec:
 
     @property
     def log_partition(self) -> float:
-        return float(logsumexp(-self.beta * self.spectrum.eigenvalues))
+        return gibbs_log_partition(self.spectrum.eigenvalues, self.beta)
 
     @property
     def free_energy(self) -> float:
@@ -125,16 +114,19 @@ class ThermalSpec:
 
     @property
     def weights(self) -> np.ndarray:
-        """Gibbs weights exp(-beta (E_k - E_0)) / sum, in spectrum order."""
-        eigenvalues = self.spectrum.eigenvalues
-        weights = np.exp(-self.beta * (eigenvalues - eigenvalues[0]))
-        weights /= weights.sum()
-        return weights
+        return gibbs_weights(self.spectrum.eigenvalues, self.beta)
 
-    @property
-    def log_weights(self) -> np.ndarray:
-        """ln of ``weights``, exact where the weights themselves underflow."""
-        return log_gibbs_weights(self.spectrum.eigenvalues, self.beta)
+
+def gibbs_log_partition(eigenvalues: np.ndarray, beta: float) -> float:
+    """ln Z = ln sum exp(-beta E_k) over ``eigenvalues``."""
+    return float(logsumexp(-beta * eigenvalues))
+
+
+def gibbs_weights(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
+    """Gibbs weights exp(-beta (E_k - E_0)) / sum over ascending ``eigenvalues``."""
+    weights = np.exp(-beta * (eigenvalues - eigenvalues[0]))
+    weights /= weights.sum()
+    return weights
 
 
 def log_gibbs_weights(energies, beta) -> np.ndarray:

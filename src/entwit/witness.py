@@ -22,12 +22,13 @@ expression, ``_gibbs_cross_entropy``.
 
 The reference states (W_n, the Dicke mixtures) and the identity unitary are
 laid out per popcount sector (``operators.sector_partition``), so none of
-them becomes a register-sized matrix.  A direct sweep combines the cached
-``spin_models.xxz_pieces`` once per Jz value at B = 0, diagonalizes the
-blocks and takes the reference state's overlaps in one
-``thermo.sector_overlaps`` call, reads each eigenvector's magnetization off
-the S_z blocks, and takes the log Gibbs weights of the (B, T) plane from one
+them becomes a register-sized matrix.  A sweep on either route combines the
+cached ``spin_models.xxz_pieces`` once per Jz value at B = 0, diagonalizes
+the blocks, reads each eigenvector's magnetization off the S_z blocks, and
+takes the log Gibbs weights of the (B, T) plane from one
 ``thermo.log_gibbs_weights`` call (a few for large registers and grids).
+The direct route reads them against the reference state's overlaps; the
+work route against one identity-drive transition matrix per Jz.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import ConfigError
 from .operators import (
     MAX_QUBITS,
     DensityMatrix,
+    HermitianOperator,
     QubitRegister,
     UnitaryOperator,
     combine,
@@ -63,10 +65,11 @@ from .thermo import (
     sector_overlaps,
     thermal_state,
 )
-from .work_stats import _map_tasks, relative_entropy_via_work, transition_matrix
+from .work_stats import _log_final_sums, _log_work_sum, _map_tasks, transition_matrix
+from .work_stats import relative_entropy_via_work
 
 STRICTNESS_EPSILON = 1e-9
-# A direct sweep stacks the log Gibbs weights of every T and of as many B
+# A sweep stacks the log Gibbs weights of every T and of as many B
 # values as fit in this many entries (whole planes on every acceptance grid).
 SWEEP_STACK_ENTRIES = 1 << 20
 
@@ -547,45 +550,48 @@ def _sweep_worker_init(state: dict) -> None:
 def _sweep_plane(jz_value: float) -> np.ndarray:
     """s_right for one Jz value over the whole (B, T) plane, shape (nB, nT).
 
-    On the direct route the chain's sectors are diagonalized once at B = 0
-    (``thermo.sector_overlaps``); each B only shifts their energies by -B m
-    and leaves the eigenvectors alone.  The work route needs a spectrum per
-    B, which ``spectral_decompose`` builds from the same sectors, and one
-    transition matrix per B, which every T of the row reads.
+    Both routes diagonalize the chain's sectors once, at B = 0: each B only
+    shifts the energies by -B m.  The direct route reads each run of B
+    values' log Gibbs weights against rho's overlaps; the work route through
+    the identity drive's one q between H*(0) and rho, the q of every B.
     """
     state = _SWEEP_STATE
     assert state is not None
-    n, boundary = state["n"], state["boundary"]
-    b_values, t_values = state["b_values"], state["t_values"]
-
-    if state["route"] == "via_work":
-        out = np.empty((b_values.size, t_values.size))
-        rho_spec = state["rho_spec"]
-        identity = _identity_unitary(QubitRegister(n))
-        for i, b_value in enumerate(b_values):
-            h_star = build_xxz(XXZParams(n, state["coupling_j"], jz_value, float(b_value), boundary))
-            spectrum = spectral_decompose(h_star)
-            tm = transition_matrix(spectrum, rho_spec.spectrum, identity)
-            for j, temperature in enumerate(t_values):
-                star_spec = ThermalSpec.with_spectrum(h_star, 1.0 / temperature, spectrum)
-                out[i, j] = relative_entropy_via_work(star_spec, rho_spec, tm)
-        return out
-
-    stacks = xxz_pieces(n, boundary)
+    t_values, b_values, via_work = state["t_values"], state["b_values"], state["route"] == "via_work"
+    stacks = xxz_pieces(state["n"], state["boundary"])
     # -B = -0.0 adds the signed zeros that J H_xy + Jz H_zz - 0.0 S_z holds
     h_zero = combine(stacks, (state["coupling_j"], jz_value, -0.0))
-    # Gibbs states at every grid point are full rank, so tr(rho ln sigma*) is
-    # evaluated from exact log weights; no support bookkeeping applies here.
-    energies, overlaps = sector_overlaps(state["rho"], h_zero)
     # S_z is m I on each sector block, so its diagonal is each eigenvector's m
-    magnetization = np.concatenate([np.diagonal(pieces[2], 0, 1, 2).ravel() for _, pieces in stacks])
+    sector_m = [np.diagonal(pieces[2], 0, 1, 2) for _, pieces in stacks]
+    if via_work:
+        rho_spec, register = state["rho_spec"], QubitRegister(state["n"])
+        spectrum = spectral_decompose(HermitianOperator(register, h_zero))
+        energies, magnetization = spectrum.eigenvalues, np.empty(spectrum.dim)
+        for (_, levels, _), m in zip(spectrum.stacks, sector_m):
+            magnetization[levels] = m
+        tm = transition_matrix(spectrum, rho_spec.spectrum, _identity_unitary(register))
+        final_sums = _log_final_sums(tm, rho_spec.beta)
+        weights, values = rho_spec.weights, np.column_stack([energies, magnetization])
+        final_energy = rho_spec.beta * float(np.dot(weights, rho_spec.spectrum.eigenvalues))
+        # sum_{m,n} w_m q[m, n] x_n for x = E(0) and m: <H*(0)> and <S_z> over rho
+        mean_h, mean_sz = sum(((weights[r][:, None, :] @ q) @ values[c]).sum((0, 1)) for r, c, q in tm.stacks)
+    else:
+        # Gibbs states at every grid point are full rank, so tr(rho ln sigma*)
+        # is evaluated from exact log weights; no support bookkeeping applies
+        energies, overlaps = sector_overlaps(state["rho"], h_zero)
+        magnetization = np.concatenate([m.ravel() for m in sector_m])
+    betas = (1.0 / t_values)[:, None]
     # log Gibbs weights of a run of B values at once, shape (b, nT, dim)
     run = max(1, SWEEP_STACK_ENTRIES // (t_values.size * energies.size))
     planes = []
     for b_run in np.split(b_values, range(run, b_values.size, run)):
         field_energies = energies - b_run[:, None] * magnetization
-        log_p = log_gibbs_weights(field_energies[:, None, :], (1.0 / t_values)[:, None])
-        planes.append(_gibbs_cross_entropy(state["plogp_rho"], log_p, overlaps))
+        log_p = log_gibbs_weights(field_energies[:, None, :], betas)
+        if via_work:
+            beta_energy = final_energy - betas[:, 0] * (mean_h - b_run[:, None] * mean_sz)
+            planes.append(-beta_energy - _log_work_sum(field_energies[:, None, :], betas, final_sums, log_p))
+        else:
+            planes.append(_gibbs_cross_entropy(state["plogp_rho"], log_p, overlaps))
     return np.concatenate(planes)
 
 

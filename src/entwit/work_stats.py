@@ -17,32 +17,23 @@ the whole register (its one stored block, for such a U) and each block of
 the two spectra's eigenvectors: no merged eigenvector matrix is built.
 ``TransitionMatrix`` holds and checks the blocks.  A caller measures each
 drive once, by ``transition_matrix`` on the two spectra, and every reader
-takes that one matrix: ``log_work_average``, ``relative_entropy_via_work``,
-``work_distribution`` and ``sample_tpm``.  The readers that also take
-Gibbs specs refuse a matrix measured between other spectra.
+takes that one matrix and the two inverse temperatures: ``log_work_average``,
+``work_distribution`` and ``sample_tpm``, whose Gibbs weights and ln Z are
+``thermo``'s one rule.  ``relative_entropy_via_work`` takes Gibbs specs and
+refuses a matrix measured between other spectra.
 
-Every average is evaluated per-term in log space, from the log Gibbs weights
-of ``thermo.log_gibbs_weights`` and one ``thermo.logsumexp`` over the (m, n)
-terms of the blocks, so that steep protocols (beta ~ 100) never leave double
-range.  The work route's relative entropy adds the energy term
+The average sums over final levels first, per initial level n in log space,
+then over n (``_log_final_sums``, ``_log_work_sum``), so steep protocols
+(beta ~ 100) never leave double range, and a sweep reuses the first sum at
+every (B, T).  The work route's relative entropy adds the energy term
 ``thermo.weighted_energy``, which the Gibbs identity shares.
 
-Every propagator of the package comes from one routine, ``ordered_product``,
-shared by closed and open chains: the ordered product of slice propagators
-of a Hamiltonian given as the ``operators.piece_stacks`` of its pieces and a
-table of slice coefficients.  The closed chain's stacks are the cached
-``spin_models.xxz_pieces`` as they are, and ``exact_evolution`` is one
-midpoint slice.  On S^z sectors no register-sized matrix is made: the
-unitary keeps the per-stack products as its blocks.  Consecutive slices that
-differ only by a multiple of the identity on each block form one run, and a
-chunk of runs is exponentiated in one batched call of one of two kernels.
-Short runs, whose exponents have 1-norm at most TAYLOR_THETA, take a Taylor
-polynomial of a few matrix products; longer ones take one ``checked_eigh``,
-so a ramp of the field alone costs one eigendecomposition per stack of
-equal-size sectors, whatever the step count.  Each stack computes its chunks
-into one ``_Workspace``, arrays made once and freed when the stack is done:
-fresh temporaries per chunk made glibc trim the heap after every chunk and
-grow it again for the next.
+Every propagator of the package, closed or open, comes from one routine,
+``ordered_product``: the ordered product of the slice propagators of a
+Hamiltonian given as the ``operators.piece_stacks`` of its pieces and a
+table of slice coefficients, kept per S^z stack as the unitary's blocks.
+``trotter_evolution`` hands it the cached ``spin_models.xxz_pieces``, and
+``exact_evolution`` is one midpoint slice.
 """
 
 from __future__ import annotations
@@ -65,7 +56,8 @@ from .operators import (
     restrict,
 )
 from .spin_models import DrivingSchedule, build_xxz, ramp_values, xxz_pieces
-from .thermo import ThermalSpec, log_gibbs_weights, logsumexp, weighted_energy
+from .thermo import ThermalSpec, gibbs_log_partition, gibbs_weights, log_gibbs_weights, logsumexp
+from .thermo import weighted_energy
 
 STOCHASTICITY_ATOL = 1e-10
 COMMUTATION_ATOL = 1e-9
@@ -194,12 +186,10 @@ def transition_matrix(
     return _transition_from_spectra(initial, final, u)
 
 
-def _check_measured(tm: TransitionMatrix, initial: ThermalSpec, final: ThermalSpec) -> None:
-    """Raise ValueError unless ``tm`` was measured between the spectra of
-    ``initial`` and ``final``: each side must hold the spec's eigenvalues."""
-    for side, spec in (("initial", initial), ("final", final)):
-        if not np.array_equal(getattr(tm, side).eigenvalues, spec.spectrum.eigenvalues):
-            raise ValueError(f"the transition matrix's {side} spectrum is not that of the {side} spec")
+def _check_betas(*betas) -> None:
+    """Raise ValueError unless every beta (or array of them) is positive and finite."""
+    if not all(np.all((np.asarray(beta) > 0) & np.isfinite(beta)) for beta in betas):
+        raise ValueError("inverse temperatures must be positive")
 
 
 def exact_evolution(schedule: DrivingSchedule) -> UnitaryOperator:
@@ -241,10 +231,10 @@ def schedule_coefficients(schedule: DrivingSchedule, sampling: str = "left") -> 
 
 class _Workspace:
     """Named arrays of one shape, each made on its first request and handed
-    out again at every later one, so that the chunks of one sector stack
-    compute into the same memory instead of into fresh temporaries.  A
-    request for ``count`` entries returns the first ``count`` along axis 0,
-    a contiguous view."""
+    out again at every later one, so the chunks of one sector stack compute
+    into the same memory: fresh temporaries per chunk made glibc trim the
+    heap after every chunk and grow it again.  A request for ``count``
+    entries returns the first ``count`` along axis 0, a contiguous view."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = shape
@@ -443,6 +433,33 @@ def trotter_evolution(schedule: DrivingSchedule, sampling: str = "left") -> Unit
     return ordered_product(QubitRegister(schedule.n), stacks, coefficients, schedule.dt)
 
 
+def _log_final_sums(tm: TransitionMatrix, beta_final: float) -> tuple[np.ndarray, float]:
+    """ln r~_n = ln sum_m q[m, n] exp(-beta_f (E_m - E_0^f)) for every initial
+    level n, from the blocks of q (q = 0 drops out), and the shift beta_f E_0^f."""
+    _check_betas(beta_final)
+    e_final = tm.final.eigenvalues
+    shifted = beta_final * (e_final - e_final[0])
+    log_r = np.empty(tm.dim)
+    for rows, columns, q in tm.stacks:
+        with np.errstate(divide="ignore"):
+            log_r[columns] = logsumexp(np.log(q) - shifted[rows][:, :, None], axis=-2)
+    return log_r, beta_final * e_final[0]
+
+
+def _log_work_sum(energies, beta_initial, final_sums: tuple, log_weights=None):
+    """ln sum_n p_n exp(beta_i E_n) r_n on the ``_log_final_sums`` of a matrix,
+    each exponent assembled before exponentiation.  Leading axes of
+    ``energies`` and ``beta_initial`` broadcast, (b, 1, dim) and (nT, 1) to
+    (b, nT) in a sweep; ln p_n is ``log_weights``, else their log Gibbs weights."""
+    _check_betas(beta_initial)
+    if log_weights is None:
+        log_weights = log_gibbs_weights(energies, beta_initial)
+    log_r, shift = final_sums
+    low = energies.min(axis=-1, keepdims=True)
+    terms = log_weights + beta_initial * (energies - low) + log_r
+    return logsumexp(terms, axis=-1) - (shift - (beta_initial * low)[..., 0])
+
+
 def log_work_average(tm: TransitionMatrix, beta_initial: float, beta_final: float) -> float:
     """ln <exp(-(beta_f E_f - beta_i E_i))> over the measurement distribution
     p_n q[m, n]: ln sum_{m,n} p_n q[m,n] exp(-(beta_f E_m - beta_i E_n)).
@@ -450,28 +467,11 @@ def log_work_average(tm: TransitionMatrix, beta_initial: float, beta_final: floa
     otherwise Tasaki's ln Z_f(beta_f) / Z_i(beta_i); it stays finite where
     the plain average overflows.
 
-    Every (m, n) term's exponent is assembled before exponentiation: the
-    log Gibbs weight ``thermo.log_gibbs_weights`` contributes
-    -beta_i(E_n - E_0^i) - ln Z~_i, which cancels the +beta_i E_n of the work
-    exponential up to the spectrum shift.  Only the (m, n) pairs of the
-    blocks of q enter; terms with q = 0 are dropped.
+    It sums over final levels first, r_n = sum_m q[m, n] exp(-beta_f E_m),
+    then ln sum_n p_n exp(beta_i E_n) r_n: the work's characteristic function
+    at an imaginary argument, by the routine whose (B, T) call is a sweep's.
     """
-    if beta_initial <= 0 or beta_final <= 0:
-        raise ValueError("inverse temperatures must be positive")
-    e_initial = tm.initial.eigenvalues
-    e_final = tm.final.eigenvalues
-    shifted_initial = beta_initial * (e_initial - e_initial[0])
-    shifted_final = beta_final * (e_final - e_final[0])
-    log_weights = log_gibbs_weights(e_initial, beta_initial)
-    offset = beta_final * e_final[0] - beta_initial * e_initial[0]
-    log_terms = []
-    for rows, columns, q in tm.stacks:
-        exponents = log_weights[columns][:, None, :] - (
-            shifted_final[rows][:, :, None] - shifted_initial[columns][:, None, :]
-        )
-        with np.errstate(divide="ignore"):
-            log_terms.append((np.log(q) + exponents).ravel())
-    return float(logsumexp(np.concatenate(log_terms))) - offset
+    return float(_log_work_sum(tm.initial.eigenvalues, beta_initial, _log_final_sums(tm, beta_final)))
 
 
 def relative_entropy_via_work(initial: ThermalSpec, final: ThermalSpec, tm: TransitionMatrix) -> float:
@@ -480,11 +480,13 @@ def relative_entropy_via_work(initial: ThermalSpec, final: ThermalSpec, tm: Tran
         S = -tr[rho_f (beta_f H_f - beta_i H_i)] - ln <exp(-(beta_f E_f - beta_i E_i))>
 
     with the average read from ``tm``, measured between the two specs'
-    spectra.  The average is protocol independent, so any unitary (identity
-    included) gives the same value; the actual protocol unitary exercises
-    the full two-point-measurement pipeline.
+    spectra (a matrix whose sides hold other eigenvalues raises ValueError)
+    under any unitary: the average is protocol independent, and the actual
+    protocol unitary exercises the full two-point-measurement pipeline.
     """
-    _check_measured(tm, initial, final)
+    for side, spec in (("initial", initial), ("final", final)):
+        if not np.array_equal(getattr(tm, side).eigenvalues, spec.spectrum.eigenvalues):
+            raise ValueError(f"the transition matrix's {side} spectrum is not that of the {side} spec")
     return -weighted_energy(initial, final) - log_work_average(tm, initial.beta, final.beta)
 
 
@@ -523,20 +525,22 @@ class WorkDistribution:
         return float(np.dot(self.probability, self.work))
 
 
-def work_distribution(initial: ThermalSpec, final: ThermalSpec, tm: TransitionMatrix) -> WorkDistribution:
-    """All dim^2 transition outcomes with probabilities p_n q[m, n], read
-    from the blocks of ``tm`` (0 between them), in m-major order."""
-    _check_measured(tm, initial, final)
+def work_distribution(tm: TransitionMatrix, beta_initial: float, beta_final: float) -> WorkDistribution:
+    """All dim^2 transition outcomes with probabilities p_n q[m, n], p the
+    initial Gibbs weights at ``beta_initial``, read from the blocks of
+    ``tm`` (0 between them), in m-major order."""
+    _check_betas(beta_initial, beta_final)
     e_initial = tm.initial.eigenvalues
     e_final = tm.final.eigenvalues
+    weights = gibbs_weights(e_initial, beta_initial)
     dim = tm.dim
     m_grid, n_grid = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     probability = np.zeros((dim, dim))
     for rows, columns, q in tm.stacks:
-        probability[rows[:, :, None], columns[:, None, :]] = q * initial.weights[columns][:, None, :]
+        probability[rows[:, :, None], columns[:, None, :]] = q * weights[columns][:, None, :]
     return WorkDistribution(
-        beta_initial=initial.beta,
-        beta_final=final.beta,
+        beta_initial=beta_initial,
+        beta_final=beta_final,
         n_index=n_grid.reshape(-1).copy(),
         m_index=m_grid.reshape(-1).copy(),
         energy_initial=e_initial[n_grid.reshape(-1)],
@@ -634,24 +638,24 @@ def _sample_block(payload: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_tpm(
-    initial: ThermalSpec,
-    final: ThermalSpec,
     tm: TransitionMatrix,
+    beta_initial: float,
+    beta_final: float,
     count: int,
     seed: int,
     workers: int = 1,
 ) -> tuple[TrajectoryBatch, EstimatorSummary]:
     """Sample two-point-measurement trajectories and estimate the average.
 
-    The first index n is drawn from the initial Gibbs weights, the second
-    from column n of ``tm``'s q, searched over the rows of n's block in ascending
-    order: their partial sums are those of the whole column, whose other
-    entries are 0, and the closing 1.0 falls on the block's last allowed
-    row, so a draw never leaves the block.  ``count`` is partitioned into
-    fixed 16384-sample blocks, each with its own counter-based stream derived
-    from (seed, block index), so results are byte-identical for any worker
-    count.  The estimator is standardized against the exact partition ratio,
-    keeping steep protocols inside double range.
+    The first index n is drawn from the Gibbs weights at ``beta_initial``,
+    the second from column n of ``tm``'s q, searched over the rows of n's
+    block in ascending order: their partial sums are those of the whole
+    column, whose other entries are 0, and the closing 1.0 falls on the
+    block's last allowed row, so a draw never leaves the block.  ``count``
+    is partitioned into fixed 16384-sample blocks, each with its own
+    counter-based stream derived from (seed, block index), so results are
+    byte-identical for any worker count.  The estimator is standardized
+    against the exact partition ratio, keeping steep protocols in range.
     """
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
@@ -659,11 +663,11 @@ def sample_tpm(
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    _check_measured(tm, initial, final)
+    _check_betas(beta_initial, beta_final)
 
     e_initial = tm.initial.eigenvalues
     e_final = tm.final.eigenvalues
-    cum_initial = _cumulative(initial.weights)
+    cum_initial = _cumulative(gibbs_weights(e_initial, beta_initial))
     # per initial level n: the final levels of its block in ascending order,
     # and the partial sums of column n over them
     targets: list = [None] * tm.dim
@@ -686,9 +690,9 @@ def sample_tpm(
     m_idx = np.concatenate([d[1] for d in drawn])
     sampled_initial = e_initial[n_idx]
     sampled_final = e_final[m_idx]
-    exponent = final.beta * sampled_final - initial.beta * sampled_initial
+    exponent = beta_final * sampled_final - beta_initial * sampled_initial
 
-    log_exact = final.log_partition - initial.log_partition
+    log_exact = gibbs_log_partition(e_final, beta_final) - gibbs_log_partition(e_initial, beta_initial)
     standardized = np.exp(-exponent - log_exact)
     exact = float(np.exp(log_exact))
     mean_ratio = float(standardized.mean())

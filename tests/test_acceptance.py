@@ -300,7 +300,7 @@ def test_accept_08_trajectory_sampler():
     errs = {}
     z_final = None
     for count in (10**3, 10**4, 10**5):
-        _, summary = sample_tpm(proto.initial_spec, proto.final_spec, tm, count=count, seed=20260816)
+        _, summary = sample_tpm(tm, proto.beta, proto.beta, count=count, seed=20260816)
         errs[count] = summary.stderr
         if count == 10**5:
             z_final = summary.z_score

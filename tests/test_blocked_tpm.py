@@ -125,7 +125,7 @@ def test_blocked_transitions_match_the_dense_oracle(n, seed, conserving, betas):
     if conserving and n > 1:
         assert len(tm.stacks) > 1  # the blocks were kept
 
-    distribution = work_distribution(initial, final, tm)
+    distribution = work_distribution(tm, *betas)
     dim = 2**n
     want = q * dense_gibbs_weights(e_initial, betas[0])[None, :]
     assert np.abs(distribution.probability - want.ravel()).max() <= 1e-12
@@ -133,7 +133,7 @@ def test_blocked_transitions_match_the_dense_oracle(n, seed, conserving, betas):
     assert distribution.probability.size == dim * dim
 
     count = 2000
-    batch, _ = sample_tpm(initial, final, tm, count=count, seed=seed % 1000)
+    batch, _ = sample_tpm(tm, *betas, count=count, seed=seed % 1000)
     n_index, m_index = dense_sample(e_initial, e_final, q, betas[0], count, seed % 1000)
     assert np.array_equal(batch.n_index, n_index)
     assert np.array_equal(batch.m_index, m_index)
@@ -168,7 +168,7 @@ def test_sampler_matches_the_dense_oracle_over_several_blocks(conserving):
     u = random_unitary(n, rng, conserving)
     initial, final = ThermalSpec(h_initial, beta), ThermalSpec(h_final, beta)
     tm = transition_matrix(initial.spectrum, final.spectrum, u)
-    batch, _ = sample_tpm(initial, final, tm, count=count, seed=seed)
+    batch, _ = sample_tpm(tm, beta, beta, count=count, seed=seed)
     e_initial, e_final, q = dense_tpm(h_initial.entries, h_final.entries, u.entries)
     n_index, m_index = dense_sample(e_initial, e_final, q, beta, count, seed)
     assert np.unique(batch.n_index[-1234:]).size == 2**n

@@ -442,8 +442,8 @@ W3_DRIVEN = {
         # reads again, and the two legs of the witness's work route
         (["verify"], None, 5),
         (["verify"], {"unitary_file": "u.json"}, 6),
-        # the reference leg, then one matrix per (B, Jz) that every T reads
-        (["sweep", "--route", "via-work"], {"n": 5, "reference": "thermal", "grid": CI_GRID}, 31),
+        # the reference leg, then one matrix per Jz that every B and T reads
+        (["sweep", "--route", "via-work"], {"n": 5, "reference": "thermal", "grid": CI_GRID}, 7),
         (["sample"], {"protocol": "three-qubit", "count": 100}, 1),
         (["witness", "--route", "via-work"], W3_DRIVEN, 2),
     ],

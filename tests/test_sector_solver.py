@@ -185,12 +185,11 @@ def test_relative_entropy_on_reference_and_chain_states(n):
         assert abs(relative_entropy(w_state, sigma) - want) <= 1e-12 * (1.0 + want)
 
 
-def dense_spec(spec):
-    """The same Gibbs state, with the spectrum of one dense ``np.linalg.eigh``."""
+def dense_spectrum(spec):
+    """The spectrum of one dense ``np.linalg.eigh`` of the spec's Hamiltonian."""
     w, v = np.linalg.eigh(spec.hamiltonian.entries)
     everything = np.arange(w.size)[None, :]
-    spectrum = SpectralDecomposition(w, ((everything, everything, v[None]),))
-    return ThermalSpec.with_spectrum(spec.hamiltonian, spec.beta, spectrum)
+    return SpectralDecomposition(w, ((everything, everything, v[None]),))
 
 
 def work_levels(distribution):
@@ -211,10 +210,9 @@ def test_work_distribution_matches_the_dense_oracle(n, beta, evolve):
     u = evolve(protocol.schedule)
     initial, final = protocol.initial_spec, protocol.final_spec
     tm = transition_matrix(initial.spectrum, final.spectrum, u)
-    work, probability = work_levels(work_distribution(initial, final, tm))
-    dense_initial, dense_final = dense_spec(initial), dense_spec(final)
-    dense_tm = transition_matrix(dense_initial.spectrum, dense_final.spectrum, u)
-    want_work, want_probability = work_levels(work_distribution(dense_initial, dense_final, dense_tm))
+    work, probability = work_levels(work_distribution(tm, beta, beta))
+    dense_tm = transition_matrix(dense_spectrum(initial), dense_spectrum(final), u)
+    want_work, want_probability = work_levels(work_distribution(dense_tm, beta, beta))
     assert work.shape == want_work.shape
     assert np.abs(work - want_work).max() <= 1e-12
     assert np.abs(probability - want_probability).max() <= 1e-12

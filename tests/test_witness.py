@@ -462,9 +462,19 @@ def small_grid(**overrides):
     return SweepGrid(**kwargs)
 
 
-def test_sweep_matches_single_point_evaluations():
-    grid = small_grid()
-    reference = sweep_reference(3)
+# CI's n = 5 grid: its B = 0 column holds degenerate levels of the chain
+CI_GRID5 = dict(
+    b_axis=GridAxis(0.0, 1.0, 0.25), jz_axis=GridAxis(0.0, 0.5, 0.1), t_axis=GridAxis(0.02, 0.5, 0.12), n=5
+)
+
+
+@pytest.mark.parametrize("axes", [{}, CI_GRID5], ids=["small", "ci5"])
+@pytest.mark.parametrize("route", ["direct", "via_work"])
+def test_sweep_matches_single_point_evaluations(route, axes):
+    # the direct route on the ideal reference; the work route on the thermal
+    # one, where each point is the witness's own work route
+    grid = small_grid(route=route, **axes)
+    reference = sweep_reference(grid.n, thermal=route == "via_work")
     done = sweep_detection(grid, reference)
     assert done.margin.shape == grid.shape
     points = itertools.product(
@@ -473,11 +483,13 @@ def test_sweep_matches_single_point_evaluations():
         enumerate(grid.t_axis.values()),
     )
     for (i, b), (j, jz), (k, t) in itertools.islice(points, 0, None, 5):
-        h_star = build_xxz(XXZParams(3, 1.0, jz, b))
-        single = witness_evaluate(
-            reference.rho, reference.sigma_ref, ThermalSpec(h_star, 1.0 / t)
-        )
-        assert abs(done.margin[i, j, k] - single.margin) < 1e-10
+        rho_star = ThermalSpec(build_xxz(XXZParams(grid.n, 1.0, jz, b)), 1.0 / t)
+        if route == "direct":
+            single = witness_evaluate(reference.rho, reference.sigma_ref, rho_star)
+            assert abs(done.margin[i, j, k] - single.margin) < 1e-10
+        else:
+            single = witness_evaluate(reference.rho_spec, reference.sigma_spec, rho_star, "via_work")
+            assert abs(done.s_right[i, j, k] - single.s_right) <= 1e-12 * max(1.0, abs(single.s_right))
         assert done.detected[i, j, k] == single.detected
         assert done.s_left == single.s_left
 

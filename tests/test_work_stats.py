@@ -39,7 +39,7 @@ from entwit import (
     work_distribution,
 )
 
-from entwit.work_stats import COMMUTATION_ATOL, SAMPLE_BLOCK, _sample_block
+from entwit.work_stats import COMMUTATION_ATOL, SAMPLE_BLOCK, _log_final_sums, _log_work_sum, _sample_block
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SZ_OPERATOR = HermitianOperator(QubitRegister(1), SZ)
@@ -164,13 +164,39 @@ class TestExponentialAverages:
         b = log_work_average(measured(h_i_p, h_f_p, u_p), 0.9, 1.7)
         assert abs(a - b) < 1e-10
 
-    def test_rejects_nonpositive_beta(self):
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_a_nonpositive_or_nonfinite_beta(self, bad):
+        # on either side, as a number and inside the sweep's axis of betas
         h = HermitianOperator(QubitRegister(1), SZ)
         tm = measured(h, h, identity_on(1))
-        with pytest.raises(ValueError):
-            log_work_average(tm, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            log_work_average(tm, -1.0, -1.0)
+        energies = tm.initial.eigenvalues
+        for betas in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="inverse temperatures must be positive"):
+                log_work_average(tm, *betas)
+            for reader in (work_distribution, lambda *args: sample_tpm(*args, count=10, seed=1)):
+                with pytest.raises(ValueError, match="inverse temperatures must be positive"):
+                    reader(tm, *betas)
+        with pytest.raises(ValueError, match="inverse temperatures must be positive"):
+            _log_final_sums(tm, bad)
+        axis = np.array([[0.5], [bad], [2.0]])
+        with pytest.raises(ValueError, match="inverse temperatures must be positive"):
+            _log_work_sum(energies[None, None, :], axis, _log_final_sums(tm, 1.0))
+
+    def test_a_beta_axis_gives_each_point(self, haar):
+        # the (B, T) call of the one routine is its one-point call at each point
+        rng = np.random.default_rng(8)
+        h_i, h_f = random_hermitian(2, rng), random_hermitian(2, rng)
+        tm = measured(h_i, h_f, haar(QubitRegister(2), 2))
+        # increasing shifts keep the levels in ascending order
+        energies = tm.initial.eigenvalues + np.array([0.0, 0.5, 2.0])[:, None] * np.arange(4)
+        betas = np.array([0.4, 1.0, 3.0])
+        plane = _log_work_sum(energies[:, None, :], betas[:, None], _log_final_sums(tm, 1.7))
+        assert plane.shape == (3, 3)
+        for i, shifted in enumerate(energies):
+            moved = dataclasses.replace(tm, initial=dataclasses.replace(tm.initial, eigenvalues=shifted))
+            for j, beta in enumerate(betas):
+                want = log_work_average(moved, beta, 1.7)
+                assert abs(plane[i, j] - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_mean_work_dominates_free_energy_difference(self, haar):
         # Jensen: <W> >= Delta F for every protocol at equal temperatures
@@ -181,7 +207,7 @@ class TestExponentialAverages:
             initial = ThermalSpec(h_i, beta)
             final = ThermalSpec(h_f, beta)
             tm = measured_specs(initial, final, haar(QubitRegister(2), seed))
-            wd = work_distribution(initial, final, tm)
+            wd = work_distribution(tm, beta, beta)
             delta_f = final.free_energy - initial.free_energy
             assert wd.mean_work() >= delta_f - 1e-12
 
@@ -203,13 +229,10 @@ class TestViaWork:
             assert abs(relative_entropy_via_work(initial, final, tm) - expected) < 1e-12
 
 
-def _sample(initial, final, tm):
-    return sample_tpm(initial, final, tm, count=10, seed=1)
-
-
 class TestOneMatrixPerDrive:
-    """Each reader takes the one transition matrix of a drive, and refuses
-    one measured between other spectra than its specs'."""
+    """Each reader takes the one transition matrix of a drive; the work
+    route's relative entropy, the one reader that also takes Gibbs specs,
+    refuses one measured between other spectra than its specs'."""
 
     def setup_method(self):
         rng = np.random.default_rng(3)
@@ -217,8 +240,8 @@ class TestOneMatrixPerDrive:
         self.final = ThermalSpec(random_hermitian(2, rng), 0.5)
         self.other = ThermalSpec(random_hermitian(2, rng), 1.0)
 
-    @pytest.mark.parametrize("reader", [relative_entropy_via_work, work_distribution, _sample])
-    def test_a_matrix_of_other_spectra_is_refused(self, haar, reader):
+    def test_a_matrix_of_other_spectra_is_refused(self, haar):
+        reader = relative_entropy_via_work
         u = haar(QubitRegister(2), 4)
         initial, final, other = self.initial, self.final, self.other
         reader(initial, final, measured_specs(initial, final, u))
@@ -235,7 +258,7 @@ class TestOneMatrixPerDrive:
         # a spec at another beta on the same spectrum reads the same matrix
         tm = measured_specs(self.initial, self.final, haar(QubitRegister(2), 6))
         for beta in (0.3, 1.0, 4.0):
-            initial = ThermalSpec.with_spectrum(self.initial.hamiltonian, beta, self.initial.spectrum)
+            initial = ThermalSpec(self.initial.hamiltonian, beta)
             want = gibbs_relative_entropy(initial, self.final)
             assert abs(relative_entropy_via_work(initial, self.final, tm) - want) < 1e-12
 
@@ -255,17 +278,22 @@ class TestWorkDistribution:
 
     def test_probabilities_sum_to_one(self, haar):
         tm = measured_specs(self.initial, self.final, haar(QubitRegister(2), 3))
-        wd = work_distribution(self.initial, self.final, tm)
+        wd = work_distribution(tm, 0.9, 1.4)
         assert abs(wd.probability.sum() - 1.0) < 1e-12
         assert len(wd.probability) == 16
 
     def test_work_and_exponent_columns(self, haar):
         tm = measured_specs(self.initial, self.final, haar(QubitRegister(2), 3))
-        wd = work_distribution(self.initial, self.final, tm)
+        wd = work_distribution(tm, 0.9, 1.4)
         assert np.allclose(wd.work, wd.energy_final - wd.energy_initial)
-        initial, final = ThermalSpec(self.h_i, 0.9), ThermalSpec(self.h_f, 0.9)
-        equal_beta = work_distribution(initial, final, measured_specs(initial, final, identity_on(2)))
+        equal_beta = work_distribution(measured_specs(self.initial, self.final, identity_on(2)), 0.9, 0.9)
         assert np.allclose(equal_beta.generalized_exponent, 0.9 * equal_beta.work)
+
+    def test_weights_are_the_specs(self, haar):
+        # p_n at beta_initial is the rule ThermalSpec.weights reads, bit for bit
+        tm = measured_specs(self.initial, self.final, haar(QubitRegister(2), 3))
+        probability = work_distribution(tm, 0.9, 1.4).probability.reshape(4, 4)
+        assert probability.sum(axis=0).tobytes() == (self.initial.weights * tm.column_sums).tobytes()
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -395,27 +423,27 @@ class TestSampler:
         self.tm = measured_specs(self.initial, self.final, identity_on(2))
 
     def test_deterministic_across_worker_counts(self):
-        b1, s1 = sample_tpm(self.initial, self.final, self.tm, count=5000, seed=99, workers=1)
-        b2, s2 = sample_tpm(self.initial, self.final, self.tm, count=5000, seed=99, workers=2)
+        b1, s1 = sample_tpm(self.tm, 1.0, 1.0, count=5000, seed=99, workers=1)
+        b2, s2 = sample_tpm(self.tm, 1.0, 1.0, count=5000, seed=99, workers=2)
         assert np.array_equal(b1.work, b2.work)
         assert np.array_equal(b1.n_index, b2.n_index)
         assert s1.mean == s2.mean and s1.stderr == s2.stderr
 
     def test_pool_is_capped_at_the_block_count(self, fake_pool):
         count = 2 * SAMPLE_BLOCK + 1  # three blocks
-        capped, _ = sample_tpm(self.initial, self.final, self.tm, count, seed=4, workers=5000)
+        capped, _ = sample_tpm(self.tm, 1.0, 1.0, count, seed=4, workers=5000)
         assert fake_pool == [3]
-        inline, _ = sample_tpm(self.initial, self.final, self.tm, count, seed=4, workers=1)
+        inline, _ = sample_tpm(self.tm, 1.0, 1.0, count, seed=4, workers=1)
         assert fake_pool == [3]
         assert np.array_equal(capped.m_index, inline.m_index)
 
     def test_different_seeds_differ(self):
-        b1, _ = sample_tpm(self.initial, self.final, self.tm, count=2000, seed=1)
-        b2, _ = sample_tpm(self.initial, self.final, self.tm, count=2000, seed=2)
+        b1, _ = sample_tpm(self.tm, 1.0, 1.0, count=2000, seed=1)
+        b2, _ = sample_tpm(self.tm, 1.0, 1.0, count=2000, seed=2)
         assert not np.array_equal(b1.m_index, b2.m_index)
 
     def test_summary_against_closed_form(self):
-        _, summary = sample_tpm(self.initial, self.final, self.tm, count=20000, seed=7)
+        _, summary = sample_tpm(self.tm, 1.0, 1.0, count=20000, seed=7)
         exact = np.exp(log_work_average(self.tm, 1.0, 1.0))
         assert abs(summary.exact - exact) < 1e-12
         assert summary.count == 20000
@@ -423,19 +451,19 @@ class TestSampler:
         assert abs(summary.mean - exact) < 5.0 * summary.stderr
 
     def test_mean_is_the_sample_average(self):
-        batch, summary = sample_tpm(self.initial, self.final, self.tm, count=3000, seed=5)
+        batch, summary = sample_tpm(self.tm, 1.0, 1.0, count=3000, seed=5)
         direct = float(np.mean(np.exp(-batch.generalized_exponent)))
         assert abs(summary.mean - direct) < 1e-12
         assert np.allclose(batch.work, batch.energy_final - batch.energy_initial)
 
     def test_stderr_shrinks_with_count(self):
-        _, s3 = sample_tpm(self.initial, self.final, self.tm, count=1000, seed=11)
-        _, s4 = sample_tpm(self.initial, self.final, self.tm, count=10000, seed=11)
+        _, s3 = sample_tpm(self.tm, 1.0, 1.0, count=1000, seed=11)
+        _, s4 = sample_tpm(self.tm, 1.0, 1.0, count=10000, seed=11)
         ratio = s3.stderr / s4.stderr
         assert 2.0 < ratio < 5.0  # sqrt(10) up to sampling noise
 
     def test_single_sample_has_no_error_bar(self):
-        _, summary = sample_tpm(self.initial, self.final, self.tm, count=1, seed=3)
+        _, summary = sample_tpm(self.tm, 1.0, 1.0, count=1, seed=3)
         assert summary.stderr is None and summary.z_score is None
 
     @pytest.mark.parametrize("dim, beta", [(2, 1.0), (8, 0.3), (32, 4.0), (128, 10.0)])
@@ -489,13 +517,13 @@ class TestSampler:
                 return next(self.draws)
 
         monkeypatch.setattr(np.random, "Generator", Stub)
-        batch, _ = sample_tpm(initial, final, tm, count=dim, seed=0)
+        batch, _ = sample_tpm(tm, 1.0, 1.0, count=dim, seed=0)
         assert batch.n_index.tolist() == list(range(dim))
-        probability = work_distribution(initial, final, tm).probability.reshape(dim, dim)
+        probability = work_distribution(tm, 1.0, 1.0).probability.reshape(dim, dim)
         assert np.all(probability[batch.m_index, batch.n_index] > 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sample_tpm(self.initial, self.final, self.tm, count=0, seed=1)
+            sample_tpm(self.tm, 1.0, 1.0, count=0, seed=1)
         with pytest.raises(ValueError):
-            sample_tpm(self.initial, self.final, self.tm, count=10, seed=1, workers=0)
+            sample_tpm(self.tm, 1.0, 1.0, count=10, seed=1, workers=0)
