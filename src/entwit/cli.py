@@ -116,7 +116,7 @@ def _build_parser() -> _Parser:
     )
     add_common(sweep, True)
     sweep.add_argument("--route", choices=ROUTES, default="direct")
-    sweep.add_argument("--workers", type=int, default=None, help="parallel workers")
+    sweep.add_argument("--workers", type=int, default=1, help="parallel workers (default: 1)")
 
     verify = sub.add_parser("verify", help="check the statistical identities")
     add_common(verify, False)
@@ -125,26 +125,15 @@ def _build_parser() -> _Parser:
     sample = sub.add_parser("sample", help="draw measurement trajectories")
     add_common(sample, True)
     sample.add_argument("--seed", type=_seed, default=0, help="random seed")
-    sample.add_argument("--workers", type=int, default=None, help="parallel workers")
+    sample.add_argument("--workers", type=int, default=1, help="parallel workers (default: 1)")
 
     return parser
 
 
 def _resolve_workers(args) -> int:
-    value = getattr(args, "workers", None)
-    if value is None:
-        raw = os.environ.get("ENTWIT_WORKERS")
-        if raw is None:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"ENTWIT_WORKERS must be a positive integer, got {raw!r}"
-            ) from None
-    if value < 1:
-        raise ConfigError(f"workers must be >= 1, got {value}")
-    return value
+    if args.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {args.workers}")
+    return args.workers
 
 
 def _load_config(path: str) -> dict:
@@ -369,11 +358,14 @@ def _run_sweep(args) -> int:
     if not (0.0 < beta < math.inf and 1.0 / beta < math.inf):  # for either reference
         raise ConfigError(f"{file}: beta: must be positive with a finite 1/beta, got {beta!r}")
     boundary = cfg.get("boundary", "periodic")
-    reference_kind = cfg.get("reference", "ideal")
+    # the work route reads declared Gibbs states only, so its default is thermal
+    reference_kind = cfg.get("reference", "thermal" if args.route == "via_work" else "ideal")
     if reference_kind not in ("ideal", "thermal"):
         raise ConfigError(
             f"{file}: reference: expected 'ideal' or 'thermal', got {reference_kind!r}"
         )
+    if reference_kind == "ideal" and args.route == "via_work":
+        raise ConfigError(f"{file}: reference: the via-work route needs the thermal reference, got 'ideal'")
     grid_cfg = cfg["grid"]
     if not isinstance(grid_cfg, dict):
         raise ConfigError(f"{file}: grid: expected an object with axes B, Jz, T")
@@ -393,7 +385,7 @@ def _run_sweep(args) -> int:
             coupling_j=coupling_j,
             beta=beta,
             boundary=boundary,
-            thermal=(reference_kind == "thermal" or args.route == "via_work"),
+            thermal=reference_kind == "thermal",
         )
     except ValueError as err:
         raise ConfigError(f"{file}: {err}") from err

@@ -70,7 +70,7 @@ from .operators import (
     spectral_function,
 )
 from .spin_models import DrivingSchedule, XXZParams, _bonds, chain_pieces, is_number, params_at, xxz_pieces
-from .thermo import ThermalSpec, thermal_state, weighted_energy
+from .thermo import ThermalSpec, gibbs_blocks, weighted_energy
 from .witness import StateOrSpec, WitnessReport, _check_route, _distances, _finish_report, _identity_unitary
 from .work_stats import log_work_average, ordered_product, schedule_coefficients, transition_matrix
 
@@ -237,9 +237,10 @@ def _mean_force(
 
 def reduced_state(composite: CompositeSystem) -> DensityMatrix:
     """tr_B of the full Gibbs state at the composite's beta, with a driven
-    subsystem's chain at t = 0."""
-    full_state = thermal_state(ThermalSpec(full_hamiltonian(composite), composite.beta))
-    reduced = partial_trace(full_state.stacks, composite.register.n, composite.subsystem_sites)
+    subsystem's chain at t = 0.  The full state's blocks are traced as
+    ``gibbs_blocks`` builds them; only the reduced state is checked."""
+    full_blocks = gibbs_blocks(ThermalSpec(full_hamiltonian(composite), composite.beta))
+    reduced = partial_trace(full_blocks, composite.register.n, composite.subsystem_sites)
     return DensityMatrix(composite.subsystem_register, reduced)
 
 

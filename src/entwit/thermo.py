@@ -20,10 +20,11 @@ linear form ``gibbs_weights`` and ``gibbs_log_partition`` for every ln Z
 (read by ``ThermalSpec`` and by the work-statistics readers), and
 ``weighted_energy``, the energy term tr[rho_f (beta_f H_f - beta_i H_i)]
 shared by the Gibbs identity and the work route.  A ``ThermalSpec.spectrum``
-keeps its S^z blocks: ``thermal_state`` is built block by block with
-``operators.spectral_function``, and ``weighted_energy`` sums tr(rho_f H_i)
-over the final levels of positive Gibbs weight, each inside one block, so
-neither forms a register-sized eigenvector matrix.  All of it stays in log
+keeps its S^z blocks: ``gibbs_blocks`` builds the Gibbs state block by block
+with ``operators.spectral_function`` (``thermal_state`` checks them as a
+``DensityMatrix``), and ``weighted_energy`` sums tr(rho_f H_i) over the
+final levels of positive Gibbs weight, each inside one block, so neither
+forms a register-sized eigenvector matrix.  All of it stays in log
 space, so steep inverse temperatures (beta ~ 100 on spectra of width ~10)
 stay inside double range.  Every ln sum exp goes through ``logsumexp``, a
 numpy kernel computing exactly what ``scipy.special.logsumexp`` does.
@@ -141,11 +142,17 @@ def log_gibbs_weights(energies, beta) -> np.ndarray:
     return shifted - logsumexp(shifted, axis=-1)[..., None]
 
 
-def thermal_state(spec: ThermalSpec) -> DensityMatrix:
-    """exp(-beta H)/Z, built block by block from the shifted spectrum of H."""
+def gibbs_blocks(spec: ThermalSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (indices, blocks) stacks of exp(-beta H)/Z, built block by block
+    from the shifted spectrum of H and symmetrized, with none of the checks
+    of a ``DensityMatrix``."""
     stacks = spectral_function(spec.spectrum, spec.weights)
-    symmetrized = [(indices, 0.5 * (b + b.conj().swapaxes(-1, -2))) for indices, b in stacks]
-    return DensityMatrix(spec.hamiltonian.register, symmetrized)
+    return [(indices, 0.5 * (b + b.conj().swapaxes(-1, -2))) for indices, b in stacks]
+
+
+def thermal_state(spec: ThermalSpec) -> DensityMatrix:
+    """exp(-beta H)/Z as a checked ``DensityMatrix`` of ``gibbs_blocks``."""
+    return DensityMatrix(spec.hamiltonian.register, gibbs_blocks(spec))
 
 
 def _plogp(eigenvalues: np.ndarray) -> float:

@@ -22,7 +22,11 @@ expression, ``_gibbs_cross_entropy``.
 
 The reference states (W_n, the Dicke mixtures) and the identity unitary are
 laid out per popcount sector (``operators.sector_partition``), so none of
-them becomes a register-sized matrix.  A sweep on either route combines the
+them becomes a register-sized matrix.  ``SweepReference`` takes the
+witness's two reference slots, each a state or a declared Gibbs state.
+``_as_state`` is the one place here where a spec becomes a DensityMatrix,
+for the spectral evaluator and the direct sweep's rho; ``state_checksum``
+hashes a spec's Gibbs blocks.  A sweep on either route combines the
 cached ``spin_models.xxz_pieces`` once per Jz value at B = 0, diagonalizes
 the blocks, reads each eigenvector's magnetization off the S_z blocks, and
 takes the log Gibbs weights of the (B, T) plane from one
@@ -58,6 +62,7 @@ from .spin_models import DrivingSchedule, XXZParams, build_xxz, is_number, xxz_p
 from .thermo import (
     ThermalSpec,
     _plogp,
+    gibbs_blocks,
     gibbs_relative_entropy,
     log_gibbs_weights,
     nonnegative_entropy,
@@ -476,18 +481,18 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepReference:
-    """Reference pair (and optional Gibbs declarations) for a sweep.
+    """The reference pair of a sweep: each slot a DensityMatrix or a declared
+    Gibbs state (ThermalSpec), as in ``witness_evaluate``.
 
-    When both specs are declared, ``rho``/``sigma_ref`` are their thermal
-    states, and the sweep takes the reference leg from the exact log-space
-    distance instead of the spectral evaluator.
+    ``s_left`` takes ``_distances``' evaluator for the pair: the Gibbs
+    identity, or the work route, for two specs.  A spec becomes a
+    DensityMatrix only where its blocks and eigenvalues are read: rho on the
+    direct route.
     """
 
-    rho: DensityMatrix
-    sigma_ref: DensityMatrix
-    rho_spec: ThermalSpec | None = None
-    sigma_spec: ThermalSpec | None = None
-    description: str = ""
+    rho: StateOrSpec
+    sigma_ref: StateOrSpec
+    description: str
 
 
 def sweep_reference(
@@ -499,50 +504,28 @@ def sweep_reference(
 ) -> SweepReference:
     """Standard sweep reference on n qubits, 3 <= n <= 12: W_n and
     ``reference_state(n)``, which need no chain (so any boundary), or with
-    ``thermal=True`` the Gibbs states of ``detection_protocol``'s endpoints
-    at ``beta``, which is what the work-statistics route requires; those
-    exist on the periodic ring only, so another ``boundary`` raises
-    ValueError."""
+    ``thermal=True`` ``detection_protocol``'s endpoint specs at ``beta``,
+    which is what the work-statistics route requires; those exist on the
+    periodic ring only, so another ``boundary`` raises ValueError."""
     if not thermal:
         sigma = reference_state(n)  # checks n before the W state is built
-        return SweepReference(build_w_state(n), sigma, description="ideal reference states")
+        return SweepReference(build_w_state(n), sigma, "ideal reference states")
     if boundary != "periodic":
         raise ValueError(
             f"the reference protocol needs the periodic ring, got boundary={boundary!r}: "
             "W_n is not an eigenstate of the open chain"
         )
     protocol = detection_protocol(n, beta=beta, coupling_j=coupling_j)
-    return SweepReference(
-        rho=thermal_state(protocol.final_spec),
-        sigma_ref=thermal_state(protocol.initial_spec),
-        rho_spec=protocol.final_spec,
-        sigma_spec=protocol.initial_spec,
-        description=f"thermal identification at beta={beta:g}",
-    )
+    description = f"thermal identification at beta={beta:g}"
+    return SweepReference(protocol.final_spec, protocol.initial_spec, description)
 
 
-def _shared_sweep_state(grid: SweepGrid, reference: SweepReference) -> dict:
-    rho = reference.rho if reference.rho_spec is None else reference.rho_spec
-    sigma = reference.sigma_ref if reference.sigma_spec is None else reference.sigma_spec
-    (s_left,) = _distances(grid.route, rho, (("sigma_ref", sigma, None),))
-    return {
-        "n": grid.n,
-        "coupling_j": grid.coupling_j,
-        "boundary": grid.boundary,
-        "b_values": grid.b_axis.values(),
-        "t_values": grid.t_axis.values(),
-        "rho": reference.rho.stacks,
-        "plogp_rho": _plogp(reference.rho.eigenvalues),
-        "s_left": float(s_left),
-        "route": grid.route,
-        "rho_spec": reference.rho_spec if grid.route == "via_work" else None,
-    }
+# (grid, rho) of the running sweep: rho is the reference's DensityMatrix on
+# the direct route and its ThermalSpec on the work route
+_SWEEP_STATE: tuple | None = None
 
 
-_SWEEP_STATE: dict | None = None
-
-
-def _sweep_worker_init(state: dict) -> None:
+def _sweep_worker_init(state: tuple) -> None:
     global _SWEEP_STATE
     _SWEEP_STATE = state
 
@@ -555,31 +538,32 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
     values' log Gibbs weights against rho's overlaps; the work route through
     the identity drive's one q between H*(0) and rho, the q of every B.
     """
-    state = _SWEEP_STATE
-    assert state is not None
-    t_values, b_values, via_work = state["t_values"], state["b_values"], state["route"] == "via_work"
-    stacks = xxz_pieces(state["n"], state["boundary"])
+    assert _SWEEP_STATE is not None
+    grid, rho = _SWEEP_STATE
+    t_values, b_values, via_work = grid.t_axis.values(), grid.b_axis.values(), grid.route == "via_work"
+    stacks = xxz_pieces(grid.n, grid.boundary)
     # -B = -0.0 adds the signed zeros that J H_xy + Jz H_zz - 0.0 S_z holds
-    h_zero = combine(stacks, (state["coupling_j"], jz_value, -0.0))
+    h_zero = combine(stacks, (grid.coupling_j, jz_value, -0.0))
     # S_z is m I on each sector block, so its diagonal is each eigenvector's m
     sector_m = [np.diagonal(pieces[2], 0, 1, 2) for _, pieces in stacks]
     if via_work:
-        rho_spec, register = state["rho_spec"], QubitRegister(state["n"])
+        register = QubitRegister(grid.n)
         spectrum = spectral_decompose(HermitianOperator(register, h_zero))
         energies, magnetization = spectrum.eigenvalues, np.empty(spectrum.dim)
         for (_, levels, _), m in zip(spectrum.stacks, sector_m):
             magnetization[levels] = m
-        tm = transition_matrix(spectrum, rho_spec.spectrum, _identity_unitary(register))
-        final_sums = _log_final_sums(tm, rho_spec.beta)
-        weights, values = rho_spec.weights, np.column_stack([energies, magnetization])
-        final_energy = rho_spec.beta * float(np.dot(weights, rho_spec.spectrum.eigenvalues))
+        tm = transition_matrix(spectrum, rho.spectrum, _identity_unitary(register))
+        final_sums = _log_final_sums(tm, rho.beta)
+        weights, values = rho.weights, np.column_stack([energies, magnetization])
+        final_energy = rho.beta * float(np.dot(weights, rho.spectrum.eigenvalues))
         # sum_{m,n} w_m q[m, n] x_n for x = E(0) and m: <H*(0)> and <S_z> over rho
         mean_h, mean_sz = sum(((weights[r][:, None, :] @ q) @ values[c]).sum((0, 1)) for r, c, q in tm.stacks)
     else:
         # Gibbs states at every grid point are full rank, so tr(rho ln sigma*)
         # is evaluated from exact log weights; no support bookkeeping applies
-        energies, overlaps = sector_overlaps(state["rho"], h_zero)
+        energies, overlaps = sector_overlaps(rho.stacks, h_zero)
         magnetization = np.concatenate([m.ravel() for m in sector_m])
+        plogp_rho = _plogp(rho.eigenvalues)
     betas = (1.0 / t_values)[:, None]
     # log Gibbs weights of a run of B values at once, shape (b, nT, dim)
     run = max(1, SWEEP_STACK_ENTRIES // (t_values.size * energies.size))
@@ -591,7 +575,7 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
             beta_energy = final_energy - betas[:, 0] * (mean_h - b_run[:, None] * mean_sz)
             planes.append(-beta_energy - _log_work_sum(field_energies[:, None, :], betas, final_sums, log_p))
         else:
-            planes.append(_gibbs_cross_entropy(state["plogp_rho"], log_p, overlaps))
+            planes.append(_gibbs_cross_entropy(plogp_rho, log_p, overlaps))
     return np.concatenate(planes)
 
 
@@ -610,17 +594,19 @@ def sweep_detection(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    shared = _shared_sweep_state(grid, reference)
+    (s_left,) = _distances(grid.route, reference.rho, (("sigma_ref", reference.sigma_ref, None),))
+    # the direct plane reads rho's blocks and eigenvalues, the work plane its spec
+    rho = reference.rho if grid.route == "via_work" else _as_state(reference.rho, "rho")
     tasks = grid.jz_axis.values().tolist()
-    planes = _map_tasks(_sweep_plane, tasks, workers, _sweep_worker_init, (shared,))
+    planes = _map_tasks(_sweep_plane, tasks, workers, _sweep_worker_init, ((grid, rho),))
 
     s_right = np.stack(planes, axis=1)
-    margin, detected = _decide(shared["s_left"], s_right)
+    margin, detected = _decide(s_left, s_right)
     for column in (s_right, margin, detected):
         column.setflags(write=False)
     return dataclasses.replace(
         grid,
-        s_left=shared["s_left"],
+        s_left=float(s_left),
         s_right=s_right,
         margin=margin,
         detected=detected,
@@ -632,19 +618,23 @@ def sweep_detection(
 CHECKSUM_PANEL_ENTRIES = 1 << 18
 
 
-def state_checksum(state: DensityMatrix) -> str:
+def state_checksum(state: StateOrSpec) -> str:
     """SHA-256 of the assembled complex128 matrix's row-major bytes (stable
     across runs).  The rows go to the hash in panels of at most
     CHECKSUM_PANEL_ENTRIES entries, each assembled from the stacks, so the
-    register-sized matrix is never made."""
+    register-sized matrix is never made.  A ThermalSpec hashes its
+    ``gibbs_blocks``, the stacks of its ``thermal_state``, to the same digest."""
     digest = hashlib.sha256()
-    dim = state.dim
+    if isinstance(state, ThermalSpec):
+        dim, stacks = state.hamiltonian.register.dim, gibbs_blocks(state)
+    else:
+        dim, stacks = state.dim, state.stacks
     rows = min(dim, max(1, CHECKSUM_PANEL_ENTRIES // dim))
     panel = np.empty((rows, dim), dtype=np.complex128)
     for start in range(0, dim, rows):
         part = panel[: dim - start]  # the last panel may be short
         part.fill(0)
-        for indices, blocks in state.stacks:
+        for indices, blocks in stacks:
             block, row = np.nonzero((indices >= start) & (indices < start + len(part)))
             part[(indices[block, row] - start)[:, None], indices[block]] = blocks[block, row]
         digest.update(part)

@@ -401,6 +401,34 @@ def test_sweep_thermal_reference_follows_the_coupling(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "ideal")]) in (0, 3)
 
 
+def test_sweep_reference_default_follows_the_route(tmp_path, capsys, monkeypatch):
+    # the work route reads declared Gibbs states only: its default is the
+    # thermal pair, and an explicit ideal pair is refused before any work
+    for route, kind, description in (
+        ("direct", "ideal", "ideal reference states"),
+        ("via-work", "thermal", "thermal identification at beta=100"),
+    ):
+        runs = []
+        for name, stated in (("default", {}), ("stated", {"reference": kind})):
+            cfg = write_config(tmp_path, {"n": 3, **stated, "grid": SMALL_GRID})
+            out = tmp_path / f"{route}-{name}"
+            assert main(["sweep", "--route", route, "--config", cfg, "--out", str(out)]) in (0, 3)
+            runs.append(((out / "sweep.csv").read_bytes(), read_json(out, "sweep_meta.json")["grid"]))
+        assert runs[0] == runs[1]
+        assert runs[0][1]["reference"]["description"] == description
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("entwit.cli.sweep_detection", refuse)
+    cfg = write_config(tmp_path, {"n": 3, "reference": "ideal", "grid": SMALL_GRID})
+    out = tmp_path / "refused"
+    assert main(["sweep", "--route", "via-work", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: reference: ") and "'ideal'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_default_protocol_passes(tmp_path, capsys):
@@ -542,17 +570,15 @@ def test_sample_writes_trajectories(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:thermal identification")
-def test_sample_is_deterministic_across_workers(tmp_path, monkeypatch):
+def test_sample_is_deterministic_across_workers(tmp_path):
     cfg = write_config(
         tmp_path,
         {"protocol": "three-qubit", "beta": 1.0, "count": 400, "evolution": "identity"},
     )
     outs = []
-    for name, extra in [("a", ["--workers", "1"]), ("b", ["--workers", "3"]), ("c", [])]:
+    for name, extra in [("a", ["--workers", "1"]), ("b", ["--workers", "3"]), ("c", ["--workers", "2"])]:
         out = tmp_path / name
         out.mkdir()
-        if not extra:
-            monkeypatch.setenv("ENTWIT_WORKERS", "2")
         main(["sample", "--config", cfg, "--out", str(out), "--seed", "3"] + extra)
         outs.append((out / "trajectories.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
@@ -580,15 +606,6 @@ def test_trajectories_match_the_per_row_writer(tmp_path, monkeypatch):
         assert (out / "trajectories.csv").read_bytes() == (tmp_path / f"legacy{workers}.csv").read_bytes()
     assert np.unique(batch.n_index * 128 + batch.m_index).size > 500
     assert (tmp_path / "w1" / "trajectories.csv").read_bytes() == (tmp_path / "w2" / "trajectories.csv").read_bytes()
-
-
-def test_sample_rejects_bad_worker_env(tmp_path, monkeypatch, capsys):
-    cfg = write_config(
-        tmp_path, {"protocol": "three-qubit", "count": 10, "evolution": "identity"}
-    )
-    monkeypatch.setenv("ENTWIT_WORKERS", "lots")
-    assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "ENTWIT_WORKERS" in capsys.readouterr().err
 
 
 def test_sample_rejects_bad_count(tmp_path, capsys):

@@ -12,6 +12,7 @@ from scipy.linalg import expm, logm
 from entwit import (
     CompositeSystem,
     ConfigError,
+    DensityMatrix,
     HermitianOperator,
     NumericalCheckError,
     QubitRegister,
@@ -36,7 +37,7 @@ from entwit import (
 )
 from dense_oracle import embed_operator
 from entwit.open_system import _mean_force, log_bath_partition
-from entwit.operators import spectral_decompose
+from entwit.operators import partial_trace, spectral_decompose
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -225,6 +226,27 @@ def test_reduced_state_is_gibbs_of_the_effective_hamiltonian():
     via_effective = thermal_state(ThermalSpec(effective_hamiltonian(comp), comp.beta))
     assert np.max(np.abs(via_trace.entries - via_effective.entries)) < 1e-12
     assert relative_entropy(via_trace, via_effective) < 1e-12
+
+
+def test_reduced_state_checks_only_the_reduced_state(monkeypatch):
+    # the full Gibbs state's blocks are traced unchecked: the one
+    # DensityMatrix built is the subsystem's, with the bytes of the trace
+    # of the checked full state
+    comp = split_chain(XXZParams(6, 1.0, 0.2, 0.4), (2, 3), 1.3)
+    full = thermal_state(ThermalSpec(full_hamiltonian(comp), comp.beta))
+    want = partial_trace(full.stacks, 6, (2, 3))
+    checked, check = [], DensityMatrix._check
+
+    def record(state):
+        checked.append(state.register.n)
+        check(state)
+
+    monkeypatch.setattr(DensityMatrix, "_check", record)
+    got = reduced_state(comp)
+    assert checked == [2]
+    assert len(got.stacks) == len(want)
+    for (i, a), (j, b) in zip(got.stacks, want):
+        assert np.array_equal(i, j) and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------- identities

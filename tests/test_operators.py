@@ -15,11 +15,16 @@ from entwit import (
     HermitianOperator,
     NumericalCheckError,
     QubitRegister,
+    ThermalSpec,
     UnitaryOperator,
+    XXZParams,
+    build_xxz,
     density_from_json,
+    detection_protocol,
     matrix_from_json,
     matrix_to_json,
     spectral_decompose,
+    thermal_state,
     unitary_from_json,
 )
 from entwit import operators, witness
@@ -242,12 +247,33 @@ def test_a_checksum_in_small_panels_is_the_one_panel_digest(monkeypatch, random_
     # 5 rows (the last one partial) must hash the same bytes, for states on
     # S^z sectors and for one on a whole-register block
     thermal = sweep_reference(7, thermal=True)
-    states = [build_w_state(7), reference_state(7), thermal.rho, random_product_state(7, 2)]
+    states = [build_w_state(7), reference_state(7), thermal_state(thermal.rho), random_product_state(7, 2)]
     want = [hashlib.sha256(state.entries).hexdigest() for state in states]
     assert witness.CHECKSUM_PANEL_ENTRIES >= 4**7
     assert [state_checksum(state) for state in states] == want
     monkeypatch.setattr(witness, "CHECKSUM_PANEL_ENTRIES", entries)
     assert [state_checksum(state) for state in states] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    boundary=st.sampled_from(["periodic", "open"]),
+    couplings=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    beta=st.floats(1e-3, 100.0),
+)
+def test_a_spec_hashes_as_its_thermal_state(n, boundary, couplings, beta):
+    # a spec's checksum reads its Gibbs blocks without building the state
+    spec = ThermalSpec(build_xxz(XXZParams(n, *couplings, boundary)), beta)
+    assert state_checksum(spec) == state_checksum(thermal_state(spec))
+
+
+@pytest.mark.filterwarnings("ignore:thermal identification")
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_the_protocol_endpoints_hash_as_their_thermal_states(n):
+    protocol = detection_protocol(n)
+    for spec in (protocol.initial_spec, protocol.final_spec):
+        assert state_checksum(spec) == state_checksum(thermal_state(spec))
 
 
 def test_a_checksum_never_assembles_the_whole_matrix():

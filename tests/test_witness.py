@@ -484,11 +484,10 @@ def test_sweep_matches_single_point_evaluations(route, axes):
     )
     for (i, b), (j, jz), (k, t) in itertools.islice(points, 0, None, 5):
         rho_star = ThermalSpec(build_xxz(XXZParams(grid.n, 1.0, jz, b)), 1.0 / t)
+        single = witness_evaluate(reference.rho, reference.sigma_ref, rho_star, route)
         if route == "direct":
-            single = witness_evaluate(reference.rho, reference.sigma_ref, rho_star)
             assert abs(done.margin[i, j, k] - single.margin) < 1e-10
         else:
-            single = witness_evaluate(reference.rho_spec, reference.sigma_spec, rho_star, "via_work")
             assert abs(done.s_right[i, j, k] - single.s_right) <= 1e-12 * max(1.0, abs(single.s_right))
         assert done.detected[i, j, k] == single.detected
         assert done.s_left == single.s_left
@@ -499,8 +498,7 @@ def test_sweep_matches_single_point_evaluations(route, axes):
 def test_sweep_s_left_is_the_witness_s_left_bit_for_bit(route, thermal):
     grid = small_grid(route=route)
     reference = sweep_reference(3, thermal=thermal)
-    rho = reference.rho if reference.rho_spec is None else reference.rho_spec
-    sigma = reference.sigma_ref if reference.sigma_spec is None else reference.sigma_spec
+    rho, sigma = reference.rho, reference.sigma_ref
     rho_star = ThermalSpec(build_xxz(XXZParams(3, 1.0, 0.0, 0.5)), 20.0)
     if route == "via_work" and not thermal:
         # both refuse dense reference states on the work route
@@ -585,15 +583,35 @@ def test_ideal_and_thermal_references_agree_closely():
     assert np.abs(ideal.margin - thermal.margin).max() < 1e-5
 
 
+@pytest.mark.parametrize(
+    "route, thermal, built", [("via_work", True, 0), ("direct", True, 1), ("direct", False, 0)]
+)
+def test_a_sweep_builds_a_gibbs_state_only_where_one_is_read(monkeypatch, route, thermal, built):
+    # the direct plane reads rho's blocks and eigenvalues; s_left and the
+    # checksums read the specs, so no other reference state is built
+    specs, checked = [], []
+    gibbs, check = entwit.witness.thermal_state, DensityMatrix._check
+    monkeypatch.setattr(entwit.witness, "thermal_state", lambda spec: specs.append(spec) or gibbs(spec))
+    reference = sweep_reference(3, thermal=thermal)
+    monkeypatch.setattr(DensityMatrix, "_check", lambda state: checked.append(state) or check(state))
+    done = sweep_detection(small_grid(route=route), reference)
+    sweep_metadata(done, reference)
+    assert specs == [reference.rho] * built and len(checked) == built
+
+
 def test_sweep_reference_variants():
     ref = sweep_reference(7)
     assert ref.description
-    # the ideal reference builds no chain, so it does not depend on J
-    assert ref.rho_spec is None and ref.sigma_spec is None
+    # the ideal pair is two states; it builds no chain, so it does not depend on J
+    assert isinstance(ref.rho, DensityMatrix) and isinstance(ref.sigma_ref, DensityMatrix)
     assert state_checksum(sweep_reference(7, coupling_j=-1.0).sigma_ref) == state_checksum(ref.sigma_ref)
     for n in (3, 4):
-        thermal = sweep_reference(n, thermal=True)
-        assert thermal.rho_spec is not None and thermal.sigma_spec is not None
+        # the thermal pair is the protocol's endpoint specs, as declared
+        thermal, protocol = sweep_reference(n, thermal=True), detection_protocol(n)
+        assert isinstance(thermal.rho, ThermalSpec) and isinstance(thermal.sigma_ref, ThermalSpec)
+        for spec, endpoint in ((thermal.rho, protocol.final_spec), (thermal.sigma_ref, protocol.initial_spec)):
+            assert spec.beta == endpoint.beta
+            assert np.array_equal(spec.hamiltonian.entries, endpoint.hamiltonian.entries)
     with pytest.raises(ValueError, match="J > 0"):
         sweep_reference(7, coupling_j=-1.0, thermal=True)
     for n in BAD_SIZES:
