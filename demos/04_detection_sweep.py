@@ -31,7 +31,7 @@ grid = SweepGrid(
     t_axis=GridAxis(0.01, 2.01, 0.05),
     n=3,
 )
-grid = sweep_detection(grid, reference, workers=2)
+grid = sweep_detection(grid, reference)
 # results are columns: s_left is one number, and s_right, margin and
 # detected are arrays indexed [B, Jz, T]
 print(f"{grid.point_count} grid points, {int(grid.detected.sum())} detections")

@@ -116,7 +116,6 @@ def _build_parser() -> _Parser:
     )
     add_common(sweep, True)
     sweep.add_argument("--route", choices=ROUTES, default="direct")
-    sweep.add_argument("--workers", type=int, default=1, help="parallel workers (default: 1)")
 
     verify = sub.add_parser("verify", help="check the statistical identities")
     add_common(verify, False)
@@ -125,15 +124,8 @@ def _build_parser() -> _Parser:
     sample = sub.add_parser("sample", help="draw measurement trajectories")
     add_common(sample, True)
     sample.add_argument("--seed", type=_seed, default=0, help="random seed")
-    sample.add_argument("--workers", type=int, default=1, help="parallel workers (default: 1)")
 
     return parser
-
-
-def _resolve_workers(args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {args.workers}")
-    return args.workers
 
 
 def _load_config(path: str) -> dict:
@@ -389,8 +381,7 @@ def _run_sweep(args) -> int:
         )
     except ValueError as err:
         raise ConfigError(f"{file}: {err}") from err
-    workers = _resolve_workers(args)
-    result = sweep_detection(grid, reference, workers=workers)
+    result = sweep_detection(grid, reference)
     with _output_dir(args.out) as out:
         write_sweep_csv(result, os.path.join(out, "sweep.csv"))
         _write_json(
@@ -590,10 +581,9 @@ def _run_sample(args) -> int:
     evolution = _resolve_evolution(evolution_kind, protocol, sampling)
     if evolution is None:
         evolution = _identity_unitary(QubitRegister(protocol.schedule.n))
-    workers = _resolve_workers(args)
     initial, final = protocol.initial_spec, protocol.final_spec
     tm = transition_matrix(initial.spectrum, final.spectrum, evolution)
-    batch, summary = sample_tpm(tm, initial.beta, final.beta, count, args.seed, workers=workers)
+    batch, summary = sample_tpm(tm, initial.beta, final.beta, count, args.seed)
     with _output_dir(args.out) as out:
         _write_trajectories(os.path.join(out, "trajectories.csv"), batch, 2**protocol.schedule.n)
         _write_json(

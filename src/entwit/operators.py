@@ -241,7 +241,9 @@ class SpectralDecomposition:
 
 def _check_orthonormal(vectors: np.ndarray) -> None:
     gram = vectors.conj().swapaxes(-1, -2) @ vectors
-    gram_dev = float(np.abs(gram - np.eye(vectors.shape[-1])).max())
+    gram -= np.eye(vectors.shape[-1])
+    # in place for real vectors, as their Gram matrix is its own real part
+    gram_dev = float(np.abs(gram, out=gram.real).max())
     # also fails on a non-finite deviation
     if not gram_dev <= ORTHONORMALITY_ATOL:
         raise NumericalCheckError(

@@ -73,7 +73,9 @@ def logsumexp(a, axis=None):
         peak = a.max(axis=axes, keepdims=True, initial=-np.inf)
         at_peak = a == peak
         count = at_peak.sum(axis=axes, keepdims=True, dtype=np.float64)
-        rest = np.exp(np.where(at_peak, -np.inf, a) - peak).sum(axis=axes, keepdims=True)
+        rest = np.where(at_peak, -np.inf, a)
+        rest -= peak
+        rest = np.exp(rest, out=rest).sum(axis=axes, keepdims=True)
         out = np.log1p(rest / count) + np.log(count) + peak
     out[peak == -np.inf] = -np.inf
     return out.squeeze(axis=axes)[()]

@@ -32,7 +32,8 @@ the blocks, reads each eigenvector's magnetization off the S_z blocks, and
 takes the log Gibbs weights of the (B, T) plane from one
 ``thermo.log_gibbs_weights`` call (a few for large registers and grids).
 The direct route reads them against the reference state's overlaps; the
-work route against one identity-drive transition matrix per Jz.
+work route against one transition matrix per Jz, all of one identity drive
+that the sweep builds once.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .thermo import (
     sector_overlaps,
     thermal_state,
 )
-from .work_stats import _log_final_sums, _log_work_sum, _map_tasks, transition_matrix
+from .work_stats import _log_final_sums, _log_work_sum, transition_matrix
 from .work_stats import relative_entropy_via_work
 
 STRICTNESS_EPSILON = 1e-9
@@ -268,10 +269,25 @@ def _as_state(value: StateOrSpec, what: str) -> DensityMatrix:
     raise TypeError(f"{what} must be a DensityMatrix or ThermalSpec, got {type(value)!r}")
 
 
+def _register(value: StateOrSpec, what: str) -> QubitRegister:
+    """The register of a state, or of a spec's Hamiltonian."""
+    if isinstance(value, ThermalSpec):
+        return value.hamiltonian.register
+    if isinstance(value, DensityMatrix):
+        return value.register
+    raise TypeError(f"{what} must be a DensityMatrix or ThermalSpec, got {type(value)!r}")
+
+
 def _identity_unitary(register: QubitRegister) -> UnitaryOperator:
-    """The identity, laid out on the popcount sectors."""
-    sectors = sector_partition(register.n)
-    return UnitaryOperator(register, [(i, np.tile(np.eye(i.shape[1]), (len(i), 1, 1))) for i, _ in sectors])
+    """The identity, laid out on the popcount sectors; every block is a
+    read-only view of a corner of one identity matrix of the largest size."""
+    sectors = [indices for indices, _ in sector_partition(register.n)]
+    eye = np.eye(max(indices.shape[1] for indices in sectors))
+    stacks = []
+    for indices in sectors:
+        k, s = indices.shape
+        stacks.append((indices, np.broadcast_to(eye[:s, :s], (k, s, s))))
+    return UnitaryOperator(register, stacks)
 
 
 def _gibbs_cross_entropy(plogp_rho, log_weights: np.ndarray, overlaps: np.ndarray):
@@ -316,8 +332,9 @@ def _distances(route: str, rho: StateOrSpec, legs) -> list[float]:
     route="direct" picks ``_distance_direct``'s evaluator for each pair.
     route="via_work" needs rho and every sigma to be a ThermalSpec and
     rebuilds each distance from the work statistics of the sigma -> rho
-    protocol under the leg's evolution, or the identity (built once) when
-    it is None: one transition matrix per leg.
+    protocol under the leg's evolution, or the identity when it is None
+    (built once, and only if some leg has none): one transition matrix per
+    leg.
     """
     _check_route(route)
     if route == "direct":
@@ -325,7 +342,7 @@ def _distances(route: str, rho: StateOrSpec, legs) -> list[float]:
     for name, value in (("rho", rho), *((name, sigma) for name, sigma, _ in legs)):
         if not isinstance(value, ThermalSpec):
             raise ConfigError(f"route 'via_work' needs declared Gibbs states; {name} is not a ThermalSpec")
-    identity = _identity_unitary(rho.hamiltonian.register)
+    identity = _identity_unitary(rho.hamiltonian.register) if any(u is None for _, _, u in legs) else None
     distances = []
     for _, sigma, u in legs:
         tm = transition_matrix(sigma.spectrum, rho.spectrum, identity if u is None else u)
@@ -520,26 +537,17 @@ def sweep_reference(
     return SweepReference(protocol.final_spec, protocol.initial_spec, description)
 
 
-# (grid, rho) of the running sweep: rho is the reference's DensityMatrix on
-# the direct route and its ThermalSpec on the work route
-_SWEEP_STATE: tuple | None = None
-
-
-def _sweep_worker_init(state: tuple) -> None:
-    global _SWEEP_STATE
-    _SWEEP_STATE = state
-
-
-def _sweep_plane(jz_value: float) -> np.ndarray:
+def _sweep_plane(
+    grid: SweepGrid, rho: StateOrSpec, jz_value: float, identity: UnitaryOperator | None
+) -> np.ndarray:
     """s_right for one Jz value over the whole (B, T) plane, shape (nB, nT).
 
     Both routes diagonalize the chain's sectors once, at B = 0: each B only
     shifts the energies by -B m.  The direct route reads each run of B
-    values' log Gibbs weights against rho's overlaps; the work route through
-    the identity drive's one q between H*(0) and rho, the q of every B.
+    values' log Gibbs weights against rho's overlaps, with rho a
+    DensityMatrix; the work route, with rho a ThermalSpec, through the one
+    q of ``identity`` between H*(0) and rho, the q of every B.
     """
-    assert _SWEEP_STATE is not None
-    grid, rho = _SWEEP_STATE
     t_values, b_values, via_work = grid.t_axis.values(), grid.b_axis.values(), grid.route == "via_work"
     stacks = xxz_pieces(grid.n, grid.boundary)
     # -B = -0.0 adds the signed zeros that J H_xy + Jz H_zz - 0.0 S_z holds
@@ -547,12 +555,11 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
     # S_z is m I on each sector block, so its diagonal is each eigenvector's m
     sector_m = [np.diagonal(pieces[2], 0, 1, 2) for _, pieces in stacks]
     if via_work:
-        register = QubitRegister(grid.n)
-        spectrum = spectral_decompose(HermitianOperator(register, h_zero))
+        spectrum = spectral_decompose(HermitianOperator(identity.register, h_zero))
         energies, magnetization = spectrum.eigenvalues, np.empty(spectrum.dim)
         for (_, levels, _), m in zip(spectrum.stacks, sector_m):
             magnetization[levels] = m
-        tm = transition_matrix(spectrum, rho.spectrum, _identity_unitary(register))
+        tm = transition_matrix(spectrum, rho.spectrum, identity)
         final_sums = _log_final_sums(tm, rho.beta)
         weights, values = rho.weights, np.column_stack([energies, magnetization])
         final_energy = rho.beta * float(np.dot(weights, rho.spectrum.eigenvalues))
@@ -579,26 +586,26 @@ def _sweep_plane(jz_value: float) -> np.ndarray:
     return np.concatenate(planes)
 
 
-def sweep_detection(
-    grid: SweepGrid,
-    reference: SweepReference,
-    workers: int = 1,
-) -> SweepGrid:
+def sweep_detection(grid: SweepGrid, reference: SweepReference) -> SweepGrid:
     """Evaluate the witness on every grid point against thermal chain states.
 
     rho_star at each point is the Gibbs state of the chain at (B, Jz, 1/T)
-    with the grid's fixed coupling and boundary.  The sweep is a pure map
-    over Jz values in fixed order, one sector diagonalization each, so output
-    is deterministic for any worker count.  Returns a copy of the grid with
-    the result columns attached.
+    with the grid's fixed coupling and boundary.  The sweep maps the Jz
+    values in order, one sector diagonalization each.  A reference state or
+    spec on another register than the grid's n qubits raises ValueError
+    before any work.  Returns a copy of the grid with the result columns
+    attached.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
-    (s_left,) = _distances(grid.route, reference.rho, (("sigma_ref", reference.sigma_ref, None),))
+    for name in ("rho", "sigma_ref"):
+        register = _register(getattr(reference, name), name)
+        if register.n != grid.n:
+            raise ValueError(f"reference {name} is on {register.n} qubits, the grid on {grid.n}")
+    # the work route reads one identity drive, on the reference leg and every plane
+    identity = _identity_unitary(QubitRegister(grid.n)) if grid.route == "via_work" else None
+    (s_left,) = _distances(grid.route, reference.rho, (("sigma_ref", reference.sigma_ref, identity),))
     # the direct plane reads rho's blocks and eigenvalues, the work plane its spec
     rho = reference.rho if grid.route == "via_work" else _as_state(reference.rho, "rho")
-    tasks = grid.jz_axis.values().tolist()
-    planes = _map_tasks(_sweep_plane, tasks, workers, _sweep_worker_init, ((grid, rho),))
+    planes = [_sweep_plane(grid, rho, jz_value, identity) for jz_value in grid.jz_axis.values().tolist()]
 
     s_right = np.stack(planes, axis=1)
     margin, detected = _decide(s_left, s_right)

@@ -442,7 +442,9 @@ def _log_final_sums(tm: TransitionMatrix, beta_final: float) -> tuple[np.ndarray
     log_r = np.empty(tm.dim)
     for rows, columns, q in tm.stacks:
         with np.errstate(divide="ignore"):
-            log_r[columns] = logsumexp(np.log(q) - shifted[rows][:, :, None], axis=-2)
+            terms = np.log(q)
+        terms -= shifted[rows][:, :, None]
+        log_r[columns] = logsumexp(terms, axis=-2)
     return log_r, beta_final * e_final[0]
 
 
@@ -580,29 +582,6 @@ class EstimatorSummary:
     count: int
 
 
-def _map_tasks(function, tasks: list, workers: int, initializer=None, initargs=()) -> list:
-    """[function(task) for task in tasks], spread over at most ``workers``
-    processes.
-
-    The pool gets min(workers, len(tasks)) processes: a forking pool starts
-    all of its processes at the first submit, so a larger count would only
-    fork idle ones.  With one process the tasks run here, after
-    ``initializer(*initargs)``.  Results come back in task order.
-    """
-    processes = min(workers, len(tasks))
-    if processes <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return [function(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(tasks) // (processes * 8))
-    with ProcessPoolExecutor(
-        max_workers=processes, initializer=initializer, initargs=initargs
-    ) as pool:
-        return list(pool.map(function, tasks, chunksize=chunk))
-
-
 def _cumulative(probabilities: np.ndarray, axis: int = -1) -> np.ndarray:
     """Partial sums along ``axis``, with the closing run of sums equal to the
     total (from the last nonzero probability on) raised to at least 1.0.
@@ -616,11 +595,12 @@ def _cumulative(probabilities: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.where(cum == total, np.maximum(total, 1.0), cum)
 
 
-def _sample_block(payload: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _sample_block(
+    seed: int, block_index: int, size: int, cum_initial: np.ndarray, targets: list
+) -> tuple[np.ndarray, np.ndarray]:
     """(n, m) indices of one block's draws from its own Philox stream.  One
     stable sort groups the draws by n, and each distinct n takes one binary
     search over its slice: O(size log size), however many levels occur."""
-    (seed, block_index, size, cum_initial, targets) = payload
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
     rng = np.random.Generator(np.random.Philox(seq))
     u_first = rng.random(size)
@@ -643,7 +623,6 @@ def sample_tpm(
     beta_final: float,
     count: int,
     seed: int,
-    workers: int = 1,
 ) -> tuple[TrajectoryBatch, EstimatorSummary]:
     """Sample two-point-measurement trajectories and estimate the average.
 
@@ -653,16 +632,15 @@ def sample_tpm(
     column, whose other entries are 0, and the closing 1.0 falls on the
     block's last allowed row, so a draw never leaves the block.  ``count``
     is partitioned into fixed 16384-sample blocks, each with its own
-    counter-based stream derived from (seed, block index), so results are
-    byte-identical for any worker count.  The estimator is standardized
-    against the exact partition ratio, keeping steep protocols in range.
+    counter-based stream derived from (seed, block index) and drawn in
+    block order, so one seed always gives the same bytes.  The estimator is
+    standardized against the exact partition ratio, keeping steep protocols
+    in range.
     """
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     if not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
     _check_betas(beta_initial, beta_final)
 
     e_initial = tm.initial.eigenvalues
@@ -683,8 +661,7 @@ def sample_tpm(
     sizes = [SAMPLE_BLOCK] * (count // SAMPLE_BLOCK)
     if count % SAMPLE_BLOCK:
         sizes.append(count % SAMPLE_BLOCK)
-    payloads = [(seed, i, size, cum_initial, targets) for i, size in enumerate(sizes)]
-    drawn = _map_tasks(_sample_block, payloads, workers)
+    drawn = [_sample_block(seed, i, size, cum_initial, targets) for i, size in enumerate(sizes)]
 
     n_idx = np.concatenate([d[0] for d in drawn])
     m_idx = np.concatenate([d[1] for d in drawn])

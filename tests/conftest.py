@@ -1,4 +1,3 @@
-import concurrent.futures
 import sys
 
 import numpy as np
@@ -69,28 +68,3 @@ def transitions(monkeypatch):
 
     monkeypatch.setattr(entwit.work_stats, "_transition_from_spectra", counted)
     return seen
-
-
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """Replace ProcessPoolExecutor by an in-process stand-in; returns the
-    ``max_workers`` of every pool opened, and starts no process."""
-    opened = []
-
-    class InlinePool:
-        def __init__(self, max_workers=None, initializer=None, initargs=()):
-            opened.append(max_workers)
-            if initializer is not None:
-                initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, function, iterable, chunksize=1):
-            return map(function, iterable)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return opened

@@ -212,7 +212,6 @@ def test_accept_06_detection_region_topology():
             GridAxis(0.0, 1.2, 0.02), GridAxis(0.0, 1.0, 0.02), GridAxis(0.02, 2.0, 0.02), n=3
         ),
         ref3,
-        workers=2,
     )
     flags3 = full3.detected
     assert flags3.shape == (61, 51, 100)
@@ -238,7 +237,6 @@ def test_accept_06_detection_region_topology():
             GridAxis(0.0, 1.2, 0.05), GridAxis(0.0, 1.0, 0.05), GridAxis(0.05, 2.0, 0.05), n=7
         ),
         ref7,
-        workers=2,
     )
     nonempty7 = bool(coarse7.detected.any())
     hot7 = sweep_detection(

@@ -219,20 +219,9 @@ def test_sweep_exit_three_when_empty(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
-def test_sweep_outputs_are_worker_independent(tmp_path):
-    cfg = write_config(tmp_path, {"n": 3, "grid": SMALL_GRID})
-    out1 = tmp_path / "w1"
-    out2 = tmp_path / "w2"
-    out1.mkdir(), out2.mkdir()
-    main(["sweep", "--config", cfg, "--out", str(out1), "--workers", "1"])
-    main(["sweep", "--config", cfg, "--out", str(out2), "--workers", "2"])
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-    assert (out1 / "sweep_meta.json").read_bytes() == (out2 / "sweep_meta.json").read_bytes()
-
-
-def test_sweep_csv_is_worker_independent_over_many_jz_tasks(tmp_path, monkeypatch):
-    # the sweep hands out one task per Jz value, so this grid reaches the pool;
-    # every file must also equal the per-report writer's
+def test_sweep_csv_matches_the_per_report_writer_over_many_jz_values(tmp_path, monkeypatch):
+    # six Jz planes on an n = 3 and an n = 7 ring; every file must equal the
+    # per-report writer's
     grids = capture(monkeypatch, "sweep_detection")
     grid = {
         "B": {"min": 0.0, "max": 1.0, "step": 0.25},
@@ -241,14 +230,12 @@ def test_sweep_csv_is_worker_independent_over_many_jz_tasks(tmp_path, monkeypatc
     }
     for n in (3, 7):
         cfg = write_config(tmp_path, {"n": n, "grid": grid}, f"sweep{n}.json")
-        outs = [tmp_path / f"n{n}w{w}" for w in (1, 2)]
-        for workers, out in zip((1, 2), outs):
-            out.mkdir()
-            main(["sweep", "--config", cfg, "--out", str(out), "--workers", str(workers)])
-            legacy_sweep_csv(grids[-1], out / "legacy.csv")
-            assert (out / "sweep.csv").read_bytes() == (out / "legacy.csv").read_bytes()
-            assert 0 < grids[-1].detected.sum() < grids[-1].point_count  # both flags
-        assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+        out = tmp_path / f"n{n}"
+        out.mkdir()
+        main(["sweep", "--config", cfg, "--out", str(out)])
+        legacy_sweep_csv(grids[-1], out / "legacy.csv")
+        assert (out / "sweep.csv").read_bytes() == (out / "legacy.csv").read_bytes()
+        assert 0 < grids[-1].detected.sum() < grids[-1].point_count  # both flags
 
 
 def test_sweep_rejects_zero_step_axis(tmp_path, capsys):
@@ -570,18 +557,18 @@ def test_sample_writes_trajectories(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:thermal identification")
-def test_sample_is_deterministic_across_workers(tmp_path):
+def test_sample_is_deterministic_for_a_seed(tmp_path):
     cfg = write_config(
         tmp_path,
-        {"protocol": "three-qubit", "beta": 1.0, "count": 400, "evolution": "identity"},
+        {"protocol": "three-qubit", "beta": 1.0, "count": 40000, "evolution": "identity"},
     )
     outs = []
-    for name, extra in [("a", ["--workers", "1"]), ("b", ["--workers", "3"]), ("c", ["--workers", "2"])]:
+    for name in ("a", "b"):
         out = tmp_path / name
         out.mkdir()
-        main(["sample", "--config", cfg, "--out", str(out), "--seed", "3"] + extra)
-        outs.append((out / "trajectories.csv").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+        main(["sample", "--config", cfg, "--out", str(out), "--seed", "3"])
+        outs.append([(out / file).read_bytes() for file in ("trajectories.csv", "sample_summary.json")])
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.filterwarnings("ignore:thermal identification")
@@ -597,15 +584,11 @@ def test_trajectories_match_the_per_row_writer(tmp_path, monkeypatch):
     cfg = write_config(
         tmp_path, {"protocol": schedule, "beta": 0.1, "count": 34002, "evolution": "trotter"}
     )
-    for workers in (1, 2):
-        out = tmp_path / f"w{workers}"
-        out.mkdir()
-        main(["sample", "--config", cfg, "--out", str(out), "--seed", "5", "--workers", str(workers)])
-        batch, _ = draws[-1]
-        legacy_trajectories_csv(batch, tmp_path / f"legacy{workers}.csv")
-        assert (out / "trajectories.csv").read_bytes() == (tmp_path / f"legacy{workers}.csv").read_bytes()
+    main(["sample", "--config", cfg, "--out", str(tmp_path), "--seed", "5"])
+    batch, _ = draws[-1]
+    legacy_trajectories_csv(batch, tmp_path / "legacy.csv")
+    assert (tmp_path / "trajectories.csv").read_bytes() == (tmp_path / "legacy.csv").read_bytes()
     assert np.unique(batch.n_index * 128 + batch.m_index).size > 500
-    assert (tmp_path / "w1" / "trajectories.csv").read_bytes() == (tmp_path / "w2" / "trajectories.csv").read_bytes()
 
 
 def test_sample_rejects_bad_count(tmp_path, capsys):
@@ -756,6 +739,20 @@ def test_a_negative_seed_is_refused_before_any_work(tmp_path, monkeypatch, capsy
     assert rc == 1
     assert err.startswith("error:") and "--seed" in err
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [("sweep", {"n": 3, "grid": SMALL_GRID}), ("sample", {"protocol": "three-qubit", "count": 100})],
+)
+def test_a_workers_flag_is_a_usage_error(tmp_path, capsys, command, payload):
+    # every sweep plane and sample block runs in the one process
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--workers", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--workers" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("route", ["direct", "via-work"])

@@ -538,26 +538,6 @@ def test_sweep_detected_set_is_single_interval():
     assert not flags[-1]  # the boundary sits strictly inside the axis
 
 
-def test_sweep_worker_determinism():
-    grid = small_grid()
-    reference = sweep_reference(3)
-    one = sweep_detection(grid, reference, workers=1)
-    two = sweep_detection(grid, reference, workers=2)
-    assert one.s_left == two.s_left
-    for name in ("s_right", "margin", "detected"):
-        assert np.array_equal(getattr(one, name), getattr(two, name), equal_nan=True)
-
-
-def test_sweep_pool_is_capped_at_the_jz_task_count(fake_pool):
-    grid = small_grid()
-    tasks = grid.jz_axis.values().size
-    reference = sweep_reference(3)
-    capped = sweep_detection(grid, reference, workers=5000)
-    assert fake_pool == [tasks]
-    assert np.array_equal(capped.s_right, sweep_detection(grid, reference).s_right)
-    assert fake_pool == [tasks]  # one worker runs inline, without a pool
-
-
 @pytest.mark.parametrize("entries", [1, 3 * 8 * 3])
 def test_sweep_in_runs_of_b_values_matches_one_stack(monkeypatch, entries):
     # 7 B values x 3 T values x 8 states: runs of one B value, then of three
@@ -597,6 +577,37 @@ def test_a_sweep_builds_a_gibbs_state_only_where_one_is_read(monkeypatch, route,
     done = sweep_detection(small_grid(route=route), reference)
     sweep_metadata(done, reference)
     assert specs == [reference.rho] * built and len(checked) == built
+
+
+@pytest.mark.parametrize("route", ["direct", "via_work"])
+@pytest.mark.parametrize("slot", ["rho", "sigma_ref"])
+@pytest.mark.parametrize("grid_n, other_n", [(5, 7), (7, 5)])
+def test_a_sweep_refuses_a_reference_on_another_register(monkeypatch, route, slot, grid_n, other_n):
+    # an n = 5 grid would gather its sector indices out of an n = 7 state, and
+    # an n = 7 grid would index past an n = 5 one: both are refused up front
+    thermal = route == "via_work"
+    reference = dataclasses.replace(
+        sweep_reference(grid_n, thermal=thermal), **{slot: getattr(sweep_reference(other_n, thermal=thermal), slot)}
+    )
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(entwit.witness, "_distances", no_work)
+    monkeypatch.setattr(entwit.witness, "_sweep_plane", no_work)
+    with pytest.raises(ValueError, match=f"reference {slot} is on {other_n} qubits, the grid on {grid_n}"):
+        sweep_detection(small_grid(n=grid_n, route=route), reference)
+
+
+@pytest.mark.parametrize("route, built", [("via_work", 1), ("direct", 0)])
+def test_a_sweep_builds_the_identity_drive_at_most_once(monkeypatch, route, built):
+    # the reference leg and each of the six Jz planes read one identity
+    registers, identity = [], entwit.witness._identity_unitary
+    monkeypatch.setattr(
+        entwit.witness, "_identity_unitary", lambda register: registers.append(register) or identity(register)
+    )
+    done = sweep_detection(small_grid(route=route, jz_axis=GridAxis(0.0, 0.5, 0.1)), sweep_reference(3, thermal=True))
+    assert done.s_right.shape[1] == 6 and len(registers) == built
 
 
 def test_sweep_reference_variants():

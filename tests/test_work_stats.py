@@ -422,21 +422,6 @@ class TestSampler:
         self.final = ThermalSpec(self.h_f, 1.0)
         self.tm = measured_specs(self.initial, self.final, identity_on(2))
 
-    def test_deterministic_across_worker_counts(self):
-        b1, s1 = sample_tpm(self.tm, 1.0, 1.0, count=5000, seed=99, workers=1)
-        b2, s2 = sample_tpm(self.tm, 1.0, 1.0, count=5000, seed=99, workers=2)
-        assert np.array_equal(b1.work, b2.work)
-        assert np.array_equal(b1.n_index, b2.n_index)
-        assert s1.mean == s2.mean and s1.stderr == s2.stderr
-
-    def test_pool_is_capped_at_the_block_count(self, fake_pool):
-        count = 2 * SAMPLE_BLOCK + 1  # three blocks
-        capped, _ = sample_tpm(self.tm, 1.0, 1.0, count, seed=4, workers=5000)
-        assert fake_pool == [3]
-        inline, _ = sample_tpm(self.tm, 1.0, 1.0, count, seed=4, workers=1)
-        assert fake_pool == [3]
-        assert np.array_equal(capped.m_index, inline.m_index)
-
     def test_different_seeds_differ(self):
         b1, _ = sample_tpm(self.tm, 1.0, 1.0, count=2000, seed=1)
         b2, _ = sample_tpm(self.tm, 1.0, 1.0, count=2000, seed=2)
@@ -481,8 +466,7 @@ class TestSampler:
         cum_initial[-1] = 1.0
         for seed, block, size in [(0, 0, 1), (3, 1, 1000), (12345, 4, SAMPLE_BLOCK)]:
             targets = [(np.arange(dim), np.ascontiguousarray(cum_q[:, n])) for n in range(dim)]
-            payload = (seed, block, size, cum_initial, targets)
-            n_idx, m_idx = _sample_block(payload)
+            n_idx, m_idx = _sample_block(seed, block, size, cum_initial, targets)
 
             stream = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
@@ -525,5 +509,3 @@ class TestSampler:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_tpm(self.tm, 1.0, 1.0, count=0, seed=1)
-        with pytest.raises(ValueError):
-            sample_tpm(self.tm, 1.0, 1.0, count=10, seed=1, workers=0)
