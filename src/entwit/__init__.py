@@ -6,6 +6,23 @@ free-energy differences and exponential work averages, the whole test can be
 phrased in quantities a two-point-measurement experiment produces.
 """
 
+import os
+
+# OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, when numpy loads it: after each
+# multithreaded call its idle worker spins for 2**value cycles before it
+# sleeps.  The default, 28, is about 0.13 s of spinning (2.1 GHz) after the
+# library loads and after every call on a 64x64 or larger matrix, so a run
+# used 1.6-1.7 times its wall time in CPU.  At 24 (about 8 ms) the CPU time
+# of every benchmark workload fell by 27-40% with wall time unchanged, and
+# the worker still spins through the gaps of a compute loop: a non-commuting
+# Trotter product at n = 9 (1000 steps) or n = 10 (300 steps) puts it to
+# sleep 0 times, against 760-970 times at 20 (0.5 ms), where each wake cost
+# about 1 ms and the product ran 15-30% slower.  The thread count and the
+# split of the work do not change, so no output byte does.  A value the
+# caller set wins; a process that imported numpy first keeps the default.
+BLAS_THREAD_TIMEOUT = "24"
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_THREAD_TIMEOUT)
+
 from .errors import ConfigError, EntwitError, NumericalCheckError
 from .open_system import (
     CompositeSystem,

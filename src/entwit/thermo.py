@@ -21,12 +21,12 @@ linear form ``gibbs_weights`` and ``gibbs_log_partition`` for every ln Z
 ``weighted_energy``, the energy term tr[rho_f (beta_f H_f - beta_i H_i)]
 shared by the Gibbs identity and the work route.  A ``ThermalSpec.spectrum``
 keeps its S^z blocks: ``gibbs_blocks`` builds the Gibbs state block by block
-with ``operators.spectral_function`` (``thermal_state`` checks them as a
-``DensityMatrix``), and ``weighted_energy`` sums tr(rho_f H_i) over the
-final levels of positive Gibbs weight, each inside one block, so neither
-forms a register-sized eigenvector matrix.  All of it stays in log
-space, so steep inverse temperatures (beta ~ 100 on spectra of width ~10)
-stay inside double range.  Every ln sum exp goes through ``logsumexp``, a
+with ``operators.spectral_function`` (a spec keeps its own as
+``gibbs_stacks``, which ``thermal_state`` checks as a ``DensityMatrix``), and
+``weighted_energy`` sums tr(rho_f H_i) over the final levels of positive
+Gibbs weight, each inside one block, so neither forms a register-sized
+eigenvector matrix.  All of it stays in log space, so steep inverse
+temperatures (beta ~ 100 on spectra of width ~10) stay inside double range.  Every ln sum exp goes through ``logsumexp``, a
 numpy kernel computing exactly what ``scipy.special.logsumexp`` does.
 """
 
@@ -85,8 +85,9 @@ def logsumexp(a, axis=None):
 class ThermalSpec:
     """A Hamiltonian together with an inverse temperature.
 
-    Carries its spectral decomposition (computed once, cached) and the derived
-    log partition function and Gibbs weights, all finite for any beta.
+    Carries its spectral decomposition and its Gibbs state's blocks (each
+    computed once, cached) and the derived log partition function and Gibbs
+    weights, all finite for any beta.
     """
 
     hamiltonian: HermitianOperator
@@ -98,6 +99,7 @@ class ThermalSpec:
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         object.__setattr__(self, "_spectrum_cache", None)
+        object.__setattr__(self, "_gibbs_cache", None)
 
     @property
     def spectrum(self) -> SpectralDecomposition:
@@ -105,6 +107,20 @@ class ThermalSpec:
         if cached is None:
             cached = spectral_decompose(self.hamiltonian)
             object.__setattr__(self, "_spectrum_cache", cached)
+        return cached
+
+    @property
+    def gibbs_stacks(self) -> tuple:
+        """The read-only ``gibbs_blocks`` of this spec, built on first read:
+        a direct sweep's ``thermal_state`` and ``state_checksum`` of one
+        spec share them."""
+        cached = getattr(self, "_gibbs_cache")
+        if cached is None:
+            cached = tuple(gibbs_blocks(self))
+            for indices, blocks in cached:
+                indices.setflags(write=False)
+                blocks.setflags(write=False)
+            object.__setattr__(self, "_gibbs_cache", cached)
         return cached
 
     @property
@@ -153,8 +169,8 @@ def gibbs_blocks(spec: ThermalSpec) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def thermal_state(spec: ThermalSpec) -> DensityMatrix:
-    """exp(-beta H)/Z as a checked ``DensityMatrix`` of ``gibbs_blocks``."""
-    return DensityMatrix(spec.hamiltonian.register, gibbs_blocks(spec))
+    """exp(-beta H)/Z as a checked ``DensityMatrix`` of ``spec.gibbs_stacks``."""
+    return DensityMatrix(spec.hamiltonian.register, spec.gibbs_stacks)
 
 
 def _plogp(eigenvalues: np.ndarray) -> float:

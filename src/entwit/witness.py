@@ -26,11 +26,12 @@ them becomes a register-sized matrix.  ``SweepReference`` takes the
 witness's two reference slots, each a state or a declared Gibbs state.
 ``_as_state`` is the one place here where a spec becomes a DensityMatrix,
 for the spectral evaluator and the direct sweep's rho; ``state_checksum``
-hashes a spec's Gibbs blocks.  A sweep on either route combines the
-cached ``spin_models.xxz_pieces`` once per Jz value at B = 0, diagonalizes
-the blocks, reads each eigenvector's magnetization off the S_z blocks, and
-takes the log Gibbs weights of the (B, T) plane from one
-``thermo.log_gibbs_weights`` call (a few for large registers and grids).
+hashes a spec's cached Gibbs blocks, so a direct sweep builds rho's once.
+A sweep on either route combines the cached ``spin_models.xxz_pieces`` once
+per Jz value at B = 0, diagonalizes the blocks, reads each eigenvector's
+magnetization off the S_z blocks, and takes the log Gibbs weights of the
+(B, T) plane from one ``thermo.log_gibbs_weights`` call (a few for large
+registers and grids).
 The direct route reads them against the reference state's overlaps; the
 work route against one transition matrix per Jz, all of one identity drive
 that the sweep builds once.
@@ -63,7 +64,6 @@ from .spin_models import DrivingSchedule, XXZParams, build_xxz, is_number, xxz_p
 from .thermo import (
     ThermalSpec,
     _plogp,
-    gibbs_blocks,
     gibbs_relative_entropy,
     log_gibbs_weights,
     nonnegative_entropy,
@@ -630,10 +630,10 @@ def state_checksum(state: StateOrSpec) -> str:
     across runs).  The rows go to the hash in panels of at most
     CHECKSUM_PANEL_ENTRIES entries, each assembled from the stacks, so the
     register-sized matrix is never made.  A ThermalSpec hashes its
-    ``gibbs_blocks``, the stacks of its ``thermal_state``, to the same digest."""
+    ``gibbs_stacks``, the stacks of its ``thermal_state``, to the same digest."""
     digest = hashlib.sha256()
     if isinstance(state, ThermalSpec):
-        dim, stacks = state.hamiltonian.register.dim, gibbs_blocks(state)
+        dim, stacks = state.hamiltonian.register.dim, state.gibbs_stacks
     else:
         dim, stacks = state.dim, state.stacks
     rows = min(dim, max(1, CHECKSUM_PANEL_ENTRIES // dim))

@@ -471,6 +471,18 @@ def test_each_drive_is_measured_once(tmp_path, monkeypatch, transitions, argv, c
     assert len(transitions) == built
 
 
+def run_fresh(args, **environment):
+    """Run ``python args`` in a fresh interpreter that imports this entwit,
+    with ``environment`` over this process's variables (None unsets one)."""
+    source = str(Path(entwit.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    for name, value in environment.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+
+
 def test_cli_runs_without_scipy(tmp_path):
     # a fresh interpreter: the package must import and verify on numpy alone
     script = (
@@ -479,15 +491,57 @@ def test_cli_runs_without_scipy(tmp_path):
         "code = entwit.cli.main(['verify', '--out', sys.argv[1]])\n"
         "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
     )
-    source = str(Path(entwit.cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, check=True
-    )
+    done = run_fresh(["-c", script, str(tmp_path)])
     code, loaded = json.loads(done.stdout.splitlines()[-1])
     assert code == 0
     assert read_json(tmp_path, "verify_report.json")["all_passed"] is True
     assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "preset, timeout, threads",
+    [({}, None, None), ({"OPENBLAS_THREAD_TIMEOUT": "7", "OPENBLAS_NUM_THREADS": "1"}, "7", "1")],
+)
+def test_import_sets_the_blas_thread_timeout_before_numpy_loads(preset, timeout, threads):
+    # OpenBLAS reads the variable once, when numpy loads it: the probe
+    # records its value at the first lookup of numpy; a caller's values win
+    timeout = timeout or entwit.BLAS_THREAD_TIMEOUT
+    script = (
+        "import importlib.abc, json, os, sys\n"
+        "seen = []\n"
+        "class Probe(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+        "sys.meta_path.insert(0, Probe())\n"
+        "import entwit\n"
+        "print(json.dumps([seen, os.environ.get('OPENBLAS_THREAD_TIMEOUT'), os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    )
+    environment = {"OPENBLAS_THREAD_TIMEOUT": None, "OPENBLAS_NUM_THREADS": None, **preset}
+    seen, after, after_threads = json.loads(run_fresh(["-c", script], **environment).stdout.splitlines()[-1])
+    assert seen == [timeout] and after == timeout and after_threads == threads
+
+
+def test_the_blas_thread_timeout_changes_no_output_byte(tmp_path):
+    # each command in fresh processes, with the variable unset (entwit's
+    # value) and at OpenBLAS's own spin of 2^28 cycles
+    sweep = write_config(tmp_path, {"n": 3, "grid": CI_GRID}, "sweep.json")
+    sample = write_config(tmp_path, {"protocol": "three-qubit", "count": 40000}, "sample.json")
+    commands = {
+        "sweep": ["sweep", "--config", sweep],
+        "sample": ["sample", "--config", sample, "--seed", "3"],
+        "verify": ["verify"],
+    }
+    for timeout in (None, "28"):
+        for name, argv in commands.items():
+            out = str(tmp_path / f"{name}-{timeout}")
+            run_fresh(["-m", "entwit.cli", *argv, "--out", out], OPENBLAS_THREAD_TIMEOUT=timeout)
+    for name in commands:
+        default, spinning = tmp_path / f"{name}-None", tmp_path / f"{name}-28"
+        files = sorted(path.name for path in default.iterdir())
+        assert files and files == sorted(path.name for path in spinning.iterdir())
+        for file in files:
+            assert (default / file).read_bytes() == (spinning / file).read_bytes(), (name, file)
 
 
 def test_verify_reads_the_unitary_file_as_it_reads_a_config(tmp_path, capsys):

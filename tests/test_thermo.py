@@ -25,7 +25,7 @@ from entwit import (
     spectral_decompose,
     thermal_state,
 )
-from entwit.thermo import gibbs_weights, log_gibbs_weights, logsumexp
+from entwit.thermo import gibbs_blocks, gibbs_weights, log_gibbs_weights, logsumexp
 from dense_oracle import pure_state
 
 
@@ -90,6 +90,16 @@ class TestThermalState:
         h = HermitianOperator(QubitRegister(1), np.diag([0.0, 5.0]))
         rho = thermal_state(ThermalSpec(h, 200.0))
         assert abs(rho.entries[0, 0].real - 1.0) < 1e-15
+
+    def test_a_spec_builds_its_blocks_once(self):
+        spec = ThermalSpec(random_hermitian(2, np.random.default_rng(5)), 0.7)
+        stacks = spec.gibbs_stacks
+        assert spec.gibbs_stacks is stacks
+        assert all(np.array_equal(a, b) for s, f in zip(stacks, gibbs_blocks(spec)) for a, b in zip(s, f))
+        # read-only, so no reader can change what the next one reads
+        assert not any(part.flags.writeable for stack in stacks for part in stack)
+        rho = thermal_state(spec)
+        assert all(np.shares_memory(b, c) for (_, b), (_, c) in zip(rho.stacks, stacks))
 
 
 class TestRelativeEntropy:

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -568,15 +569,20 @@ def test_ideal_and_thermal_references_agree_closely():
 )
 def test_a_sweep_builds_a_gibbs_state_only_where_one_is_read(monkeypatch, route, thermal, built):
     # the direct plane reads rho's blocks and eigenvalues; s_left and the
-    # checksums read the specs, so no other reference state is built
-    specs, checked = [], []
-    gibbs, check = entwit.witness.thermal_state, DensityMatrix._check
+    # checksums read the specs, so no other reference state is built, and
+    # each spec's blocks are formed once, for its state and its checksum
+    specs, checked, formed = [], [], []
+    gibbs, check, blocks = entwit.witness.thermal_state, DensityMatrix._check, entwit.thermo.gibbs_blocks
     monkeypatch.setattr(entwit.witness, "thermal_state", lambda spec: specs.append(spec) or gibbs(spec))
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "entwit"]:
+        if getattr(module, "gibbs_blocks", None) is blocks:
+            monkeypatch.setattr(module, "gibbs_blocks", lambda spec: formed.append(spec) or blocks(spec))
     reference = sweep_reference(3, thermal=thermal)
     monkeypatch.setattr(DensityMatrix, "_check", lambda state: checked.append(state) or check(state))
     done = sweep_detection(small_grid(route=route), reference)
     sweep_metadata(done, reference)
     assert specs == [reference.rho] * built and len(checked) == built
+    assert list(map(id, formed)) == ([id(reference.rho), id(reference.sigma_ref)] if thermal else [])
 
 
 @pytest.mark.parametrize("route", ["direct", "via_work"])
