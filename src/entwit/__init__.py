@@ -6,6 +6,8 @@ free-energy differences and exponential work averages, the whole test can be
 phrased in quantities a two-point-measurement experiment produces.
 """
 
+import atexit
+import gc
 import os
 
 # OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, when numpy loads it: after each
@@ -22,6 +24,13 @@ import os
 # caller set wins; a process that imported numpy first keeps the default.
 BLAS_THREAD_TIMEOUT = "24"
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_THREAD_TIMEOUT)
+
+# Finalization otherwise runs full collections over the ~22k objects that
+# numpy leaves behind, which takes as long as a small run itself; frozen
+# objects are skipped.  Registered on import, so the CLI and every API
+# caller exit the same way; an object still held in a reference cycle at
+# exit is then not finalized, so close files before exit.
+atexit.register(gc.freeze)
 
 from .errors import ConfigError, EntwitError, NumericalCheckError
 from .open_system import (

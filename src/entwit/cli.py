@@ -6,18 +6,16 @@ exercises the statistical identities the machinery rests on, and ``sample``
 draws two-point-measurement trajectories.
 
 Exit codes: 0 success (and detection, where that applies), 1 configuration or
-usage error, 2 numerical check failure, 3 clean run without detection.
+usage error, 2 numerical check failure, 3 clean run without detection.  A
+refused config reads ``error: <config file>: <JSON path>: <reason>``.
 """
 
 from __future__ import annotations
 
 import argparse
-import atexit
 import contextlib
 import dataclasses
 import errno
-import functools
-import gc
 import json
 import math
 import os
@@ -143,95 +141,82 @@ def _load_config(path: str) -> dict:
     return payload
 
 
-def _check_keys(payload: dict, allowed: set, required: set, file: str, prefix: str = "") -> None:
-    check_keys(payload, allowed, sorted(required), f"{file}: {prefix}" if prefix else file)
+@contextlib.contextmanager
+def _in_config(file: str):
+    """Prefix each ConfigError of the block with the config ``file``, the one
+    place a refusal names it: the parsers below name only the JSON path of
+    what they refuse."""
+    try:
+        yield
+    except ConfigError as err:
+        raise ConfigError(f"{file}: {err}") from err
 
 
-def _float_key(payload: dict, key: str, default: float, file: str) -> float:
-    return config_number(payload.get(key, default), f"{file}: {key}")
+def _float_key(payload: dict, key: str, default: float) -> float:
+    return config_number(payload.get(key, default), key)
 
 
-def _protocol_from_config(value, beta: float, file: str) -> DetectionProtocol:
+def _choice(payload: dict, key: str, default: str, choices: tuple) -> str:
+    value = payload.get(key, default)
+    if value not in choices:
+        raise ConfigError(f"{key}: expected one of {choices}, got {value!r}")
+    return value
+
+
+def _protocol_from_config(value, beta: float) -> DetectionProtocol:
     if beta <= 0:
-        raise ConfigError(f"{file}: beta: must be a finite positive number, got {beta!r}")
+        raise ConfigError(f"beta: must be a finite positive number, got {beta!r}")
     if isinstance(value, str):
         if value not in PROTOCOL_NAMES:
             raise ConfigError(
-                f"{file}: protocol: unknown name {value!r}; use "
+                f"protocol: unknown name {value!r}; use "
                 "'three-qubit', 'seven-qubit', or a schedule object"
             )
         try:
             return detection_protocol(PROTOCOL_NAMES[value], beta=beta)
         except ValueError as err:  # endpoint parameters out of range at this beta
-            raise ConfigError(f"{file}: protocol: {err}") from err
+            raise ConfigError(f"protocol: {err}") from err
     if isinstance(value, dict):
-        try:
-            schedule = schedule_from_config(value, "protocol")
-        except ConfigError as err:
-            raise ConfigError(f"{file}: {err}") from err
+        schedule = schedule_from_config(value, "protocol")
         return DetectionProtocol(schedule=schedule, beta=beta)
-    raise ConfigError(f"{file}: protocol: expected a name or a schedule object")
+    raise ConfigError("protocol: expected a name or a schedule object")
 
 
-def _state_from_config(value, path: str, file: str, expected_n: int):
+def _state_from_config(value, path: str, expected_n: int):
     """Parse a candidate/reference state: thermal (params + temperature or
     beta) or an explicit density matrix.  Returns ThermalSpec or DensityMatrix."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{file}: {path}: expected an object")
+        raise ConfigError(f"{path}: expected an object")
     if "matrix" in value:
-        _check_keys(value, {"matrix"}, {"matrix"}, file, path)
+        check_keys(value, {"matrix"}, ("matrix",), path)
         try:
             state = density_from_json(value["matrix"])
         except (ValueError, TypeError) as err:
-            raise ConfigError(f"{file}: {path}.matrix: {err}") from err
+            raise ConfigError(f"{path}.matrix: {err}") from err
         if state.register.n != expected_n:
             raise ConfigError(
-                f"{file}: {path}.matrix: state is on {state.register.n} qubits, "
-                f"protocol uses {expected_n}"
+                f"{path}.matrix: state is on {state.register.n} qubits, protocol uses {expected_n}"
             )
         return state
-    _check_keys(value, {"params", "temperature", "beta"}, {"params"}, file, path)
+    check_keys(value, {"params", "temperature", "beta"}, ("params",), path)
     if ("temperature" in value) == ("beta" in value):
-        raise ConfigError(
-            f"{file}: {path}: give exactly one of 'temperature' or 'beta'"
-        )
-    try:
-        params = xxz_params_from_config(value["params"], f"{path}.params")
-    except ConfigError as err:
-        raise ConfigError(f"{file}: {err}") from err
+        raise ConfigError(f"{path}: give exactly one of 'temperature' or 'beta'")
+    params = xxz_params_from_config(value["params"], f"{path}.params")
     if params.n != expected_n:
-        raise ConfigError(
-            f"{file}: {path}.params: chain has {params.n} sites, protocol uses {expected_n}"
-        )
+        raise ConfigError(f"{path}.params: chain has {params.n} sites, protocol uses {expected_n}")
     if "temperature" in value:
-        temperature = config_number(value["temperature"], f"{file}: {path}.temperature")
+        temperature = config_number(value["temperature"], f"{path}.temperature")
         if temperature <= 0:
-            raise ConfigError(f"{file}: {path}.temperature: must be positive")
+            raise ConfigError(f"{path}.temperature: must be positive")
         beta = 1.0 / temperature
     else:
-        beta = config_number(value["beta"], f"{file}: {path}.beta")
+        beta = config_number(value["beta"], f"{path}.beta")
         if beta <= 0:
-            raise ConfigError(f"{file}: {path}.beta: must be positive")
+            raise ConfigError(f"{path}.beta: must be positive")
     try:
         return ThermalSpec(build_xxz(params), beta)
     except ValueError as err:  # 1/temperature beyond the range of a float
-        raise ConfigError(f"{file}: {path}: {err}") from err
-
-
-def _sampling_from_config(cfg: dict, file: str) -> str:
-    sampling = cfg.get("sampling", "left")
-    if sampling not in SAMPLING_RULES:
-        raise ConfigError(
-            f"{file}: sampling: expected one of {SAMPLING_RULES}, got {sampling!r}"
-        )
-    return sampling
-
-
-def _evolution_from_config(cfg: dict, default: str, file: str) -> str:
-    kind = cfg.get("evolution", default)
-    if kind not in EVOLUTION_KINDS:
-        raise ConfigError(f"{file}: evolution: expected one of {EVOLUTION_KINDS}, got {kind!r}")
-    return kind
+        raise ConfigError(f"{path}: {err}") from err
 
 
 def _resolve_evolution(kind: str, protocol: DetectionProtocol, sampling: str):
@@ -280,25 +265,24 @@ def _output_dir(out: str):
 
 
 def _run_witness(args) -> int:
-    file = args.config
-    cfg = _load_config(file)
-    _check_keys(
-        cfg,
-        {"protocol", "beta", "rho_star", "sigma_ref", "evolution", "sampling"},
-        {"protocol", "rho_star"},
-        file,
-    )
-    beta = _float_key(cfg, "beta", 100.0, file)
-    protocol = _protocol_from_config(cfg["protocol"], beta, file)
-    n = protocol.schedule.n
-    rho_star = _state_from_config(cfg["rho_star"], "rho_star", file, n)
-    sigma_override = (
-        _state_from_config(cfg["sigma_ref"], "sigma_ref", file, n)
-        if "sigma_ref" in cfg
-        else None
-    )
-    sampling = _sampling_from_config(cfg, file)
-    evolution_kind = _evolution_from_config(cfg, "identity", file)
+    cfg = _load_config(args.config)
+    with _in_config(args.config):
+        check_keys(
+            cfg,
+            {"protocol", "beta", "rho_star", "sigma_ref", "evolution", "sampling"},
+            ("protocol", "rho_star"),
+        )
+        beta = _float_key(cfg, "beta", 100.0)
+        protocol = _protocol_from_config(cfg["protocol"], beta)
+        n = protocol.schedule.n
+        rho_star = _state_from_config(cfg["rho_star"], "rho_star", n)
+        sigma_override = (
+            _state_from_config(cfg["sigma_ref"], "sigma_ref", n)
+            if "sigma_ref" in cfg
+            else None
+        )
+        sampling = _choice(cfg, "sampling", "left", SAMPLING_RULES)
+        evolution_kind = _choice(cfg, "evolution", "identity", EVOLUTION_KINDS)
     metadata = {
         "source": "cli",
         "beta": beta,
@@ -324,63 +308,59 @@ def _run_witness(args) -> int:
     return EXIT_OK if report.detected else EXIT_NOT_DETECTED
 
 
-def _axis_from_config(value, path: str, file: str) -> GridAxis:
+def _axis_from_config(value, path: str) -> GridAxis:
     if not isinstance(value, dict):
-        raise ConfigError(f"{file}: {path}: expected an object with min, max, step")
-    _check_keys(value, {"min", "max", "step"}, {"min", "max", "step"}, file, path)
-    bounds = [config_number(value[key], f"{file}: {path}.{key}") for key in ("min", "max", "step")]
+        raise ConfigError(f"{path}: expected an object with min, max, step")
+    check_keys(value, {"min", "max", "step"}, ("max", "min", "step"), path)
+    bounds = [config_number(value[key], f"{path}.{key}") for key in ("min", "max", "step")]
     try:
         return GridAxis(*bounds)
     except ValueError as err:
-        raise ConfigError(f"{file}: {path}: {err}") from err
+        raise ConfigError(f"{path}: {err}") from err
 
 
 def _run_sweep(args) -> int:
-    file = args.config
-    cfg = _load_config(file)
-    _check_keys(
-        cfg,
-        {"n", "J", "beta", "boundary", "reference", "grid"},
-        {"n", "grid"},
-        file,
-    )
-    n = cfg["n"]
-    coupling_j = _float_key(cfg, "J", 1.0, file)
-    beta = _float_key(cfg, "beta", 100.0, file)
-    if not (0.0 < beta < math.inf and 1.0 / beta < math.inf):  # for either reference
-        raise ConfigError(f"{file}: beta: must be positive with a finite 1/beta, got {beta!r}")
-    boundary = cfg.get("boundary", "periodic")
-    # the work route reads declared Gibbs states only, so its default is thermal
-    reference_kind = cfg.get("reference", "thermal" if args.route == "via_work" else "ideal")
-    if reference_kind not in ("ideal", "thermal"):
-        raise ConfigError(
-            f"{file}: reference: expected 'ideal' or 'thermal', got {reference_kind!r}"
+    cfg = _load_config(args.config)
+    with _in_config(args.config):
+        check_keys(
+            cfg,
+            {"n", "J", "beta", "boundary", "reference", "grid"},
+            ("grid", "n"),
         )
-    if reference_kind == "ideal" and args.route == "via_work":
-        raise ConfigError(f"{file}: reference: the via-work route needs the thermal reference, got 'ideal'")
-    grid_cfg = cfg["grid"]
-    if not isinstance(grid_cfg, dict):
-        raise ConfigError(f"{file}: grid: expected an object with axes B, Jz, T")
-    _check_keys(grid_cfg, {"B", "Jz", "T"}, {"B", "Jz", "T"}, file, "grid")
-    # parsed outside the try below, which would name the file a second time
-    axes = [_axis_from_config(grid_cfg[key], f"grid.{key}", file) for key in ("B", "Jz", "T")]
-    try:
-        grid = SweepGrid(
-            *axes,
-            n=n,
-            coupling_j=coupling_j,
-            boundary=boundary,
-            route=args.route,
-        )
-        reference = sweep_reference(
-            n,
-            coupling_j=coupling_j,
-            beta=beta,
-            boundary=boundary,
-            thermal=reference_kind == "thermal",
-        )
-    except ValueError as err:
-        raise ConfigError(f"{file}: {err}") from err
+        n = cfg["n"]
+        coupling_j = _float_key(cfg, "J", 1.0)
+        beta = _float_key(cfg, "beta", 100.0)
+        if not (0.0 < beta < math.inf and 1.0 / beta < math.inf):  # for either reference
+            raise ConfigError(f"beta: must be positive with a finite 1/beta, got {beta!r}")
+        boundary = cfg.get("boundary", "periodic")
+        # the work route reads declared Gibbs states only, so its default is thermal
+        reference_kind = cfg.get("reference", "thermal" if args.route == "via_work" else "ideal")
+        if reference_kind not in ("ideal", "thermal"):
+            raise ConfigError(f"reference: expected 'ideal' or 'thermal', got {reference_kind!r}")
+        if reference_kind == "ideal" and args.route == "via_work":
+            raise ConfigError("reference: the via-work route needs the thermal reference, got 'ideal'")
+        grid_cfg = cfg["grid"]
+        if not isinstance(grid_cfg, dict):
+            raise ConfigError("grid: expected an object with axes B, Jz, T")
+        check_keys(grid_cfg, {"B", "Jz", "T"}, ("B", "Jz", "T"), "grid")
+        axes = [_axis_from_config(grid_cfg[key], f"grid.{key}") for key in ("B", "Jz", "T")]
+        try:
+            grid = SweepGrid(
+                *axes,
+                n=n,
+                coupling_j=coupling_j,
+                boundary=boundary,
+                route=args.route,
+            )
+            reference = sweep_reference(
+                n,
+                coupling_j=coupling_j,
+                beta=beta,
+                boundary=boundary,
+                thermal=reference_kind == "thermal",
+            )
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
     result = sweep_detection(grid, reference)
     with _output_dir(args.out) as out:
         write_sweep_csv(result, os.path.join(out, "sweep.csv"))
@@ -409,35 +389,35 @@ def _largest_difference(a: UnitaryOperator, b: UnitaryOperator) -> float:
 
 
 def _run_verify(args) -> int:
-    file = args.config
-    cfg = _load_config(file) if file else {}
-    anchor = file or "defaults"
-    _check_keys(cfg, {"protocol", "beta", "unitary_file"}, set(), anchor)
-    beta = _float_key(cfg, "beta", 100.0, anchor)
-    protocol = _protocol_from_config(cfg.get("protocol", "three-qubit"), beta, anchor)
+    cfg = _load_config(args.config) if args.config else {}
+    with _in_config(args.config):
+        check_keys(cfg, {"protocol", "beta", "unitary_file"}, ())
+        beta = _float_key(cfg, "beta", 100.0)
+        protocol = _protocol_from_config(cfg.get("protocol", "three-qubit"), beta)
+        path = cfg.get("unitary_file")
+        # open() would take an int as a file descriptor
+        if "unitary_file" in cfg and not isinstance(path, str):
+            raise ConfigError(f"unitary_file: expected a file path, got {path!r}")
     schedule = protocol.schedule
     register = QubitRegister(schedule.n)
+
+    external_u: UnitaryOperator | None = None
+    if path is not None:
+        payload = _load_config(path)  # an unreadable unitary file is named alone
+        with _in_config(args.config):
+            try:
+                external_u = unitary_from_json(payload)
+            except (ValueError, TypeError) as err:
+                if isinstance(err, NumericalCheckError):
+                    raise
+                raise ConfigError(f"unitary_file: {err}") from err
+            if external_u.register != register:
+                raise ConfigError(
+                    f"unitary_file: unitary is on {external_u.register.n} qubits, protocol uses {register.n}"
+                )
     # every drive below is measured once, between these two spectra
     h_initial = protocol.initial_spec.spectrum
     h_final = protocol.final_spec.spectrum
-
-    external_u: UnitaryOperator | None = None
-    if "unitary_file" in cfg:
-        path = cfg["unitary_file"]
-        if not isinstance(path, str):  # open() takes an int as a file descriptor
-            raise ConfigError(f"{anchor}: unitary_file: expected a file path, got {path!r}")
-        payload = _load_config(path)
-        try:
-            external_u = unitary_from_json(payload)
-        except (ValueError, TypeError) as err:
-            if isinstance(err, NumericalCheckError):
-                raise
-            raise ConfigError(f"{anchor}: unitary_file: {err}") from err
-        if external_u.register != register:
-            raise ConfigError(
-                f"{anchor}: unitary_file: unitary is on {external_u.register.n} qubits, "
-                f"protocol uses {register.n}"
-            )
 
     checks: list[dict] = []
 
@@ -556,28 +536,27 @@ def _write_trajectories(path: str, batch: TrajectoryBatch, dim: int) -> None:
 
 
 def _run_sample(args) -> int:
-    file = args.config
-    cfg = _load_config(file)
-    _check_keys(
-        cfg,
-        {"protocol", "beta", "count", "evolution", "sampling"},
-        {"protocol"},
-        file,
-    )
-    beta = _float_key(cfg, "beta", 100.0, file)
-    protocol = _protocol_from_config(cfg["protocol"], beta, file)
-    count = cfg.get("count", 100000)
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ConfigError(f"{file}: count: expected a positive integer, got {count!r}")
-    # refused before any spectrum or unitary is built
-    needed, budget = TRAJECTORY_BYTES * count, memory_budget()
-    if needed > budget:
-        raise ConfigError(
-            f"{file}: count: {count} draws need about {needed} bytes, "
-            f"more than the memory budget of {budget} bytes"
+    cfg = _load_config(args.config)
+    with _in_config(args.config):
+        check_keys(
+            cfg,
+            {"protocol", "beta", "count", "evolution", "sampling"},
+            ("protocol",),
         )
-    sampling = _sampling_from_config(cfg, file)
-    evolution_kind = _evolution_from_config(cfg, "trotter", file)
+        beta = _float_key(cfg, "beta", 100.0)
+        protocol = _protocol_from_config(cfg["protocol"], beta)
+        count = cfg.get("count", 100000)
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ConfigError(f"count: expected a positive integer, got {count!r}")
+        # refused before any spectrum or unitary is built
+        needed, budget = TRAJECTORY_BYTES * count, memory_budget()
+        if needed > budget:
+            raise ConfigError(
+                f"count: {count} draws need about {needed} bytes, "
+                f"more than the memory budget of {budget} bytes"
+            )
+        sampling = _choice(cfg, "sampling", "left", SAMPLING_RULES)
+        evolution_kind = _choice(cfg, "evolution", "trotter", EVOLUTION_KINDS)
     evolution = _resolve_evolution(evolution_kind, protocol, sampling)
     if evolution is None:
         evolution = _identity_unitary(QubitRegister(protocol.schedule.n))
@@ -602,20 +581,7 @@ def _run_sample(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
-def _freeze_heap_at_exit() -> None:
-    """Run ``gc.freeze`` at interpreter exit; registered once per process.
-
-    Finalization otherwise runs full collections over the ~22k objects that
-    numpy leaves behind, which takes as long as a small run itself; frozen
-    objects are skipped.  Outputs are written and closed before exit, so
-    nothing they hold changes.
-    """
-    atexit.register(gc.freeze)
-
-
 def main(argv=None) -> int:
-    _freeze_heap_at_exit()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -214,7 +214,8 @@ class SpectralDecomposition:
             raise NumericalCheckError("eigenvalues contain non-finite entries")
         if np.any(np.diff(eigenvalues) < 0):
             raise ValueError("eigenvalues must be sorted in ascending order")
-        stacks = tuple(tuple(np.array(part) for part in stack) for stack in self.stacks)
+        # read-only views of the given arrays, as ``_stored_stacks`` keeps
+        stacks = tuple(tuple(np.asarray(part).view() for part in stack) for stack in self.stacks)
         for indices, levels, vectors in stacks:
             if levels.shape != indices.shape or vectors.shape != indices.shape + indices.shape[-1:]:
                 raise ValueError("each stack needs (k, s) indices and levels and (k, s, s) vectors")

@@ -174,15 +174,17 @@ def params_at(schedule: DrivingSchedule, t: float) -> XXZParams:
     return XXZParams(n=schedule.n, J=J, Jz=Jz, B=B, boundary=schedule.initial.boundary)
 
 
-def check_keys(payload: dict, allowed, required, anchor: str) -> None:
-    """Raise ConfigError, prefixed by ``anchor``, for keys of ``payload`` not
-    in ``allowed``, then for the first key of ``required`` it lacks."""
+def check_keys(payload: dict, allowed, required, path: str = "") -> None:
+    """Raise ConfigError, prefixed by the JSON ``path`` of ``payload`` unless
+    it is the top level, for keys of ``payload`` not in ``allowed``, then for
+    the first key of ``required`` it lacks."""
+    where = f"{path}: " if path else ""
     unknown = set(payload) - set(allowed)
     if unknown:
-        raise ConfigError(f"{anchor}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}unknown keys {sorted(unknown)}")
     for key in required:
         if key not in payload:
-            raise ConfigError(f"{anchor}: missing required key {key!r}")
+            raise ConfigError(f"{where}missing required key {key!r}")
 
 
 def is_number(value) -> bool:

@@ -1,5 +1,8 @@
 import sys
 
+# first, so that numpy loads OpenBLAS at the package's thread timeout, as a
+# run of the package does
+import entwit
 import numpy as np
 import pytest
 

@@ -5,8 +5,6 @@ configuration problems, 2 failed numerical checks, 3 clean run with no
 detection.
 """
 
-import atexit
-import gc
 import json
 import os
 import resource
@@ -901,15 +899,26 @@ def test_unknown_subcommand_is_config_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_main_registers_one_exit_hook(monkeypatch):
-    # finalization skips the frozen heap; a second main in one process must
-    # not register the hook again
-    registered = []
-    monkeypatch.setattr(atexit, "register", registered.append)
-    entwit.cli._freeze_heap_at_exit.cache_clear()
-    assert main(["frobnicate"]) == 1
-    assert main(["frobnicate"]) == 1
-    assert registered == [gc.freeze]
+def test_import_registers_one_exit_hook():
+    # finalization skips the frozen heap for the CLI and every API caller:
+    # importing the package registers gc.freeze once, and main adds no hook
+    script = (
+        "import atexit, gc, importlib, json\n"
+        "counts = [atexit._ncallbacks()]\n"
+        "import entwit\n"
+        "counts.append(atexit._ncallbacks())\n"
+        "import entwit.cli\n"
+        "for _ in range(2):\n"
+        "    assert entwit.cli.main(['frobnicate']) == 1\n"
+        "counts.append(atexit._ncallbacks())\n"
+        "registered = []\n"
+        "atexit.register = registered.append\n"
+        "importlib.reload(entwit)\n"
+        "print(json.dumps([counts, registered == [gc.freeze]]))\n"
+    )
+    counts, hook_is_freeze = json.loads(run_fresh(["-c", script]).stdout.splitlines()[-1])
+    before, imported, after_main = counts
+    assert imported == before + 1 and after_main == imported and hook_is_freeze
 
 
 def test_help_exits_zero():
