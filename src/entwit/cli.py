@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
 from .operators import (
+    DensityMatrix,
     QubitRegister,
     UnitaryOperator,
     density_from_json,
@@ -32,12 +33,20 @@ from .operators import (
     shared_blocks,
     unitary_from_json,
 )
-from .spin_models import build_xxz, check_keys, config_number, schedule_from_config, xxz_params_from_config
+from .spin_models import (
+    BOUNDARIES,
+    build_xxz,
+    check_keys,
+    config_number,
+    schedule_from_config,
+    xxz_params_from_config,
+)
 from .thermo import ThermalSpec, delta_beta_f, gibbs_log_partition
 from .witness import (
     DetectionProtocol,
     GridAxis,
     SweepGrid,
+    _check_reference_size,
     _identity_unitary,
     detection_protocol,
     memory_budget,
@@ -175,7 +184,7 @@ def _protocol_from_config(value, beta: float) -> DetectionProtocol:
         try:
             return detection_protocol(PROTOCOL_NAMES[value], beta=beta)
         except ValueError as err:  # endpoint parameters out of range at this beta
-            raise ConfigError(f"protocol: {err}") from err
+            raise ConfigError(f"beta: {err}") from err
     if isinstance(value, dict):
         schedule = schedule_from_config(value, "protocol")
         return DetectionProtocol(schedule=schedule, beta=beta)
@@ -283,6 +292,10 @@ def _run_witness(args) -> int:
         )
         sampling = _choice(cfg, "sampling", "left", SAMPLING_RULES)
         evolution_kind = _choice(cfg, "evolution", "identity", EVOLUTION_KINDS)
+        if args.route == "via_work":  # refused before any drive is built
+            for name, state in (("rho_star", rho_star), ("sigma_ref", sigma_override)):
+                if isinstance(state, DensityMatrix):
+                    raise ConfigError(f"{name}: the via-work route needs a declared Gibbs state, got a matrix")
     metadata = {
         "source": "cli",
         "beta": beta,
@@ -328,11 +341,15 @@ def _run_sweep(args) -> int:
             ("grid", "n"),
         )
         n = cfg["n"]
+        try:
+            _check_reference_size(n)
+        except ValueError as err:
+            raise ConfigError(f"n: {err}") from err
         coupling_j = _float_key(cfg, "J", 1.0)
         beta = _float_key(cfg, "beta", 100.0)
         if not (0.0 < beta < math.inf and 1.0 / beta < math.inf):  # for either reference
             raise ConfigError(f"beta: must be positive with a finite 1/beta, got {beta!r}")
-        boundary = cfg.get("boundary", "periodic")
+        boundary = _choice(cfg, "boundary", "periodic", BOUNDARIES)
         # the work route reads declared Gibbs states only, so its default is thermal
         reference_kind = cfg.get("reference", "thermal" if args.route == "via_work" else "ideal")
         if reference_kind not in ("ideal", "thermal"):

@@ -63,7 +63,6 @@ from .operators import (
     combine,
     embed,
     partial_trace,
-    piece_stacks,
     restrict,
     shared_blocks,
     spectral_decompose,
@@ -348,22 +347,16 @@ def split_chain(
     bonds = _bonds(params.n, params.boundary)
     cross = [(l, m) for l, m in bonds if (l + 1 in sub) != (m + 1 in sub)]
 
-    def part(n: int, pairs: list[tuple[int, int]], field_sites) -> HermitianOperator:
-        stacks = piece_stacks(chain_pieces(n, pairs, field_sites))
-        return HermitianOperator(QubitRegister(n), combine(stacks, (params.J, params.Jz, -params.B)))
-
     def inside(sites: tuple[int, ...]) -> HermitianOperator:
         local = {site - 1: idx for idx, site in enumerate(sites)}
         pairs = [(local[l], local[m]) for l, m in bonds if l in local and m in local]
-        return part(len(sites), pairs, range(len(sites)))
+        stacks = chain_pieces(len(sites), pairs, range(len(sites)))
+        return HermitianOperator(QubitRegister(len(sites)), combine(stacks, (params.J, params.Jz, -params.B)))
 
     def across() -> HermitianOperator:
-        # H_xy and H_zz of each bond across the cut, a two-site chain, laid on
-        # its sites and summed exactly (as small integers) before combining
-        bond = [(i, b[:2].astype(np.int8)) for i, b in piece_stacks(chain_pieces(2, [(0, 1)], []))]
-        terms = [embed(bond, params.n, (l + 1, m + 1)) for l, m in cross]
-        pieces = [(i, sum(restrict(t, i) for t in terms)) for i in shared_blocks(params.n, *terms)]
-        return HermitianOperator(register, combine(pieces, (float(params.J), float(params.Jz))))
+        # H_xy and H_zz of the bonds across the cut, on the full register
+        stacks = [(indices, blocks[:2]) for indices, blocks in chain_pieces(params.n, cross, ())]
+        return HermitianOperator(register, combine(stacks, (params.J, params.Jz)))
 
     return CompositeSystem(
         register=register,

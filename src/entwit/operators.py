@@ -8,15 +8,15 @@ Every Hamiltonian and reference state of the witness conserves the total
 magnetization S^z, so it is block diagonal in the sectors of fixed popcount
 (number of qubits in |1>): 924 states at most for n = 12.
 ``sector_partition`` gives them, stacked by size, and objects known to
-conserve S^z (the identity, the Dicke states) are built on them directly.
-``sector_stacks`` decides the blocks of a register-sized matrix, or of a
-stack of them: the popcount sectors when every entry between two of them is
-exactly 0, one whole-register block otherwise.  ``assemble`` puts such
-stacks back into one matrix, and ``diagonal_blocks`` restricts a matrix to
-given blocks.  A Hamiltonian affine in its pieces P_j (dense matrices or
-diagonals) is cut once into ``piece_stacks``, every piece on every block,
-and ``combine`` sums c_j P_j on them: every chain Hamiltonian, closed or
-open, and every slice of the Trotter product comes from such stacks.
+conserve S^z (the identity, the Dicke states, a chain's pieces) are built on
+them directly.  ``sector_stacks`` decides the blocks of a register-sized
+matrix, or of a stack of them: the popcount sectors when every entry between
+two of them is exactly 0, one whole-register block otherwise.  ``assemble``
+puts such stacks back into one matrix, and ``diagonal_blocks`` restricts a
+matrix to given blocks.  A Hamiltonian affine in its pieces P_j is kept as
+piece stacks, every piece on every block, and ``combine`` sums c_j P_j on
+them: every chain Hamiltonian, closed or open, and every slice of the
+Trotter product comes from such stacks.
 
 ``HermitianOperator``, ``DensityMatrix`` and ``UnitaryOperator`` store
 only (indices, blocks) stacks (a dense matrix is split once), and
@@ -379,38 +379,12 @@ def sector_partition(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple((indices, ones[indices[:, 0]]) for indices in _partitions(n)[0])
 
 
-def piece_stacks(pieces: Sequence[np.ndarray]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The read-only (indices, blocks) stacks of the pieces P_j of a
-    Hamiltonian: ``blocks`` (p, k, s, s) holds every piece on the k blocks of
-    s basis states of ``indices`` (k, s).
-
-    Each piece is a dense (dim, dim) matrix or the (dim,) diagonal of a
-    diagonal one, at least one dense.  The blocks are the ``sector_stacks``
-    of the dense pieces (a lone one is cut without a stacked copy), and a
-    diagonal d is diag(d[indices]) on each, as it never mixes sectors.
-    """
-    dense = [j for j, piece in enumerate(pieces) if np.ndim(piece) == 2]
-    diagonal = [j for j, piece in enumerate(pieces) if np.ndim(piece) == 1]
-    matrix = pieces[dense[0]][None] if len(dense) == 1 else np.stack([pieces[j] for j in dense])
-    stacks = sector_stacks(matrix)
-    dtype = np.result_type(stacks[0][1], *(pieces[j] for j in diagonal))
-    out = []
-    for indices, dense_blocks in stacks:
-        blocks = np.zeros((len(pieces), *dense_blocks.shape[1:]), dtype)
-        blocks[dense] = dense_blocks
-        span = np.arange(indices.shape[1])
-        for j in diagonal:
-            blocks[j][:, span, span] = pieces[j][indices]
-        blocks.setflags(write=False)
-        out.append((indices, blocks))
-    return tuple(out)
-
-
 def combine(
     stacks: Sequence[tuple[np.ndarray, np.ndarray]], coefficients: Sequence[float]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (indices, blocks) stacks of sum_j c_j P_j from the ``piece_stacks``
-    of the P_j, each block (k, s, s) the terms c_j P_j added in piece order."""
+    """The (indices, blocks) stacks of sum_j c_j P_j from the piece stacks of
+    the P_j, blocks (p, k, s, s): each block (k, s, s) the terms c_j P_j
+    added in piece order."""
     out = []
     for indices, blocks in stacks:
         total = coefficients[0] * blocks[0]

@@ -10,11 +10,10 @@ dropped for open ones) and the field always running over all n sites.
 
 Written as H = J H_xy + Jz H_zz - B S_z over three fixed pieces, it conserves
 the total magnetization S^z = sum_l sz_l.  ``chain_pieces`` builds the
-pieces of any bond graph on a register from the action of every bond on the
-basis states: H_xy as a dense real matrix, H_zz and S_z as diagonals.
-``xxz_pieces`` cuts them once per (n, boundary) into read-only
-``operators.piece_stacks``, every piece on every S^z sector, and keeps only
-those: this is the package's one stored form of a chain.  ``build_xxz``
+pieces of any bond graph on a register directly on its S^z sectors, from the
+action of every bond on each sector's basis states, as read-only piece
+stacks.  ``xxz_pieces`` caches them once per (n, boundary) for the standard
+chain: this is the package's one stored form of a chain.  ``build_xxz``
 combines them for one parameter set, the Trotter product takes them as they
 are, and S_z is m I on a sector, so a field only shifts a sector's energies
 by -B m.
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .operators import HermitianOperator, QubitRegister, combine, piece_stacks
+from .operators import HermitianOperator, QubitRegister, combine, sector_partition
 
 BOUNDARIES = ("periodic", "open")
 INTERPOLATIONS = ("linear", "quench-at-start")
@@ -106,43 +105,48 @@ def _bonds(n: int, boundary: str) -> list[tuple[int, int]]:
 
 
 def chain_pieces(
-    n: int, bonds: list[tuple[int, int]], field_sites: Iterable[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense H_xy = -(1/2) sum (sx sx + sy sy) and the diagonals of
-    H_zz = -sum sz sz and S_z on an n-qubit register, all real.
+    n: int, bonds: Iterable[tuple[int, int]], field_sites: Iterable[int]
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """H_xy = -(1/2) sum (sx sx + sy sy), H_zz = -sum sz sz and S_z of the
+    bond graph ``bonds`` (0-based site pairs) with the field on the 0-based
+    ``field_sites``, as read-only piece stacks on the S^z sectors of n
+    qubits in ``operators.sector_partition`` order: real blocks (3, k, s, s).
 
-    The XXZ pieces of any bond graph: ``bonds`` are 0-based site pairs and
-    ``field_sites`` the 0-based sites the field acts on.  Cut them with
-    ``operators.piece_stacks`` and combine them with ``operators.combine``;
-    ``operators.embed`` lays their stacks on some sites of a larger register.
+    A bond keeps the popcount.  A rank map gives each basis state its place
+    in its sector, and H_xy adds -1 wherever a bond swaps an antiparallel
+    pair.  ``operators.embed`` lays the stacks on some sites of a register.
     """
     QubitRegister(n)
-    states = np.arange(2**n)
-    hopping = np.zeros((states.size, states.size))
-    zz = np.zeros(states.size)
-    for l, m in bonds:
-        # site l (0-based) is bit n-1-l of the basis index; site 0 is leftmost
-        mask_l, mask_m = 1 << (n - 1 - l), 1 << (n - 1 - m)
-        differ = ((states & mask_l) == 0) != ((states & mask_m) == 0)
-        zz += np.where(differ, 1.0, -1.0)
+    first, second = np.array(list(bonds), dtype=np.int64).reshape(-1, 2).T
+    field_sites = np.array(list(field_sites), dtype=np.int64)
+    # site l (0-based) is bit n-1-l of the basis index; site 0 is leftmost
+    flips = (1 << (n - 1 - first)) | (1 << (n - 1 - second))
+    rank = np.empty(2**n, dtype=np.int64)
+    out = []
+    for indices, _ in sector_partition(n):
+        span = rank[indices] = np.arange(indices.shape[1])
+        bits = (indices[..., None] >> np.arange(n - 1, -1, -1)) & 1
+        differ = bits[..., first] != bits[..., second]
+        blocks = np.zeros((3, *indices.shape, span.size))
+        # sums of +-1, exact in any order
+        blocks[1][:, span, span] = np.where(differ, 1.0, -1.0).sum(axis=-1)
+        blocks[2][:, span, span] = (1 - 2 * bits[..., field_sites]).sum(axis=-1)
         # sx sx + sy sy swaps an antiparallel pair with amplitude 2
-        source = np.flatnonzero(differ)
-        np.add.at(hopping, (source ^ (mask_l | mask_m), source), -1.0)
-    magnetization = np.zeros(states.size)
-    for site in field_sites:
-        magnetization += 1 - 2 * ((states >> (n - 1 - site)) & 1)
-    return hopping, zz, magnetization
+        block, source, bond = np.nonzero(differ)
+        np.add.at(blocks[0], (block, rank[indices[block, source] ^ flips[bond]], source), -1.0)
+        blocks.setflags(write=False)
+        out.append((indices, blocks))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
 def xxz_pieces(n: int, boundary: str = "periodic") -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The ``operators.piece_stacks`` of the n-site chain with the field on
-    every site: H_xy, H_zz and S_z on each S^z sector stack, (3, k, s, s).
-    Built once per (n, boundary) and cached read-only, for every parameter
-    set; the dense H_xy of ``chain_pieces`` is freed once it is cut."""
+    """The ``chain_pieces`` of the n-site chain with the field on every
+    site: H_xy, H_zz and S_z on each S^z sector stack, (3, k, s, s).  Built
+    once per (n, boundary) and cached read-only, for every parameter set."""
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-    return piece_stacks(chain_pieces(n, _bonds(n, boundary), range(n)))
+    return chain_pieces(n, _bonds(n, boundary), range(n))
 
 
 def build_xxz(params: XXZParams) -> HermitianOperator:

@@ -180,9 +180,10 @@ def reference_params(n: int, beta: float, coupling_j: float = 1.0) -> XXZParams:
     At n = 3 a Jz term shapes css_3.  For n >= 4, Jz = 0 and
     B = J + ln(p_0 / p_W) / (2 beta), which sets the weights of |0...0> and
     W_n; every other level sits at least 4 J (1 - cos(pi/n)) above W_n.  No
-    field makes W_n the ground state for J <= 0, which raises ValueError.
-    W_n is an eigenstate of the periodic ring only (the open chain's final
-    ground state overlaps it by 0.947, 0.929 and 0.903 at n = 4, 5 and 7).
+    field makes W_n the ground state for J <= 0, which raises ValueError,
+    as does a beta so small that Jz or B overflows.  W_n is an eigenstate
+    of the periodic ring only (the open chain's final ground state overlaps
+    it by 0.947, 0.929 and 0.903 at n = 4, 5 and 7).
 
     The real limit is the protocol's final side: at beta = 100 and J = 1 its
     Gibbs state holds weight 1.1e-7 outside W_n at n = 7, 1.2e-5 at n = 9,
@@ -197,7 +198,6 @@ def reference_params(n: int, beta: float, coupling_j: float = 1.0) -> XXZParams:
         raise ValueError(f"beta must be positive, got {beta}")
     if not coupling_j > 0:
         raise ValueError(f"the reference protocol needs J > 0, got J={coupling_j!r}")
-    _warn_if_warm(n, beta, coupling_j)
     if n == 3:
         jz = (2.0 * coupling_j - math.log(3.0) / beta) / 4.0
         field = math.log(2.0) / (2.0 * beta)
@@ -205,6 +205,9 @@ def reference_params(n: int, beta: float, coupling_j: float = 1.0) -> XXZParams:
         jz = 0.0
         ratio = (n ** (n - 1) - (n - 1) ** (n - 1)) / (n - 1) ** (n - 1)
         field = math.log(ratio) / (2.0 * beta) + coupling_j
+    if not (math.isfinite(jz) and math.isfinite(field)):
+        raise ValueError(f"the reference parameters overflow at beta={beta!r}")
+    _warn_if_warm(n, beta, coupling_j)
     return XXZParams(n=n, J=coupling_j, Jz=jz, B=field)
 
 

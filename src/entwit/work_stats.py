@@ -30,8 +30,8 @@ every (B, T).  The work route's relative entropy adds the energy term
 
 Every propagator of the package, closed or open, comes from one routine,
 ``ordered_product``: the ordered product of the slice propagators of a
-Hamiltonian given as the ``operators.piece_stacks`` of its pieces and a
-table of slice coefficients, kept per S^z stack as the unitary's blocks.
+Hamiltonian given as the piece stacks of its pieces and a table of slice
+coefficients, kept per S^z stack as the unitary's blocks.
 ``trotter_evolution`` hands it the cached ``spin_models.xxz_pieces``, and
 ``exact_evolution`` is one midpoint slice.
 """
@@ -332,9 +332,9 @@ def ordered_product(
     """Ordered product of slice propagators exp(-i H_k dt), step 0 applied
     first, for the affine Hamiltonian H_k = sum_j c[k, j] P_j.
 
-    ``stacks`` are the ``operators.piece_stacks`` of the P_j: per stack of k
-    equal-size blocks, the basis indices (k, s) and every piece on them
-    (p, k, s, s); the S^z sectors when the pieces conserve S^z, else the
+    ``stacks`` are the piece stacks of the P_j (``operators.combine``): per
+    stack of k equal-size blocks, the basis indices (k, s) and every piece
+    on them (p, k, s, s); the S^z sectors when the pieces conserve S^z, else the
     whole register.  ``coefficients`` is c, shape (steps, p).  Each stack
     carries its own product; the products are the blocks of the unitary.
 

@@ -1,16 +1,18 @@
 """Dense reference implementations that the fast paths are checked against.
 
 These are the package's former dense paths: the XXZ Hamiltonian as a sum of
-products of embedded Pauli matrices, and as J H_xy + Jz H_zz - B S_z over
-the dense ``chain_pieces`` triple (``dense_chain_pieces``, ``xxz_matrix``),
-the Dicke states and projectors as dense vectors and outer products
-(``dicke_state``, ``pure_state``), the closed and open Trotter products of
-full 2^n x 2^n step propagators (``dense_propagator``, one dense
-``np.linalg.eigh`` each; the open chain's Hamiltonian is built here from the
-Pauli-product chain), the relative entropy with its overlaps from a
-3-operand einsum, the direct sweep distance from dense Gibbs states, and the
-two-point-measurement transitions, work distribution and sampler from one
-dense ``np.linalg.eigh`` per Hamiltonian.  They share no sector code and no
+products of embedded Pauli matrices, and as J H_xy + Jz H_zz - B S_z over a
+dense H_xy and the H_zz and S_z diagonals (``dense_pieces`` for any bond
+graph, ``dense_chain_pieces`` for the chain, ``xxz_matrix``), the triple the
+package built before it built each chain on its S^z sectors; the Dicke
+states and projectors as dense vectors and outer products (``dicke_state``,
+``pure_state``), the closed and open Trotter products of full 2^n x 2^n
+step propagators (``dense_propagator``, one dense ``np.linalg.eigh`` each;
+the open chain's Hamiltonian is built here from the Pauli-product chain),
+the relative entropy with its overlaps from a 3-operand einsum, the direct
+sweep distance from dense Gibbs states, and the two-point-measurement
+transitions, work distribution and sampler from one dense
+``np.linalg.eigh`` per Hamiltonian.  They share no sector code and no
 overlap kernel with ``entwit``; ``dense_eigenvectors`` and
 ``dense_transitions`` scatter the package's blocks into full matrices for
 comparison.  ``smallest_partial_transpose_eigenvalue`` checks each detection
@@ -19,11 +21,15 @@ against a criterion of its own, the partial transpose over every bipartition.
 Kronecker product with an identity, its axes permuted) and partial trace (one
 einsum) that ``operators.embed`` and ``operators.partial_trace`` replaced.
 
-``allocating_product`` is the exception: the chunk loop ``ordered_product``
-ran before it computed into a reused workspace, kept here with a fresh array
-for every intermediate, so that the workspace product can be held to the
-same bits.  It shares the sector, check and kernel-choice code with
-``entwit`` on purpose.
+Three exceptions share the sector code with ``entwit`` on purpose, so that
+a path that replaced them can be held to their bits.  ``piece_stacks`` cuts
+register-sized pieces into piece stacks by ``operators.sector_stacks``, as
+the package once cut the dense triple.  ``embedded_coupling`` builds a split
+chain's coupling as ``open_system.split_chain`` once did: each two-site
+bond laid on its sites by ``operators.embed`` and the terms summed as small
+integers.  ``allocating_product`` is the chunk loop ``ordered_product`` ran
+before it computed into a reused workspace, with a fresh array for every
+intermediate; it shares the check and kernel-choice code too.
 """
 
 import itertools
@@ -40,8 +46,18 @@ from entwit import (
     params_at,
     thermal_state,
 )
-from entwit.operators import EIGENVALUE_FLOOR, assemble, check_unitary, checked_eigh, sector_stacks
-from entwit.spin_models import _bonds, chain_pieces
+from entwit.operators import (
+    EIGENVALUE_FLOOR,
+    assemble,
+    check_unitary,
+    checked_eigh,
+    combine,
+    embed,
+    restrict,
+    sector_stacks,
+    shared_blocks,
+)
+from entwit.spin_models import _bonds
 from entwit.thermo import SUPPORT_LEAK_TOL
 from entwit.work_stats import CHUNK_ENTRIES, STEP_CHUNK, TAYLOR_THETA, _taylor_degree
 
@@ -108,10 +124,73 @@ def dense_xxz(params: XXZParams) -> HermitianOperator:
     return HermitianOperator(register, h)
 
 
+def dense_pieces(n: int, bonds, field_sites) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense H_xy = -(1/2) sum (sx sx + sy sy) and the diagonals of
+    H_zz = -sum sz sz and S_z of a bond graph on an n-qubit register, all
+    real: ``bonds`` are 0-based site pairs, ``field_sites`` the 0-based
+    sites of the field."""
+    states = np.arange(2**n)
+    hopping = np.zeros((states.size, states.size))
+    zz = np.zeros(states.size)
+    for l, m in bonds:
+        # site l (0-based) is bit n-1-l of the basis index; site 0 is leftmost
+        mask_l, mask_m = 1 << (n - 1 - l), 1 << (n - 1 - m)
+        differ = ((states & mask_l) == 0) != ((states & mask_m) == 0)
+        zz += np.where(differ, 1.0, -1.0)
+        # sx sx + sy sy swaps an antiparallel pair with amplitude 2
+        source = np.flatnonzero(differ)
+        np.add.at(hopping, (source ^ (mask_l | mask_m), source), -1.0)
+    magnetization = np.zeros(states.size)
+    for site in field_sites:
+        magnetization += 1 - 2 * ((states >> (n - 1 - site)) & 1)
+    return hopping, zz, magnetization
+
+
+def piece_stacks(pieces) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The read-only (indices, blocks) stacks of the pieces P_j of a
+    Hamiltonian, cut from their register-sized forms: ``blocks`` (p, k, s, s)
+    holds every piece on the k blocks of s basis states of ``indices``
+    (k, s).
+
+    Each piece is a dense (dim, dim) matrix or the (dim,) diagonal of a
+    diagonal one, at least one dense.  The blocks are the ``sector_stacks``
+    of the dense pieces, and a diagonal d is diag(d[indices]) on each, as it
+    never mixes sectors.
+    """
+    dense = [j for j, piece in enumerate(pieces) if np.ndim(piece) == 2]
+    diagonal = [j for j, piece in enumerate(pieces) if np.ndim(piece) == 1]
+    matrix = pieces[dense[0]][None] if len(dense) == 1 else np.stack([pieces[j] for j in dense])
+    stacks = sector_stacks(matrix)
+    dtype = np.result_type(stacks[0][1], *(pieces[j] for j in diagonal))
+    out = []
+    for indices, dense_blocks in stacks:
+        blocks = np.zeros((len(pieces), *dense_blocks.shape[1:]), dtype)
+        blocks[dense] = dense_blocks
+        span = np.arange(indices.shape[1])
+        for j in diagonal:
+            blocks[j][:, span, span] = pieces[j][indices]
+        blocks.setflags(write=False)
+        out.append((indices, blocks))
+    return tuple(out)
+
+
 def dense_chain_pieces(n: int, boundary: str = "periodic") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n-site chain's dense H_xy and its H_zz and S_z diagonals, the
-    ``chain_pieces`` triple that ``xxz_pieces`` cuts into sector stacks."""
-    return chain_pieces(n, _bonds(n, boundary), range(n))
+    ``dense_pieces`` triple whose ``piece_stacks`` are ``xxz_pieces``."""
+    return dense_pieces(n, _bonds(n, boundary), range(n))
+
+
+def embedded_coupling(params: XXZParams, subsystem_sites) -> HermitianOperator:
+    """The bonds of a chain that cross from the 1-based ``subsystem_sites``
+    to the rest, each a two-site chain's H_xy and H_zz laid on its sites by
+    ``operators.embed`` and summed exactly as small integers on the blocks
+    the terms share, then combined with J and Jz."""
+    inside = set(subsystem_sites)
+    cross = [(l, m) for l, m in _bonds(params.n, params.boundary) if (l + 1 in inside) != (m + 1 in inside)]
+    bond = [(i, b[:2].astype(np.int8)) for i, b in piece_stacks(dense_pieces(2, [(0, 1)], []))]
+    terms = [embed(bond, params.n, (l + 1, m + 1)) for l, m in cross]
+    pieces = [(i, sum(restrict(t, i) for t in terms)) for i in shared_blocks(params.n, *terms)]
+    return HermitianOperator(QubitRegister(params.n), combine(pieces, (float(params.J), float(params.Jz))))
 
 
 def xxz_matrix(params: XXZParams, hopping, zz, magnetization) -> np.ndarray:

@@ -165,7 +165,7 @@ def test_twelve_qubit_work_route_witness(tmp_path):
     assert rc == (0 if report["detected"] else 3)
 
 
-def test_direct_witness_builds_no_evolution(tmp_path, monkeypatch):
+def test_direct_witness_builds_no_evolution(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the direct route resolved an evolution")
 
@@ -174,6 +174,13 @@ def test_direct_witness_builds_no_evolution(tmp_path, monkeypatch):
         tmp_path, {"protocol": "three-qubit", "rho_star": W3, "evolution": "trotter"}
     )
     assert main(["witness", "--config", cfg, "--out", str(tmp_path)]) == 0
+    # the work route refuses a matrix candidate before it resolves the drive
+    assert main(["witness", "--config", cfg, "--out", str(tmp_path), "--route", "via-work"]) == 1
+    assert "rho_star: the via-work route needs a declared Gibbs state" in capsys.readouterr().err
+    thermal = {"params": {"n": 3, "J": 1.0, "Jz": 0.1, "B": 0.5}, "temperature": 0.05}
+    cfg = write_config(
+        tmp_path, {"protocol": "three-qubit", "rho_star": thermal, "evolution": "trotter"}
+    )
     with pytest.raises(AssertionError, match="resolved an evolution"):
         main(["witness", "--config", cfg, "--out", str(tmp_path), "--route", "via-work"])
 
@@ -270,16 +277,16 @@ def test_sweep_rejects_unknown_n(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def test_a_chain_size_that_is_not_an_int_names_its_type(tmp_path, capsys):
+def test_a_chain_size_that_is_not_an_int_is_refused(tmp_path, capsys):
     star = {"params": {"n": 3.0, "J": 1.0, "Jz": 0.0, "B": 0.5}, "temperature": 0.05}
-    for command, payload in (
-        ("sweep", {"n": 3.0, "grid": SMALL_GRID}),
-        ("witness", {"protocol": "three-qubit", "rho_star": star}),
+    for command, payload, reason in (
+        ("sweep", {"n": 3.0, "grid": SMALL_GRID}, "n: references take an integer n from 3 to 12, got n=3.0"),
+        ("witness", {"protocol": "three-qubit", "rho_star": star}, "n must be an integer, got n=3.0 of type float"),
     ):
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "n must be an integer, got n=3.0 of type float" in err
+        assert err.startswith("error:") and reason in err
     assert not (tmp_path / "out").exists()
 
 

@@ -8,8 +8,7 @@ line, ``<cfg>`` stands for the config file, ``<out>`` for the default
 subcommands.  A refusal of the config names the file once, as its first
 word, and then the JSON path of the refused value where it sits below the
 top level; refusals of the command line, of ``--out`` and of an unreadable
-unitary file, a library refusal raised after parsing and a failed
-numerical check name no config.
+unitary file and a failed numerical check name no config.
 """
 
 import json
@@ -74,7 +73,7 @@ ROWS = [
     ("protocol-name", "witness --config <cfg>", {**WITNESS, "protocol": "five-qubit"},
      "error: <cfg>: protocol: unknown name 'five-qubit'; use 'three-qubit', 'seven-qubit', or a schedule object", 1),
     ("protocol-beta-range", "witness --config <cfg>", {**WITNESS, "beta": 1e-310},
-     "error: <cfg>: protocol: Jz must be a finite number, got -inf", 1),
+     "error: <cfg>: beta: the reference parameters overflow at beta=1e-310", 1),
     ("protocol-type", "witness --config <cfg>", {**WITNESS, "protocol": 5},
      "error: <cfg>: protocol: expected a name or a schedule object", 1),
     ("schedule-key", "witness --config <cfg>", {**WITNESS, "protocol": {"initial": SCHEDULE["initial"]}},
@@ -116,7 +115,9 @@ ROWS = [
     ("witness-evolution", "witness --config <cfg> --route via-work", {**WITNESS, "evolution": "magic"},
      "error: <cfg>: evolution: expected one of ('identity', 'exact', 'trotter'), got 'magic'", 1),
     ("via-work-matrix", "witness --config <cfg> --route via-work", {**WITNESS, "rho_star": {"matrix": W3}},
-     "error: route 'via_work' needs declared Gibbs states; rho_star is not a ThermalSpec", 1),
+     "error: <cfg>: rho_star: the via-work route needs a declared Gibbs state, got a matrix", 1),
+    ("via-work-sigma-matrix", "witness --config <cfg> --route via-work", {**WITNESS, "sigma_ref": {"matrix": W3}},
+     "error: <cfg>: sigma_ref: the via-work route needs a declared Gibbs state, got a matrix", 1),
     ("witness-unwritable", "witness --config <cfg> --out <tmp>/blocked", WITNESS,
      "error: <tmp>/blocked/witness_report.json: Is a directory", 1),
     # sweep
@@ -151,11 +152,11 @@ ROWS = [
     ("axis-empty", "sweep --config <cfg>", grid(Jz={"min": 0.0, "max": -1e-13, "step": 1e-15}),
      "error: <cfg>: grid.Jz: axis holds no value: maximum -1e-13 < minimum 0.0", 1),
     ("sweep-size-type", "sweep --config <cfg>", {**SWEEP, "n": "3"},
-     "error: <cfg>: n must be an integer, got n='3' of type str", 1),
+     "error: <cfg>: n: references take an integer n from 3 to 12, got n='3'", 1),
     ("sweep-size-range", "sweep --config <cfg>", {**SWEEP, "n": 13},
-     "error: <cfg>: n=13 exceeds the dense-storage ceiling of 12 qubits", 1),
+     "error: <cfg>: n: references take an integer n from 3 to 12, got n=13", 1),
     ("sweep-boundary", "sweep --config <cfg>", {**SWEEP, "boundary": "twisted"},
-     "error: <cfg>: boundary must be one of ('periodic', 'open'), got 'twisted'", 1),
+     "error: <cfg>: boundary: expected one of ('periodic', 'open'), got 'twisted'", 1),
     ("sweep-temperature-overflow", "sweep --config <cfg>", grid(T={"min": 1e-310, "max": 1e-310, "step": 1.0}),
      "error: <cfg>: temperatures need a finite 1/T, got T=1e-310", 1),
     ("sweep-memory", "sweep --config <cfg>", grid(B={"min": 0.0, "max": 1.0, "step": 1e-12}),

@@ -12,6 +12,7 @@ below it and from the spectral kernel above it.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,13 @@ from dense_oracle import (
     allocating_product,
     dense_chain_pieces,
     dense_open_trotter,
+    dense_pieces,
     dense_s_right,
     dense_trotter,
     dense_xxz,
     embed_operator,
+    embedded_coupling,
+    piece_stacks,
     xxz_matrix,
 )
 from entwit import (
@@ -48,8 +52,8 @@ from entwit import (
 import entwit.open_system
 import entwit.work_stats
 from entwit.open_system import _open_pieces
-from entwit.operators import check_unitary, checked_eigh, piece_stacks, sector_stacks
-from entwit.spin_models import chain_pieces, xxz_pieces
+from entwit.operators import check_unitary, checked_eigh, sector_stacks
+from entwit.spin_models import _bonds, chain_pieces, xxz_pieces
 from entwit.work_stats import (
     STEP_CHUNK,
     TAYLOR_DEGREE,
@@ -159,6 +163,60 @@ def test_sectors_partition_the_basis(n):
     assert [s.size for s in sectors] == [math.comb(n, k) for k in ones]
     magnetization = [m for _, blocks in stacks for m in blocks[2, :, 0, 0]]
     assert magnetization == [n - 2 * k for k in ones]
+
+
+@st.composite
+def bond_graphs(draw):
+    """(n, bonds, field sites): any 0-based site pairs, repeats allowed, and
+    any subset of the sites for the field."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    site = st.integers(min_value=0, max_value=n - 1)
+    bonds = draw(st.lists(st.tuples(site, site).filter(lambda pair: pair[0] != pair[1]), max_size=2 * n))
+    return n, bonds, draw(st.lists(site, unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bond_graphs())
+@example((2, [(0, 1), (1, 0)], [0, 1]))  # the two-site ring's doubled bond
+@example((10, [], []))
+def test_chain_pieces_have_the_bytes_of_the_cut_dense_pieces(graph):
+    n, bonds, field_sites = graph
+    got = chain_pieces(n, bonds, field_sites)
+    want = piece_stacks(dense_pieces(n, bonds, field_sites))
+    assert len(got) == len(want)
+    for (indices, blocks), (want_indices, want_blocks) in zip(got, want):
+        assert np.array_equal(indices, want_indices)
+        assert blocks.dtype == want_blocks.dtype == np.float64 and blocks.shape == want_blocks.shape
+        assert blocks.tobytes() == want_blocks.tobytes()
+        assert not blocks.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_split_chain_couples_its_parts_as_the_embedded_bonds_did(data):
+    params = data.draw(chain_params(8))
+    sub = data.draw(st.lists(st.integers(min_value=1, max_value=params.n), min_size=1, unique=True))
+    coupling = split_chain(params, sub, 1.0).coupling
+    if len(sub) == params.n:
+        assert coupling is None
+        return
+    want = embedded_coupling(params, sub)
+    assert len(coupling.stacks) == len(want.stacks)
+    for (indices, blocks), (want_indices, want_blocks) in zip(coupling.stacks, want.stacks):
+        assert np.array_equal(indices, want_indices)
+        assert blocks.tobytes() == want_blocks.tobytes()
+
+
+def test_the_twelve_site_chain_is_built_on_its_sectors_alone():
+    # the pieces take 65 MB; the dense 4096 x 4096 H_xy that was cut into
+    # them took 134 MB on its own
+    tracemalloc.start()
+    try:
+        chain_pieces(12, _bonds(12, "periodic"), range(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_twelve_site_open_chain_is_free_fermions():
@@ -458,7 +516,7 @@ def test_the_open_chain_passes_diagonals_with_the_bits_of_dense_pieces(monkeypat
         assert np.array_equal(indices, own) and np.array_equal(blocks, own_blocks)
     fixed = np.zeros((64, 64), dtype=np.complex128) + composite.coupling.entries
     fixed = fixed + embed_operator(register, composite.bath_hamiltonian.entries, (4, 5, 6))
-    hopping, zz, magnetization = chain_pieces(6, [(0, 1), (1, 2)], [0, 1, 2])
+    hopping, zz, magnetization = dense_pieces(6, [(0, 1), (1, 2)], [0, 1, 2])
     dense = piece_stacks(np.stack([fixed, hopping, np.diag(zz), np.diag(magnetization)]))
     assert np.array_equal(u.entries, ordered_product(register, dense, coefficients, dt).entries)
 
