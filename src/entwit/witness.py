@@ -198,6 +198,14 @@ def reference_params(n: int, beta: float, coupling_j: float = 1.0) -> XXZParams:
         raise ValueError(f"beta must be positive, got {beta}")
     if not coupling_j > 0:
         raise ValueError(f"the reference protocol needs J > 0, got J={coupling_j!r}")
+    jz, field = _reference_fields(n, beta, coupling_j)
+    _warn_if_warm(n, beta, coupling_j)
+    return XXZParams(n=n, J=coupling_j, Jz=jz, B=field)
+
+
+def _reference_fields(n: int, beta: float, coupling_j: float) -> tuple[float, float]:
+    """(Jz, B) of ``reference_params``, checked by nothing but their range:
+    a ValueError when a beta > 0 is so small that either overflows."""
     if n == 3:
         jz = (2.0 * coupling_j - math.log(3.0) / beta) / 4.0
         field = math.log(2.0) / (2.0 * beta)
@@ -207,8 +215,7 @@ def reference_params(n: int, beta: float, coupling_j: float = 1.0) -> XXZParams:
         field = math.log(ratio) / (2.0 * beta) + coupling_j
     if not (math.isfinite(jz) and math.isfinite(field)):
         raise ValueError(f"the reference parameters overflow at beta={beta!r}")
-    _warn_if_warm(n, beta, coupling_j)
-    return XXZParams(n=n, J=coupling_j, Jz=jz, B=field)
+    return jz, field
 
 
 @dataclass(frozen=True)

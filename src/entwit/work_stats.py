@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +62,11 @@ from .thermo import weighted_energy
 STOCHASTICITY_ATOL = 1e-10
 COMMUTATION_ATOL = 1e-9
 SAMPLE_BLOCK = 16384
-# Peak bytes per draw of ``entwit sample`` (the batch's six 8-byte columns and
-# temporaries): the tracemalloc peak of cli.main read 72.1-73.5 B per draw at
-# 2e5 and 1e6 draws of the three- and seven-qubit protocols, plus a quarter.
-TRAJECTORY_BYTES = 92
+# Peak bytes per draw of ``entwit sample`` (the int16 level pairs and the
+# standardized ratio, 12 B, and one block's temporaries): the tracemalloc
+# peak of cli.main read 16.1-20.6 B per draw at 2e5 and 12.8-13.2 B at 1e6
+# draws of the three- and seven-qubit protocols, plus a quarter.
+TRAJECTORY_BYTES = 26
 # ordered_product exponentiates up to STEP_CHUNK runs of equal slices per group
 # in one batched call, and at most CHUNK_ENTRIES matrix entries at a time.
 STEP_CHUNK = 32
@@ -553,18 +554,37 @@ def work_distribution(tm: TransitionMatrix, beta_initial: float, beta_final: flo
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
-    """Column-wise storage for a batch of sampled trajectories; the fields
-    are the columns of ``trajectories.csv``, in order."""
+    """Sampled trajectories as their level pairs: ``n_index`` into the
+    initial spectrum's ``levels_initial`` and ``m_index`` into the final
+    spectrum's ``levels_final``, both int16 (a level is below dim <= 4096),
+    so a draw takes 4 bytes.  The columns of ``trajectories.csv`` after the
+    two indices are formed from them on each read."""
 
     n_index: np.ndarray
     m_index: np.ndarray
-    energy_initial: np.ndarray
-    energy_final: np.ndarray
-    work: np.ndarray
-    generalized_exponent: np.ndarray
+    levels_initial: np.ndarray
+    levels_final: np.ndarray
+    beta_initial: float
+    beta_final: float
 
     def __len__(self) -> int:
         return int(self.n_index.size)
+
+    @property
+    def energy_initial(self) -> np.ndarray:
+        return self.levels_initial[self.n_index]
+
+    @property
+    def energy_final(self) -> np.ndarray:
+        return self.levels_final[self.m_index]
+
+    @property
+    def work(self) -> np.ndarray:
+        return self.energy_final - self.energy_initial
+
+    @property
+    def generalized_exponent(self) -> np.ndarray:
+        return self.beta_final * self.energy_final - self.beta_initial * self.energy_initial
 
 
 @dataclass(frozen=True)
@@ -595,26 +615,62 @@ def _cumulative(probabilities: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.where(cum == total, np.maximum(total, 1.0), cum)
 
 
+def _radix_order(levels: np.ndarray) -> np.ndarray:
+    """``np.argsort(levels, kind="stable")`` of level indices (0 <= level <
+    dim <= 4096), as numpy's stable radix sort of their int16 copy."""
+    return np.argsort(levels.astype(np.int16, copy=False), kind="stable")
+
+
+def _pair_groups(n_index: np.ndarray, m_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index and inverse that ``np.unique`` gives of the pairs n * dim +
+    m: the first draw of each distinct level pair, in ascending (n, m)
+    order, and each draw's position among them.  Two stable radix passes (m,
+    then n) take the place of a comparison sort of the int64 pairs."""
+    order = _radix_order(m_index)
+    order = order[_radix_order(n_index[order])]
+    n_sorted, m_sorted = n_index[order], m_index[order]
+    starts = np.empty(order.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(n_sorted[1:], n_sorted[:-1], out=starts[1:])
+    starts[1:] |= m_sorted[1:] != m_sorted[:-1]
+    first = np.flatnonzero(starts)
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.repeat(np.arange(first.size), np.diff(first, append=order.size))
+    return order[first], inverse
+
+
 def _sample_block(
     seed: int, block_index: int, size: int, cum_initial: np.ndarray, targets: list
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(n, m) indices of one block's draws from its own Philox stream.  One
-    stable sort groups the draws by n, and each distinct n takes one binary
-    search over its slice: O(size log size), however many levels occur."""
+    """int16 (n, m) indices of one block's draws from its own Philox stream.
+    One stable radix sort groups the draws by n, and each distinct n takes
+    one binary search over its slice: O(size log dim), however many levels
+    occur."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
     rng = np.random.Generator(np.random.Philox(seq))
     u_first = rng.random(size)
-    n_idx = np.searchsorted(cum_initial, u_first, side="right")
+    n_idx = np.searchsorted(cum_initial, u_first, side="right").astype(np.int16)
     u_second = rng.random(size)
-    order = np.argsort(n_idx, kind="stable")
+    order = _radix_order(n_idx)
     counts = np.bincount(n_idx)
     ends = np.cumsum(counts)
-    m_idx = np.empty(size, dtype=np.int64)
+    m_idx = np.empty(size, dtype=np.int16)
     for column in np.flatnonzero(counts).tolist():
         chosen = order[ends[column] - counts[column] : ends[column]]
         rows, cum = targets[column]
         m_idx[chosen] = rows[np.searchsorted(cum, u_second[chosen], side="right")]
-    return n_idx.astype(np.int64), m_idx
+    return n_idx, m_idx
+
+
+def _mean_and_std(values: np.ndarray) -> tuple[float, float]:
+    """``values.mean()`` and ``values.std(ddof=1)`` bit for bit as numpy
+    forms them (a pairwise sum, the squared deviations from its mean, a
+    second pairwise sum), with the deviations written over ``values``, so no
+    second column is allocated."""
+    mean = values.sum() / values.size
+    np.subtract(values, mean, out=values)
+    np.square(values, out=values)
+    return float(mean), math.sqrt(values.sum() / (values.size - 1))
 
 
 def sample_tpm(
@@ -623,6 +679,7 @@ def sample_tpm(
     beta_final: float,
     count: int,
     seed: int,
+    on_block: Callable[[TrajectoryBatch, np.ndarray], None] | None = None,
 ) -> tuple[TrajectoryBatch, EstimatorSummary]:
     """Sample two-point-measurement trajectories and estimate the average.
 
@@ -636,6 +693,14 @@ def sample_tpm(
     block order, so one seed always gives the same bytes.  The estimator is
     standardized against the exact partition ratio, keeping steep protocols
     in range.
+
+    The draws stream: each block is drawn, grouped by level pair, and its
+    exponents formed once per distinct pair.  ``on_block``, when given, takes
+    each block before the next is drawn, as a ``TrajectoryBatch`` of its
+    distinct pairs (their first draws, in ascending (n, m) order) and each
+    draw's position among them.  Between blocks the run keeps the int16
+    level indices, which the returned batch holds, and the float64
+    standardized ratio: 12 bytes per draw.
     """
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
@@ -658,23 +723,30 @@ def sample_tpm(
             for level, column_cum in zip(block_columns.tolist(), block_cum):
                 targets[level] = (block_rows, column_cum)
 
-    sizes = [SAMPLE_BLOCK] * (count // SAMPLE_BLOCK)
-    if count % SAMPLE_BLOCK:
-        sizes.append(count % SAMPLE_BLOCK)
-    drawn = [_sample_block(seed, i, size, cum_initial, targets) for i, size in enumerate(sizes)]
-
-    n_idx = np.concatenate([d[0] for d in drawn])
-    m_idx = np.concatenate([d[1] for d in drawn])
-    sampled_initial = e_initial[n_idx]
-    sampled_final = e_final[m_idx]
-    exponent = beta_final * sampled_final - beta_initial * sampled_initial
-
     log_exact = gibbs_log_partition(e_final, beta_final) - gibbs_log_partition(e_initial, beta_initial)
-    standardized = np.exp(-exponent - log_exact)
+    batch = TrajectoryBatch(
+        n_index=np.empty(count, dtype=np.int16),
+        m_index=np.empty(count, dtype=np.int16),
+        levels_initial=e_initial,
+        levels_final=e_final,
+        beta_initial=beta_initial,
+        beta_final=beta_final,
+    )
+    standardized = np.empty(count)
+    for block_index, start in enumerate(range(0, count, SAMPLE_BLOCK)):
+        rows = slice(start, min(start + SAMPLE_BLOCK, count))
+        n_block, m_block = _sample_block(seed, block_index, rows.stop - start, cum_initial, targets)
+        batch.n_index[rows], batch.m_index[rows] = n_block, m_block
+        first, inverse = _pair_groups(n_block, m_block)
+        distinct = dataclasses.replace(batch, n_index=n_block[first], m_index=m_block[first])
+        np.take(np.exp(-distinct.generalized_exponent - log_exact), inverse, out=standardized[rows])
+        if on_block is not None:
+            on_block(distinct, inverse)
+
     exact = float(np.exp(log_exact))
-    mean_ratio = float(standardized.mean())
     if count > 1:
-        se_ratio = float(standardized.std(ddof=1) / math.sqrt(count))
+        mean_ratio, std_ratio = _mean_and_std(standardized)
+        se_ratio = std_ratio / math.sqrt(count)
         if se_ratio == 0.0:
             z: float | None = 0.0 if abs(mean_ratio - 1.0) < 1e-12 else math.copysign(
                 math.inf, mean_ratio - 1.0
@@ -683,17 +755,10 @@ def sample_tpm(
             z = (mean_ratio - 1.0) / se_ratio
         stderr: float | None = se_ratio * exact
     else:
+        mean_ratio = float(standardized[0])
         stderr = None
         z = None
 
-    batch = TrajectoryBatch(
-        n_index=n_idx,
-        m_index=m_idx,
-        energy_initial=sampled_initial,
-        energy_final=sampled_final,
-        work=sampled_final - sampled_initial,
-        generalized_exponent=exponent,
-    )
     summary = EstimatorSummary(
         mean=mean_ratio * exact, stderr=stderr, exact=exact, z_score=z, count=count
     )

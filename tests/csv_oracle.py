@@ -12,18 +12,22 @@ from entwit.witness import STRICTNESS_EPSILON
 
 
 def legacy_trajectories_csv(batch, path) -> None:
+    # the batch forms each column on every read, so each is read once
+    n_index, m_index = batch.n_index, batch.m_index
+    energy_initial, energy_final = batch.energy_initial, batch.energy_final
+    work, exponent = batch.work, batch.generalized_exponent
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("n_index,m_index,energy_initial,energy_final,work,generalized_exponent\n")
         for i in range(len(batch)):
             handle.write(
                 ",".join(
                     [
-                        str(int(batch.n_index[i])),
-                        str(int(batch.m_index[i])),
-                        format(batch.energy_initial[i], ".17g"),
-                        format(batch.energy_final[i], ".17g"),
-                        format(batch.work[i], ".17g"),
-                        format(batch.generalized_exponent[i], ".17g"),
+                        str(int(n_index[i])),
+                        str(int(m_index[i])),
+                        format(energy_initial[i], ".17g"),
+                        format(energy_final[i], ".17g"),
+                        format(work[i], ".17g"),
+                        format(exponent[i], ".17g"),
                     ]
                 )
                 + "\n"

@@ -172,8 +172,8 @@ def test_sampler_matches_the_dense_oracle_over_several_blocks(conserving):
     e_initial, e_final, q = dense_tpm(h_initial.entries, h_final.entries, u.entries)
     n_index, m_index = dense_sample(e_initial, e_final, q, beta, count, seed)
     assert np.unique(batch.n_index[-1234:]).size == 2**n
-    assert batch.n_index.tobytes() == n_index.astype(np.int64).tobytes()
-    assert batch.m_index.tobytes() == m_index.astype(np.int64).tobytes()
+    assert batch.n_index.tobytes() == n_index.astype(np.int16).tobytes()
+    assert batch.m_index.tobytes() == m_index.astype(np.int16).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -631,13 +631,15 @@ def test_sample_is_deterministic_for_a_seed(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:thermal identification")
-def test_trajectories_match_the_per_row_writer(tmp_path, monkeypatch):
-    # a warm, non-commuting seven-qubit drive reaches hundreds of level pairs,
-    # and 34,002 draws end in a partial block
+@pytest.mark.parametrize("n", [7, 9])
+def test_trajectories_match_the_per_row_writer(tmp_path, monkeypatch, n):
+    # a warm, non-commuting drive reaches hundreds of level pairs, and
+    # 34,002 draws end in a partial block; at n = 9 a pair n * dim + m no
+    # longer fits one int16
     draws = capture(monkeypatch, "sample_tpm")
     schedule = {
-        "initial": {"n": 7, "J": 1.0, "Jz": 0.5, "B": 1.2},
-        "final": {"n": 7, "J": 0.6, "Jz": -0.3, "B": 0.92},
+        "initial": {"n": n, "J": 1.0, "Jz": 0.5, "B": 1.2},
+        "final": {"n": n, "J": 0.6, "Jz": -0.3, "B": 0.92},
         "steps": 20,
     }
     cfg = write_config(
@@ -647,7 +649,9 @@ def test_trajectories_match_the_per_row_writer(tmp_path, monkeypatch):
     batch, _ = draws[-1]
     legacy_trajectories_csv(batch, tmp_path / "legacy.csv")
     assert (tmp_path / "trajectories.csv").read_bytes() == (tmp_path / "legacy.csv").read_bytes()
-    assert np.unique(batch.n_index * 128 + batch.m_index).size > 500
+    pairs = batch.n_index.astype(np.int64) * 2**n + batch.m_index
+    assert np.unique(pairs).size > 500
+    assert n == 7 or pairs.max() >= 2**15
 
 
 def test_sample_rejects_bad_count(tmp_path, capsys):

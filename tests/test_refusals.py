@@ -133,6 +133,8 @@ ROWS = [
      "error: <cfg>: beta: must be positive with a finite 1/beta, got 0.0", 1),
     ("sweep-beta-overflow", "sweep --config <cfg>", {**SWEEP, "beta": 1e-310},
      "error: <cfg>: beta: must be positive with a finite 1/beta, got 1e-310", 1),
+    ("sweep-reference-overflow", "sweep --config <cfg>", {**SWEEP, "reference": "thermal", "beta": 6e-309},
+     "error: <cfg>: beta: the reference parameters overflow at beta=6e-309", 1),
     ("reference-name", "sweep --config <cfg>", {**SWEEP, "reference": "hot"},
      "error: <cfg>: reference: expected 'ideal' or 'thermal', got 'hot'", 1),
     ("reference-ideal-via-work", "sweep --config <cfg> --route via-work", {**SWEEP, "reference": "ideal"},
@@ -208,7 +210,7 @@ ROWS = [
     ("count-bool", "sample --config <cfg>", {**SAMPLE, "count": True},
      "error: <cfg>: count: expected a positive integer, got True", 1),
     ("count-memory", "sample --config <cfg>", {**SAMPLE, "count": 10**13},
-     "error: <cfg>: count: 10000000000000 draws need about 920000000000000 bytes, more than the memory budget of 8589934592 bytes", 1),
+     "error: <cfg>: count: 10000000000000 draws need about 260000000000000 bytes, more than the memory budget of 8589934592 bytes", 1),
     ("sample-sampling", "sample --config <cfg>", {**SAMPLE, "sampling": "right"},
      "error: <cfg>: sampling: expected one of ('left', 'midpoint'), got 'right'", 1),
     ("sample-evolution", "sample --config <cfg>", {**SAMPLE, "evolution": "magic"},

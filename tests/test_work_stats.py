@@ -14,6 +14,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_oracle import dense_chain_pieces, dense_propagator, dense_transitions, dense_xxz
 from entwit import (
@@ -39,7 +41,16 @@ from entwit import (
     work_distribution,
 )
 
-from entwit.work_stats import COMMUTATION_ATOL, SAMPLE_BLOCK, _log_final_sums, _log_work_sum, _sample_block
+from entwit.work_stats import (
+    COMMUTATION_ATOL,
+    SAMPLE_BLOCK,
+    _log_final_sums,
+    _log_work_sum,
+    _mean_and_std,
+    _pair_groups,
+    _radix_order,
+    _sample_block,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SZ_OPERATOR = HermitianOperator(QubitRegister(1), SZ)
@@ -476,8 +487,8 @@ class TestSampler:
             second = stream.random(size)
             columns = cum_q[:, want_n]
             want_m = np.minimum((columns <= second[None, :]).sum(axis=0), dim - 1)
-            assert n_idx.tobytes() == want_n.astype(np.int64).tobytes()
-            assert m_idx.tobytes() == want_m.astype(np.int64).tobytes()
+            assert n_idx.tobytes() == want_n.astype(np.int16).tobytes()
+            assert m_idx.tobytes() == want_m.astype(np.int16).tobytes()
 
     def test_a_draw_above_the_column_total_stays_in_its_block(self, monkeypatch):
         # the largest uniform draw below 1 lies above the rounded total of
@@ -509,3 +520,30 @@ class TestSampler:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_tpm(self.tm, 1.0, 1.0, count=0, seed=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=4096),
+    size=st.sampled_from([1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1]),
+    occupied=st.integers(min_value=1, max_value=4096),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_block_kernels_equal_the_sorts_they_replace(dim, size, occupied, seed):
+    # draws crowd onto a few levels (a cold chain) or spread over all of them
+    rng = np.random.default_rng(seed)
+    levels = rng.choice(dim, size=min(occupied, dim), replace=False)
+    n_index, m_index = (rng.choice(levels, size=size).astype(np.int16) for _ in range(2))
+    assert np.array_equal(_radix_order(n_index), np.argsort(n_index.astype(np.int64), kind="stable"))
+    first, inverse = _pair_groups(n_index, m_index)
+    pairs = n_index.astype(np.int64) * dim + m_index
+    _, want_first, want_inverse = np.unique(pairs, return_index=True, return_inverse=True)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(inverse, want_inverse)
+
+
+@pytest.mark.parametrize("size", [2, 3, 127, 128, 129, 1000, SAMPLE_BLOCK + 1, 200_000])
+def test_the_in_place_moments_are_numpys_bit_for_bit(size):
+    values = np.random.default_rng(size).lognormal(sigma=3.0, size=size)
+    want = (float(values.mean()), float(values.std(ddof=1)))
+    assert _mean_and_std(values.copy()) == want
