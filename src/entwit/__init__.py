@@ -32,7 +32,7 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_THREAD_TIMEOUT)
 # exit is then not finalized, so close files before exit.
 atexit.register(gc.freeze)
 
-from .errors import ConfigError, EntwitError, NumericalCheckError
+from .errors import ConfigError, NumericalCheckError
 from .open_system import (
     CompositeSystem,
     decoupled,
@@ -51,8 +51,6 @@ from .operators import (
     SpectralDecomposition,
     UnitaryOperator,
     density_from_json,
-    matrix_from_json,
-    matrix_to_json,
     spectral_decompose,
     unitary_from_json,
 )
@@ -60,7 +58,6 @@ from .spin_models import (
     DrivingSchedule,
     XXZParams,
     build_xxz,
-    params_at,
     schedule_from_config,
     xxz_params_from_config,
 )
@@ -80,9 +77,7 @@ from .witness import (
     build_css,
     build_w_state,
     detection_protocol,
-    reference_params,
     reference_state,
-    state_checksum,
     sweep_detection,
     sweep_metadata,
     sweep_reference,
@@ -111,7 +106,6 @@ __all__ = [
     "DensityMatrix",
     "DetectionProtocol",
     "DrivingSchedule",
-    "EntwitError",
     "EstimatorSummary",
     "GridAxis",
     "HermitianOperator",
@@ -140,13 +134,9 @@ __all__ = [
     "gibbs_relative_entropy",
     "log_bath_partition",
     "log_work_average",
-    "matrix_from_json",
-    "matrix_to_json",
     "open_trotter_evolution",
     "open_witness",
-    "params_at",
     "reduced_state",
-    "reference_params",
     "reference_state",
     "relative_entropy",
     "relative_entropy_via_work",
@@ -154,7 +144,6 @@ __all__ = [
     "schedule_from_config",
     "spectral_decompose",
     "split_chain",
-    "state_checksum",
     "sweep_detection",
     "sweep_metadata",
     "sweep_reference",

@@ -46,7 +46,10 @@ from .witness import (
     DetectionProtocol,
     GridAxis,
     SweepGrid,
+    _check_reference_boundary,
+    _check_reference_coupling,
     _check_reference_size,
+    _check_temperatures,
     _identity_unitary,
     _reference_fields,
     detection_protocol,
@@ -151,14 +154,15 @@ def _load_config(path: str) -> dict:
 
 
 @contextlib.contextmanager
-def _in_config(file: str):
-    """Prefix each ConfigError of the block with the config ``file``, the one
-    place a refusal names it: the parsers below name only the JSON path of
-    what they refuse."""
+def _prefix(prefix: str, errors=ValueError):
+    """Refuse each of ``errors`` raised in the block as a ConfigError that
+    starts with ``prefix``: the JSON path of a value that a library check
+    refuses or, around a config block and its ConfigErrors, the config file,
+    the one place a refusal names it."""
     try:
         yield
-    except ConfigError as err:
-        raise ConfigError(f"{file}: {err}") from err
+    except errors as err:
+        raise ConfigError(f"{prefix}: {err}") from err
 
 
 def _float_key(payload: dict, key: str, default: float) -> float:
@@ -181,10 +185,8 @@ def _protocol_from_config(value, beta: float) -> DetectionProtocol:
                 f"protocol: unknown name {value!r}; use "
                 "'three-qubit', 'seven-qubit', or a schedule object"
             )
-        try:
+        with _prefix("beta"):  # endpoint parameters out of range at this beta
             return detection_protocol(PROTOCOL_NAMES[value], beta=beta)
-        except ValueError as err:  # endpoint parameters out of range at this beta
-            raise ConfigError(f"beta: {err}") from err
     if isinstance(value, dict):
         schedule = schedule_from_config(value, "protocol")
         return DetectionProtocol(schedule=schedule, beta=beta)
@@ -198,10 +200,8 @@ def _state_from_config(value, path: str, expected_n: int):
         raise ConfigError(f"{path}: expected an object")
     if "matrix" in value:
         check_keys(value, {"matrix"}, ("matrix",), path)
-        try:
+        with _prefix(f"{path}.matrix", (ValueError, TypeError)):
             state = density_from_json(value["matrix"])
-        except (ValueError, TypeError) as err:
-            raise ConfigError(f"{path}.matrix: {err}") from err
         if state.register.n != expected_n:
             raise ConfigError(
                 f"{path}.matrix: state is on {state.register.n} qubits, protocol uses {expected_n}"
@@ -222,10 +222,8 @@ def _state_from_config(value, path: str, expected_n: int):
         beta = config_number(value["beta"], f"{path}.beta")
         if beta <= 0:
             raise ConfigError(f"{path}.beta: must be positive")
-    try:
+    with _prefix(path):  # 1/temperature beyond the range of a float
         return ThermalSpec(build_xxz(params), beta)
-    except ValueError as err:  # 1/temperature beyond the range of a float
-        raise ConfigError(f"{path}: {err}") from err
 
 
 def _resolve_evolution(kind: str, protocol: DetectionProtocol, sampling: str):
@@ -246,6 +244,8 @@ def _check_out(out: str) -> None:
     """Refuse, before any work, an ``out`` that is not a directory or whose
     nearest existing ancestor is not one; the error names the path that
     ``os.makedirs`` would fail on, as ``_output_dir`` does."""
+    if not out:
+        raise ConfigError("argument --out: expected a directory path, got ''")
     if os.path.exists(out):
         if not os.path.isdir(out):
             raise ConfigError(f"{out}: exists and is not a directory")
@@ -275,27 +275,16 @@ def _output_dir(out: str):
 
 def _run_witness(args) -> int:
     cfg = _load_config(args.config)
-    with _in_config(args.config):
-        check_keys(
-            cfg,
-            {"protocol", "beta", "rho_star", "sigma_ref", "evolution", "sampling"},
-            ("protocol", "rho_star"),
-        )
+    with _prefix(args.config, ConfigError):
+        check_keys(cfg, {"protocol", "beta", "rho_star", "evolution", "sampling"}, ("protocol", "rho_star"))
         beta = _float_key(cfg, "beta", 100.0)
         protocol = _protocol_from_config(cfg["protocol"], beta)
-        n = protocol.schedule.n
-        rho_star = _state_from_config(cfg["rho_star"], "rho_star", n)
-        sigma_override = (
-            _state_from_config(cfg["sigma_ref"], "sigma_ref", n)
-            if "sigma_ref" in cfg
-            else None
-        )
+        rho_star = _state_from_config(cfg["rho_star"], "rho_star", protocol.schedule.n)
         sampling = _choice(cfg, "sampling", "left", SAMPLING_RULES)
         evolution_kind = _choice(cfg, "evolution", "identity", EVOLUTION_KINDS)
-        if args.route == "via_work":  # refused before any drive is built
-            for name, state in (("rho_star", rho_star), ("sigma_ref", sigma_override)):
-                if isinstance(state, DensityMatrix):
-                    raise ConfigError(f"{name}: the via-work route needs a declared Gibbs state, got a matrix")
+        # refused before any drive is built
+        if args.route == "via_work" and isinstance(rho_star, DensityMatrix):
+            raise ConfigError("rho_star: the via-work route needs a declared Gibbs state, got a matrix")
     metadata = {
         "source": "cli",
         "beta": beta,
@@ -303,7 +292,7 @@ def _run_witness(args) -> int:
     }
     report = witness_evaluate(
         protocol.final_spec,
-        sigma_override if sigma_override is not None else protocol.initial_spec,
+        protocol.initial_spec,
         rho_star,
         args.route,
         evolution=(
@@ -326,25 +315,21 @@ def _axis_from_config(value, path: str) -> GridAxis:
         raise ConfigError(f"{path}: expected an object with min, max, step")
     check_keys(value, {"min", "max", "step"}, ("max", "min", "step"), path)
     bounds = [config_number(value[key], f"{path}.{key}") for key in ("min", "max", "step")]
-    try:
+    with _prefix(path):
         return GridAxis(*bounds)
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
 
 
 def _run_sweep(args) -> int:
     cfg = _load_config(args.config)
-    with _in_config(args.config):
+    with _prefix(args.config, ConfigError):
         check_keys(
             cfg,
             {"n", "J", "beta", "boundary", "reference", "grid"},
             ("grid", "n"),
         )
         n = cfg["n"]
-        try:
+        with _prefix("n"):
             _check_reference_size(n)
-        except ValueError as err:
-            raise ConfigError(f"n: {err}") from err
         coupling_j = _float_key(cfg, "J", 1.0)
         beta = _float_key(cfg, "beta", 100.0)
         if not (0.0 < beta < math.inf and 1.0 / beta < math.inf):  # for either reference
@@ -356,33 +341,23 @@ def _run_sweep(args) -> int:
             raise ConfigError(f"reference: expected 'ideal' or 'thermal', got {reference_kind!r}")
         if reference_kind == "ideal" and args.route == "via_work":
             raise ConfigError("reference: the via-work route needs the thermal reference, got 'ideal'")
-        if reference_kind == "thermal":
-            try:
+        if reference_kind == "thermal":  # the checks of sweep_reference, each naming its key
+            with _prefix("J"):
+                _check_reference_coupling(coupling_j)
+            with _prefix("boundary"):
+                _check_reference_boundary(boundary)
+            with _prefix("beta"):
                 _reference_fields(n, beta, coupling_j)
-            except ValueError as err:
-                raise ConfigError(f"beta: {err}") from err
         grid_cfg = cfg["grid"]
         if not isinstance(grid_cfg, dict):
             raise ConfigError("grid: expected an object with axes B, Jz, T")
         check_keys(grid_cfg, {"B", "Jz", "T"}, ("B", "Jz", "T"), "grid")
         axes = [_axis_from_config(grid_cfg[key], f"grid.{key}") for key in ("B", "Jz", "T")]
-        try:
-            grid = SweepGrid(
-                *axes,
-                n=n,
-                coupling_j=coupling_j,
-                boundary=boundary,
-                route=args.route,
-            )
-            reference = sweep_reference(
-                n,
-                coupling_j=coupling_j,
-                beta=beta,
-                boundary=boundary,
-                thermal=reference_kind == "thermal",
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        with _prefix("grid.T"):
+            _check_temperatures(axes[2])
+        with _prefix("grid"):  # all that is left to refuse: the grid's memory
+            grid = SweepGrid(*axes, n=n, coupling_j=coupling_j, boundary=boundary, route=args.route)
+    reference = sweep_reference(n, coupling_j, beta, boundary, thermal=reference_kind == "thermal")
     result = sweep_detection(grid, reference)
     with _output_dir(args.out) as out:
         write_sweep_csv(result, os.path.join(out, "sweep.csv"))
@@ -412,7 +387,7 @@ def _largest_difference(a: UnitaryOperator, b: UnitaryOperator) -> float:
 
 def _run_verify(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    with _in_config(args.config):
+    with _prefix(args.config, ConfigError):
         check_keys(cfg, {"protocol", "beta", "unitary_file"}, ())
         beta = _float_key(cfg, "beta", 100.0)
         protocol = _protocol_from_config(cfg.get("protocol", "three-qubit"), beta)
@@ -426,7 +401,7 @@ def _run_verify(args) -> int:
     external_u: UnitaryOperator | None = None
     if path is not None:
         payload = _load_config(path)  # an unreadable unitary file is named alone
-        with _in_config(args.config):
+        with _prefix(args.config, ConfigError):
             try:
                 external_u = unitary_from_json(payload)
             except (ValueError, TypeError) as err:
@@ -569,7 +544,7 @@ def _write_trajectories(handle, distinct: TrajectoryBatch, inverse: np.ndarray) 
 
 def _run_sample(args) -> int:
     cfg = _load_config(args.config)
-    with _in_config(args.config):
+    with _prefix(args.config, ConfigError):
         check_keys(
             cfg,
             {"protocol", "beta", "count", "evolution", "sampling"},

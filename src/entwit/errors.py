@@ -1,14 +1,10 @@
 """Exception types shared across the package."""
 
 
-class EntwitError(Exception):
-    """Base class for errors raised by this package."""
-
-
-class NumericalCheckError(EntwitError, ValueError):
+class NumericalCheckError(ValueError):
     """A numerical invariant failed: non-hermitian input, broken unitarity,
     eigensolver breakdown, rank deficiency and the like."""
 
 
-class ConfigError(EntwitError, ValueError):
+class ConfigError(ValueError):
     """A run configuration (CLI flags or JSON config file) is invalid."""

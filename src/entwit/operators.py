@@ -514,15 +514,6 @@ def partial_trace(stacks: Sequence[tuple[np.ndarray, np.ndarray]], n: int, sites
 # non-unitary matrix fails at load time.
 
 
-def matrix_to_json(register: QubitRegister, entries: np.ndarray) -> dict:
-    arr = np.asarray(entries, dtype=np.complex128)
-    return {
-        "n": register.n,
-        "re": arr.real.tolist(),
-        "im": arr.imag.tolist(),
-    }
-
-
 def matrix_from_json(payload: dict) -> tuple[QubitRegister, np.ndarray]:
     if not isinstance(payload, dict):
         raise ValueError("matrix payload must be a JSON object")

@@ -32,7 +32,6 @@ from .errors import ConfigError
 from .operators import HermitianOperator, QubitRegister, combine, sector_partition
 
 BOUNDARIES = ("periodic", "open")
-INTERPOLATIONS = ("linear", "quench-at-start")
 
 
 @dataclass(frozen=True)
@@ -63,17 +62,13 @@ class XXZParams:
 
 @dataclass(frozen=True)
 class DrivingSchedule:
-    """Piecewise protocol from ``initial`` to ``final`` parameters over t_f.
-
-    ``steps`` slices of width dt = t_f/steps; interpolation is either a linear
-    parameter ramp or a quench at t = 0 (final parameters for every t > 0).
-    """
+    """Linear parameter ramp from ``initial`` to ``final`` over t_f, in
+    ``steps`` slices of width dt = t_f/steps."""
 
     initial: XXZParams
     final: XXZParams
     t_f: float = 1.0
     steps: int = 1000
-    interpolation: str = "linear"
 
     def __post_init__(self) -> None:
         if self.initial.n != self.final.n:
@@ -84,10 +79,6 @@ class DrivingSchedule:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         if not is_number(self.t_f) or self.t_f < 0:
             raise ValueError(f"t_f must be finite and non-negative, got {self.t_f!r}")
-        if self.interpolation not in INTERPOLATIONS:
-            raise ValueError(
-                f"interpolation must be one of {INTERPOLATIONS}, got {self.interpolation!r}"
-            )
 
     @property
     def dt(self) -> float:
@@ -161,8 +152,6 @@ def ramp_values(schedule: DrivingSchedule, t) -> tuple[np.ndarray, np.ndarray, n
     [0, t_f]: the schedule's one interpolation formula."""
     t = np.asarray(t, dtype=np.float64)
     initial, final = schedule.initial, schedule.final
-    if schedule.interpolation == "quench-at-start":
-        return tuple(np.full(t.shape, value) for value in (final.J, final.Jz, final.B))
     frac = np.zeros(t.shape) if schedule.t_f == 0 else np.minimum(t / schedule.t_f, 1.0)
     return tuple(
         start + frac * (end - start)
@@ -223,20 +212,12 @@ def xxz_params_from_config(payload: dict, path: str = "params") -> XXZParams:
 def schedule_from_config(payload: dict, path: str = "schedule") -> DrivingSchedule:
     """Strictly parse a DrivingSchedule block from JSON config data."""
     if not isinstance(payload, dict):
-        raise ConfigError(
-            f"{path}: expected an object with keys initial, final, t_f, steps, interpolation"
-        )
-    check_keys(payload, {"initial", "final", "t_f", "steps", "interpolation"}, ("initial", "final"), path)
+        raise ConfigError(f"{path}: expected an object with keys initial, final, t_f, steps")
+    check_keys(payload, {"initial", "final", "t_f", "steps"}, ("initial", "final"), path)
     initial = xxz_params_from_config(payload["initial"], f"{path}.initial")
     final = xxz_params_from_config(payload["final"], f"{path}.final")
     t_f = config_number(payload.get("t_f", 1.0), f"{path}.t_f")
     try:
-        return DrivingSchedule(
-            initial=initial,
-            final=final,
-            t_f=t_f,
-            steps=payload.get("steps", 1000),
-            interpolation=payload.get("interpolation", "linear"),
-        )
+        return DrivingSchedule(initial=initial, final=final, t_f=t_f, steps=payload.get("steps", 1000))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from err

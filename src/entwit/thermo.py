@@ -81,6 +81,14 @@ def logsumexp(a, axis=None):
     return out.squeeze(axis=axes)[()]
 
 
+def _check_beta(beta) -> None:
+    """Raise ValueError unless ``beta`` is a finite positive number."""
+    if not is_number(beta):
+        raise ValueError(f"beta must be a finite number, got {beta!r}")
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+
+
 @dataclass(frozen=True)
 class ThermalSpec:
     """A Hamiltonian together with an inverse temperature.
@@ -94,10 +102,7 @@ class ThermalSpec:
     beta: float
 
     def __post_init__(self) -> None:
-        if not is_number(self.beta):
-            raise ValueError(f"beta must be a finite number, got {self.beta!r}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        _check_beta(self.beta)
         object.__setattr__(self, "_spectrum_cache", None)
         object.__setattr__(self, "_gibbs_cache", None)
 

@@ -63,6 +63,7 @@ from .operators import (
 from .spin_models import DrivingSchedule, XXZParams, build_xxz, is_number, xxz_pieces
 from .thermo import (
     ThermalSpec,
+    _check_beta,
     _plogp,
     gibbs_relative_entropy,
     log_gibbs_weights,
@@ -181,7 +182,8 @@ def reference_params(n: int, beta: float, coupling_j: float = 1.0) -> XXZParams:
     B = J + ln(p_0 / p_W) / (2 beta), which sets the weights of |0...0> and
     W_n; every other level sits at least 4 J (1 - cos(pi/n)) above W_n.  No
     field makes W_n the ground state for J <= 0, which raises ValueError,
-    as does a beta so small that Jz or B overflows.  W_n is an eigenstate
+    as do a beta that is not finite and positive (with ``ThermalSpec``'s
+    message) and a beta so small that Jz or B overflows.  W_n is an eigenstate
     of the periodic ring only (the open chain's final ground state overlaps
     it by 0.947, 0.929 and 0.903 at n = 4, 5 and 7).
 
@@ -194,13 +196,24 @@ def reference_params(n: int, beta: float, coupling_j: float = 1.0) -> XXZParams:
     n = 7 and 8 do not.
     """
     _check_reference_size(n)
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not coupling_j > 0:
-        raise ValueError(f"the reference protocol needs J > 0, got J={coupling_j!r}")
+    _check_beta(beta)
+    _check_reference_coupling(coupling_j)
     jz, field = _reference_fields(n, beta, coupling_j)
     _warn_if_warm(n, beta, coupling_j)
     return XXZParams(n=n, J=coupling_j, Jz=jz, B=field)
+
+
+def _check_reference_coupling(coupling_j: float) -> None:
+    if not coupling_j > 0:
+        raise ValueError(f"the reference protocol needs J > 0, got J={coupling_j!r}")
+
+
+def _check_reference_boundary(boundary: str) -> None:
+    if boundary != "periodic":
+        raise ValueError(
+            f"the reference protocol needs the periodic ring, got boundary={boundary!r}: "
+            "W_n is not an eigenstate of the open chain"
+        )
 
 
 def _reference_fields(n: int, beta: float, coupling_j: float) -> tuple[float, float]:
@@ -457,6 +470,13 @@ class GridAxis:
         return self.minimum + self.step * np.arange(self.count)
 
 
+def _check_temperatures(t_axis: GridAxis) -> None:
+    if t_axis.minimum <= 0:
+        raise ValueError("temperatures must be strictly positive")
+    if not math.isfinite(1.0 / t_axis.minimum):
+        raise ValueError(f"temperatures need a finite 1/T, got T={t_axis.minimum!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
     """Cartesian (B, Jz, T) grid with fixed chain size, coupling and boundary.
@@ -480,10 +500,7 @@ class SweepGrid:
 
     def __post_init__(self) -> None:
         XXZParams(self.n, self.coupling_j, 0.0, 0.0, self.boundary)  # raises on a bad chain
-        if self.t_axis.minimum <= 0:
-            raise ValueError("temperatures must be strictly positive")
-        if not math.isfinite(1.0 / self.t_axis.minimum):
-            raise ValueError(f"temperatures need a finite 1/T, got T={self.t_axis.minimum!r}")
+        _check_temperatures(self.t_axis)
         needed, budget = SWEEP_POINT_BYTES * self.point_count, memory_budget()
         if needed > budget:
             raise ValueError(
@@ -537,11 +554,7 @@ def sweep_reference(
     if not thermal:
         sigma = reference_state(n)  # checks n before the W state is built
         return SweepReference(build_w_state(n), sigma, "ideal reference states")
-    if boundary != "periodic":
-        raise ValueError(
-            f"the reference protocol needs the periodic ring, got boundary={boundary!r}: "
-            "W_n is not an eigenstate of the open chain"
-        )
+    _check_reference_boundary(boundary)
     protocol = detection_protocol(n, beta=beta, coupling_j=coupling_j)
     description = f"thermal identification at beta={beta:g}"
     return SweepReference(protocol.final_spec, protocol.initial_spec, description)

@@ -196,26 +196,24 @@ def _check_betas(*betas) -> None:
 def exact_evolution(schedule: DrivingSchedule) -> UnitaryOperator:
     """U = exp(-i integral H(s) ds) for schedules whose Hamiltonians commute.
 
-    A quench at start holds H_f at every t > 0, so it has nothing to check.
     A linear ramp has H(t) = H_i + (t / t_f)(H_f - H_i), so
     [H(s), H(t)] = ((t - s) / t_f) [H_i, H_f]: all of them commute exactly
     when the endpoints do, and the endpoints' commutator is the largest.  It
     is checked numerically, one commutator per stored block of H_i and H_f;
     schedules that fail the check must use trotter_evolution instead.  U is
     then one midpoint slice of ``trotter_evolution``: exp(-i t_f H(t_f / 2)),
-    where H(t_f / 2) is the time average of a linear ramp and H_f for a
-    quench, so the one slice is exact.
+    where H(t_f / 2) is the time average of the ramp, so the one slice is
+    exact.
     """
-    if schedule.interpolation != "quench-at-start":
-        initial, final = (build_xxz(params).stacks for params in (schedule.initial, schedule.final))
-        # block diagonal Hamiltonians have block diagonal commutators
-        worst = max(float(np.abs(h @ restrict(final, i) - restrict(final, i) @ h).max()) for i, h in initial)
-        del initial, final  # freed before the product
-        if worst > COMMUTATION_ATOL:
-            raise NumericalCheckError(
-                f"schedule Hamiltonians do not commute (max commutator entry {worst:.3e} "
-                f"> {COMMUTATION_ATOL:.0e}); use trotter_evolution for this protocol"
-            )
+    initial, final = (build_xxz(params).stacks for params in (schedule.initial, schedule.final))
+    # block diagonal Hamiltonians have block diagonal commutators
+    worst = max(float(np.abs(h @ restrict(final, i) - restrict(final, i) @ h).max()) for i, h in initial)
+    del initial, final  # freed before the product
+    if worst > COMMUTATION_ATOL:
+        raise NumericalCheckError(
+            f"schedule Hamiltonians do not commute (max commutator entry {worst:.3e} "
+            f"> {COMMUTATION_ATOL:.0e}); use trotter_evolution for this protocol"
+        )
     return trotter_evolution(dataclasses.replace(schedule, steps=1), "midpoint")
 
 

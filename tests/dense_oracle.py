@@ -20,6 +20,8 @@ against a criterion of its own, the partial transpose over every bipartition.
 ``embed_operator`` and ``partial_trace_matrix`` are the dense embedding (a
 Kronecker product with an identity, its axes permuted) and partial trace (one
 einsum) that ``operators.embed`` and ``operators.partial_trace`` replaced.
+``matrix_to_json`` writes a dense matrix in the JSON exchange format that
+``entwit.operators.matrix_from_json`` reads.
 
 Three exceptions share the sector code with ``entwit`` on purpose, so that
 a path that replaced them can be held to their bits.  ``piece_stacks`` cuts
@@ -43,7 +45,6 @@ from entwit import (
     QubitRegister,
     ThermalSpec,
     XXZParams,
-    params_at,
     thermal_state,
 )
 from entwit.operators import (
@@ -57,7 +58,7 @@ from entwit.operators import (
     sector_stacks,
     shared_blocks,
 )
-from entwit.spin_models import _bonds
+from entwit.spin_models import _bonds, params_at
 from entwit.thermo import SUPPORT_LEAK_TOL
 from entwit.work_stats import CHUNK_ENTRIES, STEP_CHUNK, TAYLOR_THETA, _taylor_degree
 
@@ -234,6 +235,12 @@ def dense_dicke_mixture(register: QubitRegister, weights: dict[int, float]) -> D
         vec = dicke_state(register, k_ones)
         entries += weight * np.outer(vec, vec.conj())
     return DensityMatrix(register, entries)
+
+
+def matrix_to_json(register: QubitRegister, entries: np.ndarray) -> dict:
+    """``{"n": qubits, "re": [[...]], "im": [[...]]}``, row-major."""
+    arr = np.asarray(entries, dtype=np.complex128)
+    return {"n": register.n, "re": arr.real.tolist(), "im": arr.imag.tolist()}
 
 
 def dense_propagator(h: np.ndarray, dt: float) -> np.ndarray:

@@ -33,7 +33,6 @@ from entwit import (
     exact_evolution,
     full_hamiltonian,
     log_work_average,
-    reference_params,
     reference_state,
     relative_entropy,
     sample_tpm,
@@ -46,6 +45,7 @@ from entwit import (
     witness_evaluate,
 )
 from entwit.open_system import CompositeSystem, log_bath_partition
+from entwit.witness import reference_params
 from entwit import HermitianOperator
 from dense_oracle import embed_operator
 

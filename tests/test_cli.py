@@ -28,11 +28,10 @@ from entwit import (
     build_w_state,
     detection_protocol,
     exact_evolution,
-    matrix_to_json,
     trotter_evolution,
 )
 from entwit.cli import main
-from dense_oracle import dense_chain_pieces, xxz_matrix
+from dense_oracle import dense_chain_pieces, matrix_to_json, xxz_matrix
 from entwit.operators import sector_stacks
 from entwit.thermo import logsumexp
 from entwit.witness import SWEEP_POINT_BYTES

@@ -21,20 +21,19 @@ from entwit import (
     build_xxz,
     density_from_json,
     detection_protocol,
-    matrix_from_json,
-    matrix_to_json,
     spectral_decompose,
     thermal_state,
     unitary_from_json,
 )
 from entwit import operators, witness
-from entwit.operators import assemble, sector_stacks, spectral_function
+from entwit.operators import assemble, matrix_from_json, sector_stacks, spectral_function
 from entwit.spin_models import xxz_pieces
 from dense_oracle import (
     dense_chain_pieces,
     dense_dicke_mixture,
     dicke_state,
     embed_operator,
+    matrix_to_json,
     partial_trace_matrix,
     pure_state,
 )

@@ -1,9 +1,11 @@
 """Every refusal of the ``entwit`` command, pinned byte for byte.
 
-Each row holds a subcommand's arguments, the config it reads and the one
-stderr line and exit code the run must give.  In the arguments and the
-line, ``<cfg>`` stands for the config file, ``<out>`` for the default
-``--out`` and ``<tmp>`` for the test's directory.  The rows reach every
+Each row holds a subcommand's arguments (split as a shell would), the
+config it reads and the one stderr line and exit code the run must give.
+In the arguments and the line, ``<cfg>`` stands for the config file,
+``<out>`` for the default ``--out`` and ``<tmp>`` for the test's directory.
+No row writes into ``<tmp>/file``, an existing file that some rows name as
+``--out``.  The rows reach every
 ``raise ConfigError`` of ``entwit.cli`` at least once, on all four
 subcommands.  A refusal of the config names the file once, as its first
 word, and then the JSON path of the refused value where it sits below the
@@ -12,13 +14,15 @@ unitary file and a failed numerical check name no config.
 """
 
 import json
+import shlex
 
 import numpy as np
 import pytest
 
 import entwit.cli
 import entwit.witness
-from entwit import QubitRegister, build_w_state, matrix_to_json
+from dense_oracle import matrix_to_json
+from entwit import QubitRegister, build_w_state
 from entwit.cli import main
 
 PARAMS = {"n": 3, "J": 1, "Jz": 0.1, "B": 0.5}
@@ -80,6 +84,8 @@ ROWS = [
      "error: <cfg>: protocol: missing required key 'final'", 1),
     ("schedule-steps", "witness --config <cfg>", {**WITNESS, "protocol": {**SCHEDULE, "steps": 0}},
      "error: <cfg>: protocol: steps must be a positive integer, got 0", 1),
+    ("schedule-interpolation", "witness --config <cfg>", {**WITNESS, "protocol": {**SCHEDULE, "interpolation": "quench-at-start"}},
+     "error: <cfg>: protocol: unknown keys ['interpolation']", 1),
     ("state-type", "witness --config <cfg>", {**WITNESS, "rho_star": 5},
      "error: <cfg>: rho_star: expected an object", 1),
     ("matrix-key", "witness --config <cfg>", {**WITNESS, "rho_star": {"matrix": W3, "x": 1}},
@@ -108,16 +114,14 @@ ROWS = [
      "error: <cfg>: rho_star.beta: expected a finite number, got 'x'", 1),
     ("state-beta-negative", "witness --config <cfg>", {**WITNESS, "rho_star": {"params": PARAMS, "beta": -1}},
      "error: <cfg>: rho_star.beta: must be positive", 1),
-    ("sigma-type", "witness --config <cfg>", {**WITNESS, "sigma_ref": 5},
-     "error: <cfg>: sigma_ref: expected an object", 1),
+    ("witness-sigma-ref", "witness --config <cfg>", {**WITNESS, "sigma_ref": {"matrix": W3}},
+     "error: <cfg>: unknown keys ['sigma_ref']", 1),
     ("witness-sampling", "witness --config <cfg>", {**WITNESS, "sampling": "right"},
      "error: <cfg>: sampling: expected one of ('left', 'midpoint'), got 'right'", 1),
     ("witness-evolution", "witness --config <cfg> --route via-work", {**WITNESS, "evolution": "magic"},
      "error: <cfg>: evolution: expected one of ('identity', 'exact', 'trotter'), got 'magic'", 1),
     ("via-work-matrix", "witness --config <cfg> --route via-work", {**WITNESS, "rho_star": {"matrix": W3}},
      "error: <cfg>: rho_star: the via-work route needs a declared Gibbs state, got a matrix", 1),
-    ("via-work-sigma-matrix", "witness --config <cfg> --route via-work", {**WITNESS, "sigma_ref": {"matrix": W3}},
-     "error: <cfg>: sigma_ref: the via-work route needs a declared Gibbs state, got a matrix", 1),
     ("witness-unwritable", "witness --config <cfg> --out <tmp>/blocked", WITNESS,
      "error: <tmp>/blocked/witness_report.json: Is a directory", 1),
     # sweep
@@ -159,14 +163,18 @@ ROWS = [
      "error: <cfg>: n: references take an integer n from 3 to 12, got n=13", 1),
     ("sweep-boundary", "sweep --config <cfg>", {**SWEEP, "boundary": "twisted"},
      "error: <cfg>: boundary: expected one of ('periodic', 'open'), got 'twisted'", 1),
+    ("sweep-temperature-zero", "sweep --config <cfg>", grid(T={"min": 0.0, "max": 0.1, "step": 0.1}),
+     "error: <cfg>: grid.T: temperatures must be strictly positive", 1),
     ("sweep-temperature-overflow", "sweep --config <cfg>", grid(T={"min": 1e-310, "max": 1e-310, "step": 1.0}),
-     "error: <cfg>: temperatures need a finite 1/T, got T=1e-310", 1),
+     "error: <cfg>: grid.T: temperatures need a finite 1/T, got T=1e-310", 1),
+    ("sweep-temperature-overflow-via-work", "sweep --config <cfg> --route via-work", grid(T={"min": 1e-310, "max": 1e-310, "step": 1.0}),
+     "error: <cfg>: grid.T: temperatures need a finite 1/T, got T=1e-310", 1),
     ("sweep-memory", "sweep --config <cfg>", grid(B={"min": 0.0, "max": 1.0, "step": 1e-12}),
-     "error: <cfg>: the grid has 1000000000001 points, whose results need about 42000000000042 bytes, more than the memory budget of 8589934592 bytes", 1),
+     "error: <cfg>: grid: the grid has 1000000000001 points, whose results need about 42000000000042 bytes, more than the memory budget of 8589934592 bytes", 1),
     ("sweep-reference-coupling", "sweep --config <cfg>", {**SWEEP, "J": -1, "reference": "thermal"},
-     "error: <cfg>: the reference protocol needs J > 0, got J=-1.0", 1),
+     "error: <cfg>: J: the reference protocol needs J > 0, got J=-1.0", 1),
     ("sweep-reference-boundary", "sweep --config <cfg> --route via-work", {**SWEEP, "boundary": "open"},
-     "error: <cfg>: the reference protocol needs the periodic ring, got boundary='open': W_n is not an eigenstate of the open chain", 1),
+     "error: <cfg>: boundary: the reference protocol needs the periodic ring, got boundary='open': W_n is not an eigenstate of the open chain", 1),
     ("sweep-out-file", "sweep --config <cfg> --out <tmp>/file", SWEEP,
      "error: <tmp>/file: exists and is not a directory", 1),
     ("sweep-out-below-file", "sweep --config <cfg> --out <tmp>/file/out", SWEEP,
@@ -180,6 +188,8 @@ ROWS = [
      "error: <cfg>: protocol: unknown name 'five-qubit'; use 'three-qubit', 'seven-qubit', or a schedule object", 1),
     ("verify-schedule-size", "verify --config <cfg>", {"protocol": {**SCHEDULE, "initial": {**SCHEDULE["initial"], "n": 13}}},
      "error: <cfg>: protocol.initial: n=13 exceeds the dense-storage ceiling of 12 qubits", 1),
+    ("verify-duration-number", "verify --config <cfg>", {"protocol": {**SCHEDULE, "t_f": "1"}},
+     "error: <cfg>: protocol.t_f: expected a finite number, got '1'", 1),
     ("unitary-path-type", "verify --config <cfg>", {"unitary_file": 0},
      "error: <cfg>: unitary_file: expected a file path, got 0", 1),
     ("unitary-path-null", "verify --config <cfg>", {"unitary_file": None},
@@ -215,6 +225,12 @@ ROWS = [
      "error: <cfg>: sampling: expected one of ('left', 'midpoint'), got 'right'", 1),
     ("sample-evolution", "sample --config <cfg>", {**SAMPLE, "evolution": "magic"},
      "error: <cfg>: evolution: expected one of ('identity', 'exact', 'trotter'), got 'magic'", 1),
+    ("sample-schedule-size", "sample --config <cfg>", {"protocol": {**SCHEDULE, "initial": {**SCHEDULE["initial"], "n": 13}}},
+     "error: <cfg>: protocol.initial: n=13 exceeds the dense-storage ceiling of 12 qubits", 1),
+    ("sample-out-file", "sample --config <cfg> --out <tmp>/file", SAMPLE,
+     "error: <tmp>/file: exists and is not a directory", 1),
+    ("sample-out-empty", "sample --config <cfg> --out ''", SAMPLE,
+     "error: argument --out: expected a directory path, got ''", 1),
 ]
 
 
@@ -238,7 +254,7 @@ def test_each_refusal_is_one_line_naming_the_config_once(tmp_path, capsys, monke
     if config is not None:
         text = config if isinstance(config, str) else json.dumps(config).replace("<tmp>", str(tmp_path))
         (tmp_path / "config.json").write_text(text)
-    words = argv.split() + ([] if "--out" in argv else ["--out", "<out>"])
+    words = shlex.split(argv) + ([] if "--out" in argv else ["--out", "<out>"])
     places = {"<cfg>": cfg, "<out>": str(tmp_path / "out"), "<tmp>": str(tmp_path)}
 
     def fill(text):
@@ -252,3 +268,4 @@ def test_each_refusal_is_one_line_naming_the_config_once(tmp_path, capsys, monke
     # named once, as the refusal's first word, or not at all
     assert err.count(cfg) == (1 if expected.startswith("error: <cfg>: ") else 0)
     assert not (tmp_path / "out").exists()
+    assert (tmp_path / "file").read_text() == ""

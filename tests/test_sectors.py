@@ -42,7 +42,6 @@ from entwit import (
     XXZParams,
     build_xxz,
     detection_protocol,
-    exact_evolution,
     open_trotter_evolution,
     split_chain,
     sweep_detection,
@@ -274,16 +273,6 @@ def test_standard_protocols_match_dense_step_product(n, sampling):
     schedule = dataclasses.replace(detection_protocol(n).schedule, steps=100)
     u = trotter_evolution(schedule, sampling=sampling).entries
     assert np.abs(u - dense_trotter(schedule, sampling)).max() <= 1e-12
-
-
-@pytest.mark.parametrize("sampling", ["left", "midpoint"])
-def test_a_quench_matches_exact_evolution(sampling):
-    # every slice carries the final parameters, so each group is one run
-    schedule = DrivingSchedule(
-        *NONCOMMUTING_RAMP[4], t_f=1.3, steps=70, interpolation="quench-at-start"
-    )
-    u = trotter_evolution(schedule, sampling=sampling).entries
-    assert np.abs(u - exact_evolution(schedule).entries).max() <= 1e-12
 
 
 @st.composite

@@ -16,12 +16,12 @@ from entwit import (
     XXZParams,
     build_xxz,
     build_w_state,
-    params_at,
     schedule_from_config,
     split_chain,
     xxz_params_from_config,
 )
 from dense_oracle import dense_chain_pieces, embed_operator
+from entwit.spin_models import params_at
 from entwit.work_stats import schedule_coefficients
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -110,15 +110,6 @@ def test_params_at_rejects_out_of_range():
         params_at(sched, 2.1)
 
 
-def test_quench_returns_final_immediately():
-    sched = DrivingSchedule(
-        XXZParams(2, 1.0, 0.3, 0.0),
-        XXZParams(2, 1.0, 0.0, 0.4),
-        interpolation="quench-at-start",
-    )
-    assert params_at(sched, 0.0) == sched.final
-
-
 def test_left_sampling_uses_left_endpoint():
     # slice k of a left-sampled product carries (J, Jz, -B) at t = k dt
     sched = make_schedule(steps=4)
@@ -136,13 +127,10 @@ values = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
     ramp=st.lists(values, min_size=6, max_size=6),
     t_f=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0)),
     steps=st.integers(1, 400),
-    interpolation=st.sampled_from(["linear", "quench-at-start"]),
     sampling=st.sampled_from(["left", "midpoint"]),
 )
-def test_coefficient_table_is_the_per_step_params_at_table(ramp, t_f, steps, interpolation, sampling):
-    sched = DrivingSchedule(
-        XXZParams(3, *ramp[:3]), XXZParams(3, *ramp[3:]), t_f, steps, interpolation
-    )
+def test_coefficient_table_is_the_per_step_params_at_table(ramp, t_f, steps, sampling):
+    sched = DrivingSchedule(XXZParams(3, *ramp[:3]), XXZParams(3, *ramp[3:]), t_f, steps)
     offset = 0.0 if sampling == "left" else 0.5
     want = []
     for step in range(steps):

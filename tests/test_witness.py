@@ -33,11 +33,9 @@ from entwit import (
     build_w_state,
     build_xxz,
     detection_protocol,
-    reference_params,
     reference_state,
     relative_entropy,
     spectral_decompose,
-    state_checksum,
     sweep_detection,
     sweep_metadata,
     sweep_reference,
@@ -45,7 +43,7 @@ from entwit import (
     witness_evaluate,
     write_sweep_csv,
 )
-from entwit.witness import FINAL_FIELD, SWEEP_POINT_BYTES, _decide, _finish_report
+from entwit.witness import FINAL_FIELD, SWEEP_POINT_BYTES, _decide, _finish_report, reference_params, state_checksum
 
 from csv_oracle import legacy_sweep_csv
 from dense_oracle import dense_xxz, dicke_state, pure_state, smallest_partial_transpose_eigenvalue
@@ -264,6 +262,19 @@ def test_reference_params_need_a_positive_coupling():
             reference_params(n, 100.0)
         with pytest.raises(ValueError, match="from 3 to 12"):
             reference_state(n)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_reference_params_refuse_a_beta_as_a_thermal_spec_does(n, beta):
+    # a non-finite beta is refused up front, not as an overflow of the
+    # fields or when a spec of the protocol is first read
+    with pytest.raises(ValueError) as spec_error:
+        ThermalSpec(build_xxz(XXZParams(n, 1.0, 0.0, 0.5)), beta)
+    for build in (reference_params, detection_protocol):
+        with pytest.raises(ValueError) as error:
+            build(n, beta)
+        assert str(error.value) == str(spec_error.value)
 
 
 def test_thermal_s_left_follows_the_coupling():

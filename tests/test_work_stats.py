@@ -32,7 +32,6 @@ from entwit import (
     build_xxz,
     gibbs_relative_entropy,
     log_work_average,
-    params_at,
     relative_entropy_via_work,
     sample_tpm,
     spectral_decompose,
@@ -41,6 +40,7 @@ from entwit import (
     work_distribution,
 )
 
+from entwit.spin_models import params_at
 from entwit.work_stats import (
     COMMUTATION_ATOL,
     SAMPLE_BLOCK,
@@ -362,27 +362,15 @@ class TestEvolution:
             with pytest.raises(NumericalCheckError, match="do not commute"):
                 exact_evolution(ramp)
 
-    def test_a_quench_between_noncommuting_endpoints_is_accepted(self):
-        # every slice after t = 0 holds H_f, which commutes with itself
-        quench = dataclasses.replace(NONCOMMUTING, interpolation="quench-at-start")
-        u = exact_evolution(quench)
-        want = dense_propagator(dense_xxz(quench.final).entries, quench.t_f)
-        assert np.abs(u.entries - want).max() <= 1e-12
-
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("boundary", ["periodic", "open"])
-    @pytest.mark.parametrize("interpolation", ["linear", "quench-at-start"])
-    def test_exact_evolution_matches_the_dense_propagator(self, n, boundary, interpolation):
+    def test_exact_evolution_matches_the_dense_propagator(self, n, boundary):
         # J and Jz keep their ratio, so every slice commutes with every other;
-        # U = exp(-i t_f H) at the mean parameters of a linear ramp, and at
-        # the final ones of a quench
+        # U = exp(-i t_f H) at the mean parameters of the ramp
         initial = XXZParams(n, 1.0, 0.4, 0.2, boundary)
         final = XXZParams(n, 0.5, 0.2, 0.9, boundary)
-        schedule = DrivingSchedule(initial, final, t_f=1.7, steps=80, interpolation=interpolation)
-        if interpolation == "linear":
-            mean = XXZParams(n, 0.75, 0.3, 0.55, boundary)
-        else:
-            mean = final
+        schedule = DrivingSchedule(initial, final, t_f=1.7, steps=80)
+        mean = XXZParams(n, 0.75, 0.3, 0.55, boundary)
         want = dense_propagator(dense_xxz(mean).entries, schedule.t_f)
         assert np.abs(exact_evolution(schedule).entries - want).max() <= 1e-12
         # no time, no evolution: the identity to the bit
