@@ -7,7 +7,8 @@ draws two-point-measurement trajectories.
 
 Exit codes: 0 success (and detection, where that applies), 1 configuration or
 usage error, 2 numerical check failure, 3 clean run without detection.  A
-refused config reads ``error: <config file>: <JSON path>: <reason>``.
+refused config reads ``error: <config file>: <JSON path>: <reason>``, and a
+warning of the run one ``warning: <message>`` line.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -29,8 +31,6 @@ from .operators import (
     QubitRegister,
     UnitaryOperator,
     density_from_json,
-    restrict,
-    shared_blocks,
     unitary_from_json,
 )
 from .spin_models import (
@@ -50,7 +50,6 @@ from .witness import (
     _check_reference_coupling,
     _check_reference_size,
     _check_temperatures,
-    _identity_unitary,
     _reference_fields,
     detection_protocol,
     memory_budget,
@@ -379,10 +378,9 @@ def _haar_unitary(register: QubitRegister, seed: int) -> UnitaryOperator:
 
 
 def _largest_difference(a: UnitaryOperator, b: UnitaryOperator) -> float:
-    """max |a - b| over every entry, taken on the blocks both are made of:
-    between those blocks both are 0."""
-    blocks = shared_blocks(a.register.n, a.stacks, b.stacks)
-    return max(float(np.abs(restrict(a.stacks, i) - restrict(b.stacks, i)).max()) for i in blocks)
+    """max |a - b| over every entry of two products of ``trotter_evolution``
+    on one chain: they share its blocks, and between them both are 0."""
+    return max(float(np.abs(x - y).max()) for (_, x), (_, y) in zip(a.stacks, b.stacks, strict=True))
 
 
 def _run_verify(args) -> int:
@@ -402,12 +400,8 @@ def _run_verify(args) -> int:
     if path is not None:
         payload = _load_config(path)  # an unreadable unitary file is named alone
         with _prefix(args.config, ConfigError):
-            try:
+            with _prefix("unitary_file", (ValueError, TypeError)):
                 external_u = unitary_from_json(payload)
-            except (ValueError, TypeError) as err:
-                if isinstance(err, NumericalCheckError):
-                    raise
-                raise ConfigError(f"unitary_file: {err}") from err
             if external_u.register != register:
                 raise ConfigError(
                     f"unitary_file: unitary is on {external_u.register.n} qubits, protocol uses {register.n}"
@@ -461,7 +455,7 @@ def _run_verify(args) -> int:
         "cross-temperature log average vs its partition ratio",
     )
 
-    quench = transition_matrix(h_initial, h_final, _identity_unitary(register))
+    quench = transition_matrix(h_initial, h_final, None)
     base = log_work_average(quench, beta, beta)
     protocol_dev = abs(log_trotter - base)
     if external_u is not None:
@@ -565,8 +559,6 @@ def _run_sample(args) -> int:
         sampling = _choice(cfg, "sampling", "left", SAMPLING_RULES)
         evolution_kind = _choice(cfg, "evolution", "trotter", EVOLUTION_KINDS)
     evolution = _resolve_evolution(evolution_kind, protocol, sampling)
-    if evolution is None:
-        evolution = _identity_unitary(QubitRegister(protocol.schedule.n))
     initial, final = protocol.initial_spec, protocol.final_spec
     tm = transition_matrix(initial.spectrum, final.spectrum, evolution)
     with _output_dir(args.out) as out:
@@ -590,26 +582,34 @@ def _run_sample(args) -> int:
     return EXIT_OK
 
 
+def _show_warning(message, *_) -> None:
+    """A warning as one stderr line, like a refusal's: where in the package
+    it was raised tells a reader of the run nothing."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if "route" in args:
-            args.route = ROUTES[args.route]
-        _check_out(args.out)
-        runner = {
-            "witness": _run_witness,
-            "sweep": _run_sweep,
-            "verify": _run_verify,
-            "sample": _run_sample,
-        }[args.command]
-        return runner(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalCheckError as err:
-        print(f"numerical check failed: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            if "route" in args:
+                args.route = ROUTES[args.route]
+            _check_out(args.out)
+            runner = {
+                "witness": _run_witness,
+                "sweep": _run_sweep,
+                "verify": _run_verify,
+                "sample": _run_sample,
+            }[args.command]
+            return runner(args)
+        except ConfigError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_CONFIG
+        except NumericalCheckError as err:
+            print(f"numerical check failed: {err}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

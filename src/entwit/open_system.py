@@ -70,7 +70,7 @@ from .operators import (
 )
 from .spin_models import DrivingSchedule, XXZParams, _bonds, chain_pieces, is_number, params_at, xxz_pieces
 from .thermo import ThermalSpec, gibbs_blocks, weighted_energy
-from .witness import StateOrSpec, WitnessReport, _check_route, _distances, _finish_report, _identity_unitary
+from .witness import StateOrSpec, WitnessReport, _check_route, _distances, _finish_report
 from .work_stats import log_work_average, ordered_product, schedule_coefficients, transition_matrix
 
 # Smallest eigenvalue of the bath-traced weight operator that still leaves
@@ -276,7 +276,7 @@ def open_witness(
     The reference pair is the effective Gibbs state of ``final`` (playing rho)
     against the effective Gibbs state of ``initial`` (playing sigma_ref).  On
     route "via_work" the left distance comes from full-system work statistics
-    under ``evolution`` (identity by default; the average is protocol
+    under ``evolution`` (undriven by default; the average is protocol
     independent), and ``rho_star`` must be a declared Gibbs state on the
     subsystem register.
     """
@@ -300,10 +300,9 @@ def open_witness(
         s_left, s_right = _distances(route, spec_final, legs)
     else:
         (s_right,) = _distances(route, spec_final, (("rho_star", rho_star, None),))
-        u_full = evolution if evolution is not None else _identity_unitary(initial.register)
-        if u_full.register != initial.register:
+        if evolution is not None and evolution.register != initial.register:
             raise ConfigError("evolution must act on the full register")
-        tm = transition_matrix(full_initial, full_final, u_full)
+        tm = transition_matrix(full_initial, full_final, evolution)
         log_average = log_work_average(tm, initial.beta, initial.beta)
         s_left = -weighted_energy(spec_initial, spec_final) - log_average
     return _finish_report(s_left, s_right, route, metadata)

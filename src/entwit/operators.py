@@ -8,8 +8,8 @@ Every Hamiltonian and reference state of the witness conserves the total
 magnetization S^z, so it is block diagonal in the sectors of fixed popcount
 (number of qubits in |1>): 924 states at most for n = 12.
 ``sector_partition`` gives them, stacked by size, and objects known to
-conserve S^z (the identity, the Dicke states, a chain's pieces) are built on
-them directly.  ``sector_stacks`` decides the blocks of a register-sized
+conserve S^z (the Dicke states, a chain's pieces) are built on them
+directly.  ``sector_stacks`` decides the blocks of a register-sized
 matrix, or of a stack of them: the popcount sectors when every entry between
 two of them is exactly 0, one whole-register block otherwise.  ``assemble``
 puts such stacks back into one matrix, and ``diagonal_blocks`` restricts a

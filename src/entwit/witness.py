@@ -20,10 +20,10 @@ the spectral evaluator otherwise.  The last two share
 and no dense matrix is read; the analytic one and the direct sweep share one
 expression, ``_gibbs_cross_entropy``.
 
-The reference states (W_n, the Dicke mixtures) and the identity unitary are
-laid out per popcount sector (``operators.sector_partition``), so none of
-them becomes a register-sized matrix.  ``SweepReference`` takes the
-witness's two reference slots, each a state or a declared Gibbs state.
+The reference states (W_n, the Dicke mixtures) are laid out per popcount
+sector (``operators.sector_partition``), so none of them becomes a
+register-sized matrix.  ``SweepReference`` takes the witness's two
+reference slots, each a state or a declared Gibbs state.
 ``_as_state`` is the one place here where a spec becomes a DensityMatrix,
 for the spectral evaluator and the direct sweep's rho; ``state_checksum``
 hashes a spec's cached Gibbs blocks, so a direct sweep builds rho's once.
@@ -33,8 +33,8 @@ magnetization off the S_z blocks, and takes the log Gibbs weights of the
 (B, T) plane from one ``thermo.log_gibbs_weights`` call (a few for large
 registers and grids).
 The direct route reads them against the reference state's overlaps; the
-work route against one transition matrix per Jz, all of one identity drive
-that the sweep builds once.
+work route against one transition matrix per Jz, that of the undriven
+protocol (``transition_matrix`` with no unitary).
 """
 
 from __future__ import annotations
@@ -301,18 +301,6 @@ def _register(value: StateOrSpec, what: str) -> QubitRegister:
     raise TypeError(f"{what} must be a DensityMatrix or ThermalSpec, got {type(value)!r}")
 
 
-def _identity_unitary(register: QubitRegister) -> UnitaryOperator:
-    """The identity, laid out on the popcount sectors; every block is a
-    read-only view of a corner of one identity matrix of the largest size."""
-    sectors = [indices for indices, _ in sector_partition(register.n)]
-    eye = np.eye(max(indices.shape[1] for indices in sectors))
-    stacks = []
-    for indices in sectors:
-        k, s = indices.shape
-        stacks.append((indices, np.broadcast_to(eye[:s, :s], (k, s, s))))
-    return UnitaryOperator(register, stacks)
-
-
 def _gibbs_cross_entropy(plogp_rho, log_weights: np.ndarray, overlaps: np.ndarray):
     """S(rho || sigma) = tr rho ln rho - sum_i ln w_i <v_i|rho|v_i> for a Gibbs
     sigma with log weights ln w_i on its eigenvectors v_i, clamped by
@@ -355,9 +343,8 @@ def _distances(route: str, rho: StateOrSpec, legs) -> list[float]:
     route="direct" picks ``_distance_direct``'s evaluator for each pair.
     route="via_work" needs rho and every sigma to be a ThermalSpec and
     rebuilds each distance from the work statistics of the sigma -> rho
-    protocol under the leg's evolution, or the identity when it is None
-    (built once, and only if some leg has none): one transition matrix per
-    leg.
+    protocol under the leg's evolution, undriven when it is None: one
+    transition matrix per leg.
     """
     _check_route(route)
     if route == "direct":
@@ -365,12 +352,10 @@ def _distances(route: str, rho: StateOrSpec, legs) -> list[float]:
     for name, value in (("rho", rho), *((name, sigma) for name, sigma, _ in legs)):
         if not isinstance(value, ThermalSpec):
             raise ConfigError(f"route 'via_work' needs declared Gibbs states; {name} is not a ThermalSpec")
-    identity = _identity_unitary(rho.hamiltonian.register) if any(u is None for _, _, u in legs) else None
-    distances = []
-    for _, sigma, u in legs:
-        tm = transition_matrix(sigma.spectrum, rho.spectrum, identity if u is None else u)
-        distances.append(relative_entropy_via_work(sigma, rho, tm))
-    return distances
+    return [
+        relative_entropy_via_work(sigma, rho, transition_matrix(sigma.spectrum, rho.spectrum, u))
+        for _, sigma, u in legs
+    ]
 
 
 def _decide(s_left, s_right) -> tuple[np.ndarray, np.ndarray]:
@@ -414,8 +399,8 @@ def witness_evaluate(
     (ThermalSpec).  route="direct" evaluates the relative entropies, using
     exact log-space expressions wherever a slot is declared thermal.
     route="via_work" rebuilds them from work statistics instead, which
-    requires every slot to be a ThermalSpec; ``evolution`` (default:
-    identity) is used for the sigma_ref -> rho leg.
+    requires every slot to be a ThermalSpec; ``evolution`` drives the
+    sigma_ref -> rho leg (default None: undriven, a sudden quench).
     """
     legs = (("sigma_ref", sigma_ref, evolution), ("rho_star", rho_star, None))
     s_left, s_right = _distances(route, rho, legs)
@@ -560,16 +545,14 @@ def sweep_reference(
     return SweepReference(protocol.final_spec, protocol.initial_spec, description)
 
 
-def _sweep_plane(
-    grid: SweepGrid, rho: StateOrSpec, jz_value: float, identity: UnitaryOperator | None
-) -> np.ndarray:
+def _sweep_plane(grid: SweepGrid, rho: StateOrSpec, jz_value: float) -> np.ndarray:
     """s_right for one Jz value over the whole (B, T) plane, shape (nB, nT).
 
     Both routes diagonalize the chain's sectors once, at B = 0: each B only
     shifts the energies by -B m.  The direct route reads each run of B
     values' log Gibbs weights against rho's overlaps, with rho a
     DensityMatrix; the work route, with rho a ThermalSpec, through the one
-    q of ``identity`` between H*(0) and rho, the q of every B.
+    undriven q between H*(0) and rho, the q of every B.
     """
     t_values, b_values, via_work = grid.t_axis.values(), grid.b_axis.values(), grid.route == "via_work"
     stacks = xxz_pieces(grid.n, grid.boundary)
@@ -578,11 +561,11 @@ def _sweep_plane(
     # S_z is m I on each sector block, so its diagonal is each eigenvector's m
     sector_m = [np.diagonal(pieces[2], 0, 1, 2) for _, pieces in stacks]
     if via_work:
-        spectrum = spectral_decompose(HermitianOperator(identity.register, h_zero))
+        spectrum = spectral_decompose(HermitianOperator(QubitRegister(grid.n), h_zero))
         energies, magnetization = spectrum.eigenvalues, np.empty(spectrum.dim)
         for (_, levels, _), m in zip(spectrum.stacks, sector_m):
             magnetization[levels] = m
-        tm = transition_matrix(spectrum, rho.spectrum, identity)
+        tm = transition_matrix(spectrum, rho.spectrum, None)
         final_sums = _log_final_sums(tm, rho.beta)
         weights, values = rho.weights, np.column_stack([energies, magnetization])
         final_energy = rho.beta * float(np.dot(weights, rho.spectrum.eigenvalues))
@@ -623,12 +606,10 @@ def sweep_detection(grid: SweepGrid, reference: SweepReference) -> SweepGrid:
         register = _register(getattr(reference, name), name)
         if register.n != grid.n:
             raise ValueError(f"reference {name} is on {register.n} qubits, the grid on {grid.n}")
-    # the work route reads one identity drive, on the reference leg and every plane
-    identity = _identity_unitary(QubitRegister(grid.n)) if grid.route == "via_work" else None
-    (s_left,) = _distances(grid.route, reference.rho, (("sigma_ref", reference.sigma_ref, identity),))
+    (s_left,) = _distances(grid.route, reference.rho, (("sigma_ref", reference.sigma_ref, None),))
     # the direct plane reads rho's blocks and eigenvalues, the work plane its spec
     rho = reference.rho if grid.route == "via_work" else _as_state(reference.rho, "rho")
-    planes = [_sweep_plane(grid, rho, jz_value, identity) for jz_value in grid.jz_axis.values().tolist()]
+    planes = [_sweep_plane(grid, rho, jz_value) for jz_value in grid.jz_axis.values().tolist()]
 
     s_right = np.stack(planes, axis=1)
     margin, detected = _decide(s_left, s_right)

@@ -14,7 +14,11 @@ Both spectra keep their S^z blocks, and U stores only its blocks
 split into them, so q vanishes between sectors.  When any of them mixes
 sectors (a Haar unitary, say), q is one whole-register block, made from U on
 the whole register (its one stored block, for such a U) and each block of
-the two spectra's eigenvectors: no merged eigenvector matrix is built.
+the two spectra's eigenvectors: no merged eigenvector matrix is built.  An
+undriven protocol (a sudden quench: the witness's rho_star leg, every
+via-work sweep plane) passes no U at all, and q = |V_f^dag V_i|^2 is formed
+on the blocks the two spectra share, or on the whole register with the
+identity in U's place when their blocks differ.
 ``TransitionMatrix`` holds and checks the blocks.  A caller measures each
 drive once, by ``transition_matrix`` on the two spectra, and every reader
 takes that one matrix and the two inverse temperatures: ``log_work_average``,
@@ -148,41 +152,48 @@ def _same_blocks(a: Sequence[tuple], b: Sequence[tuple]) -> bool:
 def _transition_from_spectra(
     initial: SpectralDecomposition,
     final: SpectralDecomposition,
-    u: UnitaryOperator,
+    u: UnitaryOperator | None,
 ) -> TransitionMatrix:
     """q from V_f,b^dag U_bb V_i,b on every block b when both spectra and U
-    share their blocks (the S^z sectors).  Otherwise (a Haar unitary, say) q
-    is one whole-register block, levels in order: U's column panels on each
-    block of the initial spectrum times its eigenvectors give U V_i, and each
-    block of V_f^dag times U V_i's row panels gives q's rows of its levels."""
-    if all(_same_blocks(spectrum.stacks, u.stacks) for spectrum in (initial, final)):
-        stacks = [
-            (rows, columns, np.abs(v_final.conj().swapaxes(-1, -2) @ u_blocks @ v_initial) ** 2)
-            for (_, columns, v_initial), (_, rows, v_final), (_, u_blocks) in zip(
-                initial.stacks, final.stacks, u.stacks
-            )
-        ]
+    share their blocks (the S^z sectors), or from V_f,b^dag V_i,b with no U.
+    Otherwise (a Haar unitary, say) q is one whole-register block, levels in
+    order: U's column panels (the identity's, with no U) on each block of the
+    initial spectrum times its eigenvectors give U V_i, and each block of
+    V_f^dag times U V_i's row panels gives q's rows of its levels."""
+    blocks = initial.stacks if u is None else u.stacks
+    if _same_blocks(initial.stacks, blocks) and _same_blocks(final.stacks, blocks):
+        stacks = []
+        for (_, columns, v_initial), (_, rows, v_final), stack in zip(initial.stacks, final.stacks, blocks):
+            bra = v_final.conj().swapaxes(-1, -2)
+            # stack is U's (indices, blocks); with no U, V_f^dag is copied to
+            # the contiguous array that V_f^dag I is, so q is the identity's
+            # to the bit (BLAS may sum a transposed operand in another order)
+            bra = np.ascontiguousarray(bra) if u is None else bra @ stack[1]
+            stacks.append((rows, columns, np.abs(bra @ v_initial) ** 2))
         return TransitionMatrix(tuple(stacks), initial, final)
-    everything = np.arange(u.dim)[None, :]
-    (u_whole,) = restrict(u.stacks, everything)
-    u_v = np.empty((u.dim, u.dim), np.result_type(u_whole, *(v for _, _, v in initial.stacks)))
+    dim = initial.dim
+    everything = np.arange(dim)[None, :]
+    u_whole = np.eye(dim) if u is None else restrict(u.stacks, everything)[0]
+    u_v = np.empty((dim, dim), np.result_type(u_whole, *(v for _, _, v in initial.stacks)))
     for indices, levels, v in initial.stacks:
         u_v[:, levels] = (u_whole[:, indices].transpose(1, 0, 2) @ v).transpose(1, 0, 2)
-    q = np.empty((u.dim, u.dim))
+    q = np.empty((dim, dim))
     for indices, levels, v in final.stacks:
         q[levels] = np.abs(v.conj().swapaxes(-1, -2) @ u_v[indices]) ** 2
     return TransitionMatrix(((everything, everything, q[None]),), initial, final)
 
 
 def transition_matrix(
-    initial: SpectralDecomposition, final: SpectralDecomposition, u: UnitaryOperator
+    initial: SpectralDecomposition, final: SpectralDecomposition, u: UnitaryOperator | None
 ) -> TransitionMatrix:
-    """Transition probabilities between the two measured eigenbases under U.
+    """Transition probabilities between the two measured eigenbases under U,
+    or of an undriven protocol (a sudden quench) when ``u`` is None.
     Every work-statistics reader below takes this one matrix, so a caller
     measures each drive once and reads it as often as it likes."""
     if not all(isinstance(s, SpectralDecomposition) for s in (initial, final)):
         raise TypeError("transition_matrix takes two SpectralDecompositions; decompose a Hamiltonian first")
-    if initial.dim != u.register.dim or final.dim != u.register.dim:
+    dim = initial.dim if u is None else u.register.dim
+    if initial.dim != dim or final.dim != dim:
         raise ValueError("spectra and unitary must share one register")
     return _transition_from_spectra(initial, final, u)
 

@@ -37,7 +37,7 @@ from dense_oracle import (
     partial_trace_matrix,
     pure_state,
 )
-from entwit.witness import _identity_unitary, build_css, build_w_state, reference_state, state_checksum, sweep_reference
+from entwit.witness import build_css, build_w_state, reference_state, state_checksum, sweep_reference
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -308,13 +308,6 @@ def test_reference_states_have_the_bytes_of_dense_outer_products(n):
             assert np.array_equal(i, j) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
     amplitude = 1 / math.sqrt(n)
     assert (build_w_state(n).entries[1, 1].real != amplitude * amplitude) == (n in (5, 7, 8, 10))
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_the_identity_unitary_has_the_sector_stacks_of_the_identity_matrix(n):
-    got = _identity_unitary(QubitRegister(n)).stacks
-    for (i, a), (j, b) in zip(got, sector_stacks(np.eye(2**n)), strict=True):
-        assert np.array_equal(i, j) and a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------- spectra

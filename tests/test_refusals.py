@@ -10,7 +10,9 @@ No row writes into ``<tmp>/file``, an existing file that some rows name as
 subcommands.  A refusal of the config names the file once, as its first
 word, and then the JSON path of the refused value where it sits below the
 top level; refusals of the command line, of ``--out`` and of an unreadable
-unitary file and a failed numerical check name no config.
+unitary file name no config.  A matrix that fails its numerical check (a
+non-unitary unitary file, a state that is not self-adjoint) is a refusal
+of the config like any other.
 """
 
 import json
@@ -37,6 +39,7 @@ SAMPLE = {"protocol": "three-qubit", "count": 1000}
 SCHEDULE = {"initial": {"n": 3, "J": 1, "Jz": 0, "B": 0.3}, "final": {"n": 3, "J": 1, "Jz": 0, "B": 0.5}, "steps": 10}
 W3 = matrix_to_json(QubitRegister(3), build_w_state(3).entries)
 MIXED2 = matrix_to_json(QubitRegister(2), np.eye(4) / 4)
+SKEWED3 = matrix_to_json(QubitRegister(3), np.eye(8) / 8 + np.triu(np.full((8, 8), 0.01), 1))
 # the sample and sweep budgets, fixed so that their refusals read the same
 # on every machine
 BUDGET = 2**33
@@ -94,6 +97,8 @@ ROWS = [
      "error: <cfg>: rho_star.matrix: matrix payload missing key 're'", 1),
     ("matrix-register", "witness --config <cfg>", {**WITNESS, "rho_star": {"matrix": MIXED2}},
      "error: <cfg>: rho_star.matrix: state is on 2 qubits, protocol uses 3", 1),
+    ("matrix-not-self-adjoint", "witness --config <cfg>", {**WITNESS, "rho_star": {"matrix": SKEWED3}},
+     "error: <cfg>: rho_star.matrix: density matrix is not self-adjoint: max |A - A^dag| = 1.000e-02 exceeds 1e-12", 1),
     ("state-params-missing", "witness --config <cfg>", {**WITNESS, "rho_star": {"temperature": 1}},
      "error: <cfg>: rho_star: missing required key 'params'", 1),
     ("state-temperature-and-beta", "witness --config <cfg>", rho_star(beta=1),
@@ -205,7 +210,7 @@ ROWS = [
     ("unitary-register", "verify --config <cfg>", {"unitary_file": "<tmp>/unitary2.json"},
      "error: <cfg>: unitary_file: unitary is on 2 qubits, protocol uses 3", 1),
     ("unitary-not-unitary", "verify --config <cfg>", {"unitary_file": "<tmp>/scaled.json"},
-     "numerical check failed: unitarity check failed: max |U^dag U - I| = 3.000e+00 exceeds 1e-10", 2),
+     "error: <cfg>: unitary_file: unitarity check failed: max |U^dag U - I| = 3.000e+00 exceeds 1e-10", 1),
     ("verify-out-file", "verify --out <tmp>/file", None,
      "error: <tmp>/file: exists and is not a directory", 1),
     # sample

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entwit.operators
 import entwit.witness
 from entwit import (
     ConfigError,
@@ -616,15 +617,16 @@ def test_a_sweep_refuses_a_reference_on_another_register(monkeypatch, route, slo
         sweep_detection(small_grid(n=grid_n, route=route), reference)
 
 
-@pytest.mark.parametrize("route, built", [("via_work", 1), ("direct", 0)])
-def test_a_sweep_builds_the_identity_drive_at_most_once(monkeypatch, route, built):
-    # the reference leg and each of the six Jz planes read one identity
-    registers, identity = [], entwit.witness._identity_unitary
-    monkeypatch.setattr(
-        entwit.witness, "_identity_unitary", lambda register: registers.append(register) or identity(register)
-    )
+@pytest.mark.parametrize("route", ["via_work", "direct"])
+def test_an_undriven_witness_and_sweep_build_no_unitary(monkeypatch, route):
+    # the reference leg, each of the six Jz planes and the rho_star leg are
+    # undriven: transition_matrix takes no unitary for them
+    built = []
+    monkeypatch.setattr(entwit.operators.UnitaryOperator, "_check", lambda self: built.append(self))
     done = sweep_detection(small_grid(route=route, jz_axis=GridAxis(0.0, 0.5, 0.1)), sweep_reference(3, thermal=True))
-    assert done.s_right.shape[1] == 6 and len(registers) == built
+    protocol = detection_protocol(3)
+    report = witness_evaluate(protocol.final_spec, protocol.initial_spec, protocol.initial_spec, route, evolution=None)
+    assert done.s_right.shape[1] == 6 and math.isfinite(report.s_right) and built == []
 
 
 def test_sweep_reference_variants():

@@ -66,6 +66,20 @@ def identity_on(n):
     return UnitaryOperator(QubitRegister(n), np.eye(2**n))
 
 
+def sector_hamiltonian(n, rng):
+    """A random Hermitian matrix with its entries between popcount sectors
+    set to 0, so its spectrum keeps the S^z blocks."""
+    ones = np.array([bin(i).count("1") for i in range(2**n)])
+    h = random_hermitian(n, rng).entries
+    return HermitianOperator(QubitRegister(n), np.where(ones[:, None] == ones[None, :], h, 0))
+
+
+def assert_same_stacks(got, want):
+    for (rows, columns, q), (rows_want, columns_want, q_want) in zip(got.stacks, want.stacks, strict=True):
+        assert np.array_equal(rows, rows_want) and np.array_equal(columns, columns_want)
+        assert q.dtype == q_want.dtype and q.tobytes() == q_want.tobytes()
+
+
 def measured(h_initial, h_final, u):
     """The transition matrix of the drive u between two Hamiltonians."""
     return transition_matrix(spectral_decompose(h_initial), spectral_decompose(h_final), u)
@@ -119,6 +133,36 @@ class TestTransitionMatrix:
         dec = spectral_decompose(HermitianOperator(QubitRegister(1), SZ))
         with pytest.raises(ValueError, match="one register"):
             transition_matrix(dec, dec, identity_on(2))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_no_unitary_gives_the_transitions_of_the_identity_matrix(self, n):
+        # an undriven protocol between S^z-sector spectra, complex and real
+        rng = np.random.default_rng(n)
+        for part in (np.asarray, np.real):
+            a, b = (sector_hamiltonian(n, rng) for _ in range(2))
+            a, b = (spectral_decompose(HermitianOperator(h.register, part(h.entries))) for h in (a, b))
+            assert len(a.stacks) == len(b.stacks) == (n + 2) // 2
+            assert_same_stacks(transition_matrix(a, b, None), transition_matrix(a, b, identity_on(n)))
+
+    @pytest.mark.parametrize("mixed_side", [0, 1])
+    def test_no_unitary_between_spectra_of_different_blocks_is_the_identity_matrix(self, mixed_side):
+        # an S^x term on site 1 makes one side one whole-register block
+        rng = np.random.default_rng(3)
+        sx = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(4))
+        h = sector_hamiltonian(3, rng)
+        sides = [spectral_decompose(sector_hamiltonian(3, rng)) for _ in range(2)]
+        sides[mixed_side] = spectral_decompose(HermitianOperator(h.register, h.entries + 0.3 * sx))
+        assert [len(side.stacks) for side in sides] == [1 + mixed_side, 2 - mixed_side]
+        tm = transition_matrix(*sides, None)
+        assert len(tm.stacks) == 1
+        assert_same_stacks(tm, transition_matrix(*sides, identity_on(3)))
+
+    def test_no_unitary_still_refuses_spectra_on_two_registers(self):
+        rng = np.random.default_rng(5)
+        one, two = (spectral_decompose(random_hermitian(n, rng)) for n in (1, 2))
+        for pair in ((one, two), (two, one)):
+            with pytest.raises(ValueError, match="one register"):
+                transition_matrix(*pair, None)
 
 
 # ═══════════════════════════════════════════════════════════════════
