@@ -310,6 +310,17 @@ def test_reference_states_have_the_bytes_of_dense_outer_products(n):
     assert (build_w_state(n).entries[1, 1].real != amplitude * amplitude) == (n in (5, 7, 8, 10))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_identity_unitary_has_the_sector_stacks_of_the_identity_matrix(n):
+    # the identity an undriven protocol stands for: one exact identity block
+    # per popcount sector, stacked by size
+    got = UnitaryOperator(QubitRegister(n), np.eye(2**n))
+    assert len(got.stacks) == (n + 2) // 2 and got.deviation == 0.0
+    for (i, a), (j, b) in zip(got.stacks, sector_stacks(np.eye(2**n)), strict=True):
+        assert np.array_equal(i, j) and a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(a, np.broadcast_to(np.eye(i.shape[1]), a.shape))
+
+
 # ---------------------------------------------------------------- spectra
 
 def test_spectral_decompose_reconstructs():
