@@ -22,9 +22,10 @@ Jz H_zz - B S_z.  ``full_hamiltonian`` combines them at one time and
 A split XXZ chain conserves the total S^z, so these run per S^z sector of the
 full register, and so do the endpoint spectra (``spectral_decompose``), the
 weight operator exp(-beta (H - E0)) (``operators.spectral_function``) and its
-trace over the bath (``operators.partial_trace``); the effective Hamiltonian
-is built per sector of the subsystem.  A coupling or bath that changes S^z
-puts the whole register in one block.
+trace over the bath M (``operators.partial_trace``); the effective Hamiltonian
+is built per sector of the subsystem from ``spectral_decompose`` of M and its
+``spectral_function`` ln M.  A coupling or bath that changes S^z puts the
+whole register in one block.
 
 Partition functions stay in log space and come from ``thermo``'s one rule:
 ln Y is ``ThermalSpec(full_hamiltonian(c), beta).log_partition``, ln Z_B is
@@ -59,7 +60,6 @@ from .operators import (
     QubitRegister,
     SpectralDecomposition,
     UnitaryOperator,
-    checked_eigh,
     combine,
     embed,
     partial_trace,
@@ -217,8 +217,9 @@ def _mean_force(
     ground = full.eigenvalues[0]
     weights = np.exp(-composite.beta * (full.eigenvalues - ground))
     traced = partial_trace(spectral_function(full, weights), composite.register.n, composite.subsystem_sites)
-    spectra = [(indices, *checked_eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))) for indices, m in traced]
-    smallest = min(float(w.min()) for _, w, _ in spectra)
+    symmetric = [(indices, 0.5 * (m + m.conj().swapaxes(-1, -2))) for indices, m in traced]
+    spectrum = spectral_decompose(HermitianOperator(composite.subsystem_register, symmetric))
+    smallest = float(spectrum.eigenvalues[0])
     if smallest <= WEIGHT_RANK_FLOOR:
         raise NumericalCheckError(
             "bath-traced weight operator is numerically rank deficient "
@@ -227,9 +228,8 @@ def _mean_force(
         )
     shift = ground + log_bath / composite.beta
     stacks = []
-    for indices, w, v in spectra:
-        log_m = (v * np.log(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        h = shift * np.eye(w.shape[-1]) - log_m / composite.beta
+    for indices, log_m in spectral_function(spectrum, np.log(spectrum.eigenvalues)):
+        h = shift * np.eye(log_m.shape[-1]) - log_m / composite.beta
         stacks.append((indices, 0.5 * (h + h.conj().swapaxes(-1, -2))))
     return HermitianOperator(composite.subsystem_register, stacks)
 

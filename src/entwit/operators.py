@@ -30,10 +30,10 @@ Trotter product, commutation check and transition probabilities (in
 A ``SpectralDecomposition`` keeps the eigenvectors of each block, with the
 position of each block eigenvalue in the ascending spectrum; the transition
 probabilities of a unitary that mixes sectors multiply its whole-register
-block by them block by block, and merge no blocks.  ``spectral_function``
-is the package's one V f(w) V^dag, taken block by block: Gibbs states and
-the open system's weight operator come from it.  Propagators do not: every
-one is a product of ``work_stats.ordered_product``.
+block by them block by block, and merge no blocks.  ``spectral_decompose``
+(of an operator or a state) is the one diagonalization, ``spectral_function``
+the one V f(w) V^dag, block by block: Gibbs states, the open system's weight
+operator and its ln M.  Propagators: ``work_stats.ordered_product`` alone.
 
 ``checked_eigh`` and ``check_unitary`` work on any square block or stack of
 blocks, so the containers here and the ordered product hold the same
@@ -419,9 +419,9 @@ def restrict(stacks: Sequence[tuple[np.ndarray, np.ndarray]], indices: np.ndarra
     return diagonal_blocks(assemble(stacks), indices)
 
 
-def spectral_decompose(operator: HermitianOperator) -> SpectralDecomposition:
-    """Diagonalize a Hermitian operator with one ``checked_eigh`` per stack
-    of its stored blocks, keeping the blocks.
+def spectral_decompose(operator: HermitianOperator | DensityMatrix) -> SpectralDecomposition:
+    """Diagonalize a Hermitian operator or a state with one ``checked_eigh``
+    per stack of its stored blocks, keeping the blocks.
 
     The levels come in stable ascending order over the sectors taken by
     ascending popcount, so within a degenerate level the eigenvectors follow

@@ -149,12 +149,12 @@ def build_xxz(params: XXZParams) -> HermitianOperator:
 
 def ramp_values(schedule: DrivingSchedule, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(J, Jz, B) at time ``t``, elementwise over an array of times in
-    [0, t_f]: the schedule's one interpolation formula."""
+    [0, t_f]: the schedule's one interpolation formula, exact at t_f."""
     t = np.asarray(t, dtype=np.float64)
     initial, final = schedule.initial, schedule.final
     frac = np.zeros(t.shape) if schedule.t_f == 0 else np.minimum(t / schedule.t_f, 1.0)
     return tuple(
-        start + frac * (end - start)
+        np.where(frac == 1.0, end, start + frac * (end - start))
         for start, end in ((initial.J, final.J), (initial.Jz, final.Jz), (initial.B, final.B))
     )
 

@@ -7,11 +7,11 @@ more than 1e-12 of weight outside the support of sigma.
 
 Every direct evaluation comes down to the cross term
 tr(rho ln sigma) = sum_i <v_i|rho|v_i> ln w_i over sigma's eigenpairs (v_i, w_i).
-``sector_overlaps`` is its one loop: it diagonalizes sigma's stored S^z
-blocks and takes the overlaps from rho's matching blocks on BLAS.
-``relative_entropy``, the witness's analytic evaluator (a state rho against
-a Gibbs sigma given by its Hamiltonian) and the direct sweep share it, so no
-dense matrix of either is read.  Every direct evaluator clamps roundoff
+``sector_overlaps`` is its one loop: it reads sigma's ``SpectralDecomposition``
+block by block (``relative_entropy``'s of the state sigma, the analytic
+evaluator's cached ``ThermalSpec.spectrum``, the direct sweep's of H*(0)) and
+takes the overlaps from rho's matching blocks on BLAS, so no dense matrix of
+either is read.  Every direct evaluator clamps roundoff
 below zero with ``nonnegative_entropy``, and raises below -NEGATIVE_ENTROPY_TOL.
 
 This module holds the package's one Gibbs rule: ``log_gibbs_weights``
@@ -43,7 +43,6 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     SpectralDecomposition,
-    checked_eigh,
     restrict,
     spectral_decompose,
     spectral_function,
@@ -200,36 +199,33 @@ def nonnegative_entropy(value):
     return np.where(value < 0, 0.0, value)[()]
 
 
-def sector_overlaps(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """sigma's eigenvalues w_i and the overlaps <v_i|rho|v_i> of its
-    eigenvectors, from one checked ``eigh`` per stack of sigma's (indices,
-    blocks) stacks, in stack order (not sorted), each block's eigenvalues
-    together.
+def sector_overlaps(rho, spectrum: SpectralDecomposition) -> np.ndarray:
+    """The overlaps <v_i|rho|v_i> of the eigenvectors of ``spectrum`` with
+    the (indices, blocks) stacks ``rho``, in level order, clamped at 0.
 
     Each eigenvector lies in one block, so only rho's matching blocks (the
     ``operators.restrict`` of rho's stacks) enter the overlaps, which is
-    exact for any rho.  The overlaps are a matrix product and a column sum,
-    so they run on BLAS, and are clamped at 0.
+    exact for any rho.  The overlaps are a matrix product and a column sum
+    per stack, so they run on BLAS.
     """
-    eigenvalues, overlaps = [], []
-    for indices, blocks in sigma:
-        w, v = checked_eigh(blocks)
+    overlaps = np.empty(spectrum.dim)
+    for indices, levels, v in spectrum.stacks:
         rho_blocks = restrict(rho, indices)
-        eigenvalues.append(w.ravel())
-        overlaps.append(np.clip((v.conj() * (rho_blocks @ v)).sum(-2).real, 0.0, None).ravel())
-    return np.concatenate(eigenvalues), np.concatenate(overlaps)
+        overlaps[levels] = np.clip((v.conj() * (rho_blocks @ v)).sum(-2).real, 0.0, None)
+    return overlaps
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """S(rho||sigma) in nats; math.inf when supp(rho) leaks out of supp(sigma).
 
-    sigma's spectrum and the overlaps come from ``sector_overlaps``.
+    The overlaps come from ``sector_overlaps`` on ``spectral_decompose(sigma)``.
     """
     if rho.register != sigma.register:
         raise ValueError("states must live on the same register")
     first_term = _plogp(rho.eigenvalues)
-    sigma_eigenvalues, overlaps = sector_overlaps(rho.stacks, sigma.stacks)
-    sigma_eigenvalues = np.clip(sigma_eigenvalues, 0.0, None)
+    spectrum = spectral_decompose(sigma)
+    overlaps = sector_overlaps(rho.stacks, spectrum)
+    sigma_eigenvalues = np.clip(spectrum.eigenvalues, 0.0, None)
     inside = sigma_eigenvalues > EIGENVALUE_FLOOR
     leak = float(overlaps[~inside].sum())
     if leak > SUPPORT_LEAK_TOL:

@@ -16,9 +16,9 @@ sweep's reference leg alike.  A direct distance uses one of three
 evaluators: the Gibbs identity when both states are declared Gibbs states,
 the analytic log weights of a declared Gibbs sigma under a state rho, and
 the spectral evaluator otherwise.  The last two share
-``thermo.sector_overlaps``, so a Gibbs sigma is diagonalized per S^z sector
-and no dense matrix is read; the analytic one and the direct sweep share one
-expression, ``_gibbs_cross_entropy``.
+``thermo.sector_overlaps`` on sigma's spectrum (a Gibbs sigma's cached
+``ThermalSpec.spectrum``), so no dense matrix is read; the analytic one and
+the direct sweep share one expression, ``_gibbs_cross_entropy``.
 
 The reference states (W_n, the Dicke mixtures) are laid out per popcount
 sector (``operators.sector_partition``), so none of them becomes a
@@ -28,13 +28,13 @@ reference slots, each a state or a declared Gibbs state.
 for the spectral evaluator and the direct sweep's rho; ``state_checksum``
 hashes a spec's cached Gibbs blocks, so a direct sweep builds rho's once.
 A sweep on either route combines the cached ``spin_models.xxz_pieces`` once
-per Jz value at B = 0, diagonalizes the blocks, reads each eigenvector's
-magnetization off the S_z blocks, and takes the log Gibbs weights of the
-(B, T) plane from one ``thermo.log_gibbs_weights`` call (a few for large
-registers and grids).
-The direct route reads them against the reference state's overlaps; the
-work route against one transition matrix per Jz, that of the undriven
-protocol (``transition_matrix`` with no unitary).
+per Jz value at B = 0, takes one ``spectral_decompose`` of that H*(0), reads
+each level's magnetization off the S_z blocks, and takes the log Gibbs
+weights of the (B, T) plane from one ``thermo.log_gibbs_weights`` call (a
+few for large registers and grids).
+The direct route reads them against the reference state's overlaps on that
+spectrum; the work route against one transition matrix per Jz, that of the
+undriven protocol (``transition_matrix`` with no unitary).
 """
 
 from __future__ import annotations
@@ -324,8 +324,8 @@ def _distance_direct(rho: StateOrSpec, sigma: StateOrSpec, rho_name: str, sigma_
     if isinstance(sigma, ThermalSpec):
         if rho_state.register != sigma.hamiltonian.register:
             raise ValueError("states must live on the same register")
-        energies, overlaps = sector_overlaps(rho_state.stacks, sigma.hamiltonian.stacks)
-        log_weights = log_gibbs_weights(energies, sigma.beta)
+        log_weights = log_gibbs_weights(sigma.spectrum.eigenvalues, sigma.beta)
+        overlaps = sector_overlaps(rho_state.stacks, sigma.spectrum)
         return float(_gibbs_cross_entropy(_plogp(rho_state.eigenvalues), log_weights, overlaps))
     return relative_entropy(rho_state, _as_state(sigma, sigma_name))
 
@@ -548,9 +548,9 @@ def sweep_reference(
 def _sweep_plane(grid: SweepGrid, rho: StateOrSpec, jz_value: float) -> np.ndarray:
     """s_right for one Jz value over the whole (B, T) plane, shape (nB, nT).
 
-    Both routes diagonalize the chain's sectors once, at B = 0: each B only
-    shifts the energies by -B m.  The direct route reads each run of B
-    values' log Gibbs weights against rho's overlaps, with rho a
+    Both routes read one spectrum of the chain at B = 0 and each level's m:
+    each B only shifts the energies by -B m.  The direct route reads each run
+    of B values' log Gibbs weights against rho's overlaps, with rho a
     DensityMatrix; the work route, with rho a ThermalSpec, through the one
     undriven q between H*(0) and rho, the q of every B.
     """
@@ -558,13 +558,12 @@ def _sweep_plane(grid: SweepGrid, rho: StateOrSpec, jz_value: float) -> np.ndarr
     stacks = xxz_pieces(grid.n, grid.boundary)
     # -B = -0.0 adds the signed zeros that J H_xy + Jz H_zz - 0.0 S_z holds
     h_zero = combine(stacks, (grid.coupling_j, jz_value, -0.0))
+    spectrum = spectral_decompose(HermitianOperator(QubitRegister(grid.n), h_zero))
     # S_z is m I on each sector block, so its diagonal is each eigenvector's m
-    sector_m = [np.diagonal(pieces[2], 0, 1, 2) for _, pieces in stacks]
+    energies, magnetization = spectrum.eigenvalues, np.empty(spectrum.dim)
+    for (_, levels, _), (_, pieces) in zip(spectrum.stacks, stacks):
+        magnetization[levels] = np.diagonal(pieces[2], 0, 1, 2)
     if via_work:
-        spectrum = spectral_decompose(HermitianOperator(QubitRegister(grid.n), h_zero))
-        energies, magnetization = spectrum.eigenvalues, np.empty(spectrum.dim)
-        for (_, levels, _), m in zip(spectrum.stacks, sector_m):
-            magnetization[levels] = m
         tm = transition_matrix(spectrum, rho.spectrum, None)
         final_sums = _log_final_sums(tm, rho.beta)
         weights, values = rho.weights, np.column_stack([energies, magnetization])
@@ -574,8 +573,7 @@ def _sweep_plane(grid: SweepGrid, rho: StateOrSpec, jz_value: float) -> np.ndarr
     else:
         # Gibbs states at every grid point are full rank, so tr(rho ln sigma*)
         # is evaluated from exact log weights; no support bookkeeping applies
-        energies, overlaps = sector_overlaps(rho.stacks, h_zero)
-        magnetization = np.concatenate([m.ravel() for m in sector_m])
+        overlaps = sector_overlaps(rho.stacks, spectrum)
         plogp_rho = _plogp(rho.eigenvalues)
     betas = (1.0 / t_values)[:, None]
     # log Gibbs weights of a run of B values at once, shape (b, nT, dim)

@@ -711,9 +711,9 @@ def sample_tpm(
     level indices, which the returned batch holds, and the float64
     standardized ratio: 12 bytes per draw.
     """
-    if not isinstance(count, int) or count < 1:
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     _check_betas(beta_initial, beta_final)
 

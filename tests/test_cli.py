@@ -629,6 +629,7 @@ def test_sample_is_deterministic_for_a_seed(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.filterwarnings("default:thermal identification")
 def test_a_warning_is_one_stderr_line(tmp_path, capsys):
     # beta times the seven-qubit gap is 1.98 at beta = 10: the run warns, and
     # names no file or source line of the package

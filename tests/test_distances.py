@@ -3,9 +3,13 @@
 ``witness._distance_direct`` picks one of three evaluators: the Gibbs
 identity (two declared Gibbs states), the analytic log weights (a declared
 Gibbs sigma under a dense rho) and the dense spectral path.  The last two take
-their overlaps from ``thermo.sector_overlaps``; ``dense_oracle`` keeps the
+their overlaps from ``thermo.sector_overlaps`` on sigma's
+``SpectralDecomposition``: a Gibbs sigma's cached ``ThermalSpec.spectrum``,
+or ``spectral_decompose`` of the state sigma.  ``dense_oracle`` keeps the
 former einsum evaluator, which shares no code with that kernel.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -27,8 +31,6 @@ from entwit import (
     relative_entropy,
     thermal_state,
 )
-import entwit.thermo
-import entwit.witness
 from entwit.thermo import nonnegative_entropy
 from entwit.witness import _distance_direct
 
@@ -145,14 +147,32 @@ def test_direct_evaluators_reuse_the_spectrum_of_the_state_check(monkeypatch):
 
 
 def test_analytic_branch_builds_no_dense_spectrum(monkeypatch):
-    # a Gibbs sigma under a dense rho is evaluated on sigma's S^z sectors;
-    # the dense eigenvector matrix of ThermalSpec.spectrum is never built
-    def refuse(operator):
-        raise AssertionError("spectral_decompose called")
+    # a Gibbs sigma under a dense rho is evaluated on sigma's S^z sectors:
+    # every eigh is on blocks no larger than the largest, C(5, 2) = 10 states
+    sizes = []
+    real_eigh = np.linalg.eigh
 
-    for module in (entwit.thermo, entwit.witness):
-        monkeypatch.setattr(module, "spectral_decompose", refuse)
+    def recorded(matrix):
+        sizes.append(matrix.shape[-1])
+        return real_eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
     spec = ThermalSpec(build_xxz(XXZParams(5, 1.0, 0.2, 0.4)), 3.0)
     value = direct(build_w_state(5), spec)
     monkeypatch.undo()
+    assert sizes and max(sizes) <= math.comb(5, 2)
     assert abs(value - dense_relative_entropy(build_w_state(5), thermal_state(spec))) <= 1e-12
+
+
+def test_analytic_branch_reads_the_cached_spectrum(monkeypatch):
+    # once a Gibbs sigma's spectrum has been read, evaluating a state rho
+    # against it diagonalizes nothing again
+    spec = ThermalSpec(build_xxz(XXZParams(5, 1.0, 0.2, 0.4)), 3.0)
+    rho = build_w_state(5)
+    expected = direct(rho, spec)
+
+    def refuse(matrix):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert direct(rho, spec) == expected

@@ -291,13 +291,14 @@ def test_open_witness_routes_agree_when_coupled():
     assert direct.metadata["system"] == "open"
 
 
-@pytest.mark.parametrize("route, count", [("direct", 6), ("via_work", 5)])
+@pytest.mark.parametrize("route, count", [("direct", 8), ("via_work", 7)])
 def test_open_witness_diagonalizes_each_hamiltonian_once(decompositions, route, count):
     initial = two_plus_one(0.1, b_field=0.1)
     final = two_plus_one(0.1, b_field=0.6)
     open_witness(initial, final, ThermalSpec(initial.subsystem_hamiltonian, 1.0), route=route)
-    # both full Hamiltonians, the bath, rho_star's Hamiltonian, the final
-    # effective one, and on the direct route the initial effective one too
+    # both full Hamiltonians, both bath-traced weight operators, the bath,
+    # rho_star's Hamiltonian, the final effective one, and on the direct
+    # route the initial effective one too
     assert len(decompositions) == len(set(decompositions)) == count
 
 

@@ -102,6 +102,13 @@ def test_params_at_endpoints_and_midpoint():
     assert abs(mid.Jz - 0.25) < 1e-15 and abs(mid.B - 0.25) < 1e-15
 
 
+@pytest.mark.parametrize("start, end", [(0.3, 0.9), (0.2, 0.9), (0.7, 0.1)])
+def test_the_end_of_a_ramp_is_its_final_chain(start, end):
+    # start + 1 * (end - start) misses end by one ulp for these fields
+    sched = DrivingSchedule(XXZParams(3, 1.0, 0.0, start), XXZParams(3, 1.0, 0.0, end), t_f=1.0, steps=10)
+    assert params_at(sched, sched.t_f) == sched.final
+
+
 def test_params_at_rejects_out_of_range():
     sched = make_schedule()
     with pytest.raises(ValueError):

@@ -553,6 +553,12 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_tpm(self.tm, 1.0, 1.0, count=0, seed=1)
 
+    @pytest.mark.parametrize("count, seed, field", [(True, 1, "count"), (10, True, "seed"), (10, False, "seed")])
+    def test_refuses_a_bool_count_or_seed(self, count, seed, field):
+        # a bool is an int to isinstance, but neither a draw count nor a seed
+        with pytest.raises(ValueError, match=f"{field} must be a"):
+            sample_tpm(self.tm, 1.0, 1.0, count=count, seed=seed)
+
 
 @settings(max_examples=40, deadline=None)
 @given(
